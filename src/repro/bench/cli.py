@@ -63,6 +63,10 @@ SCHED_SUMMARY_EXTRAS = ("tenant-admission",)
 #: and the flow-control (backpressure + shedding) layer on top of it.
 FLOW_SUMMARY_PROBES = ("traffic-overload", "overload-protect")
 
+#: Name column width of ``--list`` and result rows: the longest
+#: registered name, so every row's columns line up.
+NAME_WIDTH = max(map(len, REGISTRY))
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -189,7 +193,7 @@ def write_flow_summary(
 
 def _format_row(result: BenchResult, baseline: Optional[BenchResult]) -> str:
     row = (
-        f"{result.name:<14} median={result.median_s:8.4f}s "
+        f"{result.name:<{NAME_WIDTH}} median={result.median_s:8.4f}s "
         f"p90={result.p90_s:8.4f}s events={result.events:>9,} "
         f"ev/s={result.events_per_sec:>12,.0f} rss={result.peak_rss_kb:,}KB"
     )
@@ -202,7 +206,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list:
         for name, bench in REGISTRY.items():
-            print(f"{name:<14} {bench.description}")
+            print(f"{name:<{NAME_WIDTH}} {bench.description}")
         return 0
     names = args.benchmarks or list(REGISTRY)
     unknown = [n for n in names if n not in REGISTRY]

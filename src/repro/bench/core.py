@@ -10,8 +10,10 @@ identical, and CI asserts them against the committed baseline exactly.
 
 :func:`run_benchmark` times ``repeats`` fresh workloads with the garbage
 collector disabled and reports median/p90 wall seconds, events/sec (at
-the median) and the process peak RSS.  Results serialise to
-``BENCH_<name>.json`` via :func:`write_result`.
+the median) and the peak RSS over the probe's own repeats (process-wide
+where the kernel cannot reset the high-water mark; ``meta`` records
+which).  Results serialise to ``BENCH_<name>.json`` via
+:func:`write_result`.
 """
 
 from __future__ import annotations
@@ -120,9 +122,24 @@ def _p90(values: List[float]) -> float:
     return ordered[max(index, 0)]
 
 
+def _reset_peak_rss() -> bool:
+    """Lower the kernel's RSS high-water mark to the current RSS, so the
+    next :func:`_peak_rss_kb` reads the peak of what ran since (Linux
+    4.0+ ``/proc/self/clear_refs``).  Returns False where unsupported:
+    the peak then stays process-wide, inheriting earlier probes' peaks.
+    """
+    try:
+        with open("/proc/self/clear_refs", "w") as refs:
+            refs.write("5")
+    except OSError:
+        return False
+    return True
+
+
 def _peak_rss_kb() -> int:
-    """Process high-water-mark RSS in KiB (ru_maxrss is KiB on Linux,
-    bytes on macOS)."""
+    """High-water-mark RSS in KiB since the last successful
+    :func:`_reset_peak_rss`, else since process start (ru_maxrss is KiB
+    on Linux, bytes on macOS)."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if platform.system() == "Darwin":  # pragma: no cover - linux CI
         peak //= 1024
@@ -142,6 +159,7 @@ def run_benchmark(bench: Benchmark, repeats: Optional[int] = None) -> BenchResul
         raise ConfigError(f"repeats must be >= 1, got {count}")
     times: List[float] = []
     events: Optional[int] = None
+    rss_scope = "probe" if _reset_peak_rss() else "process"
     for _ in range(count):
         workload = bench.prepare()
         gc_was_enabled = gc.isenabled()
@@ -177,6 +195,7 @@ def run_benchmark(bench: Benchmark, repeats: Optional[int] = None) -> BenchResul
             "python": platform.python_version(),
             "machine": platform.machine(),
             "system": platform.system(),
+            "peak_rss_scope": rss_scope,
         },
     )
 

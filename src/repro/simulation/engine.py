@@ -18,6 +18,17 @@ Hot-path design (the loop carries every experiment in the repo):
   a descriptor call there is measurable.  They are read-only by
   convention — only the engine assigns them.
 
+Direct-push contract (for callers that schedule one event per batch):
+
+* ``heap`` is the event heap and ``seq`` the counter issuing the FIFO
+  tie-break numbers.  ``heappush(sim.heap, (time, next(sim.seq),
+  action, args))`` with ``time >= sim.now`` is exactly
+  :meth:`schedule_at` minus its past-time check and call frame; ``args``
+  is the tuple ``action`` is called with.
+* A direct push must take its seq from ``next(sim.seq)`` (never
+  invent one), so direct and method-scheduled events interleave in the
+  same ``(time, seq)`` order either way.
+
 Horizon convention (the boundary every caller must agree on):
 
 * ``run(until)`` is **inclusive**: events scheduled exactly at ``until``
@@ -32,7 +43,8 @@ Horizon convention (the boundary every caller must agree on):
 from __future__ import annotations
 
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, List, Optional, Tuple
+from itertools import count
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -49,15 +61,18 @@ class Simulator:
         events_processed: Events executed so far (read-only by
             convention; coherent between :meth:`run` calls, not while one
             is on the stack).
+        heap: The ``(time, seq, action, args)`` event heap (push only,
+            per the direct-push contract in the module docstring).
+        seq: Counter issuing the FIFO tie-break sequence numbers.
     """
 
-    __slots__ = ("now", "events_processed", "_seq", "_heap")
+    __slots__ = ("now", "events_processed", "heap", "seq")
 
     def __init__(self) -> None:
         self.now = 0.0
         self.events_processed = 0
-        self._seq = 0
-        self._heap: List[_Event] = []
+        self.heap: List[_Event] = []
+        self.seq: Iterator[int] = count(1)
 
     def schedule_at(
         self, time: float, action: Callable[..., None], *args: Any
@@ -74,8 +89,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at {time} before now={self.now}"
             )
-        self._seq += 1
-        _heappush(self._heap, (time, self._seq, action, args))
+        _heappush(self.heap, (time, next(self.seq), action, args))
 
     def schedule_after(
         self, delay: float, action: Callable[..., None], *args: Any
@@ -84,10 +98,8 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         # Pushed directly rather than via schedule_at: a non-negative
-        # delay can never land in the past, and this is the runtime's
-        # hottest scheduling call (one per dispatched batch).
-        self._seq += 1
-        _heappush(self._heap, (self.now + delay, self._seq, action, args))
+        # delay can never land in the past.
+        _heappush(self.heap, (self.now + delay, next(self.seq), action, args))
 
     def run(self, until: float) -> None:
         """Process events in order until simulated time ``until``.
@@ -100,7 +112,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot run backwards to {until} from now={self.now}"
             )
-        heap = self._heap
+        heap = self.heap
         pop = _heappop
         processed = self.events_processed
         try:
@@ -115,19 +127,19 @@ class Simulator:
 
     def step(self) -> bool:
         """Process a single event; returns False when the heap is empty."""
-        if not self._heap:
+        if not self.heap:
             return False
-        time, _seq, action, args = _heappop(self._heap)
+        time, _seq, action, args = _heappop(self.heap)
         self.now = time
         self.events_processed += 1
         action(*args)
         return True
 
     def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
+        return self.heap[0][0] if self.heap else None
 
     def __repr__(self) -> str:
         return (
-            f"Simulator(now={self.now:.6f}, pending={len(self._heap)}, "
+            f"Simulator(now={self.now:.6f}, pending={len(self.heap)}, "
             f"processed={self.events_processed})"
         )

@@ -201,6 +201,22 @@ class StatisticServer:
     ) -> None:
         self._spout_throttled[topology_id] += seconds
 
+    def per_batch_counters(
+        self,
+    ) -> Tuple[Dict[str, float], Dict[Tuple[str, str], int], Dict[str, int]]:
+        """The live ``(busy, processed, nic)`` counter dicts behind
+        :meth:`record_busy`, :meth:`record_processed` and
+        :meth:`record_nic`, for the runtime's per-batch path to increment
+        directly (``busy[node_id] += core_seconds``,
+        ``processed[(topology_id, component)] += tuples``,
+        ``nic[node_id] += num_bytes``) instead of paying a call each.
+
+        They are ``defaultdict``\\ s owned by this server for its whole
+        life, so a caller may hold them; an increment through them is
+        indistinguishable from the matching ``record_*`` call.
+        """
+        return self._busy, self._processed_totals, self._nic_bytes
+
     # -- raw views --------------------------------------------------------
 
     def sink_total(self, topology_id: str) -> int:

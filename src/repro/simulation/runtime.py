@@ -22,6 +22,24 @@ reproducing the execution model the paper's evaluation measures:
 
 The runtime supports node failure injection and task migration so the
 Nimbus coordination loop can reschedule mid-run.
+
+The closed-loop per-batch path is one short call chain, ``_deliver`` ->
+``_dispatch`` -> ``_complete`` -> ``_finish_process``/``_finish_emit``
+-> ``_route``: service times, enqueues and the busy/processed/NIC
+counters are computed inline, and completions are pushed straight onto
+the engine heap (the Simulator's direct-push contract).
+
+Late-bound hooks.  :class:`~repro.simulation.tracing.Tracer` observes a
+run by assigning wrapper closures as *instance* attributes over
+``_deliver``, ``_finish_emit``, ``_finish_replay``, ``_crash_task``,
+``_fc_stall``, ``_fc_resume``, ``_shed``, ``_fail_node``,
+``_recover_node``, ``migrate``, ``rescale``, ``stats.record_ack`` and
+``stats.record_failed``, and ``uninstall()`` ``delattr``\\ s them again.
+So every use of these must look them up on the instance at that moment
+(``self._deliver``, ``self.stats.record_ack``).  Never bind one once at
+construction (a later install would be missed) or rebind one per run
+(``uninstall()`` would delete the rebinding and silently revert to the
+class method).
 """
 
 from __future__ import annotations
@@ -29,6 +47,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from heapq import heappush
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -212,12 +231,15 @@ class _PendingTree:
 class _TopologyRuntime:
     """Per-topology acker state."""
 
-    __slots__ = ("topology", "assignment", "pending", "next_root", "spouts",
-                 "origins_created", "origins_exhausted",
-                 "replays_outstanding", "origins_shed", "flow")
+    __slots__ = ("topology", "topology_id", "assignment", "pending",
+                 "next_root", "spouts", "origins_created",
+                 "origins_exhausted", "replays_outstanding", "origins_shed",
+                 "flow")
 
     def __init__(self, topology: Topology, assignment: Assignment):
         self.topology = topology
+        #: fixed for the run: a rescaled generation keeps the same id
+        self.topology_id = topology.topology_id
         self.assignment = assignment
         #: root id -> in-flight tree, insertion-ordered by emit time.
         self.pending: Dict[int, _PendingTree] = {}
@@ -237,10 +259,6 @@ class _TopologyRuntime:
         self.origins_shed = 0
         #: per-topology flow-control state; None unless config.flow is set
         self.flow: Optional["_FlowState"] = None
-
-    @property
-    def topology_id(self) -> str:
-        return self.topology.topology_id
 
 
 class _FlowState:
@@ -292,6 +310,11 @@ class SimulationRun:
         self.config = config or SimulationConfig()
         self.sim = Simulator()
         self.stats = StatisticServer(self.config.window_s)
+        # The per-batch stats counters, incremented in place (no hook
+        # observes them, so unlike record_ack they may be bound once).
+        self._busy, self._processed, self._nic = (
+            self.stats.per_batch_counters()
+        )
         self.transfer = TransferModel(cluster, interrack_uplink_mbps)
         self._placement_version = 0
         # Hot-path copies of immutable config knobs (attribute access on
@@ -969,8 +992,10 @@ class SimulationRun:
             return
         if not task.queued and not task.running and not task.fc_paused:
             task.queued = True
-            task.node.ready.append(task)
-            self._dispatch(task.node)
+            node_rt = task.node
+            node_rt.ready.append(task)
+            if node_rt.active < node_rt.cores:
+                self._dispatch(node_rt)
 
     def _crash_task(self, task: _TaskRuntime) -> None:
         """The task's worker dies of queue overflow (heap exhaustion);
@@ -1004,15 +1029,18 @@ class SimulationRun:
             self._try_emit(task)
 
     def _dispatch(self, node_rt: _NodeRuntime) -> None:
-        # Tight loop: payload rides the event as schedule args (no
-        # closure per dispatched batch), and the node's liveness is read
-        # straight off the Node to skip property-call overhead.
+        # Tight loop: the service time is computed inline and the
+        # completion is pushed straight onto the engine heap (payload
+        # rides as the event's args, no closure); the node's liveness is
+        # read straight off the Node to skip property-call overhead.
         node = node_rt.node
         ready = node_rt.ready
         cores = node_rt.cores
-        schedule_after = self.sim.schedule_after
+        sim = self.sim
+        heap = sim.heap
+        seq = sim.seq
+        now = sim.now
         complete = self._complete
-        service_time = self._service_time
         fc_on = self._fc is not None
         while node.alive and node_rt.active < cores and ready:
             task = ready.popleft()
@@ -1022,43 +1050,37 @@ class SimulationRun:
             task.running = True
             node_rt.active += 1
             kind, payload = task.work.popleft()
-            if fc_on and kind == _PROCESS:
-                # The batch left its bounded input queue: return the edge
-                # credit (may resume a stalled upstream producer).
-                self._fc_drain(task.topo, payload[3], task.component.name)
-            service = service_time(task, kind, payload, node_rt)
-            schedule_after(service, complete, task, kind, payload, service,
-                           node_rt)
-
-    def _service_time(
-        self, task: _TaskRuntime, kind: int, payload, node_rt: _NodeRuntime
-    ) -> float:
-        profile = task.profile
-        if kind == _EMIT:
-            # Closed-loop emits carry no payload (the batch size is the
-            # profile's); open-loop payloads are (arrived_at, tuples, key).
-            tuples = (
-                profile.emit_batch_tuples if payload is None else payload[1]
+            per_tuple_ms = task.profile.cpu_ms_per_tuple
+            if kind == _PROCESS:
+                if fc_on:
+                    # The batch left its bounded input queue: return the
+                    # edge credit (may resume a stalled upstream producer).
+                    self._fc_drain(task.topo, payload[3], task.component.name)
+                tuples = payload[1]
+                if payload[2] is not _INTRA_PROCESS:
+                    # Tuples from another worker process arrive serialised
+                    # and must be decoded before user code runs.
+                    per_tuple_ms += self._serde_ms
+            elif kind == _EMIT:
+                # Closed-loop emits carry no payload (the batch size is the
+                # profile's); open-loop payloads are (arrived_at, tuples,
+                # key).
+                tuples = (
+                    task.profile.emit_batch_tuples if payload is None
+                    else payload[1]
+                )
+            else:
+                # A replay costs the spout the same CPU as the first
+                # emission: payload is (tuples, attempt, origin_root, ...).
+                tuples = payload[0]
+            service = (
+                tuples * per_tuple_ms / 1e3
+                * node_rt.slowdown * node_rt.overhead * node_rt.fault_factor
             )
-            per_tuple_ms = profile.cpu_ms_per_tuple
-        elif kind == _REPLAY:
-            # Re-emitting a failed tree costs the spout the same CPU as
-            # emitting it the first time: payload is (tuples, attempt,
-            # origin_root).
-            tuples = payload[0]
-            per_tuple_ms = profile.cpu_ms_per_tuple
-        else:
-            tuples = payload[1]
-            per_tuple_ms = profile.cpu_ms_per_tuple
-            if payload[2] is not _INTRA_PROCESS:
-                # Tuples from another worker process arrive serialised and
-                # must be decoded before user code runs.
-                per_tuple_ms += self._serde_ms
-        service = (
-            tuples * per_tuple_ms / 1e3
-            * node_rt.slowdown * node_rt.overhead * node_rt.fault_factor
-        )
-        return service if service >= _MIN_SERVICE_S else _MIN_SERVICE_S
+            if service < _MIN_SERVICE_S:
+                service = _MIN_SERVICE_S
+            heappush(heap, (now + service, next(seq), complete,
+                            (task, kind, payload, service, node_rt)))
 
     def _complete(
         self,
@@ -1068,7 +1090,7 @@ class SimulationRun:
         service: float,
         node_rt: _NodeRuntime,
     ) -> None:
-        self.stats.record_busy(node_rt.node_id, service)
+        self._busy[node_rt.node_id] += service
         task.running = False
         node_rt.active -= 1
         if task.alive and node_rt.node.alive:
@@ -1094,7 +1116,8 @@ class SimulationRun:
                 # task completed on its own node) is covered by the
                 # dispatch below.
                 self._dispatch(task.node)
-        self._dispatch(node_rt)
+        if node_rt.ready:
+            self._dispatch(node_rt)
 
     # -- emit / process effects --------------------------------------------------------
 
@@ -1161,7 +1184,7 @@ class SimulationRun:
         tuples = payload[1]
         topo = task.topo
         now = self.sim.now
-        self.stats.record_processed(topo.topology_id, task.component.name, tuples)
+        self._processed[(topo.topology_id, task.component.name)] += tuples
         children = 0
         if task.out_routes:
             ratio = task.profile.output_ratio
@@ -1334,7 +1357,7 @@ class SimulationRun:
         lossy = transfer_model.lossy
         schedule_at = self.sim.schedule_at
         deliver = self._deliver
-        record_nic = self.stats.record_nic
+        nic = self._nic
         for route in producer.out_routes:
             if route.levels_version != version:
                 self._refresh_route(producer, route)
@@ -1353,7 +1376,7 @@ class SimulationRun:
                     num_bytes,
                 )
                 if remote[idx]:
-                    record_nic(producer_node_id, num_bytes)
+                    nic[producer_node_id] += num_bytes
                 deliveries += 1
                 if lossy:
                     copies = transfer_model.copies(
@@ -1379,7 +1402,7 @@ class SimulationRun:
                             level, num_bytes,
                         )
                         if remote[idx]:
-                            record_nic(producer_node_id, num_bytes)
+                            nic[producer_node_id] += num_bytes
                         self.stats.record_duplicate(
                             producer.topo.topology_id, tuples
                         )
@@ -1424,7 +1447,19 @@ class SimulationRun:
                 return
             self._push_work(consumer, _PROCESS, (root_id, tuples, level, src))
             return
-        self._push_work(consumer, _PROCESS, (root_id, tuples, level))
+        # _push_work inlined for the flow-off hot path, where
+        # ``fc_paused`` is always False.
+        work = consumer.work
+        work.append((_PROCESS, (root_id, tuples, level)))
+        overflow = self._overflow
+        if overflow is not None and len(work) > overflow:
+            self._crash_task(consumer)
+        elif not consumer.queued and not consumer.running:
+            consumer.queued = True
+            node_rt = consumer.node
+            node_rt.ready.append(consumer)
+            if node_rt.active < node_rt.cores:
+                self._dispatch(node_rt)
 
     # -- flow control (all paths below only run when config.flow is set) ---
 

@@ -29,6 +29,16 @@ def test_list_exits_zero(fake_registry, capsys):
     assert "constant tiny workload" in out
 
 
+def test_list_aligns_every_registered_name(capsys):
+    assert cli.main(["--list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[: cli.NAME_WIDTH].rstrip() for line in lines] == list(
+        cli.REGISTRY
+    )
+    assert all(line[cli.NAME_WIDTH] == " " for line in lines)
+    assert cli.NAME_WIDTH >= len("tenant-admission")
+
+
 def test_unknown_benchmark_exits_two(fake_registry, capsys):
     assert cli.main(["nope", "--out", "/tmp/unused"]) == 2
     assert "unknown benchmark" in capsys.readouterr().err

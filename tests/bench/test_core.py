@@ -37,6 +37,20 @@ class TestRunBenchmark:
         assert result.peak_rss_kb > 0
         assert result.meta["system"]
 
+    def test_peak_rss_is_per_probe(self):
+        hog = Benchmark(
+            name="hog",
+            description="touches 64 MiB",
+            prepare=lambda: (lambda: len(b"x" * (64 << 20)) >> 26),
+            repeats=1,
+        )
+        big = run_benchmark(hog)
+        small = run_benchmark(_constant_benchmark(repeats=1))
+        if small.meta["peak_rss_scope"] != "probe":
+            pytest.skip("this kernel cannot reset the RSS high-water mark")
+        # The small probe no longer inherits the hog's 64 MiB peak.
+        assert small.peak_rss_kb < big.peak_rss_kb - 32 * 1024
+
     def test_repeats_override(self):
         result = run_benchmark(_constant_benchmark(repeats=5), repeats=1)
         assert result.repeats == 1

@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+from heapq import heappush
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -95,6 +97,20 @@ class TestArgsAPI:
         sim.schedule_after(1.0, fired.append, "after-3")
         sim.run(1.0)
         assert fired == ["at-0", "after-1", "at-2", "after-3"]
+
+    def test_direct_push_shares_the_fifo_order(self):
+        # The direct-push contract: a heappush with a seq from
+        # ``next(sim.seq)`` interleaves with schedule_at/schedule_after
+        # exactly as if it had been scheduled through them.
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, fired.append, "at-0")
+        heappush(sim.heap, (1.0, next(sim.seq), fired.append, ("direct-1",)))
+        sim.schedule_after(1.0, fired.append, "after-2")
+        heappush(sim.heap, (0.5, next(sim.seq), fired.append, ("direct-3",)))
+        sim.run(1.0)
+        assert fired == ["direct-3", "at-0", "direct-1", "after-2"]
+        assert sim.events_processed == 4
 
     def test_argless_actions_still_work(self):
         sim = Simulator()

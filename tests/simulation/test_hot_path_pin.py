@@ -1,0 +1,208 @@
+"""Bit-exact pins of the closed-loop per-batch path.
+
+Each run is a short Figure 8/9-style linear topology placed by R-Storm
+on six nodes: remote hops pay serde and intra-process hops skip it, so
+every branch of the service-time expression fires.  ``network`` is the
+network-bound variant (Figure 8: NIC-bound, cores mostly idle);
+``compute`` is the compute-bound one (Figure 9: cores saturated, queues
+non-empty), where a reordered busy-time accumulation or a last-bit
+change in a service time surfaces.  Floats are compared through
+``float.hex()`` and the ack latencies through a sha256 of their packed
+doubles, so drifts that rounded summary rows hide fail here.
+"""
+
+import hashlib
+import random
+import struct
+from collections import Counter
+
+import pytest
+
+from repro.cluster import emulab_testbed
+from repro.scheduler.rstorm import RStormScheduler
+from repro.simulation.config import SimulationConfig
+from repro.simulation.runtime import SimulationRun
+from repro.simulation.tracing import Tracer
+from repro.workloads.micro import NETWORK_BOUND_UPLINK_MBPS, micro_topology
+
+NODES = [f"node-0-{i}" for i in range(6)]
+
+#: variant -> values recorded before the per-batch call chain was
+#: collapsed (the pre-refactor runtime is the reference).
+PINS = {
+    "network": {
+        "events": 81906,
+        "busy_hex": {
+            "node-0-0": "0x1.384d013a92bc4p+2",
+            "node-0-1": "0x1.3839581062670p+2",
+            "node-0-2": "0x1.3816f0068dd1ep+2",
+            "node-0-3": "0x1.37fb15b57403dp+2",
+            "node-0-4": "0x1.37e5c91d14fcep+2",
+            "node-0-5": "0x1.37da5119ce208p+2",
+        },
+        "nic_bytes": {
+            "node-0-0": 125004800,
+            "node-0-1": 125004800,
+            "node-0-2": 124928000,
+            "node-0-3": 124902400,
+            "node-0-4": 124953600,
+            "node-0-5": 124953600,
+        },
+        "processed": {
+            "spout": 0,
+            "bolt-1": 1171700,
+            "bolt-2": 1169300,
+            "bolt-3": 1167500,
+        },
+        "acks": 11675,
+        "ack_sha256": (
+            "462518b9bba18f550719030a2bcfddd56ce73c36dee8c92d532fcdd03984c03b"
+        ),
+    },
+    "compute": {
+        "events": 2327,
+        "busy_hex": {
+            "node-0-0": "0x1.3eca57a786c20p+3",
+            "node-0-1": "0x1.39fcb923a29c4p+3",
+            "node-0-2": "0x1.36c8b43958102p+3",
+            "node-0-3": "0x1.31f972474538ap+3",
+            "node-0-4": "0x1.2d2bd3c36112ep+3",
+            "node-0-5": "0x1.285c91d14e3b6p+3",
+        },
+        "nic_bytes": {
+            "node-0-0": 393600,
+            "node-0-1": 393600,
+            "node-0-2": 390400,
+            "node-0-3": 387200,
+            "node-0-4": 384000,
+            "node-0-5": 380800,
+        },
+        "processed": {
+            "spout": 0,
+            "bolt-1": 14450,
+            "bolt-2": 14200,
+            "bolt-3": 14000,
+        },
+        "acks": 280,
+        "ack_sha256": (
+            "d3b8b3d5d2db3a7084527bcbc083613197f712ffe2ff8a45f53e81bd498994b7"
+        ),
+    },
+}
+
+VARIANTS = sorted(PINS)
+
+
+def topology_id(variant: str) -> str:
+    return f"linear-{variant}"
+
+
+def pinned_run(variant: str) -> SimulationRun:
+    random.seed(11)
+    cluster = emulab_testbed()
+    topology = micro_topology("linear", variant)
+    assignment = RStormScheduler().schedule([topology], cluster)[
+        topology_id(variant)
+    ]
+    return SimulationRun(
+        cluster,
+        [(topology, assignment)],
+        SimulationConfig(duration_s=10.0, warmup_s=2.5),
+        interrack_uplink_mbps=(
+            NETWORK_BOUND_UPLINK_MBPS if variant == "network" else None
+        ),
+    )
+
+
+def delivered_levels(run: SimulationRun) -> Counter:
+    """Run ``run`` to its horizon, counting delivered batches per
+    distance level through a pass-through ``_deliver`` spy."""
+    levels: Counter = Counter()
+    deliver = run._deliver
+
+    def spy(consumer, root_id, tuples, level, src=None):
+        levels[level.name] += 1
+        return deliver(consumer, root_id, tuples, level, src)
+
+    run._deliver = spy
+    run.run()
+    return levels
+
+
+def ack_digest(latencies) -> str:
+    packed = struct.pack(f"<{len(latencies)}d", *latencies)
+    return hashlib.sha256(packed).hexdigest()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+class TestClosedLoopHotPathPin:
+    def test_delivers_on_both_serde_branches(self, variant):
+        levels = delivered_levels(pinned_run(variant))
+        assert set(levels) == {"INTRA_PROCESS", "INTER_NODE"}
+
+    def test_pinned_bit_exact(self, variant):
+        pins = PINS[variant]
+        topo_id = topology_id(variant)
+        run = pinned_run(variant)
+        report = run.run()
+        stats = run.stats
+        assert report.events_processed == pins["events"]
+        assert {
+            node: stats.busy_core_seconds(node).hex() for node in NODES
+        } == pins["busy_hex"]
+        assert {node: stats.nic_bytes(node) for node in NODES} == pins[
+            "nic_bytes"
+        ]
+        assert {
+            comp: stats.processed_total(topo_id, comp)
+            for comp in pins["processed"]
+        } == pins["processed"]
+        latencies = stats.ack_latencies(topo_id)
+        assert len(latencies) == pins["acks"]
+        assert ack_digest(latencies) == pins["ack_sha256"]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+class TestTracerParity:
+    """An installed Tracer observes the hot path without changing it.
+
+    The runtime looks its traced hooks up on the instance at each use,
+    so a Tracer installed after construction intercepts every batch, and
+    ``uninstall()`` leaves no override behind.
+    """
+
+    def test_traced_run_matches_untraced(self, variant):
+        topo_id = topology_id(variant)
+        plain = pinned_run(variant)
+        plain_report = plain.run()
+
+        traced = pinned_run(variant)
+        tracer = Tracer(capacity=1_000_000)
+        tracer.install(traced)
+        traced_report = traced.run()
+
+        assert traced_report.summary() == plain_report.summary()
+        assert traced_report.events_processed == plain_report.events_processed
+        for node in NODES:
+            assert (
+                traced.stats.busy_core_seconds(node).hex()
+                == plain.stats.busy_core_seconds(node).hex()
+            )
+        delivered = sum(delivered_levels(pinned_run(variant)).values())
+        assert delivered > 0 and tracer.dropped == 0
+        assert len(tracer.query(kind="deliver")) == delivered
+        batch = traced.current_topology(topo_id).component(
+            "spout"
+        ).profile.emit_batch_tuples
+        assert (
+            len(tracer.query(kind="emit")) * batch
+            == traced.stats.emitted_total(topo_id)
+        )
+        assert len(tracer.query(kind="ack")) == PINS[variant]["acks"]
+
+        tracer.uninstall()
+        leftovers = {"_deliver", "_finish_emit", "_finish_replay",
+                     "_crash_task"} & set(vars(traced))
+        assert leftovers == set()
+        assert "record_ack" not in vars(traced.stats)
+        assert "record_failed" not in vars(traced.stats)

@@ -61,6 +61,22 @@ class TestCounters:
         stats.record_nic("n1", 500)
         assert stats.nic_bytes("n1") == 1500
 
+    def test_per_batch_counters_are_the_recorders_dicts(self):
+        recorded, direct = StatisticServer(), StatisticServer()
+        recorded.record_busy("n1", 0.1)
+        recorded.record_busy("n1", 0.2)
+        recorded.record_processed("t", "bolt", 70)
+        recorded.record_nic("n1", 1000)
+        busy, processed, nic = direct.per_batch_counters()
+        busy["n1"] += 0.1
+        busy["n1"] += 0.2
+        processed[("t", "bolt")] += 70
+        nic["n1"] += 1000
+        assert direct.busy_core_seconds("n1") == recorded.busy_core_seconds("n1")
+        assert direct.processed_snapshot() == recorded.processed_snapshot()
+        assert direct.nic_bytes("n1") == recorded.nic_bytes("n1") == 1000
+        assert direct.busy_snapshot() == recorded.busy_snapshot()
+
     def test_ack_latencies_copied(self):
         stats = StatisticServer()
         stats.record_ack("t", 0.01)
