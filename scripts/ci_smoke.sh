@@ -113,7 +113,7 @@ backpressure)
     grep -q "priority/free" protect-cold.txt
     grep -q "priority/gold" protect-cold.txt
     echo "== backpressure: default path unperturbed (opt-in layer off)"
-    # With simulation.flow / nimbus.flow left at their defaults (off) no
+    # With simulation.flow left at its default (off) no
     # shed, stall or throttle metric may surface anywhere in the default
     # experiment grids.  ("shed" does not substring-match "scheduler".)
     fresh_default_grids

@@ -344,12 +344,12 @@ def _prepare_sched_scale() -> Callable[[], int]:
 def _prepare_chaos_replay() -> Callable[[], int]:
     from repro.cluster.builders import emulab_testbed
     from repro.experiments.fault_recovery import single_crash
-    from repro.experiments.parallel import ChaosUnit, spec
+    from repro.experiments.parallel import SimulationUnit, spec
     from repro.scheduler.rstorm import RStormScheduler
     from repro.simulation.config import SimulationConfig
     from repro.workloads.micro import micro_topology
 
-    unit = ChaosUnit(
+    unit = SimulationUnit(
         scheduler=spec(RStormScheduler),
         topologies=(spec(micro_topology, "linear", "compute"),),
         cluster=spec(emulab_testbed),
@@ -367,12 +367,12 @@ def _prepare_chaos_replay() -> Callable[[], int]:
 def _prepare_delivery_replay() -> Callable[[], int]:
     from repro.cluster.builders import emulab_testbed
     from repro.experiments.fault_recovery import lossy_link
-    from repro.experiments.parallel import ChaosUnit, spec
+    from repro.experiments.parallel import SimulationUnit, spec
     from repro.scheduler.default import DefaultScheduler
     from repro.simulation.config import SimulationConfig
     from repro.workloads.micro import micro_topology
 
-    unit = ChaosUnit(
+    unit = SimulationUnit(
         scheduler=spec(DefaultScheduler),
         topologies=(spec(micro_topology, "linear", "compute"),),
         cluster=spec(emulab_testbed),
@@ -383,7 +383,7 @@ def _prepare_delivery_replay() -> Callable[[], int]:
             max_retries=DELIVERY_REPLAY_MAX_RETRIES,
         ),
         faults=spec(lossy_link),
-        quarantine=True,
+        storm=(("nimbus.quarantine.enabled", True),),
         label="bench:delivery-replay",
     )
 
@@ -486,13 +486,13 @@ def _prepare_overload_protect() -> Callable[[], int]:
 def _prepare_elastic_adapt() -> Callable[[], int]:
     from repro.cluster.builders import emulab_testbed
     from repro.experiments.overload import BASE_RATE_TPS
-    from repro.experiments.parallel import ElasticUnit, spec
+    from repro.experiments.parallel import SimulationUnit, spec
     from repro.scheduler.rstorm import RStormScheduler
     from repro.simulation.config import SimulationConfig
     from repro.traffic.arrivals import PoissonArrivals
     from repro.workloads.micro import linear_topology
 
-    unit = ElasticUnit(
+    unit = SimulationUnit(
         scheduler=spec(RStormScheduler),
         topologies=(spec(linear_topology, "compute"),),
         cluster=spec(emulab_testbed),
@@ -509,7 +509,7 @@ def _prepare_elastic_adapt() -> Callable[[], int]:
 
     def workload() -> int:
         outcome = unit.execute()
-        if not outcome.decisions:  # pragma: no cover - sanity
+        if not outcome.elastic_decisions:  # pragma: no cover - sanity
             raise AssertionError("elastic bench committed no scale actions")
         return outcome.report.events_processed
 
@@ -517,9 +517,10 @@ def _prepare_elastic_adapt() -> Callable[[], int]:
 
 
 def _prepare_tenant_admission() -> Callable[[], int]:
+    from repro.experiments.harness import admit
     from repro.nimbus.config import StormConfig
     from repro.nimbus.nimbus import Nimbus
-    from repro.nimbus.tenancy import TenancyController, Tenant
+    from repro.nimbus.tenancy import Tenant
     from repro.scheduler.rstorm import RStormScheduler
     from repro.workloads.micro import linear_topology
 
@@ -558,19 +559,16 @@ def _prepare_tenant_admission() -> Callable[[], int]:
                 }
             ),
         )
-        controller = TenancyController(nimbus)
-        for tenant in tenant_classes:
-            controller.register_tenant(tenant)
-        for round_index in range(TENANT_ADMISSION_ROUNDS):
-            for due, tenant_id, topology in submissions:
-                if due == round_index:
-                    controller.submit(topology, tenant_id)
-            nimbus.schedule_round(now=round_index * 10.0)
+        tenancy = admit(
+            nimbus, tenant_classes, submissions, TENANT_ADMISSION_ROUNDS
+        )
+        if nimbus.scheduling_failures:  # pragma: no cover - sanity
+            raise AssertionError("tenant admission bench hit infeasible rounds")
         placed_tasks = sum(
             len(assignment.tasks)
             for assignment in nimbus.assignments.values()
         )
-        return len(controller.decisions) + placed_tasks
+        return len(tenancy.decisions) + placed_tasks
 
     return workload
 

@@ -22,21 +22,16 @@ from repro.experiments.cache import ResultCache, cache_key, stable_token
 from repro.experiments.harness import (
     ExperimentResult,
     SingleRunOutcome,
+    Wiring,
     format_table,
-    run_scheduled,
+    wire,
 )
 from repro.experiments.parallel import (
-    ChaosOutcome,
-    ChaosUnit,
-    ElasticOutcome,
-    ElasticUnit,
     ExperimentContext,
     FactorySpec,
     ScheduleOutcome,
     ScheduleUnit,
     SimulationUnit,
-    TenantOutcome,
-    TenantUnit,
     run_units,
     spec,
 )
@@ -60,10 +55,6 @@ REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {
 }
 
 __all__ = [
-    "ChaosOutcome",
-    "ChaosUnit",
-    "ElasticOutcome",
-    "ElasticUnit",
     "ExperimentContext",
     "ExperimentResult",
     "FactorySpec",
@@ -73,12 +64,11 @@ __all__ = [
     "ScheduleUnit",
     "SimulationUnit",
     "SingleRunOutcome",
-    "TenantOutcome",
-    "TenantUnit",
+    "Wiring",
     "cache_key",
     "format_table",
-    "run_scheduled",
     "run_units",
     "spec",
     "stable_token",
+    "wire",
 ]

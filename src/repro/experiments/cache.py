@@ -22,6 +22,11 @@ Key structure (see :func:`cache_key`)::
   callables by qualified name, floats by exact ``repr``.  Anything it
   cannot canonicalise raises :class:`CacheKeyError` instead of silently
   producing an unstable key.
+* A unit is keyed by its own fields, so a field added to a unit joins
+  its key automatically; fields declared ``compare=False`` (a unit's
+  presentational ``label``) are left out.  Keys were once built from
+  hand-written ``cache_token()`` methods instead; entries written under
+  those keys simply miss once and are rebuilt.
 
 Cache layout on disk::
 
@@ -89,9 +94,12 @@ def stable_token(obj: Any) -> Any:
     if isinstance(obj, enum.Enum):
         return ["enum", _qualname(type(obj)), obj.name]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        # ``compare=False`` marks a presentational field (a unit's
+        # ``label``): equal work must share a key whatever it is called
         fields = {
             f.name: stable_token(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
+            if f.compare
         }
         return ["dc", _qualname(type(obj)), fields]
     if isinstance(obj, (list, tuple)):

@@ -33,7 +33,7 @@ from typing import Any, Optional, Tuple
 from repro.cluster.builders import emulab_testbed
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.overload import BASE_RATE_TPS
-from repro.experiments.parallel import ElasticUnit, ExperimentContext, spec
+from repro.experiments.parallel import ExperimentContext, SimulationUnit, spec
 from repro.scheduler.default import DefaultScheduler
 from repro.scheduler.rstorm import RStormScheduler
 from repro.simulation.config import SimulationConfig
@@ -54,11 +54,15 @@ PEAK_MULTIPLIER = 1.5
 #: else stays at the documented ``nimbus.elastic.*`` defaults.
 ELASTIC_ON: Tuple[Tuple[str, Any], ...] = (("nimbus.elastic.enabled", True),)
 
+#: The static baseline's overrides: naming a ``nimbus.elastic.*`` key
+#: attaches the controller (disabled here), so both sides of the
+#: comparison share one code path.
+ELASTIC_OFF: Tuple[Tuple[str, Any], ...] = (("nimbus.elastic.enabled", False),)
+
 #: (label, scheduler factory, storm overrides) — the three columns of
-#: the comparison.  The static baseline uses the *same* unit type with
-#: elastic left disabled, so both sides share one code path.
+#: the comparison.
 CONFIGS = (
-    ("static/r-storm", RStormScheduler, ()),
+    ("static/r-storm", RStormScheduler, ELASTIC_OFF),
     ("elastic/r-storm", RStormScheduler, ELASTIC_ON),
     ("elastic/default", DefaultScheduler, ELASTIC_ON),
 )
@@ -101,7 +105,7 @@ def _scenario_config(scenario: str, duration_s: float) -> SimulationConfig:
 def scenario_units(duration_s: float):
     """The (scenario, configuration) grid as cacheable work units."""
     return [
-        ElasticUnit(
+        SimulationUnit(
             scheduler=spec(factory),
             topologies=(spec(linear_topology, "compute"),),
             cluster=spec(emulab_testbed),
@@ -116,7 +120,7 @@ def scenario_units(duration_s: float):
 
 def _time_to_adapt(outcome) -> Optional[float]:
     """Simulated time of the first committed scale action, if any."""
-    for decision in outcome.decisions:
+    for decision in outcome.elastic_decisions:
         if decision.action in ("scale-up", "scale-down"):
             return decision.time_s
     return None

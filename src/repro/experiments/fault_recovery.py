@@ -37,11 +37,12 @@ causal trace.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.cluster.builders import emulab_testbed
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.parallel import ChaosUnit, ExperimentContext, spec
+from repro.experiments.parallel import ExperimentContext, SimulationUnit, spec
 from repro.faults.events import MessageLoss, NodeCrash, RackPartition
 from repro.faults.schedule import FaultSchedule
 from repro.scheduler.assignment import Assignment
@@ -220,19 +221,20 @@ def chaos_units(config: SimulationConfig, scenarios=None, quarantine=False):
     """The (scenario, scheduler) grid as cacheable work units.
 
     ``scenarios`` overrides the default grid with ``(name, FactorySpec)``
-    pairs (extended mode); ``quarantine`` threads the Nimbus quarantine
-    flag into every unit (and its cache key).
+    pairs (extended mode); ``quarantine`` switches on Nimbus quarantine
+    in every unit (and so its cache key).
     """
     if scenarios is None:
         scenarios = [(name, spec(factory)) for name, factory in SCENARIOS]
+    storm = (("nimbus.quarantine.enabled", True),) if quarantine else ()
     return [
-        ChaosUnit(
+        SimulationUnit(
             scheduler=spec(factory),
             topologies=(spec(micro_topology, "linear", "compute"),),
             cluster=spec(emulab_testbed),
             config=config,
             faults=fault_spec,
-            quarantine=quarantine,
+            storm=storm,
             label=f"chaos:{scenario_name}/{name}",
         )
         for scenario_name, fault_spec in scenarios
@@ -266,27 +268,19 @@ def run(
         experiment_id="chaos",
         title="Failure recovery under fault injection (linear/compute)",
     )
-    if not extended:
-        config = SimulationConfig(
-            duration_s=duration_s, warmup_s=min(20.0, duration_s / 4)
-        )
-        scenarios = [(name, spec(factory)) for name, factory in SCENARIOS]
-        units = chaos_units(config)
-    else:
-        config = SimulationConfig(
-            duration_s=duration_s,
-            warmup_s=min(20.0, duration_s / 4),
-            at_least_once=True,
-            max_retries=max_retries,
-        )
-        scenarios = [(name, spec(factory)) for name, factory in SCENARIOS]
+    config = SimulationConfig(
+        duration_s=duration_s, warmup_s=min(20.0, duration_s / 4)
+    )
+    scenarios = [(name, spec(factory)) for name, factory in SCENARIOS]
+    if extended:
+        config = replace(config, at_least_once=True, max_retries=max_retries)
         if loss_rate > 0:
             scenarios.append(
                 ("lossy-link", spec(lossy_link, drop_probability=loss_rate))
             )
         if quarantine:
             scenarios.append(("flapping-node", spec(flapping_node)))
-        units = chaos_units(config, scenarios=scenarios, quarantine=quarantine)
+    units = chaos_units(config, scenarios=scenarios, quarantine=quarantine)
     outcomes_by_label = dict(zip([u.label for u in units], context.run(units)))
     topo_id = "linear-compute"
     for scenario_name, _ in scenarios:

@@ -32,7 +32,7 @@ from repro.experiments.harness import ExperimentResult
 from repro.experiments.parallel import (
     ExperimentContext,
     FactorySpec,
-    TenantUnit,
+    SimulationUnit,
     spec,
 )
 from repro.nimbus.tenancy import SLO, Tenant
@@ -130,16 +130,17 @@ def _traffic_config(duration_s: float) -> SimulationConfig:
     )
 
 
-def tenant_units(duration_s: float) -> List[TenantUnit]:
+def tenant_units(duration_s: float) -> List[SimulationUnit]:
     """One unit per scheduler, identical tenants/submissions/config."""
     return [
-        TenantUnit(
+        SimulationUnit(
             scheduler=scheduler_spec,
-            tenants=TENANTS,
-            submissions=SUBMISSIONS,
+            topologies=(),
             cluster=spec(emulab_testbed, nodes_per_rack=12),
             config=_traffic_config(duration_s),
             storm=TENANCY_ON,
+            tenants=TENANTS,
+            submissions=SUBMISSIONS,
             rounds=ROUNDS,
             label=f"tenants:{name}",
         )

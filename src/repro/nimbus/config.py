@@ -47,11 +47,6 @@ DEFAULTS: Dict[str, Any] = {
     "nimbus.tenancy.credit.bias": 0.05,
     "nimbus.tenancy.preemption.enabled": True,
     "nimbus.tenancy.max.preemptions": 2,
-    "nimbus.flow.enabled": False,
-    "nimbus.flow.queue.capacity": 64,
-    "nimbus.flow.high.watermark": 0.8,
-    "nimbus.flow.low.watermark": 0.4,
-    "nimbus.flow.shedding": "none",
     "topology.workers": None,
     "topology.max.spout.pending": 10,
     "topology.message.timeout.secs": 30.0,
@@ -118,11 +113,26 @@ def parse_storm_yaml(text: str) -> Dict[str, Any]:
 
 
 class StormConfig:
-    """Typed access to a storm.yaml-style configuration with defaults."""
+    """Typed access to a storm.yaml-style configuration with defaults.
+
+    Any key is accepted (a real storm.yaml carries many this
+    reproduction ignores) except an unknown ``nimbus.*`` key: those
+    configure this reproduction's control loops, so a misspelt one
+    raises :class:`ConfigError` instead of silently doing nothing.
+    """
 
     def __init__(self, values: Optional[Mapping[str, Any]] = None):
         self._values: Dict[str, Any] = dict(DEFAULTS)
         if values:
+            unknown = sorted(
+                key
+                for key in values
+                if key.startswith("nimbus.") and key not in DEFAULTS
+            )
+            if unknown:
+                raise ConfigError(
+                    f"unknown nimbus configuration key(s): {', '.join(unknown)}"
+                )
             self._values.update(values)
 
     @classmethod
@@ -355,75 +365,6 @@ class StormConfig:
                 "nimbus.tenancy.max.preemptions must be an int >= 0"
             )
         return value
-
-    @property
-    def flow_enabled(self) -> bool:
-        value = self["nimbus.flow.enabled"]
-        if not isinstance(value, bool):
-            raise ConfigError("nimbus.flow.enabled must be a bool")
-        return value
-
-    @property
-    def flow_queue_capacity(self) -> int:
-        value = self["nimbus.flow.queue.capacity"]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ConfigError(
-                "nimbus.flow.queue.capacity must be an int >= 1"
-            )
-        return value
-
-    @property
-    def flow_high_watermark(self) -> float:
-        value = self._positive_number("nimbus.flow.high.watermark")
-        if value > 1.0:
-            raise ConfigError(
-                f"nimbus.flow.high.watermark must be in (0, 1], got {value!r}"
-            )
-        return value
-
-    @property
-    def flow_low_watermark(self) -> float:
-        value = self._non_negative_number("nimbus.flow.low.watermark")
-        if value >= self.flow_high_watermark:
-            raise ConfigError(
-                "nimbus.flow.low.watermark must be below "
-                "nimbus.flow.high.watermark"
-            )
-        return value
-
-    @property
-    def flow_shedding(self) -> str:
-        from repro.simulation.flowcontrol import SHEDDING_POLICIES
-
-        value = self["nimbus.flow.shedding"]
-        if value not in SHEDDING_POLICIES:
-            raise ConfigError(
-                f"nimbus.flow.shedding must be one of {SHEDDING_POLICIES}, "
-                f"got {value!r}"
-            )
-        return value
-
-    def flow_control(self, priorities=()):
-        """Build the ``simulation.flow`` payload from ``nimbus.flow.*``.
-
-        Returns ``None`` when ``nimbus.flow.enabled`` is false (the
-        byte-identical default) and a
-        :class:`~repro.simulation.flowcontrol.FlowControlConfig`
-        otherwise.  ``priorities`` feeds the ``priority`` shedding
-        policy — build it with
-        :func:`repro.simulation.flowcontrol.tenant_priorities`.
-        """
-        if not self.flow_enabled:
-            return None
-        from repro.simulation.flowcontrol import FlowControlConfig
-
-        return FlowControlConfig(
-            queue_capacity=self.flow_queue_capacity,
-            high_watermark=self.flow_high_watermark,
-            low_watermark=self.flow_low_watermark,
-            shedding=self.flow_shedding,
-            priorities=tuple(priorities),
-        )
 
     @property
     def max_spout_pending(self) -> int:

@@ -194,15 +194,16 @@ class ElasticController:
 
     # -- wiring --------------------------------------------------------
 
-    def attach(self, run, interval_s: Optional[float] = None) -> None:
-        """Drive the control loop inside a simulation.
+    def attach(self, run) -> None:
+        """Drive the control loop inside a simulation, every
+        ``nimbus.elastic.interval.secs`` of simulated time.
 
         No-op when ``nimbus.elastic.enabled`` is false: a config that
         merely *carries* elastic keys must not perturb the run.
         """
         if not self.config.elastic_enabled:
             return
-        period = interval_s or self.config.elastic_interval_s
+        period = self.config.elastic_interval_s
 
         def tick() -> None:
             self._control_cycle(run, period)

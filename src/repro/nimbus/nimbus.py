@@ -249,28 +249,24 @@ class Nimbus:
 
     # -- simulation integration ----------------------------------------
 
-    def attach(
-        self,
-        run,
-        interval_s: Optional[float] = None,
-        max_backoff_s: Optional[float] = None,
-    ) -> None:
+    def attach(self, run) -> None:
         """Drive periodic scheduling inside a simulation.
 
-        Every ``interval_s`` (default from config: 10 s) of simulated
-        time, Nimbus reconciles membership and reschedules; topologies
-        whose assignment changed are migrated in the running simulation.
+        Every ``nimbus.scheduler.interval.secs`` (default 10 s) of
+        simulated time, Nimbus reconciles membership and reschedules;
+        topologies whose assignment changed are migrated in the running
+        simulation.
 
         A round that cannot produce a feasible schedule (mid-outage, or
         genuinely insufficient surviving capacity) is recorded in
         :attr:`scheduling_failures` and retried with exponential backoff:
-        the interval doubles per consecutive failure up to
-        ``max_backoff_s`` (default ``8 * interval_s``), then resets on the
-        first success.  The topology keeps running degraded on whatever
-        placements survive — it never hangs and never over-places.
+        the interval doubles per consecutive failure up to 8 times the
+        period, then resets on the first success.  The topology keeps
+        running degraded on whatever placements survive — it never hangs
+        and never over-places.
         """
-        period = interval_s or self.config.scheduling_interval_s
-        backoff_cap = max_backoff_s if max_backoff_s is not None else 8 * period
+        period = self.config.scheduling_interval_s
+        backoff_cap = 8 * period
         state = {"delay": period}
 
         def tick() -> None:

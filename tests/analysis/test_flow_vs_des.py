@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis.flow import FlowModel
 from repro.cluster.builders import emulab_testbed
-from repro.experiments.harness import run_scheduled
+from repro.experiments.harness import wire
 from repro.scheduler.default import DefaultScheduler
 from repro.scheduler.rstorm import RStormScheduler
 from repro.simulation.config import SimulationConfig
@@ -54,13 +54,14 @@ def _relative_gap(a: float, b: float) -> float:
 def test_flow_model_matches_des(builder, variant, uplink, scheduler_cls):
     topology = builder(variant)
     cluster = emulab_testbed()
-    outcome = run_scheduled(
+    wiring = wire(
         scheduler_cls(),
         [topology],
         cluster,
         CONFIG,
         interrack_uplink_mbps=uplink,
     )
+    outcome = wiring.outcome(wiring.run.run())
     des_tps = outcome.report.average_throughput_tps(topology.topology_id)
     flow = FlowModel(cluster, CONFIG, interrack_uplink_mbps=uplink).solve(
         [(topology, outcome.assignments[topology.topology_id])]
@@ -84,13 +85,14 @@ def test_flow_model_preserves_scheduler_ranking():
     for scheduler_cls in SCHEDULERS:
         topology = linear_topology("network")
         cluster = emulab_testbed()
-        outcome = run_scheduled(
+        wiring = wire(
             scheduler_cls(),
             [topology],
             cluster,
             CONFIG,
             interrack_uplink_mbps=NETWORK_BOUND_UPLINK_MBPS,
         )
+        outcome = wiring.outcome(wiring.run.run())
         name = outcome.scheduler
         des[name] = outcome.report.average_throughput_tps(topology_id)
         flow_pred[name] = FlowModel(

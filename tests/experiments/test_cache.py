@@ -15,6 +15,8 @@ from repro.experiments.cache import (
     stable_token,
 )
 from repro.experiments.parallel import SimulationUnit, spec
+from repro.faults.schedule import FaultSchedule
+from repro.nimbus.tenancy import Tenant
 from repro.simulation.config import SimulationConfig
 from repro.workloads.micro import linear_topology
 
@@ -88,25 +90,50 @@ def _unit(label="", duration=30.0, trial=0):
     )
 
 
+#: a value differing from ``_unit()``'s, for every SimulationUnit field
+_CHANGED = {
+    "scheduler": spec(linear_topology, "network"),
+    "topologies": (),
+    "cluster": spec(linear_topology, "network"),
+    "config": SimulationConfig(duration_s=60.0),
+    "interrack_uplink_mbps": 100.0,
+    "storm": (("nimbus.quarantine.enabled", True),),
+    "faults": spec(FaultSchedule),
+    "heartbeat_interval_s": 2.0,
+    "heartbeat_timeout_s": 6.0,
+    "tenants": (Tenant("gold"),),
+    "submissions": ((0, "gold", spec(linear_topology, "compute")),),
+    "rounds": 12,
+    "trial": 1,
+    "label": "fig10",
+}
+
+
 class TestCacheKey:
     def test_stable_across_calls(self):
-        assert cache_key(_unit().cache_token()) == cache_key(_unit().cache_token())
+        assert cache_key(_unit()) == cache_key(_unit())
 
     def test_label_excluded_from_key(self):
         # fig9 and fig10 share simulations under different labels.
-        assert cache_key(_unit(label="fig9").cache_token()) == cache_key(
-            _unit(label="fig10").cache_token()
-        )
+        assert cache_key(_unit(label="fig9")) == cache_key(_unit(label="fig10"))
 
     def test_inputs_change_the_key(self):
-        assert cache_key(_unit(duration=30.0).cache_token()) != cache_key(
-            _unit(duration=60.0).cache_token()
-        )
+        assert cache_key(_unit(duration=30.0)) != cache_key(_unit(duration=60.0))
 
     def test_trial_changes_the_key(self):
-        assert cache_key(_unit(trial=0).cache_token()) != cache_key(
-            _unit(trial=1).cache_token()
-        )
+        assert cache_key(_unit(trial=0)) != cache_key(_unit(trial=1))
+
+    @pytest.mark.parametrize(
+        "field", dataclasses.fields(SimulationUnit), ids=lambda f: f.name
+    )
+    def test_every_compared_field_feeds_the_key(self, field):
+        """The key is derived from the unit's fields: changing any
+        ``compare=True`` field changes it, changing ``label`` does not.
+        A new field without an entry in ``_CHANGED`` fails here."""
+        base = _unit()
+        changed = dataclasses.replace(base, **{field.name: _CHANGED[field.name]})
+        assert getattr(changed, field.name) != getattr(base, field.name)
+        assert (cache_key(changed) != cache_key(base)) == field.compare
 
     def test_code_version_is_hex_digest(self):
         version = code_version()
@@ -117,7 +144,7 @@ class TestCacheKey:
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
-        key = cache_key(_unit().cache_token())
+        key = cache_key(_unit())
         assert cache.get(key) is None
         cache.put(key, {"payload": 1})
         assert cache.get(key) == {"payload": 1}

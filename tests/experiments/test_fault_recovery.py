@@ -1,11 +1,13 @@
-"""ChaosUnit caching/determinism + the fault_recovery experiment."""
+"""Chaos units (SimulationUnits with faults): outcomes, caching and
+determinism, plus the fault_recovery experiment."""
 
 import pytest
 
 from repro.cluster import ResourceVector, single_rack_cluster
-from repro.experiments import REGISTRY, ResultCache, cache_key, run_units
+from repro.experiments import REGISTRY, ResultCache, run_units
 from repro.experiments import fault_recovery
-from repro.experiments.parallel import ChaosOutcome, ChaosUnit, spec
+from repro.experiments.harness import SingleRunOutcome
+from repro.experiments.parallel import SimulationUnit, spec
 from repro.faults import ChaosGenerator, FaultSchedule, NodeCrash
 from repro.scheduler.rstorm import RStormScheduler
 from repro.simulation.config import SimulationConfig
@@ -13,7 +15,7 @@ from tests.conftest import make_linear
 
 
 def small_unit(trial=0, faults=None):
-    return ChaosUnit(
+    return SimulationUnit(
         scheduler=spec(RStormScheduler),
         topologies=(spec(make_linear, "chain", 1, 2),),
         cluster=spec(
@@ -28,7 +30,7 @@ def small_unit(trial=0, faults=None):
         or spec(FaultSchedule.of, NodeCrash(at=15.0, node_id="node-0-0")),
         heartbeat_interval_s=2.0,
         heartbeat_timeout_s=6.0,
-        scheduling_interval_s=5.0,
+        storm=(("nimbus.scheduler.interval.secs", 5.0),),
         trial=trial,
     )
 
@@ -36,7 +38,7 @@ def small_unit(trial=0, faults=None):
 class TestChaosUnit:
     def test_execute_produces_recovery_report(self):
         outcome = small_unit().execute()
-        assert isinstance(outcome, ChaosOutcome)
+        assert isinstance(outcome, SingleRunOutcome)
         assert outcome.scheduler == "r-storm"
         assert outcome.injected == ((15.0, "node_crash node-0-0"),)
         recovery = outcome.recovery["chain"]
@@ -74,27 +76,6 @@ class TestChaosUnit:
         assert (
             cold.recovery["chain"].to_json()
             == warm.recovery["chain"].to_json()
-        )
-
-    def test_trial_and_faults_change_the_key(self):
-        base = small_unit()
-        assert cache_key(base.cache_token()) != cache_key(
-            small_unit(trial=1).cache_token()
-        )
-        other_faults = small_unit(
-            faults=spec(FaultSchedule.of, NodeCrash(at=25.0, node_id="node-0-0"))
-        )
-        assert cache_key(base.cache_token()) != cache_key(
-            other_faults.cache_token()
-        )
-
-    def test_label_excluded_from_key(self):
-        import dataclasses
-
-        base = small_unit()
-        relabelled = dataclasses.replace(base, label="presentational")
-        assert cache_key(base.cache_token()) == cache_key(
-            relabelled.cache_token()
         )
 
 
@@ -169,15 +150,6 @@ class TestExtendedMode:
         assert lossy_default["lost"] > 0
         assert lossy_default["duplicated"] > 0
         assert lossy_default["replayed"] > 0
-
-    def test_extended_quarantine_flag_changes_the_cache_key(self):
-        import dataclasses
-
-        base = small_unit()
-        flagged = dataclasses.replace(base, quarantine=True)
-        assert cache_key(base.cache_token()) != cache_key(
-            flagged.cache_token()
-        )
 
     def test_lossy_link_builder_needs_two_racks(self):
         cluster = single_rack_cluster(

@@ -6,7 +6,7 @@ from repro.cluster import emulab_testbed
 from repro.experiments.harness import (
     ExperimentResult,
     format_table,
-    run_scheduled,
+    wire,
 )
 from repro.scheduler.rstorm import RStormScheduler
 from repro.simulation.config import SimulationConfig
@@ -50,15 +50,18 @@ class TestFormatTable:
         assert len(lines) == 4
 
 
-class TestRunScheduled:
+class TestWire:
     def test_returns_report_quality_and_latency(self):
         topology = make_linear(parallelism=2, stages=2)
-        outcome = run_scheduled(
+        wiring = wire(
             RStormScheduler(),
             [topology],
             emulab_testbed(),
             SimulationConfig(duration_s=25.0, warmup_s=5.0),
         )
+        # a plain run places without Nimbus and installs no tracer
+        assert wiring.nimbus is None and wiring.monitor is None
+        outcome = wiring.outcome(wiring.run.run())
         assert outcome.scheduler == "r-storm"
         assert outcome.throughput("chain") > 0
         assert outcome.qualities["chain"].nodes_used >= 1

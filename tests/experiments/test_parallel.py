@@ -6,7 +6,9 @@ import pytest
 
 from repro.cluster.builders import emulab_testbed, single_rack_cluster
 from repro.cluster.resources import ResourceVector
+from repro.errors import ConfigError
 from repro.experiments.cache import ResultCache
+from repro.experiments.fault_recovery import flapping_node
 from repro.experiments.harness import SingleRunOutcome
 from repro.experiments.parallel import (
     ExperimentContext,
@@ -20,6 +22,7 @@ from repro.experiments.parallel import (
 from repro.scheduler.default import DefaultScheduler
 from repro.scheduler.rstorm import RStormScheduler
 from repro.simulation.config import SimulationConfig
+from repro.traffic.arrivals import PoissonArrivals
 from repro.workloads.micro import linear_topology
 
 
@@ -144,3 +147,73 @@ class TestScheduleUnitMultiTenancy:
         assert set(outcome.assignments) == {"linear-compute", "linear-network"}
         assert set(outcome.qualities) == {"linear-compute", "linear-network"}
         assert set(outcome.predicted_tps) == {"linear-compute", "linear-network"}
+
+
+class TestSimulationUnitLayers:
+    def test_misspelt_storm_key_fails_loudly(self):
+        unit = _sim_unit(storm=(("nimbus.elastic.enabeld", True),))
+        with pytest.raises(ConfigError, match="nimbus.elastic.enabeld"):
+            unit.execute()
+
+
+class TestComposedUnit:
+    """Faults, elastic scaling and quarantine in one unit: a flapping
+    node under 1.5x open-loop load with at-least-once replay."""
+
+    TOPO = "linear-compute"
+
+    @classmethod
+    def setup_class(cls):
+        unit = SimulationUnit(
+            scheduler=spec(RStormScheduler),
+            topologies=(spec(linear_topology, "compute"),),
+            cluster=spec(emulab_testbed),
+            config=SimulationConfig(
+                duration_s=75.0,
+                warmup_s=10.0,
+                at_least_once=True,
+                max_retries=3,
+                arrival_process=PoissonArrivals(rate_tps=375.0),
+            ),
+            storm=(
+                ("nimbus.elastic.enabled", True),
+                ("nimbus.elastic.interval.secs", 10.0),
+                ("nimbus.quarantine.enabled", True),
+                ("nimbus.scheduler.interval.secs", 5.0),
+            ),
+            faults=spec(flapping_node, at=15.0, period=18.0, down_s=12.0),
+            heartbeat_interval_s=2.0,
+            heartbeat_timeout_s=6.0,
+        )
+        wiring = unit.wire()
+        report = wiring.run.run()
+        cls.audit = wiring.run.delivery_audit()[cls.TOPO]
+        cls.outcome = wiring.outcome(report)
+
+    def test_every_layer_fired(self):
+        assert len(self.outcome.injected) == 3
+        assert len(self.outcome.quarantined) == 1
+        assert any(
+            d.action == "scale-up" for d in self.outcome.elastic_decisions
+        )
+        assert self.outcome.recovery[self.TOPO].replayed_tuples > 0
+
+    def test_delivery_audit_closes(self):
+        audit = self.audit
+        assert audit["origins_created"] > 0
+        assert audit["origins_created"] == (
+            audit["origins_acked"]
+            + audit["origins_exhausted"]
+            + audit["origins_shed"]
+            + audit["pending"]
+            + audit["replays_outstanding"]
+        )
+
+    def test_fault_and_elastic_churn_counted_apart(self):
+        recovery = self.outcome.recovery[self.TOPO]
+        assert recovery.fault_tasks_moved > 0
+        assert recovery.elastic_tasks_moved > 0
+        assert recovery.total_tasks_moved == (
+            recovery.fault_tasks_moved + recovery.elastic_tasks_moved
+        )
+        assert recovery.elastic_tasks_moved == self.outcome.elastic_tasks_moved

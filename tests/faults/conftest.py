@@ -5,15 +5,9 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from repro.cluster import emulab_testbed
-from repro.faults import FaultInjector, RecoveryMonitor
-from repro.nimbus import (
-    HeartbeatFailureDetector,
-    InMemoryZooKeeper,
-    Nimbus,
-    Supervisor,
-)
+from repro.experiments.harness import wire
 from repro.scheduler import RStormScheduler
-from repro.simulation import SimulationConfig, SimulationRun
+from repro.simulation import SimulationConfig
 from tests.conftest import make_linear
 
 
@@ -30,44 +24,20 @@ def build_chaos(
 ):
     """Stand up the full coordination plane around one fault schedule.
 
-    Mirrors :meth:`repro.experiments.parallel.ChaosUnit.execute` but
-    hands every component back so tests can poke at them.  Call
+    The same wiring a chaos unit's ``execute()`` runs, with every
+    component handed back so tests can poke at them.  Call
     ``ctx.run.run()`` to execute.
     """
     cluster = cluster if cluster is not None else emulab_testbed()
     topology = topology if topology is not None else make_linear()
-    zk = InMemoryZooKeeper()
-    nimbus = Nimbus(cluster, scheduler=scheduler or RStormScheduler(), zk=zk)
-    supervisors = {}
-    for node in cluster.nodes:
-        supervisor = Supervisor(node, zk)
-        nimbus.register_supervisor(supervisor)
-        supervisors[node.node_id] = supervisor
-    nimbus.submit_topology(topology)
-    nimbus.schedule_round()
-    run = SimulationRun(
+    wiring = wire(
+        scheduler or RStormScheduler(),
+        [topology],
         cluster,
-        [(topology, nimbus.assignments[topology.topology_id])],
         SimulationConfig(duration_s=duration_s, warmup_s=warmup_s),
-    )
-    detector = HeartbeatFailureDetector(
-        supervisors.values(),
+        storm={"nimbus.scheduler.interval.secs": scheduling_interval_s},
+        faults=schedule,
         heartbeat_interval_s=heartbeat_interval_s,
-        timeout_s=heartbeat_timeout_s,
+        heartbeat_timeout_s=heartbeat_timeout_s,
     )
-    monitor = RecoveryMonitor()
-    monitor.attach(run, detector=detector, nimbus=nimbus)
-    detector.attach(run)
-    nimbus.attach(run, interval_s=scheduling_interval_s)
-    injector = FaultInjector(schedule, detector=detector, tracer=monitor.tracer)
-    injector.attach(run)
-    return SimpleNamespace(
-        cluster=cluster,
-        topology=topology,
-        nimbus=nimbus,
-        supervisors=supervisors,
-        detector=detector,
-        monitor=monitor,
-        injector=injector,
-        run=run,
-    )
+    return SimpleNamespace(topology=topology, **vars(wiring))

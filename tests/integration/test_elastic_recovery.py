@@ -17,23 +17,10 @@ composition contracts:
 from types import SimpleNamespace
 
 from repro.cluster import emulab_testbed
-from repro.faults import (
-    FaultInjector,
-    FaultSchedule,
-    MessageLoss,
-    NodeCrash,
-    RecoveryMonitor,
-)
-from repro.nimbus import (
-    ElasticController,
-    HeartbeatFailureDetector,
-    InMemoryZooKeeper,
-    Nimbus,
-    StormConfig,
-    Supervisor,
-)
+from repro.experiments.harness import wire
+from repro.faults import FaultSchedule, MessageLoss, NodeCrash
 from repro.scheduler import RStormScheduler
-from repro.simulation import SimulationConfig, SimulationRun
+from repro.simulation import SimulationConfig
 from repro.traffic.arrivals import PoissonArrivals
 from repro.workloads.micro import linear_topology
 
@@ -47,6 +34,7 @@ STORM = {
     "nimbus.quarantine.threshold": 3,
     "nimbus.quarantine.window.secs": 120.0,
     "nimbus.quarantine.probation.secs": 300.0,
+    "nimbus.scheduler.interval.secs": 5.0,
 }
 
 
@@ -73,25 +61,18 @@ def _flap_schedule(victim: str) -> FaultSchedule:
     )
 
 
+def _first_node_flaps(cluster, assignments) -> FaultSchedule:
+    """Flap the lowest-id node of the initial placement."""
+    return _flap_schedule(sorted(assignments["linear-compute"].nodes)[0])
+
+
 def build():
     cluster = emulab_testbed()
     topology = linear_topology("compute")
-    zk = InMemoryZooKeeper()
-    nimbus = Nimbus(
-        cluster, scheduler=RStormScheduler(), zk=zk,
-        config=StormConfig(dict(STORM)),
-    )
-    supervisors = {}
-    for node in cluster.nodes:
-        supervisor = Supervisor(node, zk)
-        nimbus.register_supervisor(supervisor)
-        supervisors[node.node_id] = supervisor
-    nimbus.submit_topology(topology)
-    nimbus.schedule_round()
-
-    run = SimulationRun(
+    wiring = wire(
+        RStormScheduler(),
+        [topology],
         cluster,
-        [(topology, nimbus.assignments[topology.topology_id])],
         SimulationConfig(
             duration_s=DURATION_S,
             warmup_s=15.0,
@@ -99,22 +80,13 @@ def build():
             max_retries=3,
             arrival_process=PoissonArrivals(rate_tps=375.0),
         ),
+        storm=STORM,
+        faults=_first_node_flaps,
+        heartbeat_interval_s=2.0,
+        heartbeat_timeout_s=6.0,
     )
-    detector = HeartbeatFailureDetector(
-        supervisors.values(), heartbeat_interval_s=2.0, timeout_s=6.0
-    )
-    monitor = RecoveryMonitor()
-    monitor.attach(run, detector=detector, nimbus=nimbus)
-    detector.attach(run)
-    nimbus.attach(run, interval_s=5.0)
-    controller = ElasticController(nimbus)
-    controller.attach(run)
-
+    nimbus, run = wiring.nimbus, wiring.run
     victim = sorted(nimbus.assignments[topology.topology_id].nodes)[0]
-    injector = FaultInjector(
-        _flap_schedule(victim), detector=detector, tracer=monitor.tracer
-    )
-    injector.attach(run)
 
     # Spy on every placement commit (fault-driven migrations from
     # Nimbus, elastic migrations and rescales from the controller):
@@ -162,14 +134,7 @@ def build():
     run.migrate = spy_migrate
     run.rescale = spy_rescale
     return SimpleNamespace(
-        cluster=cluster,
-        topology=topology,
-        nimbus=nimbus,
-        controller=controller,
-        monitor=monitor,
-        run=run,
-        victim=victim,
-        placements=placements,
+        topology=topology, victim=victim, placements=placements, **vars(wiring)
     )
 
 

@@ -82,6 +82,17 @@ class TestTypedAccess:
         with pytest.raises(ConfigError):
             StormConfig()["no.such.key"]
 
+    def test_unknown_nimbus_key_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="nimbus.elastic.enabeld"):
+            StormConfig({"nimbus.elastic.enabeld": True})
+        with pytest.raises(ConfigError, match="nimbus.flow.enabled"):
+            StormConfig().with_overrides(nimbus_flow_enabled=True)
+
+    def test_other_unknown_keys_accepted(self):
+        # a real storm.yaml carries many keys this reproduction ignores
+        config = StormConfig({"worker.childopts": "-Xmx768m"})
+        assert config["worker.childopts"] == "-Xmx768m"
+
     def test_get_with_default(self):
         assert StormConfig().get("no.such.key", 42) == 42
 

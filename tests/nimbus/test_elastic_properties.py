@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.cluster.builders import emulab_testbed  # noqa: E402
 from repro.experiments.overload import BASE_RATE_TPS  # noqa: E402
-from repro.experiments.parallel import ElasticUnit, spec  # noqa: E402
+from repro.experiments.parallel import SimulationUnit, spec  # noqa: E402
 from repro.nimbus.elastic import required_parallelism  # noqa: E402
 from repro.scheduler.rstorm import RStormScheduler  # noqa: E402
 from repro.simulation.config import SimulationConfig  # noqa: E402
@@ -155,8 +155,8 @@ class TestHysteresisDeadBand:
         assert required == current
 
 
-def _unit(arrival_seed: int, rate_x: float = 1.5) -> ElasticUnit:
-    return ElasticUnit(
+def _unit(arrival_seed: int, rate_x: float = 1.5) -> SimulationUnit:
+    return SimulationUnit(
         scheduler=spec(RStormScheduler),
         topologies=(spec(linear_topology, "compute"),),
         cluster=spec(emulab_testbed),
@@ -180,8 +180,8 @@ class TestControllerDeterminism:
         has no hidden RNG or wall-clock dependence."""
         a = _unit(arrival_seed).execute()
         b = _unit(arrival_seed).execute()
-        assert a.decisions == b.decisions
-        assert a.tasks_moved == b.tasks_moved
+        assert a.elastic_decisions == b.elastic_decisions
+        assert a.elastic_tasks_moved == b.elastic_tasks_moved
         assert a.final_parallelism == b.final_parallelism
         assert {
             tid: {t.task_id: str(asg.slot_of(t)) for t in asg.tasks}
@@ -194,7 +194,7 @@ class TestControllerDeterminism:
     def test_overload_actually_scales(self):
         """Sanity for the fixture: at 1.5x the controller does act."""
         outcome = _unit(1).execute()
-        assert any(d.action == "scale-up" for d in outcome.decisions)
+        assert any(d.action == "scale-up" for d in outcome.elastic_decisions)
 
     def test_stationary_load_zero_churn(self):
         """Offered load inside the dead band (0.6x: raw requirement 5.1
@@ -202,8 +202,8 @@ class TestControllerDeterminism:
         and zero elastic churn for the whole run."""
         outcome = _unit(1, rate_x=0.6).execute()
         scaling = [
-            d for d in outcome.decisions if d.action != "rebalance"
+            d for d in outcome.elastic_decisions if d.action != "rebalance"
         ]
         assert scaling == []
-        assert outcome.tasks_moved == 0
+        assert outcome.elastic_tasks_moved == 0
         assert outcome.recovery["linear-compute"].elastic_tasks_moved == 0

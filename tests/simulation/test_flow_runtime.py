@@ -211,9 +211,9 @@ class TestDisabledPathByteIdentity:
 
     def _execute(self, arrival_process=None):
         random.seed(7)
-        from repro.experiments.harness import run_scheduled
+        from repro.experiments.harness import wire
 
-        return run_scheduled(
+        wiring = wire(
             RStormScheduler(),
             [linear_topology("compute")],
             emulab_testbed(),
@@ -223,6 +223,7 @@ class TestDisabledPathByteIdentity:
                 arrival_process=arrival_process,
             ),
         )
+        return wiring.outcome(wiring.run.run())
 
     def test_closed_loop_pinned(self):
         outcome = self._execute()
