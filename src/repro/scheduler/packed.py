@@ -1,7 +1,9 @@
 """Packed, flat-array view of cluster resource state.
 
-The schedulers' inner loops evaluate every alive node for every task —
-an O(tasks x nodes) search per round (the paper's Algorithm 4).  Walking
+R-Storm's node selection (the paper's Algorithm 4) reads availability
+per candidate node per dimension: it scans every alive node until a
+fresh topology's ref node is fixed, then keys lazy per-demand distance
+heaps from the same values, re-keying one node per placement.  Walking
 ``Node``/``ResourceVector`` objects there pays an allocation and several
 attribute/dict lookups per candidate per dimension.  A
 :class:`PackedClusterState` flattens the same information once per

@@ -20,24 +20,30 @@ squared availability-demand gap simultaneously avoids both waste
 below demand).
 
 The hot path runs on the packed flat-array view of the cluster
-(:class:`~repro.scheduler.packed.PackedClusterState`): the per-candidate
-distance loop reads plain per-dimension float lists, weights and
-normalisation factors are hoisted once per (topology, schema), ref-node
-scores and network-distance rows are memoised per round and invalidated
-incrementally on placement, and nodes that can no longer host *any*
-pending task are pruned from the candidate list instead of being
-re-scanned per task.  The arithmetic performs bit-identical operations
-in the same order as the per-vector formulation (kept as
-:meth:`RStormScheduler.distance` and verified by the differential suite
-in ``tests/scheduler/test_differential.py``), so assignments are
-byte-identical to the unpacked implementation.
+(:class:`~repro.scheduler.packed.PackedClusterState`).  Until a fresh
+topology's first task is placed, each task scans every alive node once,
+to find the ref node.  From then on node ``i``'s distance depends only
+on its availability row ``avail[.][i]``, which changes only when a task
+lands on ``i`` and then only shrinks.  So candidates sit in lazy
+min-heaps of ``(distance, node_id, i, version)``, one per distinct
+demand vector and tier (nodes covering every dimension, then nodes
+covering the hard ones), built on first use.  A placement re-keys one
+node: it bumps the node's version and pushes its new entry into every
+heap it still fits; stale entries are discarded on pop, and a node that
+stops fitting never fits again within the call.  Heap keys perform the
+float operations of the per-vector formulation
+(:meth:`RStormScheduler.distance`) in the same order, and ties go to the
+lower node id, so assignments are byte-identical to the unpacked
+implementation (held by ``tests/scheduler/test_distance_key.py`` and the
+differential suites in ``tests/scheduler/``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
@@ -174,7 +180,9 @@ class RStormScheduler(IScheduler):
         ref_node: Optional[Node],
         placed_this_round: List[Task],
     ) -> None:
-        """Greedy node selection over the packed cluster view."""
+        """Greedy node selection over the packed cluster view, from lazy
+        per-demand distance heaps once the ref node is known (see the
+        module docstring)."""
         view = state.packed
         demand_of: Dict[str, ResourceVector] = {}
         for task in pending:
@@ -186,49 +194,62 @@ class RStormScheduler(IScheduler):
 
         avail = view.avail
         nodes = view.nodes
-        hard = view.hard_dims
-        num_dims = view.num_dims
+        node_ids = view.node_ids
         best_effort = self.best_effort
-        prefer = self.prefer_no_overcommit
         topology_id = topology.topology_id
+        # Candidate tiers in preference order, as the dimensions a node
+        # must cover: uncommitted (every dimension), then hard-feasible
+        # (the paper's H_theta > H_tau guard).
+        tiers = (
+            (tuple(range(view.num_dims)), view.hard_dims)
+            if self.prefer_no_overcommit
+            else (view.hard_dims,)
+        )
 
-        # Candidate structure: alive-node indices still able to host at
-        # least one pending task.  ``floors[d]`` is the smallest demand
-        # of any pending task in hard dimension ``d``; a node below a
-        # floor is infeasible for *every* pending task, and availability
-        # only shrinks within the topology's round, so it is pruned
-        # permanently instead of being rescanned per task.
-        floors: Dict[int, float] = {
-            d: min(demand_of[t.component].values[d] for t in pending)
-            for d in hard
-        }
-        candidates = [
-            i
-            for i in range(len(nodes))
-            if all(avail[d][i] >= floors[d] for d in hard)
-        ]
+        def fits(i: int, dvals: Tuple[float, ...], dims: Tuple[int, ...]) -> bool:
+            for d in dims:
+                if avail[d][i] < dvals[d]:
+                    return False
+            return True
+
+        # (demand values, tier dims) -> min-heap of (distance, node_id,
+        # i, version); an entry is current iff its version is version[i],
+        # and the current entries are exactly the nodes fitting the tier.
+        alive = range(len(nodes))
+        version = [0] * len(nodes)
+        heaps: Dict[Tuple[Tuple[float, ...], Tuple[int, ...]], list] = {}
+        distance = (
+            self._packed_distance(view, ref_node)
+            if ref_node is not None
+            else None
+        )
 
         for task in pending:
             demand = demand_of[task.component]
             dvals = demand.values
-            # Hard-constraint filter (the paper's H_theta > H_tau guard).
-            feasible: List[int] = []
-            append = feasible.append
-            if len(hard) == 1:
-                d0 = hard[0]
-                a0 = avail[d0]
-                need0 = dvals[d0]
-                for i in candidates:
-                    if a0[i] >= need0:
-                        append(i)
-            else:
-                for i in candidates:
-                    for d in hard:
-                        if avail[d][i] < dvals[d]:
-                            break
-                    else:
-                        append(i)
-            if not feasible:
+            best_i: Optional[int] = None
+            for dims in tiers:
+                if distance is None:
+                    # Fresh topology: one scan, anchored on the ref node.
+                    pool = [i for i in alive if fits(i, dvals, dims)]
+                    if pool:
+                        best_i = self._find_ref_index(view, pool)
+                        break
+                    continue
+                heap = heaps.get((dvals, dims))
+                if heap is None:
+                    heap = heaps[(dvals, dims)] = [
+                        (distance(i, dvals), node_ids[i], i, version[i])
+                        for i in alive
+                        if fits(i, dvals, dims)
+                    ]
+                    heapify(heap)
+                while heap and heap[0][3] != version[heap[0][2]]:
+                    heappop(heap)
+                if heap:
+                    best_i = heap[0][2]
+                    break
+            if best_i is None:
                 if best_effort:
                     continue
                 raise SchedulingError(
@@ -239,42 +260,20 @@ class RStormScheduler(IScheduler):
                         t for t in pending if not state.is_placed(t)
                     ],
                 )
-            pool = feasible
-            if prefer:
-                uncommitted: List[int] = []
-                uappend = uncommitted.append
-                for i in feasible:
-                    for d in range(num_dims):
-                        if avail[d][i] < dvals[d]:
-                            break
-                    else:
-                        uappend(i)
-                if uncommitted:
-                    pool = uncommitted
-
-            if ref_node is None:
-                best_i = self._find_ref_index(view, pool)
-                if best_i is None:
-                    # Defensive fallback (an empty alive set cannot reach
-                    # here): anchor the distance on the first feasible
-                    # node, like the unpacked formulation.
-                    best_i = self._min_distance_index(
-                        view, pool, dvals, nodes[pool[0]]
-                    )
-            else:
-                best_i = self._min_distance_index(
-                    view, pool, dvals, ref_node
-                )
             node = nodes[best_i]
-            if ref_node is None:
-                ref_node = node
             slot = state.slot_for_topology_on_node(topology_id, node)
             state.place(task, slot, demand)
             placed_this_round.append(task)
-            for d in hard:
-                if avail[d][best_i] < floors[d]:
-                    candidates.remove(best_i)
-                    break
+            if distance is None:
+                distance = self._packed_distance(view, node)
+            version[best_i] = stamp = version[best_i] + 1
+            for (key_vals, dims), heap in heaps.items():
+                if fits(best_i, key_vals, dims):
+                    heappush(
+                        heap,
+                        (distance(best_i, key_vals), node_ids[best_i],
+                         best_i, stamp),
+                    )
 
     def _initial_ref_node(
         self, topology: Topology, cluster: Cluster, state: GlobalState
@@ -318,20 +317,15 @@ class RStormScheduler(IScheduler):
             self._dim_weight_cache[key] = cached
         return cached
 
-    def _min_distance_index(
-        self,
-        view: PackedClusterState,
-        pool: List[int],
-        dvals: Tuple[float, ...],
-        ref_node: Node,
-    ) -> int:
-        """The Distance procedure of Algorithm 4 fused over the packed
-        candidate pool; returns the index of the distance-minimal node
-        (ties broken by node id, exactly like ``min`` over
-        ``(distance, node_id)`` keys)."""
+    def _packed_distance(
+        self, view: PackedClusterState, ref_node: Node
+    ) -> Callable[[int, Tuple[float, ...]], float]:
+        """The Distance procedure of Algorithm 4 over the packed view for
+        a fixed ref node: ``distance(i, dvals)`` performs the float
+        operations of :meth:`distance` in the same order for alive node
+        ``i``, so the two agree bit for bit."""
         avail = view.avail
         caps = view.caps
-        node_ids = view.node_ids
         net_row = view.dist_row(ref_node.node_id)
         dim_weights = self._dim_weights(view.schema)
         w_net = self.weights.network
@@ -339,10 +333,7 @@ class RStormScheduler(IScheduler):
         normalise = self.normalise_gaps
         sqrt = math.sqrt
 
-        best_i = pool[0]
-        best_dist: Optional[float] = None
-        best_id = ""
-        for i in pool:
+        def distance(i: int, dvals: Tuple[float, ...]) -> float:
             total = 0.0
             for d, w in dim_weights:
                 gap = avail[d][i] - dvals[d]
@@ -352,24 +343,15 @@ class RStormScheduler(IScheduler):
                 total += w * gap * gap
             if use_net:
                 total += w_net * net_row[i]
-            dist = sqrt(total if total > 0.0 else 0.0)
-            if (
-                best_dist is None
-                or dist < best_dist
-                or (dist == best_dist and node_ids[i] < best_id)
-            ):
-                best_dist = dist
-                best_id = node_ids[i]
-                best_i = i
-        return best_i
+            return sqrt(total if total > 0.0 else 0.0)
+
+        return distance
 
     @staticmethod
-    def _find_ref_index(
-        view: PackedClusterState, pool: List[int]
-    ) -> Optional[int]:
+    def _find_ref_index(view: PackedClusterState, pool: List[int]) -> int:
         """The paper's lines 6-9 on the packed view: the most-available
-        node inside the most-available rack (restricted to the feasible
-        pool).
+        node inside the most-available rack, restricted to the non-empty
+        feasible pool.
 
         "Most resources" compares absolute availability, with each
         dimension scaled by the cluster-wide maximum capacity so a
@@ -377,27 +359,14 @@ class RStormScheduler(IScheduler):
         big empty machine outranks a small empty one.  Node scores are
         cached on the view and invalidated incrementally on placement.
         """
-        if not view.nodes:
-            return None
         scores = view.scores
         node_ids = view.node_ids
-        pool_set = set(pool)
         racks = sorted(
             view.rack_rows,
             key=lambda row: (-sum(scores[i] for i in row[1]), row[0]),
         )
-        for _, row in racks:
-            best_i: Optional[int] = None
-            best_key: Optional[Tuple[float, str]] = None
-            for i in row:
-                if i in pool_set:
-                    key = (-scores[i], node_ids[i])
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_i = i
-            if best_i is not None:
-                return best_i
-        return None
+        rank = {i: r for r, (_, row) in enumerate(racks) for i in row}
+        return min(pool, key=lambda i: (rank[i], -scores[i], node_ids[i]))
 
     def distance(
         self, node: Node, demand: ResourceVector, net_distance: float
@@ -411,10 +380,11 @@ class RStormScheduler(IScheduler):
         dimension's default weight (memory/cpu weights override the
         standard dimensions).
 
-        The scheduling hot path uses :meth:`_min_distance_index`, which
-        performs these operations in the same order over the packed
-        arrays; this method remains the executable specification and the
-        two are held identical by the differential test suite.
+        The scheduling hot path keys its node heaps with
+        :meth:`_packed_distance`, which performs these operations in the
+        same order over the packed arrays; this method remains the
+        executable specification, and the two are held bit-identical by
+        ``tests/scheduler/test_distance_key.py``.
 
         Args:
             node: Candidate node (already hard-constraint feasible).
