@@ -75,6 +75,25 @@ chaos)
     # Default (arrival_process=None) runs must never grow open-loop
     # metrics: no offered/achieved/e2e keys in a closed-loop report.
     ! grep -qE "offered|achieved_ratio|e2e_p" chaos-fresh.txt
+    echo "== chaos: a long run still measures every recovery"
+    # 900 simulated seconds report far more per-batch events than a
+    # trace ring buffer holds; every row must still show detection,
+    # rescheduling and at least one migration.
+    repro chaos --duration 900 --no-cache | tee chaos-long.txt
+    awk '
+        $1 == "scenario" { for (i = 1; i <= NF; i++) col[$i] = i; next }
+        /^-/ { rows = 1; next }
+        /^note:/ || NF == 0 { rows = 0 }
+        rows {
+            seen++
+            if ($col["detect_s"] == "-" || $col["resched_s"] == "-" \
+                || $col["migrations"] == 0) {
+                print "incomplete recovery row: " $0
+                bad = 1
+            }
+        }
+        END { exit (bad || seen == 0) }
+    ' chaos-long.txt
     ;;
 traffic)
     cold_warm_fresh traffic traffic --duration 90

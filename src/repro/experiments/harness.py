@@ -271,9 +271,6 @@ class Wiring:
                 t.topology_id: self.monitor.report(t.topology_id, report)
                 for t in self.topologies
             }
-            # the report references the stats server the tracer wrapped
-            # with closures; unwrap so the outcome stays picklable
-            self.monitor.tracer.uninstall()
         if self.injector is not None:
             outcome.injected = tuple(
                 (time, event.describe())
@@ -403,21 +400,17 @@ def wire(
             heartbeat_interval_s=heartbeat_interval_s,
             timeout_s=heartbeat_timeout_s,
         )
-        monitor = RecoveryMonitor()
-        monitor.attach(run, detector=detector, nimbus=nimbus)
+        run.observer = monitor = RecoveryMonitor()
         detector.attach(run)
         nimbus.attach(run)
     if any(key.startswith("nimbus.elastic.") for key in storm):
         if monitor is None:
-            monitor = RecoveryMonitor()
-            monitor.attach(run)
+            run.observer = monitor = RecoveryMonitor()
         controller = ElasticController(nimbus)
         controller.attach(run)
     if faults is not None:
         schedule = _resolve_faults(faults, cluster, dict(nimbus.assignments))
-        injector = FaultInjector(
-            schedule, detector=detector, tracer=monitor.tracer
-        )
+        injector = FaultInjector(schedule, detector=detector)
         injector.attach(run)
     return Wiring(
         scheduler,

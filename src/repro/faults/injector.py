@@ -23,8 +23,8 @@ callbacks against one :class:`~repro.simulation.runtime.SimulationRun`:
 
 Injection is deterministic: all times are simulated time, no wall clock
 or RNG is consulted, and the injector records everything it did in
-:attr:`injected` (and as ``inject`` events in a
-:class:`~repro.simulation.tracing.Tracer` when one is supplied).
+:attr:`injected` (and reports each injection as an ``inject`` event to
+the run's ``observer``, when one is set).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from repro.faults.events import (
 )
 from repro.faults.schedule import FaultSchedule
 from repro.nimbus.failure_detector import HeartbeatFailureDetector
-from repro.simulation.tracing import Tracer
+from repro.simulation.tracing import EventKind, TraceEvent
 
 __all__ = ["FaultInjector"]
 
@@ -58,20 +58,15 @@ class FaultInjector:
             and partitions are *silent* — Nimbus only learns of them after
             the heartbeat timeout.  Without one, the node object is failed
             directly and Nimbus notices on its next reconciliation.
-        tracer: Optional tracer; every injection is recorded as an
-            ``inject`` event (install it on the run separately to also
-            capture the downstream crash/migrate causality).
     """
 
     def __init__(
         self,
         schedule: FaultSchedule,
         detector: Optional[HeartbeatFailureDetector] = None,
-        tracer: Optional[Tracer] = None,
     ):
         self.schedule = schedule
         self.detector = detector
-        self.tracer = tracer
         #: (simulated time, event) for every fault actually injected
         self.injected: List[Tuple[float, FaultEvent]] = []
         self._attached = False
@@ -101,8 +96,10 @@ class FaultInjector:
     def _applier(self, run, event: FaultEvent):
         def apply() -> None:
             self.injected.append((run.sim.now, event))
-            if self.tracer is not None:
-                self.tracer.record(run.sim.now, "inject", "", event.describe())
+            if run.observer is not None:
+                run.observer(TraceEvent(
+                    run.sim.now, EventKind.INJECT, fault=event.describe()
+                ))
             self._apply(run, event)
 
         return apply

@@ -1,9 +1,11 @@
-"""Recovery measurement on top of the event tracer.
+"""Recovery measurement from a run's typed events.
 
-:class:`RecoveryMonitor` owns (or adopts) a
-:class:`~repro.simulation.tracing.Tracer`, wires itself into the failure
-detector (``expire`` events) and Nimbus (``reschedule`` events), and
-after the run distils the causal chain
+:class:`RecoveryMonitor` is a run observer (set it as
+``run.observer``).  Of the typed events
+(:class:`~repro.simulation.tracing.TraceEvent`) the runtime, the fault
+injector, the failure detector and Nimbus report, it keeps only the few
+control-plane kinds it reads — never the per-batch ones, so a long run
+cannot crowd them out — and after the run distils the causal chain
 
     ``inject`` -> ``expire`` -> ``reschedule`` -> ``migrate``
 
@@ -28,57 +30,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.simulation.report import SimulationReport
-from repro.simulation.tracing import Tracer
+from repro.simulation.tracing import EventKind, TraceEvent, query_events
 
 __all__ = ["FaultRecovery", "RecoveryReport", "RecoveryMonitor"]
 
 
 def _round(value: Optional[float]) -> Optional[float]:
     return None if value is None else round(value, 6)
-
-
-def _int_field(detail: str, name: str) -> Optional[int]:
-    """Parse an integer ``name=value`` field out of an event detail
-    string; None when the field is absent or malformed."""
-    marker = name + "="
-    idx = detail.rfind(marker)
-    if idx < 0:
-        return None
-    rest = detail[idx + len(marker):]
-    end = rest.find(",")
-    if end >= 0:
-        rest = rest[:end]
-    try:
-        return int(rest)
-    except ValueError:  # pragma: no cover - malformed detail
-        return None
-
-
-def _moved_of(detail: str) -> Optional[int]:
-    """Parse the churn count out of a migrate/rescale event detail
-    (``"..., moved=M"``); None for pre-churn traces."""
-    return _int_field(detail, "moved")
-
-
-def _reason_of(detail: str) -> str:
-    """Attribution tag of a migrate event (``"..., reason=R, ..."``);
-    traces recorded before churn attribution default to ``"fault"``."""
-    marker = "reason="
-    idx = detail.find(marker)
-    if idx < 0:
-        return "fault"
-    rest = detail[idx + len(marker):]
-    end = rest.find(",")
-    return rest[:end] if end >= 0 else rest
-
-
-def _rescale_churn(detail: str) -> int:
-    """Total executor churn of one rescale event: tasks moved plus
-    tasks added plus tasks removed."""
-    return sum(
-        _int_field(detail, name) or 0
-        for name in ("moved", "added", "removed")
-    )
 
 
 @dataclass(frozen=True)
@@ -216,51 +174,47 @@ class RecoveryReport:
 class RecoveryMonitor:
     """Observes a chaos run and computes :class:`RecoveryReport`s.
 
+    Set it as ``run.observer`` before ``run.run()``.
+
     Args:
-        tracer: Tracer to record through (a fresh one by default).
         steady_fraction: Fraction of the pre-fault baseline throughput a
             window must reach — and hold — to count as recovered.
     """
 
-    def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        steady_fraction: float = 0.9,
-    ):
+    #: the event kinds the report reads; all others are ignored
+    KINDS = frozenset({
+        EventKind.INJECT, EventKind.EXPIRE, EventKind.RESCHEDULE,
+        EventKind.NODE_DOWN, EventKind.NODE_UP, EventKind.MIGRATE,
+        EventKind.RESCALE, EventKind.REPLAY,
+    })
+
+    def __init__(self, steady_fraction: float = 0.9):
         if not 0.0 < steady_fraction <= 1.0:
             raise ValueError("steady_fraction must be in (0, 1]")
-        self.tracer = tracer or Tracer()
         self.steady_fraction = steady_fraction
+        #: every kept event, in report order
+        self.events: List[TraceEvent] = []
 
-    # -- wiring -------------------------------------------------------------
+    def __call__(self, event: TraceEvent) -> None:
+        if event.kind in self.KINDS:
+            self.events.append(event)
 
-    def attach(self, run, detector=None, nimbus=None) -> None:
-        """Install the tracer on ``run`` and hook the coordination plane.
-
-        Call before ``run.run()``; the detector/nimbus hooks record
-        ``expire`` and ``reschedule`` events into the causal trace.
-        """
-        if not self.tracer.installed:
-            self.tracer.install(run)
-        tracer = self.tracer
-        if detector is not None:
-            detector.on_expire = lambda time, node_id: tracer.record(
-                time, "expire", "", node_id
-            )
-        if nimbus is not None:
-
-            def on_reschedule(time: float, changed: List[str]) -> None:
-                for topo_id in changed:
-                    tracer.record(time, "reschedule", topo_id, "new assignment")
-
-            nimbus.on_reschedule = on_reschedule
+    def query(
+        self,
+        kind: Optional[str] = None,
+        topology: Optional[str] = None,
+        since: float = 0.0,
+        until: float = float("inf"),
+    ) -> List[TraceEvent]:
+        """The kept events, filtered by kind, topology and time window."""
+        return query_events(self.events, kind, topology, since, until)
 
     # -- analysis -----------------------------------------------------------
 
     def report(
         self, topology_id: str, sim_report: SimulationReport
     ) -> RecoveryReport:
-        """Distil the trace + metrics into one topology's recovery report."""
+        """Distil the events + metrics into one topology's recovery report."""
         window_s = sim_report.config.window_s
         warmup_s = sim_report.config.warmup_s
         duration_s = sim_report.duration_s
@@ -271,22 +225,16 @@ class RecoveryMonitor:
             if start + window_s <= duration_s + 1e-9
         ]
 
-        injects = self.tracer.query(kind="inject")
-        expires = self.tracer.query(kind="expire")
-        all_migrates = self.tracer.query(kind="migrate", topology=topology_id)
-        rescale_events = self.tracer.query(
-            kind="rescale", topology=topology_id
-        )
+        injects = self.query(kind="inject")
+        expires = self.query(kind="expire")
+        all_migrates = self.query(kind="migrate", topology=topology_id)
+        rescale_events = self.query(kind="rescale", topology=topology_id)
         # Churn attribution: fault-recovery reschedules vs elastic
         # controller actions.  Per-fault metrics below only look at the
         # fault-driven migrations, so a concurrently-running elastic
         # loop cannot masquerade as recovery.
-        migrates = [
-            m for m in all_migrates if _reason_of(m.detail) != "elastic"
-        ]
-        elastic_migrates = [
-            m for m in all_migrates if _reason_of(m.detail) == "elastic"
-        ]
+        migrates = [m for m in all_migrates if m.reason != "elastic"]
+        elastic_migrates = [m for m in all_migrates if m.reason == "elastic"]
 
         first_fault = injects[0].time if injects else None
         baseline_values = [
@@ -314,9 +262,7 @@ class RecoveryMonitor:
                 first_migrate.time if first_migrate is not None else None
             )
             tasks_moved = (
-                _moved_of(first_migrate.detail)
-                if first_migrate is not None
-                else None
+                first_migrate.moved if first_migrate is not None else None
             )
             post = [
                 (start, value)
@@ -335,7 +281,7 @@ class RecoveryMonitor:
                         break
             faults.append(
                 FaultRecovery(
-                    fault=inject.detail,
+                    fault=inject.fault,
                     fault_time_s=inject.time,
                     detected_at_s=detected_at,
                     detection_latency_s=(
@@ -372,7 +318,7 @@ class RecoveryMonitor:
         # caused and how long the backlog took to drain.  All stay at
         # their zero defaults on runs without the at-least-once layer or
         # message-loss faults.
-        replays = self.tracer.query(kind="replay", topology=topology_id)
+        replays = self.query(kind="replay", topology=topology_id)
         time_to_drain: Optional[float] = None
         if replays and last_fault is not None:
             post_fault_replays = [
@@ -381,16 +327,10 @@ class RecoveryMonitor:
             if post_fault_replays:
                 time_to_drain = post_fault_replays[-1] - last_fault
 
-        fault_moved = sum(
-            moved
-            for m in migrates
-            if (moved := _moved_of(m.detail)) is not None
+        fault_moved = sum(m.moved for m in migrates)
+        elastic_moved = sum(m.moved for m in elastic_migrates) + sum(
+            r.moved + r.added + r.removed for r in rescale_events
         )
-        elastic_moved = sum(
-            moved
-            for m in elastic_migrates
-            if (moved := _moved_of(m.detail)) is not None
-        ) + sum(_rescale_churn(r.detail) for r in rescale_events)
 
         return RecoveryReport(
             topology_id=topology_id,

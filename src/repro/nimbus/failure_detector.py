@@ -22,10 +22,11 @@ plus one scheduling period — the end-to-end failover latency the paper's
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.errors import MembershipError
 from repro.nimbus.supervisor import Supervisor
+from repro.simulation.tracing import EventKind, TraceEvent
 
 __all__ = ["HeartbeatFailureDetector"]
 
@@ -57,11 +58,9 @@ class HeartbeatFailureDetector:
         self.heartbeat_interval_s = heartbeat_interval_s
         self.timeout_s = timeout_s
         self._silenced: set = set()
-        #: (time, node_id) of every expiry declared
+        #: (time, node_id) of every expiry declared; each is also
+        #: reported to the run's ``observer`` as an ``expire`` event
         self.expirations: List[tuple] = []
-        #: optional observer called as ``on_expire(time, node_id)`` the
-        #: moment a session is declared expired (recovery monitoring).
-        self.on_expire: Optional[Callable[[float, str], None]] = None
 
     # -- control -------------------------------------------------------------
 
@@ -131,8 +130,10 @@ class HeartbeatFailureDetector:
                     supervisor.stop()  # session expiry
                     supervisor.node.fail()
                     self.expirations.append((now, node_id))
-                    if self.on_expire is not None:
-                        self.on_expire(now, node_id)
+                    if run.observer is not None:
+                        run.observer(TraceEvent(
+                            now, EventKind.EXPIRE, node=node_id
+                        ))
             run.on_time(now + self.heartbeat_interval_s, check)
 
         run.on_time(self.heartbeat_interval_s, beat)

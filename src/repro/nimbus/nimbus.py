@@ -13,7 +13,7 @@ assignments, exactly as the paper describes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
@@ -23,6 +23,7 @@ from repro.nimbus.supervisor import SUPERVISORS_PATH, Supervisor
 from repro.nimbus.zookeeper import InMemoryZooKeeper
 from repro.scheduler.assignment import Assignment
 from repro.scheduler.base import IScheduler, SchedulingRound
+from repro.simulation.tracing import EventKind, TraceEvent
 from repro.topology.task import task_label
 from repro.topology.topology import Topology
 
@@ -52,10 +53,6 @@ class Nimbus:
         #: that could not produce a feasible schedule — the degraded-mode
         #: record chaos tests assert on instead of a silent hang.
         self.scheduling_failures: List[Tuple[float, str]] = []
-        #: optional observer called as ``on_reschedule(time, changed_ids)``
-        #: when an attached round changes at least one assignment, before
-        #: the migrations are applied (recovery monitoring).
-        self.on_reschedule: Optional[Callable[[float, List[str]], None]] = None
         # -- quarantine state (only populated when
         # -- ``nimbus.quarantine.enabled`` is set) --------------------------
         #: node id -> recent down-transition times inside the flap window
@@ -283,8 +280,11 @@ class Nimbus:
                     for topo_id, assignment in self.assignments.items()
                     if before.get(topo_id) != assignment
                 ]
-                if changed and self.on_reschedule is not None:
-                    self.on_reschedule(run.sim.now, changed)
+                if run.observer is not None:
+                    for topo_id in changed:
+                        run.observer(TraceEvent(
+                            run.sim.now, EventKind.RESCHEDULE, topo_id
+                        ))
                 for topo_id in changed:
                     run.migrate(topo_id, self.assignments[topo_id])
             run.on_time(run.sim.now + state["delay"], tick)

@@ -12,9 +12,10 @@ from repro.simulation.metrics import StatisticServer
 from repro.simulation.network import TransferModel
 from repro.simulation.report import LatencyStats, SimulationReport
 from repro.simulation.runtime import SimulationRun
-from repro.simulation.tracing import TraceEvent, Tracer
+from repro.simulation.tracing import EventKind, TraceEvent, Tracer
 
 __all__ = [
+    "EventKind",
     "LatencyStats",
     "SimulationConfig",
     "SimulationReport",

@@ -26,10 +26,7 @@ __all__ = ["StatisticServer"]
 class StatisticServer:
     """Raw metric sink for one simulation run.
 
-    Deliberately *not* ``__slots__``-ed: the opt-in
-    :class:`~repro.simulation.tracing.Tracer` observes acks/failures by
-    monkeypatching bound hooks onto instances, which needs the instance
-    dict.  The hot recorders below stay dict/float arithmetic only.
+    The hot recorders below stay dict/float arithmetic only.
     """
 
     def __init__(self, window_s: float = 10.0):

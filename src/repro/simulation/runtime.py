@@ -29,17 +29,8 @@ The closed-loop per-batch path is one short call chain, ``_deliver`` ->
 counters are computed inline, and completions are pushed straight onto
 the engine heap (the Simulator's direct-push contract).
 
-Late-bound hooks.  :class:`~repro.simulation.tracing.Tracer` observes a
-run by assigning wrapper closures as *instance* attributes over
-``_deliver``, ``_finish_emit``, ``_finish_replay``, ``_crash_task``,
-``_fc_stall``, ``_fc_resume``, ``_shed``, ``_fail_node``,
-``_recover_node``, ``migrate``, ``rescale``, ``stats.record_ack`` and
-``stats.record_failed``, and ``uninstall()`` ``delattr``\\ s them again.
-So every use of these must look them up on the instance at that moment
-(``self._deliver``, ``self.stats.record_ack``).  Never bind one once at
-construction (a later install would be missed) or rebind one per run
-(``uninstall()`` would delete the rebinding and silently revert to the
-class method).
+Each traced transition tests the run's ``observer`` slot and, when it is
+set, hands it one :class:`~repro.simulation.tracing.TraceEvent`.
 """
 
 from __future__ import annotations
@@ -66,6 +57,7 @@ from repro.simulation.flowcontrol import (
 from repro.simulation.metrics import StatisticServer
 from repro.simulation.network import TransferModel
 from repro.simulation.report import SimulationReport
+from repro.simulation.tracing import EventKind, TraceEvent
 from repro.topology.component import Component
 from repro.topology.grouping import LocalOrShuffleGrouping
 from repro.topology.task import Task
@@ -220,7 +212,7 @@ class _PendingTree:
         self.attempt = attempt
         #: root id of the original emission this tree descends from
         #: (== the tree's own root id for originals) — the causal link
-        #: the Tracer surfaces for replays.
+        #: a ``replay`` event carries as ``origin``.
         self.origin_root = origin_root
         #: open-loop only: when the batch *arrived* (which can predate
         #: ``emitted_at`` by however long the spout's queue held it) —
@@ -310,8 +302,11 @@ class SimulationRun:
         self.config = config or SimulationConfig()
         self.sim = Simulator()
         self.stats = StatisticServer(self.config.window_s)
-        # The per-batch stats counters, incremented in place (no hook
-        # observes them, so unlike record_ack they may be bound once).
+        #: called with a TraceEvent at every traced transition (a
+        #: :class:`~repro.simulation.tracing.Tracer`, a RecoveryMonitor);
+        #: None traces nothing.
+        self.observer: Optional[Callable[[TraceEvent], None]] = None
+        # The per-batch stats counters, incremented in place.
         self._busy, self._processed, self._nic = (
             self.stats.per_batch_counters()
         )
@@ -595,8 +590,8 @@ class SimulationRun:
 
         ``reason`` tags the move for churn attribution (``"fault"`` for
         Nimbus recovery reschedules, ``"elastic"`` for controller-driven
-        rebalances); the runtime itself ignores it, but an installed
-        Tracer records it so the RecoveryMonitor can split fault-driven
+        rebalances); the runtime itself ignores it, but the ``migrate``
+        event carries it so the RecoveryMonitor can split fault-driven
         from elastic-driven churn.
 
         Returns the number of tasks that changed slot — the reassignment
@@ -641,6 +636,11 @@ class SimulationRun:
         for spout in topo_rt.spouts:
             if spout.alive:
                 self._try_emit(spout)
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                self.sim.now, EventKind.MIGRATE, topology_id, moved=moved,
+                reason=reason,
+            ))
         return moved
 
     def rescale(
@@ -790,6 +790,11 @@ class SimulationRun:
         for spout in topo_rt.spouts:
             if spout.alive:
                 self._try_emit(spout)
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                self.sim.now, EventKind.RESCALE, topology_id, moved=moved,
+                added=len(added), removed=len(removed),
+            ))
         return moved, len(added), len(removed)
 
     # -- load sampling (elastic control loop) ------------------------------
@@ -827,6 +832,10 @@ class SimulationRun:
     # -- failure ------------------------------------------------------------------
 
     def _fail_node(self, node_id: str) -> None:
+        if self.observer is not None:
+            self.observer(
+                TraceEvent(self.sim.now, EventKind.NODE_DOWN, node=node_id)
+            )
         node_rt = self._nodes.get(node_id)
         if node_rt is None:
             raise SimulationError(f"cannot fail unknown node {node_id!r}")
@@ -850,6 +859,10 @@ class SimulationRun:
         """The machine rejoins: its capacity becomes schedulable again and
         any tasks still bound to it restart (their queued work was lost at
         failure, exactly as a process restart loses its heap)."""
+        if self.observer is not None:
+            self.observer(
+                TraceEvent(self.sim.now, EventKind.NODE_UP, node=node_id)
+            )
         node_rt = self._nodes.get(node_id)
         if node_rt is None:
             raise SimulationError(f"cannot recover unknown node {node_id!r}")
@@ -1002,6 +1015,11 @@ class SimulationRun:
         its queue is lost and the supervisor restarts it after
         ``worker_restart_s``.  In-flight roots routed through it will
         time out, returning spout credit (or just counting as failed)."""
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                self.sim.now, EventKind.CRASH, task.topo.topology_id,
+                task=task.task, reason="queue overflow",
+            ))
         task.alive = False
         if self._at_least_once and task.is_spout and task.work:
             self._abandon_queued_replays(task)
@@ -1128,6 +1146,11 @@ class SimulationRun:
             # Closed loop: the spout produced its own profile-sized batch.
             # This body is the hot path — kept free of open-loop work.
             tuples = spout.profile.emit_batch_tuples
+            if self.observer is not None:
+                self.observer(TraceEvent(
+                    now, EventKind.EMIT, topo.topology_id, task=spout.task,
+                    tuples=tuples,
+                ))
             root_id = next(topo.next_root)
             self.stats.record_emitted(topo.topology_id, tuples)
             deliveries = self._route(spout, tuples, root_id, root_id)
@@ -1154,6 +1177,11 @@ class SimulationRun:
         # Open loop: the batch was offered by the arrival process; the
         # next emission is the next arrival, so no credit/rate logic.
         arrived_at, tuples, key = payload
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                now, EventKind.EMIT, topo.topology_id, task=spout.task,
+                tuples=tuples,
+            ))
         root_id = next(topo.next_root)
         self.stats.record_emitted(topo.topology_id, tuples)
         deliveries = self._route(
@@ -1208,7 +1236,12 @@ class SimulationRun:
             del topo.pending[root_id]
             spout = entry.spout
             spout.inflight -= 1
-            self.stats.record_ack(topo.topology_id, now - entry.emitted_at)
+            latency = now - entry.emitted_at
+            if self.observer is not None:
+                self.observer(TraceEvent(
+                    now, EventKind.ACK, topo.topology_id, latency=latency
+                ))
+            self.stats.record_ack(topo.topology_id, latency)
             if entry.arrived_at is not None:
                 # End-to-end latency: arrival at the spout to full ack,
                 # including any time spent queued before emission.
@@ -1243,13 +1276,13 @@ class SimulationRun:
             spout, _REPLAY, (tuples, attempt, origin_root, arrived_at)
         )
 
-    def _finish_replay(self, spout: _TaskRuntime, payload) -> int:
+    def _finish_replay(self, spout: _TaskRuntime, payload) -> None:
         """Re-emit a failed tree under a *fresh* root id.
 
         A new id (from the same monotonic counter) keeps ``pending``
         insertion-ordered by emit time — the invariant the timeout
-        sweep's early-exit scan depends on — and lets the Tracer link
-        the replay to ``origin_root`` causally.  Returns the new root id.
+        sweep's early-exit scan depends on — and the ``replay`` event
+        links it to ``origin_root`` causally.
         """
         tuples, attempt, origin_root, arrived_at = payload
         topo = spout.topo
@@ -1269,7 +1302,12 @@ class SimulationRun:
         else:  # pragma: no cover - a spout with consumers always routes
             topo.origins_exhausted += 1
             self.stats.record_exhausted(topo.topology_id, tuples)
-        return root_id
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                now, EventKind.REPLAY, topo.topology_id, task=spout.task,
+                tuples=tuples, root=root_id, origin=origin_root,
+                attempt=attempt,
+            ))
 
     def _abandon_replay(self, topo: _TopologyRuntime, tuples: int) -> None:
         """Resolve an outstanding replay whose spout died: the origin is
@@ -1350,8 +1388,7 @@ class SimulationRun:
         fc = producer.topo.flow
         src = producer.component.name
         # Hoisted bound methods: one lookup per routed batch instead of
-        # one per delivery.  ``self._deliver`` is looked up here (not at
-        # construction) so an installed Tracer still intercepts it.
+        # one per delivery.
         transfer_model = self.transfer
         transfer = transfer_model.transfer
         lossy = transfer_model.lossy
@@ -1430,6 +1467,11 @@ class SimulationRun:
         level: DistanceLevel,
         src: Optional[str] = None,
     ) -> None:
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                self.sim.now, EventKind.DELIVER, consumer.topo.topology_id,
+                task=consumer.task, tuples=tuples, root=root_id, level=level,
+            ))
         if not consumer.alive or not consumer.node.node.alive:
             self.stats.record_dropped()
             if self._fc is not None and src is not None:
@@ -1504,9 +1546,13 @@ class SimulationRun:
 
         Paused bolts stop draining their own input queues, so their
         upstream edges fill next — pressure propagates edge-by-edge until
-        it reaches the spouts, which stop emitting.  An installed Tracer
-        wraps this (and :meth:`_fc_resume`) to surface stall events.
+        it reaches the spouts, which stop emitting.
         """
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                self.sim.now, EventKind.STALL, topo_rt.topology_id,
+                component=producer, peer=consumer,
+            ))
         fc = topo_rt.flow
         tasks = fc.tasks_of.get(producer, ())
         for rt in tasks:
@@ -1519,6 +1565,11 @@ class SimulationRun:
     ) -> None:
         """Backpressure releases: unpause ``producer`` and restart its
         tasks (spouts re-emit, bolts drain their backlog)."""
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                self.sim.now, EventKind.RESUME, topo_rt.topology_id,
+                component=producer, peer=consumer,
+            ))
         fc = topo_rt.flow
         tasks = fc.tasks_of.get(producer, ())
         for rt in tasks:
@@ -1579,8 +1630,13 @@ class SimulationRun:
     def _shed(
         self, topology_id: str, component: str, stage: str, tuples: int
     ) -> None:
-        """Record one audited shed decision (Tracer-visible)."""
+        """Record one audited shed decision."""
         now = self.sim.now
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                now, EventKind.SHED, topology_id, component=component,
+                tuples=tuples, reason=stage,
+            ))
         self.stats.record_shed(topology_id, component, stage, now, tuples)
         self._fc_ledger.record(
             ShedRecord(
@@ -1627,6 +1683,11 @@ class SimulationRun:
             entry = topo_rt.pending.pop(root)
             spout = entry.spout
             spout.inflight -= 1
+            if self.observer is not None:
+                self.observer(TraceEvent(
+                    self.sim.now, EventKind.FAIL, topo_rt.topology_id,
+                    tuples=entry.tuples,
+                ))
             self.stats.record_failed(topo_rt.topology_id, entry.tuples)
             if not at_least_once and self._track_origins:
                 # Flow control without at-least-once: a timed-out tree is

@@ -1,64 +1,152 @@
-"""Structured event tracing for simulation runs.
+"""Typed event tracing for simulation runs.
 
-A lightweight, opt-in trace of what happened during a run — spout
-emissions, batch deliveries, acks, failures, worker crashes, migrations —
-kept in a bounded ring buffer so long runs cannot exhaust memory.  Used
-for debugging schedules and for tests that assert on event causality
-rather than aggregate counters.
+A :class:`~repro.simulation.runtime.SimulationRun` has one ``observer``
+slot, ``None`` by default.  When it holds a callable, every traced
+transition — spout emissions and replays, batch deliveries, acks and
+timeouts, flow-control stalls/resumes/sheds, worker crashes, node
+failures and rejoins, migrations and rescales — calls it with one
+:class:`TraceEvent`.  The fault injector, the failure detector and
+Nimbus report ``inject``, ``expire`` and ``reschedule`` through the same
+slot.  With the slot empty each transition pays a single ``is not None``
+test, so untraced runs are unchanged.
+
+:class:`Tracer` is the general-purpose observer: it keeps the latest
+events in a bounded ring buffer so long runs cannot exhaust memory.
+Used for debugging schedules and for tests that assert on event
+causality rather than aggregate counters.
+:class:`~repro.faults.monitor.RecoveryMonitor` is a second observer that
+keeps only the control-plane events it measures recovery from.
 
 Usage::
 
     tracer = Tracer(capacity=50_000)
     run = SimulationRun(cluster, placements, config)
-    tracer.install(run)
+    run.observer = tracer
     run.run()
     for event in tracer.query(kind="crash"):
-        print(event)
+        print(event.time, event.task)
 
-The tracer wraps the runtime's internal hooks without modifying its hot
-path when not installed.
+Events are records with fixed fields, read as attributes; ``str(event)``
+renders one for people and is never parsed.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterator, List, Optional
+from enum import Enum
+from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, NamedTuple, Optional
 
-__all__ = ["TraceEvent", "Tracer"]
+if TYPE_CHECKING:
+    from repro.cluster.network import DistanceLevel
+    from repro.topology.task import Task
+
+__all__ = ["EventKind", "TraceEvent", "Tracer", "query_events"]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One traced occurrence.
+class EventKind(str, Enum):
+    """What a :class:`TraceEvent` records.  Members compare equal to
+    their lower-case string values, so ``kind="crash"`` filters work."""
+
+    EMIT = "emit"
+    REPLAY = "replay"
+    DELIVER = "deliver"
+    ACK = "ack"
+    FAIL = "fail"
+    STALL = "stall"
+    RESUME = "resume"
+    SHED = "shed"
+    CRASH = "crash"
+    NODE_DOWN = "node_down"
+    NODE_UP = "node_up"
+    MIGRATE = "migrate"
+    RESCALE = "rescale"
+    INJECT = "inject"
+    EXPIRE = "expire"
+    RESCHEDULE = "reschedule"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class TraceEvent(NamedTuple):
+    """One traced occurrence.  Fields a kind does not use stay ``None``.
 
     Attributes:
         time: Simulated time in seconds.
-        kind: ``emit`` | ``deliver`` | ``ack`` | ``fail`` | ``crash`` |
-            ``migrate`` | ``node_down`` | ``node_up`` | ``inject`` |
-            ``expire`` | ``reschedule`` | ``replay`` | ``rescale`` |
-            ``stall`` | ``resume`` | ``shed``.
+        kind: The :class:`EventKind`.
         topology: Topology id (empty for cluster-level events).
-        detail: Human-readable specifics (task, node, counts).
+        task: The task it happened at (``emit``, ``replay``,
+            ``deliver``: the consumer, ``crash``).
+        component: The component it happened at (``stall``/``resume``:
+            the paused producer, ``shed``).
+        peer: The consumer component of a ``stall``/``resume`` edge.
+        node: The node (``node_down``, ``node_up``, ``expire``).
+        tuples: Batch size (``emit``, ``replay``, ``deliver``, ``shed``,
+            ``fail``).
+        root: Tuple-tree root id (``deliver``; ``replay``: the fresh one).
+        origin: Root id of the original emission a ``replay`` re-emits.
+        attempt: Replay attempt, 1 for the first.
+        level: Network distance a ``deliver`` crossed.
+        latency: Emit-to-ack latency of an ``ack``, in seconds.
+        moved: Tasks that changed slot (``migrate``, ``rescale``).
+        added: Tasks a ``rescale`` added.
+        removed: Tasks a ``rescale`` removed.
+        reason: ``migrate``: ``"fault"`` or ``"elastic"``; ``shed``:
+            the stage (``"ingress"`` or ``"queue"``); ``crash``: the cause.
+        fault: Description of an injected fault (``inject``).
     """
 
     time: float
-    kind: str
-    topology: str
-    detail: str
+    kind: EventKind
+    topology: str = ""
+    task: Optional[Task] = None
+    component: Optional[str] = None
+    peer: Optional[str] = None
+    node: Optional[str] = None
+    tuples: Optional[int] = None
+    root: Optional[int] = None
+    origin: Optional[int] = None
+    attempt: Optional[int] = None
+    level: Optional[DistanceLevel] = None
+    latency: Optional[float] = None
+    moved: Optional[int] = None
+    added: Optional[int] = None
+    removed: Optional[int] = None
+    reason: Optional[str] = None
+    fault: Optional[str] = None
 
     def __str__(self) -> str:
-        return f"[{self.time:10.4f}s] {self.kind:9s} {self.topology} {self.detail}"
+        fields = " ".join(
+            f"{name}={getattr(value, 'name', value)}"
+            for name, value in zip(self._fields[3:], self[3:])
+            if value is not None
+        )
+        return f"[{self.time:10.4f}s] {self.kind:10s} {self.topology} {fields}"
+
+
+def query_events(
+    events: Iterable[TraceEvent],
+    kind: Optional[str] = None,
+    topology: Optional[str] = None,
+    since: float = 0.0,
+    until: float = float("inf"),
+) -> List[TraceEvent]:
+    """Filter ``events`` by kind, topology and time window."""
+    return [
+        event
+        for event in events
+        if (kind is None or event.kind == kind)
+        and (topology is None or event.topology == topology)
+        and since <= event.time <= until
+    ]
 
 
 class Tracer:
-    """Bounded event trace attached to a :class:`SimulationRun`."""
+    """Bounded ring buffer of every event a run reports.
 
-    KINDS = (
-        "emit", "deliver", "ack", "fail", "crash", "migrate", "node_down",
-        "node_up", "inject", "expire", "reschedule", "replay", "rescale",
-        "stall", "resume", "shed",
-    )
+    Set it as a run's ``observer``; once full, each new event evicts the
+    oldest and counts in :attr:`dropped`.
+    """
 
     def __init__(self, capacity: int = 100_000):
         if capacity < 1:
@@ -66,241 +154,11 @@ class Tracer:
         self.capacity = capacity
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self.dropped = 0
-        self._installed = False
-        self._wrapped: List = []
 
-    @property
-    def installed(self) -> bool:
-        return self._installed
-
-    # -- recording ---------------------------------------------------------
-
-    def record(self, time: float, kind: str, topology: str, detail: str) -> None:
+    def __call__(self, event: TraceEvent) -> None:
         if len(self._events) == self.capacity:
             self.dropped += 1
-        self._events.append(TraceEvent(time, kind, topology, detail))
-
-    # -- installation -----------------------------------------------------------
-
-    def install(self, run) -> None:
-        """Wrap a run's internal transitions with trace recording.
-
-        Idempotent per tracer; installing a second tracer wraps again.
-        """
-        if self._installed:
-            raise RuntimeError("tracer already installed")
-        self._installed = True
-        tracer = self
-
-        original_finish_emit = run._finish_emit
-
-        def traced_finish_emit(spout, payload=None):
-            # Closed-loop emits carry no payload; open-loop payloads are
-            # (arrived_at, tuples, key) and size the batch.
-            batch = (
-                spout.profile.emit_batch_tuples if payload is None
-                else payload[1]
-            )
-            tracer.record(
-                run.sim.now,
-                "emit",
-                spout.topo.topology_id,
-                f"{spout.task} batch={batch}",
-            )
-            return original_finish_emit(spout, payload)
-
-        run._finish_emit = traced_finish_emit
-
-        original_finish_replay = run._finish_replay
-
-        def traced_finish_replay(spout, payload):
-            # Record *after* the call so the fresh root id is known —
-            # the causal link from replay back to its original root.
-            new_root = original_finish_replay(spout, payload)
-            tracer.record(
-                run.sim.now,
-                "replay",
-                spout.topo.topology_id,
-                f"root={new_root} origin={payload[2]} attempt={payload[1]} "
-                f"tuples={payload[0]}",
-            )
-            return new_root
-
-        run._finish_replay = traced_finish_replay
-
-        original_deliver = run._deliver
-
-        def traced_deliver(consumer, root_id, tuples, level, src=None):
-            tracer.record(
-                run.sim.now,
-                "deliver",
-                consumer.topo.topology_id,
-                f"root={root_id} tuples={tuples} -> {consumer.task} ({level.name})",
-            )
-            return original_deliver(consumer, root_id, tuples, level, src)
-
-        run._deliver = traced_deliver
-
-        # Flow-control transitions (no-ops unless config.flow is set):
-        # edge stalls/resumes and audited shed decisions.
-        original_fc_stall = run._fc_stall
-
-        def traced_fc_stall(topo_rt, producer, consumer):
-            tracer.record(
-                run.sim.now,
-                "stall",
-                topo_rt.topology_id,
-                f"{producer} paused ({producer} -> {consumer} edge over "
-                "high watermark)",
-            )
-            return original_fc_stall(topo_rt, producer, consumer)
-
-        run._fc_stall = traced_fc_stall
-
-        original_fc_resume = run._fc_resume
-
-        def traced_fc_resume(topo_rt, producer, consumer):
-            tracer.record(
-                run.sim.now,
-                "resume",
-                topo_rt.topology_id,
-                f"{producer} resumed ({producer} -> {consumer} edge under "
-                "low watermark)",
-            )
-            return original_fc_resume(topo_rt, producer, consumer)
-
-        run._fc_resume = traced_fc_resume
-
-        original_shed = run._shed
-
-        def traced_shed(topology_id, component, stage, tuples):
-            tracer.record(
-                run.sim.now,
-                "shed",
-                topology_id,
-                f"{component} shed tuples={tuples} stage={stage}",
-            )
-            return original_shed(topology_id, component, stage, tuples)
-
-        run._shed = traced_shed
-
-        original_crash = run._crash_task
-
-        def traced_crash(task):
-            tracer.record(
-                run.sim.now,
-                "crash",
-                task.topo.topology_id,
-                f"{task.task} queue overflow",
-            )
-            return original_crash(task)
-
-        run._crash_task = traced_crash
-
-        original_fail_node = run._fail_node
-
-        def traced_fail_node(node_id):
-            tracer.record(run.sim.now, "node_down", "", node_id)
-            return original_fail_node(node_id)
-
-        run._fail_node = traced_fail_node
-
-        original_recover_node = run._recover_node
-
-        def traced_recover_node(node_id):
-            tracer.record(run.sim.now, "node_up", "", node_id)
-            return original_recover_node(node_id)
-
-        run._recover_node = traced_recover_node
-
-        original_migrate = run.migrate
-
-        def traced_migrate(topology_id, new_assignment, reason="fault"):
-            # Call first: the migration's return value is its churn
-            # (tasks that changed slot), recorded in the event detail.
-            # ``reason`` splits fault-recovery churn from elastic
-            # rebalance churn in the RecoveryMonitor.
-            moved = original_migrate(topology_id, new_assignment, reason)
-            tracer.record(
-                run.sim.now,
-                "migrate",
-                topology_id,
-                f"onto {len(new_assignment.nodes)} nodes, "
-                f"reason={reason}, moved={moved}",
-            )
-            return moved
-
-        run.migrate = traced_migrate
-
-        original_rescale = run.rescale
-
-        def traced_rescale(topology_id, new_topology, new_assignment):
-            moved, added, removed = original_rescale(
-                topology_id, new_topology, new_assignment
-            )
-            tracer.record(
-                run.sim.now,
-                "rescale",
-                topology_id,
-                f"onto {len(new_assignment.nodes)} nodes, "
-                f"tasks={new_topology.num_tasks}, added={added}, "
-                f"removed={removed}, moved={moved}",
-            )
-            return moved, added, removed
-
-        run.rescale = traced_rescale
-
-        # acks and failures are observed through the stats hooks
-        stats = run.stats
-        original_ack = stats.record_ack
-
-        def traced_ack(topology_id, latency_s):
-            tracer.record(
-                run.sim.now, "ack", topology_id, f"latency={latency_s * 1e3:.3f}ms"
-            )
-            return original_ack(topology_id, latency_s)
-
-        stats.record_ack = traced_ack
-
-        original_failed = stats.record_failed
-
-        def traced_failed(topology_id, tuples):
-            tracer.record(run.sim.now, "fail", topology_id, f"tuples={tuples}")
-            return original_failed(topology_id, tuples)
-
-        stats.record_failed = traced_failed
-        self._wrapped = [
-            (run, "_finish_emit"),
-            (run, "_finish_replay"),
-            (run, "_deliver"),
-            (run, "_fc_stall"),
-            (run, "_fc_resume"),
-            (run, "_shed"),
-            (run, "_crash_task"),
-            (run, "_fail_node"),
-            (run, "_recover_node"),
-            (run, "migrate"),
-            (run, "rescale"),
-            (stats, "record_ack"),
-            (stats, "record_failed"),
-        ]
-
-    def uninstall(self) -> None:
-        """Remove the wrappers, restoring the run's original hooks.
-
-        The recorded events stay queryable.  Needed before pickling the
-        run or anything referencing its stats server (closures are not
-        picklable); also strips any tracer installed on top of this one.
-        """
-        if not self._installed:
-            return
-        for owner, name in self._wrapped:
-            try:
-                delattr(owner, name)
-            except AttributeError:
-                pass
-        self._wrapped = []
-        self._installed = False
+        self._events.append(event)
 
     # -- queries ------------------------------------------------------------------
 
@@ -318,13 +176,7 @@ class Tracer:
         until: float = float("inf"),
     ) -> List[TraceEvent]:
         """Filter the trace by kind, topology and time window."""
-        return [
-            event
-            for event in self._events
-            if (kind is None or event.kind == kind)
-            and (topology is None or event.topology == topology)
-            and since <= event.time <= until
-        ]
+        return query_events(self._events, kind, topology, since, until)
 
     def counts_by_kind(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}

@@ -29,9 +29,9 @@ class TestHooks:
     def test_expire_and_reschedule_events_recorded(self):
         ctx, victim = crashed_context()
         ctx.run.run()
-        expires = ctx.monitor.tracer.query(kind="expire")
-        reschedules = ctx.monitor.tracer.query(kind="reschedule")
-        assert [e.detail for e in expires] == [victim]
+        expires = ctx.monitor.query(kind="expire")
+        reschedules = ctx.monitor.query(kind="reschedule")
+        assert [e.node for e in expires] == [victim]
         assert reschedules
         assert reschedules[0].topology == ctx.topology.topology_id
 

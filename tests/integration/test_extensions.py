@@ -83,7 +83,7 @@ class TestTracedManagedRun:
             SimulationConfig(duration_s=30.0, warmup_s=10.0),
         )
         tracer = Tracer(capacity=10_000)
-        tracer.install(run)
+        run.observer = tracer
         report = run.run()
         assert tracer.counts_by_kind().get("ack", 0) > 0
         payload = report_as_dict(report)

@@ -42,8 +42,7 @@ def overloaded_run(flow, rate_tps=375.0, duration_s=40.0, tracer=None,
         [(t, assignments[t.topology_id]) for t in topologies],
         config,
     )
-    if tracer is not None:
-        tracer.install(run)
+    run.observer = tracer
     report = run.run()
     return run, report
 
@@ -66,13 +65,13 @@ class TestBackpressure:
             FlowControlConfig(queue_capacity=32), tracer=tracer
         )
         stalled_edges = {
-            event.detail.split(" paused (")[1].split(" edge")[0]
+            (event.component, event.peer)
             for event in tracer.query(kind="stall")
         }
         # The fan-in hotspot fills bolt-1 -> bolt-2 first, and the stall
         # propagates upstream to the spout -> bolt-1 edge.
-        assert "bolt-1 -> bolt-2" in stalled_edges
-        assert "spout -> bolt-1" in stalled_edges
+        assert ("bolt-1", "bolt-2") in stalled_edges
+        assert ("spout", "bolt-1") in stalled_edges
         assert report.spout_throttled_s(TOPO_ID) > 0
         assert report.credit_stall_total(TOPO_ID) > 0
 
@@ -83,7 +82,7 @@ class TestBackpressure:
         for event in tracer.events():
             if event.kind not in ("stall", "resume"):
                 continue
-            edge = event.detail.split("(")[1].split(" edge")[0]
+            edge = (event.component, event.peer)
             per_edge.setdefault(edge, []).append(event.kind)
         assert per_edge
         for edge, kinds in per_edge.items():
@@ -92,23 +91,24 @@ class TestBackpressure:
                 assert kind == expected, (edge, kinds)
 
     def test_stalled_spout_never_emits(self):
-        """Between a spout stall and its resume, no emit event fires."""
+        """Between a spout stall and its resume, no spout task starts an
+        emit: only the batch each task already had in service completes,
+        so a task emits at most once per stall window."""
         tracer = Tracer()
         overloaded_run(FlowControlConfig(queue_capacity=32), tracer=tracer)
-        stalled = False
+        emitted_while_stalled = None
         saw_windows = 0
         for event in tracer.events():
-            if event.kind == "stall" and event.detail.startswith("spout "):
-                stalled = True
+            if event.kind == "stall" and event.component == "spout":
+                emitted_while_stalled = set()
                 saw_windows += 1
-            elif event.kind == "resume" and event.detail.startswith(
-                "spout "
-            ):
-                stalled = False
-            elif event.kind == "emit" and stalled:
-                assert not event.detail.startswith(
-                    "spout"
-                ), f"stalled spout emitted at {event.time}"
+            elif event.kind == "resume" and event.component == "spout":
+                emitted_while_stalled = None
+            elif event.kind == "emit" and emitted_while_stalled is not None:
+                assert (
+                    event.task not in emitted_while_stalled
+                ), f"stalled spout {event.task} emitted twice at {event.time}"
+                emitted_while_stalled.add(event.task)
         assert saw_windows > 0, "no spout stall was ever traced"
 
     def test_credit_ledgers_conserved_after_run(self):

@@ -164,12 +164,10 @@ class TestClosedLoopHotPathPin:
 
 @pytest.mark.parametrize("variant", VARIANTS)
 class TestTracerParity:
-    """An installed Tracer observes the hot path without changing it.
-
-    The runtime looks its traced hooks up on the instance at each use,
-    so a Tracer installed after construction intercepts every batch, and
-    ``uninstall()`` leaves no override behind.
-    """
+    """A Tracer in the observer slot sees the hot path without changing
+    it: the traced run matches the untraced one bit for bit, every
+    delivery, emit and ack is reported, and nothing on the run or its
+    stats server is overridden."""
 
     def test_traced_run_matches_untraced(self, variant):
         topo_id = topology_id(variant)
@@ -178,7 +176,7 @@ class TestTracerParity:
 
         traced = pinned_run(variant)
         tracer = Tracer(capacity=1_000_000)
-        tracer.install(traced)
+        traced.observer = tracer
         traced_report = traced.run()
 
         assert traced_report.summary() == plain_report.summary()
@@ -200,9 +198,10 @@ class TestTracerParity:
         )
         assert len(tracer.query(kind="ack")) == PINS[variant]["acks"]
 
-        tracer.uninstall()
-        leftovers = {"_deliver", "_finish_emit", "_finish_replay",
-                     "_crash_task"} & set(vars(traced))
-        assert leftovers == set()
-        assert "record_ack" not in vars(traced.stats)
-        assert "record_failed" not in vars(traced.stats)
+        overrides = [
+            (owner, name)
+            for owner in (traced, traced.stats)
+            for name, value in vars(owner).items()
+            if callable(value) and name != "observer"
+        ]
+        assert overrides == []

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import emulab_testbed
 from repro.scheduler.rstorm import RStormScheduler
 from repro.simulation import SimulationConfig, SimulationRun
-from repro.simulation.tracing import Tracer
+from repro.simulation.tracing import EventKind, Tracer
 from tests.conftest import make_linear
 
 
@@ -19,7 +19,7 @@ def traced_run(duration=15.0, capacity=100_000, fail_at=None):
         SimulationConfig(duration_s=duration, warmup_s=2.0),
     )
     tracer = Tracer(capacity=capacity)
-    tracer.install(run)
+    run.observer = tracer
     if fail_at is not None:
         run.fail_node_at(fail_at, assignment.nodes[0])
     report = run.run()
@@ -65,20 +65,6 @@ class TestTracing:
         assert len(tracer) == 100
         assert tracer.dropped > 0
 
-    def test_double_install_rejected(self):
-        topology = make_linear(parallelism=1, stages=2)
-        cluster = emulab_testbed()
-        assignment = RStormScheduler().schedule([topology], cluster)["chain"]
-        run = SimulationRun(
-            cluster,
-            [(topology, assignment)],
-            SimulationConfig(duration_s=5.0, warmup_s=1.0),
-        )
-        tracer = Tracer()
-        tracer.install(run)
-        with pytest.raises(RuntimeError):
-            tracer.install(run)
-
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             Tracer(capacity=0)
@@ -87,3 +73,13 @@ class TestTracing:
         tracer, _ = traced_run()
         text = str(tracer.events()[0])
         assert "s]" in text
+
+    def test_events_carry_typed_fields(self):
+        tracer, report = traced_run()
+        [emit, *_] = tracer.query(kind="emit")
+        assert emit.kind is EventKind.EMIT
+        assert emit.task.component == "stage-0" and emit.tuples > 0
+        deliver = tracer.query(kind="deliver")[0]
+        assert deliver.root is not None and deliver.level is not None
+        latencies = [e.latency for e in tracer.query(kind="ack")]
+        assert latencies == list(report.stats.ack_latencies("chain"))

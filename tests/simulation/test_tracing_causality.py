@@ -11,7 +11,9 @@ expires its heartbeat session, Nimbus reschedules, the run migrates.
 
 import pickle
 
+from repro.experiments.fault_recovery import chaos_units
 from repro.faults import FaultSchedule, NodeCrash
+from repro.simulation.config import SimulationConfig
 from tests.faults.conftest import build_chaos
 
 
@@ -29,16 +31,16 @@ def crashed_trace(duration_s=60.0):
 class TestCausality:
     def test_recovery_chain_in_causal_order(self):
         ctx, victim, _ = crashed_trace()
-        tracer = ctx.monitor.tracer
-        [inject] = tracer.query(kind="inject")
-        [down] = tracer.query(kind="node_down")
-        [expire] = tracer.query(kind="expire")
-        reschedules = tracer.query(kind="reschedule")
-        migrates = tracer.query(kind="migrate")
+        monitor = ctx.monitor
+        [inject] = monitor.query(kind="inject")
+        [down] = monitor.query(kind="node_down")
+        [expire] = monitor.query(kind="expire")
+        reschedules = monitor.query(kind="reschedule")
+        migrates = monitor.query(kind="migrate")
 
-        assert victim in inject.detail
-        assert down.detail == victim
-        assert expire.detail == victim
+        assert victim in inject.fault
+        assert down.node == victim
+        assert expire.node == victim
         assert reschedules and migrates
 
         assert inject.time <= down.time <= expire.time
@@ -46,39 +48,31 @@ class TestCausality:
 
     def test_trace_timestamps_never_decrease(self):
         ctx, _, _ = crashed_trace()
-        times = [event.time for event in ctx.monitor.tracer.events()]
+        times = [event.time for event in ctx.monitor.events]
         assert times == sorted(times)
 
     def test_reschedule_precedes_its_migration(self):
         ctx, _, _ = crashed_trace()
-        tracer = ctx.monitor.tracer
+        monitor = ctx.monitor
         topo_id = ctx.topology.topology_id
-        for reschedule in tracer.query(kind="reschedule", topology=topo_id):
-            following = tracer.query(
+        for reschedule in monitor.query(kind="reschedule", topology=topo_id):
+            following = monitor.query(
                 kind="migrate", topology=topo_id, since=reschedule.time
             )
             assert following, "every reschedule must be applied"
 
 
-class TestUninstall:
-    def test_uninstall_makes_report_picklable(self):
-        ctx, _, report = crashed_trace()
-        ctx.monitor.tracer.uninstall()
-        clone = pickle.loads(pickle.dumps(report))
-        assert clone.sunk(ctx.topology.topology_id) == report.sunk(
-            ctx.topology.topology_id
-        )
-
-    def test_uninstall_preserves_recorded_events(self):
-        ctx, _, _ = crashed_trace()
-        tracer = ctx.monitor.tracer
-        before = len(tracer)
-        tracer.uninstall()
-        assert len(tracer) == before
-        assert not tracer.installed
-
-    def test_uninstall_is_idempotent(self):
-        ctx, _, _ = crashed_trace()
-        ctx.monitor.tracer.uninstall()
-        ctx.monitor.tracer.uninstall()
-        assert not ctx.monitor.tracer.installed
+class TestObserverAttached:
+    def test_outcome_pickles_while_observed(self):
+        """Observing a run installs nothing on it, so a finished chaos
+        outcome pickles (for the result cache and worker processes)
+        while its monitor is still the run's observer."""
+        unit = chaos_units(SimulationConfig(duration_s=60.0, warmup_s=15.0))[0]
+        wiring = unit.wire()
+        outcome = wiring.outcome(wiring.run.run())
+        assert wiring.run.observer is wiring.monitor
+        assert wiring.monitor.query(kind="inject")
+        clone = pickle.loads(pickle.dumps(outcome))
+        topo_id = wiring.topologies[0].topology_id
+        assert clone.recovery[topo_id] == outcome.recovery[topo_id]
+        assert clone.report.sunk(topo_id) == outcome.report.sunk(topo_id)
