@@ -7,6 +7,16 @@ import pytest
 from repro.cluster import ResourceVector, emulab_testbed, single_rack_cluster
 from repro.topology import ExecutionProfile, TopologyBuilder
 
+try:
+    from hypothesis import settings
+except ImportError:  # hypothesis suites skip themselves
+    pass
+else:
+    # The deep search of tests/simulation/test_des_differential.py: CI
+    # selects it with ``--hypothesis-profile=des-oracle`` in a step that
+    # runs only that file (5x the suite's tier-1 example count).
+    settings.register_profile("des-oracle", max_examples=750, deadline=None)
+
 
 @pytest.fixture(autouse=True)
 def _isolated_cache_dir(tmp_path, monkeypatch):

@@ -1,0 +1,1921 @@
+# Frozen DES oracle: a verbatim copy of src/repro/simulation/runtime.py at
+# commit 85391e5, plus the CreditLedger, ShedRecord, ShedLedger,
+# SheddingPolicy and make_policy code of src/repro/simulation/flowcontrol.py
+# it uses, inlined below with the runtime's flowcontrol import pointed at
+# them.  The engine, network, metrics, tracing, report and config modules
+# stay shared with the live runtime (they carry their own pins).
+#
+# DO NOT EDIT.  tests/simulation/test_des_differential.py runs the live
+# runtime against this copy and requires identical results.  After a
+# deliberate behaviour change, re-freeze it from a named commit as
+# docs/simulator.md ("DES oracle") describes.
+
+"""The simulated Storm runtime.
+
+Executes one or more scheduled topologies on a cluster in simulated time,
+reproducing the execution model the paper's evaluation measures:
+
+* **Spouts** emit tuple batches as fast as their CPU, the acker credit
+  (``max_spout_pending``) and any configured rate cap allow — or, when
+  the config carries an ``arrival_process``, exactly the batches an
+  *open-loop* traffic source offers, independent of system state (see
+  :mod:`repro.traffic.arrivals`).
+* **Routing** follows each stream's grouping; every downstream component
+  subscribed to a stream receives a copy of it.
+* **Transfers** pay locality-dependent latency and serialise through NICs
+  and the inter-rack uplink (:class:`~repro.simulation.network.TransferModel`).
+* **Bolts** are single-threaded tasks competing for their node's cores;
+  an over-committed node's tasks wait for cores, and a node whose
+  resident memory exceeds physical capacity thrashes (service times are
+  multiplied by ``thrash_factor``) — the failure mode that flattens the
+  default-scheduled Processing topology in Figure 13.
+* **Acking** tracks every batch tree; completion returns spout credit,
+  timeouts (tuple failure) return it late.
+
+The runtime supports node failure injection and task migration so the
+Nimbus coordination loop can reschedule mid-run.
+
+The closed-loop per-batch path is one short call chain, ``_deliver`` ->
+``_dispatch`` -> ``_complete`` -> ``_finish_process``/``_finish_emit``
+-> ``_route``: service times, enqueues and the busy/processed/NIC
+counters are computed inline, and completions are pushed straight onto
+the engine heap (the Simulator's direct-push contract).
+
+Each traced transition tests the run's ``observer`` slot and, when it is
+set, hands it one :class:`~repro.simulation.tracing.TraceEvent`.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from collections import deque
+from dataclasses import dataclass, field
+from heapq import heappush
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.cluster.cluster import Cluster
+from repro.cluster.network import DistanceLevel
+from repro.cluster.node import Node, WorkerSlot
+from repro.errors import SchedulingError, SimulationError
+from repro.scheduler.assignment import Assignment
+from repro.simulation.config import SimulationConfig
+from repro.simulation.engine import Simulator
+from repro.simulation.flowcontrol import FlowControlConfig
+from repro.simulation.metrics import StatisticServer
+from repro.simulation.network import TransferModel
+from repro.simulation.report import SimulationReport
+from repro.simulation.tracing import EventKind, TraceEvent
+from repro.topology.component import Component
+from repro.topology.grouping import LocalOrShuffleGrouping
+from repro.topology.task import Task
+from repro.topology.topology import Topology
+from repro.traffic.arrivals import derive_stream_seed
+
+__all__ = ["SimulationRun"]
+
+# -- frozen from repro/simulation/flowcontrol.py: the ledger and policy
+# -- classes the runtime below uses (FlowControlConfig stays shared) ----
+
+#: Priority shedding: the *lowest*-priority tenants shed from this
+#: fraction of queue capacity; the highest shed only at capacity.
+_PRIORITY_FLOOR = 0.5
+
+
+class CreditLedger:
+    """Per-edge credit accounting — the backpressure state machine.
+
+    The ledger tracks ``outstanding`` batches on one producer->consumer
+    edge: a *send* consumes a credit, a *drain* (the batch leaving the
+    consumer's queue, serviced or shed) returns it.  Conservation
+    invariant, property-tested with hypothesis::
+
+        sends == drains + outstanding     and     outstanding >= 0
+
+    Watermark semantics: the edge *stalls* its producer when occupancy
+    (``outstanding / pool``) reaches ``high_watermark`` and *resumes* it
+    when occupancy falls back to ``low_watermark``.  ``outstanding`` may
+    legitimately exceed the stall threshold — and even the pool — by
+    deliveries that were already in flight on the wire when the producer
+    stalled; they are accounted, never lost.
+    """
+
+    __slots__ = (
+        "pool", "outstanding", "sends", "drains", "stalled",
+        "stall_count", "_stall_at", "_resume_at",
+    )
+
+    def __init__(self, pool: int, high_watermark: float,
+                 low_watermark: float):
+        if pool < 1:
+            raise ValueError("credit pool must be >= 1")
+        self.pool = pool
+        self.outstanding = 0
+        self.sends = 0
+        self.drains = 0
+        self.stalled = False
+        self.stall_count = 0
+        # Precomputed batch thresholds; >= _stall_at stalls, <=
+        # _resume_at resumes.  _stall_at is at least 1 so a pool-of-one
+        # edge still stalls, and _resume_at is strictly below _stall_at
+        # (hysteresis) because low_watermark < high_watermark.
+        self._stall_at = max(1, int(round(pool * high_watermark)))
+        self._resume_at = min(
+            int(pool * low_watermark), self._stall_at - 1
+        )
+
+    def send(self) -> bool:
+        """Consume one credit; True when this send stalls the edge."""
+        self.sends += 1
+        self.outstanding += 1
+        if not self.stalled and self.outstanding >= self._stall_at:
+            self.stalled = True
+            self.stall_count += 1
+            return True
+        return False
+
+    def drain(self) -> bool:
+        """Return one credit; True when this drain resumes the edge."""
+        self.drains += 1
+        self.outstanding -= 1
+        if self.outstanding < 0:  # pragma: no cover - invariant guard
+            raise ValueError("edge drained more credits than were sent")
+        if self.stalled and self.outstanding <= self._resume_at:
+            self.stalled = False
+            return True
+        return False
+
+    @property
+    def available(self) -> int:
+        """Credits left before the pool is fully consumed (may go
+        negative for in-flight overshoot; see class docstring)."""
+        return self.pool - self.outstanding
+
+    def conserved(self) -> bool:
+        """The conservation invariant (for tests/audits)."""
+        return (
+            self.sends == self.drains + self.outstanding
+            and self.outstanding >= 0
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"CreditLedger(pool={self.pool}, outstanding={self.outstanding},"
+            f" stalled={self.stalled})"
+        )
+
+
+@dataclass(frozen=True)
+class ShedRecord:
+    """One audited shed decision (plain data, picklable)."""
+
+    time_s: float
+    topology_id: str
+    component: str
+    #: ``ingress`` (dropped at the spout before emission) or ``queue``
+    #: (dropped at a full bolt queue; the tuple tree resolves as shed).
+    stage: str
+    tuples: int
+    #: the policy that made the call (``tail-drop`` | ``priority``)
+    policy: str
+
+
+class ShedLedger:
+    """Bounded audit log of shed decisions with exact totals.
+
+    The record ring keeps the most recent ``capacity`` entries; the
+    totals never truncate, so the delivery-audit closure is exact even
+    on runs that shed millions of tuples.
+    """
+
+    __slots__ = ("capacity", "records", "total_tuples", "total_batches",
+                 "dropped_records")
+
+    def __init__(self, capacity: int = 10_000):
+        if capacity < 1:
+            raise ValueError("shed ledger capacity must be >= 1")
+        self.capacity = capacity
+        self.records: List[ShedRecord] = []
+        self.total_tuples = 0
+        self.total_batches = 0
+        #: records evicted from the bounded ring (totals still count them)
+        self.dropped_records = 0
+
+    def record(self, entry: ShedRecord) -> None:
+        self.total_tuples += entry.tuples
+        self.total_batches += 1
+        if len(self.records) >= self.capacity:
+            del self.records[0]
+            self.dropped_records += 1
+        self.records.append(entry)
+
+
+@dataclass(frozen=True)
+class SheddingPolicy:
+    """Threshold-based shedding decision for one topology's queues.
+
+    ``threshold(topology_id)`` returns the occupancy (in batches, against
+    ``queue_capacity``) at which a batch bound for that topology is shed;
+    ``None`` means never shed (the ``none`` policy).  The ``priority``
+    policy maps tenant priority rank onto a threshold between
+    ``_PRIORITY_FLOOR * capacity`` (lowest priority — sheds first) and
+    ``capacity`` (highest priority — sheds last, like ``tail-drop``).
+    """
+
+    name: str
+    capacity: int
+    #: topology_id -> shed threshold in batches (missing -> default)
+    thresholds: Dict[str, int] = field(default_factory=dict)
+
+    def threshold(self, topology_id: str) -> Optional[int]:
+        if self.name == "none":
+            return None
+        return self.thresholds.get(topology_id, self.capacity)
+
+    def should_shed(self, topology_id: str, occupancy: int) -> bool:
+        """Shed a batch arriving while ``occupancy`` batches queue?"""
+        cut = self.threshold(topology_id)
+        return cut is not None and occupancy >= cut
+
+
+def make_policy(config: FlowControlConfig) -> SheddingPolicy:
+    """Build the configured shedding policy.
+
+    For ``priority``, tenant priorities are normalised by rank: with
+    priorities ``{0, 1, 2}`` registered, priority-0 topologies shed at
+    50% occupancy, priority-1 at 75%, priority-2 only when full — gold
+    sheds last.  A single registered priority class (or none) behaves
+    exactly like ``tail-drop``.
+    """
+    capacity = config.queue_capacity
+    if config.shedding != "priority" or not config.priorities:
+        return SheddingPolicy(name=config.shedding, capacity=capacity)
+    top = max(priority for _, priority in config.priorities)
+    thresholds: Dict[str, int] = {}
+    for topology_id, priority in config.priorities:
+        rank = (priority + 1) / (top + 1)  # (0, 1], 1.0 for the top class
+        span = _PRIORITY_FLOOR + (1.0 - _PRIORITY_FLOOR) * rank
+        thresholds[topology_id] = max(1, int(round(capacity * span)))
+    return SheddingPolicy(
+        name="priority", capacity=capacity, thresholds=thresholds
+    )
+
+#: Floor on any service time, preventing zero-cost loops from freezing
+#: simulated time.
+_MIN_SERVICE_S = 1e-6
+
+_EMIT = 0
+_PROCESS = 1
+_REPLAY = 2
+
+#: Sentinel root id for *ghost* batches — wire-duplicated copies that are
+#: processed (CPU, routing, sink counts) but deliberately invisible to
+#: the acker, so duplicates can never corrupt a tree's delivery count.
+_GHOST_ROOT = -1
+
+#: Hot-path aliases (module-global loads beat enum attribute lookups).
+_INTRA_PROCESS = DistanceLevel.INTRA_PROCESS
+_INTER_NODE = DistanceLevel.INTER_NODE
+
+#: CPU points that equal one core (the paper: "CPU availability of a node
+#: is set to 100 * #cores").
+_POINTS_PER_CORE = 100.0
+
+
+def _assign_keys(stream, keys: Iterator[int]):
+    """Fill in routing keys a base arrival process left as ``None``
+    (trace replays carry their own recorded keys, which win)."""
+    for time_s, tuples, key in stream:
+        yield (time_s, tuples, next(keys) if key is None else key)
+
+
+class _NodeRuntime:
+    """Per-node execution state: cores, run queue, slowdown factors."""
+
+    __slots__ = ("node", "node_id", "cores", "active", "ready", "slowdown",
+                 "overhead", "fault_factor", "tasks")
+
+    def __init__(self, node: Node):
+        self.node = node
+        self.node_id = node.node_id
+        self.cores = max(1, int(round(node.capacity.cpu / _POINTS_PER_CORE)))
+        self.active = 0
+        self.ready: Deque["_TaskRuntime"] = deque()
+        self.slowdown = 1.0
+        self.overhead = 1.0
+        #: service-time multiplier from injected CPU degradation faults
+        #: (1.0 = healthy); orthogonal to the thrash/overcommit factors,
+        #: which are recomputed from placements.
+        self.fault_factor = 1.0
+        self.tasks: List["_TaskRuntime"] = []
+
+    @property
+    def alive(self) -> bool:
+        return self.node.alive
+
+
+class _OutRoute:
+    """A producer task's route to one downstream component.
+
+    ``levels``/``remote``/``local_indices`` are derived from placements
+    and cached until ``levels_version`` falls behind the run's placement
+    version — the distance matrix is immutable between migrations.
+    """
+
+    __slots__ = ("consumer_component", "grouping", "consumers", "levels",
+                 "remote", "local_indices", "levels_version",
+                 "is_local_or_shuffle")
+
+    def __init__(self, consumer_component, grouping, consumers):
+        self.consumer_component = consumer_component
+        self.grouping = grouping
+        self.consumers: List["_TaskRuntime"] = consumers
+        self.levels: Optional[List[DistanceLevel]] = None
+        #: parallel to ``levels``: does delivery i leave the node (NIC)?
+        self.remote: Optional[List[bool]] = None
+        #: cached local-consumer indices for local-or-shuffle groupings.
+        self.local_indices: Optional[List[int]] = None
+        self.levels_version = -1
+        self.is_local_or_shuffle = isinstance(grouping, LocalOrShuffleGrouping)
+
+
+class _TaskRuntime:
+    """Runtime state of one task."""
+
+    __slots__ = (
+        "task", "component", "profile", "topo", "slot", "node", "work",
+        "running", "queued", "alive", "out_routes", "inflight",
+        "emit_blocked", "emit_timer_set", "next_emit_time", "is_spout",
+        "fc_paused",
+    )
+
+    def __init__(self, task: Task, component: Component,
+                 topo: "_TopologyRuntime", slot: WorkerSlot,
+                 node: _NodeRuntime):
+        self.task = task
+        self.component = component
+        self.profile = component.profile
+        self.topo = topo
+        self.slot = slot
+        self.node = node
+        self.work: Deque[Tuple[int, object]] = deque()
+        self.running = False
+        self.queued = False
+        self.alive = True
+        self.out_routes: List[_OutRoute] = []
+        self.inflight = 0
+        self.emit_blocked = False
+        self.emit_timer_set = False
+        self.next_emit_time = 0.0
+        self.is_spout = component.is_spout
+        #: flow control: True while any of this task's component's
+        #: out-edges is over its high watermark — a paused bolt stops
+        #: draining its queue, a paused spout stops emitting.  Always
+        #: False when flow control is off.
+        self.fc_paused = False
+
+    @property
+    def node_id(self) -> str:
+        return self.slot.node_id
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"_TaskRuntime({self.task})"
+
+
+class _PendingTree:
+    """Acker state of one in-flight tuple tree.
+
+    Named fields (instead of the old positional list) so the replay path
+    cannot mis-index; ``__slots__`` keeps the per-root allocation as
+    cheap as the list it replaces.
+    """
+
+    __slots__ = ("remaining", "spout", "emitted_at", "tuples", "attempt",
+                 "origin_root", "arrived_at")
+
+    def __init__(self, remaining: int, spout: "_TaskRuntime",
+                 emitted_at: float, tuples: int, attempt: int,
+                 origin_root: int,
+                 arrived_at: Optional[float] = None) -> None:
+        #: outstanding deliveries; the tree acks when this reaches zero.
+        self.remaining = remaining
+        self.spout = spout
+        self.emitted_at = emitted_at
+        self.tuples = tuples
+        #: 0 for an original emission, n for the n-th replay.
+        self.attempt = attempt
+        #: root id of the original emission this tree descends from
+        #: (== the tree's own root id for originals) — the causal link
+        #: a ``replay`` event carries as ``origin``.
+        self.origin_root = origin_root
+        #: open-loop only: when the batch *arrived* (which can predate
+        #: ``emitted_at`` by however long the spout's queue held it) —
+        #: the anchor for end-to-end latency.  ``None`` in closed loop.
+        self.arrived_at = arrived_at
+
+
+class _TopologyRuntime:
+    """Per-topology acker state."""
+
+    __slots__ = ("topology", "topology_id", "assignment", "pending",
+                 "next_root", "spouts", "origins_created",
+                 "origins_exhausted", "replays_outstanding", "origins_shed",
+                 "flow")
+
+    def __init__(self, topology: Topology, assignment: Assignment):
+        self.topology = topology
+        #: fixed for the run: a rescaled generation keeps the same id
+        self.topology_id = topology.topology_id
+        self.assignment = assignment
+        #: root id -> in-flight tree, insertion-ordered by emit time.
+        self.pending: Dict[int, _PendingTree] = {}
+        self.next_root = itertools.count()
+        self.spouts: List[_TaskRuntime] = []
+        # -- at-least-once audit counters (only maintained when the
+        # -- delivery layer is on; see SimulationRun.delivery_audit).
+        #: root tuples whose trees entered the acker
+        self.origins_created = 0
+        #: root tuples explicitly given up on (retries spent, or their
+        #: replay state died with a spout/worker)
+        self.origins_exhausted = 0
+        #: replays scheduled or queued but not yet re-emitted
+        self.replays_outstanding = 0
+        #: root tuples deliberately dropped by the shedding policy
+        #: (ingress or queue stage) — audited, never silent
+        self.origins_shed = 0
+        #: per-topology flow-control state; None unless config.flow is set
+        self.flow: Optional["_FlowState"] = None
+
+
+class _FlowState:
+    """Per-topology flow-control state (built only when flow is on).
+
+    Credit ledgers live at *component* granularity: one ledger per
+    (producer component -> consumer component) edge, with a pool sized
+    to ``queue_capacity`` times the consumer's task count.  Stall state
+    is likewise per component — a producer stalls when *any* of its out
+    edges is saturated and resumes only when none are.
+    """
+
+    __slots__ = ("edges", "tasks_of", "stalled_edges", "spout_stalled_since")
+
+    def __init__(self) -> None:
+        #: (producer component, consumer component) -> edge ledger
+        self.edges: Dict[Tuple[str, str], CreditLedger] = {}
+        #: component name -> its live task runtimes
+        self.tasks_of: Dict[str, List[_TaskRuntime]] = {}
+        #: producer component -> number of its out edges currently stalled
+        self.stalled_edges: Dict[str, int] = {}
+        #: spout component -> sim time its current stall began (for the
+        #: throttled-spout-time metric)
+        self.spout_stalled_since: Dict[str, float] = {}
+
+
+class SimulationRun:
+    """One simulated execution of scheduled topologies on a cluster.
+
+    Args:
+        cluster: The physical cluster (its topography supplies transfer
+            costs; node liveness is honoured and may change mid-run via
+            :meth:`fail_node_at`).
+        placements: ``(topology, assignment)`` pairs.  Every assignment
+            must be complete.
+        config: Simulation knobs.
+        interrack_uplink_mbps: Optional override of the shared cross-rack
+            link capacity (see :class:`TransferModel`).
+    """
+
+    def __init__(
+        self,
+        cluster: Cluster,
+        placements: Sequence[Tuple[Topology, Assignment]],
+        config: Optional[SimulationConfig] = None,
+        interrack_uplink_mbps: Optional[float] = None,
+    ):
+        self.cluster = cluster
+        self.config = config or SimulationConfig()
+        self.sim = Simulator()
+        self.stats = StatisticServer(self.config.window_s)
+        #: called with a TraceEvent at every traced transition (a
+        #: :class:`~repro.simulation.tracing.Tracer`, a RecoveryMonitor);
+        #: None traces nothing.
+        self.observer: Optional[Callable[[TraceEvent], None]] = None
+        # The per-batch stats counters, incremented in place.
+        self._busy, self._processed, self._nic = (
+            self.stats.per_batch_counters()
+        )
+        self.transfer = TransferModel(cluster, interrack_uplink_mbps)
+        self._placement_version = 0
+        # Hot-path copies of immutable config knobs (attribute access on
+        # a plain float beats dataclass field lookup per event).
+        self._max_pending = self.config.max_spout_pending
+        self._overflow = self.config.queue_overflow_batches
+        self._serde_ms = self.config.serde_ms_per_tuple
+        self._at_least_once = self.config.at_least_once
+        self._max_retries = self.config.max_retries
+        self._replay_backoff = self.config.replay_backoff_s
+        self._arrival = self.config.arrival_process
+        self._open_loop = self._arrival is not None
+        # Flow control (None on the default path: every hot-path hook is
+        # guarded on ``self._fc is None`` so disabled runs stay
+        # byte-identical).
+        self._fc = self.config.flow
+        if self._fc is not None:
+            self._fc_policy = make_policy(self._fc)
+            self._fc_shed = (
+                self._fc_policy if self._fc_policy.name != "none" else None
+            )
+            self._fc_ledger: Optional[ShedLedger] = ShedLedger(
+                self._fc.shed_ledger_capacity
+            )
+        else:
+            self._fc_policy = None
+            self._fc_shed = None
+            self._fc_ledger = None
+        #: origin audit counters are maintained whenever either layer
+        #: that resolves origins explicitly (at-least-once replay, flow
+        #: shedding) is on — equal to ``_at_least_once`` when flow is off.
+        self._track_origins = self._at_least_once or self._fc is not None
+        if self._open_loop:
+            # Open-loop spouts emit only what arrives; every closed-loop
+            # credit/rate trigger (acks, sweeps, revivals) is a no-op.
+            self._try_emit = self._no_emit  # type: ignore[method-assign]
+        #: open-loop only: every arrival as (source, time, tuples, key),
+        #: frozen on demand into an ArrivalTrace (see arrival_trace()).
+        self._arrival_log: List[Tuple[Tuple[str, str, int], float, int,
+                                      Optional[int]]] = []
+        self._nodes: Dict[str, _NodeRuntime] = {
+            node.node_id: _NodeRuntime(node) for node in cluster.nodes
+        }
+        self._topologies: List[_TopologyRuntime] = []
+        self._task_runtimes: Dict[Task, _TaskRuntime] = {}
+        for topology, assignment in placements:
+            self._add_topology(topology, assignment)
+        self._recompute_node_factors()
+        self._started = False
+
+    # -- construction ------------------------------------------------------
+
+    def _add_topology(self, topology: Topology, assignment: Assignment) -> None:
+        if not assignment.is_complete(topology):
+            raise SchedulingError(
+                f"assignment for {topology.topology_id!r} is incomplete: "
+                f"missing {assignment.missing_tasks(topology)}"
+            )
+        topo_rt = _TopologyRuntime(topology, assignment)
+        runtimes: Dict[Task, _TaskRuntime] = {}
+        for task in topology.tasks:
+            slot = assignment.slot_of(task)
+            node_rt = self._nodes.get(slot.node_id)
+            if node_rt is None:
+                raise SimulationError(
+                    f"assignment places {task} on unknown node {slot.node_id!r}"
+                )
+            rt = _TaskRuntime(
+                task, topology.component(task.component), topo_rt, slot, node_rt
+            )
+            rt.alive = node_rt.alive
+            node_rt.tasks.append(rt)
+            runtimes[task] = rt
+            self._task_runtimes[task] = rt
+            if rt.is_spout:
+                topo_rt.spouts.append(rt)
+        # Wire producer -> consumer routes.  Each downstream component
+        # subscribed to a producer's stream receives a copy of it; the
+        # producer holds a fresh grouping instance per route so routing
+        # state is per-producer, as in Storm.
+        for task in topology.tasks:
+            producer = runtimes[task]
+            for consumer_name in topology.downstream_of(task.component):
+                consumer_comp = topology.component(consumer_name)
+                subscription = next(
+                    sub
+                    for sub in consumer_comp.subscriptions
+                    if sub.source == task.component
+                )
+                consumers = [
+                    runtimes[t] for t in topology.tasks_of(consumer_name)
+                ]
+                producer.out_routes.append(
+                    _OutRoute(
+                        consumer_name,
+                        subscription.grouping.fresh(),
+                        consumers,
+                    )
+                )
+        if self._fc is not None:
+            self._init_flow(topo_rt)
+        self._topologies.append(topo_rt)
+
+    def _init_flow(self, topo_rt: _TopologyRuntime) -> None:
+        """(Re)build a topology's credit ledgers from its live generation.
+
+        Called at construction and again after a :meth:`rescale` (pool
+        sizes follow consumer parallelism).  On rebuild, per-edge
+        outstanding/send/drain counts carry over so credits held by
+        batches already queued or in flight stay conserved; stall state
+        is then re-derived against the new thresholds and every task's
+        ``fc_paused`` flag refreshed.
+        """
+        flow = self._fc
+        topology = topo_rt.topology
+        old = topo_rt.flow
+        fc = _FlowState()
+        names = sorted({t.component for t in topology.tasks})
+        for name in names:
+            fc.tasks_of[name] = [
+                self._task_runtimes[t] for t in topology.tasks_of(name)
+            ]
+        for name in names:
+            for consumer_name in topology.downstream_of(name):
+                pool = flow.queue_capacity * len(
+                    topology.tasks_of(consumer_name)
+                )
+                ledger = CreditLedger(
+                    pool, flow.high_watermark, flow.low_watermark
+                )
+                if old is not None:
+                    prev = old.edges.get((name, consumer_name))
+                    if prev is not None:
+                        ledger.outstanding = prev.outstanding
+                        ledger.sends = prev.sends
+                        ledger.drains = prev.drains
+                        ledger.stall_count = prev.stall_count
+                        ledger.stalled = (
+                            ledger.outstanding >= ledger._stall_at
+                        )
+                fc.edges[(name, consumer_name)] = ledger
+        for (producer_name, _), ledger in fc.edges.items():
+            if ledger.stalled:
+                fc.stalled_edges[producer_name] = (
+                    fc.stalled_edges.get(producer_name, 0) + 1
+                )
+        for name in names:
+            paused = fc.stalled_edges.get(name, 0) > 0
+            for rt in fc.tasks_of[name]:
+                rt.fc_paused = paused
+        if old is not None:
+            # Carry open stall intervals for spouts still stalled; close
+            # (and account) the intervals of spouts the rebuild resumed.
+            now = self.sim.now
+            for name, since in old.spout_stalled_since.items():
+                if fc.stalled_edges.get(name, 0) > 0:
+                    fc.spout_stalled_since[name] = since
+                else:
+                    self.stats.record_spout_throttle(
+                        topo_rt.topology_id, now - since
+                    )
+        topo_rt.flow = fc
+        if old is not None:
+            # Tasks the rebuild un-paused must drain again.
+            for name in names:
+                if fc.stalled_edges.get(name, 0) > 0:
+                    continue
+                for rt in fc.tasks_of[name]:
+                    if not rt.alive or not rt.node.node.alive:
+                        continue
+                    if rt.is_spout:
+                        self._try_emit(rt)
+                    if rt.work and not rt.queued and not rt.running:
+                        rt.queued = True
+                        rt.node.ready.append(rt)
+                        self._dispatch(rt.node)
+
+    def _recompute_node_factors(self) -> None:
+        """Thrash and context-switch factors from current placements.
+
+        A node thrashes when the resident memory of the tasks placed on it
+        exceeds its physical capacity — the hard-constraint violation the
+        default scheduler can commit and R-Storm never does.
+        """
+        for node_rt in self._nodes.values():
+            resident_mb = sum(
+                rt.component.resident_memory_mb for rt in node_rt.tasks
+            )
+            capacity_mb = node_rt.node.capacity.memory_mb
+            if capacity_mb > 0 and resident_mb > capacity_mb:
+                node_rt.slowdown = self.config.thrash_factor
+            else:
+                node_rt.slowdown = 1.0
+            extra = max(0, len(node_rt.tasks) - node_rt.cores)
+            node_rt.overhead = 1.0 + self.config.context_switch_overhead * extra
+
+    # -- public control ---------------------------------------------------------
+
+    def run(self, until: Optional[float] = None) -> SimulationReport:
+        """Run the simulation and return its report.
+
+        Args:
+            until: Stop time (defaults to ``config.duration_s``).  May be
+                called repeatedly with increasing times to step through a
+                run (e.g. interleaved with failure injection).
+        """
+        horizon = self.config.duration_s if until is None else until
+        if not self._started:
+            self._started = True
+            for topo_rt in self._topologies:
+                if self._open_loop:
+                    self._start_arrivals(topo_rt)
+                else:
+                    for spout in topo_rt.spouts:
+                        self._try_emit(spout)
+                self._schedule_sweep(topo_rt)
+        self.sim.run(horizon)
+        return self.report()
+
+    def report(self) -> SimulationReport:
+        """Snapshot report at the current simulated time."""
+        nodes_used = {
+            topo_rt.topology_id: tuple(sorted(topo_rt.assignment.nodes))
+            for topo_rt in self._topologies
+        }
+        node_cores = {
+            node_id: rt.cores for node_id, rt in self._nodes.items()
+        }
+        return SimulationReport(
+            config=self.config,
+            stats=self.stats,
+            duration_s=max(self.sim.now, 1e-9),
+            topology_ids=[t.topology_id for t in self._topologies],
+            nodes_used=nodes_used,
+            node_cores=node_cores,
+            events_processed=self.sim.events_processed,
+        )
+
+    def on_time(self, time: float, callback: Callable[..., None], *args) -> None:
+        """Register an arbitrary callback at simulated ``time`` (failure
+        injection, nimbus scheduling ticks, ...).  Extra ``args`` are
+        forwarded to the callback at fire time, closure-free."""
+        self.sim.schedule_at(time, callback, *args)
+
+    def fail_node_at(self, time: float, node_id: str) -> None:
+        """Inject a node failure at simulated ``time``."""
+        self.on_time(time, lambda: self._fail_node(node_id))
+
+    def recover_node_at(self, time: float, node_id: str) -> None:
+        """Revive a failed node at simulated ``time`` (delayed rejoin)."""
+        self.on_time(time, lambda: self._recover_node(node_id))
+
+    def set_node_fault_factor(self, node_id: str, factor: float) -> None:
+        """Degrade (or restore) a node's effective CPU speed.
+
+        Service times on the node are multiplied by ``factor`` from now
+        on; ``1.0`` restores full speed.  In-flight work keeps the service
+        time it was dispatched with, as a real frequency change would.
+        """
+        if factor <= 0:
+            raise SimulationError(f"fault factor must be positive, got {factor}")
+        node_rt = self._nodes.get(node_id)
+        if node_rt is None:
+            raise SimulationError(f"cannot degrade unknown node {node_id!r}")
+        node_rt.fault_factor = factor
+
+    def migrate(
+        self, topology_id: str, new_assignment: Assignment,
+        reason: str = "fault",
+    ) -> int:
+        """Rebind a topology's tasks to a new assignment immediately.
+
+        Tasks whose slot is unchanged keep their queues; moved tasks carry
+        their queued work to the new node.  Without the delivery layer
+        (the default) that carry approximates the post-replay state
+        without simulating the replay traffic; with ``at_least_once`` on,
+        trees stranded by the move genuinely time out and replay.
+
+        ``reason`` tags the move for churn attribution (``"fault"`` for
+        Nimbus recovery reschedules, ``"elastic"`` for controller-driven
+        rebalances); the runtime itself ignores it, but the ``migrate``
+        event carries it so the RecoveryMonitor can split fault-driven
+        from elastic-driven churn.
+
+        Returns the number of tasks that changed slot — the reassignment
+        churn the RecoveryMonitor reports per recovery.
+        """
+        topo_rt = self._topology_runtime(topology_id)
+        if not new_assignment.is_complete(topo_rt.topology):
+            raise SchedulingError(
+                f"migration assignment for {topology_id!r} is incomplete"
+            )
+        moved = 0
+        for task in topo_rt.topology.tasks:
+            rt = self._task_runtimes[task]
+            new_slot = new_assignment.slot_of(task)
+            if new_slot == rt.slot:
+                continue
+            moved += 1
+            new_node = self._nodes.get(new_slot.node_id)
+            if new_node is None:
+                raise SimulationError(
+                    f"migration places {task} on unknown node "
+                    f"{new_slot.node_id!r}"
+                )
+            rt.node.tasks.remove(rt)
+            if rt.queued:
+                try:
+                    rt.node.ready.remove(rt)
+                except ValueError:  # pragma: no cover - defensive
+                    pass
+                rt.queued = False
+            rt.slot = new_slot
+            rt.node = new_node
+            rt.alive = new_node.alive
+            new_node.tasks.append(rt)
+            if rt.alive and rt.work and not rt.running:
+                rt.queued = True
+                new_node.ready.append(rt)
+                self._dispatch(new_node)
+        topo_rt.assignment = new_assignment
+        self._placement_version += 1
+        self._recompute_node_factors()
+        for spout in topo_rt.spouts:
+            if spout.alive:
+                self._try_emit(spout)
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                self.sim.now, EventKind.MIGRATE, topology_id, moved=moved,
+                reason=reason,
+            ))
+        return moved
+
+    def rescale(
+        self,
+        topology_id: str,
+        new_topology: Topology,
+        new_assignment: Assignment,
+    ) -> Tuple[int, int, int]:
+        """Swap in a rescaled topology (changed bolt parallelism) mid-run.
+
+        ``new_topology`` must come from :meth:`Topology.with_parallelism`
+        (or preserve task identity the same way): tasks present in both
+        generations keep their ids, so their runtimes — queues, in-flight
+        trees, acker state — survive.  Added tasks start empty; removed
+        tasks lose their queued work exactly as a decommissioned worker
+        would (in-flight trees routed through them time out, and with
+        ``at_least_once`` on they replay — the delivery audit stays
+        closed).
+
+        Spout parallelism cannot change: arrival streams and pending-tree
+        credit are bound to spout task identity, so the elastic layer
+        scales bolts only.
+
+        Returns ``(moved, added, removed)`` task counts.
+        """
+        topo_rt = self._topology_runtime(topology_id)
+        if new_topology.topology_id != topology_id:
+            raise SimulationError(
+                f"rescale topology id mismatch: "
+                f"{new_topology.topology_id!r} != {topology_id!r}"
+            )
+        if not new_assignment.is_complete(new_topology):
+            raise SchedulingError(
+                f"rescale assignment for {topology_id!r} is incomplete: "
+                f"missing {new_assignment.missing_tasks(new_topology)}"
+            )
+        old_topology = topo_rt.topology
+        old_tasks = set(old_topology.tasks)
+        new_tasks = set(new_topology.tasks)
+        old_spouts = {
+            t for t in old_tasks
+            if old_topology.component(t.component).is_spout
+        }
+        new_spouts = {
+            t for t in new_tasks
+            if new_topology.component(t.component).is_spout
+        }
+        if old_spouts != new_spouts:
+            raise SimulationError(
+                f"rescale cannot change spout tasks of {topology_id!r}: "
+                "arrival streams are bound to spout task identity"
+            )
+        removed = sorted(old_tasks - new_tasks)
+        added = sorted(new_tasks - old_tasks)
+        # Tear down removed tasks: their queued work dies with them.
+        for task in removed:
+            rt = self._task_runtimes.pop(task)
+            rt.alive = False
+            if self._fc is not None and rt.work:
+                self._fc_release_queue(rt)
+            rt.work.clear()
+            rt.out_routes = []
+            if rt.queued:
+                try:
+                    rt.node.ready.remove(rt)
+                except ValueError:  # pragma: no cover - defensive
+                    pass
+                rt.queued = False
+            rt.node.tasks.remove(rt)
+        # Move persisting tasks whose slot changed; rebind all of them to
+        # the new generation's component objects.
+        moved = 0
+        for task in sorted(old_tasks & new_tasks):
+            rt = self._task_runtimes[task]
+            rt.component = new_topology.component(task.component)
+            rt.profile = rt.component.profile
+            new_slot = new_assignment.slot_of(task)
+            if new_slot == rt.slot:
+                continue
+            moved += 1
+            new_node = self._nodes.get(new_slot.node_id)
+            if new_node is None:
+                raise SimulationError(
+                    f"rescale places {task} on unknown node "
+                    f"{new_slot.node_id!r}"
+                )
+            rt.node.tasks.remove(rt)
+            if rt.queued:
+                try:
+                    rt.node.ready.remove(rt)
+                except ValueError:  # pragma: no cover - defensive
+                    pass
+                rt.queued = False
+            rt.slot = new_slot
+            rt.node = new_node
+            rt.alive = new_node.alive
+            new_node.tasks.append(rt)
+            if rt.alive and rt.work and not rt.running:
+                rt.queued = True
+                new_node.ready.append(rt)
+                self._dispatch(new_node)
+        # Bring up added tasks (empty queues, ready for routed work).
+        for task in added:
+            slot = new_assignment.slot_of(task)
+            node_rt = self._nodes.get(slot.node_id)
+            if node_rt is None:
+                raise SimulationError(
+                    f"rescale places {task} on unknown node {slot.node_id!r}"
+                )
+            rt = _TaskRuntime(
+                task, new_topology.component(task.component), topo_rt,
+                slot, node_rt,
+            )
+            rt.alive = node_rt.alive
+            node_rt.tasks.append(rt)
+            self._task_runtimes[task] = rt
+        # Rewire every producer's routes against the new consumer sets
+        # (fresh grouping state, as _add_topology does).
+        runtimes = {t: self._task_runtimes[t] for t in new_topology.tasks}
+        for task in new_topology.tasks:
+            producer = runtimes[task]
+            producer.out_routes = []
+            for consumer_name in new_topology.downstream_of(task.component):
+                consumer_comp = new_topology.component(consumer_name)
+                subscription = next(
+                    sub
+                    for sub in consumer_comp.subscriptions
+                    if sub.source == task.component
+                )
+                consumers = [
+                    runtimes[t] for t in new_topology.tasks_of(consumer_name)
+                ]
+                producer.out_routes.append(
+                    _OutRoute(
+                        consumer_name,
+                        subscription.grouping.fresh(),
+                        consumers,
+                    )
+                )
+        topo_rt.topology = new_topology
+        topo_rt.assignment = new_assignment
+        topo_rt.spouts = [runtimes[t] for t in sorted(new_spouts)]
+        self._placement_version += 1
+        self._recompute_node_factors()
+        if self._fc is not None:
+            self._init_flow(topo_rt)
+        for spout in topo_rt.spouts:
+            if spout.alive:
+                self._try_emit(spout)
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                self.sim.now, EventKind.RESCALE, topology_id, moved=moved,
+                added=len(added), removed=len(removed),
+            ))
+        return moved, len(added), len(removed)
+
+    # -- load sampling (elastic control loop) ------------------------------
+
+    def component_backlog(self, topology_id: str, component: str) -> int:
+        """Input tuples queued (not yet serviced) across a component's
+        tasks — the backlog signal the elastic controller samples."""
+        topo_rt = self._topology_runtime(topology_id)
+        total = 0
+        for task in topo_rt.topology.tasks_of(component):
+            rt = self._task_runtimes[task]
+            for kind, payload in rt.work:
+                if kind == _PROCESS:
+                    total += payload[1]
+                elif kind == _REPLAY:
+                    total += payload[0]
+                elif payload is not None:  # open-loop _EMIT
+                    total += payload[1]
+                else:  # closed-loop _EMIT: profile-sized batch
+                    total += rt.profile.emit_batch_tuples
+        return total
+
+    def task_queue_depths(self, topology_id: str) -> Dict[Task, int]:
+        """Queued work items per task (rebalance hot-spot signal)."""
+        topo_rt = self._topology_runtime(topology_id)
+        return {
+            task: len(self._task_runtimes[task].work)
+            for task in topo_rt.topology.tasks
+        }
+
+    def current_topology(self, topology_id: str) -> Topology:
+        """The live (possibly rescaled) topology generation."""
+        return self._topology_runtime(topology_id).topology
+
+    # -- failure ------------------------------------------------------------------
+
+    def _fail_node(self, node_id: str) -> None:
+        if self.observer is not None:
+            self.observer(
+                TraceEvent(self.sim.now, EventKind.NODE_DOWN, node=node_id)
+            )
+        node_rt = self._nodes.get(node_id)
+        if node_rt is None:
+            raise SimulationError(f"cannot fail unknown node {node_id!r}")
+        node_rt.node.fail()
+        for rt in node_rt.tasks:
+            rt.alive = False
+            if self._at_least_once and rt.is_spout and rt.work:
+                self._abandon_queued_replays(rt)
+            if self._fc is not None and rt.work:
+                self._fc_release_queue(rt)
+            rt.work.clear()
+            rt.queued = False
+            # A spout killed mid-emit must not stay blocked forever: its
+            # in-flight emit completion will be discarded (dead node), so
+            # clear the flag now and revival can emit again.
+            rt.emit_blocked = False
+            rt.emit_timer_set = False
+        node_rt.ready.clear()
+
+    def _recover_node(self, node_id: str) -> None:
+        """The machine rejoins: its capacity becomes schedulable again and
+        any tasks still bound to it restart (their queued work was lost at
+        failure, exactly as a process restart loses its heap)."""
+        if self.observer is not None:
+            self.observer(
+                TraceEvent(self.sim.now, EventKind.NODE_UP, node=node_id)
+            )
+        node_rt = self._nodes.get(node_id)
+        if node_rt is None:
+            raise SimulationError(f"cannot recover unknown node {node_id!r}")
+        node_rt.node.recover()
+        for rt in node_rt.tasks:
+            rt.alive = True
+            if rt.is_spout:
+                self._try_emit(rt)
+            elif rt.work and not rt.queued and not rt.running:
+                rt.queued = True
+                node_rt.ready.append(rt)
+        self._dispatch(node_rt)
+
+    # -- open-loop arrivals ----------------------------------------------------------
+
+    def _start_arrivals(self, topo_rt: _TopologyRuntime) -> None:
+        """Schedule each spout task's first arrival from its substream.
+
+        Every spout task gets an independent RNG derived from
+        ``arrival_seed`` and its identity, so arrival sequences survive
+        placement changes, migrations and code paths that consume the
+        global :mod:`random` state.
+        """
+        config = self.config
+        keygen = config.arrival_keys
+        topo_id = topo_rt.topology_id
+        for spout in topo_rt.spouts:
+            source = (topo_id, spout.component.name, spout.task.instance)
+            rng = random.Random(
+                derive_stream_seed(config.arrival_seed, *source)
+            )
+            stream = self._arrival.stream(
+                rng, spout.profile.emit_batch_tuples, source=source
+            )
+            if keygen is not None:
+                key_rng = random.Random(
+                    derive_stream_seed(config.arrival_seed, "keys", *source)
+                )
+                stream = _assign_keys(stream, keygen.stream(key_rng))
+            first = next(stream, None)
+            if first is not None:
+                time_s, tuples, key = first
+                self.sim.schedule_at(
+                    max(time_s, 0.0), self._arrive, spout, stream, source,
+                    tuples, key,
+                )
+
+    def _arrive(
+        self,
+        spout: _TaskRuntime,
+        stream: Iterator,
+        source: Tuple[str, str, int],
+        tuples: int,
+        key: Optional[int],
+    ) -> None:
+        """One batch arrives at a spout task, ready or not.
+
+        Offered load is recorded unconditionally — that is what "open
+        loop" means — and arrivals hitting a dead spout (crashed worker,
+        failed node) are counted as dropped rather than queued: a real
+        source keeps sending while the process is down.
+        """
+        now = self.sim.now
+        topo_id = spout.topo.topology_id
+        self.stats.record_offered(topo_id, now, tuples)
+        self._arrival_log.append((source, now, tuples, key))
+        if spout.alive and spout.node.node.alive:
+            fc_shed = self._fc_shed
+            if fc_shed is not None and fc_shed.should_shed(
+                topo_id, len(spout.work)
+            ):
+                # Ingress shedding: the batch is refused at the spout's
+                # bounded queue before it ever becomes a tuple tree —
+                # audited, never emitted.
+                self._shed(topo_id, spout.component.name, "ingress", tuples)
+            else:
+                self._push_work(spout, _EMIT, (now, tuples, key))
+        else:
+            self.stats.record_arrival_dropped(topo_id, tuples)
+        nxt = next(stream, None)
+        if nxt is not None:
+            time_s, ntuples, nkey = nxt
+            self.sim.schedule_at(
+                time_s if time_s > now else now, self._arrive, spout,
+                stream, source, ntuples, nkey,
+            )
+
+    def arrival_trace(self):
+        """The run's recorded arrivals as a replayable
+        :class:`~repro.traffic.trace.ArrivalTrace` (open loop only)."""
+        from repro.traffic.trace import ArrivalTrace
+
+        return ArrivalTrace.from_log(self._arrival_log)
+
+    # -- spout emission --------------------------------------------------------------
+
+    def _try_emit(self, spout: _TaskRuntime) -> None:
+        # Open-loop runs rebind this to ``_no_emit`` at construction, so
+        # the closed-loop hot path (one call per ack) pays no branch.
+        pending_cap = self._max_pending
+        if (
+            not spout.alive
+            or not spout.node.node.alive
+            or spout.emit_blocked
+            or spout.fc_paused
+            or (pending_cap is not None and spout.inflight >= pending_cap)
+        ):
+            return
+        if (
+            spout.profile.max_rate_tps is not None
+            and self.sim.now < spout.next_emit_time
+        ):
+            if not spout.emit_timer_set:
+                # One coalesced wake timer per throttled spout: repeated
+                # credit returns (acks, timeouts) while the timer is set
+                # schedule nothing.
+                spout.emit_timer_set = True
+                self.sim.schedule_at(
+                    spout.next_emit_time, self._wake_spout, spout
+                )
+            return
+        spout.emit_blocked = True
+        self._push_work(spout, _EMIT, None)
+
+    def _no_emit(self, spout: _TaskRuntime) -> None:
+        """Open-loop stand-in for :meth:`_try_emit`: arrivals, not
+        credit, decide when spouts emit."""
+
+    def _wake_spout(self, spout: _TaskRuntime) -> None:
+        spout.emit_timer_set = False
+        self._try_emit(spout)
+
+    # -- work dispatch -----------------------------------------------------------------
+
+    def _push_work(self, task: _TaskRuntime, kind: int, payload) -> None:
+        task.work.append((kind, payload))
+        overflow = self._overflow
+        if overflow is not None and len(task.work) > overflow:
+            self._crash_task(task)
+            return
+        if not task.queued and not task.running and not task.fc_paused:
+            task.queued = True
+            node_rt = task.node
+            node_rt.ready.append(task)
+            if node_rt.active < node_rt.cores:
+                self._dispatch(node_rt)
+
+    def _crash_task(self, task: _TaskRuntime) -> None:
+        """The task's worker dies of queue overflow (heap exhaustion);
+        its queue is lost and the supervisor restarts it after
+        ``worker_restart_s``.  In-flight roots routed through it will
+        time out, returning spout credit (or just counting as failed)."""
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                self.sim.now, EventKind.CRASH, task.topo.topology_id,
+                task=task.task, reason="queue overflow",
+            ))
+        task.alive = False
+        if self._at_least_once and task.is_spout and task.work:
+            self._abandon_queued_replays(task)
+        if self._fc is not None and task.work:
+            self._fc_release_queue(task)
+        task.work.clear()
+        task.emit_blocked = False
+        task.emit_timer_set = False
+        if task.queued:
+            try:
+                task.node.ready.remove(task)
+            except ValueError:  # pragma: no cover - defensive
+                pass
+            task.queued = False
+        self.stats.record_crash(task.topo.topology_id, task.component.name)
+        self.sim.schedule_after(
+            self.config.worker_restart_s, self._revive_task, task
+        )
+
+    def _revive_task(self, task: _TaskRuntime) -> None:
+        if not task.node.node.alive:
+            return  # node died meanwhile; nimbus must reschedule
+        task.alive = True
+        if task.is_spout:
+            self._try_emit(task)
+
+    def _dispatch(self, node_rt: _NodeRuntime) -> None:
+        # Tight loop: the service time is computed inline and the
+        # completion is pushed straight onto the engine heap (payload
+        # rides as the event's args, no closure); the node's liveness is
+        # read straight off the Node to skip property-call overhead.
+        node = node_rt.node
+        ready = node_rt.ready
+        cores = node_rt.cores
+        sim = self.sim
+        heap = sim.heap
+        seq = sim.seq
+        now = sim.now
+        complete = self._complete
+        fc_on = self._fc is not None
+        while node.alive and node_rt.active < cores and ready:
+            task = ready.popleft()
+            task.queued = False
+            if not task.alive or not task.work or task.fc_paused:
+                continue
+            task.running = True
+            node_rt.active += 1
+            kind, payload = task.work.popleft()
+            per_tuple_ms = task.profile.cpu_ms_per_tuple
+            if kind == _PROCESS:
+                if fc_on:
+                    # The batch left its bounded input queue: return the
+                    # edge credit (may resume a stalled upstream producer).
+                    self._fc_drain(task.topo, payload[3], task.component.name)
+                tuples = payload[1]
+                if payload[2] is not _INTRA_PROCESS:
+                    # Tuples from another worker process arrive serialised
+                    # and must be decoded before user code runs.
+                    per_tuple_ms += self._serde_ms
+            elif kind == _EMIT:
+                # Closed-loop emits carry no payload (the batch size is the
+                # profile's); open-loop payloads are (arrived_at, tuples,
+                # key).
+                tuples = (
+                    task.profile.emit_batch_tuples if payload is None
+                    else payload[1]
+                )
+            else:
+                # A replay costs the spout the same CPU as the first
+                # emission: payload is (tuples, attempt, origin_root, ...).
+                tuples = payload[0]
+            service = (
+                tuples * per_tuple_ms / 1e3
+                * node_rt.slowdown * node_rt.overhead * node_rt.fault_factor
+            )
+            if service < _MIN_SERVICE_S:
+                service = _MIN_SERVICE_S
+            heappush(heap, (now + service, next(seq), complete,
+                            (task, kind, payload, service, node_rt)))
+
+    def _complete(
+        self,
+        task: _TaskRuntime,
+        kind: int,
+        payload,
+        service: float,
+        node_rt: _NodeRuntime,
+    ) -> None:
+        self._busy[node_rt.node_id] += service
+        task.running = False
+        node_rt.active -= 1
+        if task.alive and node_rt.node.alive:
+            if kind == _EMIT:
+                self._finish_emit(task, payload)
+            elif kind == _REPLAY:
+                self._finish_replay(task, payload)
+            else:
+                self._finish_process(task, payload)
+        elif kind == _REPLAY:
+            # The spout (or its node) died while this replay was being
+            # serviced: the retry state is gone with the worker, so the
+            # origin resolves as explicitly exhausted, never silently.
+            self._abandon_replay(task.topo, payload[0])
+        if (
+            task.alive and task.work and not task.queued
+            and not task.running and not task.fc_paused
+        ):
+            task.queued = True
+            task.node.ready.append(task)
+            if task.node is not node_rt:
+                # Only after a migration mid-flight; the common case (the
+                # task completed on its own node) is covered by the
+                # dispatch below.
+                self._dispatch(task.node)
+        if node_rt.ready:
+            self._dispatch(node_rt)
+
+    # -- emit / process effects --------------------------------------------------------
+
+    def _finish_emit(self, spout: _TaskRuntime, payload=None) -> None:
+        topo = spout.topo
+        now = self.sim.now
+        if payload is None:
+            # Closed loop: the spout produced its own profile-sized batch.
+            # This body is the hot path — kept free of open-loop work.
+            tuples = spout.profile.emit_batch_tuples
+            if self.observer is not None:
+                self.observer(TraceEvent(
+                    now, EventKind.EMIT, topo.topology_id, task=spout.task,
+                    tuples=tuples,
+                ))
+            root_id = next(topo.next_root)
+            self.stats.record_emitted(topo.topology_id, tuples)
+            deliveries = self._route(spout, tuples, root_id, root_id)
+            if deliveries:
+                topo.pending[root_id] = _PendingTree(
+                    deliveries, spout, now, tuples, 0, root_id
+                )
+                spout.inflight += 1
+                if self._track_origins:
+                    topo.origins_created += 1
+            else:
+                # A spout with no subscribers is its own sink.
+                self.stats.record_sink(
+                    topo.topology_id, spout.component.name, now, tuples
+                )
+            spout.emit_blocked = False
+            if spout.profile.max_rate_tps is not None:
+                interval = tuples / spout.profile.max_rate_tps
+                spout.next_emit_time = max(
+                    spout.next_emit_time + interval, now
+                )
+            self._try_emit(spout)
+            return
+        # Open loop: the batch was offered by the arrival process; the
+        # next emission is the next arrival, so no credit/rate logic.
+        arrived_at, tuples, key = payload
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                now, EventKind.EMIT, topo.topology_id, task=spout.task,
+                tuples=tuples,
+            ))
+        root_id = next(topo.next_root)
+        self.stats.record_emitted(topo.topology_id, tuples)
+        deliveries = self._route(
+            spout, tuples, root_id, root_id if key is None else key
+        )
+        if deliveries:
+            topo.pending[root_id] = _PendingTree(
+                deliveries, spout, now, tuples, 0, root_id, arrived_at
+            )
+            spout.inflight += 1
+            if self._track_origins:
+                topo.origins_created += 1
+        else:
+            # A spout with no subscribers is its own sink.
+            self.stats.record_sink(
+                topo.topology_id, spout.component.name, now, tuples
+            )
+            if arrived_at is not None:
+                self.stats.record_e2e_latency(
+                    topo.topology_id, now - arrived_at
+                )
+        spout.emit_blocked = False
+
+    def _finish_process(self, task: _TaskRuntime, payload) -> None:
+        # Positional indexing, not unpacking: flow-control runs extend
+        # the _PROCESS payload with a 4th element (source component).
+        root_id = payload[0]
+        tuples = payload[1]
+        topo = task.topo
+        now = self.sim.now
+        self._processed[(topo.topology_id, task.component.name)] += tuples
+        children = 0
+        if task.out_routes:
+            ratio = task.profile.output_ratio
+            out_tuples = int(round(tuples * ratio)) if ratio > 0 else 0
+            if ratio > 0 and out_tuples == 0:
+                out_tuples = 1
+            if out_tuples > 0:
+                children = self._route(task, out_tuples, root_id, root_id)
+        else:
+            self.stats.record_sink(
+                topo.topology_id, task.component.name, now, tuples
+            )
+        entry = topo.pending.get(root_id)
+        if entry is None:
+            # Root already timed out, or this is a ghost batch (a wire
+            # duplicate riding root ``_GHOST_ROOT``): late/duplicate
+            # tuples are discarded by the acker.
+            return
+        entry.remaining += children - 1
+        if entry.remaining <= 0:
+            del topo.pending[root_id]
+            spout = entry.spout
+            spout.inflight -= 1
+            latency = now - entry.emitted_at
+            if self.observer is not None:
+                self.observer(TraceEvent(
+                    now, EventKind.ACK, topo.topology_id, latency=latency
+                ))
+            self.stats.record_ack(topo.topology_id, latency)
+            if entry.arrived_at is not None:
+                # End-to-end latency: arrival at the spout to full ack,
+                # including any time spent queued before emission.
+                self.stats.record_e2e_latency(
+                    topo.topology_id, now - entry.arrived_at
+                )
+            if self._at_least_once:
+                self.stats.record_acked_tuples(
+                    topo.topology_id, now, entry.tuples
+                )
+            self._try_emit(spout)
+
+    # -- at-least-once replay ----------------------------------------------------------
+
+    def _start_replay(
+        self, spout: _TaskRuntime, tuples: int, attempt: int,
+        origin_root: int, arrived_at: Optional[float] = None,
+    ) -> None:
+        """Backoff timer fired: queue the replay on its spout.
+
+        Replays bypass the ``max_spout_pending`` gate (Storm's spout
+        replays failed tuples ahead of new emissions) but still consume
+        credit once re-emitted, so in-flight work stays bounded by
+        cap + outstanding replays.
+        """
+        if not spout.alive or not spout.node.node.alive:
+            # The spout's worker (and with it the retry buffer) is gone;
+            # the origin is explicitly exhausted, not silently dropped.
+            self._abandon_replay(spout.topo, tuples)
+            return
+        self._push_work(
+            spout, _REPLAY, (tuples, attempt, origin_root, arrived_at)
+        )
+
+    def _finish_replay(self, spout: _TaskRuntime, payload) -> None:
+        """Re-emit a failed tree under a *fresh* root id.
+
+        A new id (from the same monotonic counter) keeps ``pending``
+        insertion-ordered by emit time — the invariant the timeout
+        sweep's early-exit scan depends on — and the ``replay`` event
+        links it to ``origin_root`` causally.
+        """
+        tuples, attempt, origin_root, arrived_at = payload
+        topo = spout.topo
+        now = self.sim.now
+        root_id = next(topo.next_root)
+        self.stats.record_replayed(topo.topology_id, tuples)
+        deliveries = self._route(spout, tuples, root_id, root_id)
+        topo.replays_outstanding -= 1
+        if deliveries:
+            # A replayed tree keeps its original arrival anchor, so the
+            # e2e latency of an eventually-acked origin spans its retries.
+            topo.pending[root_id] = _PendingTree(
+                deliveries, spout, now, tuples, attempt, origin_root,
+                arrived_at,
+            )
+            spout.inflight += 1
+        else:  # pragma: no cover - a spout with consumers always routes
+            topo.origins_exhausted += 1
+            self.stats.record_exhausted(topo.topology_id, tuples)
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                now, EventKind.REPLAY, topo.topology_id, task=spout.task,
+                tuples=tuples, root=root_id, origin=origin_root,
+                attempt=attempt,
+            ))
+
+    def _abandon_replay(self, topo: _TopologyRuntime, tuples: int) -> None:
+        """Resolve an outstanding replay whose spout died: the origin is
+        counted as exhausted so the at-least-once audit stays closed."""
+        topo.replays_outstanding -= 1
+        topo.origins_exhausted += 1
+        self.stats.record_exhausted(topo.topology_id, tuples)
+
+    def _abandon_queued_replays(self, spout: _TaskRuntime) -> None:
+        """Scan a dying spout's work queue for not-yet-serviced replays
+        and resolve each as exhausted (callers clear the queue next)."""
+        topo = spout.topo
+        for kind, payload in spout.work:
+            if kind == _REPLAY:
+                self._abandon_replay(topo, payload[0])
+
+    def delivery_audit(self) -> Dict[str, Dict[str, int]]:
+        """Per-topology at-least-once ledger (for tests/diagnostics).
+
+        Invariant while ``at_least_once`` and/or flow control is on::
+
+            origins_created == origins_acked + origins_exhausted
+                               + origins_shed + pending
+                               + replays_outstanding
+
+        i.e. every root tuple ever admitted to the acker is acked,
+        explicitly exhausted, deliberately shed, or still accounted for
+        in flight — nothing is silently dropped.
+        """
+        audit: Dict[str, Dict[str, int]] = {}
+        for topo_rt in self._topologies:
+            topo_id = topo_rt.topology_id
+            audit[topo_id] = {
+                "origins_created": topo_rt.origins_created,
+                "origins_acked": len(self.stats.ack_latencies(topo_id)),
+                "origins_exhausted": topo_rt.origins_exhausted,
+                "origins_shed": topo_rt.origins_shed,
+                "pending": len(topo_rt.pending),
+                "replays_outstanding": topo_rt.replays_outstanding,
+                "spout_inflight": sum(
+                    spout.inflight for spout in topo_rt.spouts
+                ),
+            }
+        return audit
+
+    # -- routing -----------------------------------------------------------------------
+
+    def _refresh_route(self, producer: _TaskRuntime, route: _OutRoute) -> None:
+        """Recompute a route's placement-derived caches (distance levels,
+        NIC flags, local consumer indices).  Only runs when the placement
+        version moved — the distance matrix is immutable per placement."""
+        slot_level = self.cluster.slot_distance_level
+        producer_slot = producer.slot
+        levels = [slot_level(producer_slot, c.slot) for c in route.consumers]
+        route.levels = levels
+        route.remote = [level >= _INTER_NODE for level in levels]
+        if route.is_local_or_shuffle:
+            route.local_indices = [
+                i
+                for i, c in enumerate(route.consumers)
+                if c.slot == producer_slot
+            ]
+        else:
+            route.local_indices = None
+        route.levels_version = self._placement_version
+
+    def _route(
+        self, producer: _TaskRuntime, tuples: int, root_id: int,
+        route_key: int,
+    ) -> int:
+        # ``route_key`` feeds fields groupings: the root id in closed
+        # loop (and for bolt fan-out), the arrival's key in open loop.
+        deliveries = 0
+        now = self.sim.now
+        num_bytes = tuples * producer.profile.tuple_bytes
+        version = self._placement_version
+        producer_node_id = producer.slot.node_id
+        fc = producer.topo.flow
+        src = producer.component.name
+        # Hoisted bound methods: one lookup per routed batch instead of
+        # one per delivery.
+        transfer_model = self.transfer
+        transfer = transfer_model.transfer
+        lossy = transfer_model.lossy
+        schedule_at = self.sim.schedule_at
+        deliver = self._deliver
+        nic = self._nic
+        for route in producer.out_routes:
+            if route.levels_version != version:
+                self._refresh_route(producer, route)
+            consumers = route.consumers
+            levels = route.levels
+            remote = route.remote
+            targets = route.grouping.route(
+                len(consumers), key=route_key,
+                local_indices=route.local_indices,
+            )
+            for idx in targets:
+                consumer = consumers[idx]
+                level = levels[idx]
+                arrival = transfer(
+                    now, producer_node_id, consumer.slot.node_id, level,
+                    num_bytes,
+                )
+                if remote[idx]:
+                    nic[producer_node_id] += num_bytes
+                deliveries += 1
+                if lossy:
+                    copies = transfer_model.copies(
+                        producer_node_id, consumer.slot.node_id, level
+                    )
+                    if copies == 0:
+                        # Lost on the trunk: the bandwidth was spent and
+                        # the acker still expects this delivery (it was
+                        # counted above), so the tree can only resolve by
+                        # timing out — exactly Storm's failure mode.
+                        self.stats.record_lost(
+                            producer.topo.topology_id, tuples
+                        )
+                        continue
+                    if copies == 2:
+                        # Wire duplicate: a second, fully-costed transfer
+                        # whose delivery rides the ghost root, so it is
+                        # processed downstream but invisible to the acker
+                        # (the at-least-once dedup) — it inflates raw
+                        # sink throughput, not effective throughput.
+                        dup_arrival = transfer(
+                            now, producer_node_id, consumer.slot.node_id,
+                            level, num_bytes,
+                        )
+                        if remote[idx]:
+                            nic[producer_node_id] += num_bytes
+                        self.stats.record_duplicate(
+                            producer.topo.topology_id, tuples
+                        )
+                        if fc is not None:
+                            # Ghost copies occupy real queue space too.
+                            self._fc_send(
+                                producer.topo, src, route.consumer_component
+                            )
+                        schedule_at(
+                            dup_arrival, deliver, consumer, _GHOST_ROOT,
+                            tuples, level, src,
+                        )
+                if fc is not None:
+                    self._fc_send(producer.topo, src, route.consumer_component)
+                schedule_at(
+                    arrival, deliver, consumer, root_id, tuples, level, src
+                )
+        return deliveries
+
+    def _deliver(
+        self,
+        consumer: _TaskRuntime,
+        root_id: int,
+        tuples: int,
+        level: DistanceLevel,
+        src: Optional[str] = None,
+    ) -> None:
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                self.sim.now, EventKind.DELIVER, consumer.topo.topology_id,
+                task=consumer.task, tuples=tuples, root=root_id, level=level,
+            ))
+        if not consumer.alive or not consumer.node.node.alive:
+            self.stats.record_dropped()
+            if self._fc is not None and src is not None:
+                # The batch consumed an edge credit when routed; a dead
+                # consumer never drains it, so return it here.
+                self._fc_drain(consumer.topo, src, consumer.component.name)
+            return  # the root will time out and return spout credit
+        if self._fc is not None:
+            fc_shed = self._fc_shed
+            if fc_shed is not None and fc_shed.should_shed(
+                consumer.topo.topology_id, len(consumer.work)
+            ):
+                self._fc_drain(consumer.topo, src, consumer.component.name)
+                self._shed_delivery(consumer, root_id, tuples)
+                return
+            self._push_work(consumer, _PROCESS, (root_id, tuples, level, src))
+            return
+        # _push_work inlined for the flow-off hot path, where
+        # ``fc_paused`` is always False.
+        work = consumer.work
+        work.append((_PROCESS, (root_id, tuples, level)))
+        overflow = self._overflow
+        if overflow is not None and len(work) > overflow:
+            self._crash_task(consumer)
+        elif not consumer.queued and not consumer.running:
+            consumer.queued = True
+            node_rt = consumer.node
+            node_rt.ready.append(consumer)
+            if node_rt.active < node_rt.cores:
+                self._dispatch(node_rt)
+
+    # -- flow control (all paths below only run when config.flow is set) ---
+
+    def _fc_send(
+        self, topo_rt: _TopologyRuntime, producer: str, consumer: str
+    ) -> None:
+        """Consume one credit on an edge; stall its producer component
+        when this send crosses the high watermark."""
+        fc = topo_rt.flow
+        ledger = fc.edges.get((producer, consumer))
+        if ledger is None:  # pragma: no cover - defensive
+            return
+        if ledger.send():
+            self.stats.record_credit_stall(
+                topo_rt.topology_id, producer, consumer
+            )
+            count = fc.stalled_edges.get(producer, 0) + 1
+            fc.stalled_edges[producer] = count
+            if count == 1:
+                self._fc_stall(topo_rt, producer, consumer)
+
+    def _fc_drain(
+        self, topo_rt: _TopologyRuntime, producer: str, consumer: str
+    ) -> None:
+        """Return one credit on an edge; resume its producer component
+        when this drain falls back to the low watermark and no other out
+        edge of the producer is still stalled."""
+        fc = topo_rt.flow
+        ledger = fc.edges.get((producer, consumer))
+        if ledger is None:  # pragma: no cover - defensive
+            return
+        if ledger.drain():
+            count = fc.stalled_edges.get(producer, 1) - 1
+            fc.stalled_edges[producer] = count
+            if count == 0:
+                self._fc_resume(topo_rt, producer, consumer)
+
+    def _fc_stall(
+        self, topo_rt: _TopologyRuntime, producer: str, consumer: str
+    ) -> None:
+        """Backpressure bites: pause every task of ``producer``.
+
+        Paused bolts stop draining their own input queues, so their
+        upstream edges fill next — pressure propagates edge-by-edge until
+        it reaches the spouts, which stop emitting.
+        """
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                self.sim.now, EventKind.STALL, topo_rt.topology_id,
+                component=producer, peer=consumer,
+            ))
+        fc = topo_rt.flow
+        tasks = fc.tasks_of.get(producer, ())
+        for rt in tasks:
+            rt.fc_paused = True
+        if tasks and tasks[0].is_spout:
+            fc.spout_stalled_since.setdefault(producer, self.sim.now)
+
+    def _fc_resume(
+        self, topo_rt: _TopologyRuntime, producer: str, consumer: str
+    ) -> None:
+        """Backpressure releases: unpause ``producer`` and restart its
+        tasks (spouts re-emit, bolts drain their backlog)."""
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                self.sim.now, EventKind.RESUME, topo_rt.topology_id,
+                component=producer, peer=consumer,
+            ))
+        fc = topo_rt.flow
+        tasks = fc.tasks_of.get(producer, ())
+        for rt in tasks:
+            rt.fc_paused = False
+        since = fc.spout_stalled_since.pop(producer, None)
+        if since is not None:
+            self.stats.record_spout_throttle(
+                topo_rt.topology_id, self.sim.now - since
+            )
+        for rt in tasks:
+            if not rt.alive or not rt.node.node.alive:
+                continue
+            if rt.is_spout:
+                self._try_emit(rt)
+            if rt.work and not rt.queued and not rt.running:
+                rt.queued = True
+                rt.node.ready.append(rt)
+                self._dispatch(rt.node)
+
+    def _fc_release_queue(self, task: _TaskRuntime) -> None:
+        """Return the edge credits held by a dying task's queued batches
+        (worker crash, node failure, rescale removal) — without this the
+        upstream edge would stall forever."""
+        topo_rt = task.topo
+        consumer = task.component.name
+        for kind, payload in task.work:
+            if kind == _PROCESS:
+                self._fc_drain(topo_rt, payload[3], consumer)
+
+    def _shed_delivery(
+        self, consumer: _TaskRuntime, root_id: int, tuples: int
+    ) -> None:
+        """The shedding policy refused a batch at a full bolt queue.
+
+        The whole tuple tree resolves as *shed* (popped from the acker,
+        spout credit returned, ``origins_shed`` incremented) — a
+        deliberate, audited drop, never a silent one.  Shed trees are
+        not replayed even under at-least-once: shedding is the load
+        regulator, replaying their tuples would defeat it.  Ghost and
+        late batches (tree already resolved) count in the shed totals
+        only.
+        """
+        topo = consumer.topo
+        entry = None
+        if root_id != _GHOST_ROOT:
+            entry = topo.pending.pop(root_id, None)
+        shed_tuples = entry.tuples if entry is not None else tuples
+        self._shed(
+            topo.topology_id, consumer.component.name, "queue", shed_tuples
+        )
+        if entry is not None:
+            topo.origins_shed += 1
+            spout = entry.spout
+            spout.inflight -= 1
+            if spout.alive:
+                self._try_emit(spout)
+
+    def _shed(
+        self, topology_id: str, component: str, stage: str, tuples: int
+    ) -> None:
+        """Record one audited shed decision."""
+        now = self.sim.now
+        if self.observer is not None:
+            self.observer(TraceEvent(
+                now, EventKind.SHED, topology_id, component=component,
+                tuples=tuples, reason=stage,
+            ))
+        self.stats.record_shed(topology_id, component, stage, now, tuples)
+        self._fc_ledger.record(
+            ShedRecord(
+                now, topology_id, component, stage, tuples,
+                self._fc_policy.name,
+            )
+        )
+
+    def shed_ledger(self) -> Optional[ShedLedger]:
+        """The run's audited shed ledger (None when flow is off)."""
+        return self._fc_ledger
+
+    def flow_edges(self, topology_id: str) -> Dict[Tuple[str, str], CreditLedger]:
+        """Per-edge credit ledgers (tests/diagnostics; flow on only)."""
+        topo_rt = self._topology_runtime(topology_id)
+        if topo_rt.flow is None:
+            raise SimulationError(
+                f"flow control is not enabled for {topology_id!r}"
+            )
+        return dict(topo_rt.flow.edges)
+
+    # -- ack timeout sweep -------------------------------------------------------------
+
+    def _schedule_sweep(self, topo_rt: _TopologyRuntime) -> None:
+        """One coalesced timeout timer per topology (period = a quarter
+        of the batch timeout) instead of a timer per pending root."""
+        period = self.config.batch_timeout_s / 4.0
+        self.sim.schedule_after(period, self._sweep, topo_rt, period)
+
+    def _sweep(self, topo_rt: _TopologyRuntime, period: float) -> None:
+        cutoff = self.sim.now - self.config.batch_timeout_s
+        # ``pending`` is insertion-ordered by emit time (roots are created
+        # at monotonically non-decreasing simulated times), so the expiry
+        # scan stops at the first live root instead of walking every
+        # in-flight batch each period.
+        expired = []
+        for root, entry in topo_rt.pending.items():
+            if entry.emitted_at <= cutoff:
+                expired.append(root)
+            else:
+                break
+        at_least_once = self._at_least_once
+        for root in expired:
+            entry = topo_rt.pending.pop(root)
+            spout = entry.spout
+            spout.inflight -= 1
+            if self.observer is not None:
+                self.observer(TraceEvent(
+                    self.sim.now, EventKind.FAIL, topo_rt.topology_id,
+                    tuples=entry.tuples,
+                ))
+            self.stats.record_failed(topo_rt.topology_id, entry.tuples)
+            if not at_least_once and self._track_origins:
+                # Flow control without at-least-once: a timed-out tree is
+                # given up on for good, so the origin audit resolves it
+                # as exhausted (never silently lost).
+                topo_rt.origins_exhausted += 1
+                self.stats.record_exhausted(
+                    topo_rt.topology_id, entry.tuples
+                )
+            if at_least_once:
+                if entry.attempt < self._max_retries:
+                    # Exponential backoff before the spout re-emits; the
+                    # replay is accounted as outstanding from this moment
+                    # so the audit never loses sight of the origin.
+                    topo_rt.replays_outstanding += 1
+                    self.sim.schedule_after(
+                        self._replay_backoff * (2.0 ** entry.attempt),
+                        self._start_replay, spout, entry.tuples,
+                        entry.attempt + 1, entry.origin_root,
+                        entry.arrived_at,
+                    )
+                else:
+                    topo_rt.origins_exhausted += 1
+                    self.stats.record_exhausted(
+                        topo_rt.topology_id, entry.tuples
+                    )
+            if spout.alive:
+                self._try_emit(spout)
+        self.sim.schedule_after(period, self._sweep, topo_rt, period)
+
+    # -- helpers -----------------------------------------------------------------------
+
+    def _topology_runtime(self, topology_id: str) -> _TopologyRuntime:
+        for topo_rt in self._topologies:
+            if topo_rt.topology_id == topology_id:
+                return topo_rt
+        raise SimulationError(f"no topology {topology_id!r} in this run")
