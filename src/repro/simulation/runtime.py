@@ -29,6 +29,13 @@ The closed-loop per-batch path is one short call chain, ``_deliver`` ->
 counters are computed inline, and completions are pushed straight onto
 the engine heap (the Simulator's direct-push contract).
 
+Each control-plane transition has one body for all its callers:
+``_spawn_tasks``/``_wire_routes`` build task runtimes and routes,
+``_rebind`` moves tasks (migrate, rescale), ``_teardown`` kills a task
+(node failure, overflow crash, rescale removal) and ``_fc_restart``
+restarts un-paused tasks.  ``_targets`` validates a placement before
+any task changes.
+
 Each traced transition tests the run's ``observer`` slot and, when it is
 set, hands it one :class:`~repro.simulation.tracing.TraceEvent`.
 """
@@ -52,6 +59,7 @@ from repro.simulation.flowcontrol import (
     CreditLedger,
     ShedLedger,
     ShedRecord,
+    SheddingPolicy,
     make_policy,
 )
 from repro.simulation.metrics import StatisticServer
@@ -115,10 +123,6 @@ class _NodeRuntime:
         self.fault_factor = 1.0
         self.tasks: List["_TaskRuntime"] = []
 
-    @property
-    def alive(self) -> bool:
-        return self.node.alive
-
 
 class _OutRoute:
     """A producer task's route to one downstream component.
@@ -180,21 +184,17 @@ class _TaskRuntime:
         #: False when flow control is off.
         self.fc_paused = False
 
-    @property
-    def node_id(self) -> str:
-        return self.slot.node_id
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"_TaskRuntime({self.task})"
 
 
-class _PendingTree:
-    """Acker state of one in-flight tuple tree.
+#: task -> the (slot, node) a placement binds it to
+_Targets = Dict[Task, Tuple[WorkerSlot, _NodeRuntime]]
 
-    Named fields (instead of the old positional list) so the replay path
-    cannot mis-index; ``__slots__`` keeps the per-root allocation as
-    cheap as the list it replaces.
-    """
+
+class _PendingTree:
+    """Acker state of one in-flight tuple tree (``__slots__`` keeps the
+    per-root allocation cheap)."""
 
     __slots__ = ("remaining", "spout", "emitted_at", "tuples", "attempt",
                  "origin_root", "arrived_at")
@@ -326,18 +326,13 @@ class SimulationRun:
         # guarded on ``self._fc is None`` so disabled runs stay
         # byte-identical).
         self._fc = self.config.flow
+        #: the shedding policy; None when flow is off or never sheds
+        self._fc_shed: Optional[SheddingPolicy] = None
+        self._fc_ledger: Optional[ShedLedger] = None
         if self._fc is not None:
-            self._fc_policy = make_policy(self._fc)
-            self._fc_shed = (
-                self._fc_policy if self._fc_policy.name != "none" else None
-            )
-            self._fc_ledger: Optional[ShedLedger] = ShedLedger(
-                self._fc.shed_ledger_capacity
-            )
-        else:
-            self._fc_policy = None
-            self._fc_shed = None
-            self._fc_ledger = None
+            if self._fc.shedding != "none":
+                self._fc_shed = make_policy(self._fc)
+            self._fc_ledger = ShedLedger(self._fc.shed_ledger_capacity)
         #: origin audit counters are maintained whenever either layer
         #: that resolves origins explicitly (at-least-once replay, flow
         #: shedding) is on — equal to ``_at_least_once`` when flow is off.
@@ -363,40 +358,69 @@ class SimulationRun:
     # -- construction ------------------------------------------------------
 
     def _add_topology(self, topology: Topology, assignment: Assignment) -> None:
+        targets = self._targets(assignment, topology, "assignment")
+        topo_rt = _TopologyRuntime(topology, assignment)
+        runtimes = self._spawn_tasks(topo_rt, topology.tasks, targets)
+        topo_rt.spouts = [rt for rt in runtimes if rt.is_spout]
+        self._wire_routes(topology)
+        if self._fc is not None:
+            self._init_flow(topo_rt)
+        self._topologies.append(topo_rt)
+
+    def _targets(
+        self, assignment: Assignment, topology: Topology, what: str
+    ) -> _Targets:
+        """Each of ``topology``'s tasks' ``(slot, node)`` under
+        ``assignment``.  The placement is checked (complete, on known
+        nodes) before any task is touched, so a bad one leaves the run
+        unchanged."""
         if not assignment.is_complete(topology):
             raise SchedulingError(
-                f"assignment for {topology.topology_id!r} is incomplete: "
+                f"{what} for {topology.topology_id!r} is incomplete: "
                 f"missing {assignment.missing_tasks(topology)}"
             )
-        topo_rt = _TopologyRuntime(topology, assignment)
-        runtimes: Dict[Task, _TaskRuntime] = {}
+        targets: _Targets = {}
         for task in topology.tasks:
             slot = assignment.slot_of(task)
             node_rt = self._nodes.get(slot.node_id)
             if node_rt is None:
                 raise SimulationError(
-                    f"assignment places {task} on unknown node {slot.node_id!r}"
+                    f"{what} places {task} on unknown node {slot.node_id!r}"
                 )
+            targets[task] = (slot, node_rt)
+        return targets
+
+    def _spawn_tasks(
+        self, topo_rt: _TopologyRuntime, tasks: Sequence[Task], targets: _Targets
+    ) -> List[_TaskRuntime]:
+        """Bring up empty runtimes for ``tasks`` on their target slots."""
+        runtimes = []
+        for task in tasks:
+            slot, node_rt = targets[task]
             rt = _TaskRuntime(
-                task, topology.component(task.component), topo_rt, slot, node_rt
+                task, topo_rt.topology.component(task.component), topo_rt,
+                slot, node_rt,
             )
-            rt.alive = node_rt.alive
+            rt.alive = node_rt.node.alive
             node_rt.tasks.append(rt)
-            runtimes[task] = rt
             self._task_runtimes[task] = rt
-            if rt.is_spout:
-                topo_rt.spouts.append(rt)
-        # Wire producer -> consumer routes.  Each downstream component
-        # subscribed to a producer's stream receives a copy of it; the
-        # producer holds a fresh grouping instance per route so routing
-        # state is per-producer, as in Storm.
+            runtimes.append(rt)
+        return runtimes
+
+    def _wire_routes(self, topology: Topology) -> None:
+        """(Re)wire every producer's routes against ``topology``'s
+        consumer sets.  Each downstream component subscribed to a
+        producer's stream receives a copy of it; the producer holds a
+        fresh grouping instance per route so routing state is
+        per-producer, as in Storm."""
+        runtimes = self._task_runtimes
         for task in topology.tasks:
             producer = runtimes[task]
+            producer.out_routes = []
             for consumer_name in topology.downstream_of(task.component):
-                consumer_comp = topology.component(consumer_name)
                 subscription = next(
                     sub
-                    for sub in consumer_comp.subscriptions
+                    for sub in topology.component(consumer_name).subscriptions
                     if sub.source == task.component
                 )
                 consumers = [
@@ -409,9 +433,6 @@ class SimulationRun:
                         consumers,
                     )
                 )
-        if self._fc is not None:
-            self._init_flow(topo_rt)
-        self._topologies.append(topo_rt)
 
     def _init_flow(self, topo_rt: _TopologyRuntime) -> None:
         """(Re)build a topology's credit ledgers from its live generation.
@@ -432,7 +453,6 @@ class SimulationRun:
             fc.tasks_of[name] = [
                 self._task_runtimes[t] for t in topology.tasks_of(name)
             ]
-        for name in names:
             for consumer_name in topology.downstream_of(name):
                 pool = flow.queue_capacity * len(
                     topology.tasks_of(consumer_name)
@@ -460,6 +480,7 @@ class SimulationRun:
             paused = fc.stalled_edges.get(name, 0) > 0
             for rt in fc.tasks_of[name]:
                 rt.fc_paused = paused
+        topo_rt.flow = fc
         if old is not None:
             # Carry open stall intervals for spouts still stalled; close
             # (and account) the intervals of spouts the rebuild resumed.
@@ -471,21 +492,10 @@ class SimulationRun:
                     self.stats.record_spout_throttle(
                         topo_rt.topology_id, now - since
                     )
-        topo_rt.flow = fc
-        if old is not None:
             # Tasks the rebuild un-paused must drain again.
             for name in names:
-                if fc.stalled_edges.get(name, 0) > 0:
-                    continue
-                for rt in fc.tasks_of[name]:
-                    if not rt.alive or not rt.node.node.alive:
-                        continue
-                    if rt.is_spout:
-                        self._try_emit(rt)
-                    if rt.work and not rt.queued and not rt.running:
-                        rt.queued = True
-                        rt.node.ready.append(rt)
-                        self._dispatch(rt.node)
+                if fc.stalled_edges.get(name, 0) == 0:
+                    self._fc_restart(fc.tasks_of[name])
 
     def _recompute_node_factors(self) -> None:
         """Thrash and context-switch factors from current placements.
@@ -522,9 +532,8 @@ class SimulationRun:
             for topo_rt in self._topologies:
                 if self._open_loop:
                     self._start_arrivals(topo_rt)
-                else:
-                    for spout in topo_rt.spouts:
-                        self._try_emit(spout)
+                for spout in topo_rt.spouts:
+                    self._try_emit(spout)  # a no-op in open loop
                 self._schedule_sweep(topo_rt)
         self.sim.run(horizon)
         return self.report()
@@ -556,11 +565,13 @@ class SimulationRun:
 
     def fail_node_at(self, time: float, node_id: str) -> None:
         """Inject a node failure at simulated ``time``."""
-        self.on_time(time, lambda: self._fail_node(node_id))
+        self._node(node_id, "fail")
+        self.on_time(time, self._fail_node, node_id)
 
     def recover_node_at(self, time: float, node_id: str) -> None:
         """Revive a failed node at simulated ``time`` (delayed rejoin)."""
-        self.on_time(time, lambda: self._recover_node(node_id))
+        self._node(node_id, "recover")
+        self.on_time(time, self._recover_node, node_id)
 
     def set_node_fault_factor(self, node_id: str, factor: float) -> None:
         """Degrade (or restore) a node's effective CPU speed.
@@ -571,10 +582,7 @@ class SimulationRun:
         """
         if factor <= 0:
             raise SimulationError(f"fault factor must be positive, got {factor}")
-        node_rt = self._nodes.get(node_id)
-        if node_rt is None:
-            raise SimulationError(f"cannot degrade unknown node {node_id!r}")
-        node_rt.fault_factor = factor
+        self._node(node_id, "degrade").fault_factor = factor
 
     def migrate(
         self, topology_id: str, new_assignment: Assignment,
@@ -598,39 +606,10 @@ class SimulationRun:
         churn the RecoveryMonitor reports per recovery.
         """
         topo_rt = self._topology_runtime(topology_id)
-        if not new_assignment.is_complete(topo_rt.topology):
-            raise SchedulingError(
-                f"migration assignment for {topology_id!r} is incomplete"
-            )
-        moved = 0
-        for task in topo_rt.topology.tasks:
-            rt = self._task_runtimes[task]
-            new_slot = new_assignment.slot_of(task)
-            if new_slot == rt.slot:
-                continue
-            moved += 1
-            new_node = self._nodes.get(new_slot.node_id)
-            if new_node is None:
-                raise SimulationError(
-                    f"migration places {task} on unknown node "
-                    f"{new_slot.node_id!r}"
-                )
-            rt.node.tasks.remove(rt)
-            if rt.queued:
-                try:
-                    rt.node.ready.remove(rt)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-                rt.queued = False
-            rt.slot = new_slot
-            rt.node = new_node
-            rt.alive = new_node.alive
-            new_node.tasks.append(rt)
-            if rt.alive and rt.work and not rt.running:
-                rt.queued = True
-                new_node.ready.append(rt)
-                self._dispatch(new_node)
+        topology = topo_rt.topology
+        targets = self._targets(new_assignment, topology, "migration assignment")
         topo_rt.assignment = new_assignment
+        moved = self._rebind(topo_rt, topology.tasks, targets)
         self._placement_version += 1
         self._recompute_node_factors()
         for spout in topo_rt.spouts:
@@ -672,117 +651,33 @@ class SimulationRun:
                 f"rescale topology id mismatch: "
                 f"{new_topology.topology_id!r} != {topology_id!r}"
             )
-        if not new_assignment.is_complete(new_topology):
-            raise SchedulingError(
-                f"rescale assignment for {topology_id!r} is incomplete: "
-                f"missing {new_assignment.missing_tasks(new_topology)}"
-            )
-        old_topology = topo_rt.topology
-        old_tasks = set(old_topology.tasks)
+        targets = self._targets(new_assignment, new_topology, "rescale assignment")
+        old_tasks = set(topo_rt.topology.tasks)
         new_tasks = set(new_topology.tasks)
-        old_spouts = {
-            t for t in old_tasks
-            if old_topology.component(t.component).is_spout
-        }
         new_spouts = {
             t for t in new_tasks
             if new_topology.component(t.component).is_spout
         }
-        if old_spouts != new_spouts:
+        if {spout.task for spout in topo_rt.spouts} != new_spouts:
             raise SimulationError(
                 f"rescale cannot change spout tasks of {topology_id!r}: "
                 "arrival streams are bound to spout task identity"
             )
+        topo_rt.topology = new_topology
+        topo_rt.assignment = new_assignment
         removed = sorted(old_tasks - new_tasks)
         added = sorted(new_tasks - old_tasks)
         # Tear down removed tasks: their queued work dies with them.
         for task in removed:
             rt = self._task_runtimes.pop(task)
-            rt.alive = False
-            if self._fc is not None and rt.work:
-                self._fc_release_queue(rt)
-            rt.work.clear()
+            self._teardown(rt)
             rt.out_routes = []
-            if rt.queued:
-                try:
-                    rt.node.ready.remove(rt)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-                rt.queued = False
             rt.node.tasks.remove(rt)
-        # Move persisting tasks whose slot changed; rebind all of them to
-        # the new generation's component objects.
-        moved = 0
-        for task in sorted(old_tasks & new_tasks):
-            rt = self._task_runtimes[task]
-            rt.component = new_topology.component(task.component)
-            rt.profile = rt.component.profile
-            new_slot = new_assignment.slot_of(task)
-            if new_slot == rt.slot:
-                continue
-            moved += 1
-            new_node = self._nodes.get(new_slot.node_id)
-            if new_node is None:
-                raise SimulationError(
-                    f"rescale places {task} on unknown node "
-                    f"{new_slot.node_id!r}"
-                )
-            rt.node.tasks.remove(rt)
-            if rt.queued:
-                try:
-                    rt.node.ready.remove(rt)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-                rt.queued = False
-            rt.slot = new_slot
-            rt.node = new_node
-            rt.alive = new_node.alive
-            new_node.tasks.append(rt)
-            if rt.alive and rt.work and not rt.running:
-                rt.queued = True
-                new_node.ready.append(rt)
-                self._dispatch(new_node)
+        moved = self._rebind(topo_rt, sorted(old_tasks & new_tasks), targets)
         # Bring up added tasks (empty queues, ready for routed work).
-        for task in added:
-            slot = new_assignment.slot_of(task)
-            node_rt = self._nodes.get(slot.node_id)
-            if node_rt is None:
-                raise SimulationError(
-                    f"rescale places {task} on unknown node {slot.node_id!r}"
-                )
-            rt = _TaskRuntime(
-                task, new_topology.component(task.component), topo_rt,
-                slot, node_rt,
-            )
-            rt.alive = node_rt.alive
-            node_rt.tasks.append(rt)
-            self._task_runtimes[task] = rt
-        # Rewire every producer's routes against the new consumer sets
-        # (fresh grouping state, as _add_topology does).
-        runtimes = {t: self._task_runtimes[t] for t in new_topology.tasks}
-        for task in new_topology.tasks:
-            producer = runtimes[task]
-            producer.out_routes = []
-            for consumer_name in new_topology.downstream_of(task.component):
-                consumer_comp = new_topology.component(consumer_name)
-                subscription = next(
-                    sub
-                    for sub in consumer_comp.subscriptions
-                    if sub.source == task.component
-                )
-                consumers = [
-                    runtimes[t] for t in new_topology.tasks_of(consumer_name)
-                ]
-                producer.out_routes.append(
-                    _OutRoute(
-                        consumer_name,
-                        subscription.grouping.fresh(),
-                        consumers,
-                    )
-                )
-        topo_rt.topology = new_topology
-        topo_rt.assignment = new_assignment
-        topo_rt.spouts = [runtimes[t] for t in sorted(new_spouts)]
+        self._spawn_tasks(topo_rt, added, targets)
+        self._wire_routes(new_topology)
+        topo_rt.spouts = [self._task_runtimes[t] for t in sorted(new_spouts)]
         self._placement_version += 1
         self._recompute_node_factors()
         if self._fc is not None:
@@ -796,6 +691,39 @@ class SimulationRun:
                 added=len(added), removed=len(removed),
             ))
         return moved, len(added), len(removed)
+
+    def _rebind(
+        self, topo_rt: _TopologyRuntime, tasks: Sequence[Task], targets: _Targets
+    ) -> int:
+        """Bind existing task runtimes to their topology's current
+        generation of components and to their target slots.
+
+        A task whose slot changed leaves its old node's task list and run
+        queue and carries its queued work to the new node, where it is
+        requeued and dispatched if that node is up.  Returns how many
+        tasks changed slot.
+        """
+        topology = topo_rt.topology
+        moved = 0
+        for task in tasks:
+            rt = self._task_runtimes[task]
+            rt.component = topology.component(task.component)
+            rt.profile = rt.component.profile
+            new_slot, new_node = targets[task]
+            if new_slot == rt.slot:
+                continue
+            moved += 1
+            rt.node.tasks.remove(rt)
+            self._unqueue(rt)
+            rt.slot = new_slot
+            rt.node = new_node
+            rt.alive = new_node.node.alive
+            new_node.tasks.append(rt)
+            if rt.alive and rt.work and not rt.running:
+                rt.queued = True
+                new_node.ready.append(rt)
+                self._dispatch(new_node)
+        return moved
 
     # -- load sampling (elastic control loop) ------------------------------
 
@@ -831,41 +759,32 @@ class SimulationRun:
 
     # -- failure ------------------------------------------------------------------
 
+    def _node(self, node_id: str, verb: str) -> _NodeRuntime:
+        node_rt = self._nodes.get(node_id)
+        if node_rt is None:
+            raise SimulationError(f"cannot {verb} unknown node {node_id!r}")
+        return node_rt
+
     def _fail_node(self, node_id: str) -> None:
+        node_rt = self._node(node_id, "fail")
         if self.observer is not None:
             self.observer(
                 TraceEvent(self.sim.now, EventKind.NODE_DOWN, node=node_id)
             )
-        node_rt = self._nodes.get(node_id)
-        if node_rt is None:
-            raise SimulationError(f"cannot fail unknown node {node_id!r}")
         node_rt.node.fail()
         for rt in node_rt.tasks:
-            rt.alive = False
-            if self._at_least_once and rt.is_spout and rt.work:
-                self._abandon_queued_replays(rt)
-            if self._fc is not None and rt.work:
-                self._fc_release_queue(rt)
-            rt.work.clear()
-            rt.queued = False
-            # A spout killed mid-emit must not stay blocked forever: its
-            # in-flight emit completion will be discarded (dead node), so
-            # clear the flag now and revival can emit again.
-            rt.emit_blocked = False
-            rt.emit_timer_set = False
+            self._teardown(rt)
         node_rt.ready.clear()
 
     def _recover_node(self, node_id: str) -> None:
         """The machine rejoins: its capacity becomes schedulable again and
         any tasks still bound to it restart (their queued work was lost at
         failure, exactly as a process restart loses its heap)."""
+        node_rt = self._node(node_id, "recover")
         if self.observer is not None:
             self.observer(
                 TraceEvent(self.sim.now, EventKind.NODE_UP, node=node_id)
             )
-        node_rt = self._nodes.get(node_id)
-        if node_rt is None:
-            raise SimulationError(f"cannot recover unknown node {node_id!r}")
         node_rt.node.recover()
         for rt in node_rt.tasks:
             rt.alive = True
@@ -1020,24 +939,47 @@ class SimulationRun:
                 self.sim.now, EventKind.CRASH, task.topo.topology_id,
                 task=task.task, reason="queue overflow",
             ))
+        self._teardown(task)
+        self.stats.record_crash(task.topo.topology_id, task.component.name)
+        self.sim.schedule_after(
+            self.config.worker_restart_s, self._revive_task, task
+        )
+
+    def _teardown(self, task: _TaskRuntime) -> None:
+        """Kill a task's worker (node failure, queue-overflow crash,
+        rescale removal): its queued work is lost and it leaves its
+        node's run queue.
+
+        One scan of the lost queue resolves each queued replay as
+        exhausted and returns each queued batch's edge credit (without
+        which the upstream edge would stall forever).  A spout queue
+        holds only EMIT/REPLAY items and a bolt queue only PROCESS
+        items, so the scan keeps the order of effects.  A spout killed
+        mid-emit must not stay blocked forever: its in-flight emit
+        completion will be discarded, so the flags are cleared now and
+        revival can emit again.
+        """
         task.alive = False
-        if self._at_least_once and task.is_spout and task.work:
-            self._abandon_queued_replays(task)
-        if self._fc is not None and task.work:
-            self._fc_release_queue(task)
+        fc_on = self._fc is not None
+        for kind, payload in task.work:
+            if kind == _REPLAY:
+                self._abandon_replay(task.topo, payload[0])
+            elif kind == _PROCESS and fc_on:
+                self._fc_drain(task.topo, payload[3], task.component.name)
         task.work.clear()
         task.emit_blocked = False
         task.emit_timer_set = False
+        self._unqueue(task)
+
+    @staticmethod
+    def _unqueue(task: _TaskRuntime) -> None:
+        """Take a task off its node's run queue, if it is on it."""
         if task.queued:
             try:
                 task.node.ready.remove(task)
             except ValueError:  # pragma: no cover - defensive
                 pass
             task.queued = False
-        self.stats.record_crash(task.topo.topology_id, task.component.name)
-        self.sim.schedule_after(
-            self.config.worker_restart_s, self._revive_task, task
-        )
 
     def _revive_task(self, task: _TaskRuntime) -> None:
         if not task.node.node.alive:
@@ -1143,40 +1085,13 @@ class SimulationRun:
         topo = spout.topo
         now = self.sim.now
         if payload is None:
-            # Closed loop: the spout produced its own profile-sized batch.
-            # This body is the hot path — kept free of open-loop work.
+            # Closed loop: the spout produced its own profile-sized batch,
+            # routed by its root id.
             tuples = spout.profile.emit_batch_tuples
-            if self.observer is not None:
-                self.observer(TraceEvent(
-                    now, EventKind.EMIT, topo.topology_id, task=spout.task,
-                    tuples=tuples,
-                ))
-            root_id = next(topo.next_root)
-            self.stats.record_emitted(topo.topology_id, tuples)
-            deliveries = self._route(spout, tuples, root_id, root_id)
-            if deliveries:
-                topo.pending[root_id] = _PendingTree(
-                    deliveries, spout, now, tuples, 0, root_id
-                )
-                spout.inflight += 1
-                if self._track_origins:
-                    topo.origins_created += 1
-            else:
-                # A spout with no subscribers is its own sink.
-                self.stats.record_sink(
-                    topo.topology_id, spout.component.name, now, tuples
-                )
-            spout.emit_blocked = False
-            if spout.profile.max_rate_tps is not None:
-                interval = tuples / spout.profile.max_rate_tps
-                spout.next_emit_time = max(
-                    spout.next_emit_time + interval, now
-                )
-            self._try_emit(spout)
-            return
-        # Open loop: the batch was offered by the arrival process; the
-        # next emission is the next arrival, so no credit/rate logic.
-        arrived_at, tuples, key = payload
+            arrived_at = key = None
+        else:
+            # Open loop: the batch was offered by the arrival process.
+            arrived_at, tuples, key = payload
         if self.observer is not None:
             self.observer(TraceEvent(
                 now, EventKind.EMIT, topo.topology_id, task=spout.task,
@@ -1204,12 +1119,18 @@ class SimulationRun:
                     topo.topology_id, now - arrived_at
                 )
         spout.emit_blocked = False
+        if payload is None:
+            # Closed loop only: the open loop's next emission is the next
+            # arrival, so it has no credit/rate logic.
+            if spout.profile.max_rate_tps is not None:
+                interval = tuples / spout.profile.max_rate_tps
+                spout.next_emit_time = max(
+                    spout.next_emit_time + interval, now
+                )
+            self._try_emit(spout)
 
     def _finish_process(self, task: _TaskRuntime, payload) -> None:
-        # Positional indexing, not unpacking: flow-control runs extend
-        # the _PROCESS payload with a 4th element (source component).
-        root_id = payload[0]
-        tuples = payload[1]
+        root_id, tuples, _, _ = payload
         topo = task.topo
         now = self.sim.now
         self._processed[(topo.topology_id, task.component.name)] += tuples
@@ -1290,8 +1211,8 @@ class SimulationRun:
         root_id = next(topo.next_root)
         self.stats.record_replayed(topo.topology_id, tuples)
         deliveries = self._route(spout, tuples, root_id, root_id)
-        topo.replays_outstanding -= 1
         if deliveries:
+            topo.replays_outstanding -= 1
             # A replayed tree keeps its original arrival anchor, so the
             # e2e latency of an eventually-acked origin spans its retries.
             topo.pending[root_id] = _PendingTree(
@@ -1300,8 +1221,7 @@ class SimulationRun:
             )
             spout.inflight += 1
         else:  # pragma: no cover - a spout with consumers always routes
-            topo.origins_exhausted += 1
-            self.stats.record_exhausted(topo.topology_id, tuples)
+            self._abandon_replay(topo, tuples)
         if self.observer is not None:
             self.observer(TraceEvent(
                 now, EventKind.REPLAY, topo.topology_id, task=spout.task,
@@ -1310,19 +1230,12 @@ class SimulationRun:
             ))
 
     def _abandon_replay(self, topo: _TopologyRuntime, tuples: int) -> None:
-        """Resolve an outstanding replay whose spout died: the origin is
-        counted as exhausted so the at-least-once audit stays closed."""
+        """Resolve an outstanding replay that cannot re-emit (its spout
+        died): the origin is counted as exhausted so the at-least-once
+        audit stays closed."""
         topo.replays_outstanding -= 1
         topo.origins_exhausted += 1
         self.stats.record_exhausted(topo.topology_id, tuples)
-
-    def _abandon_queued_replays(self, spout: _TaskRuntime) -> None:
-        """Scan a dying spout's work queue for not-yet-serviced replays
-        and resolve each as exhausted (callers clear the queue next)."""
-        topo = spout.topo
-        for kind, payload in spout.work:
-            if kind == _REPLAY:
-                self._abandon_replay(topo, payload[0])
 
     def delivery_audit(self) -> Dict[str, Dict[str, int]]:
         """Per-topology at-least-once ledger (for tests/diagnostics).
@@ -1465,7 +1378,7 @@ class SimulationRun:
         root_id: int,
         tuples: int,
         level: DistanceLevel,
-        src: Optional[str] = None,
+        src: str,
     ) -> None:
         if self.observer is not None:
             self.observer(TraceEvent(
@@ -1474,29 +1387,28 @@ class SimulationRun:
             ))
         if not consumer.alive or not consumer.node.node.alive:
             self.stats.record_dropped()
-            if self._fc is not None and src is not None:
+            if self._fc is not None:
                 # The batch consumed an edge credit when routed; a dead
                 # consumer never drains it, so return it here.
                 self._fc_drain(consumer.topo, src, consumer.component.name)
             return  # the root will time out and return spout credit
-        if self._fc is not None:
-            fc_shed = self._fc_shed
-            if fc_shed is not None and fc_shed.should_shed(
-                consumer.topo.topology_id, len(consumer.work)
-            ):
-                self._fc_drain(consumer.topo, src, consumer.component.name)
-                self._shed_delivery(consumer, root_id, tuples)
-                return
-            self._push_work(consumer, _PROCESS, (root_id, tuples, level, src))
+        fc_shed = self._fc_shed
+        if fc_shed is not None and fc_shed.should_shed(
+            consumer.topo.topology_id, len(consumer.work)
+        ):
+            self._fc_drain(consumer.topo, src, consumer.component.name)
+            self._shed_delivery(consumer, root_id, tuples)
             return
-        # _push_work inlined for the flow-off hot path, where
-        # ``fc_paused`` is always False.
+        # _push_work inlined: the per-delivery hot path.
         work = consumer.work
-        work.append((_PROCESS, (root_id, tuples, level)))
+        work.append((_PROCESS, (root_id, tuples, level, src)))
         overflow = self._overflow
         if overflow is not None and len(work) > overflow:
             self._crash_task(consumer)
-        elif not consumer.queued and not consumer.running:
+        elif (
+            not consumer.queued and not consumer.running
+            and not consumer.fc_paused
+        ):
             consumer.queued = True
             node_rt = consumer.node
             node_rt.ready.append(consumer)
@@ -1579,6 +1491,11 @@ class SimulationRun:
             self.stats.record_spout_throttle(
                 topo_rt.topology_id, self.sim.now - since
             )
+        self._fc_restart(tasks)
+
+    def _fc_restart(self, tasks: Sequence[_TaskRuntime]) -> None:
+        """Restart un-paused tasks (after a resume or a ledger rebuild):
+        live spouts emit again, live tasks with a backlog drain it."""
         for rt in tasks:
             if not rt.alive or not rt.node.node.alive:
                 continue
@@ -1588,16 +1505,6 @@ class SimulationRun:
                 rt.queued = True
                 rt.node.ready.append(rt)
                 self._dispatch(rt.node)
-
-    def _fc_release_queue(self, task: _TaskRuntime) -> None:
-        """Return the edge credits held by a dying task's queued batches
-        (worker crash, node failure, rescale removal) — without this the
-        upstream edge would stall forever."""
-        topo_rt = task.topo
-        consumer = task.component.name
-        for kind, payload in task.work:
-            if kind == _PROCESS:
-                self._fc_drain(topo_rt, payload[3], consumer)
 
     def _shed_delivery(
         self, consumer: _TaskRuntime, root_id: int, tuples: int
@@ -1641,7 +1548,7 @@ class SimulationRun:
         self._fc_ledger.record(
             ShedRecord(
                 now, topology_id, component, stage, tuples,
-                self._fc_policy.name,
+                self._fc_shed.name,
             )
         )
 
@@ -1689,31 +1596,24 @@ class SimulationRun:
                     tuples=entry.tuples,
                 ))
             self.stats.record_failed(topo_rt.topology_id, entry.tuples)
-            if not at_least_once and self._track_origins:
-                # Flow control without at-least-once: a timed-out tree is
-                # given up on for good, so the origin audit resolves it
-                # as exhausted (never silently lost).
+            if at_least_once and entry.attempt < self._max_retries:
+                # Exponential backoff before the spout re-emits; the
+                # replay is accounted as outstanding from this moment so
+                # the audit never loses sight of the origin.
+                topo_rt.replays_outstanding += 1
+                self.sim.schedule_after(
+                    self._replay_backoff * (2.0 ** entry.attempt),
+                    self._start_replay, spout, entry.tuples,
+                    entry.attempt + 1, entry.origin_root, entry.arrived_at,
+                )
+            elif self._track_origins:
+                # Retries spent, or flow control without at-least-once:
+                # the tree is given up on for good, so the origin audit
+                # resolves it as exhausted (never silently lost).
                 topo_rt.origins_exhausted += 1
                 self.stats.record_exhausted(
                     topo_rt.topology_id, entry.tuples
                 )
-            if at_least_once:
-                if entry.attempt < self._max_retries:
-                    # Exponential backoff before the spout re-emits; the
-                    # replay is accounted as outstanding from this moment
-                    # so the audit never loses sight of the origin.
-                    topo_rt.replays_outstanding += 1
-                    self.sim.schedule_after(
-                        self._replay_backoff * (2.0 ** entry.attempt),
-                        self._start_replay, spout, entry.tuples,
-                        entry.attempt + 1, entry.origin_root,
-                        entry.arrived_at,
-                    )
-                else:
-                    topo_rt.origins_exhausted += 1
-                    self.stats.record_exhausted(
-                        topo_rt.topology_id, entry.tuples
-                    )
             if spout.alive:
                 self._try_emit(spout)
         self.sim.schedule_after(period, self._sweep, topo_rt, period)

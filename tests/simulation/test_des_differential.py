@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.cluster.builders import uniform_cluster
 from repro.cluster.resources import ResourceSchema
@@ -49,10 +49,7 @@ from repro.workloads.generator import TopologySpec, random_topology
 
 from tests.simulation import reference_runtime
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, assume, given, settings, strategies as st  # noqa: E402
-
-#: examples per tier-1 run (about 10 s on a 2-vCPU VM)
+#: examples per tier-1 run (about 5 s on a 2-vCPU VM)
 TIER1_EXAMPLES = 150
 
 #: the profile CI selects for the deep run; its own example count wins
@@ -172,6 +169,7 @@ def make_config(case: Case, topology_id: str) -> SimulationConfig:
 
 
 def fault_schedule(case: Case, node_ids) -> FaultSchedule:
+    """Faults on nodes the placement uses (``node_ids``, sorted)."""
     crash_node = node_ids[case.crash_node % len(node_ids)]
     slow_node = node_ids[case.slow_node % len(node_ids)]
     return FaultSchedule.of(
@@ -261,7 +259,8 @@ def outcome(runtime_module, case: Case) -> dict:
         run.observer = trace.append
     node_ids = sorted(node.node_id for node in cluster.nodes)
     slots = [slot for node_id in node_ids for slot in cluster.node(node_id).slots]
-    FaultInjector(fault_schedule(case, node_ids)).attach(run)
+    used = sorted(assignment.nodes)
+    FaultInjector(fault_schedule(case, used)).attach(run)
     control = Control(case, run, assignment, slots)
     run.on_time(case.migrate_at, control.migrate)
     run.on_time(case.rescale_at, control.rescale)
@@ -314,10 +313,11 @@ def assert_same(case: Case) -> None:
 
 
 def _search_settings():
-    if settings.get_current_profile_name() == ORACLE_PROFILE:
-        return settings(deadline=None, suppress_health_check=list(HealthCheck))
+    """Tier-1's example count, unless CI selected the deep profile."""
+    deep = settings.get_current_profile_name() == ORACLE_PROFILE
     return settings(
-        max_examples=TIER1_EXAMPLES, deadline=None,
+        max_examples=settings.default.max_examples if deep else TIER1_EXAMPLES,
+        deadline=None,
         suppress_health_check=list(HealthCheck),
     )
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import ResourceVector, emulab_testbed, single_rack_cluster
-from repro.errors import SchedulingError
+from repro.cluster.node import WorkerSlot
+from repro.errors import SchedulingError, SimulationError
+from repro.scheduler.assignment import Assignment
 from repro.scheduler.default import DefaultScheduler
 from repro.scheduler.rstorm import RStormScheduler
 from repro.simulation.config import SimulationConfig
@@ -235,6 +237,106 @@ class TestFailureInjection:
         run = SimulationRun(cluster, [(topology, assignment)], config)
         report = run.run()
         assert report.crashes("overrun") > 0
+
+
+def chain_run(observer=None):
+    """A 3-stage chain on the testbed, stepped to 5 s of its 20."""
+    topology = make_linear(parallelism=2, stages=3)
+    cluster = emulab_testbed()
+    assignment = RStormScheduler().schedule([topology], cluster)["chain"]
+    run = SimulationRun(
+        cluster,
+        [(topology, assignment)],
+        SimulationConfig(duration_s=20.0, warmup_s=5.0),
+    )
+    run.observer = observer
+    run.run(5.0)
+    return run, assignment
+
+
+def placement_state(run):
+    """Every task's slot, every node's task list, and the assignment."""
+    return (
+        {rt.task: rt.slot for rt in run._task_runtimes.values()},
+        {
+            node_id: [rt.task for rt in node_rt.tasks]
+            for node_id, node_rt in run._nodes.items()
+        },
+        run._topology_runtime("chain").assignment,
+        run.current_topology("chain"),
+    )
+
+
+def finish(run):
+    report = run.run()
+    return (
+        report.summary(),
+        report.events_processed,
+        {n: run.stats.busy_core_seconds(n).hex() for n in run._nodes},
+    )
+
+
+def other_slot(cluster, slot):
+    """A slot on a different live node than ``slot``."""
+    node = next(n for n in cluster.nodes if n.node_id != slot.node_id)
+    return node.slots[0]
+
+
+class TestRejectedPlacementChanges:
+    """A migrate or rescale onto an unknown node is refused before any
+    task moves: the run is left exactly as if it was never called."""
+
+    def test_failed_migrate_changes_nothing(self):
+        run, assignment = chain_run()
+        untouched, _ = chain_run()
+        tasks = run.current_topology("chain").tasks
+        mapping = {
+            task: other_slot(run.cluster, assignment.slot_of(task))
+            for task in tasks
+        }
+        mapping[tasks[-1]] = WorkerSlot("ghost", 6700)
+        before = placement_state(run)
+        with pytest.raises(SimulationError, match="unknown node 'ghost'"):
+            run.migrate("chain", Assignment("chain", mapping))
+        assert placement_state(run) == before
+        assert finish(run) == finish(untouched)
+
+    def test_failed_rescale_changes_nothing(self):
+        run, assignment = chain_run()
+        untouched, _ = chain_run()
+        shrunk = run.current_topology("chain").with_parallelism("stage-1", 1)
+        mapping = {task: assignment.slot_of(task) for task in shrunk.tasks}
+        persisting = sorted(shrunk.tasks)
+        mapping[persisting[0]] = other_slot(
+            run.cluster, mapping[persisting[0]]
+        )
+        mapping[persisting[-1]] = WorkerSlot("ghost", 6700)
+        before = placement_state(run)
+        with pytest.raises(SimulationError, match="unknown node 'ghost'"):
+            run.rescale("chain", shrunk, Assignment("chain", mapping))
+        assert placement_state(run) == before
+        assert finish(run) == finish(untouched)
+
+
+class TestUnknownNodeFaults:
+    def test_rejected_when_scheduled(self):
+        run, _ = chain_run()
+        with pytest.raises(SimulationError, match="cannot fail unknown node"):
+            run.fail_node_at(10.0, "ghost")
+        with pytest.raises(
+            SimulationError, match="cannot recover unknown node"
+        ):
+            run.recover_node_at(10.0, "ghost")
+
+    def test_no_phantom_node_events(self):
+        events = []
+        run, _ = chain_run(observer=events.append)
+        events.clear()
+        with pytest.raises(SimulationError, match="unknown node 'ghost'"):
+            run._fail_node("ghost")
+        with pytest.raises(SimulationError, match="unknown node 'ghost'"):
+            run._recover_node("ghost")
+        assert events == []
 
 
 class TestDeterminism:
