@@ -1230,9 +1230,9 @@ class SimulationRun:
             ))
 
     def _abandon_replay(self, topo: _TopologyRuntime, tuples: int) -> None:
-        """Resolve an outstanding replay that cannot re-emit (its spout
-        died): the origin is counted as exhausted so the at-least-once
-        audit stays closed."""
+        """Resolve an outstanding replay that will never be acked (its
+        spout died, or it routed nowhere): the origin is counted as
+        exhausted so the at-least-once audit stays closed."""
         topo.replays_outstanding -= 1
         topo.origins_exhausted += 1
         self.stats.record_exhausted(topo.topology_id, tuples)
