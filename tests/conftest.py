@@ -15,7 +15,7 @@ else:
     # The deep search of tests/simulation/test_des_differential.py: CI
     # selects it with ``--hypothesis-profile=des-oracle`` in a step that
     # runs only that file (5x the suite's tier-1 example count).
-    settings.register_profile("des-oracle", max_examples=750, deadline=None)
+    settings.register_profile("des-oracle", max_examples=600, deadline=None)
 
 
 @pytest.fixture(autouse=True)

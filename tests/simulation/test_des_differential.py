@@ -1,8 +1,8 @@
 """Differential suite: the live DES runtime against its frozen oracle.
 
 ``reference_runtime`` is ``simulation/runtime.py`` frozen at a named
-commit.  Each hypothesis example draws a random topology, a small
-two-rack cluster, a placement and a layer mix:
+commit.  Each hypothesis example draws one or two random topologies, a
+small two-rack cluster, a placement and a layer mix:
 
 * closed loop, or Poisson open loop with or without routing keys;
 * at-least-once replay on or off;
@@ -49,13 +49,15 @@ from repro.workloads.generator import TopologySpec, random_topology
 
 from tests.simulation import reference_runtime
 
-#: examples per tier-1 run (about 5 s on a 2-vCPU VM)
-TIER1_EXAMPLES = 150
+#: examples per tier-1 run (about 7 s on a 2-vCPU VM)
+TIER1_EXAMPLES = 120
 
 #: the profile CI selects for the deep run; its own example count wins
 ORACLE_PROFILE = "des-oracle"
 
 SPEC = TopologySpec(max_layers=2, max_width=2, max_parallelism=3)
+#: the optional second topology is smaller, to keep examples cheap
+OTHER_SPEC = TopologySpec(max_layers=1, max_width=2, max_parallelism=2)
 DURATION_S = 8.0
 RACKS = ("rack-0", "rack-1")
 
@@ -66,6 +68,8 @@ class Case:
 
     seed: int
     topo_seed: int
+    #: a second topology sharing the cluster, or None
+    other_seed: Optional[int]
     scheduler: str
     nodes_per_rack: int
     node_memory_mb: float
@@ -98,6 +102,7 @@ def cases(draw) -> Case:
     return Case(
         seed=draw(st.integers(0, 2**16)),
         topo_seed=draw(st.integers(0, 10_000)),
+        other_seed=draw(st.none() | st.integers(0, 10_000)),
         scheduler=draw(st.sampled_from(("rstorm", "default"))),
         nodes_per_rack=draw(st.sampled_from((2, 3))),
         node_memory_mb=draw(st.sampled_from((1024.0, 4096.0))),
@@ -136,14 +141,15 @@ def make_cluster(case: Case):
     )
 
 
-def make_config(case: Case, topology_id: str) -> SimulationConfig:
+def make_config(case: Case) -> SimulationConfig:
     flow = None
     if case.shedding is not None:
         flow = FlowControlConfig(
             queue_capacity=case.queue_capacity,
             shedding=case.shedding,
-            # A second, higher class lowers this topology's threshold.
-            priorities=((topology_id, 0), ("gold", 1)),
+            # The higher class sheds last; "other" may not be running,
+            # which still lowers "diff"'s threshold.
+            priorities=(("diff", 0), ("other", 1)),
         )
     open_loop = case.loop != "closed"
     keys = None
@@ -239,33 +245,34 @@ def outcome(runtime_module, case: Case) -> dict:
     the two sides must agree on."""
     random.seed(case.seed)
     cluster = make_cluster(case)
-    topology = random_topology(case.topo_seed, SPEC, name="diff")
+    topologies = [random_topology(case.topo_seed, SPEC, name="diff")]
+    if case.other_seed is not None:
+        topologies.append(random_topology(case.other_seed, OTHER_SPEC, name="other"))
     scheduler = (
         RStormScheduler() if case.scheduler == "rstorm" else DefaultScheduler()
     )
     try:
-        assignment = scheduler.schedule([topology], cluster)[
-            topology.topology_id
-        ]
+        assignments = scheduler.schedule(topologies, cluster)
     except SchedulingError:
         return {"unschedulable": True}
     random.seed(case.seed)
     run = runtime_module.SimulationRun(
-        cluster, [(topology, assignment)],
-        make_config(case, topology.topology_id),
+        cluster,
+        [(t, assignments[t.topology_id]) for t in topologies],
+        make_config(case),
     )
     trace = []
     if case.observe:
         run.observer = trace.append
     node_ids = sorted(node.node_id for node in cluster.nodes)
     slots = [slot for node_id in node_ids for slot in cluster.node(node_id).slots]
-    used = sorted(assignment.nodes)
+    used = sorted({n for a in assignments.values() for n in a.nodes})
     FaultInjector(fault_schedule(case, used)).attach(run)
-    control = Control(case, run, assignment, slots)
+    control = Control(case, run, assignments["diff"], slots)
     run.on_time(case.migrate_at, control.migrate)
     run.on_time(case.rescale_at, control.rescale)
     report = run.run()
-    topology_id = topology.topology_id
+    topology_ids = [t.topology_id for t in topologies]
     stats = run.stats
     ledger = run.shed_ledger()
     return {
@@ -277,7 +284,10 @@ def outcome(runtime_module, case: Case) -> dict:
         "busy": {n: stats.busy_core_seconds(n).hex() for n in node_ids},
         "nic": {n: stats.nic_bytes(n) for n in node_ids},
         "events": report.events_processed,
-        "acks": [x.hex() for x in stats.ack_latencies(topology_id)],
+        "acks": {
+            tid: [x.hex() for x in stats.ack_latencies(tid)]
+            for tid in topology_ids
+        },
         "shed": None if ledger is None else (
             ledger.total_tuples, ledger.total_batches, ledger.dropped_records,
             [
@@ -287,9 +297,10 @@ def outcome(runtime_module, case: Case) -> dict:
             ],
         ),
         "credits": None if case.shedding is None else {
-            edge: (c.pool, c.outstanding, c.sends, c.drains, c.stalled,
-                   c.stall_count)
-            for edge, c in run.flow_edges(topology_id).items()
+            (tid, edge): (c.pool, c.outstanding, c.sends, c.drains,
+                          c.stalled, c.stall_count)
+            for tid in topology_ids
+            for edge, c in run.flow_edges(tid).items()
         },
         "trace": trace,
     }
