@@ -307,18 +307,26 @@ class ResourceVector:
                 f"and {other._schema!r}"
             )
 
+    def _same_schema(self, values: Tuple[float, ...]) -> "ResourceVector":
+        """A vector in this schema from ``values``, which must already be
+        one float per dimension: skips ``__init__``'s conversion and
+        length check, which elementwise results of two same-schema
+        vectors always pass."""
+        vector = object.__new__(ResourceVector)
+        vector._schema = self._schema
+        vector._values = values
+        return vector
+
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         self._check_schema(other)
-        return ResourceVector(
-            self._schema,
-            tuple(a + b for a, b in zip(self._values, other._values)),
+        return self._same_schema(
+            tuple(a + b for a, b in zip(self._values, other._values))
         )
 
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
         self._check_schema(other)
-        return ResourceVector(
-            self._schema,
-            tuple(a - b for a, b in zip(self._values, other._values)),
+        return self._same_schema(
+            tuple(a - b for a, b in zip(self._values, other._values))
         )
 
     def __mul__(self, factor: float) -> "ResourceVector":

@@ -18,6 +18,7 @@ from typing import Dict, List, Mapping, Optional, Set
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node, WorkerSlot
+from repro.cluster.resources import ResourceVector
 from repro.errors import InsufficientResourcesError, SchedulingError
 from repro.scheduler.assignment import Assignment
 from repro.scheduler.packed import PackedClusterState
@@ -71,6 +72,8 @@ class GlobalState:
         state = cls(cluster)
         for topo_id, assignment in assignments.items():
             topology = topologies.get(topo_id)
+            # component -> declared demand, derived once per topology
+            demand_of: Dict[str, ResourceVector] = {}
             for task in assignment.tasks:
                 slot = assignment.slot_of(task)
                 if not cluster.has_node(slot.node_id):
@@ -78,7 +81,12 @@ class GlobalState:
                 node = cluster.node(slot.node_id)
                 if not node.alive:
                     continue
-                demand = topology.task_demand(task) if topology else None
+                demand = None
+                if topology:
+                    demand = demand_of.get(task.component)
+                    if demand is None:
+                        demand = topology.task_demand(task)
+                        demand_of[task.component] = demand
                 already_reserved = node.has_reservation(task_label(task))
                 if reserve and demand is not None and not already_reserved:
                     try:

@@ -1,28 +1,32 @@
 """Packed, flat-array view of cluster resource state.
 
-R-Storm's node selection (the paper's Algorithm 4) reads availability
-per candidate node per dimension: it scans every alive node until a
-fresh topology's ref node is fixed, then keys lazy per-demand distance
-heaps from the same values, re-keying one node per placement.  Walking
-``Node``/``ResourceVector`` objects there pays an allocation and several
-attribute/dict lookups per candidate per dimension.  A
-:class:`PackedClusterState` flattens the same information once per
-scheduling round into plain Python lists:
+R-Storm's node selection (the paper's Algorithm 4) compares the
+availability of every candidate node dimension by dimension: it filters
+the alive nodes until a fresh topology's ref node is fixed, then keys
+lazy per-demand distance heaps from the same values, re-keying one node
+per placement.  Walking ``Node``/``ResourceVector`` objects there pays
+an allocation and several attribute/dict lookups per candidate per
+dimension.  A :class:`PackedClusterState` stores the same information
+once per scheduling round as plain Python lists, one *column* per
+dimension, so the scheduler can run one comprehension over a whole
+column instead of one call per node:
 
 * ``avail[d][i]`` / ``caps[d][i]`` — availability and capacity of
   dimension ``d`` on the ``i``-th alive node, in ``cluster.alive_nodes``
-  order.  Availability rows are refreshed **in place** whenever a
-  placement reserves or releases resources (see
+  order, transposed from the nodes' value tuples.  Availability rows
+  are refreshed **in place** whenever a placement reserves or releases
+  resources (see
   :meth:`GlobalState.place <repro.scheduler.global_state.GlobalState.place>`),
   by copying the node's authoritative vector — so the packed floats are
   always bit-identical to ``node.available`` and optimised schedulers
   produce byte-identical assignments.
 * per-node availability *scores* and the cluster-wide capacity *scale*
-  used by R-Storm's ref-node selection (Algorithm 4 lines 6-9), computed
-  once and invalidated incrementally on placement instead of being
-  recomputed from scratch for every call.
+  used by R-Storm's ref-node selection (Algorithm 4 lines 6-9), built
+  one dimension at a time and then updated one node per placement
+  instead of being recomputed from scratch for every call.
 * memoised network-distance rows per ref node (the ``Distance``
-  procedure's network term), one flat list per anchor.
+  procedure's network term), one flat list per anchor, built from the
+  nodes' rack column and the topography's level distances.
 
 The view is a snapshot of the *alive set*: it must only live inside one
 scheduler invocation (Nimbus is stateless across rounds, so every round
@@ -35,6 +39,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.network import DistanceLevel
 from repro.cluster.node import Node
 from repro.cluster.resources import ResourceSchema, ResourceVector
 from repro.errors import SchemaMismatchError
@@ -50,6 +55,7 @@ class PackedClusterState:
         "schema",
         "nodes",
         "node_ids",
+        "rack_ids",
         "index",
         "avail",
         "caps",
@@ -83,13 +89,15 @@ class PackedClusterState:
         self.schema = schema
         num_dims = len(schema) if schema is not None else 0
         self.num_dims = num_dims
+        #: rack_ids[i]: rack of alive node i.
+        self.rack_ids: List[str] = [n.rack_id for n in alive]
         #: avail[d][i]: availability of dimension d on alive node i.
         self.avail: List[List[float]] = [
-            [n.available.values[d] for n in alive] for d in range(num_dims)
+            list(column) for column in zip(*[n.available.values for n in alive])
         ]
         #: caps[d][i]: capacity of dimension d on alive node i (immutable).
         self.caps: List[List[float]] = [
-            [n.capacity.values[d] for n in alive] for d in range(num_dims)
+            list(column) for column in zip(*[n.capacity.values for n in alive])
         ]
         self.hard_dims: Tuple[int, ...] = (
             schema.hard_indices if schema is not None else ()
@@ -153,11 +161,17 @@ class PackedClusterState:
     @property
     def scores(self) -> List[float]:
         """Scale-normalised availability score per alive node, kept
-        current incrementally by :meth:`refresh_node`."""
+        current incrementally by :meth:`refresh_node`.
+
+        Built a column at a time: one pass per dimension divides the
+        availability row by its scale, then ``sum`` adds each node's
+        quotients in dimension order — the very terms, in the very
+        order, that :meth:`_score_of` hands to ``sum``."""
         if self._scores is None:
-            self._scores = [
-                self._score_of(i) for i in range(len(self.nodes))
+            quotients = [
+                [a / s for a in row] for row, s in zip(self.avail, self.scale)
             ]
+            self._scores = [sum(terms) for terms in zip(*quotients)]
         return self._scores
 
     @property
@@ -185,13 +199,25 @@ class PackedClusterState:
     def dist_row(self, ref_node_id: str) -> List[float]:
         """Network distance from every alive node to ``ref_node_id``,
         memoised per anchor (the distance matrix is immutable within a
-        scheduling round)."""
+        scheduling round).
+
+        Equal to ``cluster.node_distance(node_id, ref_node_id)`` per
+        node, built from the rack column: the topography's inter-rack
+        distance off the ref node's rack, its inter-node distance inside
+        it, and its same-node distance at the ref node itself."""
         row = self._dist_rows.get(ref_node_id)
         if row is None:
-            node_distance = self.cluster.node_distance
+            ref = self.cluster.node(ref_node_id)
+            distance = self.cluster.topography.distance
+            other_rack = distance(DistanceLevel.INTER_RACK)
+            same_rack = distance(DistanceLevel.INTER_NODE)
+            ref_rack = ref.rack_id
             row = [
-                node_distance(node_id, ref_node_id)
-                for node_id in self.node_ids
+                same_rack if rack_id == ref_rack else other_rack
+                for rack_id in self.rack_ids
             ]
+            i = self.index.get(ref_node_id)
+            if i is not None:
+                row[i] = distance(DistanceLevel.INTRA_PROCESS)
             self._dist_rows[ref_node_id] = row
         return row

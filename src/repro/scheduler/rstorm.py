@@ -20,18 +20,23 @@ squared availability-demand gap simultaneously avoids both waste
 below demand).
 
 The hot path runs on the packed flat-array view of the cluster
-(:class:`~repro.scheduler.packed.PackedClusterState`).  Until a fresh
-topology's first task is placed, each task scans every alive node once,
-to find the ref node.  From then on node ``i``'s distance depends only
-on its availability row ``avail[.][i]``, which changes only when a task
-lands on ``i`` and then only shrinks.  So candidates sit in lazy
-min-heaps of ``(distance, node_id, i, version)``, one per distinct
-demand vector and tier (nodes covering every dimension, then nodes
-covering the hard ones), built on first use.  A placement re-keys one
-node: it bumps the node's version and pushes its new entry into every
-heap it still fits; stale entries are discarded on pop, and a node that
-stops fitting never fits again within the call.  Heap keys perform the
-float operations of the per-vector formulation
+(:class:`~repro.scheduler.packed.PackedClusterState`), whose
+availability is stored a column (one dimension over every alive node)
+at a time, and it works on whole columns too.  A tier's candidates
+(nodes covering every dimension, then nodes covering the hard ones) are
+filtered with one comprehension per dimension.  Until a fresh
+topology's first task is placed, each task filters the alive nodes once
+and anchors on the ref node among them.  From then on node ``i``'s
+distance depends only on its availability ``avail[.][i]``, which
+changes only when a task lands on ``i`` and then only shrinks.  So
+candidates sit in lazy min-heaps of ``(distance, node_id, i, version)``,
+one per distinct demand vector and tier, built on first use from keys
+computed one dimension at a time over the whole candidate pool.  A
+placement re-keys one node, with the scalar key: it bumps the node's
+version and pushes its new entry into every heap it still fits; stale
+entries are discarded on pop, and a node that stops fitting never fits
+again within the call.  Both keys perform, per node, the float
+operations of the per-vector formulation
 (:meth:`RStormScheduler.distance`) in the same order, and ties go to the
 lower node id, so assignments are byte-identical to the unpacked
 implementation (held by ``tests/scheduler/test_distance_key.py`` and the
@@ -206,42 +211,34 @@ class RStormScheduler(IScheduler):
             else (view.hard_dims,)
         )
 
-        def fits(i: int, dvals: Tuple[float, ...], dims: Tuple[int, ...]) -> bool:
-            for d in dims:
-                if avail[d][i] < dvals[d]:
-                    return False
-            return True
-
         # (demand values, tier dims) -> min-heap of (distance, node_id,
         # i, version); an entry is current iff its version is version[i],
         # and the current entries are exactly the nodes fitting the tier.
-        alive = range(len(nodes))
         version = [0] * len(nodes)
         heaps: Dict[Tuple[Tuple[float, ...], Tuple[int, ...]], list] = {}
-        distance = (
-            self._packed_distance(view, ref_node)
-            if ref_node is not None
-            else None
-        )
+        distance = keys = None
+        if ref_node is not None:
+            distance = self._packed_distance(view, ref_node)
+            keys = self._column_distance(view, ref_node)
 
         for task in pending:
             demand = demand_of[task.component]
             dvals = demand.values
             best_i: Optional[int] = None
             for dims in tiers:
-                if distance is None:
+                if keys is None:
                     # Fresh topology: one scan, anchored on the ref node.
-                    pool = [i for i in alive if fits(i, dvals, dims)]
+                    pool = self._fitting(view, dvals, dims)
                     if pool:
                         best_i = self._find_ref_index(view, pool)
                         break
                     continue
                 heap = heaps.get((dvals, dims))
                 if heap is None:
+                    pool = self._fitting(view, dvals, dims)
                     heap = heaps[(dvals, dims)] = [
-                        (distance(i, dvals), node_ids[i], i, version[i])
-                        for i in alive
-                        if fits(i, dvals, dims)
+                        (key, node_ids[i], i, version[i])
+                        for key, i in zip(keys(pool, dvals), pool)
                     ]
                     heapify(heap)
                 while heap and heap[0][3] != version[heap[0][2]]:
@@ -266,9 +263,15 @@ class RStormScheduler(IScheduler):
             placed_this_round.append(task)
             if distance is None:
                 distance = self._packed_distance(view, node)
+                keys = self._column_distance(view, node)
+            # Re-key the placed node alone, in every heap it still fits.
             version[best_i] = stamp = version[best_i] + 1
+            left = [column[best_i] for column in avail]
             for (key_vals, dims), heap in heaps.items():
-                if fits(best_i, key_vals, dims):
+                for d in dims:
+                    if left[d] < key_vals[d]:
+                        break
+                else:
                     heappush(
                         heap,
                         (distance(best_i, key_vals), node_ids[best_i],
@@ -347,6 +350,63 @@ class RStormScheduler(IScheduler):
 
         return distance
 
+    def _column_distance(
+        self, view: PackedClusterState, ref_node: Node
+    ) -> Callable[[List[int], Tuple[float, ...]], List[float]]:
+        """The Distance procedure of Algorithm 4 over whole columns for a
+        fixed ref node: ``keys(pool, dvals)`` is ``[distance(i, dvals) for
+        i in pool]`` for :meth:`_packed_distance`'s ``distance``, built
+        one dimension at a time.  Each node's running total still takes
+        ``0.0``, then ``+ w * gap * gap`` per dimension in schema order,
+        then the network term, then ``sqrt`` — the same float operations
+        in the same order, so the two agree bit for bit."""
+        avail = view.avail
+        caps = view.caps
+        net_row = view.dist_row(ref_node.node_id)
+        dim_weights = self._dim_weights(view.schema)
+        w_net = self.weights.network
+        use_net = self.use_network_distance
+        normalise = self.normalise_gaps
+        sqrt = math.sqrt
+
+        def keys(pool: List[int], dvals: Tuple[float, ...]) -> List[float]:
+            totals = [0.0] * len(pool)
+            for d, w in dim_weights:
+                row = avail[d]
+                need = dvals[d]
+                if normalise:
+                    cap = caps[d]
+                    gaps = [
+                        (row[i] - need) / cap[i] if cap[i] > 0 else 0.0
+                        for i in pool
+                    ]
+                else:
+                    gaps = [row[i] - need for i in pool]
+                totals = [t + w * g * g for t, g in zip(totals, gaps)]
+            if use_net:
+                totals = [t + w_net * net_row[i] for t, i in zip(totals, pool)]
+            return [sqrt(t if t > 0.0 else 0.0) for t in totals]
+
+        return keys
+
+    @staticmethod
+    def _fitting(
+        view: PackedClusterState,
+        dvals: Tuple[float, ...],
+        dims: Tuple[int, ...],
+    ) -> List[int]:
+        """Indices of the alive nodes whose availability covers ``dvals``
+        on every dimension of ``dims``, in index order: the tier filter,
+        one comprehension per dimension.  ``not a < need`` keeps the
+        comparison the per-node test made."""
+        pool = list(range(len(view.nodes)))
+        avail = view.avail
+        for d in dims:
+            row = avail[d]
+            need = dvals[d]
+            pool = [i for i in pool if not row[i] < need]
+        return pool
+
     @staticmethod
     def _find_ref_index(view: PackedClusterState, pool: List[int]) -> int:
         """The paper's lines 6-9 on the packed view: the most-available
@@ -380,11 +440,12 @@ class RStormScheduler(IScheduler):
         dimension's default weight (memory/cpu weights override the
         standard dimensions).
 
-        The scheduling hot path keys its node heaps with
-        :meth:`_packed_distance`, which performs these operations in the
-        same order over the packed arrays; this method remains the
-        executable specification, and the two are held bit-identical by
-        ``tests/scheduler/test_distance_key.py``.
+        The scheduling hot path builds its node heaps with
+        :meth:`_column_distance` and re-keys single nodes with
+        :meth:`_packed_distance`; both perform these operations per node
+        in the same order over the packed arrays.  This method remains
+        the executable specification, and all three are held
+        bit-identical by ``tests/scheduler/test_distance_key.py``.
 
         Args:
             node: Candidate node (already hard-constraint feasible).

@@ -9,13 +9,16 @@ from repro.topology import ExecutionProfile, TopologyBuilder
 
 try:
     from hypothesis import settings
+
+    from tests.deep_search import ORACLE_PROFILE
 except ImportError:  # hypothesis suites skip themselves
     pass
 else:
-    # The deep search of tests/simulation/test_des_differential.py: CI
-    # selects it with ``--hypothesis-profile=des-oracle`` in a step that
-    # runs only that file (5x the suite's tier-1 example count).
-    settings.register_profile("des-oracle", max_examples=600, deadline=None)
+    # The deep search of the differential suites that use
+    # tests/deep_search.py: CI selects it with
+    # ``--hypothesis-profile=des-oracle`` in a step that runs only those
+    # files (5x the DES suite's tier-1 example count).
+    settings.register_profile(ORACLE_PROFILE, max_examples=600, deadline=None)
 
 
 @pytest.fixture(autouse=True)

@@ -25,8 +25,13 @@ class TestScalabilityExperiment:
         result = scalability.run()
         assert len(result.rows) == len(scalability.SCALES)
         for row in result.rows:
-            assert row["rstorm_ms"] < 10_000
-            assert row["rstorm_mean_netdist"] <= row["default_mean_netdist"]
+            assert row["rstorm_ms"] < 1000  # well below the 10 s period
+            assert row["rstorm_mean_netdist"] < row["default_mean_netdist"]
+        # latency grows sub-quadratically with cluster size in this range
+        small = result.rows[0]["rstorm_ms"]
+        large = result.rows[-1]["rstorm_ms"]
+        nodes_ratio = result.rows[-1]["nodes"] / result.rows[0]["nodes"]
+        assert large / max(small, 0.01) < nodes_ratio**2
 
     def test_registered(self):
         assert "scalability" in REGISTRY

@@ -13,7 +13,11 @@ and require exact equality of the resulting assignment maps.
 import pytest
 
 from repro.cluster import Cluster, Node, Rack
-from repro.cluster.builders import emulab_testbed, uniform_cluster
+from repro.cluster.builders import (
+    emulab_testbed,
+    heterogeneous_cluster,
+    uniform_cluster,
+)
 from repro.nimbus.config import StormConfig
 from repro.nimbus.elastic import ElasticController
 from repro.nimbus.nimbus import Nimbus
@@ -28,6 +32,7 @@ from repro.cluster.resources import (
 )
 from repro.errors import SchedulingError
 from repro.scheduler.aniello import AnielloOfflineScheduler
+from repro.scheduler.assignment import Assignment
 from repro.scheduler.default import DefaultScheduler
 from repro.scheduler.ordering import TaskOrderingStrategy
 from repro.scheduler.rstorm import DistanceWeights, RStormScheduler
@@ -42,7 +47,9 @@ from tests.scheduler.reference_impls import (
 )
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
+
+from tests.deep_search import search_settings  # noqa: E402
 
 
 def as_map(assignments):
@@ -434,6 +441,54 @@ class TestElasticDisabledDifferential:
         assert as_map(dict(nimbus.assignments)) == as_map(want)
 
 
+#: tier-1 example counts of the hypothesis sweeps below; CI's deep
+#: search runs this file again under the ``des-oracle`` profile
+RSTORM_EXAMPLES = 80
+BASELINE_EXAMPLES = 25
+
+#: weights drawn per term: zero, the defaults, powers of two and values
+#: that are not, whose products round
+WEIGHTS = st.builds(
+    DistanceWeights,
+    memory=st.sampled_from([0.0, 0.3, 0.5, 2.0]),
+    cpu=st.sampled_from([0.25, 1.0, 1.7]),
+    network=st.sampled_from([0.0, 0.1, 1.0, 3.0]),
+)
+
+
+def two_class_cluster(racks, nodes_per_rack, memory, cpu):
+    """Like :func:`small_cluster`, but every other node is a bigger
+    machine, so capacity-normalised gaps differ between nodes."""
+    schema = ResourceSchema.storm_default()
+    small = schema.vector(memory_mb=memory, cpu=cpu, bandwidth_mbps=100.0)
+    big = schema.vector(
+        memory_mb=2 * memory, cpu=1.5 * cpu, bandwidth_mbps=1000.0
+    )
+    return heterogeneous_cluster(
+        [
+            [big if (r + i) % 2 else small for i in range(nodes_per_rack)]
+            for r in range(racks)
+        ]
+    )
+
+
+def partial_assignment(make_cluster, topology, keep_every):
+    """A live assignment of ``topology`` with some tasks missing: place
+    it with the reference scheduler on a cluster of its own, then keep
+    every ``keep_every``-th task.  Returns None if nothing was placed."""
+    placed = ReferenceRStormScheduler(best_effort=True).schedule(
+        [topology], make_cluster()
+    )[topology.topology_id]
+    kept = {
+        task: placed.slot_of(task)
+        for k, task in enumerate(placed.tasks)
+        if k % keep_every == 0
+    }
+    if not kept:
+        return None
+    return {topology.topology_id: Assignment(topology.topology_id, kept)}
+
+
 class TestPropertyDifferential:
     """Hypothesis sweeps with fixed seeds (derandomised so CI is stable)."""
 
@@ -449,39 +504,75 @@ class TestPropertyDifferential:
         ),
         prefer=st.booleans(),
         best_effort=st.booleans(),
+        two_classes=st.booleans(),
+        failed=st.none() | st.integers(min_value=0, max_value=11),
+        normalise=st.booleans(),
+        network=st.booleans(),
+        weights=st.just(DistanceWeights()) | WEIGHTS,
+        keep_every=st.none() | st.integers(min_value=1, max_value=3),
     )
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @search_settings(RSTORM_EXAMPLES, derandomize=True)
     def test_rstorm_matches_reference(
-        self, racks, nodes_per_rack, memory, cpu, seeds, prefer, best_effort
+        self,
+        racks,
+        nodes_per_rack,
+        memory,
+        cpu,
+        seeds,
+        prefer,
+        best_effort,
+        two_classes,
+        failed,
+        normalise,
+        network,
+        weights,
+        keep_every,
     ):
+        """Both sides agree over uniform and two-class clusters, with
+        one node failed or none, every distance option and weighting,
+        and with or without a live partial assignment of the first
+        topology (the resume path that anchors on its busiest node)."""
         spec = TopologySpec(max_layers=3, max_width=2, max_parallelism=4)
         topologies = [
             random_topology(seed, spec=spec, name=f"h{i}-{seed}")
             for i, seed in enumerate(seeds)
         ]
+        build = two_class_cluster if two_classes else small_cluster
 
         def make_cluster():
-            return small_cluster(
+            cluster = build(
                 racks=racks,
                 nodes_per_rack=nodes_per_rack,
                 memory=memory,
                 cpu=cpu,
             )
+            if failed is not None:
+                nodes = cluster.nodes
+                cluster.fail_node(nodes[failed % len(nodes)].node_id)
+            return cluster
 
-        opt = RStormScheduler(
-            prefer_no_overcommit=prefer, best_effort=best_effort
+        existing = None
+        if keep_every is not None:
+            existing = partial_assignment(
+                make_cluster, topologies[0], keep_every
+            )
+        options = dict(
+            weights=weights,
+            normalise_gaps=normalise,
+            use_network_distance=network,
+            prefer_no_overcommit=prefer,
+            best_effort=best_effort,
         )
-        ref = ReferenceRStormScheduler(
-            prefer_no_overcommit=prefer, best_effort=best_effort
-        )
-        assert_identical(make_cluster, topologies, opt, ref)
+        opt = RStormScheduler(**options)
+        ref = ReferenceRStormScheduler(**options)
+        assert_identical(make_cluster, topologies, opt, ref, existing)
 
     @given(
         racks=st.integers(min_value=1, max_value=3),
         nodes_per_rack=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=0, max_value=10_000),
     )
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @search_settings(BASELINE_EXAMPLES, derandomize=True)
     def test_baselines_match_reference(self, racks, nodes_per_rack, seed):
         spec = TopologySpec(max_layers=3, max_width=2, max_parallelism=4)
         topologies = [random_topology(seed, spec=spec, name=f"b-{seed}")]

@@ -1,13 +1,17 @@
 """The heap key of R-Storm's node selection is the paper's distance.
 
-``RStormScheduler`` keeps its candidate nodes in min-heaps keyed by
-:meth:`RStormScheduler._packed_distance`, a flat-array restatement of
+``RStormScheduler`` builds its candidate min-heaps from
+:meth:`RStormScheduler._column_distance`, which keys a whole pool of
+nodes one dimension at a time, and re-keys single nodes with
+:meth:`RStormScheduler._packed_distance`.  Both restate
 :meth:`RStormScheduler.distance` (the executable specification of the
-Distance procedure in Algorithm 4).  Assignments stay byte-identical to
-the reference only if the two agree bit for bit, so these tests compare
-``float.hex`` of both for every alive node of a cluster whose nodes
-differ in capacity, carry reservations (some over-committing the soft
-dimensions) and include a dead node.
+Distance procedure in Algorithm 4) over the packed view, whose
+availability scores and network-distance rows are themselves built a
+column at a time.  Assignments stay byte-identical to the reference
+only if all of these agree bit for bit, so these tests compare
+``float.hex`` of both sides for every alive node of a cluster whose
+nodes differ in capacity, carry reservations (some over-committing the
+soft dimensions) and include a dead node.
 """
 
 import pytest
@@ -77,8 +81,20 @@ CONFIGS = [
         STORM,
         dict(weights=DistanceWeights(memory=2.0, cpu=0.25, network=3.0)),
     ),
+    # not powers of two, so products round and their grouping shows
+    (
+        "inexact_weights",
+        STORM,
+        dict(weights=DistanceWeights(memory=0.3, cpu=1.7, network=0.1)),
+    ),
     ("generalised", GPU, {}),
 ]
+
+#: the packed view and the tier filter depend on the cluster alone, not
+#: on the scheduler's configuration, so they are checked once per schema
+SCHEMAS = pytest.mark.parametrize(
+    "schema", [STORM, GPU], ids=["storm", "generalised"]
+)
 
 
 @pytest.mark.parametrize(
@@ -98,6 +114,72 @@ def test_heap_key_is_distance_bit_for_bit(schema, config, ref_id):
                 node, demand, cluster.node_distance(ref_id, node.node_id)
             )
             assert key(i, demand.values).hex() == want.hex(), node.node_id
+
+
+@pytest.mark.parametrize(
+    "schema,config", [c[1:] for c in CONFIGS], ids=[c[0] for c in CONFIGS]
+)
+@pytest.mark.parametrize("ref_id", ["n-0-0", "n-2-3"])
+def test_column_key_is_distance_bit_for_bit(schema, config, ref_id):
+    cluster = build_cluster(schema)
+    scheduler = RStormScheduler(**config)
+    view = PackedClusterState(cluster)
+    ref = cluster.node(ref_id)
+    keys = scheduler._column_distance(view, ref)
+    every = list(range(len(view.nodes)))
+    for demand in demands(schema):
+        # the whole alive set, and the pools the two tiers filter out
+        pools = [every] + [
+            scheduler._fitting(view, demand.values, dims)
+            for dims in (tuple(range(view.num_dims)), view.hard_dims)
+        ]
+        for pool in pools:
+            got = keys(pool, demand.values)
+            assert len(got) == len(pool)
+            for i, key in zip(pool, got):
+                node = view.nodes[i]
+                want = scheduler.distance(
+                    node, demand, cluster.node_distance(ref_id, node.node_id)
+                )
+                assert key.hex() == want.hex(), node.node_id
+
+
+@SCHEMAS
+def test_tier_filter_matches_per_node_check(schema):
+    view = PackedClusterState(build_cluster(schema))
+    for demand in demands(schema):
+        for dims in (tuple(range(view.num_dims)), view.hard_dims):
+            want = [
+                i
+                for i in range(len(view.nodes))
+                if all(
+                    view.avail[d][i] >= demand.values[d] for d in dims
+                )
+            ]
+            got = RStormScheduler._fitting(view, demand.values, dims)
+            assert got == want
+
+
+@SCHEMAS
+@pytest.mark.parametrize("ref_id", ["n-0-0", "n-2-3"])
+def test_dist_row_is_node_distance_bit_for_bit(schema, ref_id):
+    cluster = build_cluster(schema)
+    view = PackedClusterState(cluster)
+    row = view.dist_row(ref_id)
+    assert ref_id in view.node_ids
+    assert len(row) == len(view.nodes)
+    for node_id, got in zip(view.node_ids, row):
+        want = cluster.node_distance(ref_id, node_id)
+        assert got.hex() == want.hex(), node_id
+
+
+@SCHEMAS
+def test_scores_are_per_node_scores_bit_for_bit(schema):
+    view = PackedClusterState(build_cluster(schema))
+    scores = view.scores
+    assert len(scores) == len(view.nodes)
+    for i, got in enumerate(scores):
+        assert got.hex() == view._score_of(i).hex(), view.node_ids[i]
 
 
 def test_cluster_exercises_overcommit_and_zero_capacity():

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, strategies as st
 
 from repro.cluster.builders import uniform_cluster
 from repro.cluster.resources import ResourceSchema
@@ -47,13 +47,11 @@ from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.keys import UniformKeys, ZipfKeys
 from repro.workloads.generator import TopologySpec, random_topology
 
+from tests.deep_search import search_settings
 from tests.simulation import reference_runtime
 
 #: examples per tier-1 run (about 7 s on a 2-vCPU VM)
 TIER1_EXAMPLES = 120
-
-#: the profile CI selects for the deep run; its own example count wins
-ORACLE_PROFILE = "des-oracle"
 
 SPEC = TopologySpec(max_layers=2, max_width=2, max_parallelism=3)
 #: the optional second topology is smaller, to keep examples cheap
@@ -323,17 +321,7 @@ def assert_same(case: Case) -> None:
         assert got[key] == want[key], key
 
 
-def _search_settings():
-    """Tier-1's example count, unless CI selected the deep profile."""
-    deep = settings.get_current_profile_name() == ORACLE_PROFILE
-    return settings(
-        max_examples=settings.default.max_examples if deep else TIER1_EXAMPLES,
-        deadline=None,
-        suppress_health_check=list(HealthCheck),
-    )
-
-
-@_search_settings()
+@search_settings(TIER1_EXAMPLES, suppress_health_check=list(HealthCheck))
 @given(case=cases())
 def test_live_runtime_matches_frozen_oracle(case):
     assert_same(case)
