@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 __all__ = ["DistanceLevel", "LinkProfile", "NetworkTopography"]
 
@@ -150,11 +150,28 @@ class NetworkTopography:
         is unknown at node-selection time, so same-node scores as
         intra-process — the best case, which is what the scheduler
         optimistically assumes when packing)."""
-        if rack_a != rack_b:
-            return self.distance(DistanceLevel.INTER_RACK)
-        if node_a != node_b:
-            return self.distance(DistanceLevel.INTER_NODE)
-        return self.distance(DistanceLevel.INTRA_PROCESS)
+        return self.node_distances(rack_b, node_b, [rack_a], [node_a])[0]
+
+    def node_distances(
+        self,
+        ref_rack: str,
+        ref_node: str,
+        racks: Sequence[str],
+        nodes: Sequence[str],
+    ) -> List[float]:
+        """:meth:`node_distance` from ``(ref_rack, ref_node)`` to every
+        ``(racks[i], nodes[i])``, in one pass over the two columns: a
+        different rack is inter-rack, another node in the same rack is
+        inter-node, and the node itself is intra-process."""
+        inter_rack = self.distance(DistanceLevel.INTER_RACK)
+        inter_node = self.distance(DistanceLevel.INTER_NODE)
+        same_node = self.distance(DistanceLevel.INTRA_PROCESS)
+        return [
+            inter_rack if rack != ref_rack
+            else inter_node if node != ref_node
+            else same_node
+            for rack, node in zip(racks, nodes)
+        ]
 
     def max_distance(self) -> float:
         return self.distance(DistanceLevel.INTER_RACK)

@@ -21,12 +21,12 @@ column instead of one call per node:
   always bit-identical to ``node.available`` and optimised schedulers
   produce byte-identical assignments.
 * per-node availability *scores* and the cluster-wide capacity *scale*
-  used by R-Storm's ref-node selection (Algorithm 4 lines 6-9), built
-  one dimension at a time and then updated one node per placement
-  instead of being recomputed from scratch for every call.
+  used by R-Storm's ref-node selection (Algorithm 4 lines 6-9), computed
+  once and invalidated incrementally on placement instead of being
+  recomputed from scratch for every call.
 * memoised network-distance rows per ref node (the ``Distance``
-  procedure's network term), one flat list per anchor, built from the
-  nodes' rack column and the topography's level distances.
+  procedure's network term), one flat list per anchor, built by the
+  topography in one pass over the nodes' rack and id columns.
 
 The view is a snapshot of the *alive set*: it must only live inside one
 scheduler invocation (Nimbus is stateless across rounds, so every round
@@ -39,7 +39,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.network import DistanceLevel
 from repro.cluster.node import Node
 from repro.cluster.resources import ResourceSchema, ResourceVector
 from repro.errors import SchemaMismatchError
@@ -161,17 +160,11 @@ class PackedClusterState:
     @property
     def scores(self) -> List[float]:
         """Scale-normalised availability score per alive node, kept
-        current incrementally by :meth:`refresh_node`.
-
-        Built a column at a time: one pass per dimension divides the
-        availability row by its scale, then ``sum`` adds each node's
-        quotients in dimension order — the very terms, in the very
-        order, that :meth:`_score_of` hands to ``sum``."""
+        current incrementally by :meth:`refresh_node`."""
         if self._scores is None:
-            quotients = [
-                [a / s for a in row] for row, s in zip(self.avail, self.scale)
+            self._scores = [
+                self._score_of(i) for i in range(len(self.nodes))
             ]
-            self._scores = [sum(terms) for terms in zip(*quotients)]
         return self._scores
 
     @property
@@ -202,22 +195,14 @@ class PackedClusterState:
         scheduling round).
 
         Equal to ``cluster.node_distance(node_id, ref_node_id)`` per
-        node, built from the rack column: the topography's inter-rack
-        distance off the ref node's rack, its inter-node distance inside
-        it, and its same-node distance at the ref node itself."""
+        node, built in one pass over the rack and node-id columns by
+        :meth:`NetworkTopography.node_distances
+        <repro.cluster.network.NetworkTopography.node_distances>`."""
         row = self._dist_rows.get(ref_node_id)
         if row is None:
             ref = self.cluster.node(ref_node_id)
-            distance = self.cluster.topography.distance
-            other_rack = distance(DistanceLevel.INTER_RACK)
-            same_rack = distance(DistanceLevel.INTER_NODE)
-            ref_rack = ref.rack_id
-            row = [
-                same_rack if rack_id == ref_rack else other_rack
-                for rack_id in self.rack_ids
-            ]
-            i = self.index.get(ref_node_id)
-            if i is not None:
-                row[i] = distance(DistanceLevel.INTRA_PROCESS)
+            row = self.cluster.topography.node_distances(
+                ref.rack_id, ref_node_id, self.rack_ids, self.node_ids
+            )
             self._dist_rows[ref_node_id] = row
         return row

@@ -35,8 +35,9 @@ computed one dimension at a time over the whole candidate pool.  A
 placement re-keys one node, with the scalar key: it bumps the node's
 version and pushes its new entry into every heap it still fits; stale
 entries are discarded on pop, and a node that stops fitting never fits
-again within the call.  Both keys perform, per node, the float
-operations of the per-vector formulation
+again within the call.  Both keys come from one set-up
+(:meth:`RStormScheduler._distance_kernels`) and perform, per node, the
+float operations of the per-vector formulation
 (:meth:`RStormScheduler.distance`) in the same order, and ties go to the
 lower node id, so assignments are byte-identical to the unpacked
 implementation (held by ``tests/scheduler/test_distance_key.py`` and the
@@ -216,10 +217,9 @@ class RStormScheduler(IScheduler):
         # and the current entries are exactly the nodes fitting the tier.
         version = [0] * len(nodes)
         heaps: Dict[Tuple[Tuple[float, ...], Tuple[int, ...]], list] = {}
-        distance = keys = None
+        keys = key = None
         if ref_node is not None:
-            distance = self._packed_distance(view, ref_node)
-            keys = self._column_distance(view, ref_node)
+            keys, key = self._distance_kernels(view, ref_node)
 
         for task in pending:
             demand = demand_of[task.component]
@@ -261,9 +261,8 @@ class RStormScheduler(IScheduler):
             slot = state.slot_for_topology_on_node(topology_id, node)
             state.place(task, slot, demand)
             placed_this_round.append(task)
-            if distance is None:
-                distance = self._packed_distance(view, node)
-                keys = self._column_distance(view, node)
+            if key is None:
+                keys, key = self._distance_kernels(view, node)
             # Re-key the placed node alone, in every heap it still fits.
             version[best_i] = stamp = version[best_i] + 1
             left = [column[best_i] for column in avail]
@@ -274,7 +273,7 @@ class RStormScheduler(IScheduler):
                 else:
                     heappush(
                         heap,
-                        (distance(best_i, key_vals), node_ids[best_i],
+                        (key(best_i, key_vals), node_ids[best_i],
                          best_i, stamp),
                     )
 
@@ -320,46 +319,23 @@ class RStormScheduler(IScheduler):
             self._dim_weight_cache[key] = cached
         return cached
 
-    def _packed_distance(
+    def _distance_kernels(
         self, view: PackedClusterState, ref_node: Node
-    ) -> Callable[[int, Tuple[float, ...]], float]:
+    ) -> Tuple[
+        Callable[[List[int], Tuple[float, ...]], List[float]],
+        Callable[[int, Tuple[float, ...]], float],
+    ]:
         """The Distance procedure of Algorithm 4 over the packed view for
-        a fixed ref node: ``distance(i, dvals)`` performs the float
-        operations of :meth:`distance` in the same order for alive node
-        ``i``, so the two agree bit for bit."""
-        avail = view.avail
-        caps = view.caps
-        net_row = view.dist_row(ref_node.node_id)
-        dim_weights = self._dim_weights(view.schema)
-        w_net = self.weights.network
-        use_net = self.use_network_distance
-        normalise = self.normalise_gaps
-        sqrt = math.sqrt
+        a fixed ref node, as ``(keys, key)``.
 
-        def distance(i: int, dvals: Tuple[float, ...]) -> float:
-            total = 0.0
-            for d, w in dim_weights:
-                gap = avail[d][i] - dvals[d]
-                if normalise:
-                    cap = caps[d][i]
-                    gap = gap / cap if cap > 0 else 0.0
-                total += w * gap * gap
-            if use_net:
-                total += w_net * net_row[i]
-            return sqrt(total if total > 0.0 else 0.0)
-
-        return distance
-
-    def _column_distance(
-        self, view: PackedClusterState, ref_node: Node
-    ) -> Callable[[List[int], Tuple[float, ...]], List[float]]:
-        """The Distance procedure of Algorithm 4 over whole columns for a
-        fixed ref node: ``keys(pool, dvals)`` is ``[distance(i, dvals) for
-        i in pool]`` for :meth:`_packed_distance`'s ``distance``, built
-        one dimension at a time.  Each node's running total still takes
-        ``0.0``, then ``+ w * gap * gap`` per dimension in schema order,
-        then the network term, then ``sqrt`` — the same float operations
-        in the same order, so the two agree bit for bit."""
+        ``keys(pool, dvals)`` keys a whole candidate pool one dimension
+        at a time, for a heap build; ``key(i, dvals)`` keys one node, for
+        the re-key after a placement, where a column pass over a pool of
+        one costs several times as much (``docs/performance.md``).  For
+        each node both start at ``0.0``, add ``w * gap * gap`` per
+        dimension in schema order, then the network term, then take
+        ``sqrt``: the float operations of :meth:`distance` in the same
+        order, so all three agree bit for bit."""
         avail = view.avail
         caps = view.caps
         net_row = view.dist_row(ref_node.node_id)
@@ -387,7 +363,19 @@ class RStormScheduler(IScheduler):
                 totals = [t + w_net * net_row[i] for t, i in zip(totals, pool)]
             return [sqrt(t if t > 0.0 else 0.0) for t in totals]
 
-        return keys
+        def key(i: int, dvals: Tuple[float, ...]) -> float:
+            total = 0.0
+            for d, w in dim_weights:
+                gap = avail[d][i] - dvals[d]
+                if normalise:
+                    cap = caps[d][i]
+                    gap = gap / cap if cap > 0 else 0.0
+                total += w * gap * gap
+            if use_net:
+                total += w_net * net_row[i]
+            return sqrt(total if total > 0.0 else 0.0)
+
+        return keys, key
 
     @staticmethod
     def _fitting(
@@ -440,11 +428,10 @@ class RStormScheduler(IScheduler):
         dimension's default weight (memory/cpu weights override the
         standard dimensions).
 
-        The scheduling hot path builds its node heaps with
-        :meth:`_column_distance` and re-keys single nodes with
-        :meth:`_packed_distance`; both perform these operations per node
-        in the same order over the packed arrays.  This method remains
-        the executable specification, and all three are held
+        The scheduling hot path keys its node heaps with the two kernels
+        of :meth:`_distance_kernels`, which perform these operations per
+        node in the same order over the packed arrays.  This method
+        remains the executable specification, and all three are held
         bit-identical by ``tests/scheduler/test_distance_key.py``.
 
         Args:

@@ -1,17 +1,16 @@
 """The heap key of R-Storm's node selection is the paper's distance.
 
-``RStormScheduler`` builds its candidate min-heaps from
-:meth:`RStormScheduler._column_distance`, which keys a whole pool of
-nodes one dimension at a time, and re-keys single nodes with
-:meth:`RStormScheduler._packed_distance`.  Both restate
+``RStormScheduler._distance_kernels`` gives two restatements of
 :meth:`RStormScheduler.distance` (the executable specification of the
-Distance procedure in Algorithm 4) over the packed view, whose
-availability scores and network-distance rows are themselves built a
-column at a time.  Assignments stay byte-identical to the reference
-only if all of these agree bit for bit, so these tests compare
-``float.hex`` of both sides for every alive node of a cluster whose
-nodes differ in capacity, carry reservations (some over-committing the
-soft dimensions) and include a dead node.
+Distance procedure in Algorithm 4) over the packed view: a column
+kernel that keys a whole pool of nodes one dimension at a time for a
+heap build, and a scalar kernel that re-keys one node after a
+placement.  The packed view's network-distance rows are themselves
+built a column at a time.  Assignments stay byte-identical to the
+reference only if all of these agree bit for bit, so these tests
+compare ``float.hex`` of both sides for every alive node of a cluster
+whose nodes differ in capacity, carry reservations (some
+over-committing the soft dimensions) and include a dead node.
 """
 
 import pytest
@@ -106,7 +105,7 @@ def test_heap_key_is_distance_bit_for_bit(schema, config, ref_id):
     scheduler = RStormScheduler(**config)
     view = PackedClusterState(cluster)
     ref = cluster.node(ref_id)
-    key = scheduler._packed_distance(view, ref)
+    _, key = scheduler._distance_kernels(view, ref)
     assert len(view.nodes) == 11
     for demand in demands(schema):
         for i, node in enumerate(view.nodes):
@@ -125,7 +124,7 @@ def test_column_key_is_distance_bit_for_bit(schema, config, ref_id):
     scheduler = RStormScheduler(**config)
     view = PackedClusterState(cluster)
     ref = cluster.node(ref_id)
-    keys = scheduler._column_distance(view, ref)
+    keys, _ = scheduler._distance_kernels(view, ref)
     every = list(range(len(view.nodes)))
     for demand in demands(schema):
         # the whole alive set, and the pools the two tiers filter out
@@ -171,15 +170,6 @@ def test_dist_row_is_node_distance_bit_for_bit(schema, ref_id):
     for node_id, got in zip(view.node_ids, row):
         want = cluster.node_distance(ref_id, node_id)
         assert got.hex() == want.hex(), node_id
-
-
-@SCHEMAS
-def test_scores_are_per_node_scores_bit_for_bit(schema):
-    view = PackedClusterState(build_cluster(schema))
-    scores = view.scores
-    assert len(scores) == len(view.nodes)
-    for i, got in enumerate(scores):
-        assert got.hex() == view._score_of(i).hex(), view.node_ids[i]
 
 
 def test_cluster_exercises_overcommit_and_zero_capacity():
