@@ -1,50 +1,50 @@
 """Flow control: bounded queues, credit backpressure, load shedding.
 
-The open-loop traffic experiments (PR 6) showed what happens without
-flow control: past 1x offered load, queues grow without bound, p99
-end-to-end latency diverges, and eventually workers die of queue
-overflow.  This module is the missing robustness layer — the simulated
-counterpart of Storm 1.x backpressure plus DRS-style load shedding:
+Without flow control, open-loop traffic past 1x offered load grows
+queues without bound until p99 latency diverges and workers die of
+queue overflow.  This module is the simulated counterpart of Storm 1.x
+backpressure plus DRS-style load shedding:
 
-* **Bounded input queues.**  Every executor's input queue gets a
-  capacity (``queue_capacity`` batches).  Queue occupancy is the credit
-  currency below; nothing is ever silently discarded because of the
-  bound alone — what happens at the bound is the shedding policy's
-  decision.
-* **Credit-based backpressure.**  Every edge (producer component ->
-  consumer component) of a topology carries a :class:`CreditLedger`
-  sized to the total queue capacity of its consumer tasks.  Routing a
-  batch consumes one credit; the batch leaving the consumer's queue
-  (serviced or shed) returns it.  When an edge's outstanding credit
-  crosses the **high watermark**, the producer component *stalls*:
-  bolts stop draining their own input queues (so pressure propagates
-  upstream edge-by-edge), and spouts stop emitting.  When the edge
-  drains back under the **low watermark**, the producer resumes.  The
-  watermark gap is the hysteresis that prevents stall/resume flapping.
-* **Load shedding.**  A pluggable policy chain decides what happens to
-  a batch arriving at a full queue: ``none`` (never shed — backpressure
-  only; queues can still overshoot by in-flight deliveries), ``tail-drop``
-  (shed at capacity), or ``priority`` (shed *earlier* for low-priority
-  tenants, so gold traffic sheds last; thresholds come from the tenant
-  registry via :func:`tenant_priorities`).  Every shed batch lands in
-  an auditable :class:`ShedLedger` entry and the delivery-audit closure
-  is extended — every origin is acked, failed, exhausted **or shed**,
-  never silently dropped.
+* **Bounded input queues.**  Every executor's input queue holds
+  ``queue_capacity`` batches of credit.  What happens at the bound is
+  the shedding policy's decision; nothing is discarded by the bound
+  alone.
+* **Credit-based backpressure.**  Every producer -> consumer component
+  edge of a topology carries a :class:`CreditLedger` sized to the total
+  queue capacity of its consumer tasks.  Routing a batch consumes one
+  credit; the batch leaving the consumer's queue (serviced or shed)
+  returns it.  An edge over its **high watermark** stalls its producer
+  component: bolts stop draining their input queues (so pressure
+  propagates upstream edge by edge) and spouts stop emitting.  Back at
+  the **low watermark** the producer resumes; the gap is the hysteresis
+  that prevents flapping.
+* **Load shedding.**  A policy decides what happens to a batch arriving
+  at a full queue: ``none`` (backpressure only), ``tail-drop`` (shed at
+  capacity) or ``priority`` (low-priority tenants shed earlier, see
+  :func:`tenant_priorities`).  Every shed batch lands in the audited
+  :class:`ShedLedger`, and the delivery audit counts it: every origin
+  is acked, failed, exhausted **or shed**, never silently dropped.
 
-Everything here is opt-in: ``SimulationConfig.flow`` defaults to
-``None`` and the runtime's disabled path is byte-identical (CI-asserted
-by the ``backpressure`` smoke scenario).
+:class:`FlowControl` holds one run's layer.  It is opt-in:
+``SimulationConfig.flow`` defaults to ``None`` and the runtime's
+disabled path is byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
 
+if TYPE_CHECKING:
+    from repro.topology.task import Task
+    from repro.topology.topology import Topology
+
 __all__ = [
     "FlowControlConfig",
+    "FlowControl",
+    "FlowProducer",
     "CreditLedger",
     "ShedLedger",
     "ShedRecord",
@@ -169,19 +169,32 @@ class CreditLedger:
 
     __slots__ = (
         "pool", "outstanding", "sends", "drains", "stalled",
-        "stall_count", "_stall_at", "_resume_at",
+        "stall_count", "_stall_at", "_resume_at", "producer", "consumer",
     )
 
     def __init__(self, pool: int, high_watermark: float,
-                 low_watermark: float):
-        if pool < 1:
-            raise ValueError("credit pool must be >= 1")
-        self.pool = pool
+                 low_watermark: float,
+                 producer: Optional["FlowProducer"] = None,
+                 consumer: str = ""):
         self.outstanding = 0
         self.sends = 0
         self.drains = 0
         self.stalled = False
         self.stall_count = 0
+        #: the edge's ends inside a run: its producer component's stall
+        #: state and its consumer component's name
+        self.producer = producer
+        self.consumer = consumer
+        self.resize(pool, high_watermark, low_watermark)
+
+    def resize(self, pool: int, high_watermark: float,
+               low_watermark: float) -> None:
+        """Set the pool and its batch thresholds, keeping the counts
+        (a rescale changes the consumer's task count, not the batches
+        already sent), and re-derive the stall state against them."""
+        if pool < 1:
+            raise ValueError("credit pool must be >= 1")
+        self.pool = pool
         # Precomputed batch thresholds; >= _stall_at stalls, <=
         # _resume_at resumes.  _stall_at is at least 1 so a pool-of-one
         # edge still stalls, and _resume_at is strictly below _stall_at
@@ -190,6 +203,7 @@ class CreditLedger:
         self._resume_at = min(
             int(pool * low_watermark), self._stall_at - 1
         )
+        self.stalled = self.outstanding >= self._stall_at
 
     def send(self) -> bool:
         """Consume one credit; True when this send stalls the edge."""
@@ -230,6 +244,28 @@ class CreditLedger:
             f"CreditLedger(pool={self.pool}, outstanding={self.outstanding},"
             f" stalled={self.stalled})"
         )
+
+
+class FlowProducer:
+    """One producer component's backpressure state in a run.
+
+    Stall state is per component: a producer stalls when *any* of its
+    out edges is saturated, and resumes only when none is.
+    """
+
+    __slots__ = ("topology_id", "name", "is_spout", "tasks", "out",
+                 "stalled_edges")
+
+    def __init__(self, topology_id: str, name: str, is_spout: bool):
+        self.topology_id = topology_id
+        self.name = name
+        self.is_spout = is_spout
+        #: the component's live task runtimes
+        self.tasks: List = []
+        #: consumer component -> the edge's ledger
+        self.out: Dict[str, CreditLedger] = {}
+        #: out edges currently stalled
+        self.stalled_edges = 0
 
 
 @dataclass(frozen=True)
@@ -326,3 +362,74 @@ def make_policy(config: FlowControlConfig) -> SheddingPolicy:
     return SheddingPolicy(
         name="priority", capacity=capacity, thresholds=thresholds
     )
+
+
+class FlowControl:
+    """A run's flow layer: its shedding policy and shed ledger, and
+    every topology's credit edges.
+
+    Each edge's :class:`CreditLedger` is created once and referred to
+    by object from then on: the producer's routes hold it, and every
+    batch sent on the edge carries it until it drains.
+    """
+
+    __slots__ = ("config", "policy", "shed_ledger", "producers",
+                 "spout_stalls")
+
+    def __init__(self, config: FlowControlConfig):
+        self.config = config
+        #: the shedding policy; None when it never sheds
+        self.policy: Optional[SheddingPolicy] = (
+            None if config.shedding == "none" else make_policy(config)
+        )
+        self.shed_ledger = ShedLedger(config.shed_ledger_capacity)
+        #: topology id -> component -> its producer state
+        self.producers: Dict[str, Dict[str, FlowProducer]] = {}
+        #: stalled spout -> sim time its current stall began, in stall
+        #: order (the throttled-spout-time metric)
+        self.spout_stalls: Dict[FlowProducer, float] = {}
+
+    def size(
+        self, topology: "Topology", runtimes: Mapping["Task", object]
+    ) -> List[FlowProducer]:
+        """(Re)size ``topology``'s credit edges to its live generation.
+
+        Each edge's pool is ``queue_capacity`` times its consumer's task
+        count.  A rescale resizes the existing ledgers in place, so the
+        batches already queued or in flight keep their ledger and its
+        counts.  Returns the topology's producers in component-name
+        order, each bound to its live tasks (``runtimes[task]``) with
+        its stalled out edges recounted.
+        """
+        config = self.config
+        high, low = config.high_watermark, config.low_watermark
+        topology_id = topology.topology_id
+        producers = self.producers.setdefault(topology_id, {})
+        sized = []
+        for name in sorted({t.component for t in topology.tasks}):
+            producer = producers.get(name)
+            if producer is None:
+                producer = producers[name] = FlowProducer(
+                    topology_id, name, topology.component(name).is_spout
+                )
+            producer.tasks = [runtimes[t] for t in topology.tasks_of(name)]
+            for consumer in topology.downstream_of(name):
+                pool = config.queue_capacity * len(topology.tasks_of(consumer))
+                if consumer not in producer.out:
+                    producer.out[consumer] = CreditLedger(
+                        pool, high, low, producer, consumer
+                    )
+                producer.out[consumer].resize(pool, high, low)
+            producer.stalled_edges = sum(
+                ledger.stalled for ledger in producer.out.values()
+            )
+            sized.append(producer)
+        return sized
+
+    def edges(self, topology_id: str) -> Dict[Tuple[str, str], CreditLedger]:
+        """``(producer, consumer) -> ledger`` for one topology."""
+        return {
+            (producer.name, consumer): ledger
+            for producer in self.producers[topology_id].values()
+            for consumer, ledger in producer.out.items()
+        }

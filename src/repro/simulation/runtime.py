@@ -57,10 +57,9 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
 from repro.simulation.flowcontrol import (
     CreditLedger,
+    FlowControl,
     ShedLedger,
     ShedRecord,
-    SheddingPolicy,
-    make_policy,
 )
 from repro.simulation.metrics import StatisticServer
 from repro.simulation.network import TransferModel
@@ -130,16 +129,16 @@ class _OutRoute:
     ``levels``/``remote``/``local_indices`` are derived from placements
     and cached until ``levels_version`` falls behind the run's placement
     version — the distance matrix is immutable between migrations.
+    ``ledger`` is the edge's credit ledger (None when flow is off).
     """
 
-    __slots__ = ("consumer_component", "grouping", "consumers", "levels",
-                 "remote", "local_indices", "levels_version",
-                 "is_local_or_shuffle")
+    __slots__ = ("grouping", "consumers", "ledger", "levels", "remote",
+                 "local_indices", "levels_version", "is_local_or_shuffle")
 
-    def __init__(self, consumer_component, grouping, consumers):
-        self.consumer_component = consumer_component
+    def __init__(self, grouping, consumers, ledger):
         self.grouping = grouping
         self.consumers: List["_TaskRuntime"] = consumers
+        self.ledger: Optional[CreditLedger] = ledger
         self.levels: Optional[List[DistanceLevel]] = None
         #: parallel to ``levels``: does delivery i leave the node (NIC)?
         self.remote: Optional[List[bool]] = None
@@ -225,8 +224,7 @@ class _TopologyRuntime:
 
     __slots__ = ("topology", "topology_id", "assignment", "pending",
                  "next_root", "spouts", "origins_created",
-                 "origins_exhausted", "replays_outstanding", "origins_shed",
-                 "flow")
+                 "origins_exhausted", "replays_outstanding", "origins_shed")
 
     def __init__(self, topology: Topology, assignment: Assignment):
         self.topology = topology
@@ -249,32 +247,6 @@ class _TopologyRuntime:
         #: root tuples deliberately dropped by the shedding policy
         #: (ingress or queue stage) — audited, never silent
         self.origins_shed = 0
-        #: per-topology flow-control state; None unless config.flow is set
-        self.flow: Optional["_FlowState"] = None
-
-
-class _FlowState:
-    """Per-topology flow-control state (built only when flow is on).
-
-    Credit ledgers live at *component* granularity: one ledger per
-    (producer component -> consumer component) edge, with a pool sized
-    to ``queue_capacity`` times the consumer's task count.  Stall state
-    is likewise per component — a producer stalls when *any* of its out
-    edges is saturated and resumes only when none are.
-    """
-
-    __slots__ = ("edges", "tasks_of", "stalled_edges", "spout_stalled_since")
-
-    def __init__(self) -> None:
-        #: (producer component, consumer component) -> edge ledger
-        self.edges: Dict[Tuple[str, str], CreditLedger] = {}
-        #: component name -> its live task runtimes
-        self.tasks_of: Dict[str, List[_TaskRuntime]] = {}
-        #: producer component -> number of its out edges currently stalled
-        self.stalled_edges: Dict[str, int] = {}
-        #: spout component -> sim time its current stall began (for the
-        #: throttled-spout-time metric)
-        self.spout_stalled_since: Dict[str, float] = {}
 
 
 class SimulationRun:
@@ -322,21 +294,15 @@ class SimulationRun:
         self._replay_backoff = self.config.replay_backoff_s
         self._arrival = self.config.arrival_process
         self._open_loop = self._arrival is not None
-        # Flow control (None on the default path: every hot-path hook is
-        # guarded on ``self._fc is None`` so disabled runs stay
-        # byte-identical).
-        self._fc = self.config.flow
-        #: the shedding policy; None when flow is off or never sheds
-        self._fc_shed: Optional[SheddingPolicy] = None
-        self._fc_ledger: Optional[ShedLedger] = None
-        if self._fc is not None:
-            if self._fc.shedding != "none":
-                self._fc_shed = make_policy(self._fc)
-            self._fc_ledger = ShedLedger(self._fc.shed_ledger_capacity)
+        #: the flow layer; None on the default path, where routes carry
+        #: no ledger and disabled runs stay byte-identical.
+        self._flow: Optional[FlowControl] = (
+            None if self.config.flow is None else FlowControl(self.config.flow)
+        )
         #: origin audit counters are maintained whenever either layer
         #: that resolves origins explicitly (at-least-once replay, flow
         #: shedding) is on — equal to ``_at_least_once`` when flow is off.
-        self._track_origins = self._at_least_once or self._fc is not None
+        self._track_origins = self._at_least_once or self._flow is not None
         if self._open_loop:
             # Open-loop spouts emit only what arrives; every closed-loop
             # credit/rate trigger (acks, sweeps, revivals) is a no-op.
@@ -362,9 +328,9 @@ class SimulationRun:
         topo_rt = _TopologyRuntime(topology, assignment)
         runtimes = self._spawn_tasks(topo_rt, topology.tasks, targets)
         topo_rt.spouts = [rt for rt in runtimes if rt.is_spout]
-        self._wire_routes(topology)
-        if self._fc is not None:
+        if self._flow is not None:
             self._init_flow(topo_rt)
+        self._wire_routes(topology)
         self._topologies.append(topo_rt)
 
     def _targets(
@@ -412,11 +378,17 @@ class SimulationRun:
         consumer sets.  Each downstream component subscribed to a
         producer's stream receives a copy of it; the producer holds a
         fresh grouping instance per route so routing state is
-        per-producer, as in Storm."""
+        per-producer, as in Storm.  With flow on, every route of a
+        producer component shares the edge's ledger."""
         runtimes = self._task_runtimes
+        producers = (
+            None if self._flow is None
+            else self._flow.producers[topology.topology_id]
+        )
         for task in topology.tasks:
             producer = runtimes[task]
             producer.out_routes = []
+            ledgers = {} if producers is None else producers[task.component].out
             for consumer_name in topology.downstream_of(task.component):
                 subscription = next(
                     sub
@@ -428,74 +400,41 @@ class SimulationRun:
                 ]
                 producer.out_routes.append(
                     _OutRoute(
-                        consumer_name,
                         subscription.grouping.fresh(),
                         consumers,
+                        ledgers.get(consumer_name),
                     )
                 )
 
     def _init_flow(self, topo_rt: _TopologyRuntime) -> None:
-        """(Re)build a topology's credit ledgers from its live generation.
+        """(Re)size a topology's credit edges to its live generation.
 
         Called at construction and again after a :meth:`rescale` (pool
-        sizes follow consumer parallelism).  On rebuild, per-edge
-        outstanding/send/drain counts carry over so credits held by
-        batches already queued or in flight stay conserved; stall state
-        is then re-derived against the new thresholds and every task's
-        ``fc_paused`` flag refreshed.
+        sizes follow consumer parallelism).  The ledgers are resized in
+        place, so credits held by batches already queued or in flight
+        stay conserved; stall state is re-derived against the new
+        thresholds and every task's ``fc_paused`` flag refreshed.
         """
-        flow = self._fc
-        topology = topo_rt.topology
-        old = topo_rt.flow
-        fc = _FlowState()
-        names = sorted({t.component for t in topology.tasks})
-        for name in names:
-            fc.tasks_of[name] = [
-                self._task_runtimes[t] for t in topology.tasks_of(name)
-            ]
-            for consumer_name in topology.downstream_of(name):
-                pool = flow.queue_capacity * len(
-                    topology.tasks_of(consumer_name)
-                )
-                ledger = CreditLedger(
-                    pool, flow.high_watermark, flow.low_watermark
-                )
-                if old is not None:
-                    prev = old.edges.get((name, consumer_name))
-                    if prev is not None:
-                        ledger.outstanding = prev.outstanding
-                        ledger.sends = prev.sends
-                        ledger.drains = prev.drains
-                        ledger.stall_count = prev.stall_count
-                        ledger.stalled = (
-                            ledger.outstanding >= ledger._stall_at
-                        )
-                fc.edges[(name, consumer_name)] = ledger
-        for (producer_name, _), ledger in fc.edges.items():
-            if ledger.stalled:
-                fc.stalled_edges[producer_name] = (
-                    fc.stalled_edges.get(producer_name, 0) + 1
-                )
-        for name in names:
-            paused = fc.stalled_edges.get(name, 0) > 0
-            for rt in fc.tasks_of[name]:
+        flow = self._flow
+        topology_id = topo_rt.topology_id
+        rebuilt = topology_id in flow.producers
+        producers = flow.size(topo_rt.topology, self._task_runtimes)
+        for producer in producers:
+            paused = producer.stalled_edges > 0
+            for rt in producer.tasks:
                 rt.fc_paused = paused
-        topo_rt.flow = fc
-        if old is not None:
-            # Carry open stall intervals for spouts still stalled; close
-            # (and account) the intervals of spouts the rebuild resumed.
+        if rebuilt:
+            # Close (and account) the stall intervals of spouts the
+            # resize resumed; tasks it un-paused must drain again.
             now = self.sim.now
-            for name, since in old.spout_stalled_since.items():
-                if fc.stalled_edges.get(name, 0) > 0:
-                    fc.spout_stalled_since[name] = since
-                else:
-                    self.stats.record_spout_throttle(
-                        topo_rt.topology_id, now - since
-                    )
-            # Tasks the rebuild un-paused must drain again.
-            for name in names:
-                if fc.stalled_edges.get(name, 0) == 0:
-                    self._fc_restart(fc.tasks_of[name])
+            stalls = flow.spout_stalls
+            for spout, since in list(stalls.items()):
+                if spout.topology_id == topology_id and not spout.stalled_edges:
+                    del stalls[spout]
+                    self.stats.record_spout_throttle(topology_id, now - since)
+            for producer in producers:
+                if not producer.stalled_edges:
+                    self._fc_restart(producer.tasks)
 
     def _recompute_node_factors(self) -> None:
         """Thrash and context-switch factors from current placements.
@@ -680,7 +619,7 @@ class SimulationRun:
         topo_rt.spouts = [self._task_runtimes[t] for t in sorted(new_spouts)]
         self._placement_version += 1
         self._recompute_node_factors()
-        if self._fc is not None:
+        if self._flow is not None:
             self._init_flow(topo_rt)
         for spout in topo_rt.spouts:
             if spout.alive:
@@ -849,9 +788,10 @@ class SimulationRun:
         self.stats.record_offered(topo_id, now, tuples)
         self._arrival_log.append((source, now, tuples, key))
         if spout.alive and spout.node.node.alive:
-            fc_shed = self._fc_shed
-            if fc_shed is not None and fc_shed.should_shed(
-                topo_id, len(spout.work)
+            flow = self._flow
+            if (
+                flow is not None and flow.policy is not None
+                and flow.policy.should_shed(topo_id, len(spout.work))
             ):
                 # Ingress shedding: the batch is refused at the spout's
                 # bounded queue before it ever becomes a tuple tree —
@@ -960,12 +900,11 @@ class SimulationRun:
         revival can emit again.
         """
         task.alive = False
-        fc_on = self._fc is not None
         for kind, payload in task.work:
             if kind == _REPLAY:
                 self._abandon_replay(task.topo, payload[0])
-            elif kind == _PROCESS and fc_on:
-                self._fc_drain(task.topo, payload[3], task.component.name)
+            elif kind == _PROCESS and payload[3] is not None:
+                self._fc_drain(payload[3])
         task.work.clear()
         task.emit_blocked = False
         task.emit_timer_set = False
@@ -1001,7 +940,6 @@ class SimulationRun:
         seq = sim.seq
         now = sim.now
         complete = self._complete
-        fc_on = self._fc is not None
         while node.alive and node_rt.active < cores and ready:
             task = ready.popleft()
             task.queued = False
@@ -1012,10 +950,11 @@ class SimulationRun:
             kind, payload = task.work.popleft()
             per_tuple_ms = task.profile.cpu_ms_per_tuple
             if kind == _PROCESS:
-                if fc_on:
-                    # The batch left its bounded input queue: return the
-                    # edge credit (may resume a stalled upstream producer).
-                    self._fc_drain(task.topo, payload[3], task.component.name)
+                ledger = payload[3]
+                if ledger is not None and ledger.drain():
+                    # The batch left its bounded input queue and returned
+                    # the edge credit that resumes its upstream producer.
+                    self._fc_resume(ledger)
                 tuples = payload[1]
                 if payload[2] is not _INTRA_PROCESS:
                     # Tuples from another worker process arrive serialised
@@ -1298,8 +1237,6 @@ class SimulationRun:
         num_bytes = tuples * producer.profile.tuple_bytes
         version = self._placement_version
         producer_node_id = producer.slot.node_id
-        fc = producer.topo.flow
-        src = producer.component.name
         # Hoisted bound methods: one lookup per routed batch instead of
         # one per delivery.
         transfer_model = self.transfer
@@ -1314,6 +1251,7 @@ class SimulationRun:
             consumers = route.consumers
             levels = route.levels
             remote = route.remote
+            ledger = route.ledger
             targets = route.grouping.route(
                 len(consumers), key=route_key,
                 local_indices=route.local_indices,
@@ -1356,19 +1294,17 @@ class SimulationRun:
                         self.stats.record_duplicate(
                             producer.topo.topology_id, tuples
                         )
-                        if fc is not None:
-                            # Ghost copies occupy real queue space too.
-                            self._fc_send(
-                                producer.topo, src, route.consumer_component
-                            )
+                        # Ghost copies occupy real queue space too.
+                        if ledger is not None and ledger.send():
+                            self._fc_stall(ledger)
                         schedule_at(
                             dup_arrival, deliver, consumer, _GHOST_ROOT,
-                            tuples, level, src,
+                            tuples, level, ledger,
                         )
-                if fc is not None:
-                    self._fc_send(producer.topo, src, route.consumer_component)
+                if ledger is not None and ledger.send():
+                    self._fc_stall(ledger)
                 schedule_at(
-                    arrival, deliver, consumer, root_id, tuples, level, src
+                    arrival, deliver, consumer, root_id, tuples, level, ledger
                 )
         return deliveries
 
@@ -1378,7 +1314,7 @@ class SimulationRun:
         root_id: int,
         tuples: int,
         level: DistanceLevel,
-        src: str,
+        ledger: Optional[CreditLedger],
     ) -> None:
         if self.observer is not None:
             self.observer(TraceEvent(
@@ -1387,21 +1323,24 @@ class SimulationRun:
             ))
         if not consumer.alive or not consumer.node.node.alive:
             self.stats.record_dropped()
-            if self._fc is not None:
+            if ledger is not None:
                 # The batch consumed an edge credit when routed; a dead
                 # consumer never drains it, so return it here.
-                self._fc_drain(consumer.topo, src, consumer.component.name)
+                self._fc_drain(ledger)
             return  # the root will time out and return spout credit
-        fc_shed = self._fc_shed
-        if fc_shed is not None and fc_shed.should_shed(
-            consumer.topo.topology_id, len(consumer.work)
+        flow = self._flow
+        if (
+            flow is not None and flow.policy is not None
+            and flow.policy.should_shed(
+                consumer.topo.topology_id, len(consumer.work)
+            )
         ):
-            self._fc_drain(consumer.topo, src, consumer.component.name)
+            self._fc_drain(ledger)
             self._shed_delivery(consumer, root_id, tuples)
             return
         # _push_work inlined: the per-delivery hot path.
         work = consumer.work
-        work.append((_PROCESS, (root_id, tuples, level, src)))
+        work.append((_PROCESS, (root_id, tuples, level, ledger)))
         overflow = self._overflow
         if overflow is not None and len(work) > overflow:
             self._crash_task(consumer)
@@ -1417,81 +1356,60 @@ class SimulationRun:
 
     # -- flow control (all paths below only run when config.flow is set) ---
 
-    def _fc_send(
-        self, topo_rt: _TopologyRuntime, producer: str, consumer: str
-    ) -> None:
-        """Consume one credit on an edge; stall its producer component
-        when this send crosses the high watermark."""
-        fc = topo_rt.flow
-        ledger = fc.edges.get((producer, consumer))
-        if ledger is None:  # pragma: no cover - defensive
-            return
-        if ledger.send():
-            self.stats.record_credit_stall(
-                topo_rt.topology_id, producer, consumer
-            )
-            count = fc.stalled_edges.get(producer, 0) + 1
-            fc.stalled_edges[producer] = count
-            if count == 1:
-                self._fc_stall(topo_rt, producer, consumer)
-
-    def _fc_drain(
-        self, topo_rt: _TopologyRuntime, producer: str, consumer: str
-    ) -> None:
-        """Return one credit on an edge; resume its producer component
-        when this drain falls back to the low watermark and no other out
-        edge of the producer is still stalled."""
-        fc = topo_rt.flow
-        ledger = fc.edges.get((producer, consumer))
-        if ledger is None:  # pragma: no cover - defensive
-            return
+    def _fc_drain(self, ledger: CreditLedger) -> None:
+        """Return one credit on an edge (a batch left its consumer's
+        queue without being serviced)."""
         if ledger.drain():
-            count = fc.stalled_edges.get(producer, 1) - 1
-            fc.stalled_edges[producer] = count
-            if count == 0:
-                self._fc_resume(topo_rt, producer, consumer)
+            self._fc_resume(ledger)
 
-    def _fc_stall(
-        self, topo_rt: _TopologyRuntime, producer: str, consumer: str
-    ) -> None:
-        """Backpressure bites: pause every task of ``producer``.
+    def _fc_stall(self, ledger: CreditLedger) -> None:
+        """An edge crossed its high watermark.  On its producer's first
+        stalled out edge, backpressure bites: every task of the producer
+        pauses.
 
         Paused bolts stop draining their own input queues, so their
         upstream edges fill next — pressure propagates edge-by-edge until
         it reaches the spouts, which stop emitting.
         """
+        producer = ledger.producer
+        self.stats.record_credit_stall(
+            producer.topology_id, producer.name, ledger.consumer
+        )
+        producer.stalled_edges += 1
+        if producer.stalled_edges > 1:
+            return
+        now = self.sim.now
         if self.observer is not None:
             self.observer(TraceEvent(
-                self.sim.now, EventKind.STALL, topo_rt.topology_id,
-                component=producer, peer=consumer,
+                now, EventKind.STALL, producer.topology_id,
+                component=producer.name, peer=ledger.consumer,
             ))
-        fc = topo_rt.flow
-        tasks = fc.tasks_of.get(producer, ())
-        for rt in tasks:
+        for rt in producer.tasks:
             rt.fc_paused = True
-        if tasks and tasks[0].is_spout:
-            fc.spout_stalled_since.setdefault(producer, self.sim.now)
+        if producer.is_spout:
+            self._flow.spout_stalls.setdefault(producer, now)
 
-    def _fc_resume(
-        self, topo_rt: _TopologyRuntime, producer: str, consumer: str
-    ) -> None:
-        """Backpressure releases: unpause ``producer`` and restart its
-        tasks (spouts re-emit, bolts drain their backlog)."""
+    def _fc_resume(self, ledger: CreditLedger) -> None:
+        """An edge fell back to its low watermark.  Once no out edge of
+        its producer is stalled, backpressure releases: the producer
+        unpauses and its tasks restart (spouts re-emit, bolts drain
+        their backlog)."""
+        producer = ledger.producer
+        producer.stalled_edges -= 1
+        if producer.stalled_edges:
+            return
+        now = self.sim.now
         if self.observer is not None:
             self.observer(TraceEvent(
-                self.sim.now, EventKind.RESUME, topo_rt.topology_id,
-                component=producer, peer=consumer,
+                now, EventKind.RESUME, producer.topology_id,
+                component=producer.name, peer=ledger.consumer,
             ))
-        fc = topo_rt.flow
-        tasks = fc.tasks_of.get(producer, ())
-        for rt in tasks:
+        for rt in producer.tasks:
             rt.fc_paused = False
-        since = fc.spout_stalled_since.pop(producer, None)
+        since = self._flow.spout_stalls.pop(producer, None)
         if since is not None:
-            self.stats.record_spout_throttle(
-                topo_rt.topology_id, self.sim.now - since
-            )
-        self._fc_restart(tasks)
+            self.stats.record_spout_throttle(producer.topology_id, now - since)
+        self._fc_restart(producer.tasks)
 
     def _fc_restart(self, tasks: Sequence[_TaskRuntime]) -> None:
         """Restart un-paused tasks (after a resume or a ledger rebuild):
@@ -1545,25 +1463,23 @@ class SimulationRun:
                 tuples=tuples, reason=stage,
             ))
         self.stats.record_shed(topology_id, component, stage, now, tuples)
-        self._fc_ledger.record(
-            ShedRecord(
-                now, topology_id, component, stage, tuples,
-                self._fc_shed.name,
-            )
-        )
+        flow = self._flow
+        flow.shed_ledger.record(ShedRecord(
+            now, topology_id, component, stage, tuples, flow.policy.name
+        ))
 
     def shed_ledger(self) -> Optional[ShedLedger]:
         """The run's audited shed ledger (None when flow is off)."""
-        return self._fc_ledger
+        return None if self._flow is None else self._flow.shed_ledger
 
     def flow_edges(self, topology_id: str) -> Dict[Tuple[str, str], CreditLedger]:
         """Per-edge credit ledgers (tests/diagnostics; flow on only)."""
-        topo_rt = self._topology_runtime(topology_id)
-        if topo_rt.flow is None:
+        self._topology_runtime(topology_id)
+        if self._flow is None:
             raise SimulationError(
                 f"flow control is not enabled for {topology_id!r}"
             )
-        return dict(topo_rt.flow.edges)
+        return self._flow.edges(topology_id)
 
     # -- ack timeout sweep -------------------------------------------------------------
 
