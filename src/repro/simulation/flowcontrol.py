@@ -365,13 +365,10 @@ def make_policy(config: FlowControlConfig) -> SheddingPolicy:
 
 
 class FlowControl:
-    """A run's flow layer: its shedding policy and shed ledger, and
-    every topology's credit edges.
-
-    Each edge's :class:`CreditLedger` is created once and referred to
-    by object from then on: the producer's routes hold it, and every
-    batch sent on the edge carries it until it drains.
-    """
+    """A run's flow layer: its shedding policy, its shed ledger and
+    every topology's credit edges.  An edge's :class:`CreditLedger` is
+    created once; the producer's routes hold it, and every batch sent
+    on the edge carries it until it drains."""
 
     __slots__ = ("config", "policy", "shed_ledger", "producers",
                  "spout_stalls")
@@ -392,26 +389,21 @@ class FlowControl:
     def size(
         self, topology: "Topology", runtimes: Mapping["Task", object]
     ) -> List[FlowProducer]:
-        """(Re)size ``topology``'s credit edges to its live generation.
-
-        Each edge's pool is ``queue_capacity`` times its consumer's task
-        count.  A rescale resizes the existing ledgers in place, so the
-        batches already queued or in flight keep their ledger and its
-        counts.  Returns the topology's producers in component-name
-        order, each bound to its live tasks (``runtimes[task]``) with
-        its stalled out edges recounted.
-        """
+        """(Re)size ``topology``'s credit edges to its live generation:
+        each pool is ``queue_capacity`` times the consumer's task count.
+        Returns the topology's producers in component-name order, each
+        bound to its live tasks (``runtimes[task]``) with its stalled
+        out edges recounted."""
         config = self.config
         high, low = config.high_watermark, config.low_watermark
         topology_id = topology.topology_id
         producers = self.producers.setdefault(topology_id, {})
         sized = []
         for name in sorted({t.component for t in topology.tasks}):
-            producer = producers.get(name)
-            if producer is None:
-                producer = producers[name] = FlowProducer(
-                    topology_id, name, topology.component(name).is_spout
-                )
+            if name not in producers:
+                is_spout = topology.component(name).is_spout
+                producers[name] = FlowProducer(topology_id, name, is_spout)
+            producer = producers[name]
             producer.tasks = [runtimes[t] for t in topology.tasks_of(name)]
             for consumer in topology.downstream_of(name):
                 pool = config.queue_capacity * len(topology.tasks_of(consumer))
@@ -425,11 +417,3 @@ class FlowControl:
             )
             sized.append(producer)
         return sized
-
-    def edges(self, topology_id: str) -> Dict[Tuple[str, str], CreditLedger]:
-        """``(producer, consumer) -> ledger`` for one topology."""
-        return {
-            (producer.name, consumer): ledger
-            for producer in self.producers[topology_id].values()
-            for consumer, ledger in producer.out.items()
-        }

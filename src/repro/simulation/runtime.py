@@ -381,14 +381,12 @@ class SimulationRun:
         per-producer, as in Storm.  With flow on, every route of a
         producer component shares the edge's ledger."""
         runtimes = self._task_runtimes
-        producers = (
-            None if self._flow is None
-            else self._flow.producers[topology.topology_id]
-        )
+        flow = self._flow
+        producers = {} if flow is None else flow.producers[topology.topology_id]
         for task in topology.tasks:
             producer = runtimes[task]
             producer.out_routes = []
-            ledgers = {} if producers is None else producers[task.component].out
+            ledgers = producers[task.component].out if producers else {}
             for consumer_name in topology.downstream_of(task.component):
                 subscription = next(
                     sub
@@ -409,11 +407,11 @@ class SimulationRun:
     def _init_flow(self, topo_rt: _TopologyRuntime) -> None:
         """(Re)size a topology's credit edges to its live generation.
 
-        Called at construction and again after a :meth:`rescale` (pool
-        sizes follow consumer parallelism).  The ledgers are resized in
-        place, so credits held by batches already queued or in flight
-        stay conserved; stall state is re-derived against the new
-        thresholds and every task's ``fc_paused`` flag refreshed.
+        Called at construction and after a :meth:`rescale` (pools follow
+        consumer parallelism).  Ledgers are resized in place, so batches
+        already queued or in flight keep theirs; stall state is
+        re-derived against the new thresholds and every task's
+        ``fc_paused`` flag refreshed.
         """
         flow = self._flow
         topology_id = topo_rt.topology_id
@@ -789,9 +787,8 @@ class SimulationRun:
         self._arrival_log.append((source, now, tuples, key))
         if spout.alive and spout.node.node.alive:
             flow = self._flow
-            if (
-                flow is not None and flow.policy is not None
-                and flow.policy.should_shed(topo_id, len(spout.work))
+            if flow is not None and flow.policy is not None and (
+                flow.policy.should_shed(topo_id, len(spout.work))
             ):
                 # Ingress shedding: the batch is refused at the spout's
                 # bounded queue before it ever becomes a tuple tree —
@@ -904,7 +901,9 @@ class SimulationRun:
             if kind == _REPLAY:
                 self._abandon_replay(task.topo, payload[0])
             elif kind == _PROCESS and payload[3] is not None:
-                self._fc_drain(payload[3])
+                # The lost batch returns its edge credit.
+                if payload[3].drain():
+                    self._fc_resume(payload[3])
         task.work.clear()
         task.emit_blocked = False
         task.emit_timer_set = False
@@ -1323,19 +1322,17 @@ class SimulationRun:
             ))
         if not consumer.alive or not consumer.node.node.alive:
             self.stats.record_dropped()
-            if ledger is not None:
-                # The batch consumed an edge credit when routed; a dead
-                # consumer never drains it, so return it here.
-                self._fc_drain(ledger)
+            # The batch consumed an edge credit when routed; a dead
+            # consumer never drains it, so return it here.
+            if ledger is not None and ledger.drain():
+                self._fc_resume(ledger)
             return  # the root will time out and return spout credit
         flow = self._flow
-        if (
-            flow is not None and flow.policy is not None
-            and flow.policy.should_shed(
-                consumer.topo.topology_id, len(consumer.work)
-            )
+        if flow is not None and flow.policy is not None and (
+            flow.policy.should_shed(consumer.topo.topology_id, len(consumer.work))
         ):
-            self._fc_drain(ledger)
+            if ledger.drain():
+                self._fc_resume(ledger)
             self._shed_delivery(consumer, root_id, tuples)
             return
         # _push_work inlined: the per-delivery hot path.
@@ -1356,21 +1353,11 @@ class SimulationRun:
 
     # -- flow control (all paths below only run when config.flow is set) ---
 
-    def _fc_drain(self, ledger: CreditLedger) -> None:
-        """Return one credit on an edge (a batch left its consumer's
-        queue without being serviced)."""
-        if ledger.drain():
-            self._fc_resume(ledger)
-
     def _fc_stall(self, ledger: CreditLedger) -> None:
         """An edge crossed its high watermark.  On its producer's first
-        stalled out edge, backpressure bites: every task of the producer
-        pauses.
-
-        Paused bolts stop draining their own input queues, so their
-        upstream edges fill next — pressure propagates edge-by-edge until
-        it reaches the spouts, which stop emitting.
-        """
+        stalled out edge, every task of the producer pauses: paused
+        bolts stop draining their input queues, so their upstream edges
+        fill next, until the spouts stop emitting."""
         producer = ledger.producer
         self.stats.record_credit_stall(
             producer.topology_id, producer.name, ledger.consumer
@@ -1479,7 +1466,11 @@ class SimulationRun:
             raise SimulationError(
                 f"flow control is not enabled for {topology_id!r}"
             )
-        return self._flow.edges(topology_id)
+        return {
+            (producer.name, consumer): ledger
+            for producer in self._flow.producers[topology_id].values()
+            for consumer, ledger in producer.out.items()
+        }
 
     # -- ack timeout sweep -------------------------------------------------------------
 
