@@ -188,10 +188,13 @@ class CreditLedger:
         self.resize(pool, high_watermark, low_watermark)
 
     def resize(self, pool: int, high_watermark: float,
-               low_watermark: float) -> None:
-        """Set the pool and its batch thresholds, keeping the counts
-        (a rescale changes the consumer's task count, not the batches
-        already sent), and re-derive the stall state against them."""
+               low_watermark: float) -> bool:
+        """Set the pool and its batch thresholds, keeping the counts (a
+        rescale changes the consumer's task count, not the batches
+        already sent).  True when the new thresholds stall or resume
+        the edge: an open edge at or over the new stall threshold
+        stalls, and a stalled edge resumes only at or under the new
+        resume threshold, as a send or a drain would."""
         if pool < 1:
             raise ValueError("credit pool must be >= 1")
         self.pool = pool
@@ -203,7 +206,13 @@ class CreditLedger:
         self._resume_at = min(
             int(pool * low_watermark), self._stall_at - 1
         )
-        self.stalled = self.outstanding >= self._stall_at
+        was = self.stalled
+        if was:
+            self.stalled = self.outstanding > self._resume_at
+        elif self.outstanding >= self._stall_at:
+            self.stalled = True
+            self.stall_count += 1
+        return self.stalled != was
 
     def send(self) -> bool:
         """Consume one credit; True when this send stalls the edge."""
@@ -254,7 +263,7 @@ class FlowProducer:
     """
 
     __slots__ = ("topology_id", "name", "is_spout", "tasks", "out",
-                 "stalled_edges")
+                 "stalled_edges", "stalled_since")
 
     def __init__(self, topology_id: str, name: str, is_spout: bool):
         self.topology_id = topology_id
@@ -266,6 +275,9 @@ class FlowProducer:
         self.out: Dict[str, CreditLedger] = {}
         #: out edges currently stalled
         self.stalled_edges = 0
+        #: sim time the current stall began (read for spouts: the
+        #: throttled-spout-time metric)
+        self.stalled_since = 0.0
 
 
 @dataclass(frozen=True)
@@ -370,8 +382,7 @@ class FlowControl:
     created once; the producer's routes hold it, and every batch sent
     on the edge carries it until it drains."""
 
-    __slots__ = ("config", "policy", "shed_ledger", "producers",
-                 "spout_stalls")
+    __slots__ = ("config", "policy", "shed_ledger", "producers")
 
     def __init__(self, config: FlowControlConfig):
         self.config = config
@@ -382,23 +393,20 @@ class FlowControl:
         self.shed_ledger = ShedLedger(config.shed_ledger_capacity)
         #: topology id -> component -> its producer state
         self.producers: Dict[str, Dict[str, FlowProducer]] = {}
-        #: stalled spout -> sim time its current stall began, in stall
-        #: order (the throttled-spout-time metric)
-        self.spout_stalls: Dict[FlowProducer, float] = {}
 
     def size(
         self, topology: "Topology", runtimes: Mapping["Task", object]
-    ) -> List[FlowProducer]:
+    ) -> List[CreditLedger]:
         """(Re)size ``topology``'s credit edges to its live generation:
         each pool is ``queue_capacity`` times the consumer's task count.
-        Returns the topology's producers in component-name order, each
-        bound to its live tasks (``runtimes[task]``) with its stalled
-        out edges recounted."""
+        Binds each producer to its live tasks (``runtimes[task]``) and
+        returns the ledgers the resize stalled or resumed, in
+        component-name order, for the caller to apply."""
         config = self.config
         high, low = config.high_watermark, config.low_watermark
         topology_id = topology.topology_id
         producers = self.producers.setdefault(topology_id, {})
-        sized = []
+        flipped = []
         for name in sorted({t.component for t in topology.tasks}):
             if name not in producers:
                 is_spout = topology.component(name).is_spout
@@ -411,9 +419,6 @@ class FlowControl:
                     producer.out[consumer] = CreditLedger(
                         pool, high, low, producer, consumer
                     )
-                producer.out[consumer].resize(pool, high, low)
-            producer.stalled_edges = sum(
-                ledger.stalled for ledger in producer.out.values()
-            )
-            sized.append(producer)
-        return sized
+                if producer.out[consumer].resize(pool, high, low):
+                    flipped.append(producer.out[consumer])
+        return flipped

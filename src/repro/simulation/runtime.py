@@ -32,9 +32,10 @@ the engine heap (the Simulator's direct-push contract).
 Each control-plane transition has one body for all its callers:
 ``_spawn_tasks``/``_wire_routes`` build task runtimes and routes,
 ``_rebind`` moves tasks (migrate, rescale), ``_teardown`` kills a task
-(node failure, overflow crash, rescale removal) and ``_fc_restart``
-restarts un-paused tasks.  ``_targets`` validates a placement before
-any task changes.
+(node failure, overflow crash, rescale removal), and ``_fc_stall`` and
+``_fc_resume`` pause and restart a producer (a send, a drain or a
+rescale's resize crossing a watermark).  ``_targets`` validates a
+placement before any task changes.
 
 Each traced transition tests the run's ``observer`` slot and, when it is
 set, hands it one :class:`~repro.simulation.tracing.TraceEvent`.
@@ -409,30 +410,20 @@ class SimulationRun:
 
         Called at construction and after a :meth:`rescale` (pools follow
         consumer parallelism).  Ledgers are resized in place, so batches
-        already queued or in flight keep theirs; stall state is
-        re-derived against the new thresholds and every task's
-        ``fc_paused`` flag refreshed.
+        already queued or in flight keep theirs.  Every task takes its
+        producer's pause state; an edge the new thresholds stall or
+        resume goes through :meth:`_fc_stall` or :meth:`_fc_resume`.
         """
         flow = self._flow
-        topology_id = topo_rt.topology_id
-        rebuilt = topology_id in flow.producers
-        producers = flow.size(topo_rt.topology, self._task_runtimes)
-        for producer in producers:
-            paused = producer.stalled_edges > 0
+        flipped = flow.size(topo_rt.topology, self._task_runtimes)
+        for producer in flow.producers[topo_rt.topology_id].values():
             for rt in producer.tasks:
-                rt.fc_paused = paused
-        if rebuilt:
-            # Close (and account) the stall intervals of spouts the
-            # resize resumed; tasks it un-paused must drain again.
-            now = self.sim.now
-            stalls = flow.spout_stalls
-            for spout, since in list(stalls.items()):
-                if spout.topology_id == topology_id and not spout.stalled_edges:
-                    del stalls[spout]
-                    self.stats.record_spout_throttle(topology_id, now - since)
-            for producer in producers:
-                if not producer.stalled_edges:
-                    self._fc_restart(producer.tasks)
+                rt.fc_paused = producer.stalled_edges > 0
+        for ledger in flipped:
+            if ledger.stalled:
+                self._fc_stall(ledger)
+            else:
+                self._fc_resume(ledger)
 
     def _recompute_node_factors(self) -> None:
         """Thrash and context-switch factors from current placements.
@@ -1373,14 +1364,13 @@ class SimulationRun:
             ))
         for rt in producer.tasks:
             rt.fc_paused = True
-        if producer.is_spout:
-            self._flow.spout_stalls.setdefault(producer, now)
+        producer.stalled_since = now
 
     def _fc_resume(self, ledger: CreditLedger) -> None:
         """An edge fell back to its low watermark.  Once no out edge of
         its producer is stalled, backpressure releases: the producer
-        unpauses and its tasks restart (spouts re-emit, bolts drain
-        their backlog)."""
+        unpauses and its live tasks restart (spouts emit again, tasks
+        with a backlog drain it)."""
         producer = ledger.producer
         producer.stalled_edges -= 1
         if producer.stalled_edges:
@@ -1393,15 +1383,11 @@ class SimulationRun:
             ))
         for rt in producer.tasks:
             rt.fc_paused = False
-        since = self._flow.spout_stalls.pop(producer, None)
-        if since is not None:
-            self.stats.record_spout_throttle(producer.topology_id, now - since)
-        self._fc_restart(producer.tasks)
-
-    def _fc_restart(self, tasks: Sequence[_TaskRuntime]) -> None:
-        """Restart un-paused tasks (after a resume or a ledger rebuild):
-        live spouts emit again, live tasks with a backlog drain it."""
-        for rt in tasks:
+        if producer.is_spout:
+            self.stats.record_spout_throttle(
+                producer.topology_id, now - producer.stalled_since
+            )
+        for rt in producer.tasks:
             if not rt.alive or not rt.node.node.alive:
                 continue
             if rt.is_spout:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.cluster import emulab_testbed
 from repro.errors import SimulationError
+from repro.scheduler.assignment import Assignment
 from repro.scheduler.rstorm import RStormScheduler
 from repro.simulation.config import SimulationConfig
 from repro.simulation.flowcontrol import FlowControlConfig
@@ -47,6 +48,22 @@ def overloaded_run(flow, rate_tps=375.0, duration_s=40.0, tracer=None,
     return run, report
 
 
+def stall_resume_kinds(tracer):
+    """Each edge's stall/resume event kinds, in order."""
+    per_edge = {}
+    for event in tracer.events():
+        if event.kind in ("stall", "resume"):
+            edge = (event.component, event.peer)
+            per_edge.setdefault(edge, []).append(event.kind)
+    return per_edge
+
+
+def assert_alternates(kinds, edge):
+    for i, kind in enumerate(kinds):
+        expected = "stall" if i % 2 == 0 else "resume"
+        assert kind == expected, (edge, kinds)
+
+
 def assert_closure(run, topology_id):
     audit = run.delivery_audit()[topology_id]
     assert audit["origins_created"] == (
@@ -78,17 +95,10 @@ class TestBackpressure:
     def test_stall_resume_alternate_per_edge(self):
         tracer = Tracer()
         overloaded_run(FlowControlConfig(queue_capacity=32), tracer=tracer)
-        per_edge = {}
-        for event in tracer.events():
-            if event.kind not in ("stall", "resume"):
-                continue
-            edge = (event.component, event.peer)
-            per_edge.setdefault(edge, []).append(event.kind)
+        per_edge = stall_resume_kinds(tracer)
         assert per_edge
         for edge, kinds in per_edge.items():
-            for i, kind in enumerate(kinds):
-                expected = "stall" if i % 2 == 0 else "resume"
-                assert kind == expected, (edge, kinds)
+            assert_alternates(kinds, edge)
 
     def test_stalled_spout_never_emits(self):
         """Between a spout stall and its resume, no spout task starts an
@@ -138,6 +148,100 @@ class TestBackpressure:
         )
         with pytest.raises(SimulationError):
             run.flow_edges(topology.topology_id)
+
+
+class TestRescaleResize:
+    """A rescale resizes the pools of the edges into the rescaled
+    component.  An edge the new thresholds move across a watermark
+    stalls or resumes through the same code as a send or a drain, with
+    the same hysteresis, so every stall is traced and metered."""
+
+    EDGE = ("spout", "bolt-1")
+
+    def stepped_run(self, stop):
+        """The overloaded hotspot run (queue capacity 32), stepped event
+        by event until ``stop`` holds for the spout -> bolt-1 ledger."""
+        random.seed(7)
+        topology = hotspot_topology()
+        cluster = emulab_testbed()
+        assignment = RStormScheduler().schedule([topology], cluster)[TOPO_ID]
+        config = SimulationConfig(
+            duration_s=40.0,
+            warmup_s=10.0,
+            arrival_process=PoissonArrivals(rate_tps=375.0),
+            flow=FlowControlConfig(queue_capacity=32),
+        )
+        run = SimulationRun(cluster, [(topology, assignment)], config)
+        tracer = Tracer()
+        run.observer = tracer
+        run.run(until=0.0)
+        edge = run.flow_edges(TOPO_ID)[self.EDGE]
+        while not stop(edge):
+            run.sim.step()
+        return run, tracer, topology, assignment
+
+    def rescale_bolt_1(self, run, topology, assignment, parallelism):
+        """Rescale bolt-1; added tasks share its first task's slot."""
+        new_topology = topology.with_parallelism("bolt-1", parallelism)
+        current = assignment.as_dict()
+        slot = current[topology.tasks_of("bolt-1")[0]]
+        mapping = {task: current.get(task, slot) for task in new_topology.tasks}
+        run.rescale(TOPO_ID, new_topology, Assignment(TOPO_ID, mapping))
+        return run.flow_edges(TOPO_ID)[self.EDGE]
+
+    def test_grown_pool_keeps_a_stalled_edge_stalled(self):
+        run, tracer, topology, assignment = self.stepped_run(
+            lambda edge: edge.stalled
+        )
+        before = run.flow_edges(TOPO_ID)[self.EDGE]
+        # 6 x 32 credits: stall at round(192 * 0.8) = 154.
+        assert before.pool == 192 and before.outstanding >= 154
+        edge = self.rescale_bolt_1(run, topology, assignment, 7)
+        # 7 x 32 credits: stall at round(224 * 0.8) = 179, resume at
+        # int(224 * 0.4) = 89.  Below the new stall threshold but above
+        # the resume threshold, the edge keeps its stall.
+        assert edge.pool == 224
+        assert 89 < edge.outstanding < 179
+        assert edge is before
+        assert edge.stalled and edge.stall_count == 1
+        run.run()
+        per_edge = stall_resume_kinds(tracer)
+        assert per_edge[self.EDGE][:2] == ["stall", "resume"]
+        for edge_name, kinds in per_edge.items():
+            assert_alternates(kinds, edge_name)
+        for edge_name, ledger in run.flow_edges(TOPO_ID).items():
+            assert ledger.conserved(), (edge_name, ledger)
+
+    def test_shrunk_pool_stalls_and_meters_the_spout(self):
+        run, tracer, topology, assignment = self.stepped_run(
+            lambda edge: edge.outstanding >= 140
+        )
+        assert not run.flow_edges(TOPO_ID)[self.EDGE].stalled
+        edge = self.rescale_bolt_1(run, topology, assignment, 1)
+        rescaled_at = run.sim.now
+        # One consumer left: 32 credits, stall at 26.
+        assert edge.pool == 32 and edge.outstanding >= 26
+        assert edge.stalled and edge.stall_count == 1
+        assert [
+            event.time for event in tracer.query(kind="stall")
+            if (event.component, event.peer) == self.EDGE
+        ] == [rescaled_at]
+        report = run.run()
+        assert report.credit_stalls(TOPO_ID)[self.EDGE] == edge.stall_count
+        per_edge = stall_resume_kinds(tracer)
+        for edge_name, kinds in per_edge.items():
+            assert_alternates(kinds, edge_name)
+        # The spout's throttled time is exactly its closed stall
+        # windows, the first of which the rescale opened.
+        spout_events = [
+            event for event in tracer.events()
+            if event.kind in ("stall", "resume") and event.component == "spout"
+        ]
+        windows = list(zip(spout_events[::2], spout_events[1::2]))
+        assert windows and windows[0][0].time == rescaled_at
+        assert report.spout_throttled_s(TOPO_ID) == pytest.approx(
+            sum(resume.time - stall.time for stall, resume in windows)
+        )
 
 
 class TestShedding:

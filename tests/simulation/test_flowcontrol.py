@@ -92,6 +92,22 @@ class TestCreditLedger:
         with pytest.raises(ValueError):
             CreditLedger(pool=0, high_watermark=0.8, low_watermark=0.4)
 
+    def test_resize_crosses_watermarks_with_hysteresis(self):
+        ledger = CreditLedger(pool=10, high_watermark=0.8, low_watermark=0.4)
+        for _ in range(8):
+            ledger.send()
+        assert ledger.stalled
+        # Pool 15: stall at 12, resume at 6 -- 8 outstanding sits
+        # between them, so the stall holds.
+        assert ledger.resize(15, 0.8, 0.4) is False and ledger.stalled
+        # Pool 25: resume at 10 -- the edge resumes.
+        assert ledger.resize(25, 0.8, 0.4) is True and not ledger.stalled
+        # Pool 5: stall at 4 -- the edge stalls and counts it.
+        assert ledger.resize(5, 0.8, 0.4) is True and ledger.stalled
+        assert ledger.stall_count == 2
+        assert ledger.resize(5, 0.8, 0.4) is False
+        assert (ledger.pool, ledger.outstanding, ledger.sends) == (5, 8, 8)
+
 
 class TestCreditLedgerProperties:
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -144,6 +160,39 @@ class TestCreditLedgerProperties:
         for i, event in enumerate(events):
             assert event == ("stall" if i % 2 == 0 else "resume")
         assert ledger.stalled == (bool(events) and events[-1] == "stall")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        high=st.floats(min_value=0.05, max_value=1.0, allow_nan=False),
+        low_frac=st.floats(min_value=0.0, max_value=0.95, allow_nan=False),
+        ops=st.lists(
+            st.booleans() | st.integers(min_value=1, max_value=64),
+            max_size=300,
+        ),
+    )
+    def test_transitions_alternate_across_resizes(self, high, low_frac, ops):
+        """With resizes (integers: the new pool) among the sends (True)
+        and drains (False), every transition still alternates and the
+        stall count is the number of stalls."""
+        ledger = CreditLedger(
+            pool=8, high_watermark=high, low_watermark=high * low_frac
+        )
+        events = []
+        for op in ops:
+            was = ledger.stalled
+            if op is True:
+                flipped = ledger.send()
+            elif op is False:
+                flipped = ledger.outstanding > 0 and ledger.drain()
+            else:
+                flipped = ledger.resize(op, high, high * low_frac)
+            assert flipped == (ledger.stalled != was)
+            if flipped:
+                events.append("stall" if ledger.stalled else "resume")
+        for i, event in enumerate(events):
+            assert event == ("stall" if i % 2 == 0 else "resume")
+        assert ledger.stall_count == events.count("stall")
+        assert ledger.conserved()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
