@@ -1,9 +1,10 @@
 # Frozen DES oracle: a verbatim copy of src/repro/simulation/runtime.py at
-# commit 85391e5, plus the CreditLedger, ShedRecord, ShedLedger,
-# SheddingPolicy and make_policy code of src/repro/simulation/flowcontrol.py
-# it uses, inlined below with the runtime's flowcontrol import pointed at
-# them.  The engine, network, metrics, tracing, report and config modules
-# stay shared with the live runtime (they carry their own pins).
+# commit c151a3f, plus the _PRIORITY_FLOOR, CreditLedger, FlowProducer,
+# ShedRecord, ShedLedger, SheddingPolicy, make_policy and FlowControl code
+# of src/repro/simulation/flowcontrol.py it uses, inlined below with the
+# runtime's flowcontrol import pointed at them.  The engine, network,
+# metrics, tracing, report and config modules stay shared with the live
+# runtime (they carry their own pins).
 #
 # DO NOT EDIT.  tests/simulation/test_des_differential.py runs the live
 # runtime against this copy and requires identical results.  After a
@@ -41,6 +42,14 @@ The closed-loop per-batch path is one short call chain, ``_deliver`` ->
 counters are computed inline, and completions are pushed straight onto
 the engine heap (the Simulator's direct-push contract).
 
+Each control-plane transition has one body for all its callers:
+``_spawn_tasks``/``_wire_routes`` build task runtimes and routes,
+``_rebind`` moves tasks (migrate, rescale), ``_teardown`` kills a task
+(node failure, overflow crash, rescale removal), and ``_fc_stall`` and
+``_fc_resume`` pause and restart a producer (a send, a drain or a
+rescale's resize crossing a watermark).  ``_targets`` validates a
+placement before any task changes.
+
 Each traced transition tests the run's ``observer`` slot and, when it is
 set, hands it one :class:`~repro.simulation.tracing.TraceEvent`.
 """
@@ -52,7 +61,10 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Deque, Dict, Iterator, List, Mapping, Optional, Sequence,
+    Tuple,
+)
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import DistanceLevel
@@ -74,8 +86,8 @@ from repro.traffic.arrivals import derive_stream_seed
 
 __all__ = ["SimulationRun"]
 
-# -- frozen from repro/simulation/flowcontrol.py: the ledger and policy
-# -- classes the runtime below uses (FlowControlConfig stays shared) ----
+# -- frozen from repro/simulation/flowcontrol.py: the classes the
+# -- runtime below uses (FlowControlConfig stays shared) -----------
 
 #: Priority shedding: the *lowest*-priority tenants shed from this
 #: fraction of queue capacity; the highest shed only at capacity.
@@ -102,19 +114,35 @@ class CreditLedger:
 
     __slots__ = (
         "pool", "outstanding", "sends", "drains", "stalled",
-        "stall_count", "_stall_at", "_resume_at",
+        "stall_count", "_stall_at", "_resume_at", "producer", "consumer",
     )
 
     def __init__(self, pool: int, high_watermark: float,
-                 low_watermark: float):
-        if pool < 1:
-            raise ValueError("credit pool must be >= 1")
-        self.pool = pool
+                 low_watermark: float,
+                 producer: Optional["FlowProducer"] = None,
+                 consumer: str = ""):
         self.outstanding = 0
         self.sends = 0
         self.drains = 0
         self.stalled = False
         self.stall_count = 0
+        #: the edge's ends inside a run: its producer component's stall
+        #: state and its consumer component's name
+        self.producer = producer
+        self.consumer = consumer
+        self.resize(pool, high_watermark, low_watermark)
+
+    def resize(self, pool: int, high_watermark: float,
+               low_watermark: float) -> bool:
+        """Set the pool and its batch thresholds, keeping the counts (a
+        rescale changes the consumer's task count, not the batches
+        already sent).  True when the new thresholds stall or resume
+        the edge: an open edge at or over the new stall threshold
+        stalls, and a stalled edge resumes only at or under the new
+        resume threshold, as a send or a drain would."""
+        if pool < 1:
+            raise ValueError("credit pool must be >= 1")
+        self.pool = pool
         # Precomputed batch thresholds; >= _stall_at stalls, <=
         # _resume_at resumes.  _stall_at is at least 1 so a pool-of-one
         # edge still stalls, and _resume_at is strictly below _stall_at
@@ -123,6 +151,13 @@ class CreditLedger:
         self._resume_at = min(
             int(pool * low_watermark), self._stall_at - 1
         )
+        was = self.stalled
+        if was:
+            self.stalled = self.outstanding > self._resume_at
+        elif self.outstanding >= self._stall_at:
+            self.stalled = True
+            self.stall_count += 1
+        return self.stalled != was
 
     def send(self) -> bool:
         """Consume one credit; True when this send stalls the edge."""
@@ -163,6 +198,31 @@ class CreditLedger:
             f"CreditLedger(pool={self.pool}, outstanding={self.outstanding},"
             f" stalled={self.stalled})"
         )
+
+
+class FlowProducer:
+    """One producer component's backpressure state in a run.
+
+    Stall state is per component: a producer stalls when *any* of its
+    out edges is saturated, and resumes only when none is.
+    """
+
+    __slots__ = ("topology_id", "name", "is_spout", "tasks", "out",
+                 "stalled_edges", "stalled_since")
+
+    def __init__(self, topology_id: str, name: str, is_spout: bool):
+        self.topology_id = topology_id
+        self.name = name
+        self.is_spout = is_spout
+        #: the component's live task runtimes
+        self.tasks: List = []
+        #: consumer component -> the edge's ledger
+        self.out: Dict[str, CreditLedger] = {}
+        #: out edges currently stalled
+        self.stalled_edges = 0
+        #: sim time the current stall began (read for spouts: the
+        #: throttled-spout-time metric)
+        self.stalled_since = 0.0
 
 
 @dataclass(frozen=True)
@@ -260,6 +320,56 @@ def make_policy(config: FlowControlConfig) -> SheddingPolicy:
         name="priority", capacity=capacity, thresholds=thresholds
     )
 
+
+class FlowControl:
+    """A run's flow layer: its shedding policy, its shed ledger and
+    every topology's credit edges.  An edge's :class:`CreditLedger` is
+    created once; the producer's routes hold it, and every batch sent
+    on the edge carries it until it drains."""
+
+    __slots__ = ("config", "policy", "shed_ledger", "producers")
+
+    def __init__(self, config: FlowControlConfig):
+        self.config = config
+        #: the shedding policy; None when it never sheds
+        self.policy: Optional[SheddingPolicy] = (
+            None if config.shedding == "none" else make_policy(config)
+        )
+        self.shed_ledger = ShedLedger(config.shed_ledger_capacity)
+        #: topology id -> component -> its producer state
+        self.producers: Dict[str, Dict[str, FlowProducer]] = {}
+
+    def size(
+        self, topology: "Topology", runtimes: Mapping["Task", object]
+    ) -> List[CreditLedger]:
+        """(Re)size ``topology``'s credit edges to its live generation:
+        each pool is ``queue_capacity`` times the consumer's task count.
+        Binds each producer to its live tasks (``runtimes[task]``) and
+        returns the ledgers the resize stalled or resumed, in
+        component-name order, for the caller to apply."""
+        config = self.config
+        high, low = config.high_watermark, config.low_watermark
+        topology_id = topology.topology_id
+        producers = self.producers.setdefault(topology_id, {})
+        flipped = []
+        for name in sorted({t.component for t in topology.tasks}):
+            if name not in producers:
+                is_spout = topology.component(name).is_spout
+                producers[name] = FlowProducer(topology_id, name, is_spout)
+            producer = producers[name]
+            producer.tasks = [runtimes[t] for t in topology.tasks_of(name)]
+            for consumer in topology.downstream_of(name):
+                pool = config.queue_capacity * len(topology.tasks_of(consumer))
+                if consumer not in producer.out:
+                    producer.out[consumer] = CreditLedger(
+                        pool, high, low, producer, consumer
+                    )
+                if producer.out[consumer].resize(pool, high, low):
+                    flipped.append(producer.out[consumer])
+        return flipped
+
+
+
 #: Floor on any service time, preventing zero-cost loops from freezing
 #: simulated time.
 _MIN_SERVICE_S = 1e-6
@@ -309,10 +419,6 @@ class _NodeRuntime:
         self.fault_factor = 1.0
         self.tasks: List["_TaskRuntime"] = []
 
-    @property
-    def alive(self) -> bool:
-        return self.node.alive
-
 
 class _OutRoute:
     """A producer task's route to one downstream component.
@@ -320,16 +426,16 @@ class _OutRoute:
     ``levels``/``remote``/``local_indices`` are derived from placements
     and cached until ``levels_version`` falls behind the run's placement
     version — the distance matrix is immutable between migrations.
+    ``ledger`` is the edge's credit ledger (None when flow is off).
     """
 
-    __slots__ = ("consumer_component", "grouping", "consumers", "levels",
-                 "remote", "local_indices", "levels_version",
-                 "is_local_or_shuffle")
+    __slots__ = ("grouping", "consumers", "ledger", "levels", "remote",
+                 "local_indices", "levels_version", "is_local_or_shuffle")
 
-    def __init__(self, consumer_component, grouping, consumers):
-        self.consumer_component = consumer_component
+    def __init__(self, grouping, consumers, ledger):
         self.grouping = grouping
         self.consumers: List["_TaskRuntime"] = consumers
+        self.ledger: Optional[CreditLedger] = ledger
         self.levels: Optional[List[DistanceLevel]] = None
         #: parallel to ``levels``: does delivery i leave the node (NIC)?
         self.remote: Optional[List[bool]] = None
@@ -374,21 +480,17 @@ class _TaskRuntime:
         #: False when flow control is off.
         self.fc_paused = False
 
-    @property
-    def node_id(self) -> str:
-        return self.slot.node_id
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"_TaskRuntime({self.task})"
 
 
-class _PendingTree:
-    """Acker state of one in-flight tuple tree.
+#: task -> the (slot, node) a placement binds it to
+_Targets = Dict[Task, Tuple[WorkerSlot, _NodeRuntime]]
 
-    Named fields (instead of the old positional list) so the replay path
-    cannot mis-index; ``__slots__`` keeps the per-root allocation as
-    cheap as the list it replaces.
-    """
+
+class _PendingTree:
+    """Acker state of one in-flight tuple tree (``__slots__`` keeps the
+    per-root allocation cheap)."""
 
     __slots__ = ("remaining", "spout", "emitted_at", "tuples", "attempt",
                  "origin_root", "arrived_at")
@@ -419,8 +521,7 @@ class _TopologyRuntime:
 
     __slots__ = ("topology", "topology_id", "assignment", "pending",
                  "next_root", "spouts", "origins_created",
-                 "origins_exhausted", "replays_outstanding", "origins_shed",
-                 "flow")
+                 "origins_exhausted", "replays_outstanding", "origins_shed")
 
     def __init__(self, topology: Topology, assignment: Assignment):
         self.topology = topology
@@ -443,32 +544,6 @@ class _TopologyRuntime:
         #: root tuples deliberately dropped by the shedding policy
         #: (ingress or queue stage) — audited, never silent
         self.origins_shed = 0
-        #: per-topology flow-control state; None unless config.flow is set
-        self.flow: Optional["_FlowState"] = None
-
-
-class _FlowState:
-    """Per-topology flow-control state (built only when flow is on).
-
-    Credit ledgers live at *component* granularity: one ledger per
-    (producer component -> consumer component) edge, with a pool sized
-    to ``queue_capacity`` times the consumer's task count.  Stall state
-    is likewise per component — a producer stalls when *any* of its out
-    edges is saturated and resumes only when none are.
-    """
-
-    __slots__ = ("edges", "tasks_of", "stalled_edges", "spout_stalled_since")
-
-    def __init__(self) -> None:
-        #: (producer component, consumer component) -> edge ledger
-        self.edges: Dict[Tuple[str, str], CreditLedger] = {}
-        #: component name -> its live task runtimes
-        self.tasks_of: Dict[str, List[_TaskRuntime]] = {}
-        #: producer component -> number of its out edges currently stalled
-        self.stalled_edges: Dict[str, int] = {}
-        #: spout component -> sim time its current stall began (for the
-        #: throttled-spout-time metric)
-        self.spout_stalled_since: Dict[str, float] = {}
 
 
 class SimulationRun:
@@ -516,26 +591,15 @@ class SimulationRun:
         self._replay_backoff = self.config.replay_backoff_s
         self._arrival = self.config.arrival_process
         self._open_loop = self._arrival is not None
-        # Flow control (None on the default path: every hot-path hook is
-        # guarded on ``self._fc is None`` so disabled runs stay
-        # byte-identical).
-        self._fc = self.config.flow
-        if self._fc is not None:
-            self._fc_policy = make_policy(self._fc)
-            self._fc_shed = (
-                self._fc_policy if self._fc_policy.name != "none" else None
-            )
-            self._fc_ledger: Optional[ShedLedger] = ShedLedger(
-                self._fc.shed_ledger_capacity
-            )
-        else:
-            self._fc_policy = None
-            self._fc_shed = None
-            self._fc_ledger = None
+        #: the flow layer; None on the default path, where routes carry
+        #: no ledger and disabled runs stay byte-identical.
+        self._flow: Optional[FlowControl] = (
+            None if self.config.flow is None else FlowControl(self.config.flow)
+        )
         #: origin audit counters are maintained whenever either layer
         #: that resolves origins explicitly (at-least-once replay, flow
         #: shedding) is on — equal to ``_at_least_once`` when flow is off.
-        self._track_origins = self._at_least_once or self._fc is not None
+        self._track_origins = self._at_least_once or self._flow is not None
         if self._open_loop:
             # Open-loop spouts emit only what arrives; every closed-loop
             # credit/rate trigger (acks, sweeps, revivals) is a no-op.
@@ -557,40 +621,73 @@ class SimulationRun:
     # -- construction ------------------------------------------------------
 
     def _add_topology(self, topology: Topology, assignment: Assignment) -> None:
+        targets = self._targets(assignment, topology, "assignment")
+        topo_rt = _TopologyRuntime(topology, assignment)
+        runtimes = self._spawn_tasks(topo_rt, topology.tasks, targets)
+        topo_rt.spouts = [rt for rt in runtimes if rt.is_spout]
+        if self._flow is not None:
+            self._init_flow(topo_rt)
+        self._wire_routes(topology)
+        self._topologies.append(topo_rt)
+
+    def _targets(
+        self, assignment: Assignment, topology: Topology, what: str
+    ) -> _Targets:
+        """Each of ``topology``'s tasks' ``(slot, node)`` under
+        ``assignment``.  The placement is checked (complete, on known
+        nodes) before any task is touched, so a bad one leaves the run
+        unchanged."""
         if not assignment.is_complete(topology):
             raise SchedulingError(
-                f"assignment for {topology.topology_id!r} is incomplete: "
+                f"{what} for {topology.topology_id!r} is incomplete: "
                 f"missing {assignment.missing_tasks(topology)}"
             )
-        topo_rt = _TopologyRuntime(topology, assignment)
-        runtimes: Dict[Task, _TaskRuntime] = {}
+        targets: _Targets = {}
         for task in topology.tasks:
             slot = assignment.slot_of(task)
             node_rt = self._nodes.get(slot.node_id)
             if node_rt is None:
                 raise SimulationError(
-                    f"assignment places {task} on unknown node {slot.node_id!r}"
+                    f"{what} places {task} on unknown node {slot.node_id!r}"
                 )
+            targets[task] = (slot, node_rt)
+        return targets
+
+    def _spawn_tasks(
+        self, topo_rt: _TopologyRuntime, tasks: Sequence[Task], targets: _Targets
+    ) -> List[_TaskRuntime]:
+        """Bring up empty runtimes for ``tasks`` on their target slots."""
+        runtimes = []
+        for task in tasks:
+            slot, node_rt = targets[task]
             rt = _TaskRuntime(
-                task, topology.component(task.component), topo_rt, slot, node_rt
+                task, topo_rt.topology.component(task.component), topo_rt,
+                slot, node_rt,
             )
-            rt.alive = node_rt.alive
+            rt.alive = node_rt.node.alive
             node_rt.tasks.append(rt)
-            runtimes[task] = rt
             self._task_runtimes[task] = rt
-            if rt.is_spout:
-                topo_rt.spouts.append(rt)
-        # Wire producer -> consumer routes.  Each downstream component
-        # subscribed to a producer's stream receives a copy of it; the
-        # producer holds a fresh grouping instance per route so routing
-        # state is per-producer, as in Storm.
+            runtimes.append(rt)
+        return runtimes
+
+    def _wire_routes(self, topology: Topology) -> None:
+        """(Re)wire every producer's routes against ``topology``'s
+        consumer sets.  Each downstream component subscribed to a
+        producer's stream receives a copy of it; the producer holds a
+        fresh grouping instance per route so routing state is
+        per-producer, as in Storm.  With flow on, every route of a
+        producer component shares the edge's ledger."""
+        runtimes = self._task_runtimes
+        flow = self._flow
+        producers = {} if flow is None else flow.producers[topology.topology_id]
         for task in topology.tasks:
             producer = runtimes[task]
+            producer.out_routes = []
+            ledgers = producers[task.component].out if producers else {}
             for consumer_name in topology.downstream_of(task.component):
-                consumer_comp = topology.component(consumer_name)
                 subscription = next(
                     sub
-                    for sub in consumer_comp.subscriptions
+                    for sub in topology.component(consumer_name).subscriptions
                     if sub.source == task.component
                 )
                 consumers = [
@@ -598,88 +695,31 @@ class SimulationRun:
                 ]
                 producer.out_routes.append(
                     _OutRoute(
-                        consumer_name,
                         subscription.grouping.fresh(),
                         consumers,
+                        ledgers.get(consumer_name),
                     )
                 )
-        if self._fc is not None:
-            self._init_flow(topo_rt)
-        self._topologies.append(topo_rt)
 
     def _init_flow(self, topo_rt: _TopologyRuntime) -> None:
-        """(Re)build a topology's credit ledgers from its live generation.
+        """(Re)size a topology's credit edges to its live generation.
 
-        Called at construction and again after a :meth:`rescale` (pool
-        sizes follow consumer parallelism).  On rebuild, per-edge
-        outstanding/send/drain counts carry over so credits held by
-        batches already queued or in flight stay conserved; stall state
-        is then re-derived against the new thresholds and every task's
-        ``fc_paused`` flag refreshed.
+        Called at construction and after a :meth:`rescale` (pools follow
+        consumer parallelism).  Ledgers are resized in place, so batches
+        already queued or in flight keep theirs.  Every task takes its
+        producer's pause state; an edge the new thresholds stall or
+        resume goes through :meth:`_fc_stall` or :meth:`_fc_resume`.
         """
-        flow = self._fc
-        topology = topo_rt.topology
-        old = topo_rt.flow
-        fc = _FlowState()
-        names = sorted({t.component for t in topology.tasks})
-        for name in names:
-            fc.tasks_of[name] = [
-                self._task_runtimes[t] for t in topology.tasks_of(name)
-            ]
-        for name in names:
-            for consumer_name in topology.downstream_of(name):
-                pool = flow.queue_capacity * len(
-                    topology.tasks_of(consumer_name)
-                )
-                ledger = CreditLedger(
-                    pool, flow.high_watermark, flow.low_watermark
-                )
-                if old is not None:
-                    prev = old.edges.get((name, consumer_name))
-                    if prev is not None:
-                        ledger.outstanding = prev.outstanding
-                        ledger.sends = prev.sends
-                        ledger.drains = prev.drains
-                        ledger.stall_count = prev.stall_count
-                        ledger.stalled = (
-                            ledger.outstanding >= ledger._stall_at
-                        )
-                fc.edges[(name, consumer_name)] = ledger
-        for (producer_name, _), ledger in fc.edges.items():
+        flow = self._flow
+        flipped = flow.size(topo_rt.topology, self._task_runtimes)
+        for producer in flow.producers[topo_rt.topology_id].values():
+            for rt in producer.tasks:
+                rt.fc_paused = producer.stalled_edges > 0
+        for ledger in flipped:
             if ledger.stalled:
-                fc.stalled_edges[producer_name] = (
-                    fc.stalled_edges.get(producer_name, 0) + 1
-                )
-        for name in names:
-            paused = fc.stalled_edges.get(name, 0) > 0
-            for rt in fc.tasks_of[name]:
-                rt.fc_paused = paused
-        if old is not None:
-            # Carry open stall intervals for spouts still stalled; close
-            # (and account) the intervals of spouts the rebuild resumed.
-            now = self.sim.now
-            for name, since in old.spout_stalled_since.items():
-                if fc.stalled_edges.get(name, 0) > 0:
-                    fc.spout_stalled_since[name] = since
-                else:
-                    self.stats.record_spout_throttle(
-                        topo_rt.topology_id, now - since
-                    )
-        topo_rt.flow = fc
-        if old is not None:
-            # Tasks the rebuild un-paused must drain again.
-            for name in names:
-                if fc.stalled_edges.get(name, 0) > 0:
-                    continue
-                for rt in fc.tasks_of[name]:
-                    if not rt.alive or not rt.node.node.alive:
-                        continue
-                    if rt.is_spout:
-                        self._try_emit(rt)
-                    if rt.work and not rt.queued and not rt.running:
-                        rt.queued = True
-                        rt.node.ready.append(rt)
-                        self._dispatch(rt.node)
+                self._fc_stall(ledger)
+            else:
+                self._fc_resume(ledger)
 
     def _recompute_node_factors(self) -> None:
         """Thrash and context-switch factors from current placements.
@@ -716,9 +756,8 @@ class SimulationRun:
             for topo_rt in self._topologies:
                 if self._open_loop:
                     self._start_arrivals(topo_rt)
-                else:
-                    for spout in topo_rt.spouts:
-                        self._try_emit(spout)
+                for spout in topo_rt.spouts:
+                    self._try_emit(spout)  # a no-op in open loop
                 self._schedule_sweep(topo_rt)
         self.sim.run(horizon)
         return self.report()
@@ -750,11 +789,13 @@ class SimulationRun:
 
     def fail_node_at(self, time: float, node_id: str) -> None:
         """Inject a node failure at simulated ``time``."""
-        self.on_time(time, lambda: self._fail_node(node_id))
+        self._node(node_id, "fail")
+        self.on_time(time, self._fail_node, node_id)
 
     def recover_node_at(self, time: float, node_id: str) -> None:
         """Revive a failed node at simulated ``time`` (delayed rejoin)."""
-        self.on_time(time, lambda: self._recover_node(node_id))
+        self._node(node_id, "recover")
+        self.on_time(time, self._recover_node, node_id)
 
     def set_node_fault_factor(self, node_id: str, factor: float) -> None:
         """Degrade (or restore) a node's effective CPU speed.
@@ -765,10 +806,7 @@ class SimulationRun:
         """
         if factor <= 0:
             raise SimulationError(f"fault factor must be positive, got {factor}")
-        node_rt = self._nodes.get(node_id)
-        if node_rt is None:
-            raise SimulationError(f"cannot degrade unknown node {node_id!r}")
-        node_rt.fault_factor = factor
+        self._node(node_id, "degrade").fault_factor = factor
 
     def migrate(
         self, topology_id: str, new_assignment: Assignment,
@@ -792,39 +830,10 @@ class SimulationRun:
         churn the RecoveryMonitor reports per recovery.
         """
         topo_rt = self._topology_runtime(topology_id)
-        if not new_assignment.is_complete(topo_rt.topology):
-            raise SchedulingError(
-                f"migration assignment for {topology_id!r} is incomplete"
-            )
-        moved = 0
-        for task in topo_rt.topology.tasks:
-            rt = self._task_runtimes[task]
-            new_slot = new_assignment.slot_of(task)
-            if new_slot == rt.slot:
-                continue
-            moved += 1
-            new_node = self._nodes.get(new_slot.node_id)
-            if new_node is None:
-                raise SimulationError(
-                    f"migration places {task} on unknown node "
-                    f"{new_slot.node_id!r}"
-                )
-            rt.node.tasks.remove(rt)
-            if rt.queued:
-                try:
-                    rt.node.ready.remove(rt)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-                rt.queued = False
-            rt.slot = new_slot
-            rt.node = new_node
-            rt.alive = new_node.alive
-            new_node.tasks.append(rt)
-            if rt.alive and rt.work and not rt.running:
-                rt.queued = True
-                new_node.ready.append(rt)
-                self._dispatch(new_node)
+        topology = topo_rt.topology
+        targets = self._targets(new_assignment, topology, "migration assignment")
         topo_rt.assignment = new_assignment
+        moved = self._rebind(topo_rt, topology.tasks, targets)
         self._placement_version += 1
         self._recompute_node_factors()
         for spout in topo_rt.spouts:
@@ -866,120 +875,36 @@ class SimulationRun:
                 f"rescale topology id mismatch: "
                 f"{new_topology.topology_id!r} != {topology_id!r}"
             )
-        if not new_assignment.is_complete(new_topology):
-            raise SchedulingError(
-                f"rescale assignment for {topology_id!r} is incomplete: "
-                f"missing {new_assignment.missing_tasks(new_topology)}"
-            )
-        old_topology = topo_rt.topology
-        old_tasks = set(old_topology.tasks)
+        targets = self._targets(new_assignment, new_topology, "rescale assignment")
+        old_tasks = set(topo_rt.topology.tasks)
         new_tasks = set(new_topology.tasks)
-        old_spouts = {
-            t for t in old_tasks
-            if old_topology.component(t.component).is_spout
-        }
         new_spouts = {
             t for t in new_tasks
             if new_topology.component(t.component).is_spout
         }
-        if old_spouts != new_spouts:
+        if {spout.task for spout in topo_rt.spouts} != new_spouts:
             raise SimulationError(
                 f"rescale cannot change spout tasks of {topology_id!r}: "
                 "arrival streams are bound to spout task identity"
             )
+        topo_rt.topology = new_topology
+        topo_rt.assignment = new_assignment
         removed = sorted(old_tasks - new_tasks)
         added = sorted(new_tasks - old_tasks)
         # Tear down removed tasks: their queued work dies with them.
         for task in removed:
             rt = self._task_runtimes.pop(task)
-            rt.alive = False
-            if self._fc is not None and rt.work:
-                self._fc_release_queue(rt)
-            rt.work.clear()
+            self._teardown(rt)
             rt.out_routes = []
-            if rt.queued:
-                try:
-                    rt.node.ready.remove(rt)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-                rt.queued = False
             rt.node.tasks.remove(rt)
-        # Move persisting tasks whose slot changed; rebind all of them to
-        # the new generation's component objects.
-        moved = 0
-        for task in sorted(old_tasks & new_tasks):
-            rt = self._task_runtimes[task]
-            rt.component = new_topology.component(task.component)
-            rt.profile = rt.component.profile
-            new_slot = new_assignment.slot_of(task)
-            if new_slot == rt.slot:
-                continue
-            moved += 1
-            new_node = self._nodes.get(new_slot.node_id)
-            if new_node is None:
-                raise SimulationError(
-                    f"rescale places {task} on unknown node "
-                    f"{new_slot.node_id!r}"
-                )
-            rt.node.tasks.remove(rt)
-            if rt.queued:
-                try:
-                    rt.node.ready.remove(rt)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-                rt.queued = False
-            rt.slot = new_slot
-            rt.node = new_node
-            rt.alive = new_node.alive
-            new_node.tasks.append(rt)
-            if rt.alive and rt.work and not rt.running:
-                rt.queued = True
-                new_node.ready.append(rt)
-                self._dispatch(new_node)
+        moved = self._rebind(topo_rt, sorted(old_tasks & new_tasks), targets)
         # Bring up added tasks (empty queues, ready for routed work).
-        for task in added:
-            slot = new_assignment.slot_of(task)
-            node_rt = self._nodes.get(slot.node_id)
-            if node_rt is None:
-                raise SimulationError(
-                    f"rescale places {task} on unknown node {slot.node_id!r}"
-                )
-            rt = _TaskRuntime(
-                task, new_topology.component(task.component), topo_rt,
-                slot, node_rt,
-            )
-            rt.alive = node_rt.alive
-            node_rt.tasks.append(rt)
-            self._task_runtimes[task] = rt
-        # Rewire every producer's routes against the new consumer sets
-        # (fresh grouping state, as _add_topology does).
-        runtimes = {t: self._task_runtimes[t] for t in new_topology.tasks}
-        for task in new_topology.tasks:
-            producer = runtimes[task]
-            producer.out_routes = []
-            for consumer_name in new_topology.downstream_of(task.component):
-                consumer_comp = new_topology.component(consumer_name)
-                subscription = next(
-                    sub
-                    for sub in consumer_comp.subscriptions
-                    if sub.source == task.component
-                )
-                consumers = [
-                    runtimes[t] for t in new_topology.tasks_of(consumer_name)
-                ]
-                producer.out_routes.append(
-                    _OutRoute(
-                        consumer_name,
-                        subscription.grouping.fresh(),
-                        consumers,
-                    )
-                )
-        topo_rt.topology = new_topology
-        topo_rt.assignment = new_assignment
-        topo_rt.spouts = [runtimes[t] for t in sorted(new_spouts)]
+        self._spawn_tasks(topo_rt, added, targets)
+        self._wire_routes(new_topology)
+        topo_rt.spouts = [self._task_runtimes[t] for t in sorted(new_spouts)]
         self._placement_version += 1
         self._recompute_node_factors()
-        if self._fc is not None:
+        if self._flow is not None:
             self._init_flow(topo_rt)
         for spout in topo_rt.spouts:
             if spout.alive:
@@ -990,6 +915,39 @@ class SimulationRun:
                 added=len(added), removed=len(removed),
             ))
         return moved, len(added), len(removed)
+
+    def _rebind(
+        self, topo_rt: _TopologyRuntime, tasks: Sequence[Task], targets: _Targets
+    ) -> int:
+        """Bind existing task runtimes to their topology's current
+        generation of components and to their target slots.
+
+        A task whose slot changed leaves its old node's task list and run
+        queue and carries its queued work to the new node, where it is
+        requeued and dispatched if that node is up.  Returns how many
+        tasks changed slot.
+        """
+        topology = topo_rt.topology
+        moved = 0
+        for task in tasks:
+            rt = self._task_runtimes[task]
+            rt.component = topology.component(task.component)
+            rt.profile = rt.component.profile
+            new_slot, new_node = targets[task]
+            if new_slot == rt.slot:
+                continue
+            moved += 1
+            rt.node.tasks.remove(rt)
+            self._unqueue(rt)
+            rt.slot = new_slot
+            rt.node = new_node
+            rt.alive = new_node.node.alive
+            new_node.tasks.append(rt)
+            if rt.alive and rt.work and not rt.running:
+                rt.queued = True
+                new_node.ready.append(rt)
+                self._dispatch(new_node)
+        return moved
 
     # -- load sampling (elastic control loop) ------------------------------
 
@@ -1025,41 +983,32 @@ class SimulationRun:
 
     # -- failure ------------------------------------------------------------------
 
+    def _node(self, node_id: str, verb: str) -> _NodeRuntime:
+        node_rt = self._nodes.get(node_id)
+        if node_rt is None:
+            raise SimulationError(f"cannot {verb} unknown node {node_id!r}")
+        return node_rt
+
     def _fail_node(self, node_id: str) -> None:
+        node_rt = self._node(node_id, "fail")
         if self.observer is not None:
             self.observer(
                 TraceEvent(self.sim.now, EventKind.NODE_DOWN, node=node_id)
             )
-        node_rt = self._nodes.get(node_id)
-        if node_rt is None:
-            raise SimulationError(f"cannot fail unknown node {node_id!r}")
         node_rt.node.fail()
         for rt in node_rt.tasks:
-            rt.alive = False
-            if self._at_least_once and rt.is_spout and rt.work:
-                self._abandon_queued_replays(rt)
-            if self._fc is not None and rt.work:
-                self._fc_release_queue(rt)
-            rt.work.clear()
-            rt.queued = False
-            # A spout killed mid-emit must not stay blocked forever: its
-            # in-flight emit completion will be discarded (dead node), so
-            # clear the flag now and revival can emit again.
-            rt.emit_blocked = False
-            rt.emit_timer_set = False
+            self._teardown(rt)
         node_rt.ready.clear()
 
     def _recover_node(self, node_id: str) -> None:
         """The machine rejoins: its capacity becomes schedulable again and
         any tasks still bound to it restart (their queued work was lost at
         failure, exactly as a process restart loses its heap)."""
+        node_rt = self._node(node_id, "recover")
         if self.observer is not None:
             self.observer(
                 TraceEvent(self.sim.now, EventKind.NODE_UP, node=node_id)
             )
-        node_rt = self._nodes.get(node_id)
-        if node_rt is None:
-            raise SimulationError(f"cannot recover unknown node {node_id!r}")
         node_rt.node.recover()
         for rt in node_rt.tasks:
             rt.alive = True
@@ -1124,9 +1073,9 @@ class SimulationRun:
         self.stats.record_offered(topo_id, now, tuples)
         self._arrival_log.append((source, now, tuples, key))
         if spout.alive and spout.node.node.alive:
-            fc_shed = self._fc_shed
-            if fc_shed is not None and fc_shed.should_shed(
-                topo_id, len(spout.work)
+            flow = self._flow
+            if flow is not None and flow.policy is not None and (
+                flow.policy.should_shed(topo_id, len(spout.work))
             ):
                 # Ingress shedding: the batch is refused at the spout's
                 # bounded queue before it ever becomes a tuple tree —
@@ -1214,24 +1163,48 @@ class SimulationRun:
                 self.sim.now, EventKind.CRASH, task.topo.topology_id,
                 task=task.task, reason="queue overflow",
             ))
+        self._teardown(task)
+        self.stats.record_crash(task.topo.topology_id, task.component.name)
+        self.sim.schedule_after(
+            self.config.worker_restart_s, self._revive_task, task
+        )
+
+    def _teardown(self, task: _TaskRuntime) -> None:
+        """Kill a task's worker (node failure, queue-overflow crash,
+        rescale removal): its queued work is lost and it leaves its
+        node's run queue.
+
+        One scan of the lost queue resolves each queued replay as
+        exhausted and returns each queued batch's edge credit (without
+        which the upstream edge would stall forever).  A spout queue
+        holds only EMIT/REPLAY items and a bolt queue only PROCESS
+        items, so the scan keeps the order of effects.  A spout killed
+        mid-emit must not stay blocked forever: its in-flight emit
+        completion will be discarded, so the flags are cleared now and
+        revival can emit again.
+        """
         task.alive = False
-        if self._at_least_once and task.is_spout and task.work:
-            self._abandon_queued_replays(task)
-        if self._fc is not None and task.work:
-            self._fc_release_queue(task)
+        for kind, payload in task.work:
+            if kind == _REPLAY:
+                self._abandon_replay(task.topo, payload[0])
+            elif kind == _PROCESS and payload[3] is not None:
+                # The lost batch returns its edge credit.
+                if payload[3].drain():
+                    self._fc_resume(payload[3])
         task.work.clear()
         task.emit_blocked = False
         task.emit_timer_set = False
+        self._unqueue(task)
+
+    @staticmethod
+    def _unqueue(task: _TaskRuntime) -> None:
+        """Take a task off its node's run queue, if it is on it."""
         if task.queued:
             try:
                 task.node.ready.remove(task)
             except ValueError:  # pragma: no cover - defensive
                 pass
             task.queued = False
-        self.stats.record_crash(task.topo.topology_id, task.component.name)
-        self.sim.schedule_after(
-            self.config.worker_restart_s, self._revive_task, task
-        )
 
     def _revive_task(self, task: _TaskRuntime) -> None:
         if not task.node.node.alive:
@@ -1253,7 +1226,6 @@ class SimulationRun:
         seq = sim.seq
         now = sim.now
         complete = self._complete
-        fc_on = self._fc is not None
         while node.alive and node_rt.active < cores and ready:
             task = ready.popleft()
             task.queued = False
@@ -1264,10 +1236,11 @@ class SimulationRun:
             kind, payload = task.work.popleft()
             per_tuple_ms = task.profile.cpu_ms_per_tuple
             if kind == _PROCESS:
-                if fc_on:
-                    # The batch left its bounded input queue: return the
-                    # edge credit (may resume a stalled upstream producer).
-                    self._fc_drain(task.topo, payload[3], task.component.name)
+                ledger = payload[3]
+                if ledger is not None and ledger.drain():
+                    # The batch left its bounded input queue and returned
+                    # the edge credit that resumes its upstream producer.
+                    self._fc_resume(ledger)
                 tuples = payload[1]
                 if payload[2] is not _INTRA_PROCESS:
                     # Tuples from another worker process arrive serialised
@@ -1337,40 +1310,13 @@ class SimulationRun:
         topo = spout.topo
         now = self.sim.now
         if payload is None:
-            # Closed loop: the spout produced its own profile-sized batch.
-            # This body is the hot path — kept free of open-loop work.
+            # Closed loop: the spout produced its own profile-sized batch,
+            # routed by its root id.
             tuples = spout.profile.emit_batch_tuples
-            if self.observer is not None:
-                self.observer(TraceEvent(
-                    now, EventKind.EMIT, topo.topology_id, task=spout.task,
-                    tuples=tuples,
-                ))
-            root_id = next(topo.next_root)
-            self.stats.record_emitted(topo.topology_id, tuples)
-            deliveries = self._route(spout, tuples, root_id, root_id)
-            if deliveries:
-                topo.pending[root_id] = _PendingTree(
-                    deliveries, spout, now, tuples, 0, root_id
-                )
-                spout.inflight += 1
-                if self._track_origins:
-                    topo.origins_created += 1
-            else:
-                # A spout with no subscribers is its own sink.
-                self.stats.record_sink(
-                    topo.topology_id, spout.component.name, now, tuples
-                )
-            spout.emit_blocked = False
-            if spout.profile.max_rate_tps is not None:
-                interval = tuples / spout.profile.max_rate_tps
-                spout.next_emit_time = max(
-                    spout.next_emit_time + interval, now
-                )
-            self._try_emit(spout)
-            return
-        # Open loop: the batch was offered by the arrival process; the
-        # next emission is the next arrival, so no credit/rate logic.
-        arrived_at, tuples, key = payload
+            arrived_at = key = None
+        else:
+            # Open loop: the batch was offered by the arrival process.
+            arrived_at, tuples, key = payload
         if self.observer is not None:
             self.observer(TraceEvent(
                 now, EventKind.EMIT, topo.topology_id, task=spout.task,
@@ -1398,12 +1344,18 @@ class SimulationRun:
                     topo.topology_id, now - arrived_at
                 )
         spout.emit_blocked = False
+        if payload is None:
+            # Closed loop only: the open loop's next emission is the next
+            # arrival, so it has no credit/rate logic.
+            if spout.profile.max_rate_tps is not None:
+                interval = tuples / spout.profile.max_rate_tps
+                spout.next_emit_time = max(
+                    spout.next_emit_time + interval, now
+                )
+            self._try_emit(spout)
 
     def _finish_process(self, task: _TaskRuntime, payload) -> None:
-        # Positional indexing, not unpacking: flow-control runs extend
-        # the _PROCESS payload with a 4th element (source component).
-        root_id = payload[0]
-        tuples = payload[1]
+        root_id, tuples, _, _ = payload
         topo = task.topo
         now = self.sim.now
         self._processed[(topo.topology_id, task.component.name)] += tuples
@@ -1484,8 +1436,8 @@ class SimulationRun:
         root_id = next(topo.next_root)
         self.stats.record_replayed(topo.topology_id, tuples)
         deliveries = self._route(spout, tuples, root_id, root_id)
-        topo.replays_outstanding -= 1
         if deliveries:
+            topo.replays_outstanding -= 1
             # A replayed tree keeps its original arrival anchor, so the
             # e2e latency of an eventually-acked origin spans its retries.
             topo.pending[root_id] = _PendingTree(
@@ -1494,8 +1446,7 @@ class SimulationRun:
             )
             spout.inflight += 1
         else:  # pragma: no cover - a spout with consumers always routes
-            topo.origins_exhausted += 1
-            self.stats.record_exhausted(topo.topology_id, tuples)
+            self._abandon_replay(topo, tuples)
         if self.observer is not None:
             self.observer(TraceEvent(
                 now, EventKind.REPLAY, topo.topology_id, task=spout.task,
@@ -1504,19 +1455,12 @@ class SimulationRun:
             ))
 
     def _abandon_replay(self, topo: _TopologyRuntime, tuples: int) -> None:
-        """Resolve an outstanding replay whose spout died: the origin is
-        counted as exhausted so the at-least-once audit stays closed."""
+        """Resolve an outstanding replay that will never be acked (its
+        spout died, or it routed nowhere): the origin is counted as
+        exhausted so the at-least-once audit stays closed."""
         topo.replays_outstanding -= 1
         topo.origins_exhausted += 1
         self.stats.record_exhausted(topo.topology_id, tuples)
-
-    def _abandon_queued_replays(self, spout: _TaskRuntime) -> None:
-        """Scan a dying spout's work queue for not-yet-serviced replays
-        and resolve each as exhausted (callers clear the queue next)."""
-        topo = spout.topo
-        for kind, payload in spout.work:
-            if kind == _REPLAY:
-                self._abandon_replay(topo, payload[0])
 
     def delivery_audit(self) -> Dict[str, Dict[str, int]]:
         """Per-topology at-least-once ledger (for tests/diagnostics).
@@ -1579,8 +1523,6 @@ class SimulationRun:
         num_bytes = tuples * producer.profile.tuple_bytes
         version = self._placement_version
         producer_node_id = producer.slot.node_id
-        fc = producer.topo.flow
-        src = producer.component.name
         # Hoisted bound methods: one lookup per routed batch instead of
         # one per delivery.
         transfer_model = self.transfer
@@ -1595,6 +1537,7 @@ class SimulationRun:
             consumers = route.consumers
             levels = route.levels
             remote = route.remote
+            ledger = route.ledger
             targets = route.grouping.route(
                 len(consumers), key=route_key,
                 local_indices=route.local_indices,
@@ -1637,19 +1580,17 @@ class SimulationRun:
                         self.stats.record_duplicate(
                             producer.topo.topology_id, tuples
                         )
-                        if fc is not None:
-                            # Ghost copies occupy real queue space too.
-                            self._fc_send(
-                                producer.topo, src, route.consumer_component
-                            )
+                        # Ghost copies occupy real queue space too.
+                        if ledger is not None and ledger.send():
+                            self._fc_stall(ledger)
                         schedule_at(
                             dup_arrival, deliver, consumer, _GHOST_ROOT,
-                            tuples, level, src,
+                            tuples, level, ledger,
                         )
-                if fc is not None:
-                    self._fc_send(producer.topo, src, route.consumer_component)
+                if ledger is not None and ledger.send():
+                    self._fc_stall(ledger)
                 schedule_at(
-                    arrival, deliver, consumer, root_id, tuples, level, src
+                    arrival, deliver, consumer, root_id, tuples, level, ledger
                 )
         return deliveries
 
@@ -1659,7 +1600,7 @@ class SimulationRun:
         root_id: int,
         tuples: int,
         level: DistanceLevel,
-        src: Optional[str] = None,
+        ledger: Optional[CreditLedger],
     ) -> None:
         if self.observer is not None:
             self.observer(TraceEvent(
@@ -1668,29 +1609,29 @@ class SimulationRun:
             ))
         if not consumer.alive or not consumer.node.node.alive:
             self.stats.record_dropped()
-            if self._fc is not None and src is not None:
-                # The batch consumed an edge credit when routed; a dead
-                # consumer never drains it, so return it here.
-                self._fc_drain(consumer.topo, src, consumer.component.name)
+            # The batch consumed an edge credit when routed; a dead
+            # consumer never drains it, so return it here.
+            if ledger is not None and ledger.drain():
+                self._fc_resume(ledger)
             return  # the root will time out and return spout credit
-        if self._fc is not None:
-            fc_shed = self._fc_shed
-            if fc_shed is not None and fc_shed.should_shed(
-                consumer.topo.topology_id, len(consumer.work)
-            ):
-                self._fc_drain(consumer.topo, src, consumer.component.name)
-                self._shed_delivery(consumer, root_id, tuples)
-                return
-            self._push_work(consumer, _PROCESS, (root_id, tuples, level, src))
+        flow = self._flow
+        if flow is not None and flow.policy is not None and (
+            flow.policy.should_shed(consumer.topo.topology_id, len(consumer.work))
+        ):
+            if ledger.drain():
+                self._fc_resume(ledger)
+            self._shed_delivery(consumer, root_id, tuples)
             return
-        # _push_work inlined for the flow-off hot path, where
-        # ``fc_paused`` is always False.
+        # _push_work inlined: the per-delivery hot path.
         work = consumer.work
-        work.append((_PROCESS, (root_id, tuples, level)))
+        work.append((_PROCESS, (root_id, tuples, level, ledger)))
         overflow = self._overflow
         if overflow is not None and len(work) > overflow:
             self._crash_task(consumer)
-        elif not consumer.queued and not consumer.running:
+        elif (
+            not consumer.queued and not consumer.running
+            and not consumer.fc_paused
+        ):
             consumer.queued = True
             node_rt = consumer.node
             node_rt.ready.append(consumer)
@@ -1699,81 +1640,50 @@ class SimulationRun:
 
     # -- flow control (all paths below only run when config.flow is set) ---
 
-    def _fc_send(
-        self, topo_rt: _TopologyRuntime, producer: str, consumer: str
-    ) -> None:
-        """Consume one credit on an edge; stall its producer component
-        when this send crosses the high watermark."""
-        fc = topo_rt.flow
-        ledger = fc.edges.get((producer, consumer))
-        if ledger is None:  # pragma: no cover - defensive
+    def _fc_stall(self, ledger: CreditLedger) -> None:
+        """An edge crossed its high watermark.  On its producer's first
+        stalled out edge, every task of the producer pauses: paused
+        bolts stop draining their input queues, so their upstream edges
+        fill next, until the spouts stop emitting."""
+        producer = ledger.producer
+        self.stats.record_credit_stall(
+            producer.topology_id, producer.name, ledger.consumer
+        )
+        producer.stalled_edges += 1
+        if producer.stalled_edges > 1:
             return
-        if ledger.send():
-            self.stats.record_credit_stall(
-                topo_rt.topology_id, producer, consumer
-            )
-            count = fc.stalled_edges.get(producer, 0) + 1
-            fc.stalled_edges[producer] = count
-            if count == 1:
-                self._fc_stall(topo_rt, producer, consumer)
-
-    def _fc_drain(
-        self, topo_rt: _TopologyRuntime, producer: str, consumer: str
-    ) -> None:
-        """Return one credit on an edge; resume its producer component
-        when this drain falls back to the low watermark and no other out
-        edge of the producer is still stalled."""
-        fc = topo_rt.flow
-        ledger = fc.edges.get((producer, consumer))
-        if ledger is None:  # pragma: no cover - defensive
-            return
-        if ledger.drain():
-            count = fc.stalled_edges.get(producer, 1) - 1
-            fc.stalled_edges[producer] = count
-            if count == 0:
-                self._fc_resume(topo_rt, producer, consumer)
-
-    def _fc_stall(
-        self, topo_rt: _TopologyRuntime, producer: str, consumer: str
-    ) -> None:
-        """Backpressure bites: pause every task of ``producer``.
-
-        Paused bolts stop draining their own input queues, so their
-        upstream edges fill next — pressure propagates edge-by-edge until
-        it reaches the spouts, which stop emitting.
-        """
+        now = self.sim.now
         if self.observer is not None:
             self.observer(TraceEvent(
-                self.sim.now, EventKind.STALL, topo_rt.topology_id,
-                component=producer, peer=consumer,
+                now, EventKind.STALL, producer.topology_id,
+                component=producer.name, peer=ledger.consumer,
             ))
-        fc = topo_rt.flow
-        tasks = fc.tasks_of.get(producer, ())
-        for rt in tasks:
+        for rt in producer.tasks:
             rt.fc_paused = True
-        if tasks and tasks[0].is_spout:
-            fc.spout_stalled_since.setdefault(producer, self.sim.now)
+        producer.stalled_since = now
 
-    def _fc_resume(
-        self, topo_rt: _TopologyRuntime, producer: str, consumer: str
-    ) -> None:
-        """Backpressure releases: unpause ``producer`` and restart its
-        tasks (spouts re-emit, bolts drain their backlog)."""
+    def _fc_resume(self, ledger: CreditLedger) -> None:
+        """An edge fell back to its low watermark.  Once no out edge of
+        its producer is stalled, backpressure releases: the producer
+        unpauses and its live tasks restart (spouts emit again, tasks
+        with a backlog drain it)."""
+        producer = ledger.producer
+        producer.stalled_edges -= 1
+        if producer.stalled_edges:
+            return
+        now = self.sim.now
         if self.observer is not None:
             self.observer(TraceEvent(
-                self.sim.now, EventKind.RESUME, topo_rt.topology_id,
-                component=producer, peer=consumer,
+                now, EventKind.RESUME, producer.topology_id,
+                component=producer.name, peer=ledger.consumer,
             ))
-        fc = topo_rt.flow
-        tasks = fc.tasks_of.get(producer, ())
-        for rt in tasks:
+        for rt in producer.tasks:
             rt.fc_paused = False
-        since = fc.spout_stalled_since.pop(producer, None)
-        if since is not None:
+        if producer.is_spout:
             self.stats.record_spout_throttle(
-                topo_rt.topology_id, self.sim.now - since
+                producer.topology_id, now - producer.stalled_since
             )
-        for rt in tasks:
+        for rt in producer.tasks:
             if not rt.alive or not rt.node.node.alive:
                 continue
             if rt.is_spout:
@@ -1782,16 +1692,6 @@ class SimulationRun:
                 rt.queued = True
                 rt.node.ready.append(rt)
                 self._dispatch(rt.node)
-
-    def _fc_release_queue(self, task: _TaskRuntime) -> None:
-        """Return the edge credits held by a dying task's queued batches
-        (worker crash, node failure, rescale removal) — without this the
-        upstream edge would stall forever."""
-        topo_rt = task.topo
-        consumer = task.component.name
-        for kind, payload in task.work:
-            if kind == _PROCESS:
-                self._fc_drain(topo_rt, payload[3], consumer)
 
     def _shed_delivery(
         self, consumer: _TaskRuntime, root_id: int, tuples: int
@@ -1832,25 +1732,27 @@ class SimulationRun:
                 tuples=tuples, reason=stage,
             ))
         self.stats.record_shed(topology_id, component, stage, now, tuples)
-        self._fc_ledger.record(
-            ShedRecord(
-                now, topology_id, component, stage, tuples,
-                self._fc_policy.name,
-            )
-        )
+        flow = self._flow
+        flow.shed_ledger.record(ShedRecord(
+            now, topology_id, component, stage, tuples, flow.policy.name
+        ))
 
     def shed_ledger(self) -> Optional[ShedLedger]:
         """The run's audited shed ledger (None when flow is off)."""
-        return self._fc_ledger
+        return None if self._flow is None else self._flow.shed_ledger
 
     def flow_edges(self, topology_id: str) -> Dict[Tuple[str, str], CreditLedger]:
         """Per-edge credit ledgers (tests/diagnostics; flow on only)."""
-        topo_rt = self._topology_runtime(topology_id)
-        if topo_rt.flow is None:
+        self._topology_runtime(topology_id)
+        if self._flow is None:
             raise SimulationError(
                 f"flow control is not enabled for {topology_id!r}"
             )
-        return dict(topo_rt.flow.edges)
+        return {
+            (producer.name, consumer): ledger
+            for producer in self._flow.producers[topology_id].values()
+            for consumer, ledger in producer.out.items()
+        }
 
     # -- ack timeout sweep -------------------------------------------------------------
 
@@ -1883,31 +1785,24 @@ class SimulationRun:
                     tuples=entry.tuples,
                 ))
             self.stats.record_failed(topo_rt.topology_id, entry.tuples)
-            if not at_least_once and self._track_origins:
-                # Flow control without at-least-once: a timed-out tree is
-                # given up on for good, so the origin audit resolves it
-                # as exhausted (never silently lost).
+            if at_least_once and entry.attempt < self._max_retries:
+                # Exponential backoff before the spout re-emits; the
+                # replay is accounted as outstanding from this moment so
+                # the audit never loses sight of the origin.
+                topo_rt.replays_outstanding += 1
+                self.sim.schedule_after(
+                    self._replay_backoff * (2.0 ** entry.attempt),
+                    self._start_replay, spout, entry.tuples,
+                    entry.attempt + 1, entry.origin_root, entry.arrived_at,
+                )
+            elif self._track_origins:
+                # Retries spent, or flow control without at-least-once:
+                # the tree is given up on for good, so the origin audit
+                # resolves it as exhausted (never silently lost).
                 topo_rt.origins_exhausted += 1
                 self.stats.record_exhausted(
                     topo_rt.topology_id, entry.tuples
                 )
-            if at_least_once:
-                if entry.attempt < self._max_retries:
-                    # Exponential backoff before the spout re-emits; the
-                    # replay is accounted as outstanding from this moment
-                    # so the audit never loses sight of the origin.
-                    topo_rt.replays_outstanding += 1
-                    self.sim.schedule_after(
-                        self._replay_backoff * (2.0 ** entry.attempt),
-                        self._start_replay, spout, entry.tuples,
-                        entry.attempt + 1, entry.origin_root,
-                        entry.arrived_at,
-                    )
-                else:
-                    topo_rt.origins_exhausted += 1
-                    self.stats.record_exhausted(
-                        topo_rt.topology_id, entry.tuples
-                    )
             if spout.alive:
                 self._try_emit(spout)
         self.sim.schedule_after(period, self._sweep, topo_rt, period)
