@@ -22,11 +22,17 @@ failure mutates ``Node``, and re-seeds :mod:`random` first.
 
 Tier-1 runs :data:`TIER1_EXAMPLES` examples.  CI runs this file alone
 under the ``des-oracle`` hypothesis profile (registered in
-``tests/conftest.py``), which searches far more.
+``tests/conftest.py``), which searches far more.  A last test checks
+that the oracle shares no code with the live runtime or flow layer
+beyond ``FlowControlConfig``.
 """
 
+import ast
+import importlib
 import random
 from dataclasses import dataclass
+from pathlib import Path
+from types import ModuleType
 from typing import Optional
 
 from hypothesis import HealthCheck, assume, given, strategies as st
@@ -325,3 +331,39 @@ def assert_same(case: Case) -> None:
 @given(case=cases())
 def test_live_runtime_matches_frozen_oracle(case):
     assert_same(case)
+
+
+def oracle_imports():
+    """``(module, name)`` for every import in the oracle (``name`` is
+    None for a plain ``import module``)."""
+    tree = ast.parse(Path(reference_runtime.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.module, alias.name) for alias in node.names)
+
+
+def defining_module(module: str, name: Optional[str]) -> str:
+    """The module that defines what the import binds, so a name
+    re-exported by a package still counts against its source."""
+    if name is None:
+        return module
+    value = getattr(importlib.import_module(module), name, None)
+    if value is None:  # a submodule not yet imported by its package
+        return f"{module}.{name}"
+    if isinstance(value, ModuleType):
+        return value.__name__
+    return getattr(value, "__module__", module)
+
+
+def test_oracle_shares_no_runtime_or_flow_code():
+    """Code the oracle took from the live runtime or flow layer would
+    change both sides of the differential at once.  Only the config it
+    is handed may be shared."""
+    live = ("repro.simulation.runtime", "repro.simulation.flowcontrol")
+    imported = {
+        (name, defining_module(module, name)) for module, name in oracle_imports()
+    }
+    shared = {(name, origin) for name, origin in imported if origin in live}
+    assert shared == {("FlowControlConfig", "repro.simulation.flowcontrol")}
