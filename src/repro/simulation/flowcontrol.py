@@ -415,10 +415,11 @@ class FlowControl:
             producer.tasks = [runtimes[t] for t in topology.tasks_of(name)]
             for consumer in topology.downstream_of(name):
                 pool = config.queue_capacity * len(topology.tasks_of(consumer))
-                if consumer not in producer.out:
+                ledger = producer.out.get(consumer)
+                if ledger is None:
                     producer.out[consumer] = CreditLedger(
                         pool, high, low, producer, consumer
                     )
-                if producer.out[consumer].resize(pool, high, low):
-                    flipped.append(producer.out[consumer])
+                elif ledger.resize(pool, high, low):
+                    flipped.append(ledger)
         return flipped

@@ -891,10 +891,11 @@ class SimulationRun:
         for kind, payload in task.work:
             if kind == _REPLAY:
                 self._abandon_replay(task.topo, payload[0])
-            elif kind == _PROCESS and payload[3] is not None:
+            elif kind == _PROCESS:
+                ledger = payload[3]
                 # The lost batch returns its edge credit.
-                if payload[3].drain():
-                    self._fc_resume(payload[3])
+                if ledger is not None and ledger.drain():
+                    self._fc_resume(ledger)
         task.work.clear()
         task.emit_blocked = False
         task.emit_timer_set = False
