@@ -7,8 +7,8 @@ layers the run asks for (faults, elastic scaling, tenancy) and hands
 back the live components as a :class:`Wiring`;
 :meth:`Wiring.outcome` distils the finished run into a
 :class:`SingleRunOutcome`.  Experiments report rows/series through
-:class:`ExperimentResult`, which both the CLI and the pytest-benchmark
-suite consume.
+:class:`ExperimentResult`, which the CLI prints and
+``python -m repro all --save DIR`` writes to ``DIR``.
 """
 
 from __future__ import annotations
@@ -439,7 +439,7 @@ def admit(
     tenancy = TenancyController(nimbus)
     for tenant in tenants:
         tenancy.register_tenant(tenant)
-    interval_s = nimbus.config.scheduling_interval_s
+    interval_s = nimbus.config["nimbus.scheduler.interval.secs"]
     for round_index in range(rounds):
         for due, tenant_id, topology in submissions:
             if due == round_index:

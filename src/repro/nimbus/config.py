@@ -8,49 +8,90 @@ scheduler choice through Storm's flat YAML configuration file::
     storm.scheduler: "repro.scheduler.rstorm.RStormScheduler"
 
 This module provides a dependency-free parser for that flat subset of
-YAML (scalar and inline-list values, comments) plus a typed
-:class:`StormConfig` wrapper with Storm's defaults.
+YAML (scalar and inline-list values, comments) plus
+:class:`StormConfig`, which checks every key this reproduction reads
+against :data:`KEYS` when it is built.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigError
 
 __all__ = ["StormConfig", "parse_storm_yaml"]
 
-#: Keys understood by this reproduction, with Storm-compatible defaults.
-DEFAULTS: Dict[str, Any] = {
-    "supervisor.memory.capacity.mb": 4096.0,
-    "supervisor.cpu.capacity": 400.0,
-    "supervisor.bandwidth.capacity.mbps": 1000.0,
-    "supervisor.slots.ports": [6700, 6701, 6702, 6703],
-    "storm.scheduler": "default",
-    "nimbus.scheduler.interval.secs": 10.0,
-    "nimbus.quarantine.enabled": False,
-    "nimbus.quarantine.threshold": 3,
-    "nimbus.quarantine.window.secs": 120.0,
-    "nimbus.quarantine.probation.secs": 60.0,
-    "nimbus.elastic.enabled": False,
-    "nimbus.elastic.interval.secs": 15.0,
-    "nimbus.elastic.target.utilisation": 0.7,
-    "nimbus.elastic.hysteresis": 0.25,
-    "nimbus.elastic.min.parallelism": 1,
-    "nimbus.elastic.max.parallelism": 16,
-    "nimbus.elastic.scale.down.patience": 3,
-    "nimbus.elastic.rebalance.enabled": True,
-    "nimbus.elastic.rebalance.threshold": 0.85,
-    "nimbus.tenancy.enabled": False,
-    "nimbus.tenancy.headroom": 1.0,
-    "nimbus.tenancy.credit.accrual": 1.0,
-    "nimbus.tenancy.credit.bias": 0.05,
-    "nimbus.tenancy.preemption.enabled": True,
-    "nimbus.tenancy.max.preemptions": 2,
-    "topology.workers": None,
-    "topology.max.spout.pending": 10,
-    "topology.message.timeout.secs": 30.0,
+#: Every key this reproduction reads: key -> (kind, default, bounds).
+#: Kinds: ``bool``; ``string`` (non-empty); ``port list`` (a non-empty
+#: list of ints); ``int``; ``int or null``; and ``number`` (an int or
+#: float, stored as float).  ``bounds`` is the interval, in the usual
+#: notation, that an ``int`` or ``number`` value must lie in.
+KEYS: Dict[str, Tuple[str, Any, Optional[str]]] = {
+    "supervisor.memory.capacity.mb": ("number", 4096.0, "(0, inf]"),
+    "supervisor.cpu.capacity": ("number", 400.0, "(0, inf]"),
+    "supervisor.bandwidth.capacity.mbps": ("number", 1000.0, "(0, inf]"),
+    "supervisor.slots.ports": ("port list", [6700, 6701, 6702, 6703], None),
+    "storm.scheduler": ("string", "default", None),
+    "nimbus.scheduler.interval.secs": ("number", 10.0, "(0, inf]"),
+    "nimbus.quarantine.enabled": ("bool", False, None),
+    "nimbus.quarantine.threshold": ("int", 3, "[1, inf]"),
+    "nimbus.quarantine.window.secs": ("number", 120.0, "(0, inf]"),
+    "nimbus.quarantine.probation.secs": ("number", 60.0, "(0, inf]"),
+    "nimbus.elastic.enabled": ("bool", False, None),
+    "nimbus.elastic.interval.secs": ("number", 15.0, "(0, inf]"),
+    "nimbus.elastic.target.utilisation": ("number", 0.7, "(0, 1]"),
+    "nimbus.elastic.hysteresis": ("number", 0.25, "[0, 1)"),
+    "nimbus.elastic.min.parallelism": ("int", 1, "[1, inf]"),
+    "nimbus.elastic.max.parallelism": ("int", 16, "[1, inf]"),
+    "nimbus.elastic.scale.down.patience": ("int", 3, "[1, inf]"),
+    "nimbus.elastic.rebalance.enabled": ("bool", True, None),
+    "nimbus.elastic.rebalance.threshold": ("number", 0.85, "(0, 1]"),
+    "nimbus.tenancy.enabled": ("bool", False, None),
+    "nimbus.tenancy.headroom": ("number", 1.0, "(0, 1]"),
+    "nimbus.tenancy.credit.accrual": ("number", 1.0, "[0, inf]"),
+    "nimbus.tenancy.credit.bias": ("number", 0.05, "[0, inf]"),
+    "nimbus.tenancy.preemption.enabled": ("bool", True, None),
+    "nimbus.tenancy.max.preemptions": ("int", 2, "[0, inf]"),
+    "topology.workers": ("int or null", None, "[1, inf]"),
+    "topology.max.spout.pending": ("int", 10, "[1, inf]"),
+    "topology.message.timeout.secs": ("number", 30.0, "(0, inf]"),
 }
+
+
+def _in_interval(value: float, bounds: str) -> bool:
+    low, high = (float(end) for end in bounds[1:-1].split(","))
+    above = value >= low if bounds[0] == "[" else value > low
+    below = value <= high if bounds[-1] == "]" else value < high
+    return above and below
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _checked(key: str, value: Any) -> Any:
+    """``value`` coerced to ``key``'s kind; raises :class:`ConfigError`
+    when it is not of that kind or lies outside its bounds."""
+    kind, _, bounds = KEYS[key]
+    if kind == "bool":
+        ok = isinstance(value, bool)
+    elif kind == "string":
+        ok = isinstance(value, str) and bool(value)
+    elif kind == "port list":
+        ok = isinstance(value, list) and bool(value) and all(map(_is_int, value))
+        value = list(value) if ok else value
+    elif kind == "int or null" and value is None:
+        return None
+    elif kind == "number":
+        ok = _is_int(value) or isinstance(value, float)
+        value = float(value) if ok else value
+    else:
+        ok = _is_int(value)
+    if not ok:
+        raise ConfigError(f"{key} must be of kind {kind}, got {value!r}")
+    if bounds is not None and not _in_interval(value, bounds):
+        raise ConfigError(f"{key} must be in {bounds}, got {value!r}")
+    return value
 
 
 def _parse_scalar(raw: str) -> Union[str, int, float, bool, None]:
@@ -76,17 +117,41 @@ def _parse_scalar(raw: str) -> Union[str, int, float, bool, None]:
     return text
 
 
+def _unquoted(text: str) -> Iterator[Tuple[int, str]]:
+    """Yield ``(index, char)`` for every character of ``text`` outside a
+    quoted scalar.  A quote opens a scalar only where one can start: at
+    the start of ``text`` or after whitespace, ``:``, ``[`` or ``,``."""
+    quote = None
+    previous = " "
+    for index, char in enumerate(text):
+        if quote is not None:
+            if char == quote:
+                quote = None
+        elif char in "\"'" and previous in " \t:[,":
+            quote = char
+        else:
+            yield index, char
+        previous = char
+
+
 def parse_storm_yaml(text: str) -> Dict[str, Any]:
     """Parse the flat ``key: value`` YAML subset storm.yaml uses.
 
     Supports scalars (str/int/float/bool/null), inline lists
     (``[6700, 6701]``), full-line and trailing comments, and blank lines.
-    Nested mappings are rejected — storm.yaml conventionally uses dotted
-    flat keys.
+    As in YAML, ``#`` starts a comment only at the start of a line or
+    after whitespace, and never inside quotes; a quoted list item may
+    hold commas.  Nested mappings are rejected — storm.yaml
+    conventionally uses dotted flat keys.
     """
     result: Dict[str, Any] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].rstrip()
+        line = raw_line
+        for index, char in _unquoted(raw_line):
+            if char == "#" and (index == 0 or raw_line[index - 1] in " \t"):
+                line = raw_line[:index]
+                break
+        line = line.rstrip()
         if not line.strip():
             continue
         if line.startswith((" ", "\t")):
@@ -105,7 +170,13 @@ def parse_storm_yaml(text: str) -> Dict[str, Any]:
             inner = value[1:-1].strip()
             items: List[Any] = []
             if inner:
-                items = [_parse_scalar(part) for part in inner.split(",")]
+                cuts = [i for i, char in _unquoted(inner) if char == ","]
+                starts = [0] + [cut + 1 for cut in cuts]
+                ends = cuts + [len(inner)]
+                items = [
+                    _parse_scalar(inner[start:end])
+                    for start, end in zip(starts, ends)
+                ]
             result[key] = items
         else:
             result[key] = _parse_scalar(value)
@@ -113,27 +184,42 @@ def parse_storm_yaml(text: str) -> Dict[str, Any]:
 
 
 class StormConfig:
-    """Typed access to a storm.yaml-style configuration with defaults.
+    """A storm.yaml-style configuration, checked once when it is built.
 
-    Any key is accepted (a real storm.yaml carries many this
-    reproduction ignores) except an unknown ``nimbus.*`` key: those
-    configure this reproduction's control loops, so a misspelt one
-    raises :class:`ConfigError` instead of silently doing nothing.
+    Every key in :data:`KEYS` takes its default unless given, and is
+    checked against its kind and bounds here, so ``config[key]`` returns
+    a value already checked.  Any other key is accepted and returned as
+    given (a real storm.yaml carries many this reproduction ignores)
+    except an unknown ``nimbus.*`` key: those configure this
+    reproduction's control loops, so a misspelt one raises
+    :class:`ConfigError` instead of silently doing nothing.
     """
 
     def __init__(self, values: Optional[Mapping[str, Any]] = None):
-        self._values: Dict[str, Any] = dict(DEFAULTS)
+        merged: Dict[str, Any] = {key: row[1] for key, row in KEYS.items()}
         if values:
             unknown = sorted(
                 key
                 for key in values
-                if key.startswith("nimbus.") and key not in DEFAULTS
+                if key.startswith("nimbus.") and key not in KEYS
             )
             if unknown:
                 raise ConfigError(
                     f"unknown nimbus configuration key(s): {', '.join(unknown)}"
                 )
-            self._values.update(values)
+            merged.update(values)
+        self._values: Dict[str, Any] = {
+            key: _checked(key, value) if key in KEYS else value
+            for key, value in merged.items()
+        }
+        if (
+            self._values["nimbus.elastic.max.parallelism"]
+            < self._values["nimbus.elastic.min.parallelism"]
+        ):
+            raise ConfigError(
+                "nimbus.elastic.max.parallelism must be >= "
+                "nimbus.elastic.min.parallelism"
+            )
 
     @classmethod
     def from_yaml(cls, text: str) -> "StormConfig":
@@ -143,8 +229,6 @@ class StormConfig:
     def from_file(cls, path: str) -> "StormConfig":
         with open(path) as handle:
             return cls.from_yaml(handle.read())
-
-    # -- generic access ---------------------------------------------------
 
     def get(self, key: str, default: Any = None) -> Any:
         return self._values.get(key, default)
@@ -158,233 +242,8 @@ class StormConfig:
     def __contains__(self, key: str) -> bool:
         return key in self._values
 
-    def with_overrides(self, **overrides: Any) -> "StormConfig":
-        merged = dict(self._values)
-        merged.update(
-            {key.replace("_", "."): value for key, value in overrides.items()}
-        )
-        return StormConfig(merged)
-
     def as_dict(self) -> Dict[str, Any]:
         return dict(self._values)
-
-    # -- typed accessors ------------------------------------------------------
-
-    def _positive_number(self, key: str) -> float:
-        value = self[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-        if value <= 0:
-            raise ConfigError(f"{key} must be positive, got {value!r}")
-        return float(value)
-
-    @property
-    def supervisor_memory_mb(self) -> float:
-        return self._positive_number("supervisor.memory.capacity.mb")
-
-    @property
-    def supervisor_cpu(self) -> float:
-        return self._positive_number("supervisor.cpu.capacity")
-
-    @property
-    def supervisor_bandwidth_mbps(self) -> float:
-        return self._positive_number("supervisor.bandwidth.capacity.mbps")
-
-    @property
-    def supervisor_ports(self) -> List[int]:
-        ports = self["supervisor.slots.ports"]
-        if not isinstance(ports, list) or not ports:
-            raise ConfigError("supervisor.slots.ports must be a non-empty list")
-        out = []
-        for port in ports:
-            if not isinstance(port, int) or isinstance(port, bool):
-                raise ConfigError(f"invalid supervisor port {port!r}")
-            out.append(port)
-        return out
-
-    @property
-    def scheduler_name(self) -> str:
-        value = self["storm.scheduler"]
-        if not isinstance(value, str) or not value:
-            raise ConfigError("storm.scheduler must be a non-empty string")
-        return value
-
-    @property
-    def scheduling_interval_s(self) -> float:
-        return self._positive_number("nimbus.scheduler.interval.secs")
-
-    @property
-    def quarantine_enabled(self) -> bool:
-        value = self["nimbus.quarantine.enabled"]
-        if not isinstance(value, bool):
-            raise ConfigError("nimbus.quarantine.enabled must be a bool")
-        return value
-
-    @property
-    def quarantine_threshold(self) -> int:
-        value = self["nimbus.quarantine.threshold"]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ConfigError("nimbus.quarantine.threshold must be an int >= 1")
-        return value
-
-    @property
-    def quarantine_window_s(self) -> float:
-        return self._positive_number("nimbus.quarantine.window.secs")
-
-    @property
-    def quarantine_probation_s(self) -> float:
-        return self._positive_number("nimbus.quarantine.probation.secs")
-
-    @property
-    def elastic_enabled(self) -> bool:
-        value = self["nimbus.elastic.enabled"]
-        if not isinstance(value, bool):
-            raise ConfigError("nimbus.elastic.enabled must be a bool")
-        return value
-
-    @property
-    def elastic_interval_s(self) -> float:
-        return self._positive_number("nimbus.elastic.interval.secs")
-
-    @property
-    def elastic_target_utilisation(self) -> float:
-        value = self._positive_number("nimbus.elastic.target.utilisation")
-        if value > 1.0:
-            raise ConfigError(
-                "nimbus.elastic.target.utilisation must be in (0, 1], "
-                f"got {value!r}"
-            )
-        return value
-
-    @property
-    def elastic_hysteresis(self) -> float:
-        value = self["nimbus.elastic.hysteresis"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError("nimbus.elastic.hysteresis must be a number")
-        if not 0.0 <= value < 1.0:
-            raise ConfigError(
-                f"nimbus.elastic.hysteresis must be in [0, 1), got {value!r}"
-            )
-        return float(value)
-
-    @property
-    def elastic_min_parallelism(self) -> int:
-        value = self["nimbus.elastic.min.parallelism"]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ConfigError(
-                "nimbus.elastic.min.parallelism must be an int >= 1"
-            )
-        return value
-
-    @property
-    def elastic_max_parallelism(self) -> int:
-        value = self["nimbus.elastic.max.parallelism"]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ConfigError(
-                "nimbus.elastic.max.parallelism must be an int >= 1"
-            )
-        if value < self.elastic_min_parallelism:
-            raise ConfigError(
-                "nimbus.elastic.max.parallelism must be >= "
-                "nimbus.elastic.min.parallelism"
-            )
-        return value
-
-    @property
-    def elastic_scale_down_patience(self) -> int:
-        value = self["nimbus.elastic.scale.down.patience"]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ConfigError(
-                "nimbus.elastic.scale.down.patience must be an int >= 1"
-            )
-        return value
-
-    @property
-    def elastic_rebalance_enabled(self) -> bool:
-        value = self["nimbus.elastic.rebalance.enabled"]
-        if not isinstance(value, bool):
-            raise ConfigError("nimbus.elastic.rebalance.enabled must be a bool")
-        return value
-
-    @property
-    def elastic_rebalance_threshold(self) -> float:
-        value = self._positive_number("nimbus.elastic.rebalance.threshold")
-        if value > 1.0:
-            raise ConfigError(
-                "nimbus.elastic.rebalance.threshold must be in (0, 1], "
-                f"got {value!r}"
-            )
-        return value
-
-    @property
-    def tenancy_enabled(self) -> bool:
-        value = self["nimbus.tenancy.enabled"]
-        if not isinstance(value, bool):
-            raise ConfigError("nimbus.tenancy.enabled must be a bool")
-        return value
-
-    @property
-    def tenancy_headroom(self) -> float:
-        value = self._positive_number("nimbus.tenancy.headroom")
-        if value > 1.0:
-            raise ConfigError(
-                f"nimbus.tenancy.headroom must be in (0, 1], got {value!r}"
-            )
-        return value
-
-    def _non_negative_number(self, key: str) -> float:
-        value = self[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-        if value < 0:
-            raise ConfigError(f"{key} must be >= 0, got {value!r}")
-        return float(value)
-
-    @property
-    def tenancy_credit_accrual(self) -> float:
-        return self._non_negative_number("nimbus.tenancy.credit.accrual")
-
-    @property
-    def tenancy_credit_bias(self) -> float:
-        return self._non_negative_number("nimbus.tenancy.credit.bias")
-
-    @property
-    def tenancy_preemption_enabled(self) -> bool:
-        value = self["nimbus.tenancy.preemption.enabled"]
-        if not isinstance(value, bool):
-            raise ConfigError(
-                "nimbus.tenancy.preemption.enabled must be a bool"
-            )
-        return value
-
-    @property
-    def tenancy_max_preemptions(self) -> int:
-        value = self["nimbus.tenancy.max.preemptions"]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ConfigError(
-                "nimbus.tenancy.max.preemptions must be an int >= 0"
-            )
-        return value
-
-    @property
-    def max_spout_pending(self) -> int:
-        value = self["topology.max.spout.pending"]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ConfigError("topology.max.spout.pending must be an int >= 1")
-        return value
-
-    @property
-    def message_timeout_s(self) -> float:
-        return self._positive_number("topology.message.timeout.secs")
-
-    @property
-    def topology_workers(self) -> Optional[int]:
-        value = self["topology.workers"]
-        if value is None:
-            return None
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ConfigError("topology.workers must be an int >= 1 or null")
-        return value
 
     def make_scheduler(self):
         """Instantiate the configured scheduler.
@@ -398,16 +257,16 @@ class StormConfig:
             RStormScheduler,
         )
 
-        name = self.scheduler_name.lower()
-        if name in ("default", "even"):
-            return DefaultScheduler(workers_per_topology=self.topology_workers)
-        if name in ("r-storm", "rstorm", "resource-aware"):
+        name = self["storm.scheduler"]
+        kind = name.lower()
+        workers = self["topology.workers"]
+        if kind in ("default", "even"):
+            return DefaultScheduler(workers_per_topology=workers)
+        if kind in ("r-storm", "rstorm", "resource-aware"):
             return RStormScheduler()
-        if name in ("aniello", "aniello-offline"):
-            return AnielloOfflineScheduler(
-                workers_per_topology=self.topology_workers
-            )
-        raise ConfigError(f"unknown storm.scheduler {self.scheduler_name!r}")
+        if kind in ("aniello", "aniello-offline"):
+            return AnielloOfflineScheduler(workers_per_topology=workers)
+        raise ConfigError(f"unknown storm.scheduler {name!r}")
 
     def __repr__(self) -> str:
-        return f"StormConfig(scheduler={self.scheduler_name!r})"
+        return f"StormConfig(scheduler={self['storm.scheduler']!r})"

@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError
-from repro.nimbus.config import StormConfig
 from repro.nimbus.nimbus import Nimbus
 from repro.scheduler.assignment import Assignment
 from repro.topology.task import Task, task_label
@@ -159,19 +158,15 @@ class ElasticController:
 
     Args:
         nimbus: The master daemon whose topologies/assignments/scheduler
-            (and quarantine state) the controller acts through.
-        config: Config to read ``nimbus.elastic.*`` knobs from (defaults
-            to the Nimbus's own config).
+            (and quarantine state) the controller acts through; its
+            config supplies the ``nimbus.elastic.*`` knobs.
 
     Attach with :meth:`attach`; when ``nimbus.elastic.enabled`` is false
     the attach is a strict no-op, leaving the run untouched.
     """
 
-    def __init__(
-        self, nimbus: Nimbus, config: Optional[StormConfig] = None
-    ):
+    def __init__(self, nimbus: Nimbus):
         self.nimbus = nimbus
-        self.config = config or nimbus.config
         #: every committed action, in decision order
         self.decisions: List[ElasticDecision] = []
         #: (time, message) of scale attempts the scheduler refused
@@ -201,9 +196,9 @@ class ElasticController:
         No-op when ``nimbus.elastic.enabled`` is false: a config that
         merely *carries* elastic keys must not perturb the run.
         """
-        if not self.config.elastic_enabled:
+        if not self.nimbus.config["nimbus.elastic.enabled"]:
             return
-        period = self.config.elastic_interval_s
+        period = self.nimbus.config["nimbus.elastic.interval.secs"]
 
         def tick() -> None:
             self._control_cycle(run, period)
@@ -220,12 +215,13 @@ class ElasticController:
         processed = run.stats.processed_snapshot()
         busy = run.stats.busy_snapshot()
         shed = run.stats.shed_snapshot()
+        rebalance = self.nimbus.config["nimbus.elastic.rebalance.enabled"]
         if dt > 0:
             for topology_id in list(self.nimbus.assignments):
                 scaled = self._scale_topology(
                     run, topology_id, processed, shed, dt, period, now
                 )
-                if not scaled and self.config.elastic_rebalance_enabled:
+                if not scaled and rebalance:
                     self._rebalance_topology(
                         run, topology_id, busy, dt, now
                     )
@@ -247,6 +243,7 @@ class ElasticController:
         """Size every bolt of one topology; commit any required scale
         actions.  Returns True when at least one action was committed."""
         acted = False
+        config = self.nimbus.config
         topology = self.nimbus.topology(topology_id)
         bolt_names = sorted(c.name for c in topology.bolts)
         for name in bolt_names:
@@ -281,10 +278,10 @@ class ElasticController:
                 service_tps,
                 comp.parallelism,
                 backlog,
-                target_utilisation=self.config.elastic_target_utilisation,
-                hysteresis=self.config.elastic_hysteresis,
-                min_parallelism=self.config.elastic_min_parallelism,
-                max_parallelism=self.config.elastic_max_parallelism,
+                target_utilisation=config["nimbus.elastic.target.utilisation"],
+                hysteresis=config["nimbus.elastic.hysteresis"],
+                min_parallelism=config["nimbus.elastic.min.parallelism"],
+                max_parallelism=config["nimbus.elastic.max.parallelism"],
                 drain_period_s=period,
             )
             if required < comp.parallelism:
@@ -292,7 +289,7 @@ class ElasticController:
                 # held below current for `patience` consecutive periods.
                 streak = self._below_streak.get(key, 0) + 1
                 self._below_streak[key] = streak
-                if streak < self.config.elastic_scale_down_patience:
+                if streak < config["nimbus.elastic.scale.down.patience"]:
                     continue
                 self._below_streak[key] = 0
             else:
@@ -413,7 +410,7 @@ class ElasticController:
         identity anchors arrival streams and acker credit).
         """
         nimbus = self.nimbus
-        threshold = self.config.elastic_rebalance_threshold
+        threshold = nimbus.config["nimbus.elastic.rebalance.threshold"]
         assignment = nimbus.assignments[topology_id]
         topology = nimbus.topology(topology_id)
         util = self._node_utilisation(busy, dt)

@@ -181,9 +181,9 @@ class Nimbus:
         for node_id in expired:
             del self.quarantined[node_id]
             self.flap_history.pop(node_id, None)
-        window = self.config.quarantine_window_s
-        threshold = self.config.quarantine_threshold
-        probation = self.config.quarantine_probation_s
+        window = self.config["nimbus.quarantine.window.secs"]
+        threshold = self.config["nimbus.quarantine.threshold"]
+        probation = self.config["nimbus.quarantine.probation.secs"]
         for node in self.cluster.nodes:
             node_id = node.node_id
             if self._last_alive.get(node_id, True) and not node.alive:
@@ -224,11 +224,11 @@ class Nimbus:
         *partial*: only tasks from dead or quarantined nodes move.
         """
         self.reconcile_membership()
-        if self.config.quarantine_enabled:
+        if self.config["nimbus.quarantine.enabled"]:
             self._update_quarantine(now)
         masked = self._mask_quarantined()
         try:
-            if self.tenancy is not None and self.config.tenancy_enabled:
+            if self.tenancy is not None and self.config["nimbus.tenancy.enabled"]:
                 # Admission runs with quarantined nodes masked, so the
                 # weighted-DRF capacity matches what the schedulers
                 # will actually see this round.
@@ -262,7 +262,7 @@ class Nimbus:
         running degraded on whatever placements survive — it never hangs
         and never over-places.
         """
-        period = self.config.scheduling_interval_s
+        period = self.config["nimbus.scheduler.interval.secs"]
         backoff_cap = 8 * period
         state = {"delay": period}
 

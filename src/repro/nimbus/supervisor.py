@@ -13,7 +13,6 @@ from typing import Any, Dict, Optional
 
 from repro.cluster.node import Node
 from repro.errors import MembershipError
-from repro.nimbus.config import StormConfig
 from repro.nimbus.zookeeper import InMemoryZooKeeper
 
 __all__ = ["Supervisor", "SUPERVISORS_PATH"]
@@ -24,15 +23,9 @@ SUPERVISORS_PATH = "/supervisors"
 class Supervisor:
     """One worker node's supervisor daemon."""
 
-    def __init__(
-        self,
-        node: Node,
-        zk: InMemoryZooKeeper,
-        config: Optional[StormConfig] = None,
-    ):
+    def __init__(self, node: Node, zk: InMemoryZooKeeper):
         self.node = node
         self.zk = zk
-        self.config = config or StormConfig()
         self.session: Optional[int] = None
         self.last_heartbeat: float = 0.0
 

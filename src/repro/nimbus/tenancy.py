@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError
-from repro.nimbus.config import StormConfig
 from repro.scheduler.admission import (
     AdmissionDecision,
     AdmissionPlan,
@@ -113,9 +112,8 @@ class TenancyController:
     round — only when ``nimbus.tenancy.enabled`` is set.
     """
 
-    def __init__(self, nimbus, config: Optional[StormConfig] = None):
+    def __init__(self, nimbus):
         self.nimbus = nimbus
-        self.config = config or nimbus.config
         self.tenants: Dict[str, Tenant] = {}
         #: tenant id -> FIFO of pending (not yet admitted) topologies
         self._pending: Dict[str, List[Topology]] = {}
@@ -137,7 +135,7 @@ class TenancyController:
 
     @property
     def enabled(self) -> bool:
-        return self.config.tenancy_enabled
+        return self.nimbus.config["nimbus.tenancy.enabled"]
 
     def register_tenant(self, tenant: Tenant) -> None:
         if tenant.tenant_id in self.tenants:
@@ -231,17 +229,18 @@ class TenancyController:
             for tenant_id, queue in self._pending.items()
             for topology in queue
         ]
+        config = self.nimbus.config
         plan = plan_admission(
             pending,
             running,
             self._capacity(),
             {tid: tenant.spec() for tid, tenant in self.tenants.items()},
             self.credits,
-            headroom=self.config.tenancy_headroom,
-            credit_bias=self.config.tenancy_credit_bias,
-            credit_accrual=self.config.tenancy_credit_accrual,
-            preemption_enabled=self.config.tenancy_preemption_enabled,
-            max_preemptions=self.config.tenancy_max_preemptions,
+            headroom=config["nimbus.tenancy.headroom"],
+            credit_bias=config["nimbus.tenancy.credit.bias"],
+            credit_accrual=config["nimbus.tenancy.credit.accrual"],
+            preemption_enabled=config["nimbus.tenancy.preemption.enabled"],
+            max_preemptions=config["nimbus.tenancy.max.preemptions"],
         )
         # Evictions first: kill_topology releases the victim's
         # reservations, so admitted topologies see the freed slack when
