@@ -1,8 +1,8 @@
 """Shape checks for the paper's headline claims, on shortened runs.
 
 These are the evaluation's qualitative statements ("who wins, roughly by
-how much") verified end-to-end at reduced duration; the full-length runs
-live in ``benchmarks/``.
+how much") verified end-to-end at reduced duration; the full-length
+tables come from ``python -m repro all --save DIR``.
 """
 
 import pytest

@@ -11,6 +11,7 @@ from repro.cluster import (
     uniform_cluster,
 )
 from repro.errors import SchedulingError
+from repro.experiments import scheduling_overhead
 from repro.scheduler.aniello import AnielloOfflineScheduler
 from repro.scheduler.default import DefaultScheduler
 from repro.scheduler.ordering import TaskOrderingStrategy
@@ -44,6 +45,15 @@ class TestBasicScheduling:
         cluster2 = emulab_testbed()
         default = DefaultScheduler().schedule([topology], cluster2)["chain"]
         assert len(rstorm.nodes) < len(default.nodes)
+
+    @pytest.mark.parametrize("scheduler", [RStormScheduler, DefaultScheduler])
+    def test_overhead_experiment_scale_placed_completely(self, scheduler):
+        """The overhead experiment's 64-node, 8x16-task scale."""
+        topology = scheduling_overhead.make_chain_topology(8, 16)
+        cluster = scheduling_overhead.make_cluster(64)
+        assignment = scheduler().schedule([topology], cluster)["chain"]
+        assert assignment.is_complete(topology)
+        assert len(assignment) == 128
 
     def test_anchors_in_a_single_rack_when_possible(self):
         cluster = emulab_testbed()
