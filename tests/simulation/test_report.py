@@ -1,10 +1,14 @@
 """Tests for SimulationReport derived views."""
 
+import dataclasses
+
 import pytest
 
 from repro.simulation.config import SimulationConfig
+from repro.simulation.flowcontrol import FlowControlConfig
 from repro.simulation.metrics import StatisticServer
 from repro.simulation.report import LatencyStats, SimulationReport
+from repro.traffic.arrivals import PoissonArrivals
 
 
 def make_report(duration=60.0, warmup=10.0):
@@ -100,3 +104,229 @@ class TestSummary:
         assert summary["t"]["emitted"] == 120.0
         assert summary["t"]["nodes_used"] == 2.0
         assert "worker_crashes" in summary["t"]
+
+
+def recorded_report():
+    """A report over one of every recording, made through the recorder
+    API only: ``t`` sees every layer, ``u`` a few counters, ``idle``
+    nothing at all."""
+    config = SimulationConfig(
+        duration_s=60.0,
+        warmup_s=10.0,
+        at_least_once=True,
+        arrival_process=PoissonArrivals(100.0),
+        flow=FlowControlConfig(),
+    )
+    stats = StatisticServer(config.window_s)
+    for time, tuples in ((5.0, 50), (15.0, 100), (25.0, 200), (55.0, 300)):
+        stats.record_sink("t", "sink", time, tuples)
+    stats.record_sink("u", "sink", 35.0, 40)
+    stats.record_emitted("t", 1000)
+    stats.record_emitted("u", 100)
+    stats.record_failed("t", 30)
+    for component in ("a", "a", "b"):
+        stats.record_crash("t", component)
+    stats.record_crash("u", "c")
+    stats.record_replayed("t", 150)
+    stats.record_exhausted("t", 20)
+    stats.record_lost("t", 7)
+    stats.record_duplicate("t", 50)
+    stats.record_acked_tuples("t", 15.0, 80)
+    stats.record_acked_tuples("t", 45.0, 120)
+    for time, tuples in ((5.0, 60), (15.0, 300), (25.0, 180)):
+        stats.record_offered("t", time, tuples)
+    stats.record_offered("u", 15.0, 50)
+    stats.record_arrival_dropped("t", 9)
+    for latency in (0.01, 0.02, 0.03):
+        stats.record_e2e_latency("t", latency)
+    stats.record_e2e_latency("u", 0.04)
+    for latency in (0.5, 0.25, 0.75):
+        stats.record_ack("t", latency)
+    stats.record_shed("t", "a", "ingress", 15.0, 5)
+    stats.record_shed("t", "b", "queue", 25.0, 10)
+    stats.record_credit_stall("t", "a", "b")
+    stats.record_credit_stall("t", "a", "b")
+    stats.record_credit_stall("t", "b", "c")
+    stats.record_spout_throttle("t", 1.5)
+    stats.record_spout_throttle("t", 0.25)
+    busy, _processed, _nic = stats.per_batch_counters()
+    busy["n1"] += 6.0
+    busy["n2"] += 30.0
+    report = SimulationReport(
+        config=config,
+        stats=stats,
+        duration_s=60.0,
+        topology_ids=["t", "u", "idle"],
+        nodes_used={"t": ("n1", "n2"), "u": ("n2",)},
+        node_cores={"n1": 1, "n2": 2},
+    )
+    return report, stats
+
+
+def _plain(value):
+    """Dataclasses as dicts and floats rounded to 12 places, so a pin
+    row compares by ``repr`` (key order and int-vs-float included)."""
+    if dataclasses.is_dataclass(value):
+        return _plain(dataclasses.asdict(value))
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(item) for item in value)
+    if isinstance(value, float):
+        return round(value, 12)
+    return value
+
+
+_ZERO_LAYER_KEYS = {
+    "effective_tuples_per_window": 0.0, "replayed": 0.0, "exhausted": 0.0,
+    "lost": 0.0, "duplicated": 0.0, "replay_amplification": 1.0,
+    "duplicate_rate": 0.0,
+}
+
+#: (reader, args, expected) for every public SimulationReport reader.
+READER_PINS = [
+    ("throughput_series", ("t",),
+     [(0.0, 50), (10.0, 100), (20.0, 200), (30.0, 0), (40.0, 0), (50.0, 300)]),
+    ("average_throughput_per_window", ("t",), 120.0),
+    ("average_throughput_per_window", ("u",), 8.0),
+    ("average_throughput_tps", ("t",), 12.0),
+    ("emitted", ("t",), 1000),
+    ("sunk", ("t",), 650),
+    ("failed", ("t",), 30),
+    ("crashes", ("t",), 3),
+    ("crashes", ("u",), 1),
+    ("replayed", ("t",), 150),
+    ("exhausted", ("t",), 20),
+    ("lost", ("t",), 7),
+    ("duplicated", ("t",), 50),
+    ("replay_amplification", ("t",), 1.15),
+    ("replay_amplification", ("idle",), 1.0),
+    ("duplicate_rate", ("t",), 0.05),
+    ("duplicate_rate", ("idle",), 0.0),
+    ("effective_throughput_series", ("t",),
+     [(0.0, 0), (10.0, 80), (20.0, 0), (30.0, 0), (40.0, 120), (50.0, 0)]),
+    ("effective_throughput_per_window", ("t",), 40.0),
+    ("offered", ("t",), 540),
+    ("arrivals_dropped", ("t",), 9),
+    ("offered_series", ("t",),
+     [(0.0, 60), (10.0, 300), (20.0, 180), (30.0, 0), (40.0, 0), (50.0, 0)]),
+    ("offered_per_window", ("t",), 96.0),
+    ("achieved_ratio", ("t",), 1.25),
+    ("achieved_ratio", ("idle",), 0.0),
+    ("e2e_latency", ("t",),
+     {"count": 3, "mean": 0.02, "p50": 0.02, "p99": 0.0298, "p999": 0.02998}),
+    ("e2e_latency", ("idle",),
+     {"count": 0, "mean": 0.0, "p50": 0.0, "p99": 0.0, "p999": 0.0}),
+    ("shed", ("t",), 15),
+    ("shed_by_stage", ("t",), {"ingress": 5, "queue": 10}),
+    ("shed_by_stage", ("u",), {}),
+    ("shed_rate", ("t",), 0.027777777778),
+    ("shed_series", ("t",),
+     [(0.0, 0), (10.0, 5), (20.0, 10), (30.0, 0), (40.0, 0), (50.0, 0)]),
+    ("spout_throttled_s", ("t",), 1.75),
+    ("credit_stalls", ("t",), {("a", "b"): 2, ("b", "c"): 1}),
+    ("credit_stall_total", ("t",), 3),
+    ("tenant_e2e_latency", (["t", "u"],),
+     {"count": 4, "mean": 0.025, "p50": 0.025, "p99": 0.0397,
+      "p999": 0.03997}),
+    ("tenant_e2e_latency", (["idle"],),
+     {"count": 0, "mean": 0.0, "p50": 0.0, "p99": 0.0, "p999": 0.0}),
+    ("tenant_summary", ({"t": "gold", "u": "gold", "v": "free"},),
+     {"free": {"topologies": 0.0, "offered_tuples_per_window": 0,
+               "achieved_tuples_per_window": 0, "achieved_ratio": 0.0,
+               "e2e_p50_ms": 0.0, "e2e_p99_ms": 0.0},
+      "gold": {"topologies": 2.0, "offered_tuples_per_window": 106.0,
+               "achieved_tuples_per_window": 128.0, "achieved_ratio": 1.2075,
+               "e2e_p50_ms": 25.0, "e2e_p99_ms": 39.7}}),
+    ("cpu_utilisation", ("n1",), 0.1),
+    ("cpu_utilisation", ("n2",), 0.25),
+    ("mean_cpu_utilisation", (), 0.175),
+    ("mean_cpu_utilisation", (["n1"],), 0.1),
+    ("topology_cpu_utilisation", ("u",), 0.25),
+    ("ack_latency", ("t",), {"count": 3, "mean": 0.5, "p50": 0.5, "p99": 0.75}),
+    ("ack_latency", ("u",), {"count": 0, "mean": 0.0, "p50": 0.0, "p99": 0.0}),
+    ("is_empty", ("t",), False),
+    ("is_empty", ("idle",), True),
+    ("summary", (), {
+        "t": {
+            "avg_tuples_per_window": 120.0, "avg_tuples_per_s": 12.0,
+            "emitted": 1000.0, "sunk": 650.0, "failed": 30.0,
+            "nodes_used": 2.0, "mean_cpu_utilisation": 0.175,
+            "ack_p50_ms": 500.0, "worker_crashes": 3.0,
+            "effective_tuples_per_window": 40.0, "replayed": 150.0,
+            "exhausted": 20.0, "lost": 7.0, "duplicated": 50.0,
+            "replay_amplification": 1.15, "duplicate_rate": 0.05,
+            "offered": 540.0, "offered_tuples_per_window": 96.0,
+            "achieved_ratio": 1.25, "arrivals_dropped": 9.0,
+            "e2e_p50_ms": 20.0, "e2e_p99_ms": 29.8, "e2e_p999_ms": 29.98,
+            "shed": 15.0, "shed_rate": 0.0278, "spout_throttled_s": 1.75,
+            "credit_stalls": 3.0,
+        },
+        "u": {
+            "avg_tuples_per_window": 8.0, "avg_tuples_per_s": 0.8,
+            "emitted": 100.0, "sunk": 40.0, "failed": 0.0,
+            "nodes_used": 1.0, "mean_cpu_utilisation": 0.25,
+            "ack_p50_ms": 0.0, "worker_crashes": 1.0,
+            **_ZERO_LAYER_KEYS,
+            "offered": 50.0, "offered_tuples_per_window": 10.0,
+            "achieved_ratio": 0.8, "arrivals_dropped": 0.0,
+            "e2e_p50_ms": 40.0, "e2e_p99_ms": 40.0, "e2e_p999_ms": 40.0,
+            "shed": 0.0, "shed_rate": 0.0, "spout_throttled_s": 0.0,
+            "credit_stalls": 0.0,
+        },
+        "idle": {
+            "avg_tuples_per_window": 0.0, "avg_tuples_per_s": 0.0,
+            "emitted": 0.0, "sunk": 0.0, "failed": 0.0,
+            "nodes_used": 0.0, "mean_cpu_utilisation": 0.0,
+            "ack_p50_ms": 0.0, "worker_crashes": 0.0,
+            **_ZERO_LAYER_KEYS,
+            "offered": 0.0, "offered_tuples_per_window": 0.0,
+            "achieved_ratio": 0.0, "arrivals_dropped": 0.0,
+            "e2e_p50_ms": 0.0, "e2e_p99_ms": 0.0, "e2e_p999_ms": 0.0,
+            "shed": 0.0, "shed_rate": 0.0, "spout_throttled_s": 0.0,
+            "credit_stalls": 0.0, "empty": 1.0,
+        },
+    }),
+]
+
+
+class TestReaderPin:
+    """Every public reader over values recorded through the recorder
+    API, pinned by ``repr``."""
+
+    @pytest.mark.parametrize(
+        "reader,args,expected",
+        READER_PINS,
+        ids=[f"{reader}{args}" for reader, args, _ in READER_PINS],
+    )
+    def test_reader(self, reader, args, expected):
+        report, _ = recorded_report()
+        assert repr(_plain(getattr(report, reader)(*args))) == repr(expected)
+
+    def test_reads_insert_no_keys(self):
+        # The elastic controller snapshots the live counter dicts, so a
+        # read that inserted a default would change what it sees.
+        report, stats = recorded_report()
+
+        def keys():
+            return {
+                name: sorted(map(repr, value))
+                for name, value in vars(stats).items()
+                if isinstance(value, dict)
+            }
+
+        before = keys()
+        for reader, args, _ in READER_PINS:
+            getattr(report, reader)(*args)
+            getattr(report, reader)(*(_ghost(arg) for arg in args))
+        assert keys() == before
+
+
+def _ghost(arg):
+    """``arg`` with every topology or node name swapped for one that
+    recorded nothing."""
+    if isinstance(arg, str):
+        return "ghost"
+    if isinstance(arg, dict):
+        return {"ghost": "nobody"}
+    return ["ghost"]
