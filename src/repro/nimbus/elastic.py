@@ -212,9 +212,9 @@ class ElasticController:
         now = run.sim.now
         last_time = self._last_time if self._last_time is not None else 0.0
         dt = now - last_time
-        processed = run.stats.processed_snapshot()
-        busy = run.stats.busy_snapshot()
-        shed = run.stats.shed_snapshot()
+        processed = dict(run.stats.processed)
+        busy = dict(run.stats.busy)
+        shed = dict(run.stats.shed_components)
         rebalance = self.nimbus.config["nimbus.elastic.rebalance.enabled"]
         if dt > 0:
             for topology_id in list(self.nimbus.assignments):

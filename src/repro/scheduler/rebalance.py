@@ -70,7 +70,7 @@ class OnlineRebalancer:
         """Per-node CPU utilisation over the last interval."""
         utilisation = {}
         for node in self.cluster.alive_nodes:
-            busy = run.stats.busy_core_seconds(node.node_id)
+            busy = run.stats.busy.get(node.node_id, 0.0)
             delta = busy - self._last_busy.get(node.node_id, 0.0)
             self._last_busy[node.node_id] = busy
             cores = max(1, round(node.capacity.cpu / 100.0))

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import pickle
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.simulation.report import SimulationReport
 
@@ -97,7 +97,7 @@ def report_as_dict(report: SimulationReport) -> Dict:
     for node_id in used:
         out["nodes"][node_id] = {
             "cpu_utilisation": report.cpu_utilisation(node_id),
-            "nic_bytes": report.stats.nic_bytes(node_id),
+            "nic_bytes": report.stats.nic_bytes.get(node_id, 0),
         }
     return out
 

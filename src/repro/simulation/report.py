@@ -1,15 +1,19 @@
 """Simulation reports — derived metric views.
 
-Wraps a :class:`~repro.simulation.metrics.StatisticServer` with the
+Reads the counter dicts of a
+:class:`~repro.simulation.metrics.StatisticServer` and derives the
 aggregations the paper reports: average throughput per 10-second window
 (post-warmup), throughput time series, and average CPU utilisation over
-the machines a topology actually uses (Figure 10's metric).
+the machines a topology actually uses (Figure 10's metric).  Every read
+is ``.get(key, default)`` or an iteration: indexing a counter
+``defaultdict`` would insert the key, and the elastic controller
+snapshots those dicts live.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.simulation.config import SimulationConfig
@@ -83,35 +87,42 @@ class SimulationReport:
     node_cores: Dict[str, int]
     events_processed: int = 0
 
+    # -- shared views ---------------------------------------------------------
+
+    def _series(
+        self, windows: Dict[Tuple[str, int], int], topology_id: str
+    ) -> List[Tuple[float, int]]:
+        """(window_start_s, count) from a ``(topology, window_index)``
+        counter for every window in the run, including empty windows."""
+        window_s = self.stats.window_s
+        return [
+            (w * window_s, windows.get((topology_id, w), 0))
+            for w in range(int(math.ceil(self.duration_s / window_s)))
+        ]
+
+    def _steady_mean(self, series: List[Tuple[float, int]]) -> float:
+        """Mean count per window after warmup, excluding a trailing
+        partial window; 0.0 when no window qualifies."""
+        values = [
+            count
+            for start, count in series
+            if start >= self.config.warmup_s
+            and start + self.config.window_s <= self.duration_s + 1e-9
+        ]
+        if not values:
+            return 0.0
+        return sum(values) / len(values)
+
     # -- throughput -----------------------------------------------------------
 
     def throughput_series(self, topology_id: str) -> List[Tuple[float, int]]:
         """(window_start_s, sink tuples in window) for the whole run."""
-        return self.stats.throughput_series(topology_id, self.duration_s)
-
-    def component_series(
-        self, topology_id: str, component: str
-    ) -> List[Tuple[float, int]]:
-        return self.stats.component_series(topology_id, component, self.duration_s)
-
-    def _steady_windows(self, topology_id: str) -> List[int]:
-        """Window values after warmup, excluding a trailing partial window."""
-        values = []
-        for start, tuples in self.throughput_series(topology_id):
-            if start < self.config.warmup_s:
-                continue
-            if start + self.config.window_s > self.duration_s + 1e-9:
-                continue
-            values.append(tuples)
-        return values
+        return self._series(self.stats.sink_windows, topology_id)
 
     def average_throughput_per_window(self, topology_id: str) -> float:
         """Mean sink tuples per metrics window after warmup — the paper's
         headline number (tuples per 10 seconds)."""
-        values = self._steady_windows(topology_id)
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
+        return self._steady_mean(self.throughput_series(topology_id))
 
     def average_throughput_tps(self, topology_id: str) -> float:
         """Mean sink tuples per second after warmup."""
@@ -120,35 +131,39 @@ class SimulationReport:
     # -- counters ----------------------------------------------------------------
 
     def emitted(self, topology_id: str) -> int:
-        return self.stats.emitted_total(topology_id)
+        return self.stats.emitted.get(topology_id, 0)
 
     def sunk(self, topology_id: str) -> int:
-        return self.stats.sink_total(topology_id)
+        return self.stats.sink_totals.get(topology_id, 0)
 
     def failed(self, topology_id: str) -> int:
-        return self.stats.failed_total(topology_id)
+        return self.stats.failed.get(topology_id, 0)
 
     def crashes(self, topology_id: str) -> int:
         """Worker crashes from queue overflow during the run."""
-        return self.stats.crash_total(topology_id)
+        return sum(
+            count
+            for (topo, _), count in self.stats.crashes.items()
+            if topo == topology_id
+        )
 
     # -- delivery semantics (at-least-once layer) ---------------------------------
 
     def replayed(self, topology_id: str) -> int:
         """Tuples re-emitted by spouts replaying timed-out trees."""
-        return self.stats.replayed_total(topology_id)
+        return self.stats.replayed.get(topology_id, 0)
 
     def exhausted(self, topology_id: str) -> int:
         """Tuples in trees explicitly given up on after ``max_retries``."""
-        return self.stats.exhausted_total(topology_id)
+        return self.stats.exhausted.get(topology_id, 0)
 
     def lost(self, topology_id: str) -> int:
         """Tuples dropped on the wire by message-loss faults."""
-        return self.stats.lost_total(topology_id)
+        return self.stats.lost.get(topology_id, 0)
 
     def duplicated(self, topology_id: str) -> int:
         """Tuples duplicated on the wire by message-loss faults."""
-        return self.stats.duplicated_total(topology_id)
+        return self.stats.duplicated.get(topology_id, 0)
 
     def replay_amplification(self, topology_id: str) -> float:
         """(emitted + replayed) / emitted — 1.0 means no replay traffic;
@@ -171,51 +186,33 @@ class SimulationReport:
         """(window_start_s, tuples in trees acked in window): *effective*
         (acked-exactly-once) throughput, vs the raw sink series that
         counts replays and ghost duplicates twice."""
-        return self.stats.acked_series(topology_id, self.duration_s)
+        return self._series(self.stats.acked_windows, topology_id)
 
     def effective_throughput_per_window(self, topology_id: str) -> float:
         """Mean acked tuples per window after warmup (trailing partial
         window excluded) — the delivery-layer counterpart of
         :meth:`average_throughput_per_window`."""
-        values = []
-        for start, tuples in self.effective_throughput_series(topology_id):
-            if start < self.config.warmup_s:
-                continue
-            if start + self.config.window_s > self.duration_s + 1e-9:
-                continue
-            values.append(tuples)
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
+        return self._steady_mean(self.effective_throughput_series(topology_id))
 
     # -- open-loop traffic --------------------------------------------------------
 
     def offered(self, topology_id: str) -> int:
         """Total tuples the arrival process offered (open loop only)."""
-        return self.stats.offered_total(topology_id)
+        return self.stats.offered_totals.get(topology_id, 0)
 
     def arrivals_dropped(self, topology_id: str) -> int:
         """Tuples that arrived while their spout's worker was down."""
-        return self.stats.arrivals_dropped_total(topology_id)
+        return self.stats.arrivals_dropped.get(topology_id, 0)
 
     def offered_series(self, topology_id: str) -> List[Tuple[float, int]]:
         """(window_start_s, offered tuples) for the whole run."""
-        return self.stats.offered_series(topology_id, self.duration_s)
+        return self._series(self.stats.offered_windows, topology_id)
 
     def offered_per_window(self, topology_id: str) -> float:
         """Mean offered tuples per metrics window after warmup
         (trailing partial window excluded) — what the run was asked to
         sustain, vs :meth:`average_throughput_per_window` (what it did)."""
-        values = []
-        for start, tuples in self.offered_series(topology_id):
-            if start < self.config.warmup_s:
-                continue
-            if start + self.config.window_s > self.duration_s + 1e-9:
-                continue
-            values.append(tuples)
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
+        return self._steady_mean(self.offered_series(topology_id))
 
     def achieved_ratio(self, topology_id: str) -> float:
         """Steady-state sink throughput over offered load.
@@ -231,17 +228,21 @@ class SimulationReport:
 
     def e2e_latency(self, topology_id: str) -> TailLatency:
         """End-to-end (arrival -> full ack) latency percentiles."""
-        return TailLatency.from_digest(self.stats.e2e_digest(topology_id))
+        return TailLatency.from_digest(self.stats.e2e_digests.get(topology_id))
 
     # -- flow control (backpressure + shedding layer) -----------------------------
 
     def shed(self, topology_id: str) -> int:
         """Tuples dropped by the shedding policy (ingress + queue)."""
-        return self.stats.shed_total(topology_id)
+        return self.stats.shed_totals.get(topology_id, 0)
 
     def shed_by_stage(self, topology_id: str) -> Dict[str, int]:
         """Shed tuples split by stage (``ingress`` vs ``queue``)."""
-        return self.stats.shed_by_stage(topology_id)
+        return {
+            stage: tuples
+            for (topo, stage), tuples in sorted(self.stats.shed_stages.items())
+            if topo == topology_id
+        }
 
     def shed_rate(self, topology_id: str) -> float:
         """Shed tuples as a fraction of demand.
@@ -261,28 +262,39 @@ class SimulationReport:
 
     def shed_series(self, topology_id: str) -> List[Tuple[float, int]]:
         """(window_start_s, shed tuples) for the whole run."""
-        return self.stats.shed_series(topology_id, self.duration_s)
+        return self._series(self.stats.shed_windows, topology_id)
 
     def spout_throttled_s(self, topology_id: str) -> float:
         """Total seconds the topology's spouts spent backpressure-paused."""
-        return self.stats.spout_throttled_s(topology_id)
+        return self.stats.spout_throttled.get(topology_id, 0.0)
 
     def credit_stalls(self, topology_id: str) -> Dict[Tuple[str, str], int]:
         """Per-edge stall counts: (producer, consumer) -> stalls."""
-        return self.stats.credit_stalls(topology_id)
+        return {
+            (producer, consumer): count
+            for (topo, producer, consumer), count in sorted(
+                self.stats.credit_stalls.items()
+            )
+            if topo == topology_id
+        }
 
     def credit_stall_total(self, topology_id: str) -> int:
         """Total high-watermark stall transitions across all edges."""
-        return self.stats.credit_stall_total(topology_id)
+        return sum(self.credit_stalls(topology_id).values())
 
     # -- multi-tenant rollups -----------------------------------------------------
 
     def tenant_e2e_latency(self, topology_ids: Sequence[str]) -> TailLatency:
         """Tail latency over several topologies' merged digests — a
         tenant's p99 is over *all* its traffic, not the mean of
-        per-topology percentiles."""
+        per-topology percentiles.  Source digests are not mutated."""
+        digests = [
+            digest
+            for digest in map(self.stats.e2e_digests.get, topology_ids)
+            if digest is not None
+        ]
         return TailLatency.from_digest(
-            self.stats.merged_e2e_digest(list(topology_ids))
+            TailDigest.merged(digests) if digests else None
         )
 
     def tenant_summary(
@@ -327,7 +339,7 @@ class SimulationReport:
         denom = self.duration_s * cores
         if denom <= 0:
             return 0.0
-        return self.stats.busy_core_seconds(node_id) / denom
+        return self.stats.busy.get(node_id, 0.0) / denom
 
     def mean_cpu_utilisation(
         self, node_ids: Optional[Sequence[str]] = None
@@ -353,7 +365,9 @@ class SimulationReport:
     # -- latency ------------------------------------------------------------------
 
     def ack_latency(self, topology_id: str) -> LatencyStats:
-        return LatencyStats.from_samples(self.stats.ack_latencies(topology_id))
+        return LatencyStats.from_samples(
+            self.stats.ack_samples.get(topology_id, ())
+        )
 
     # -- summary ----------------------------------------------------------------------
 

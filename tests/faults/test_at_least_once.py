@@ -107,9 +107,9 @@ class TestMessageLossInjection:
         ).attach(run)
         report = run.run()
         tid = topology.topology_id
-        assert report.stats.lost_total(tid) > 0
-        assert report.stats.replayed_total(tid) > 0
-        assert report.stats.duplicated_total(tid) > 0
+        assert report.lost(tid) > 0
+        assert report.replayed(tid) > 0
+        assert report.duplicated(tid) > 0
 
 
 # -- the at-least-once property -------------------------------------------

@@ -134,6 +134,6 @@ class TestObserverParity:
         assert traced_report.events_processed == plain_report.events_processed
         for node in emulab_testbed().nodes:
             assert (
-                traced.run.stats.busy_core_seconds(node.node_id).hex()
-                == plain.run.stats.busy_core_seconds(node.node_id).hex()
+                traced.run.stats.busy.get(node.node_id, 0.0).hex()
+                == plain.run.stats.busy.get(node.node_id, 0.0).hex()
             )

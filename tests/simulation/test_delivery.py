@@ -66,8 +66,8 @@ class TestReplay:
         run.fail_node_at(5.0, "node-0-1")  # the bolt's node, forever
         report = run.run()
         tid = topology.topology_id
-        assert report.stats.replayed_total(tid) > 0
-        assert report.stats.exhausted_total(tid) > 0
+        assert report.replayed(tid) > 0
+        assert report.exhausted(tid) > 0
         audit = run.delivery_audit()[tid]
         assert audit_is_closed(audit)
         assert audit["origins_exhausted"] > 0
@@ -101,8 +101,8 @@ class TestReplay:
         run.fail_node_at(5.0, "node-0-1")
         report = run.run()
         tid = topology.topology_id
-        assert report.stats.replay_batches(tid) == 0
-        assert report.stats.exhausted_total(tid) > 0
+        assert tid not in report.stats.replayed
+        assert report.exhausted(tid) > 0
         assert audit_is_closed(run.delivery_audit()[tid])
 
     def test_dead_spout_resolves_outstanding_replays_as_exhausted(self):
@@ -129,9 +129,9 @@ class TestReplay:
         run.fail_node_at(5.0, "node-0-1")
         report = run.run()
         tid = topology.topology_id
-        assert report.stats.failed_total(tid) > 0
-        assert report.stats.replay_batches(tid) == 0
-        assert report.stats.exhausted_total(tid) == 0
+        assert report.failed(tid) > 0
+        assert tid not in report.stats.replayed
+        assert report.exhausted(tid) == 0
         assert "replayed" not in report.summary()[tid]
 
 
@@ -194,7 +194,7 @@ class TestAckerEdgeCases:
         # diverge from the spout ledger
         assert spout.inflight >= 0
         assert spout.inflight == len(run._topologies[0].pending)
-        assert report.stats.failed_total("slow") > 0
+        assert report.failed("slow") > 0
 
 
 class TestMessageLoss:
@@ -262,9 +262,9 @@ class TestMessageLoss:
         )
         report = run.run()
         tid = topology.topology_id
-        assert report.stats.lost_total(tid) > 0
-        assert report.stats.failed_total(tid) > 0
-        assert report.stats.replayed_total(tid) > 0
+        assert report.lost(tid) > 0
+        assert report.failed(tid) > 0
+        assert report.replayed(tid) > 0
         assert audit_is_closed(run.delivery_audit()[tid])
 
     def test_duplicates_are_invisible_to_the_acker(self):
@@ -278,12 +278,12 @@ class TestMessageLoss:
         )
         report = run.run()
         tid = topology.topology_id
-        assert report.stats.duplicated_total(tid) > 0
+        assert report.duplicated(tid) > 0
         # ghosts inflate the raw sink count, never the acker ledger
         audit = run.delivery_audit()[tid]
         assert audit_is_closed(audit)
         assert audit["spout_inflight"] == audit["pending"]
-        acked_tuples = report.stats.acked_total(tid)
+        acked_tuples = report.stats.acked_totals.get(tid, 0)
         assert report.sunk(tid) > acked_tuples > 0
 
 

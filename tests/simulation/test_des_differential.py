@@ -285,8 +285,8 @@ def outcome(runtime_module, case: Case) -> dict:
             for tid, row in report.summary().items()
         },
         "audit": run.delivery_audit(),
-        "busy": {n: stats.busy_core_seconds(n).hex() for n in node_ids},
-        "nic": {n: stats.nic_bytes(n) for n in node_ids},
+        "busy": {n: stats.busy.get(n, 0.0).hex() for n in node_ids},
+        "nic": {n: stats.nic_bytes.get(n, 0) for n in node_ids},
         "events": report.events_processed,
         "acks": {
             tid: [x.hex() for x in stats.ack_latencies(tid)]

@@ -148,13 +148,13 @@ class TestClosedLoopHotPathPin:
         stats = run.stats
         assert report.events_processed == pins["events"]
         assert {
-            node: stats.busy_core_seconds(node).hex() for node in NODES
+            node: stats.busy.get(node, 0.0).hex() for node in NODES
         } == pins["busy_hex"]
-        assert {node: stats.nic_bytes(node) for node in NODES} == pins[
+        assert {node: stats.nic_bytes.get(node, 0) for node in NODES} == pins[
             "nic_bytes"
         ]
         assert {
-            comp: stats.processed_total(topo_id, comp)
+            comp: stats.processed.get((topo_id, comp), 0)
             for comp in pins["processed"]
         } == pins["processed"]
         latencies = stats.ack_latencies(topo_id)
@@ -183,8 +183,8 @@ class TestTracerParity:
         assert traced_report.events_processed == plain_report.events_processed
         for node in NODES:
             assert (
-                traced.stats.busy_core_seconds(node).hex()
-                == plain.stats.busy_core_seconds(node).hex()
+                traced.stats.busy.get(node, 0.0).hex()
+                == plain.stats.busy.get(node, 0.0).hex()
             )
         delivered = sum(delivered_levels(pinned_run(variant)).values())
         assert delivered > 0 and tracer.dropped == 0
@@ -194,7 +194,7 @@ class TestTracerParity:
         ).profile.emit_batch_tuples
         assert (
             len(tracer.query(kind="emit")) * batch
-            == traced.stats.emitted_total(topo_id)
+            == traced.stats.emitted.get(topo_id, 0)
         )
         assert len(tracer.query(kind="ack")) == PINS[variant]["acks"]
 

@@ -73,20 +73,23 @@ class TestThroughputViews:
 class TestCpuViews:
     def test_cpu_utilisation_accounts_cores(self):
         report, stats = make_report(duration=10.0, warmup=1.0)
-        stats.record_busy("n1", 5.0)
-        stats.record_busy("n2", 5.0)
+        busy, _processed, _nic = stats.per_batch_counters()
+        busy["n1"] += 5.0
+        busy["n2"] += 5.0
         assert report.cpu_utilisation("n1") == pytest.approx(0.5)
         assert report.cpu_utilisation("n2") == pytest.approx(0.25)  # 2 cores
 
     def test_mean_cpu_utilisation_over_used_nodes(self):
         report, stats = make_report(duration=10.0, warmup=1.0)
-        stats.record_busy("n1", 10.0)
-        stats.record_busy("n2", 0.0)
+        busy, _processed, _nic = stats.per_batch_counters()
+        busy["n1"] += 10.0
+        busy["n2"] += 0.0
         assert report.mean_cpu_utilisation() == pytest.approx(0.5)
 
     def test_mean_cpu_utilisation_explicit_nodes(self):
         report, stats = make_report(duration=10.0, warmup=1.0)
-        stats.record_busy("n1", 10.0)
+        busy, _processed, _nic = stats.per_batch_counters()
+        busy["n1"] += 10.0
         assert report.mean_cpu_utilisation(["n1"]) == pytest.approx(1.0)
 
     def test_empty_node_list(self):
@@ -320,6 +323,14 @@ class TestReaderPin:
             getattr(report, reader)(*args)
             getattr(report, reader)(*(_ghost(arg) for arg in args))
         assert keys() == before
+
+    def test_every_public_reader_is_pinned(self):
+        readers = {
+            name
+            for name, value in vars(SimulationReport).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert readers == {reader for reader, _, _ in READER_PINS}
 
 
 def _ghost(arg):

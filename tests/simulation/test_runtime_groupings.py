@@ -42,7 +42,7 @@ class TestShuffleInSimulation:
         cluster = cluster_of(2)
         report = run(topology, cluster)
         # all 4 bolt tasks processed something, roughly equally
-        total = report.stats.processed_total("t", "b")
+        total = report.stats.processed.get(("t", "b"), 0)
         assert total > 0
 
 
@@ -59,9 +59,9 @@ class TestGlobalInSimulation:
         report = run_obj.run()
         # global grouping sends everything to instance 0; the component
         # total equals what one task handled
-        g_total = report.stats.processed_total("t", "g")
+        g_total = report.stats.processed.get(("t", "g"), 0)
         assert g_total > 0
-        assert report.stats.processed_total("t", "sink") > 0
+        assert report.stats.processed.get(("t", "sink"), 0) > 0
 
 
 class TestAllGroupingInSimulation:
@@ -73,7 +73,7 @@ class TestAllGroupingInSimulation:
         cluster = cluster_of(2)
         report = run(topology, cluster)
         emitted = report.emitted("t")
-        fanned = report.stats.processed_total("t", "fan")
+        fanned = report.stats.processed.get(("t", "fan"), 0)
         # every emitted tuple processed by all 3 tasks (minus in-flight)
         assert fanned >= 2.5 * emitted * 0.8
 
@@ -88,7 +88,7 @@ class TestFieldsInSimulation:
             )
             topology = builder.build()
             cluster = cluster_of(2)
-            return run(topology, cluster).stats.processed_total("t", "k")
+            return run(topology, cluster).stats.processed.get(("t", "k"), 0)
 
         assert once() == once()
 
@@ -115,5 +115,5 @@ class TestLocalOrShuffleInSimulation:
         run_obj = SimulationRun(cluster, [(topology, assignment)], CONFIG)
         report = run_obj.run()
         # everything stays local: no NIC traffic at all
-        assert report.stats.nic_bytes(cluster.nodes[0].node_id) == 0
-        assert report.stats.processed_total("t", "l") > 0
+        assert report.stats.nic_bytes.get(cluster.nodes[0].node_id, 0) == 0
+        assert report.stats.processed.get(("t", "l"), 0) > 0
