@@ -30,7 +30,7 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.bench.core import (
     BenchResult,
@@ -68,6 +68,20 @@ FLOW_SUMMARY_PROBES = ("traffic-overload", "overload-protect")
 NAME_WIDTH = max(map(len, REGISTRY))
 
 
+def _at_least(kind: Callable[[str], float], low: float):
+    """An argparse ``type`` that parses with ``kind`` and rejects values
+    below ``low``, so a bad flag fails before any probe runs."""
+
+    def parse(text: str) -> float:
+        value = kind(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low:g}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in errors
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rstorm bench",
@@ -85,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--repeats",
-        type=int,
+        type=_at_least(int, 1),
         default=None,
         metavar="N",
         help="override every benchmark's repeat count",
@@ -111,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tolerance",
-        type=float,
+        type=_at_least(float, 1.0),
         default=1.5,
         metavar="X",
         help="allowed median wall-time regression factor for --check "

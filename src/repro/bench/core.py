@@ -255,7 +255,15 @@ def compare_results(
                 f"{baseline.events} (determinism regression)",
             )
         )
-    if fresh.median_s > baseline.median_s * tolerance:
+    if baseline.median_s <= 0:
+        failures.append(
+            CheckFailure(
+                fresh.name,
+                f"baseline median {baseline.median_s:.4f}s is not positive "
+                "(corrupt baseline; re-record it)",
+            )
+        )
+    elif fresh.median_s > baseline.median_s * tolerance:
         failures.append(
             CheckFailure(
                 fresh.name,

@@ -77,7 +77,7 @@ def _write_baseline(directory, events=10, median=1000.0):
         "median_s": median,
         "p90_s": median,
         "events": events,
-        "events_per_sec": events / median,
+        "events_per_sec": events / median if median > 0 else 0.0,
         "peak_rss_kb": 1,
         "meta": {},
     }
@@ -139,6 +139,41 @@ def test_check_fails_on_event_divergence(fake_registry, tmp_path, capsys):
     )
     assert code == 1
     assert "events diverged" in capsys.readouterr().err
+
+
+def test_check_fails_on_zero_median_baseline(fake_registry, tmp_path, capsys):
+    baseline = tmp_path / "baseline"
+    _write_baseline(baseline, median=0.0)
+    code = cli.main(
+        [
+            "fast",
+            "--out",
+            str(tmp_path / "out"),
+            "--baseline",
+            str(baseline),
+            "--check",
+        ]
+    )
+    assert code == 1
+    assert "baseline median 0.0000s is not positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--repeats", "0"], ["--check", "--tolerance", "0.5"]]
+)
+def test_bad_arguments_exit_two_before_running(
+    flags, fake_registry, tmp_path, capsys, monkeypatch
+):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a probe ran")
+
+    monkeypatch.setattr(cli, "run_benchmark", refuse)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["fast", "--out", str(out), *flags])
+    assert exit_info.value.code == 2
+    assert "must be >=" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture()

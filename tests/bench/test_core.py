@@ -125,7 +125,7 @@ def _result(events=100, median=1.0):
         median_s=median,
         p90_s=median,
         events=events,
-        events_per_sec=events / median,
+        events_per_sec=events / median if median > 0 else 0.0,
         peak_rss_kb=1,
     )
 
@@ -157,6 +157,15 @@ class TestCompare:
             )
             == []
         )
+
+    def test_zero_median_baseline_fails_without_raising(self):
+        failures = compare_results(
+            _result(median=0.5), _result(median=0.0), tolerance=1.5
+        )
+        assert [f.reason for f in failures] == [
+            "baseline median 0.0000s is not positive "
+            "(corrupt baseline; re-record it)"
+        ]
 
     def test_tolerance_below_one_rejected(self):
         with pytest.raises(ConfigError):
