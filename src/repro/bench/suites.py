@@ -47,7 +47,6 @@ below; changing them invalidates the committed baselines (see
 
 from __future__ import annotations
 
-import inspect
 import random
 from typing import Callable, Dict, List
 
@@ -128,16 +127,6 @@ TENANT_ADMISSION_ROUNDS = 6
 TENANT_ADMISSION_HEADROOM = 0.08
 
 
-def _engine_supports_args() -> bool:
-    """True when ``Simulator.schedule_at`` forwards ``*args`` to the
-    action (the optimised engine); the bench then schedules bare
-    callables with payload args instead of allocating a closure per
-    event — exactly the difference the optimisation makes in the
-    runtime's transfer path."""
-    parameters = inspect.signature(Simulator.schedule_at).parameters.values()
-    return any(p.kind is inspect.Parameter.VAR_POSITIONAL for p in parameters)
-
-
 #: Churn delay table size (power of two: index wrap is a mask, not ``%``).
 _DELAY_MASK = 4095
 
@@ -145,22 +134,18 @@ _DELAY_MASK = 4095
 class _ChurnStream:
     """One self-rescheduling stream of payload-carrying events.
 
-    In args mode the reschedule passes the **prebound** ``self._fire``
-    plus the payload as schedule args (the optimised engine's idiom: no
-    per-event callable allocation at all).  In closure mode — the only
-    idiom the pre-optimisation engine supports — every reschedule
-    allocates a fresh lambda capturing the payload.
+    Each reschedule passes the **prebound** ``self._fire`` plus the
+    payload as schedule args, so no event allocates a callable.
     """
 
-    __slots__ = ("sim", "delays", "index", "remaining", "use_args", "_fire")
+    __slots__ = ("sim", "delays", "index", "remaining", "_fire")
 
     def __init__(self, sim: Simulator, delays: List[float], start: int,
-                 budget: int, use_args: bool):
+                 budget: int):
         self.sim = sim
         self.delays = delays
         self.index = start
         self.remaining = budget
-        self.use_args = use_args
         self._fire = self.fire
 
     def fire(self, payload: int) -> None:
@@ -172,37 +157,27 @@ class _ChurnStream:
         self.index = i + 1
         sim = self.sim
         delay = self.delays[i & _DELAY_MASK]
-        if self.use_args:
-            sim.schedule_at(sim.now + delay, self._fire, payload + 1)
-        else:
-            sim.schedule_at(
-                sim.now + delay, lambda p=payload + 1: self.fire(p)
-            )
+        sim.schedule_at(sim.now + delay, self._fire, payload + 1)
 
 
 def _prepare_engine_churn() -> Callable[[], int]:
     rng = random.Random(ENGINE_CHURN_SEED)
     delays = [rng.uniform(1e-4, 1e-2) for _ in range(_DELAY_MASK + 1)]
     sim = Simulator()
-    use_args = _engine_supports_args()
     # Reschedule budget split evenly over the streams (the first
     # ``remainder`` streams take one extra), so the initial events plus
     # every reschedule total exactly ENGINE_CHURN_EVENTS.
     reschedules = ENGINE_CHURN_EVENTS - ENGINE_CHURN_STREAMS
     base, remainder = divmod(reschedules, ENGINE_CHURN_STREAMS)
     streams = [
-        _ChurnStream(sim, delays, i * 7, base + (1 if i < remainder else 0),
-                     use_args)
+        _ChurnStream(sim, delays, i * 7, base + (1 if i < remainder else 0))
         for i in range(ENGINE_CHURN_STREAMS)
     ]
     start_delays = [rng.uniform(1e-4, 1e-2) for _ in range(len(streams))]
 
     def workload() -> int:
         for stream, delay in zip(streams, start_delays):
-            if use_args:
-                sim.schedule_at(delay, stream._fire, 0)
-            else:
-                sim.schedule_at(delay, lambda s=stream: s.fire(0))
+            sim.schedule_at(delay, stream._fire, 0)
         sim.run(ENGINE_CHURN_HORIZON_S)
         return sim.events_processed
 

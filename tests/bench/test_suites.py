@@ -5,12 +5,8 @@ from repro.bench.suites import (
     ENGINE_CHURN_EVENTS,
     ENGINE_CHURN_STREAMS,
     REGISTRY,
-    _ChurnStream,
-    _DELAY_MASK,
-    _engine_supports_args,
     _prepare_engine_churn,
 )
-from repro.simulation.engine import Simulator
 
 EXPECTED_NAMES = {
     "engine-churn",
@@ -43,9 +39,6 @@ class TestRegistry:
 
 
 class TestEngineChurn:
-    def test_current_engine_supports_args(self):
-        assert _engine_supports_args() is True
-
     def test_exact_event_count(self):
         # The probe's event count is the determinism contract the CI
         # gate asserts exactly: initial events + every reschedule.
@@ -60,18 +53,3 @@ class TestEngineChurn:
             "the budget split below only matters while the total does "
             "not divide evenly; update this test if the constants change"
         )
-
-    def test_closure_mode_matches_args_mode(self):
-        # The pre-optimisation engine only supports the closure idiom;
-        # both modes must do identical simulated work.
-        delays = [0.001] * (_DELAY_MASK + 1)
-
-        def run_mode(use_args):
-            sim = Simulator()
-            stream = _ChurnStream(sim, delays, 0, budget=10,
-                                  use_args=use_args)
-            sim.schedule_at(0.0005, stream._fire, 0)
-            sim.run(1e6)
-            return sim.events_processed, sim.now
-
-        assert run_mode(True) == run_mode(False)
