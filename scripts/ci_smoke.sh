@@ -71,6 +71,13 @@ chaos)
     echo "== chaos: extended flags do not perturb the default grid"
     repro chaos --duration 90 --no-cache | tee chaos-default-again.txt
     diff chaos-fresh.txt chaos-default-again.txt
+    echo "== chaos: the grid does not depend on the hash seed"
+    # Nimbus reconciliation and R-Storm's distance keys do float
+    # arithmetic over resource availability; any set- or dict-ordered
+    # step there would make the report depend on PYTHONHASHSEED.
+    PYTHONHASHSEED=0 repro chaos --duration 90 --no-cache | tee chaos-hash0.txt
+    PYTHONHASHSEED=1 repro chaos --duration 90 --no-cache | tee chaos-hash1.txt
+    diff chaos-hash0.txt chaos-hash1.txt
     echo "== chaos: traffic layer does not perturb closed-loop runs"
     # Default (arrival_process=None) runs must never grow open-loop
     # metrics: no offered/achieved/e2e keys in a closed-loop report.

@@ -17,6 +17,7 @@ model tuple transfer times.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -45,11 +46,32 @@ class LinkProfile:
         bandwidth_mbps: Effective bandwidth of the constraining link at
             this level; ``None`` means "not network limited" (in-memory
             hand-off between threads or processes on one host).
+
+    Raises:
+        ValueError: if ``latency_ms`` is negative or not finite, or
+            ``bandwidth_mbps`` is not ``None`` and not a finite positive
+            number.  The simulator schedules every delivery at ``now``
+            plus this latency, so a negative one would move its clock
+            backwards.
     """
 
     distance: float
     latency_ms: float
     bandwidth_mbps: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.latency_ms) or self.latency_ms < 0:
+            raise ValueError(
+                f"latency_ms must be finite and >= 0, got {self.latency_ms}"
+            )
+        bandwidth = self.bandwidth_mbps
+        if bandwidth is not None and not (
+            math.isfinite(bandwidth) and bandwidth > 0
+        ):
+            raise ValueError(
+                "bandwidth_mbps must be None (not limited) or finite and > 0, "
+                f"got {bandwidth}"
+            )
 
 
 #: Default profiles modelled on the paper's Emulab testbed: 100 Mbps NICs,

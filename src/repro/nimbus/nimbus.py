@@ -146,15 +146,20 @@ class Nimbus:
     def _live_assignments(self) -> Dict[str, Assignment]:
         """Existing assignments restricted to alive nodes — dead-node
         placements are dropped so the scheduler re-places those tasks and
-        their stale reservations are released."""
+        their stale reservations are released.
+
+        Reservations are released in task order: float addition is not
+        associative, so a hash-ordered release would leave a node's
+        recovered availability depending on ``PYTHONHASHSEED``."""
         alive = {n.node_id for n in self.cluster.alive_nodes}
         live: Dict[str, Assignment] = {}
         for topo_id, assignment in self.assignments.items():
             if topo_id not in self._topologies:
                 continue
             surviving = assignment.restricted_to_nodes(alive)
-            dropped = set(assignment.tasks) - set(surviving.tasks)
-            for task in dropped:
+            for task in assignment.tasks:
+                if surviving.has(task):
+                    continue
                 node_id = assignment.node_of(task)
                 if self.cluster.has_node(node_id):
                     node = self.cluster.node(node_id)

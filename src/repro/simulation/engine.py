@@ -12,7 +12,9 @@ Hot-path design (the loop carries every experiment in the repo):
   tuple delivery allocates no closure/cell objects — only the heap
   tuple, which the heap needs anyway.
 * :meth:`run` binds the heap, ``heappop`` and the horizon to locals and
-  pops in a tight loop; ``__slots__`` keeps attribute access dict-free.
+  pops in a tight loop that reads each event once: the first event past
+  the horizon is pushed back, instead of peeking at ``heap[0]`` before
+  every pop.  ``__slots__`` keeps attribute access dict-free.
 * ``now`` and ``events_processed`` are plain slot attributes, not
   properties: the runtime reads ``sim.now`` several times per event and
   a descriptor call there is measurable.  They are read-only by
@@ -28,6 +30,12 @@ Direct-push contract (for callers that schedule one event per batch):
 * A direct push must take its seq from ``next(sim.seq)`` (never
   invent one), so direct and method-scheduled events interleave in the
   same ``(time, seq)`` order either way.
+* Nothing checks ``time >= sim.now`` on a direct push, so the pusher
+  must guarantee it.  The runtime's direct pushers are ``_start_work``
+  (a completion: ``now`` plus a positive service time) and ``_route``
+  (a delivery: ``now`` plus a transfer time and a link latency, which
+  :class:`~repro.cluster.network.LinkProfile` requires to be
+  non-negative and finite).
 
 Horizon convention (the boundary every caller must agree on):
 
@@ -116,8 +124,12 @@ class Simulator:
         pop = _heappop
         processed = self.events_processed
         try:
-            while heap and heap[0][0] <= until:
-                time, _seq, action, args = pop(heap)
+            while heap:
+                time, seq, action, args = pop(heap)
+                if time > until:
+                    # Not due yet: put it back (once per call).
+                    _heappush(heap, (time, seq, action, args))
+                    break
                 self.now = time
                 processed += 1
                 action(*args)

@@ -23,6 +23,10 @@ from repro.cluster.network import DistanceLevel
 
 __all__ = ["TransferModel"]
 
+#: Hot-path aliases (module-global loads beat enum attribute lookups).
+_INTER_NODE = DistanceLevel.INTER_NODE
+_INTER_RACK = DistanceLevel.INTER_RACK
+
 
 class TransferModel:
     """Tracks link occupancy and computes batch arrival times.
@@ -42,7 +46,7 @@ class TransferModel:
         "_nic_rx_free",
         "_uplink_free",
         "_uplink_scale",
-        "_latency_s",
+        "latency_s",
         "_bw_scaled",
         "_uplink_bw_scaled",
         "_rack_of",
@@ -75,8 +79,9 @@ class TransferModel:
         #: rack-pair -> bandwidth multiplier from injected link faults
         #: (1.0 = healthy, 0.1 = the trunk lost 90% of its capacity).
         self._uplink_scale: Dict[FrozenSet[str], float] = {}
-        #: per-level one-way latency in seconds, indexed by DistanceLevel.
-        self._latency_s = [topo.latency_ms(level) / 1e3 for level in DistanceLevel]
+        #: per-level one-way latency in seconds, indexed by DistanceLevel
+        #: (read-only; the runtime adds it inline for intra-node hops).
+        self.latency_s = [topo.latency_ms(level) / 1e3 for level in DistanceLevel]
         #: per-level NIC bandwidth pre-scaled to bits/s (0.0 = unlimited),
         #: so serialisation stays ``(bytes * 8.0) / bw_scaled`` verbatim.
         self._bw_scaled = [
@@ -206,8 +211,8 @@ class TransferModel:
         Mutates link free-times, so calls must be made in simulation-time
         order (which the DES guarantees).
         """
-        latency_s = self._latency_s[level]
-        if level < DistanceLevel.INTER_NODE:
+        latency_s = self.latency_s[level]
+        if level < _INTER_NODE:
             # intra/inter-process: in-memory hand-off, latency only.
             return now + latency_s
 
@@ -224,7 +229,7 @@ class TransferModel:
         self._nic_tx_free[src_node] = end_tx
 
         end_hop = end_tx
-        if level is DistanceLevel.INTER_RACK:
+        if level is _INTER_RACK:
             rack_of = self._rack_of
             rack_a = rack_of.get(src_node)
             if rack_a is None:

@@ -20,6 +20,33 @@ class TestDistanceLevel:
         )
 
 
+class TestLinkProfileValidation:
+    @pytest.mark.parametrize(
+        "latency_ms", [-0.5, -1e-12, float("nan"), float("inf")]
+    )
+    def test_bad_latency_rejected(self, latency_ms):
+        with pytest.raises(ValueError, match="latency_ms"):
+            LinkProfile(distance=1.0, latency_ms=latency_ms)
+
+    @pytest.mark.parametrize(
+        "bandwidth_mbps", [0.0, -100.0, float("nan"), float("inf")]
+    )
+    def test_bad_bandwidth_rejected(self, bandwidth_mbps):
+        with pytest.raises(ValueError, match="bandwidth_mbps"):
+            LinkProfile(
+                distance=1.0, latency_ms=0.5, bandwidth_mbps=bandwidth_mbps
+            )
+
+    def test_valid_profiles_accepted(self):
+        assert LinkProfile(distance=0.0, latency_ms=0.0).bandwidth_mbps is None
+        profile = LinkProfile(distance=1.0, latency_ms=0.5, bandwidth_mbps=1e-3)
+        assert profile.bandwidth_mbps == 1e-3
+        for profile in DEFAULT_PROFILES.values():
+            assert LinkProfile(
+                profile.distance, profile.latency_ms, profile.bandwidth_mbps
+            ) == profile
+
+
 class TestLevelClassification:
     def test_different_racks(self):
         level = NetworkTopography.level_between("r1", "n1", "s1", "r2", "n1", "s1")

@@ -1,5 +1,10 @@
 """Tests for the Nimbus master daemon."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import emulab_testbed
@@ -144,3 +149,53 @@ class TestFailureRecovery:
         supervisors[victim].crash()
         nimbus.schedule_round()
         assert cluster.node(victim).reservations == {}
+
+
+#: Builds a node holding four tasks whose CPU demands sum differently in
+#: different orders, fails it, and prints its reconciled availability.
+_RECONCILE_SCRIPT = """
+from repro.cluster import ResourceVector, single_rack_cluster
+from repro.nimbus.nimbus import Nimbus
+from repro.scheduler.rstorm import RStormScheduler
+from repro.topology import TopologyBuilder
+
+cluster = single_rack_cluster(
+    2, capacity=ResourceVector.of(memory_mb=4096.0, cpu=400.0,
+                                  bandwidth_mbps=100.0)
+)
+builder = TopologyBuilder("sums")
+prev = None
+for i, cpu in enumerate([51.4, 2.2, 42.8, 51.4]):
+    name = f"c{i}"
+    if prev is None:
+        declarer = builder.set_spout(name, 1)
+    else:
+        declarer = builder.set_bolt(name, 1).shuffle_grouping(prev)
+    declarer.set_memory_load(64.0).set_cpu_load(cpu)
+    prev = name
+nimbus = Nimbus(cluster, scheduler=RStormScheduler())
+nimbus.submit_topology(builder.build())
+nimbus.schedule_round()
+(node_id,) = nimbus.assignments["sums"].nodes
+node = cluster.node(node_id)
+node.fail()
+nimbus.schedule_round()
+print(node_id, [value.hex() for value in node.available.values])
+"""
+
+
+class TestReservationRelease:
+    def test_reconciled_availability_ignores_hash_seed(self):
+        """A dead node's reservations come back in task order, so its
+        availability is the same float under any ``PYTHONHASHSEED``."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", _RECONCILE_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].split()[0].startswith("node-")

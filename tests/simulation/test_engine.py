@@ -268,3 +268,33 @@ def test_property_fire_times_nondecreasing(times):
     sim.run(101.0)
     assert observed == sorted(observed)
     assert len(observed) == len(times)
+
+
+@given(
+    st.lists(
+        st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
+        min_size=1,
+        max_size=40,
+    ),
+    st.lists(
+        st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
+        max_size=6,
+    ),
+)
+def test_property_horizons_do_not_reorder_events(times, horizons):
+    """Stopping at any horizons (each stop puts the first event past it
+    back on the heap) fires the same events in the same order as one
+    run to the end."""
+
+    def fired_order(stops):
+        sim = Simulator()
+        fired = []
+        for i, t in enumerate(times):
+            sim.schedule_at(t, fired.append, i)
+            # duplicate instants exercise the FIFO tie-break
+            sim.schedule_at(t, fired.append, -i - 1)
+        for stop in stops:
+            sim.run(stop)
+        return fired, sim.events_processed
+
+    assert fired_order(sorted(horizons) + [21.0]) == fired_order([21.0])

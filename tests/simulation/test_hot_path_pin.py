@@ -6,7 +6,10 @@ every branch of the service-time expression fires.  ``network`` is the
 network-bound variant (Figure 8: NIC-bound, cores mostly idle);
 ``compute`` is the compute-bound one (Figure 9: cores saturated, queues
 non-empty), where a reordered busy-time accumulation or a last-bit
-change in a service time surfaces.  Floats are compared through
+change in a service time surfaces.  ``flow`` is the network-bound run
+with flow control on and two-batch input queues: edge credits drain as
+each batch starts service, and producers stall and resume thousands of
+times, so a reordered drain or resume surfaces.  Floats are compared through
 ``float.hex()`` and the ack latencies through a sha256 of their packed
 doubles, so drifts that rounded summary rows hide fail here.
 """
@@ -21,6 +24,7 @@ import pytest
 from repro.cluster import emulab_testbed
 from repro.scheduler.rstorm import RStormScheduler
 from repro.simulation.config import SimulationConfig
+from repro.simulation.flowcontrol import FlowControlConfig
 from repro.simulation.runtime import SimulationRun
 from repro.simulation.tracing import Tracer
 from repro.workloads.micro import NETWORK_BOUND_UPLINK_MBPS, micro_topology
@@ -28,7 +32,8 @@ from repro.workloads.micro import NETWORK_BOUND_UPLINK_MBPS, micro_topology
 NODES = [f"node-0-{i}" for i in range(6)]
 
 #: variant -> values recorded before the per-batch call chain was
-#: collapsed (the pre-refactor runtime is the reference).
+#: collapsed (the pre-refactor runtime is the reference); ``flow`` was
+#: recorded before the idle-core fast path and direct delivery pushes.
 PINS = {
     "network": {
         "events": 81906,
@@ -58,6 +63,8 @@ PINS = {
         "ack_sha256": (
             "462518b9bba18f550719030a2bcfddd56ce73c36dee8c92d532fcdd03984c03b"
         ),
+        "credit_stalls": {},
+        "throttled_hex": "0x0.0p+0",
     },
     "compute": {
         "events": 2327,
@@ -87,29 +94,74 @@ PINS = {
         "ack_sha256": (
             "d3b8b3d5d2db3a7084527bcbc083613197f712ffe2ff8a45f53e81bd498994b7"
         ),
+        "credit_stalls": {},
+        "throttled_hex": "0x0.0p+0",
+    },
+    "flow": {
+        "events": 66943,
+        "busy_hex": {
+            "node-0-0": "0x1.013dd97f62d13p+2",
+            "node-0-1": "0x1.fccccccccd00ep+1",
+            "node-0-2": "0x1.fcea4a8c1580ap+1",
+            "node-0-3": "0x1.fe1b089a02a9cp+1",
+            "node-0-4": "0x1.fd8adab9f58dfp+1",
+            "node-0-5": "0x1.fc63f141208fcp+1",
+        },
+        "nic_bytes": {
+            "node-0-0": 103552000,
+            "node-0-1": 101555200,
+            "node-0-2": 101606400,
+            "node-0-3": 102092800,
+            "node-0-4": 101990400,
+            "node-0-5": 101632000,
+        },
+        "processed": {
+            "spout": 0,
+            "bolt-1": 957000,
+            "bolt-2": 955800,
+            "bolt-3": 955000,
+        },
+        "acks": 9550,
+        "ack_sha256": (
+            "ba0fa5481e62fd4849a0324841e7ce141c5b9e0fbd71a230a0167613f77274bb"
+        ),
+        "credit_stalls": {
+            "spout->bolt-1": 832,
+            "bolt-1->bolt-2": 864,
+            "bolt-2->bolt-3": 550,
+        },
+        "throttled_hex": "0x1.1b3721d53cf18p+3",
     },
 }
 
 VARIANTS = sorted(PINS)
 
+#: variant -> (micro-topology variant, flow-control config)
+SETUPS = {
+    "network": ("network", None),
+    "compute": ("compute", None),
+    "flow": ("network", FlowControlConfig(queue_capacity=2)),
+}
+
 
 def topology_id(variant: str) -> str:
-    return f"linear-{variant}"
+    return f"linear-{SETUPS[variant][0]}"
 
 
 def pinned_run(variant: str) -> SimulationRun:
+    micro, flow = SETUPS[variant]
     random.seed(11)
     cluster = emulab_testbed()
-    topology = micro_topology("linear", variant)
+    topology = micro_topology("linear", micro)
     assignment = RStormScheduler().schedule([topology], cluster)[
         topology_id(variant)
     ]
     return SimulationRun(
         cluster,
         [(topology, assignment)],
-        SimulationConfig(duration_s=10.0, warmup_s=2.5),
+        SimulationConfig(duration_s=10.0, warmup_s=2.5, flow=flow),
         interrack_uplink_mbps=(
-            NETWORK_BOUND_UPLINK_MBPS if variant == "network" else None
+            NETWORK_BOUND_UPLINK_MBPS if micro == "network" else None
         ),
     )
 
@@ -160,6 +212,14 @@ class TestClosedLoopHotPathPin:
         latencies = stats.ack_latencies(topo_id)
         assert len(latencies) == pins["acks"]
         assert ack_digest(latencies) == pins["ack_sha256"]
+        assert {
+            f"{producer}->{consumer}": count
+            for (_, producer, consumer), count in stats.credit_stalls.items()
+        } == pins["credit_stalls"]
+        assert (
+            stats.spout_throttled.get(topo_id, 0.0).hex()
+            == pins["throttled_hex"]
+        )
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
