@@ -55,6 +55,19 @@ fresh_default_grids() {
     repro traffic --duration 90 --no-cache | tee traffic-default.txt
 }
 
+# hash_seed_independent <experiment> <args...>: uncached runs under
+# PYTHONHASHSEED=0 and 1 must print the same report.  Nimbus
+# reconciliation and R-Storm's distance keys do float arithmetic over
+# resource availability; any set- or dict-ordered step there would make
+# the report depend on the hash seed.  Leaves <experiment>-hash{0,1}.txt.
+hash_seed_independent() {
+    local experiment="$1"
+    echo "== $experiment: the grid does not depend on the hash seed"
+    PYTHONHASHSEED=0 repro "$@" --no-cache | tee "$experiment-hash0.txt"
+    PYTHONHASHSEED=1 repro "$@" --no-cache | tee "$experiment-hash1.txt"
+    diff "$experiment-hash0.txt" "$experiment-hash1.txt"
+}
+
 # NB: no braces inside the ${1:?...} message — bash would close the
 # expansion at the first "}" and glue the rest onto the value.
 scenario="${1:?usage: $0 figure|chaos|traffic|elastic|tenancy|backpressure}"
@@ -71,13 +84,7 @@ chaos)
     echo "== chaos: extended flags do not perturb the default grid"
     repro chaos --duration 90 --no-cache | tee chaos-default-again.txt
     diff chaos-fresh.txt chaos-default-again.txt
-    echo "== chaos: the grid does not depend on the hash seed"
-    # Nimbus reconciliation and R-Storm's distance keys do float
-    # arithmetic over resource availability; any set- or dict-ordered
-    # step there would make the report depend on PYTHONHASHSEED.
-    PYTHONHASHSEED=0 repro chaos --duration 90 --no-cache | tee chaos-hash0.txt
-    PYTHONHASHSEED=1 repro chaos --duration 90 --no-cache | tee chaos-hash1.txt
-    diff chaos-hash0.txt chaos-hash1.txt
+    hash_seed_independent chaos --duration 90
     echo "== chaos: traffic layer does not perturb closed-loop runs"
     # Default (arrival_process=None) runs must never grow open-loop
     # metrics: no offered/achieved/e2e keys in a closed-loop report.
@@ -111,6 +118,7 @@ elastic)
     cold_warm_fresh elastic elastic --duration 90
     grep -q "elastic/r-storm" elastic-cold.txt
     grep -q "adapt_s" elastic-cold.txt
+    hash_seed_independent elastic --duration 60
     echo "== elastic: default path unperturbed (opt-in layer off)"
     # With nimbus.elastic.enabled left at its default (false) no
     # elastic metric, decision or rescale may surface anywhere in the
@@ -124,6 +132,7 @@ tenancy)
     grep -q "jain=" tenants-cold.txt
     grep -q "evictions=" tenants-cold.txt
     grep -q "placement-agnostic" tenants-cold.txt
+    hash_seed_independent tenants --duration 60
     echo "== tenancy: default path unperturbed (opt-in layer off)"
     # With nimbus.tenancy.enabled left at its default (false) no
     # tenant, fairness or admission metric may surface anywhere in the

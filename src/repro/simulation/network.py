@@ -102,14 +102,6 @@ class TransferModel:
         #: pay a single falsy check per routed batch.
         self.lossy = False
 
-    # -- helpers -------------------------------------------------------------
-
-    @staticmethod
-    def _serialisation_s(num_bytes: int, bandwidth_mbps: Optional[float]) -> float:
-        if bandwidth_mbps is None or bandwidth_mbps <= 0:
-            return 0.0
-        return (num_bytes * 8.0) / (bandwidth_mbps * 1e6)
-
     # -- fault injection -----------------------------------------------------
 
     def set_uplink_scale(self, rack_a: str, rack_b: str, scale: float) -> None:
@@ -263,9 +255,6 @@ class TransferModel:
 
     def nic_tx_free_at(self, node_id: str) -> float:
         return self._nic_tx_free.get(node_id, 0.0)
-
-    def nic_rx_free_at(self, node_id: str) -> float:
-        return self._nic_rx_free.get(node_id, 0.0)
 
     def uplink_free_at(self, rack_a: str, rack_b: str) -> float:
         return self._uplink_free.get(frozenset((rack_a, rack_b)), 0.0)

@@ -39,7 +39,9 @@ rescale's resize crossing a watermark).  ``_targets`` validates a
 placement before any task changes.
 
 Each traced transition tests the run's ``observer`` slot and, when it is
-set, hands it one :class:`~repro.simulation.tracing.TraceEvent`.
+set, hands it one :class:`~repro.simulation.tracing.TraceEvent`; the
+per-batch transitions test ``_batch_observer``, which the ``observer``
+setter fills only for an observer that reads per-batch kinds.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from repro.simulation.flowcontrol import (
 from repro.simulation.metrics import StatisticServer
 from repro.simulation.network import TransferModel
 from repro.simulation.report import SimulationReport
-from repro.simulation.tracing import EventKind, TraceEvent
+from repro.simulation.tracing import EventKind, TraceEvent, wants_batches
 from repro.topology.component import Component
 from repro.topology.grouping import LocalOrShuffleGrouping
 from repro.topology.task import Task
@@ -278,10 +280,7 @@ class SimulationRun:
         self.config = config or SimulationConfig()
         self.sim = Simulator()
         self.stats = StatisticServer(self.config.window_s)
-        #: called with a TraceEvent at every traced transition (a
-        #: :class:`~repro.simulation.tracing.Tracer`, a RecoveryMonitor);
-        #: None traces nothing.
-        self.observer: Optional[Callable[[TraceEvent], None]] = None
+        self.observer = None
         # The per-batch stats counters, incremented in place.
         self._busy, self._processed, self._nic = (
             self.stats.per_batch_counters()
@@ -324,6 +323,18 @@ class SimulationRun:
             self._add_topology(topology, assignment)
         self._recompute_node_factors()
         self._started = False
+
+    @property
+    def observer(self) -> Optional[Callable[[TraceEvent], None]]:
+        """Called with a TraceEvent at every traced transition (a
+        :class:`~repro.simulation.tracing.Tracer`, a RecoveryMonitor);
+        None traces nothing."""
+        return self._observer
+
+    @observer.setter
+    def observer(self, observer: Optional[Callable[[TraceEvent], None]]) -> None:
+        self._observer = observer
+        self._batch_observer = observer if wants_batches(observer) else None
 
     # -- construction ------------------------------------------------------
 
@@ -1050,8 +1061,8 @@ class SimulationRun:
         else:
             # Open loop: the batch was offered by the arrival process.
             arrived_at, tuples, key = payload
-        if self.observer is not None:
-            self.observer(TraceEvent(
+        if self._batch_observer is not None:
+            self._batch_observer(TraceEvent(
                 now, EventKind.EMIT, topo.topology_id, task=spout.task,
                 tuples=tuples,
             ))
@@ -1095,8 +1106,8 @@ class SimulationRun:
         spout = entry.spout
         spout.inflight -= 1
         latency = now - entry.emitted_at
-        if self.observer is not None:
-            self.observer(TraceEvent(
+        if self._batch_observer is not None:
+            self._batch_observer(TraceEvent(
                 now, EventKind.ACK, topo.topology_id, latency=latency
             ))
         self.stats.record_ack(topo.topology_id, latency)
@@ -1308,8 +1319,8 @@ class SimulationRun:
         level: DistanceLevel,
         ledger: Optional[CreditLedger],
     ) -> None:
-        if self.observer is not None:
-            self.observer(TraceEvent(
+        if self._batch_observer is not None:
+            self._batch_observer(TraceEvent(
                 self.sim.now, EventKind.DELIVER, consumer.topo.topology_id,
                 task=consumer.task, tuples=tuples, root=root_id, level=level,
             ))
@@ -1355,8 +1366,8 @@ class SimulationRun:
         if producer.stalled_edges > 1:
             return
         now = self.sim.now
-        if self.observer is not None:
-            self.observer(TraceEvent(
+        if self._batch_observer is not None:
+            self._batch_observer(TraceEvent(
                 now, EventKind.STALL, producer.topology_id,
                 component=producer.name, peer=ledger.consumer,
             ))
@@ -1374,8 +1385,8 @@ class SimulationRun:
         if producer.stalled_edges:
             return
         now = self.sim.now
-        if self.observer is not None:
-            self.observer(TraceEvent(
+        if self._batch_observer is not None:
+            self._batch_observer(TraceEvent(
                 now, EventKind.RESUME, producer.topology_id,
                 component=producer.name, peer=ledger.consumer,
             ))
@@ -1428,8 +1439,8 @@ class SimulationRun:
     ) -> None:
         """Record one audited shed decision."""
         now = self.sim.now
-        if self.observer is not None:
-            self.observer(TraceEvent(
+        if self._batch_observer is not None:
+            self._batch_observer(TraceEvent(
                 now, EventKind.SHED, topology_id, component=component,
                 tuples=tuples, reason=stage,
             ))
@@ -1481,8 +1492,8 @@ class SimulationRun:
             entry = topo_rt.pending.pop(root)
             spout = entry.spout
             spout.inflight -= 1
-            if self.observer is not None:
-                self.observer(TraceEvent(
+            if self._batch_observer is not None:
+                self._batch_observer(TraceEvent(
                     self.sim.now, EventKind.FAIL, topo_rt.topology_id,
                     tuples=entry.tuples,
                 ))

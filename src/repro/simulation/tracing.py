@@ -4,11 +4,19 @@ A :class:`~repro.simulation.runtime.SimulationRun` has one ``observer``
 slot, ``None`` by default.  When it holds a callable, every traced
 transition — spout emissions and replays, batch deliveries, acks and
 timeouts, flow-control stalls/resumes/sheds, worker crashes, node
-failures and rejoins, migrations and rescales — calls it with one
+failures and rejoins, migrations and rescales — may call it with one
 :class:`TraceEvent`.  The fault injector, the failure detector and
 Nimbus report ``inject``, ``expire`` and ``reschedule`` through the same
-slot.  With the slot empty each transition pays a single ``is not None``
-test, so untraced runs are unchanged.
+slot.
+
+An observer may declare ``KINDS``, the event kinds it reads.  The run
+builds the per-batch kinds (:data:`BATCH_KINDS`) only for an observer
+that has no ``KINDS`` or names one of them (:func:`wants_batches`), so
+a monitor of the control plane costs nothing per batch.  Other kinds
+may still reach it, and it ignores them.  An observer without ``KINDS``
+(a :class:`Tracer`, ``list.append``, a lambda) receives every kind.
+With the slot empty each transition pays a single ``is not None`` test,
+so untraced runs are unchanged.
 
 :class:`Tracer` is the general-purpose observer: it keeps the latest
 events in a bounded ring buffer so long runs cannot exhaust memory.
@@ -16,12 +24,14 @@ Used for debugging schedules and for tests that assert on event
 causality rather than aggregate counters.
 :class:`~repro.faults.monitor.RecoveryMonitor` is a second observer that
 keeps only the control-plane events it measures recovery from.
+:class:`Observers` puts several observers in the one slot and hands
+each only the kinds it reads.
 
 Usage::
 
     tracer = Tracer(capacity=50_000)
     run = SimulationRun(cluster, placements, config)
-    run.observer = tracer
+    run.observer = tracer              # or Observers(tracer, monitor)
     run.run()
     for event in tracer.query(kind="crash"):
         print(event.time, event.task)
@@ -34,13 +44,33 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, NamedTuple, Optional
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 if TYPE_CHECKING:
     from repro.cluster.network import DistanceLevel
     from repro.topology.task import Task
 
-__all__ = ["EventKind", "TraceEvent", "Tracer", "query_events"]
+__all__ = [
+    "BATCH_KINDS",
+    "EventKind",
+    "Observers",
+    "TraceEvent",
+    "Tracer",
+    "query_events",
+    "wants_batches",
+]
 
 
 class EventKind(str, Enum):
@@ -124,6 +154,24 @@ class TraceEvent(NamedTuple):
         return f"[{self.time:10.4f}s] {self.kind:10s} {self.topology} {fields}"
 
 
+#: the kinds a run reports per batch or per flow-control edge event;
+#: every other kind marks a rare control-plane transition
+BATCH_KINDS: FrozenSet[EventKind] = frozenset({
+    EventKind.EMIT, EventKind.DELIVER, EventKind.ACK, EventKind.FAIL,
+    EventKind.SHED, EventKind.STALL, EventKind.RESUME,
+})
+
+
+def wants_batches(observer: Optional[Callable[[TraceEvent], Any]]) -> bool:
+    """Whether a run must build per-batch events for ``observer``: it is
+    set and either has no ``KINDS`` or names a kind in
+    :data:`BATCH_KINDS`."""
+    if observer is None:
+        return False
+    kinds = getattr(observer, "KINDS", None)
+    return kinds is None or not BATCH_KINDS.isdisjoint(kinds)
+
+
 def query_events(
     events: Iterable[TraceEvent],
     kind: Optional[str] = None,
@@ -183,3 +231,32 @@ class Tracer:
         for event in self._events:
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts
+
+
+class Observers:
+    """Several observers in one run's slot.
+
+    Each event goes only to the members whose ``KINDS`` contain its
+    kind, or that have no ``KINDS``.  :attr:`KINDS` is the union of the
+    members' kinds, or ``None`` when a member reads every kind, so the
+    run builds per-batch events only if some member reads them.  With a
+    single observer, set it directly: there is nothing to fan out.
+    """
+
+    def __init__(self, *members: Callable[[TraceEvent], Any]):
+        kinds = [getattr(member, "KINDS", None) for member in members]
+        self.KINDS: Optional[FrozenSet[str]] = (
+            None if None in kinds else frozenset().union(*kinds)
+        )
+        self._routes: Dict[str, Tuple[Callable[[TraceEvent], Any], ...]] = {
+            kind: tuple(
+                member
+                for member, read in zip(members, kinds)
+                if read is None or kind in read
+            )
+            for kind in EventKind
+        }
+
+    def __call__(self, event: TraceEvent) -> None:
+        for member in self._routes[event.kind]:
+            member(event)

@@ -1,6 +1,6 @@
 """Typed run events through the observer slot.
 
-Two guarantees of the observer design:
+Three guarantees of the observer design:
 
 * the RecoveryMonitor keeps the control-plane events it reads no matter
   how many per-batch events a run reports, so a long chaos run still
@@ -9,7 +9,10 @@ Two guarantees of the observer design:
   churn values, that the previous wrapper-based tracer recorded for
   the same run — pinned below for one run with faults, at-least-once
   replay, flow control and elastic rescaling all on — and observing a
-  run does not change it.
+  run does not change it;
+* an observer that declares ``KINDS`` gets no per-batch event built for
+  it unless it reads one, and :class:`Observers` hands each of several
+  observers exactly the kinds it reads.
 """
 
 import random
@@ -18,12 +21,14 @@ from collections import Counter
 from repro.cluster import emulab_testbed
 from repro.experiments.fault_recovery import chaos_units, crash_rejoin
 from repro.experiments.harness import wire
+from repro.faults.monitor import RecoveryMonitor
 from repro.scheduler import RStormScheduler
 from repro.simulation import SimulationConfig
+from repro.simulation import runtime as runtime_module
 from repro.simulation.flowcontrol import FlowControlConfig
-from repro.simulation.tracing import Tracer
+from repro.simulation.tracing import BATCH_KINDS, Observers, TraceEvent, Tracer
 from repro.traffic.arrivals import PoissonArrivals
-from repro.workloads.micro import hotspot_topology
+from repro.workloads.micro import hotspot_topology, micro_topology
 
 
 class TestLongRunRecovery:
@@ -94,12 +99,7 @@ class TestObserverParity:
         wiring = all_layers_wiring()
         tracer = Tracer(capacity=1_000_000)
         monitor = wiring.monitor
-
-        def observe(event):
-            tracer(event)
-            monitor(event)
-
-        wiring.run.observer = observe
+        wiring.run.observer = Observers(tracer, monitor)
         report = wiring.run.run()
 
         assert tracer.dropped == 0
@@ -137,3 +137,92 @@ class TestObserverParity:
                 traced.run.stats.busy.get(node.node_id, 0.0).hex()
                 == plain.run.stats.busy.get(node.node_id, 0.0).hex()
             )
+
+
+def chaos_wiring():
+    """A 60 s chaos run of the linear compute topology: its busiest node
+    crashes and rejoins, and timed-out roots are replayed."""
+    random.seed(0)
+    config = SimulationConfig(
+        duration_s=60.0, warmup_s=10.0, at_least_once=True, max_retries=3
+    )
+    return wire(
+        RStormScheduler(), [micro_topology("linear", "compute")],
+        emulab_testbed(), config, faults=crash_rejoin(at=20.0, rejoin_at=35.0),
+    )
+
+
+class KindCounter:
+    """Counts the events it receives; reads a mix of per-batch and
+    control-plane kinds."""
+
+    KINDS = frozenset({"fail", "replay", "migrate"})
+
+    def __init__(self):
+        self.counts = Counter()
+
+    def __call__(self, event):
+        self.counts[event.kind] += 1
+
+
+def recovery_json(wiring, report) -> str:
+    topology_id = wiring.topologies[0].topology_id
+    return wiring.monitor.report(topology_id, report).to_json()
+
+
+class TestSubscribedObservers:
+    def test_monitor_only_run_builds_only_its_kinds(self, monkeypatch):
+        built = Counter()
+
+        def counting_event(*args, **kwargs):
+            event = TraceEvent(*args, **kwargs)
+            built[event.kind] += 1
+            return event
+
+        monkeypatch.setattr(runtime_module, "TraceEvent", counting_event)
+        wiring = chaos_wiring()
+        assert wiring.run.observer is wiring.monitor
+        assert wiring.run._batch_observer is None
+        wiring.run.run()
+
+        assert built["replay"] > 0 and built["migrate"] > 0
+        assert set(built) <= RecoveryMonitor.KINDS
+        assert set(built).isdisjoint(BATCH_KINDS)
+
+    def test_fan_out_gives_each_observer_its_kinds(self):
+        plain = chaos_wiring()
+        plain_json = recovery_json(plain, plain.run.run())
+
+        wiring = chaos_wiring()
+        run = wiring.run
+        tracer = Tracer(capacity=1_000_000)
+        counter = KindCounter()
+        run.observer = Observers(wiring.monitor, tracer, counter)
+        assert run.observer.KINDS is None and run._batch_observer is not None
+        delivered = 0
+        deliver = run._deliver
+
+        def spy(*args):
+            nonlocal delivered
+            delivered += 1
+            return deliver(*args)
+
+        run._deliver = spy
+        report = run.run()
+
+        assert recovery_json(wiring, report) == plain_json
+        assert tracer.dropped == 0
+        assert delivered > 0
+        assert len(tracer.query(kind="deliver")) == delivered
+        seen = tracer.counts_by_kind()
+        assert set(counter.counts) == KindCounter.KINDS
+        assert counter.counts == {kind: seen[kind] for kind in KindCounter.KINDS}
+
+    def test_fan_out_kinds_are_the_union_of_its_members(self):
+        counter = KindCounter()
+        monitor = RecoveryMonitor()
+        assert Observers(monitor, counter).KINDS == (
+            RecoveryMonitor.KINDS | KindCounter.KINDS
+        )
+        assert Observers(monitor, Tracer()).KINDS is None
+        assert Observers().KINDS == frozenset()

@@ -11,13 +11,16 @@ small two-rack cluster, a placement and a layer mix:
 * a fault schedule with a node crash and rejoin, a CPU slowdown and a
   lossy, duplicating inter-rack trunk;
 * one mid-run ``migrate`` and one mid-run bolt ``rescale``;
-* an observer on or off.
+* no observer, one that reads every kind, or one that declares
+  ``KINDS`` (the recovery monitor's), so the live runtime builds no
+  per-batch event for it.
 
 It then runs the live and the frozen runtime on identical inputs and
 requires identical results: ``summary()``, ``delivery_audit()``, busy
 time per node (``float.hex``), NIC bytes, ``events_processed``, ack
-latencies, the shed ledger, the credit ledgers and the full observer
-event sequence.  Each side builds its own cluster, because node
+latencies, the shed ledger, the credit ledgers and the observer's event
+sequence: the full one, or for a subscribed observer the frozen side's
+full sequence filtered to its kinds.  Each side builds its own cluster, because node
 failure mutates ``Node``, and re-seeds :mod:`random` first.
 
 Tier-1 runs :data:`TIER1_EXAMPLES` examples.  CI runs this file alone
@@ -42,6 +45,7 @@ from repro.cluster.resources import ResourceSchema
 from repro.errors import SchedulingError
 from repro.faults.events import MessageLoss, NodeCrash, NodeSlowdown
 from repro.faults.injector import FaultInjector
+from repro.faults.monitor import RecoveryMonitor
 from repro.faults.schedule import FaultSchedule
 from repro.scheduler.assignment import Assignment
 from repro.scheduler.default import DefaultScheduler
@@ -97,7 +101,8 @@ class Case:
     rescale_at: float
     rescale_pick: int
     rescale_delta: int
-    observe: bool
+    #: "off", "all" (every kind) or "subscribed" (:class:`Subscriber`)
+    observe: str
 
 
 @st.composite
@@ -130,7 +135,7 @@ def cases(draw) -> Case:
         rescale_at=draw(times),
         rescale_pick=draw(st.integers(0, 7)),
         rescale_delta=draw(st.sampled_from((-2, -1, 1, 2))),
-        observe=draw(st.booleans()),
+        observe=draw(st.sampled_from(("off", "all", "subscribed"))),
     )
 
 
@@ -200,6 +205,19 @@ def fault_schedule(case: Case, node_ids) -> FaultSchedule:
     )
 
 
+class Subscriber:
+    """A live observer that reads only the recovery monitor's kinds."""
+
+    KINDS = RecoveryMonitor.KINDS
+
+    def __init__(self, kept: list):
+        self.kept = kept
+
+    def __call__(self, event) -> None:
+        if event.kind in self.KINDS:
+            self.kept.append(event)
+
+
 class Control:
     """The mid-run ``migrate`` and ``rescale``, derived from the case and
     the run's current generation so both sides issue identical calls."""
@@ -266,7 +284,9 @@ def outcome(runtime_module, case: Case) -> dict:
         make_config(case),
     )
     trace = []
-    if case.observe:
+    if case.observe == "subscribed" and runtime_module is live_runtime:
+        run.observer = Subscriber(trace)
+    elif case.observe != "off":
         run.observer = trace.append
     node_ids = sorted(node.node_id for node in cluster.nodes)
     slots = [slot for node_id in node_ids for slot in cluster.node(node_id).slots]
@@ -306,7 +326,9 @@ def outcome(runtime_module, case: Case) -> dict:
             for tid in topology_ids
             for edge, c in run.flow_edges(tid).items()
         },
-        "trace": trace,
+        "trace": trace if case.observe != "subscribed" else [
+            event for event in trace if event.kind in Subscriber.KINDS
+        ],
     }
 
 
