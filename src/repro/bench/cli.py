@@ -13,15 +13,15 @@ event counts must match exactly (the benchmarks are deterministic);
 median wall time may regress up to ``--tolerance`` x baseline.  Exit
 status 1 on any failure, with one line per deviation.
 
-Whenever a run includes scheduler probes (``sched-*`` or
-``tenant-admission``), a compact
-``BENCH_sched.json`` summary is also written at the repo root (override
-with ``--summary``, disable with ``--summary ''``) so the scheduler perf
-trajectory is tracked across PRs next to the per-probe result files.
-An analogous ``BENCH_flow.json`` summary covers the overload-path
-probes (``traffic-overload``, ``overload-protect``) — the open-loop
-saturation path and the flow-control layer on top of it (override with
-``--flow-summary``, disable with ``--flow-summary ''``).
+``--summary PATH`` also writes a compact summary of the scheduler
+probes (``sched-*`` and ``tenant-admission``) that ran, and
+``--flow-summary PATH`` one of the overload-path probes
+(``traffic-overload``, ``overload-protect``): the open-loop saturation
+path and the flow-control layer on top of it.  Both are off by default,
+so a run (the ``--check`` gate included) never rewrites the tracked
+``BENCH_sched.json`` and ``BENCH_flow.json`` at the repo root; refresh
+those deliberately with ``--summary BENCH_sched.json`` and
+``--flow-summary BENCH_flow.json``.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ __all__ = [
 
 DEFAULT_OUT_DIR = "benchmarks/results"
 DEFAULT_BASELINE_DIR = "benchmarks/baseline"
-DEFAULT_SCHED_SUMMARY = "BENCH_sched.json"
-DEFAULT_FLOW_SUMMARY = "BENCH_flow.json"
 
 #: Prefix that marks a benchmark as a scheduler probe for the summary.
 SCHED_PREFIX = "sched-"
@@ -134,18 +132,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--summary",
         metavar="PATH",
-        default=DEFAULT_SCHED_SUMMARY,
-        help="path of the scheduler-probe summary written when any "
-        f"sched-* benchmark runs (default {DEFAULT_SCHED_SUMMARY}; "
-        "pass '' to disable)",
+        default="",
+        help="write a scheduler-probe summary to PATH when any sched-* "
+        "benchmark runs (default: none; the tracked one is "
+        "BENCH_sched.json)",
     )
     parser.add_argument(
         "--flow-summary",
         metavar="PATH",
-        default=DEFAULT_FLOW_SUMMARY,
-        help="path of the overload-path summary written when any flow "
-        f"probe runs (default {DEFAULT_FLOW_SUMMARY}; pass '' to "
-        "disable)",
+        default="",
+        help="write an overload-path summary to PATH when any flow probe "
+        "runs (default: none; the tracked one is BENCH_flow.json)",
     )
     return parser
 

@@ -48,11 +48,12 @@ class LinkProfile:
             hand-off between threads or processes on one host).
 
     Raises:
-        ValueError: if ``latency_ms`` is negative or not finite, or
-            ``bandwidth_mbps`` is not ``None`` and not a finite positive
-            number.  The simulator schedules every delivery at ``now``
-            plus this latency, so a negative one would move its clock
-            backwards.
+        ValueError: if ``distance`` or ``latency_ms`` is negative or not
+            finite, or ``bandwidth_mbps`` is not ``None`` and not a finite
+            positive number.  R-Storm bounds its node keys below by
+            ``sqrt(w_net * distance)``, and the simulator schedules every
+            delivery at ``now`` plus this latency, so a negative latency
+            would move its clock backwards.
     """
 
     distance: float
@@ -60,6 +61,10 @@ class LinkProfile:
     bandwidth_mbps: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.distance) or self.distance < 0:
+            raise ValueError(
+                f"distance must be finite and >= 0, got {self.distance}"
+            )
         if not math.isfinite(self.latency_ms) or self.latency_ms < 0:
             raise ValueError(
                 f"latency_ms must be finite and >= 0, got {self.latency_ms}"

@@ -72,6 +72,14 @@ class ResourceDimension:
     unit: str = ""
     default_weight: float = 1.0
 
+    def __post_init__(self) -> None:
+        weight = self.default_weight
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ValueError(
+                f"default_weight of dimension {self.name!r} must be finite "
+                f"and >= 0, got {weight}"
+            )
+
     @property
     def is_hard(self) -> bool:
         return self.kind is ConstraintKind.HARD
@@ -89,7 +97,7 @@ class ResourceSchema:
     :class:`~repro.errors.SchemaMismatchError` is raised).
     """
 
-    __slots__ = ("_dimensions", "_index", "_hard_indices", "_soft_indices")
+    __slots__ = ("_dimensions", "_index", "_hard_indices")
 
     def __init__(self, dimensions: Iterable[ResourceDimension]):
         dims = tuple(dimensions)
@@ -102,9 +110,6 @@ class ResourceSchema:
         self._index: Dict[str, int] = {d.name: i for i, d in enumerate(dims)}
         self._hard_indices: Tuple[int, ...] = tuple(
             i for i, d in enumerate(dims) if d.is_hard
-        )
-        self._soft_indices: Tuple[int, ...] = tuple(
-            i for i, d in enumerate(dims) if d.is_soft
         )
 
     # -- construction -----------------------------------------------------
@@ -157,11 +162,6 @@ class ResourceSchema:
         feasibility checks on the scheduling hot path index vectors
         directly instead of resolving names per call."""
         return self._hard_indices
-
-    @property
-    def soft_indices(self) -> Tuple[int, ...]:
-        """Positions of the soft dimensions, precomputed once."""
-        return self._soft_indices
 
     def index_of(self, name: str) -> int:
         try:

@@ -26,7 +26,9 @@ column instead of one call per node:
   recomputed from scratch for every call.
 * memoised network-distance rows per ref node (the ``Distance``
   procedure's network term), one flat list per anchor, built by the
-  topography in one pass over the nodes' rack and id columns.
+  topography in one pass over the nodes' rack and id columns, and next
+  to each row its *rings*: the node indices grouped by distance,
+  nearest first, which R-Storm's distance heaps join one at a time.
 
 The view is a snapshot of the *alive set*: it must only live inside one
 scheduler invocation (Nimbus is stateless across rounds, so every round
@@ -63,6 +65,7 @@ class PackedClusterState:
         "_scale",
         "_scores",
         "_dist_rows",
+        "_rings",
         "_rack_rows",
     )
 
@@ -104,6 +107,7 @@ class PackedClusterState:
         self._scale: Optional[List[float]] = None
         self._scores: Optional[List[float]] = None
         self._dist_rows: Dict[str, List[float]] = {}
+        self._rings: Dict[str, List[Tuple[float, List[int]]]] = {}
         self._rack_rows: Optional[List[Tuple[str, List[int]]]] = None
 
     # -- schema guards -----------------------------------------------------
@@ -206,3 +210,14 @@ class PackedClusterState:
             )
             self._dist_rows[ref_node_id] = row
         return row
+
+    def rings(self, ref_node_id: str) -> List[Tuple[float, List[int]]]:
+        """The alive node indices grouped by :meth:`dist_row` value, as
+        ``(distance, indices)`` nearest first, memoised per anchor."""
+        rings = self._rings.get(ref_node_id)
+        if rings is None:
+            groups: Dict[float, List[int]] = {}
+            for i, d in enumerate(self.dist_row(ref_node_id)):
+                groups.setdefault(d, []).append(i)
+            rings = self._rings[ref_node_id] = sorted(groups.items())
+        return rings

@@ -30,12 +30,19 @@ and anchors on the ref node among them.  From then on node ``i``'s
 distance depends only on its availability ``avail[.][i]``, which
 changes only when a task lands on ``i`` and then only shrinks.  So
 candidates sit in lazy min-heaps of ``(distance, node_id, i, version)``,
-one per distinct demand vector and tier, built on first use from keys
-computed one dimension at a time over the whole candidate pool.  A
+one per distinct demand vector and tier, grown ring by ring: a ring
+holds the alive nodes at one network distance ``d`` from the ref node
+(the node, its rack, the other racks; one ring without the network
+term).  Every ``w * gap * gap`` is ``>= 0`` and ``fl(a + b) >= b`` for
+``a >= 0``, so no key in a ring is below ``sqrt(w_net * d)``, the
+kernels' own product; a ring joins, filtered and keyed at its current
+availability, only while the heap is empty or its minimum is ``>=``
+that bound (an outer node may tie and win on its lower id).  A
 placement re-keys one node, with the scalar key: it bumps the node's
-version and pushes its new entry into every heap it still fits; stale
-entries are discarded on pop, and a node that stops fitting never fits
-again within the call.  Both keys come from one set-up
+version and pushes its new entry into every heap that holds its ring
+and that it still fits; stale entries are discarded on pop, and a node
+that stops fitting never fits again within the call.  Both keys come
+from one set-up
 (:meth:`RStormScheduler._distance_kernels`) and perform, per node, the
 float operations of the per-vector formulation
 (:meth:`RStormScheduler.distance`) in the same order, and ties go to the
@@ -83,8 +90,12 @@ class DistanceWeights:
 
     def __post_init__(self) -> None:
         for name in ("memory", "cpu", "network"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"distance weight {name!r} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"distance weight {name!r} must be finite and >= 0, "
+                    f"got {value}"
+                )
 
 
 class RStormScheduler(IScheduler):
@@ -212,16 +223,23 @@ class RStormScheduler(IScheduler):
             else (view.hard_dims,)
         )
 
-        # (demand values, tier dims) -> min-heap of (distance, node_id,
-        # i, version); an entry is current iff its version is version[i],
-        # and the current entries are exactly the nodes fitting the tier.
+        # (demand values, tier dims) -> [min-heap of (distance, node_id,
+        # i, version), rings joined]; an entry is current iff its version
+        # is version[i], and the current entries are exactly the nodes of
+        # the joined rings fitting the tier.
         version = [0] * len(nodes)
         heaps: Dict[Tuple[Tuple[float, ...], Tuple[int, ...]], list] = {}
-        keys = key = None
-        if ref_node is not None:
-            keys, key = self._distance_kernels(view, ref_node)
-
+        keys = None
         for task in pending:
+            if keys is None and ref_node is not None:
+                keys, key = self._distance_kernels(view, ref_node)
+                net_row = view.dist_row(ref_node.node_id)
+                rings = (
+                    view.rings(ref_node.node_id) if self.use_network_distance
+                    else [(0.0, list(range(len(nodes))))]
+                )
+                bounds = [math.sqrt(self.weights.network * d) for d, _ in rings]
+                last = len(rings)
             demand = demand_of[task.component]
             dvals = demand.values
             best_i: Optional[int] = None
@@ -233,16 +251,27 @@ class RStormScheduler(IScheduler):
                         best_i = self._find_ref_index(view, pool)
                         break
                     continue
-                heap = heaps.get((dvals, dims))
-                if heap is None:
-                    pool = self._fitting(view, dvals, dims)
-                    heap = heaps[(dvals, dims)] = [
-                        (key, node_ids[i], i, version[i])
-                        for key, i in zip(keys(pool, dvals), pool)
+                entry = heaps.get((dvals, dims))
+                if entry is None:
+                    entry = heaps[(dvals, dims)] = [[], 0]
+                heap = entry[0]
+                # No key in a ring is below its bound, so the next ring
+                # joins unless the current minimum is strictly below it.
+                while True:
+                    while heap and heap[0][3] != version[heap[0][2]]:
+                        heappop(heap)
+                    joined = entry[1]
+                    if joined == last or (
+                        heap and heap[0][0] < bounds[joined]
+                    ):
+                        break
+                    pool = self._fitting(view, dvals, dims, rings[joined][1])
+                    heap += [
+                        (k, node_ids[i], i, version[i])
+                        for k, i in zip(keys(pool, dvals), pool)
                     ]
                     heapify(heap)
-                while heap and heap[0][3] != version[heap[0][2]]:
-                    heappop(heap)
+                    entry[1] = joined + 1
                 if heap:
                     best_i = heap[0][2]
                     break
@@ -261,12 +290,16 @@ class RStormScheduler(IScheduler):
             slot = state.slot_for_topology_on_node(topology_id, node)
             state.place(task, slot, demand)
             placed_this_round.append(task)
-            if key is None:
-                keys, key = self._distance_kernels(view, node)
-            # Re-key the placed node alone, in every heap it still fits.
+            if ref_node is None:
+                ref_node = node
+                continue  # no heap exists before the anchor
+            # Re-key the placed node alone, in every heap that holds its
+            # ring and that it still fits.
             version[best_i] = stamp = version[best_i] + 1
             left = [column[best_i] for column in avail]
-            for (key_vals, dims), heap in heaps.items():
+            for (key_vals, dims), (heap, joined) in heaps.items():
+                if joined < last and net_row[best_i] >= rings[joined][0]:
+                    continue
                 for d in dims:
                     if left[d] < key_vals[d]:
                         break
@@ -382,12 +415,14 @@ class RStormScheduler(IScheduler):
         view: PackedClusterState,
         dvals: Tuple[float, ...],
         dims: Tuple[int, ...],
+        pool: Optional[List[int]] = None,
     ) -> List[int]:
-        """Indices of the alive nodes whose availability covers ``dvals``
-        on every dimension of ``dims``, in index order: the tier filter,
-        one comprehension per dimension.  ``not a < need`` keeps the
-        comparison the per-node test made."""
-        pool = list(range(len(view.nodes)))
+        """Indices of ``pool`` (default: every alive node) whose
+        availability covers ``dvals`` on every dimension of ``dims``, in
+        pool order: the tier filter, one comprehension per dimension.
+        ``not a < need`` keeps the comparison the per-node test made."""
+        if pool is None:
+            pool = list(range(len(view.nodes)))
         avail = view.avail
         for d in dims:
             row = avail[d]

@@ -361,3 +361,34 @@ def test_repro_cli_dispatches_bench(tmp_path, monkeypatch, capsys):
 
     assert repro_main(["bench", "--list"]) == 0
     assert "engine-churn" in capsys.readouterr().out
+
+
+def test_check_writes_no_summary_by_default(tmp_path, monkeypatch):
+    """The CI gate command must not rewrite the tracked summaries."""
+    monkeypatch.setattr(
+        cli,
+        "REGISTRY",
+        {
+            name: Benchmark(
+                name=name,
+                description="probe",
+                prepare=lambda: (lambda: 10),
+                repeats=2,
+            )
+            for name in ("sched-fast", "overload-protect")
+        },
+    )
+    monkeypatch.chdir(tmp_path)
+    cli.main(
+        [
+            "sched-fast",
+            "overload-protect",
+            "--out",
+            str(tmp_path / "out"),
+            "--baseline",
+            str(tmp_path / "missing"),
+            "--check",
+        ]
+    )
+    assert not (tmp_path / "BENCH_sched.json").exists()
+    assert not (tmp_path / "BENCH_flow.json").exists()

@@ -29,6 +29,13 @@ class TestLinkProfileValidation:
             LinkProfile(distance=1.0, latency_ms=latency_ms)
 
     @pytest.mark.parametrize(
+        "distance", [-1.0, -1e-12, float("nan"), float("inf")]
+    )
+    def test_bad_distance_rejected(self, distance):
+        with pytest.raises(ValueError, match="distance"):
+            LinkProfile(distance=distance, latency_ms=0.5)
+
+    @pytest.mark.parametrize(
         "bandwidth_mbps", [0.0, -100.0, float("nan"), float("inf")]
     )
     def test_bad_bandwidth_rejected(self, bandwidth_mbps):

@@ -56,6 +56,17 @@ class TestSchema:
         with pytest.raises(ValueError):
             ResourceSchema([dim, dim])
 
+    @pytest.mark.parametrize(
+        "weight", [-2.0, -1e-12, float("nan"), float("inf")]
+    )
+    def test_bad_default_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="default_weight"):
+            ResourceDimension("gpu", ConstraintKind.HARD, default_weight=weight)
+
+    def test_zero_default_weight_accepted(self):
+        dim = ResourceDimension("gpu", ConstraintKind.HARD, default_weight=0.0)
+        assert dim.default_weight == 0.0
+
     def test_index_of_unknown_raises(self):
         with pytest.raises(UnknownResourceError):
             ResourceSchema.storm_default().index_of("gpus")

@@ -452,7 +452,7 @@ BASELINE_EXAMPLES = 25
 WEIGHTS = st.builds(
     DistanceWeights,
     memory=st.sampled_from([0.0, 0.3, 0.5, 2.0]),
-    cpu=st.sampled_from([0.25, 1.0, 1.7]),
+    cpu=st.sampled_from([0.0, 0.25, 1.0, 1.7]),
     network=st.sampled_from([0.0, 0.1, 1.0, 3.0]),
 )
 
@@ -681,3 +681,63 @@ class TestTenancyDisabledDifferential:
         assert controller.credits == {"acme": 0.0, "burst": 0.0}
         want = ref_cls().schedule(topologies, emulab_testbed())
         assert as_map(dict(nimbus.assignments)) == as_map(want)
+
+
+class TestRingBoundTie:
+    """R-Storm grows each distance heap ring by ring and lets a farther
+    ring join while the heap's minimum is ``>=`` the ring's bound
+    ``sqrt(w_net * d)``.  Here an other-rack node's key equals that
+    bound and the same-rack minimum exactly, and it has the lower node
+    id, so it must win the tie: a ``>`` join test would miss it."""
+
+    WEIGHTS = DistanceWeights(memory=0.0, cpu=3.0, network=1.0)
+
+    @staticmethod
+    def make_cluster():
+        schema = ResourceSchema.storm_default()
+        free = schema.vector(memory_mb=1024.0, cpu=100.0, bandwidth_mbps=100.0)
+        no_cpu = schema.vector(memory_mb=1024.0, cpu=0.0, bandwidth_mbps=100.0)
+        # rack-1 is the most available rack, so its first node anchors.
+        return Cluster(
+            [
+                Rack("rack-0", [Node("node-0-0", "rack-0", no_cpu)]),
+                Rack(
+                    "rack-1",
+                    [
+                        Node("node-1-0", "rack-1", free),
+                        Node("node-1-1", "rack-1", free),
+                    ],
+                ),
+            ]
+        )
+
+    @staticmethod
+    def topology():
+        # Each task fills a node's memory, so the second cannot join the
+        # anchor; with no CPU demand the free same-rack node keys
+        # sqrt(3 * 1 + 1 * 1) = 2, and node-0-0, whose CPU availability
+        # equals the demand, keys sqrt(0 + 1 * 4) = 2.
+        builder = TopologyBuilder("tie")
+        spout = builder.set_spout("s", 2)
+        spout.set_memory_load(1024.0).set_cpu_load(0.0)
+        return builder.build()
+
+    @pytest.mark.parametrize("prefer", [True, False])
+    def test_outer_node_wins_the_tie_on_its_lower_id(self, prefer):
+        topology = self.topology()
+        options = dict(
+            weights=self.WEIGHTS,
+            normalise_gaps=True,
+            prefer_no_overcommit=prefer,
+        )
+        got, want = run_both(
+            self.make_cluster,
+            [topology],
+            RStormScheduler(**options),
+            ReferenceRStormScheduler(**options),
+        )
+        assert as_map(got) == as_map(want)
+        nodes = sorted(
+            slot.split(":")[0] for slot in as_map(got)["tie"].values()
+        )
+        assert nodes == ["node-0-0", "node-1-0"]

@@ -30,6 +30,14 @@ class TestDistanceWeights:
         with pytest.raises(ValueError):
             DistanceWeights(memory=-1.0)
 
+    @pytest.mark.parametrize("term", ["memory", "cpu", "network"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_or_negative_weight_rejected(self, term, value):
+        # A nan weight would turn every key into sqrt(0.0), silently
+        # falling back to node-id order.
+        with pytest.raises(ValueError, match=term):
+            DistanceWeights(**{term: value})
+
 
 class TestBasicScheduling:
     def test_complete_assignment(self):
