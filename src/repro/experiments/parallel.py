@@ -150,7 +150,12 @@ class SimulationUnit:
     def execute(self) -> SingleRunOutcome:
         random.seed(_seed_for(self))
         wiring = self.wire()
-        return wiring.outcome(wiring.run.run())
+        outcome = wiring.outcome(wiring.run.run())
+        # The run is over.  Its pending events hold bound methods and
+        # closures that reference the run, so dropping them lets
+        # reference counting free the run as this frame returns.
+        wiring.run.sim.heap.clear()
+        return outcome
 
 
 @dataclass(frozen=True)

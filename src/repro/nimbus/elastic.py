@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import SchedulingError
+from repro.errors import ConfigError, SchedulingError
 from repro.nimbus.nimbus import Nimbus
 from repro.scheduler.assignment import Assignment
 from repro.topology.task import Task, task_label
@@ -186,6 +186,7 @@ class ElasticController:
         #: consecutive periods a component's requirement sat below its
         #: current parallelism (scale-down patience)
         self._below_streak: Dict[Tuple[str, str], int] = {}
+        self._attached = False
 
     # -- wiring --------------------------------------------------------
 
@@ -195,16 +196,22 @@ class ElasticController:
 
         No-op when ``nimbus.elastic.enabled`` is false: a config that
         merely *carries* elastic keys must not perturb the run.
+
+        Raises:
+            ConfigError: if the controller is already attached (a second
+                loop would double every control cycle).
         """
+        if self._attached:
+            raise ConfigError("elastic controller is already attached")
+        self._attached = True
         if not self.nimbus.config["nimbus.elastic.enabled"]:
             return
         period = self.nimbus.config["nimbus.elastic.interval.secs"]
+        run.on_time(period, self._tick, run, period)
 
-        def tick() -> None:
-            self._control_cycle(run, period)
-            run.on_time(run.sim.now + period, tick)
-
-        run.on_time(period, tick)
+    def _tick(self, run, period: float) -> None:
+        self._control_cycle(run, period)
+        run.on_time(run.sim.now + period, self._tick, run, period)
 
     # -- the control cycle ---------------------------------------------
 
@@ -354,7 +361,7 @@ class ElasticController:
                 node_id = current_assignment.node_of(task)
                 if nimbus.cluster.has_node(node_id):
                     node = nimbus.cluster.node(node_id)
-                    if task_label(task) in node.reservations:
+                    if node.has_reservation(task_label(task)):
                         node.release(task_label(task))
         moved, added, removed = run.rescale(
             topology_id, new_topology, new_assignment
@@ -468,9 +475,9 @@ class ElasticController:
         label = task_label(task)
         if nimbus.cluster.has_node(source):
             source_node = nimbus.cluster.node(source)
-            if label in source_node.reservations:
+            if source_node.has_reservation(label):
                 source_node.release(label)
-        if label not in target.reservations:
+        if not target.has_reservation(label):
             target.reserve(label, demand)
         moved = run.migrate(topology_id, new_assignment, reason="elastic")
         nimbus.assignments[topology_id] = new_assignment

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-from repro.errors import MembershipError
+from repro.errors import ConfigError, MembershipError
 from repro.nimbus.supervisor import Supervisor
 from repro.simulation.tracing import EventKind, TraceEvent
 
@@ -58,6 +58,7 @@ class HeartbeatFailureDetector:
         self.heartbeat_interval_s = heartbeat_interval_s
         self.timeout_s = timeout_s
         self._silenced: set = set()
+        self._attached = False
         #: (time, node_id) of every expiry declared; each is also
         #: reported to the run's ``observer`` as an ``expire`` event
         self.expirations: List[tuple] = []
@@ -110,31 +111,38 @@ class HeartbeatFailureDetector:
     # -- simulation wiring --------------------------------------------------------
 
     def attach(self, run) -> None:
-        """Schedule heartbeats and expiry checks inside ``run``."""
+        """Schedule heartbeats and expiry checks inside ``run``.
 
-        def beat() -> None:
-            now = run.sim.now
-            for node_id, supervisor in self.supervisors.items():
-                if node_id in self._silenced:
-                    continue
-                if supervisor.registered:
-                    supervisor.heartbeat(now)
-            run.on_time(now + self.heartbeat_interval_s, beat)
+        Raises:
+            ConfigError: if the detector is already attached (a second
+                chain would double every heartbeat and check).
+        """
+        if self._attached:
+            raise ConfigError("failure detector is already attached")
+        self._attached = True
+        run.on_time(self.heartbeat_interval_s, self._beat, run)
+        run.on_time(self.heartbeat_interval_s * 1.5, self._check, run)
 
-        def check() -> None:
-            now = run.sim.now
-            for node_id, supervisor in self.supervisors.items():
-                if not supervisor.registered:
-                    continue
-                if now - supervisor.last_heartbeat > self.timeout_s:
-                    supervisor.stop()  # session expiry
-                    supervisor.node.fail()
-                    self.expirations.append((now, node_id))
-                    if run.observer is not None:
-                        run.observer(TraceEvent(
-                            now, EventKind.EXPIRE, node=node_id
-                        ))
-            run.on_time(now + self.heartbeat_interval_s, check)
+    def _beat(self, run) -> None:
+        now = run.sim.now
+        for node_id, supervisor in self.supervisors.items():
+            if node_id in self._silenced:
+                continue
+            if supervisor.registered:
+                supervisor.heartbeat(now)
+        run.on_time(now + self.heartbeat_interval_s, self._beat, run)
 
-        run.on_time(self.heartbeat_interval_s, beat)
-        run.on_time(self.heartbeat_interval_s * 1.5, check)
+    def _check(self, run) -> None:
+        now = run.sim.now
+        for node_id, supervisor in self.supervisors.items():
+            if not supervisor.registered:
+                continue
+            if now - supervisor.last_heartbeat > self.timeout_s:
+                supervisor.stop()  # session expiry
+                supervisor.node.fail()
+                self.expirations.append((now, node_id))
+                if run.observer is not None:
+                    run.observer(TraceEvent(
+                        now, EventKind.EXPIRE, node=node_id
+                    ))
+        run.on_time(now + self.heartbeat_interval_s, self._check, run)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
-from repro.errors import MembershipError, SchedulingError
+from repro.errors import ConfigError, MembershipError, SchedulingError
 from repro.nimbus.config import StormConfig
 from repro.nimbus.supervisor import SUPERVISORS_PATH, Supervisor
 from repro.nimbus.zookeeper import InMemoryZooKeeper
@@ -68,6 +68,7 @@ class Nimbus:
         #: consulted per round only when ``nimbus.tenancy.enabled`` is
         #: set, so the default path never changes.
         self.tenancy = None
+        self._attached = False
 
     # -- topology lifecycle ---------------------------------------------------
 
@@ -163,7 +164,7 @@ class Nimbus:
                 node_id = assignment.node_of(task)
                 if self.cluster.has_node(node_id):
                     node = self.cluster.node(node_id)
-                    if task_label(task) in node.reservations:
+                    if node.has_reservation(task_label(task)):
                         node.release(task_label(task))
             live[topo_id] = surviving
         return live
@@ -266,32 +267,38 @@ class Nimbus:
         period, then resets on the first success.  The topology keeps
         running degraded on whatever placements survive — it never hangs
         and never over-places.
+
+        Raises:
+            ConfigError: if Nimbus is already attached (a second loop
+                would double every scheduling round).
         """
+        if self._attached:
+            raise ConfigError("nimbus is already attached")
+        self._attached = True
         period = self.config["nimbus.scheduler.interval.secs"]
-        backoff_cap = 8 * period
-        state = {"delay": period}
+        run.on_time(period, self._tick, run, period, period)
 
-        def tick() -> None:
-            before = dict(self.assignments)
-            try:
-                self.schedule_round(run.sim.now)
-            except SchedulingError as err:
-                self.scheduling_failures.append((run.sim.now, str(err)))
-                state["delay"] = min(state["delay"] * 2, backoff_cap)
-            else:
-                state["delay"] = period
-                changed = [
-                    topo_id
-                    for topo_id, assignment in self.assignments.items()
-                    if before.get(topo_id) != assignment
-                ]
-                if run.observer is not None:
-                    for topo_id in changed:
-                        run.observer(TraceEvent(
-                            run.sim.now, EventKind.RESCHEDULE, topo_id
-                        ))
+    def _tick(self, run, period: float, delay: float) -> None:
+        """One attached scheduling round; ``delay`` is the current
+        backoff, carried from tick to tick as an event argument."""
+        before = dict(self.assignments)
+        try:
+            self.schedule_round(run.sim.now)
+        except SchedulingError as err:
+            self.scheduling_failures.append((run.sim.now, str(err)))
+            delay = min(delay * 2, 8 * period)
+        else:
+            delay = period
+            changed = [
+                topo_id
+                for topo_id, assignment in self.assignments.items()
+                if before.get(topo_id) != assignment
+            ]
+            if run.observer is not None:
                 for topo_id in changed:
-                    run.migrate(topo_id, self.assignments[topo_id])
-            run.on_time(run.sim.now + state["delay"], tick)
-
-        run.on_time(period, tick)
+                    run.observer(TraceEvent(
+                        run.sim.now, EventKind.RESCHEDULE, topo_id
+                    ))
+            for topo_id in changed:
+                run.migrate(topo_id, self.assignments[topo_id])
+        run.on_time(run.sim.now + delay, self._tick, run, period, delay)

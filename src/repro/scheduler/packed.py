@@ -38,6 +38,7 @@ liveness changes between rounds therefore never invalidate a live view.
 
 from __future__ import annotations
 
+from operator import truediv
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -139,7 +140,7 @@ class PackedClusterState:
         for d in range(self.num_dims):
             avail[d][i] = values[d]
         if self._scores is not None:
-            self._scores[i] = self._score_of(i)
+            self._scores[i] = sum(map(truediv, values, self.scale))
 
     # -- ref-node scoring (Algorithm 4, lines 6-9) -------------------------
 
@@ -156,19 +157,20 @@ class PackedClusterState:
             ]
         return self._scale
 
-    def _score_of(self, i: int) -> float:
-        scale = self.scale
-        avail = self.avail
-        return sum(avail[d][i] / scale[d] for d in range(self.num_dims))
-
     @property
     def scores(self) -> List[float]:
         """Scale-normalised availability score per alive node, kept
-        current incrementally by :meth:`refresh_node`."""
+        current incrementally by :meth:`refresh_node`.
+
+        A node's score is ``sum()`` over its dimensions in schema order,
+        built here a column at a time: ``sum`` is compensated from
+        Python 3.12, so a hand-written ``+=`` loop would round
+        differently."""
         if self._scores is None:
-            self._scores = [
-                self._score_of(i) for i in range(len(self.nodes))
+            columns = [
+                [a / s for a in row] for row, s in zip(self.avail, self.scale)
             ]
+            self._scores = list(map(sum, zip(*columns)))
         return self._scores
 
     @property
@@ -213,11 +215,21 @@ class PackedClusterState:
 
     def rings(self, ref_node_id: str) -> List[Tuple[float, List[int]]]:
         """The alive node indices grouped by :meth:`dist_row` value, as
-        ``(distance, indices)`` nearest first, memoised per anchor."""
+        ``(distance, indices)`` nearest first, memoised per anchor.
+
+        The ref node's own ring (the nearest, as distances never fall
+        from intra-process to inter-rack) is folded into the next one,
+        which almost always joins right after it.  The merged ring keeps
+        the smaller distance, so each ring's distance stays the smallest
+        of its members'."""
         rings = self._rings.get(ref_node_id)
         if rings is None:
             groups: Dict[float, List[int]] = {}
             for i, d in enumerate(self.dist_row(ref_node_id)):
                 groups.setdefault(d, []).append(i)
-            rings = self._rings[ref_node_id] = sorted(groups.items())
+            rings = sorted(groups.items())
+            if len(rings) > 1 and ref_node_id in self.index:
+                (near, own), (_, next_ring) = rings[0], rings[1]
+                rings[:2] = [(near, own + next_ring)]
+            self._rings[ref_node_id] = rings
         return rings

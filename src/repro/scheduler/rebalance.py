@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
-from repro.errors import SchedulingError
+from repro.errors import ConfigError, SchedulingError
 from repro.scheduler.assignment import Assignment
 from repro.scheduler.base import IScheduler
 from repro.scheduler.rstorm import RStormScheduler
@@ -63,6 +63,7 @@ class OnlineRebalancer:
         self.max_migrations = max_migrations
         self.migrations: List[Tuple[float, Task, str, str]] = []
         self._last_busy: Dict[str, float] = {}
+        self._attached = False
 
     # -- measurement ----------------------------------------------------------
 
@@ -159,34 +160,42 @@ class OnlineRebalancer:
             run: A :class:`~repro.simulation.runtime.SimulationRun`.
             placements: topology id -> (topology, current assignment);
                 updated in place as migrations happen.
+
+        Raises:
+            ConfigError: if the rebalancer is already attached (a second
+                loop would double every check).
         """
+        if self._attached:
+            raise ConfigError("online rebalancer is already attached")
+        self._attached = True
+        run.on_time(self.interval_s, self._tick, run, placements)
 
-        def tick() -> None:
-            utilisation = self._interval_utilisation(run)
-            hot_nodes = sorted(
-                (
-                    node_id
-                    for node_id, value in utilisation.items()
-                    if value > self.high_watermark
-                ),
-                key=lambda n: -utilisation[n],
+    def _tick(
+        self, run, placements: Dict[str, Tuple[Topology, Assignment]]
+    ) -> None:
+        utilisation = self._interval_utilisation(run)
+        hot_nodes = sorted(
+            (
+                node_id
+                for node_id, value in utilisation.items()
+                if value > self.high_watermark
+            ),
+            key=lambda n: -utilisation[n],
+        )
+        for hot in hot_nodes:
+            if len(self.migrations) >= self.max_migrations:
+                break
+            victim = self._pick_victim(hot, placements)
+            if victim is None:
+                continue
+            topology, task = victim
+            assignment = placements[topology.topology_id][1]
+            new = self._replace_task(topology, assignment, task, hot)
+            if new is None:
+                continue
+            placements[topology.topology_id] = (topology, new)
+            run.migrate(topology.topology_id, new)
+            self.migrations.append(
+                (run.sim.now, task, hot, new.node_of(task))
             )
-            for hot in hot_nodes:
-                if len(self.migrations) >= self.max_migrations:
-                    break
-                victim = self._pick_victim(hot, placements)
-                if victim is None:
-                    continue
-                topology, task = victim
-                assignment = placements[topology.topology_id][1]
-                new = self._replace_task(topology, assignment, task, hot)
-                if new is None:
-                    continue
-                placements[topology.topology_id] = (topology, new)
-                run.migrate(topology.topology_id, new)
-                self.migrations.append(
-                    (run.sim.now, task, hot, new.node_of(task))
-                )
-            run.on_time(run.sim.now + self.interval_s, tick)
-
-        run.on_time(self.interval_s, tick)
+        run.on_time(run.sim.now + self.interval_s, self._tick, run, placements)

@@ -32,9 +32,9 @@ changes only when a task lands on ``i`` and then only shrinks.  So
 candidates sit in lazy min-heaps of ``(distance, node_id, i, version)``,
 one per distinct demand vector and tier, grown ring by ring: a ring
 holds the alive nodes at one network distance ``d`` from the ref node
-(the node, its rack, the other racks; one ring without the network
-term).  Every ``w * gap * gap`` is ``>= 0`` and ``fl(a + b) >= b`` for
-``a >= 0``, so no key in a ring is below ``sqrt(w_net * d)``, the
+(the node and its rack at ``d = 0``, then the other racks; one ring
+without the network term).  Every ``w * gap * gap`` is ``>= 0`` and
+``fl(a + b) >= b`` for ``a >= 0``, so no key in a ring is below ``sqrt(w_net * d)``, the
 kernels' own product; a ring joins, filtered and keyed at its current
 availability, only while the heap is empty or its minimum is ``>=``
 that bound (an outer node may tie and win on its lower id).  A
@@ -441,6 +441,8 @@ class RStormScheduler(IScheduler):
         megabyte-dominated sum does not drown the CPU dimension, and a
         big empty machine outranks a small empty one.  Node scores are
         cached on the view and invalidated incrementally on placement.
+        The racks are walked in rank order, and the first one holding a
+        pool node supplies the anchor.
         """
         scores = view.scores
         node_ids = view.node_ids
@@ -448,8 +450,12 @@ class RStormScheduler(IScheduler):
             view.rack_rows,
             key=lambda row: (-sum(scores[i] for i in row[1]), row[0]),
         )
-        rank = {i: r for r, (_, row) in enumerate(racks) for i in row}
-        return min(pool, key=lambda i: (rank[i], -scores[i], node_ids[i]))
+        in_pool = set(pool)
+        for _, row in racks:
+            members = [i for i in row if i in in_pool]
+            if members:
+                return min(members, key=lambda i: (-scores[i], node_ids[i]))
+        raise AssertionError("every alive node belongs to a rack")
 
     def distance(
         self, node: Node, demand: ResourceVector, net_distance: float

@@ -36,6 +36,11 @@ Direct-push contract (for callers that schedule one event per batch):
   (a delivery: ``now`` plus a transfer time and a link latency, which
   :class:`~repro.cluster.network.LinkProfile` requires to be
   non-negative and finite).
+* The heap is push only while the run may still go on.  The owner of a
+  finished run may clear it, since pending events hold bound methods
+  and closures that reference their owner, and that reference cycle
+  would keep the run alive until the cyclic collector runs.  A
+  ``Simulator`` whose heap was cleared must not run again.
 
 Horizon convention (the boundary every caller must agree on):
 
@@ -69,8 +74,9 @@ class Simulator:
         events_processed: Events executed so far (read-only by
             convention; coherent between :meth:`run` calls, not while one
             is on the stack).
-        heap: The ``(time, seq, action, args)`` event heap (push only,
-            per the direct-push contract in the module docstring).
+        heap: The ``(time, seq, action, args)`` event heap (push only
+            until the run is finished, per the direct-push contract in
+            the module docstring).
         seq: Counter issuing the FIFO tie-break sequence numbers.
     """
 

@@ -99,6 +99,11 @@ _INTER_NODE = DistanceLevel.INTER_NODE
 _POINTS_PER_CORE = 100.0
 
 
+def _no_emit(spout: "_TaskRuntime") -> None:
+    """Open-loop stand-in for :meth:`SimulationRun._try_emit`: arrivals,
+    not credit, decide when spouts emit."""
+
+
 def _assign_keys(stream, keys: Iterator[int]):
     """Fill in routing keys a base arrival process left as ``None``
     (trace replays carry their own recorded keys, which win)."""
@@ -309,7 +314,9 @@ class SimulationRun:
         if self._open_loop:
             # Open-loop spouts emit only what arrives; every closed-loop
             # credit/rate trigger (acks, sweeps, revivals) is a no-op.
-            self._try_emit = self._no_emit  # type: ignore[method-assign]
+            # A plain function, not a bound method: the slot must not
+            # hold a reference back to the run.
+            self._try_emit = _no_emit  # type: ignore[method-assign]
         #: open-loop only: every arrival as (source, time, tuples, key),
         #: frozen on demand into an ArrivalTrace (see arrival_trace()).
         self._arrival_log: List[Tuple[Tuple[str, str, int], float, int,
@@ -821,7 +828,7 @@ class SimulationRun:
     # -- spout emission --------------------------------------------------------------
 
     def _try_emit(self, spout: _TaskRuntime) -> None:
-        # Open-loop runs rebind this to ``_no_emit`` at construction, so
+        # Open-loop runs rebind this to :func:`_no_emit` at construction, so
         # the closed-loop hot path (one call per ack) pays no branch.
         pending_cap = self._max_pending
         if (
@@ -847,10 +854,6 @@ class SimulationRun:
             return
         spout.emit_blocked = True
         self._push_work(spout, _EMIT, None)
-
-    def _no_emit(self, spout: _TaskRuntime) -> None:
-        """Open-loop stand-in for :meth:`_try_emit`: arrivals, not
-        credit, decide when spouts emit."""
 
     def _wake_spout(self, spout: _TaskRuntime) -> None:
         spout.emit_timer_set = False

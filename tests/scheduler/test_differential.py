@@ -10,6 +10,8 @@ configuration sweeps, resume-after-fault rounds, generalised schemas)
 and require exact equality of the resulting assignment maps.
 """
 
+import math
+
 import pytest
 
 from repro.cluster import Cluster, Node, Rack
@@ -447,14 +449,66 @@ class TestElasticDisabledDifferential:
 RSTORM_EXAMPLES = 40
 BASELINE_EXAMPLES = 25
 
-#: weights drawn per term: zero, the defaults, powers of two and values
-#: that are not, whose products round
+#: weights drawn per term from a small exact grid (zero, powers of two
+#: and 3).  With the capacity and demand grids of
+#: ``test_rstorm_matches_reference``, every gap on a uniform cluster is
+#: a multiple of 1/16 (normalised) or an integer, so the sums of squares
+#: in the keys are exact and equal keys across network rings occur; the
+#: two-class cluster's 1.5x CPU still draws gaps whose products round
 WEIGHTS = st.builds(
     DistanceWeights,
-    memory=st.sampled_from([0.0, 0.3, 0.5, 2.0]),
-    cpu=st.sampled_from([0.0, 0.25, 1.0, 1.7]),
-    network=st.sampled_from([0.0, 0.1, 1.0, 3.0]),
+    memory=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    cpu=st.sampled_from([0.0, 1.0, 3.0, 4.0]),
+    network=st.sampled_from([0.0, 0.25, 1.0]),
 )
+
+#: per-task demands from grids that divide the node capacities drawn
+#: in ``test_rstorm_matches_reference``
+EXACT_SPEC = TopologySpec(
+    max_layers=3,
+    max_width=2,
+    max_parallelism=4,
+    memory_choices_mb=(128.0, 256.0, 512.0),
+    cpu_choices=(0.0, 25.0, 50.0, 100.0),
+)
+
+
+class TieWatchingReference(ReferenceRStormScheduler):
+    """The oracle, also counting the choices whose minimum key is shared
+    by nodes at different network distances from the ref node (cross-
+    ring ties), how many of those the farther node won, and how many it
+    won at its ring's bound ``sqrt(w_net * d)``: the case the ``>=`` of
+    R-Storm's ring-join test exists for."""
+
+    def __init__(self, **options):
+        super().__init__(**options)
+        self.cross_ring_ties = 0
+        self.far_wins = 0
+        self.bound_ties = 0
+        self._keyed = []
+
+    def _select_node(self, cluster, demand, ref_node):
+        self._keyed = []
+        chosen = super()._select_node(cluster, demand, ref_node)
+        if self._keyed and self.use_network_distance:
+            best = min(key for key, _, _ in self._keyed)
+            nets = {
+                node_id: net for key, net, node_id in self._keyed
+                if key == best
+            }
+            if len(set(nets.values())) > 1:
+                self.cross_ring_ties += 1
+                far = nets[chosen.node_id]
+                if far > min(nets.values()):
+                    self.far_wins += 1
+                    if best == math.sqrt(self.weights.network * far):
+                        self.bound_ties += 1
+        return chosen
+
+    def distance(self, node, demand, net_distance):
+        key = super().distance(node, demand, net_distance)
+        self._keyed.append((key, net_distance, node.node_id))
+        return key
 
 
 def two_class_cluster(racks, nodes_per_rack, memory, cpu):
@@ -496,8 +550,8 @@ class TestPropertyDifferential:
     @given(
         racks=st.integers(min_value=1, max_value=3),
         nodes_per_rack=st.integers(min_value=1, max_value=4),
-        memory=st.sampled_from([768.0, 1536.0, 4096.0]),
-        cpu=st.sampled_from([100.0, 250.0]),
+        memory=st.sampled_from([1024.0, 2048.0]),
+        cpu=st.sampled_from([100.0, 200.0]),
         seeds=st.lists(
             st.integers(min_value=0, max_value=10_000),
             min_size=1,
@@ -533,9 +587,8 @@ class TestPropertyDifferential:
         one node failed or none, every distance option and weighting,
         and with or without a live partial assignment of the first
         topology (the resume path that anchors on its busiest node)."""
-        spec = TopologySpec(max_layers=3, max_width=2, max_parallelism=4)
         topologies = [
-            random_topology(seed, spec=spec, name=f"h{i}-{seed}")
+            random_topology(seed, spec=EXACT_SPEC, name=f"h{i}-{seed}")
             for i, seed in enumerate(seeds)
         ]
         build = two_class_cluster if two_classes else small_cluster
@@ -565,8 +618,16 @@ class TestPropertyDifferential:
             best_effort=best_effort,
         )
         opt = RStormScheduler(**options)
-        ref = ReferenceRStormScheduler(**options)
+        ref = TieWatchingReference(**options)
         assert_identical(make_cluster, topologies, opt, ref, existing)
+        if ref.cross_ring_ties:
+            hypothesis.event("cross-ring key tie")
+        if ref.far_wins:
+            hypothesis.event("cross-ring tie won by the farther node")
+        if ref.bound_ties:
+            hypothesis.event(
+                "cross-ring tie won by the farther node at its ring's bound"
+            )
 
     @given(
         racks=st.integers(min_value=1, max_value=3),

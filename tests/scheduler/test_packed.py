@@ -107,6 +107,27 @@ class TestPackedClusterState:
         ]
         assert view.dist_row("node-0-0") is row  # memoised
 
+    def test_rings_fold_the_ref_node_into_its_rack(self):
+        cluster = make_cluster()
+        view = PackedClusterState(cluster)
+        index = view.index
+        rings = view.rings("node-0-1")
+        assert [d for d, _ in rings] == [0.0, 4.0]
+        assert sorted(rings[0][1]) == [
+            index["node-0-0"], index["node-0-1"], index["node-0-2"]
+        ]
+        assert view.rings("node-0-1") is rings  # memoised
+        row = view.dist_row("node-0-1")
+        for d, members in rings:
+            assert min(row[i] for i in members) == d
+
+    def test_rings_keep_a_dead_refs_rack_ring(self):
+        # A dead ref node holds no ring of its own, so nothing is folded.
+        cluster = make_cluster()
+        cluster.fail_node("node-0-1")
+        view = PackedClusterState(cluster)
+        assert [d for d, _ in view.rings("node-0-1")] == [1.0, 4.0]
+
     def test_mixed_schemas_rejected(self):
         storm = ResourceSchema.storm_default()
         other = ResourceSchema(

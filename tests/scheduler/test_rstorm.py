@@ -14,6 +14,7 @@ from repro.errors import SchedulingError
 from repro.experiments import scheduling_overhead
 from repro.scheduler.aniello import AnielloOfflineScheduler
 from repro.scheduler.default import DefaultScheduler
+from repro.scheduler.global_state import GlobalState
 from repro.scheduler.ordering import TaskOrderingStrategy
 from repro.scheduler.quality import aggregate_node_load, evaluate_assignment
 from repro.scheduler.rstorm import DistanceWeights, RStormScheduler
@@ -171,6 +172,84 @@ class TestRefNode:
         a2 = scheduler.schedule([t1, t2], cluster, {"first": a1})["second"]
         rack2 = {cluster.node(n).rack_id for n in a2.nodes}
         assert rack1 != rack2  # second topology anchors on the other rack
+
+
+def _old_find_ref_index(view, pool):
+    """The anchor search as first written: rank every alive node by its
+    rack, then take the minimum over the whole pool."""
+    scores = view.scores
+    racks = sorted(
+        view.rack_rows,
+        key=lambda row: (-sum(scores[i] for i in row[1]), row[0]),
+    )
+    rank = {i: r for r, (_, row) in enumerate(racks) for i in row}
+    return min(pool, key=lambda i: (rank[i], -scores[i], view.node_ids[i]))
+
+
+#: capacities and reservations from small grids, so nodes and racks
+#: often tie on score and the tie-breaks decide
+_grid_nodes = st.lists(
+    st.tuples(
+        st.sampled_from([1024.0, 2048.0, 4096.0]),
+        st.sampled_from([100.0, 200.0, 400.0]),
+        st.sampled_from([0.0, 256.0, 512.0]),
+        st.sampled_from([0.0, 50.0, 100.0]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestRefIndexSearch:
+    """The rack-first anchor search equals the whole-pool formulation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        racks=st.lists(_grid_nodes, min_size=1, max_size=4),
+        failed=st.lists(st.integers(min_value=0, max_value=15), max_size=3),
+        keep=st.lists(st.booleans(), min_size=16, max_size=16),
+        later=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=15),
+                      st.sampled_from([64.0, 128.0])),
+            max_size=3,
+        ),
+    )
+    def test_matches_whole_pool_minimum(self, racks, failed, keep, later):
+        cluster = heterogeneous_cluster(
+            [
+                [
+                    ResourceVector.of(memory_mb=mem, cpu=cpu, bandwidth_mbps=100)
+                    for mem, cpu, _, _ in rack
+                ]
+                for rack in racks
+            ]
+        )
+        nodes = cluster.nodes
+        for node, (_, _, mem, cpu) in zip(
+            nodes, [n for rack in racks for n in rack]
+        ):
+            if mem or cpu:
+                node.reserve("base", ResourceVector.of(memory_mb=mem, cpu=cpu))
+        for k in failed:
+            cluster.fail_node(nodes[k % len(nodes)].node_id)
+        alive = cluster.alive_nodes
+        if not alive:
+            return
+        state = GlobalState(cluster)
+        view = state.packed
+        view.scores  # built before the later reservations, then refreshed
+        for n, (k, mem) in enumerate(later):
+            node = alive[k % len(alive)]
+            node.reserve(f"later-{n}", ResourceVector.of(memory_mb=mem, cpu=10))
+            view.refresh_node(node)
+        assert view.scores == [
+            sum(view.avail[d][i] / view.scale[d] for d in range(view.num_dims))
+            for i in range(len(alive))
+        ]
+        pool = [i for i in range(len(alive)) if keep[i]] or [len(alive) - 1]
+        assert RStormScheduler._find_ref_index(
+            view, pool
+        ) == _old_find_ref_index(view, pool)
 
 
 class TestStatelessness:
