@@ -5,19 +5,23 @@ DES event loop, the tuple-batch routing path, the scheduler rounds and
 the fault-injected coordination plane — plus an end-to-end figure-9
 wall-clock probe.  Each benchmark emits a machine-readable
 ``BENCH_<name>.json`` (median/p90 wall seconds over N repeats,
-events/sec, peak RSS) that CI compares against the committed baselines
-in ``benchmarks/baseline/`` (see ``docs/performance.md``).
+events/sec, peak RSS, the calibration-loop time ``calib_s`` and the
+calibrated median) that CI compares against the committed baselines in
+``benchmarks/baseline/`` (see ``docs/performance.md``).
 
-Two invariants make the numbers trustworthy:
+Three invariants make the numbers trustworthy:
 
 * every benchmark is a deterministic function of its seed, so the
   *work* (``events``) is exactly reproducible — CI asserts the counts
-  byte-for-byte while allowing generous wall-clock tolerance on shared
-  runners;
+  exactly;
 * the timed section excludes setup (cluster/topology construction,
   scheduling where the benchmark targets the simulator) and runs with
   the garbage collector disabled, so repeats measure the hot path, not
-  allocator noise.
+  allocator noise;
+* each repeat is divided by the mean of the fixed stdlib calibration
+  loops timed right before and right after it, so the gated number is
+  a ratio to the machine's speed at that moment, not raw seconds from
+  whichever machine recorded the baseline.
 """
 
 from repro.bench.core import (

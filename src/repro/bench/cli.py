@@ -8,29 +8,23 @@ Usage::
     python -m repro bench --check --baseline benchmarks/baseline \
         --tolerance 1.5                       # the CI perf gate
 
-``--check`` compares every fresh result against the committed baseline:
-event counts must match exactly (the benchmarks are deterministic);
-median wall time may regress up to ``--tolerance`` x baseline.  Exit
-status 1 on any failure, with one line per deviation.
-
-``--summary PATH`` also writes a compact summary of the scheduler
-probes (``sched-*`` and ``tenant-admission``) that ran, and
-``--flow-summary PATH`` one of the overload-path probes
-(``traffic-overload``, ``overload-protect``): the open-loop saturation
-path and the flow-control layer on top of it.  Both are off by default,
-so a run (the ``--check`` gate included) never rewrites the tracked
-``BENCH_sched.json`` and ``BENCH_flow.json`` at the repo root; refresh
-those deliberately with ``--summary BENCH_sched.json`` and
-``--flow-summary BENCH_flow.json``.
+Each probe's repeats are bracketed by runs of a fixed calibration loop
+(:mod:`repro.bench.core`), and every result records the loop's time
+(``calib_s``) and the median repeat time in loops
+(``calibrated_median``).  ``--check`` compares every fresh result
+against the committed baseline: event counts must match exactly (the
+benchmarks are deterministic); the calibrated median may regress up to
+``--tolerance`` x the baseline's.  A baseline without ``calib_s`` fails
+and must be re-recorded.  Exit status 1 on any failure, with one line
+per deviation that ends with both sides' ``calib_s``.  A run writes
+nothing outside ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import pathlib
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.bench.core import (
     BenchResult,
@@ -41,25 +35,10 @@ from repro.bench.core import (
 )
 from repro.bench.suites import REGISTRY
 
-__all__ = [
-    "main",
-    "build_parser",
-    "write_sched_summary",
-    "write_flow_summary",
-]
+__all__ = ["main", "build_parser"]
 
 DEFAULT_OUT_DIR = "benchmarks/results"
 DEFAULT_BASELINE_DIR = "benchmarks/baseline"
-
-#: Prefix that marks a benchmark as a scheduler probe for the summary.
-SCHED_PREFIX = "sched-"
-#: Probes without the prefix that still belong in the scheduler
-#: summary (the admission plane feeds the schedulers directly).
-SCHED_SUMMARY_EXTRAS = ("tenant-admission",)
-
-#: Probes in the overload-path summary: the open-loop saturation path
-#: and the flow-control (backpressure + shedding) layer on top of it.
-FLOW_SUMMARY_PROBES = ("traffic-overload", "overload-protect")
 
 #: Name column width of ``--list`` and result rows: the longest
 #: registered name, so every row's columns line up.
@@ -126,91 +105,30 @@ def build_parser() -> argparse.ArgumentParser:
         type=_at_least(float, 1.0),
         default=1.5,
         metavar="X",
-        help="allowed median wall-time regression factor for --check "
-        "(default 1.5)",
-    )
-    parser.add_argument(
-        "--summary",
-        metavar="PATH",
-        default="",
-        help="write a scheduler-probe summary to PATH when any sched-* "
-        "benchmark runs (default: none; the tracked one is "
-        "BENCH_sched.json)",
-    )
-    parser.add_argument(
-        "--flow-summary",
-        metavar="PATH",
-        default="",
-        help="write an overload-path summary to PATH when any flow probe "
-        "runs (default: none; the tracked one is BENCH_flow.json)",
+        help="allowed regression factor of the calibrated median for "
+        "--check (default 1.5)",
     )
     return parser
-
-
-def _write_probe_summary(
-    picked: List[BenchResult],
-    baselines: Dict[str, Optional[BenchResult]],
-    path: str,
-) -> Optional[str]:
-    """One entry per probe with the headline numbers plus the speedup
-    against the loaded baseline (``null`` when no baseline exists), so a
-    single root-level file records the perf trajectory across PRs."""
-    if not picked or not path:
-        return None
-    probes = {}
-    for result in picked:
-        baseline = baselines.get(result.name)
-        speedup = (
-            round(baseline.median_s / result.median_s, 3)
-            if baseline is not None and baseline.median_s > 0
-            else None
-        )
-        probes[result.name] = {
-            "median_s": round(result.median_s, 6),
-            "p90_s": round(result.p90_s, 6),
-            "events": result.events,
-            "events_per_sec": round(result.events_per_sec, 1),
-            "speedup_vs_baseline": speedup,
-        }
-    payload = {"schema": 1, "probes": probes}
-    target = pathlib.Path(path)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return str(target)
-
-
-def write_sched_summary(
-    results: List[BenchResult],
-    baselines: Dict[str, Optional[BenchResult]],
-    path: str,
-) -> Optional[str]:
-    """Write the cross-PR scheduler summary if any ``sched-*`` probe ran."""
-    sched = [
-        r
-        for r in results
-        if r.name.startswith(SCHED_PREFIX) or r.name in SCHED_SUMMARY_EXTRAS
-    ]
-    return _write_probe_summary(sched, baselines, path)
-
-
-def write_flow_summary(
-    results: List[BenchResult],
-    baselines: Dict[str, Optional[BenchResult]],
-    path: str,
-) -> Optional[str]:
-    """Write the cross-PR overload-path summary if any flow probe ran."""
-    flow = [r for r in results if r.name in FLOW_SUMMARY_PROBES]
-    return _write_probe_summary(flow, baselines, path)
 
 
 def _format_row(result: BenchResult, baseline: Optional[BenchResult]) -> str:
     row = (
         f"{result.name:<{NAME_WIDTH}} median={result.median_s:8.4f}s "
-        f"p90={result.p90_s:8.4f}s events={result.events:>9,} "
-        f"ev/s={result.events_per_sec:>12,.0f} rss={result.peak_rss_kb:,}KB"
+        f"p90={result.p90_s:8.4f}s calibrated={result.calibrated_median:8.3f} "
+        f"events={result.events:>9,} ev/s={result.events_per_sec:>12,.0f} "
+        f"rss={result.peak_rss_kb:,}KB"
     )
-    if baseline is not None and baseline.median_s > 0:
-        row += f"  ({baseline.median_s / result.median_s:.2f}x vs baseline)"
+    if baseline is not None and baseline.calibrated_median > 0:
+        speed = baseline.calibrated_median / result.calibrated_median
+        row += f"  ({speed:.2f}x vs baseline)"
     return row
+
+
+def _calib_note(result: BenchResult, baseline: BenchResult) -> str:
+    """Both sides' calibration-loop times, so a failure line explains
+    itself across machines and Python versions."""
+    theirs = f"{baseline.calib_s:.4f}s" if baseline.calib_s > 0 else "none"
+    return f"calib_s {result.calib_s:.4f}s, baseline {theirs}"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -229,13 +147,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
     failures = []
-    results: List[BenchResult] = []
-    baselines: Dict[str, Optional[BenchResult]] = {}
     for name in names:
         result = run_benchmark(REGISTRY[name], repeats=args.repeats)
         baseline = load_result(args.baseline, name)
-        results.append(result)
-        baselines[name] = baseline
         print(_format_row(result, baseline))
         path = write_result(result, args.out)
         print(f"  wrote {path}")
@@ -246,16 +160,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "(record one per docs/performance.md)"
                 )
             else:
+                note = _calib_note(result, baseline)
                 failures.extend(
-                    f"{f.benchmark}: {f.reason}"
+                    f"{f.benchmark}: {f.reason} [{note}]"
                     for f in compare_results(result, baseline, args.tolerance)
                 )
-    summary_path = write_sched_summary(results, baselines, args.summary)
-    if summary_path is not None:
-        print(f"  wrote {summary_path} (scheduler summary)")
-    flow_path = write_flow_summary(results, baselines, args.flow_summary)
-    if flow_path is not None:
-        print(f"  wrote {flow_path} (overload-path summary)")
     if args.check:
         if failures:
             print("\nperf gate FAILED:", file=sys.stderr)

@@ -12,13 +12,20 @@ identical, and CI asserts them against the committed baseline exactly.
 collector disabled and reports median/p90 wall seconds, events/sec (at
 the median) and the peak RSS over the probe's own repeats (process-wide
 where the kernel cannot reset the high-water mark; ``meta`` records
-which).  Results serialise to ``BENCH_<name>.json`` via
+which).  A fixed stdlib calibration loop is timed before the first
+repeat and after every repeat, so each repeat is bracketed by two loop
+runs; ``calibrated_median`` is the median over repeats of the repeat
+time divided by the mean of its two brackets.  That ratio, not the raw
+median, is what :func:`compare_results` gates, so a machine that runs
+everything 1.6x slower moves the loop and the probe alike and the gate
+holds.  Results serialise to ``BENCH_<name>.json`` via
 :func:`write_result`.
 """
 
 from __future__ import annotations
 
 import gc
+import heapq
 import json
 import math
 import pathlib
@@ -26,7 +33,7 @@ import platform
 import resource
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 
@@ -43,6 +50,55 @@ __all__ = [
 
 #: Schema version stamped into every BENCH_*.json.
 SCHEMA = 1
+
+#: Events each calibration run pushes through its heap, and the number
+#: of self-rescheduling streams (the heap's width): the loop of
+#: ``perfbench/calibrate.py``, shaped like the DES hot path it stands
+#: in for — ``(t, seq, fn, args)`` heap entries, ``__slots__`` objects,
+#: bound-method calls and dict access.
+CALIB_EVENTS = 25_000
+CALIB_STREAMS = 64
+
+
+class _CalibStream:
+    __slots__ = ("key", "step", "fired")
+
+    def __init__(self, key: str, step: float) -> None:
+        self.key = key
+        self.step = step
+        self.fired = 0
+
+    def fire(self, counts: Dict[str, int], now: float) -> float:
+        self.fired += 1
+        counts[self.key] = counts.get(self.key, 0) + 1
+        return now + self.step * (1 + (self.fired & 7))
+
+
+def _calibration_loop() -> int:
+    """Run the fixed calibration work; returns a checksum so the work
+    cannot be skipped."""
+    streams = [
+        _CalibStream(f"s{i}", 1e-3 * (1 + i % 5)) for i in range(CALIB_STREAMS)
+    ]
+    heap: List[Tuple[float, int, Any, Tuple[Any, ...]]] = []
+    counts: Dict[str, int] = {}
+    push, pop = heapq.heappush, heapq.heappop
+    seq = 0
+    for stream in streams:
+        seq += 1
+        push(heap, (stream.step, seq, stream.fire, (counts,)))
+    for _ in range(CALIB_EVENTS):
+        now, _, fn, args = pop(heap)
+        seq += 1
+        push(heap, (fn(*args, now), seq, fn, args))
+    return sum(counts.values())
+
+
+def _calibration_s() -> float:
+    """Seconds one :func:`_calibration_loop` takes right now."""
+    start = time.perf_counter()
+    _calibration_loop()
+    return time.perf_counter() - start
 
 
 @dataclass(frozen=True)
@@ -67,7 +123,13 @@ class Benchmark:
 
 @dataclass
 class BenchResult:
-    """Measured outcome of one benchmark (or a loaded baseline)."""
+    """Measured outcome of one benchmark (or a loaded baseline).
+
+    ``calib_s`` is the median calibration-loop time of the run and
+    ``calibrated_median`` the median repeat time in calibration loops
+    (see the module docstring); both are 0.0 in a baseline recorded
+    before calibration existed.
+    """
 
     name: str
     repeats: int
@@ -77,6 +139,8 @@ class BenchResult:
     events: int
     events_per_sec: float
     peak_rss_kb: int
+    calib_s: float = 0.0
+    calibrated_median: float = 0.0
     meta: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -90,6 +154,8 @@ class BenchResult:
             "events": self.events,
             "events_per_sec": round(self.events_per_sec, 1),
             "peak_rss_kb": self.peak_rss_kb,
+            "calib_s": round(self.calib_s, 6),
+            "calibrated_median": round(self.calibrated_median, 6),
             "meta": self.meta,
         }
 
@@ -104,6 +170,8 @@ class BenchResult:
             events=payload["events"],
             events_per_sec=payload["events_per_sec"],
             peak_rss_kb=payload["peak_rss_kb"],
+            calib_s=payload.get("calib_s", 0.0),
+            calibrated_median=payload.get("calibrated_median", 0.0),
             meta=dict(payload.get("meta", {})),
         )
 
@@ -150,7 +218,9 @@ def run_benchmark(bench: Benchmark, repeats: Optional[int] = None) -> BenchResul
     """Time ``repeats`` fresh workloads of ``bench``.
 
     Each repeat calls ``bench.prepare()`` outside the timed window, then
-    times the returned workload with GC disabled.  Raises
+    times the returned workload with GC disabled, followed by one
+    calibration loop, which is also the "before" bracket of the next
+    repeat (the first repeat's comes right before it).  Raises
     :class:`~repro.errors.ConfigError` if repeats disagree on the event
     count — a benchmark that does nondeterministic work cannot be gated.
     """
@@ -158,6 +228,7 @@ def run_benchmark(bench: Benchmark, repeats: Optional[int] = None) -> BenchResul
     if count < 1:
         raise ConfigError(f"repeats must be >= 1, got {count}")
     times: List[float] = []
+    calibs: List[float] = []
     events: Optional[int] = None
     rss_scope = "probe" if _reset_peak_rss() else "process"
     for _ in range(count):
@@ -166,9 +237,12 @@ def run_benchmark(bench: Benchmark, repeats: Optional[int] = None) -> BenchResul
         gc.collect()
         gc.disable()
         try:
+            if not calibs:
+                calibs.append(_calibration_s())
             start = time.perf_counter()
             seen = workload()
             elapsed = time.perf_counter() - start
+            calibs.append(_calibration_s())
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -182,6 +256,10 @@ def run_benchmark(bench: Benchmark, repeats: Optional[int] = None) -> BenchResul
         times.append(elapsed)
     assert events is not None
     median = _median(times)
+    calibrated = [
+        raw / ((before + after) / 2.0)
+        for raw, before, after in zip(times, calibs, calibs[1:])
+    ]
     return BenchResult(
         name=bench.name,
         repeats=count,
@@ -191,6 +269,8 @@ def run_benchmark(bench: Benchmark, repeats: Optional[int] = None) -> BenchResul
         events=events,
         events_per_sec=events / median if median > 0 else float("inf"),
         peak_rss_kb=_peak_rss_kb(),
+        calib_s=_median(calibs),
+        calibrated_median=_median(calibrated),
         meta={
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -240,9 +320,10 @@ def compare_results(
 ) -> List[CheckFailure]:
     """Gate ``fresh`` against ``baseline``.
 
-    Event counts must match *exactly* (they are deterministic); median
-    wall time may regress up to ``tolerance`` x the baseline, absorbing
-    shared-runner noise.  Being faster than baseline never fails.
+    Event counts must match *exactly* (they are deterministic); the
+    calibrated median may regress up to ``tolerance`` x the baseline's.
+    There is no raw-time fallback: a baseline without ``calib_s`` fails
+    and must be re-recorded.  Being faster than baseline never fails.
     """
     if tolerance < 1.0:
         raise ConfigError(f"tolerance must be >= 1.0, got {tolerance}")
@@ -263,13 +344,23 @@ def compare_results(
                 "(corrupt baseline; re-record it)",
             )
         )
-    elif fresh.median_s > baseline.median_s * tolerance:
+    elif not (baseline.calib_s > 0 and baseline.calibrated_median > 0):
         failures.append(
             CheckFailure(
                 fresh.name,
-                f"median {fresh.median_s:.4f}s exceeds baseline "
-                f"{baseline.median_s:.4f}s x {tolerance:g} tolerance "
-                f"({fresh.median_s / baseline.median_s:.2f}x slower)",
+                "baseline has no calib_s (recorded before the calibrated "
+                "gate); re-record it per docs/performance.md",
+            )
+        )
+    elif fresh.calibrated_median > baseline.calibrated_median * tolerance:
+        slower = fresh.calibrated_median / baseline.calibrated_median
+        failures.append(
+            CheckFailure(
+                fresh.name,
+                f"calibrated median {fresh.calibrated_median:.3f} exceeds "
+                f"baseline {baseline.calibrated_median:.3f} x {tolerance:g} "
+                f"tolerance ({slower:.2f}x slower; raw median "
+                f"{fresh.median_s:.4f}s vs {baseline.median_s:.4f}s)",
             )
         )
     return failures

@@ -48,7 +48,7 @@ below; changing them invalidates the committed baselines (see
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bench.core import Benchmark
 from repro.simulation.engine import Simulator
@@ -208,26 +208,25 @@ def _prepare_tuple_routing() -> Callable[[], int]:
     return workload
 
 
-def _prepare_scheduler(factory_name: str) -> Callable[[], Callable[[], int]]:
+def _scheduling_rounds(
+    scheduler_name: str, rounds: int, setup: Callable[[], Tuple[Any, List[Any]]]
+) -> Callable[[], Callable[[], int]]:
+    """A probe that runs ``rounds`` full scheduling rounds of the
+    topologies on the cluster that ``setup()`` builds, releasing the
+    cluster before each round; its events are the tasks placed."""
+
     def prepare() -> Callable[[], int]:
-        from repro.cluster.builders import emulab_testbed
         from repro.scheduler.aniello import AnielloOfflineScheduler
         from repro.scheduler.default import DefaultScheduler
         from repro.scheduler.rstorm import RStormScheduler
-        from repro.workloads.micro import micro_topology
 
         factories = {
             "r-storm": RStormScheduler,
             "default": DefaultScheduler,
             "aniello": AnielloOfflineScheduler,
         }
-        scheduler = factories[factory_name]()
-        rounds = SCHEDULER_ROUNDS[factory_name]
-        cluster = emulab_testbed()
-        topologies = [
-            micro_topology(kind, "compute")
-            for kind in ("linear", "diamond", "star")
-        ]
+        scheduler = factories[scheduler_name]()
+        cluster, topologies = setup()
         tasks_per_round = sum(len(t.tasks) for t in topologies)
 
         def workload() -> int:
@@ -244,6 +243,16 @@ def _prepare_scheduler(factory_name: str) -> Callable[[], Callable[[], int]]:
         return workload
 
     return prepare
+
+
+def _testbed_micro() -> Tuple[Any, List[Any]]:
+    """The Emulab testbed and the three compute micro-topologies."""
+    from repro.cluster.builders import emulab_testbed
+    from repro.workloads.micro import micro_topology
+
+    return emulab_testbed(), [
+        micro_topology(kind, "compute") for kind in ("linear", "diamond", "star")
+    ]
 
 
 def _sched_scale_cluster():
@@ -274,14 +283,15 @@ def _sched_scale_cluster():
     )
 
 
-def _sched_scale_topologies():
+def _sched_scale() -> Tuple[Any, List[Any]]:
+    """The 512-node cluster and its five concurrent topologies."""
     from repro.workloads.micro import (
         diamond_topology,
         linear_topology,
         star_topology,
     )
 
-    return [
+    return _sched_scale_cluster(), [
         linear_topology("compute", parallelism=24, name="scale-linear-a"),
         diamond_topology(
             "compute", branches=3, parallelism=16, name="scale-diamond-a"
@@ -294,24 +304,18 @@ def _sched_scale_topologies():
     ]
 
 
-def _prepare_sched_scale() -> Callable[[], int]:
-    from repro.scheduler.rstorm import RStormScheduler
-
-    scheduler = RStormScheduler()
-    cluster = _sched_scale_cluster()
-    topologies = _sched_scale_topologies()
-    tasks_per_round = sum(len(t.tasks) for t in topologies)
+def _unit_workload(
+    unit: Any, sane: Optional[Callable[[Any], bool]] = None
+) -> Callable[[], int]:
+    """The workload that executes ``unit`` and returns its DES event
+    count, after ``sane(outcome)`` confirms the probe did the work it
+    exists to measure."""
 
     def workload() -> int:
-        for _ in range(SCHED_SCALE_ROUNDS):
-            cluster.release_all()
-            round_info = scheduler.run(topologies, cluster)
-            for topology in topologies:
-                if not round_info.assignments[
-                    topology.topology_id
-                ].is_complete(topology):  # pragma: no cover - sanity
-                    raise AssertionError("incomplete schedule in bench")
-        return SCHED_SCALE_ROUNDS * tasks_per_round
+        outcome = unit.execute()
+        if sane is not None and not sane(outcome):  # pragma: no cover
+            raise AssertionError(f"{unit.label} failed its sanity check")
+        return outcome.report.events_processed
 
     return workload
 
@@ -332,11 +336,7 @@ def _prepare_chaos_replay() -> Callable[[], int]:
         faults=spec(single_crash),
         label="bench:chaos-replay",
     )
-
-    def workload() -> int:
-        return unit.execute().report.events_processed
-
-    return workload
+    return _unit_workload(unit)
 
 
 def _prepare_delivery_replay() -> Callable[[], int]:
@@ -361,11 +361,7 @@ def _prepare_delivery_replay() -> Callable[[], int]:
         storm=(("nimbus.quarantine.enabled", True),),
         label="bench:delivery-replay",
     )
-
-    def workload() -> int:
-        return unit.execute().report.events_processed
-
-    return workload
+    return _unit_workload(unit)
 
 
 def _prepare_fig9_e2e() -> Callable[[], int]:
@@ -409,11 +405,7 @@ def _prepare_traffic_overload() -> Callable[[], int]:
         ),
         label="bench:traffic-overload",
     )
-
-    def workload() -> int:
-        return unit.execute().report.events_processed
-
-    return workload
+    return _unit_workload(unit)
 
 
 def _prepare_overload_protect() -> Callable[[], int]:
@@ -446,16 +438,12 @@ def _prepare_overload_protect() -> Callable[[], int]:
         ),
         label="bench:overload-protect",
     )
-
-    def workload() -> int:
-        report = unit.execute().report
-        if report.shed(TOPO_ID) <= 0:  # pragma: no cover - sanity
-            raise AssertionError("overload-protect bench shed nothing")
-        if report.spout_throttled_s(TOPO_ID) <= 0:  # pragma: no cover
-            raise AssertionError("overload-protect bench never throttled")
-        return report.events_processed
-
-    return workload
+    # It must both shed and throttle its spout.
+    return _unit_workload(
+        unit,
+        lambda outcome: outcome.report.shed(TOPO_ID) > 0
+        and outcome.report.spout_throttled_s(TOPO_ID) > 0,
+    )
 
 
 def _prepare_elastic_adapt() -> Callable[[], int]:
@@ -481,14 +469,8 @@ def _prepare_elastic_adapt() -> Callable[[], int]:
         storm=(("nimbus.elastic.enabled", True),),
         label="bench:elastic-adapt",
     )
-
-    def workload() -> int:
-        outcome = unit.execute()
-        if not outcome.elastic_decisions:  # pragma: no cover - sanity
-            raise AssertionError("elastic bench committed no scale actions")
-        return outcome.report.events_processed
-
-    return workload
+    # It must commit scale actions.
+    return _unit_workload(unit, lambda outcome: bool(outcome.elastic_decisions))
 
 
 def _prepare_tenant_admission() -> Callable[[], int]:
@@ -575,7 +557,9 @@ REGISTRY: Dict[str, Benchmark] = {
                 f"{SCHEDULER_ROUNDS['r-storm']} R-Storm scheduling rounds "
                 "of the three compute micro-topologies"
             ),
-            prepare=_prepare_scheduler("r-storm"),
+            prepare=_scheduling_rounds(
+                "r-storm", SCHEDULER_ROUNDS["r-storm"], _testbed_micro
+            ),
             repeats=5,
         ),
         Benchmark(
@@ -584,7 +568,9 @@ REGISTRY: Dict[str, Benchmark] = {
                 f"{SCHEDULER_ROUNDS['default']} default-Storm (round-robin) "
                 "scheduling rounds of the three compute micro-topologies"
             ),
-            prepare=_prepare_scheduler("default"),
+            prepare=_scheduling_rounds(
+                "default", SCHEDULER_ROUNDS["default"], _testbed_micro
+            ),
             repeats=5,
         ),
         Benchmark(
@@ -593,7 +579,9 @@ REGISTRY: Dict[str, Benchmark] = {
                 f"{SCHEDULER_ROUNDS['aniello']} Aniello offline scheduling "
                 "rounds of the three compute micro-topologies"
             ),
-            prepare=_prepare_scheduler("aniello"),
+            prepare=_scheduling_rounds(
+                "aniello", SCHEDULER_ROUNDS["aniello"], _testbed_micro
+            ),
             repeats=5,
         ),
         Benchmark(
@@ -603,7 +591,9 @@ REGISTRY: Dict[str, Benchmark] = {
                 f"topologies on a {SCHED_SCALE_RACKS * SCHED_SCALE_NODES_PER_RACK}"
                 f"-node, {SCHED_SCALE_RACKS}-rack cluster"
             ),
-            prepare=_prepare_sched_scale,
+            prepare=_scheduling_rounds(
+                "r-storm", SCHED_SCALE_ROUNDS, _sched_scale
+            ),
             repeats=3,
         ),
         Benchmark(

@@ -110,15 +110,6 @@ class Cluster:
 
     # -- slots -------------------------------------------------------------
 
-    def all_slots(self) -> List[WorkerSlot]:
-        """Every worker slot on every alive node, in a deterministic
-        (node, port) order — the order Storm's even scheduler round-robins
-        over."""
-        slots: List[WorkerSlot] = []
-        for node in sorted(self.alive_nodes, key=lambda n: n.node_id):
-            slots.extend(node.slots)
-        return slots
-
     def slot_node(self, slot: WorkerSlot) -> Node:
         return self.node(slot.node_id)
 
@@ -147,15 +138,6 @@ class Cluster:
         )
 
     # -- aggregates ------------------------------------------------------------
-
-    def total_capacity(self):
-        nodes = self.nodes
-        if not nodes:
-            return None
-        total = nodes[0].capacity
-        for node in nodes[1:]:
-            total = total + node.capacity
-        return total
 
     def total_available(self):
         nodes = self.alive_nodes

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 __all__ = ["DistanceLevel", "LinkProfile", "NetworkTopography"]
 
@@ -121,21 +121,6 @@ class NetworkTopography:
                 "network distances must be non-decreasing from intra-process "
                 f"to inter-rack, got {distances}"
             )
-
-    @classmethod
-    def from_distances(
-        cls, distances: Mapping[DistanceLevel, float]
-    ) -> "NetworkTopography":
-        """Build a topography overriding only the abstract distances,
-        keeping default latency/bandwidth figures."""
-        profiles = {}
-        for level, default in DEFAULT_PROFILES.items():
-            profiles[level] = LinkProfile(
-                distance=float(distances.get(level, default.distance)),
-                latency_ms=default.latency_ms,
-                bandwidth_mbps=default.bandwidth_mbps,
-            )
-        return cls(profiles)
 
     # -- level classification ---------------------------------------------
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.errors import SchemaMismatchError, UnknownResourceError
 
@@ -248,12 +248,6 @@ class ResourceVector:
         return cls(
             ResourceSchema.storm_default(), (memory_mb, cpu, bandwidth_mbps)
         )
-
-    @classmethod
-    def from_mapping(
-        cls, schema: ResourceSchema, mapping: Mapping[str, float]
-    ) -> "ResourceVector":
-        return schema.vector(**dict(mapping))
 
     # -- accessors ----------------------------------------------------------
 

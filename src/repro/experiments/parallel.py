@@ -25,10 +25,7 @@ Two unit kinds cover the whole suite:
 :func:`run_units` executes a batch: cache hits return instantly, misses
 fan out over a :class:`concurrent.futures.ProcessPoolExecutor` when
 ``jobs > 1`` (or run inline otherwise), and fresh results are written
-back to the cache.  Each unit's execution deterministically seeds the
-global :mod:`random` state from its cache key, so any stochastic
-component behaves identically in-process, in a worker and on replay —
-the contract the determinism regression tests pin down.
+back to the cache.
 
 :class:`ExperimentContext` bundles the ``jobs``/cache policy and is what
 the CLI threads into every experiment's ``run(..., context=...)``.
@@ -37,7 +34,6 @@ the CLI threads into every experiment's ``run(..., context=...)``.
 from __future__ import annotations
 
 import concurrent.futures
-import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -89,12 +85,6 @@ def spec(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> FactorySpec:
     return FactorySpec(fn, args, tuple(sorted(kwargs.items())))
 
 
-def _seed_for(unit: Any) -> int:
-    """Deterministic per-unit RNG seed derived from the cache key (which
-    leaves out presentational fields like ``label``)."""
-    return int(cache_key(unit)[:16], 16)
-
-
 @dataclass(frozen=True)
 class SimulationUnit:
     """One DES run: place the topologies on the cluster, then simulate.
@@ -105,7 +95,7 @@ class SimulationUnit:
     ``submissions`` are :class:`FactorySpec` recipes, and ``storm`` is a
     tuple of ``(key, value)`` pairs, so the unit stays hashable.
 
-    Every field but ``label`` feeds the cache key and the RNG seed.
+    Every field but ``label`` feeds the cache key.
     ``trial`` distinguishes repeats of otherwise-identical work;
     ``label`` is presentational only (``compare=False``), so identical
     work shared between experiments (fig9 and fig10 simulate the exact
@@ -148,7 +138,6 @@ class SimulationUnit:
         )
 
     def execute(self) -> SingleRunOutcome:
-        random.seed(_seed_for(self))
         wiring = self.wire()
         outcome = wiring.outcome(wiring.run.run())
         # The run is over.  Its pending events hold bound methods and
@@ -190,7 +179,6 @@ class ScheduleUnit:
     label: str = field(default="", compare=False)
 
     def execute(self) -> ScheduleOutcome:
-        random.seed(_seed_for(self))
         scheduler = self.scheduler.build()
         topologies = [t.build() for t in self.topologies]
         cluster = self.cluster.build()

@@ -15,54 +15,72 @@ against :data:`KEYS` when it is built.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigError
 
 __all__ = ["StormConfig", "parse_storm_yaml"]
 
+#: An interval an ``int`` or ``number`` value must lie in:
+#: ``(low, low included, high, high included)``.
+Bounds = Tuple[float, bool, float, bool]
+
+_POSITIVE: Bounds = (0.0, False, math.inf, True)  # (0, inf]
+_NON_NEGATIVE: Bounds = (0.0, True, math.inf, True)  # [0, inf]
+_AT_LEAST_ONE: Bounds = (1.0, True, math.inf, True)  # [1, inf]
+_FRACTION: Bounds = (0.0, False, 1.0, True)  # (0, 1]
+
 #: Every key this reproduction reads: key -> (kind, default, bounds).
 #: Kinds: ``bool``; ``string`` (non-empty); ``port list`` (a non-empty
 #: list of ints); ``int``; ``int or null``; and ``number`` (an int or
-#: float, stored as float).  ``bounds`` is the interval, in the usual
-#: notation, that an ``int`` or ``number`` value must lie in.
-KEYS: Dict[str, Tuple[str, Any, Optional[str]]] = {
-    "supervisor.memory.capacity.mb": ("number", 4096.0, "(0, inf]"),
-    "supervisor.cpu.capacity": ("number", 400.0, "(0, inf]"),
-    "supervisor.bandwidth.capacity.mbps": ("number", 1000.0, "(0, inf]"),
+#: float, stored as float).
+KEYS: Dict[str, Tuple[str, Any, Optional[Bounds]]] = {
+    "supervisor.memory.capacity.mb": ("number", 4096.0, _POSITIVE),
+    "supervisor.cpu.capacity": ("number", 400.0, _POSITIVE),
+    "supervisor.bandwidth.capacity.mbps": ("number", 1000.0, _POSITIVE),
     "supervisor.slots.ports": ("port list", [6700, 6701, 6702, 6703], None),
     "storm.scheduler": ("string", "default", None),
-    "nimbus.scheduler.interval.secs": ("number", 10.0, "(0, inf]"),
+    "nimbus.scheduler.interval.secs": ("number", 10.0, _POSITIVE),
     "nimbus.quarantine.enabled": ("bool", False, None),
-    "nimbus.quarantine.threshold": ("int", 3, "[1, inf]"),
-    "nimbus.quarantine.window.secs": ("number", 120.0, "(0, inf]"),
-    "nimbus.quarantine.probation.secs": ("number", 60.0, "(0, inf]"),
+    "nimbus.quarantine.threshold": ("int", 3, _AT_LEAST_ONE),
+    "nimbus.quarantine.window.secs": ("number", 120.0, _POSITIVE),
+    "nimbus.quarantine.probation.secs": ("number", 60.0, _POSITIVE),
     "nimbus.elastic.enabled": ("bool", False, None),
-    "nimbus.elastic.interval.secs": ("number", 15.0, "(0, inf]"),
-    "nimbus.elastic.target.utilisation": ("number", 0.7, "(0, 1]"),
-    "nimbus.elastic.hysteresis": ("number", 0.25, "[0, 1)"),
-    "nimbus.elastic.min.parallelism": ("int", 1, "[1, inf]"),
-    "nimbus.elastic.max.parallelism": ("int", 16, "[1, inf]"),
-    "nimbus.elastic.scale.down.patience": ("int", 3, "[1, inf]"),
+    "nimbus.elastic.interval.secs": ("number", 15.0, _POSITIVE),
+    "nimbus.elastic.target.utilisation": ("number", 0.7, _FRACTION),
+    "nimbus.elastic.hysteresis": ("number", 0.25, (0.0, True, 1.0, False)),
+    "nimbus.elastic.min.parallelism": ("int", 1, _AT_LEAST_ONE),
+    "nimbus.elastic.max.parallelism": ("int", 16, _AT_LEAST_ONE),
+    "nimbus.elastic.scale.down.patience": ("int", 3, _AT_LEAST_ONE),
     "nimbus.elastic.rebalance.enabled": ("bool", True, None),
-    "nimbus.elastic.rebalance.threshold": ("number", 0.85, "(0, 1]"),
+    "nimbus.elastic.rebalance.threshold": ("number", 0.85, _FRACTION),
     "nimbus.tenancy.enabled": ("bool", False, None),
-    "nimbus.tenancy.headroom": ("number", 1.0, "(0, 1]"),
-    "nimbus.tenancy.credit.accrual": ("number", 1.0, "[0, inf]"),
-    "nimbus.tenancy.credit.bias": ("number", 0.05, "[0, inf]"),
+    "nimbus.tenancy.headroom": ("number", 1.0, _FRACTION),
+    "nimbus.tenancy.credit.accrual": ("number", 1.0, _NON_NEGATIVE),
+    "nimbus.tenancy.credit.bias": ("number", 0.05, _NON_NEGATIVE),
     "nimbus.tenancy.preemption.enabled": ("bool", True, None),
-    "nimbus.tenancy.max.preemptions": ("int", 2, "[0, inf]"),
-    "topology.workers": ("int or null", None, "[1, inf]"),
-    "topology.max.spout.pending": ("int", 10, "[1, inf]"),
-    "topology.message.timeout.secs": ("number", 30.0, "(0, inf]"),
+    "nimbus.tenancy.max.preemptions": ("int", 2, _NON_NEGATIVE),
+    "topology.workers": ("int or null", None, _AT_LEAST_ONE),
+    "topology.max.spout.pending": ("int", 10, _AT_LEAST_ONE),
+    "topology.message.timeout.secs": ("number", 30.0, _POSITIVE),
 }
 
 
-def _in_interval(value: float, bounds: str) -> bool:
-    low, high = (float(end) for end in bounds[1:-1].split(","))
-    above = value >= low if bounds[0] == "[" else value > low
-    below = value <= high if bounds[-1] == "]" else value < high
+def _in_interval(value: float, bounds: Bounds) -> bool:
+    low, low_closed, high, high_closed = bounds
+    above = value >= low if low_closed else value > low
+    below = value <= high if high_closed else value < high
     return above and below
+
+
+def _interval_text(bounds: Bounds) -> str:
+    """``bounds`` in the usual notation, such as ``(0, inf]``."""
+    low, low_closed, high, high_closed = bounds
+    return (
+        f"{'[' if low_closed else '('}{low:g}, {high:g}"
+        f"{']' if high_closed else ')'}"
+    )
 
 
 def _is_int(value: Any) -> bool:
@@ -90,7 +108,9 @@ def _checked(key: str, value: Any) -> Any:
     if not ok:
         raise ConfigError(f"{key} must be of kind {kind}, got {value!r}")
     if bounds is not None and not _in_interval(value, bounds):
-        raise ConfigError(f"{key} must be in {bounds}, got {value!r}")
+        raise ConfigError(
+            f"{key} must be in {_interval_text(bounds)}, got {value!r}"
+        )
     return value
 
 
@@ -224,11 +244,6 @@ class StormConfig:
     @classmethod
     def from_yaml(cls, text: str) -> "StormConfig":
         return cls(parse_storm_yaml(text))
-
-    @classmethod
-    def from_file(cls, path: str) -> "StormConfig":
-        with open(path) as handle:
-            return cls.from_yaml(handle.read())
 
     def get(self, key: str, default: Any = None) -> Any:
         return self._values.get(key, default)

@@ -103,9 +103,6 @@ class GlobalState:
 
     # -- queries -------------------------------------------------------------
 
-    def placement_of(self, task: Task) -> Optional[WorkerSlot]:
-        return self._placements.get(task)
-
     def is_placed(self, task: Task) -> bool:
         return task in self._placements
 
@@ -124,9 +121,6 @@ class GlobalState:
         return sorted(
             t for t, s in self._placements.items() if s.node_id == node_id
         )
-
-    def slot_users(self, slot: WorkerSlot) -> Set[str]:
-        return set(self._slot_users.get(slot, set()))
 
     def assignment_for(self, topology_id: str) -> Assignment:
         """Freeze the current placements of one topology."""

@@ -19,8 +19,8 @@ baseline behaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.cluster.resources import ResourceVector
 from repro.errors import TopologyValidationError
@@ -174,10 +174,6 @@ class Component:
     @property
     def cpu_load(self) -> float:
         return self._cpu_load
-
-    @property
-    def bandwidth_load_mbps(self) -> float:
-        return self._bandwidth_load_mbps
 
     def resource_demand(self) -> ResourceVector:
         """Per-task demand vector.

@@ -15,7 +15,7 @@ subscription integrity, not acyclicity.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.resources import ResourceVector
 from repro.errors import TopologyValidationError
@@ -261,14 +261,6 @@ class Topology:
     def tasks_of(self, component: str) -> Tuple[Task, ...]:
         self.component(component)
         return self._tasks_by_component[component]
-
-    def task_by_id(self, task_id: int) -> Task:
-        for task in self._tasks:
-            if task.task_id == task_id:
-                return task
-        raise TopologyValidationError(
-            f"no task id {task_id} in topology {self.topology_id!r}"
-        )
 
     @property
     def num_tasks(self) -> int:

@@ -67,7 +67,9 @@ def test_check_without_baseline_fails(fake_registry, tmp_path, capsys):
     assert "no baseline" in capsys.readouterr().err
 
 
-def _write_baseline(directory, events=10, median=1000.0):
+def _write_baseline(directory, events=10, median=1000.0, calib=1e-3):
+    """A ``fast`` baseline; ``calib=None`` writes one recorded before
+    calibration existed."""
     directory.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": 1,
@@ -81,6 +83,9 @@ def _write_baseline(directory, events=10, median=1000.0):
         "peak_rss_kb": 1,
         "meta": {},
     }
+    if calib is not None:
+        payload["calib_s"] = calib
+        payload["calibrated_median"] = median / calib
     (directory / result_filename("fast")).write_text(json.dumps(payload))
 
 
@@ -176,185 +181,6 @@ def test_bad_arguments_exit_two_before_running(
     assert not out.exists()
 
 
-@pytest.fixture()
-def sched_registry(monkeypatch):
-    registry = {
-        "sched-fast": Benchmark(
-            name="sched-fast",
-            description="scheduler probe",
-            prepare=lambda: (lambda: 10),
-            repeats=2,
-        ),
-        "other": Benchmark(
-            name="other",
-            description="non-scheduler probe",
-            prepare=lambda: (lambda: 5),
-            repeats=2,
-        ),
-    }
-    monkeypatch.setattr(cli, "REGISTRY", registry)
-    return registry
-
-
-def test_sched_summary_written_for_sched_probes(
-    sched_registry, tmp_path, capsys
-):
-    summary = tmp_path / "BENCH_sched.json"
-    code = cli.main(
-        [
-            "sched-fast",
-            "other",
-            "--out",
-            str(tmp_path / "out"),
-            "--baseline",
-            str(tmp_path / "missing"),
-            "--summary",
-            str(summary),
-        ]
-    )
-    assert code == 0
-    payload = json.loads(summary.read_text())
-    assert set(payload["probes"]) == {"sched-fast"}
-    probe = payload["probes"]["sched-fast"]
-    assert probe["events"] == 10
-    assert probe["speedup_vs_baseline"] is None
-    assert "scheduler summary" in capsys.readouterr().out
-
-
-def test_sched_summary_reports_speedup_vs_baseline(
-    sched_registry, tmp_path
-):
-    baseline = tmp_path / "baseline"
-    baseline.mkdir()
-    payload = {
-        "schema": 1,
-        "name": "sched-fast",
-        "repeats": 2,
-        "times_s": [1000.0, 1000.0],
-        "median_s": 1000.0,
-        "p90_s": 1000.0,
-        "events": 10,
-        "events_per_sec": 0.01,
-        "peak_rss_kb": 1,
-        "meta": {},
-    }
-    (baseline / result_filename("sched-fast")).write_text(
-        json.dumps(payload)
-    )
-    summary = tmp_path / "BENCH_sched.json"
-    code = cli.main(
-        [
-            "sched-fast",
-            "--out",
-            str(tmp_path / "out"),
-            "--baseline",
-            str(baseline),
-            "--summary",
-            str(summary),
-        ]
-    )
-    assert code == 0
-    probe = json.loads(summary.read_text())["probes"]["sched-fast"]
-    assert probe["speedup_vs_baseline"] > 1.0
-
-
-def test_sched_summary_skipped_without_sched_probes(
-    fake_registry, tmp_path
-):
-    summary = tmp_path / "BENCH_sched.json"
-    assert (
-        cli.main(
-            [
-                "fast",
-                "--out",
-                str(tmp_path / "out"),
-                "--summary",
-                str(summary),
-            ]
-        )
-        == 0
-    )
-    assert not summary.exists()
-
-
-@pytest.fixture()
-def flow_registry(monkeypatch):
-    registry = {
-        "overload-protect": Benchmark(
-            name="overload-protect",
-            description="flow probe",
-            prepare=lambda: (lambda: 20),
-            repeats=2,
-        ),
-        "other": Benchmark(
-            name="other",
-            description="non-flow probe",
-            prepare=lambda: (lambda: 5),
-            repeats=2,
-        ),
-    }
-    monkeypatch.setattr(cli, "REGISTRY", registry)
-    return registry
-
-
-def test_flow_summary_written_for_flow_probes(flow_registry, tmp_path, capsys):
-    summary = tmp_path / "BENCH_flow.json"
-    code = cli.main(
-        [
-            "overload-protect",
-            "other",
-            "--out",
-            str(tmp_path / "out"),
-            "--baseline",
-            str(tmp_path / "missing"),
-            "--summary",
-            "",
-            "--flow-summary",
-            str(summary),
-        ]
-    )
-    assert code == 0
-    payload = json.loads(summary.read_text())
-    assert set(payload["probes"]) == {"overload-protect"}
-    probe = payload["probes"]["overload-protect"]
-    assert probe["events"] == 20
-    assert probe["speedup_vs_baseline"] is None
-    assert "overload-path summary" in capsys.readouterr().out
-
-
-def test_flow_summary_skipped_without_flow_probes(fake_registry, tmp_path):
-    summary = tmp_path / "BENCH_flow.json"
-    assert (
-        cli.main(
-            [
-                "fast",
-                "--out",
-                str(tmp_path / "out"),
-                "--summary",
-                "",
-                "--flow-summary",
-                str(summary),
-            ]
-        )
-        == 0
-    )
-    assert not summary.exists()
-
-
-def test_sched_summary_disabled_with_empty_path(sched_registry, tmp_path):
-    code = cli.main(
-        [
-            "sched-fast",
-            "--out",
-            str(tmp_path / "out"),
-            "--summary",
-            "",
-        ]
-    )
-    assert code == 0
-    assert not (tmp_path / "BENCH_sched.json").exists()
-
-
 def test_repro_cli_dispatches_bench(tmp_path, monkeypatch, capsys):
     # `python -m repro bench --list` routes through the figure CLI.
     from repro.cli import main as repro_main
@@ -363,8 +189,9 @@ def test_repro_cli_dispatches_bench(tmp_path, monkeypatch, capsys):
     assert "engine-churn" in capsys.readouterr().out
 
 
-def test_check_writes_no_summary_by_default(tmp_path, monkeypatch):
-    """The CI gate command must not rewrite the tracked summaries."""
+def test_check_writes_only_under_out(tmp_path, monkeypatch):
+    """The CI gate command must leave the working tree as it found it:
+    every file it writes lands under ``--out``."""
     monkeypatch.setattr(
         cli,
         "REGISTRY",
@@ -379,16 +206,67 @@ def test_check_writes_no_summary_by_default(tmp_path, monkeypatch):
         },
     )
     monkeypatch.chdir(tmp_path)
+    before = set(tmp_path.rglob("*"))
+    out = tmp_path / "out"
     cli.main(
         [
             "sched-fast",
             "overload-protect",
             "--out",
-            str(tmp_path / "out"),
+            str(out),
             "--baseline",
             str(tmp_path / "missing"),
             "--check",
         ]
     )
-    assert not (tmp_path / "BENCH_sched.json").exists()
-    assert not (tmp_path / "BENCH_flow.json").exists()
+    written = set(tmp_path.rglob("*")) - before - {out}
+    assert written
+    assert all(out in path.parents for path in written)
+
+
+def test_check_fails_on_baseline_without_calibration(
+    fake_registry, tmp_path, capsys
+):
+    baseline = tmp_path / "baseline"
+    _write_baseline(baseline, median=1000.0, calib=None)
+    code = cli.main(
+        [
+            "fast",
+            "--out",
+            str(tmp_path / "out"),
+            "--baseline",
+            str(baseline),
+            "--check",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "no calib_s" in err
+    assert "re-record" in err
+
+
+def test_check_failure_line_prints_both_calib_s(
+    fake_registry, tmp_path, capsys
+):
+    baseline = tmp_path / "baseline"
+    _write_baseline(baseline, median=1e-12, calib=2e-3)
+    code = cli.main(
+        [
+            "fast",
+            "--out",
+            str(tmp_path / "out"),
+            "--baseline",
+            str(baseline),
+            "--check",
+        ]
+    )
+    assert code == 1
+    lines = [
+        line
+        for line in capsys.readouterr().err.splitlines()
+        if line.strip().startswith("fast:")
+    ]
+    assert len(lines) == 1
+    assert "calibrated median" in lines[0]
+    assert "calib_s 0.0" in lines[0]
+    assert "baseline 0.0020s" in lines[0]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.bench import core
 from repro.bench.core import (
     Benchmark,
     BenchResult,
@@ -117,7 +118,7 @@ class TestPersistence:
         assert load_result(str(tmp_path), "absent") is None
 
 
-def _result(events=100, median=1.0):
+def _result(events=100, median=1.0, calib=0.01):
     return BenchResult(
         name="toy-bench",
         repeats=3,
@@ -127,6 +128,8 @@ def _result(events=100, median=1.0):
         events=events,
         events_per_sec=events / median if median > 0 else 0.0,
         peak_rss_kb=1,
+        calib_s=calib,
+        calibrated_median=median / calib,
     )
 
 
@@ -170,3 +173,86 @@ class TestCompare:
     def test_tolerance_below_one_rejected(self):
         with pytest.raises(ConfigError):
             compare_results(_result(), _result(), tolerance=0.9)
+
+
+class _FakeClock:
+    """Stands in for ``time`` in :mod:`repro.bench.core`: each
+    calibration loop advances it by the next of ``calibs`` seconds."""
+
+    def __init__(self, calibs):
+        self.now = 0.0
+        self.calibs = iter(calibs)
+
+    def perf_counter(self):
+        return self.now
+
+    def calibration_loop(self):
+        self.now += next(self.calibs)
+        return 0
+
+
+def _timed_run(monkeypatch, repeat_s, calib_s):
+    """``run_benchmark`` on a fake clock: repeat ``i`` takes
+    ``repeat_s[i]`` seconds and calibration loop ``j`` ``calib_s[j]``."""
+    clock = _FakeClock(calib_s)
+    monkeypatch.setattr(core, "time", clock)
+    monkeypatch.setattr(core, "_calibration_loop", clock.calibration_loop)
+    durations = iter(repeat_s)
+
+    def prepare():
+        def workload():
+            clock.now += next(durations)
+            return 7
+
+        return workload
+
+    bench = Benchmark("toy-bench", "fake clock", prepare, len(repeat_s))
+    return run_benchmark(bench)
+
+
+class TestCalibratedGate:
+    def test_each_repeat_divides_by_its_two_brackets(self, monkeypatch):
+        result = _timed_run(monkeypatch, [4.0, 8.0, 6.0], [1.0, 3.0, 5.0, 1.0])
+        # 4 / mean(1, 3), 8 / mean(3, 5), 6 / mean(5, 1): all 2.0.
+        assert result.calibrated_median == pytest.approx(2.0)
+        assert result.calib_s == pytest.approx(2.0)
+        assert result.median_s == pytest.approx(6.0)
+
+    def test_doubled_repeats_and_calibration_pass(self, monkeypatch):
+        base = _timed_run(monkeypatch, [1.0, 1.1, 0.9], [0.1] * 4)
+        slow = _timed_run(monkeypatch, [2.0, 2.2, 1.8], [0.2] * 4)
+        assert slow.median_s == pytest.approx(2 * base.median_s)
+        assert compare_results(slow, base, tolerance=1.5) == []
+
+    def test_doubled_repeats_alone_fail(self, monkeypatch):
+        base = _timed_run(monkeypatch, [1.0, 1.1, 0.9], [0.1] * 4)
+        slow = _timed_run(monkeypatch, [2.0, 2.2, 1.8], [0.1] * 4)
+        failures = compare_results(slow, base, tolerance=1.5)
+        assert [f.benchmark for f in failures] == ["toy-bench"]
+        assert "calibrated median" in failures[0].reason
+        assert "2.00x slower" in failures[0].reason
+
+    def test_baseline_without_calib_fails_with_rerecord(self):
+        payload = _result().to_dict()
+        del payload["calib_s"], payload["calibrated_median"]
+        baseline = BenchResult.from_dict(payload)
+        failures = compare_results(_result(), baseline, tolerance=1.5)
+        assert len(failures) == 1
+        assert "no calib_s" in failures[0].reason
+        assert "re-record" in failures[0].reason
+
+    def test_result_round_trips_calibration(self, tmp_path):
+        result = _result(median=0.5, calib=0.04)
+        write_result(result, str(tmp_path))
+        loaded = load_result(str(tmp_path), "toy-bench")
+        assert loaded is not None
+        assert loaded.calib_s == 0.04
+        assert loaded.calibrated_median == pytest.approx(12.5)
+
+    def test_real_run_records_calibration(self):
+        result = run_benchmark(_constant_benchmark(repeats=2))
+        assert result.calib_s > 0
+        assert result.calibrated_median > 0
+
+    def test_calibration_loop_checksum(self):
+        assert core._calibration_loop() == core.CALIB_EVENTS

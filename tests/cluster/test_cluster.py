@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import DistanceLevel
-from repro.cluster.node import Node, WorkerSlot
+from repro.cluster.node import Node
 from repro.cluster.rack import Rack
 from repro.cluster.resources import ResourceVector
 from repro.errors import ClusterStateError
@@ -61,15 +61,6 @@ class TestMembership:
 
 
 class TestSlots:
-    def test_all_slots_cover_alive_nodes(self, two_rack):
-        slots = two_rack.all_slots()
-        assert len(slots) == 6
-        assert all(isinstance(s, WorkerSlot) for s in slots)
-
-    def test_all_slots_excludes_dead_nodes(self, two_rack):
-        two_rack.fail_node("a1")
-        assert all(s.node_id != "a1" for s in two_rack.all_slots())
-
     def test_slot_node(self, two_rack):
         slot = two_rack.node("a1").slots[0]
         assert two_rack.slot_node(slot).node_id == "a1"
@@ -107,9 +98,6 @@ class TestDistance:
 
 
 class TestAggregates:
-    def test_total_capacity(self, two_rack):
-        assert two_rack.total_capacity().memory_mb == 3 * 2048
-
     def test_total_available_excludes_dead(self, two_rack):
         two_rack.fail_node("b1")
         assert two_rack.total_available().memory_mb == 2 * 2048

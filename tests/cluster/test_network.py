@@ -103,14 +103,6 @@ class TestTopography:
         with pytest.raises(ValueError):
             NetworkTopography(profiles)
 
-    def test_from_distances_overrides_distance_only(self):
-        topo = NetworkTopography.from_distances(
-            {DistanceLevel.INTER_RACK: 10.0}
-        )
-        assert topo.distance(DistanceLevel.INTER_RACK) == 10.0
-        default = DEFAULT_PROFILES[DistanceLevel.INTER_RACK]
-        assert topo.latency_ms(DistanceLevel.INTER_RACK) == default.latency_ms
-
     def test_node_distance_same_node(self):
         topo = NetworkTopography()
         assert topo.node_distance("r1", "n1", "r1", "n1") == 0.0

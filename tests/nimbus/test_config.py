@@ -106,6 +106,23 @@ class TestTypedAccess:
         with pytest.raises(ConfigError, match="nimbus.flow.enabled"):
             StormConfig({"nimbus.flow.enabled": True})
 
+    @pytest.mark.parametrize(
+        "key, value, interval",
+        [
+            ("nimbus.elastic.hysteresis", 1.0, "[0, 1)"),
+            ("nimbus.elastic.target.utilisation", 0.0, "(0, 1]"),
+            ("nimbus.scheduler.interval.secs", 0, "(0, inf]"),
+            ("nimbus.quarantine.threshold", 0, "[1, inf]"),
+            ("nimbus.tenancy.max.preemptions", -1, "[0, inf]"),
+        ],
+    )
+    def test_out_of_bounds_message_names_the_interval(
+        self, key, value, interval
+    ):
+        with pytest.raises(ConfigError) as error:
+            StormConfig({key: value})
+        assert f"{key} must be in {interval}, got" in str(error.value)
+
     def test_other_unknown_keys_accepted(self):
         # a real storm.yaml carries many keys this reproduction ignores
         config = StormConfig({"worker.childopts": "-Xmx768m"})

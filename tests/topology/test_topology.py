@@ -74,15 +74,6 @@ class TestTaskExpansion:
         ids = sorted(t.task_id for t in topology.tasks)
         assert ids == list(range(1, 9))
 
-    def test_task_lookup_by_id(self):
-        topology = diamond()
-        task = topology.task_by_id(3)
-        assert task.task_id == 3
-
-    def test_unknown_task_id_rejected(self):
-        with pytest.raises(TopologyValidationError):
-            diamond().task_by_id(999)
-
     def test_task_instances_within_component(self):
         topology = diamond()
         instances = [t.instance for t in topology.tasks_of("sink")]
