@@ -154,8 +154,7 @@ class FlowModel:
             load = usage.node_cpu.get(node.node_id)
             if load is None:
                 continue
-            cores = max(1.0, round(node.capacity.cpu / 100.0))
-            cpu_utilisation[node.node_id] = load / cores
+            cpu_utilisation[node.node_id] = load / node.cores
         nic_bps = self.nic_mbps * 1e6 / 8.0 if self.nic_mbps else None
         nic_utilisation = {}
         for node_id in set(usage.node_tx) | set(usage.node_rx):
@@ -379,9 +378,8 @@ class FlowModel:
         worst_factor = 1.0 + _TOLERANCE
         worst_desc = ""
         for node in self.cluster.nodes:
-            cores = max(1.0, round(node.capacity.cpu / 100.0))
             load = usage.node_cpu.get(node.node_id, 0.0)
-            factor = load / cores
+            factor = load / node.cores
             if factor > worst_factor:
                 worst_key = ("cpu", node.node_id)
                 worst_factor = factor

@@ -622,7 +622,7 @@ REGISTRY: Dict[str, Benchmark] = {
                 f"{FIG9_DURATION_S:g} simulated s each)"
             ),
             prepare=_prepare_fig9_e2e,
-            repeats=2,
+            repeats=5,
         ),
         Benchmark(
             name="traffic-overload",

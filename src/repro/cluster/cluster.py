@@ -108,11 +108,6 @@ class Cluster:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    # -- slots -------------------------------------------------------------
-
-    def slot_node(self, slot: WorkerSlot) -> Node:
-        return self.node(slot.node_id)
-
     # -- distance ------------------------------------------------------------
 
     def node_distance(self, node_a: str, node_b: str) -> float:

@@ -184,6 +184,3 @@ class NetworkTopography:
             else same_node
             for rack, node in zip(racks, nodes)
         ]
-
-    def max_distance(self) -> float:
-        return self.distance(DistanceLevel.INTER_RACK)

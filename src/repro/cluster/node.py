@@ -15,10 +15,14 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster.resources import ResourceSchema, ResourceVector
 from repro.errors import ClusterStateError, InsufficientResourcesError
 
-__all__ = ["WorkerSlot", "Node", "DEFAULT_SLOT_BASE_PORT"]
+__all__ = ["WorkerSlot", "Node", "DEFAULT_SLOT_BASE_PORT", "CPU_POINTS_PER_CORE"]
 
 #: Storm's conventional first supervisor port.
 DEFAULT_SLOT_BASE_PORT = 6700
+
+#: CPU points that equal one core (the paper: "CPU availability of a node
+#: is set to 100 * #cores").
+CPU_POINTS_PER_CORE = 100.0
 
 
 @dataclass(frozen=True, order=True)
@@ -81,6 +85,12 @@ class Node:
     @property
     def available(self) -> ResourceVector:
         return self._available
+
+    @property
+    def cores(self) -> int:
+        """Whole cores behind the CPU capacity, at least one (rounded
+        half to even, so 250 points are two cores)."""
+        return max(1, round(self._capacity.cpu / CPU_POINTS_PER_CORE))
 
     @property
     def used(self) -> ResourceVector:

@@ -153,10 +153,6 @@ class ResourceSchema:
         return tuple(d.name for d in self._dimensions if d.is_hard)
 
     @property
-    def soft_names(self) -> Tuple[str, ...]:
-        return tuple(d.name for d in self._dimensions if d.is_soft)
-
-    @property
     def hard_indices(self) -> Tuple[int, ...]:
         """Positions of the hard dimensions, precomputed once — the
         feasibility checks on the scheduling hot path index vectors
@@ -364,16 +360,6 @@ class ResourceVector:
                 return False
         return True
 
-    def is_nonnegative(self) -> bool:
-        return all(v >= 0.0 for v in self._values)
-
-    def clamp_nonnegative(self) -> "ResourceVector":
-        """A copy with negative components clipped to zero (useful when
-        reporting availability of over-committed soft resources)."""
-        return ResourceVector(
-            self._schema, tuple(max(0.0, v) for v in self._values)
-        )
-
     # -- distance helpers ----------------------------------------------------
 
     def gap(self, demand: "ResourceVector") -> "ResourceVector":
@@ -398,9 +384,6 @@ class ResourceVector:
         ):
             out.append((avail - dem) / cap if cap > 0 else 0.0)
         return ResourceVector(self._schema, out)
-
-    def l2_norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self._values))
 
     def total(self) -> float:
         """Sum of all components (a crude scalar "amount of resource",

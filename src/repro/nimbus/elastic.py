@@ -50,15 +50,13 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.cluster.node import CPU_POINTS_PER_CORE
 from repro.errors import ConfigError, SchedulingError
 from repro.nimbus.nimbus import Nimbus
 from repro.scheduler.assignment import Assignment
 from repro.topology.task import Task, task_label
 
 __all__ = ["ElasticDecision", "ElasticController", "required_parallelism"]
-
-#: CPU points that equal one core (paper: 100 points = one full core).
-_POINTS_PER_CORE = 100.0
 
 
 def required_parallelism(
@@ -274,7 +272,7 @@ class ElasticController:
             # declaring 25 points is guaranteed a quarter core, so plan
             # on a quarter core's worth of tuples/s).
             cpu_ms = comp.profile.cpu_ms_per_tuple
-            core_share = comp.cpu_load / _POINTS_PER_CORE
+            core_share = comp.cpu_load / CPU_POINTS_PER_CORE
             service_tps = (
                 core_share * 1e3 / cpu_ms
                 if cpu_ms > 0 and core_share > 0
@@ -393,13 +391,10 @@ class ElasticController:
         """Busy-core fraction per node over the last control period."""
         util: Dict[str, float] = {}
         for node in self.nimbus.cluster.nodes:
-            cores = max(
-                1, int(round(node.capacity.cpu / _POINTS_PER_CORE))
-            )
             delta = busy.get(node.node_id, 0.0) - self._last_busy.get(
                 node.node_id, 0.0
             )
-            util[node.node_id] = delta / (cores * dt)
+            util[node.node_id] = delta / (node.cores * dt)
         return util
 
     def _rebalance_topology(

@@ -4,15 +4,16 @@ Storm's master keeps its membership view in ZooKeeper (paper Section 2:
 "Nimbus communicates and coordinates with Zookeeper to maintain a
 consistent list of active worker nodes and to detect failure in the
 membership").  This module implements the slice of the ZooKeeper data
-model that coordination needs: a path-addressed tree of znodes, ephemeral
-nodes bound to sessions, and one-shot watches on nodes and children.
+model that coordination needs: a path-addressed tree of znodes and
+ephemeral nodes bound to sessions.  There are no watches: Nimbus polls
+``children`` and supervisors check ``session_alive`` and ``exists``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import MembershipError
 
@@ -43,16 +44,12 @@ def _parent(path: str) -> str:
 
 
 class InMemoryZooKeeper:
-    """A single-process znode tree with sessions and one-shot watches."""
+    """A single-process znode tree with sessions."""
 
     def __init__(self) -> None:
         self._nodes: Dict[str, ZNode] = {"/": ZNode("/")}
         self._sessions: Dict[int, Set[str]] = {}
         self._session_counter = itertools.count(1)
-        #: path -> callbacks fired once when the node changes or is deleted
-        self._node_watches: Dict[str, List[Callable[[str], None]]] = {}
-        #: path -> callbacks fired once when its child set changes
-        self._child_watches: Dict[str, List[Callable[[str], None]]] = {}
 
     # -- sessions -----------------------------------------------------------
 
@@ -63,7 +60,7 @@ class InMemoryZooKeeper:
 
     def expire_session(self, session: int) -> None:
         """Delete every ephemeral znode owned by ``session`` (supervisor
-        crash / heartbeat loss) and fire the relevant watches."""
+        crash / heartbeat loss)."""
         paths = self._sessions.pop(session, None)
         if paths is None:
             raise MembershipError(f"unknown session {session}")
@@ -105,7 +102,6 @@ class InMemoryZooKeeper:
             self._nodes[path] = ZNode(path, data, ephemeral_session=session)
         else:
             self._nodes[path] = ZNode(path, data)
-        self._fire_child_watches(parent)
 
     def ensure_path(self, path: str) -> None:
         """Create ``path`` and any missing ancestors (persistent nodes)."""
@@ -121,7 +117,6 @@ class InMemoryZooKeeper:
         node = self._get(path)
         node.data = data
         node.version += 1
-        self._fire_node_watches(path)
 
     def get(self, path: str) -> Any:
         return self._get(path).data
@@ -151,19 +146,6 @@ class InMemoryZooKeeper:
                 out.append(candidate[len(prefix):])
         return sorted(out)
 
-    # -- watches ----------------------------------------------------------------
-
-    def watch_node(self, path: str, callback: Callable[[str], None]) -> None:
-        """One-shot watch fired when ``path``'s data changes or the node
-        is deleted."""
-        self._get(path)
-        self._node_watches.setdefault(path, []).append(callback)
-
-    def watch_children(self, path: str, callback: Callable[[str], None]) -> None:
-        """One-shot watch fired when ``path``'s direct child set changes."""
-        self._get(path)
-        self._child_watches.setdefault(path, []).append(callback)
-
     # -- internals ------------------------------------------------------------------
 
     def _get(self, path: str) -> ZNode:
@@ -179,13 +161,3 @@ class InMemoryZooKeeper:
             owned = self._sessions.get(node.ephemeral_session)
             if owned is not None:
                 owned.discard(path)
-        self._fire_node_watches(path)
-        self._fire_child_watches(_parent(path))
-
-    def _fire_node_watches(self, path: str) -> None:
-        for callback in self._node_watches.pop(path, []):
-            callback(path)
-
-    def _fire_child_watches(self, path: str) -> None:
-        for callback in self._child_watches.pop(path, []):
-            callback(path)

@@ -24,7 +24,6 @@ from repro.scheduler.quality import (
     aggregate_node_load,
     evaluate_assignment,
 )
-from repro.scheduler.rebalance import OnlineRebalancer
 from repro.scheduler.rstorm import DistanceWeights, RStormScheduler
 from repro.scheduler.visualise import render_assignments, render_node_loads
 
@@ -38,7 +37,6 @@ __all__ = [
     "DistanceWeights",
     "GlobalState",
     "IScheduler",
-    "OnlineRebalancer",
     "PackedClusterState",
     "RStormScheduler",
     "ScheduleQuality",

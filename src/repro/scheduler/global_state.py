@@ -201,10 +201,6 @@ class GlobalState:
                 if not users:
                     del self._slot_users[slot]
 
-    def unplace_topology(self, topology_id: str) -> None:
-        for task in self.placed_tasks(topology_id):
-            self.unplace(task)
-
     def __repr__(self) -> str:
         return (
             f"GlobalState(placements={len(self._placements)}, "

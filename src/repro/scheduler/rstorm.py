@@ -116,9 +116,6 @@ class RStormScheduler(IScheduler):
             Resource-Aware Scheduler fills nodes to (not past) capacity
             while retaining the paper's soft-constraint semantics — soft
             budgets can still be exceeded when the cluster is tight.
-        best_effort: If True, tasks with no feasible node are left
-            unassigned (partial assignment) instead of raising
-            :class:`~repro.errors.SchedulingError`.
     """
 
     name = "r-storm"
@@ -130,14 +127,12 @@ class RStormScheduler(IScheduler):
         normalise_gaps: bool = True,
         use_network_distance: bool = True,
         prefer_no_overcommit: bool = True,
-        best_effort: bool = False,
     ):
         self.weights = weights
         self.ordering = ordering
         self.normalise_gaps = normalise_gaps
         self.use_network_distance = use_network_distance
         self.prefer_no_overcommit = prefer_no_overcommit
-        self.best_effort = best_effort
         #: (schema, weights) -> ((dim index, weight), ...) over the
         #: non-bandwidth dimensions, hoisted out of the distance loop.
         self._dim_weight_cache: Dict[
@@ -212,7 +207,6 @@ class RStormScheduler(IScheduler):
         avail = view.avail
         nodes = view.nodes
         node_ids = view.node_ids
-        best_effort = self.best_effort
         topology_id = topology.topology_id
         # Candidate tiers in preference order, as the dimensions a node
         # must cover: uncommitted (every dimension), then hard-feasible
@@ -276,8 +270,6 @@ class RStormScheduler(IScheduler):
                     best_i = heap[0][2]
                     break
             if best_i is None:
-                if best_effort:
-                    continue
                 raise SchedulingError(
                     f"no feasible node for task {task} "
                     f"(demand {demand!r}): every alive node violates a "

@@ -94,10 +94,6 @@ _GHOST_ROOT = -1
 _INTRA_PROCESS = DistanceLevel.INTRA_PROCESS
 _INTER_NODE = DistanceLevel.INTER_NODE
 
-#: CPU points that equal one core (the paper: "CPU availability of a node
-#: is set to 100 * #cores").
-_POINTS_PER_CORE = 100.0
-
 
 def _no_emit(spout: "_TaskRuntime") -> None:
     """Open-loop stand-in for :meth:`SimulationRun._try_emit`: arrivals,
@@ -120,7 +116,7 @@ class _NodeRuntime:
     def __init__(self, node: Node):
         self.node = node
         self.node_id = node.node_id
-        self.cores = max(1, int(round(node.capacity.cpu / _POINTS_PER_CORE)))
+        self.cores = node.cores
         self.active = 0
         self.ready: Deque["_TaskRuntime"] = deque()
         self.slowdown = 1.0

@@ -60,12 +60,6 @@ class TestMembership:
             two_rack.rack("ghost")
 
 
-class TestSlots:
-    def test_slot_node(self, two_rack):
-        slot = two_rack.node("a1").slots[0]
-        assert two_rack.slot_node(slot).node_id == "a1"
-
-
 class TestDistance:
     def test_same_node_distance_zero(self, two_rack):
         assert two_rack.node_distance("a1", "a1") == 0.0

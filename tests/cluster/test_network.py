@@ -118,7 +118,3 @@ class TestTopography:
         assert topo.node_distance("r1", "n1", "r2", "n2") == topo.distance(
             DistanceLevel.INTER_RACK
         )
-
-    def test_max_distance(self):
-        topo = NetworkTopography()
-        assert topo.max_distance() == topo.distance(DistanceLevel.INTER_RACK)

@@ -51,6 +51,12 @@ class TestNodeConstruction:
         assert node.available == node.capacity
         assert node.used == ResourceVector.of()
 
+    @pytest.mark.parametrize(
+        "cpu, cores", [(30, 1), (100, 1), (150, 2), (250, 2), (400, 4)]
+    )
+    def test_cores_round_cpu_points_half_to_even(self, cpu, cores):
+        assert make_node(cpu=cpu).cores == cores
+
 
 class TestReservations:
     def test_reserve_draws_down_availability(self):

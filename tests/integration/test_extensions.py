@@ -5,11 +5,7 @@ import pytest
 from repro.analysis import FlowModel
 from repro.cluster import emulab_testbed
 from repro.experiments import REGISTRY, scalability
-from repro.scheduler import (
-    OnlineRebalancer,
-    RStormScheduler,
-    render_assignments,
-)
+from repro.scheduler import RStormScheduler, render_assignments
 from repro.simulation import (
     SimulationConfig,
     SimulationRun,
@@ -96,36 +92,3 @@ class TestTracedManagedRun:
         text = render_assignments(cluster, [(topology, assignment)])
         assert "event-deserializer" in text
 
-
-class TestRebalancerWithNimbusStack:
-    def test_rebalancer_fixes_a_bad_manual_placement(self):
-        """A user hand-places PageLoad badly; the rebalancer recovers a
-        healthy fraction of R-Storm's throughput online."""
-        from repro.scheduler.assignment import Assignment
-
-        def bad_assignment(topology, cluster):
-            # cram everything onto two nodes (memory still fits per node
-            # is false — pick 6 nodes round-robin by task id to keep the
-            # memory model sane but CPU heavily over-committed)
-            nodes = cluster.nodes[:3]
-            mapping = {}
-            for i, task in enumerate(topology.tasks):
-                mapping[task] = nodes[i % 3].slots[0]
-            return Assignment(topology.topology_id, mapping)
-
-        config = yahoo_simulation_config(150.0)
-
-        def run_once(rebalance):
-            topology = pageload_topology()
-            cluster = emulab_testbed()
-            assignment = bad_assignment(topology, cluster)
-            run = SimulationRun(cluster, [(topology, assignment)], config)
-            if rebalance:
-                rebalancer = OnlineRebalancer(cluster, interval_s=20.0)
-                rebalancer.attach(run, {"pageload": (topology, assignment)})
-            report = run.run()
-            return report.average_throughput_per_window("pageload")
-
-        static = run_once(False)
-        rebalanced = run_once(True)
-        assert rebalanced > static

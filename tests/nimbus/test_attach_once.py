@@ -19,7 +19,6 @@ from repro.nimbus import (
     Supervisor,
 )
 from repro.nimbus.elastic import ElasticController
-from repro.scheduler.rebalance import OnlineRebalancer
 from repro.scheduler.rstorm import RStormScheduler
 from repro.simulation import SimulationConfig, SimulationRun
 from tests.conftest import make_linear
@@ -42,34 +41,29 @@ def wired(elastic_enabled=True):
     topology = make_linear(parallelism=2, stages=2)
     nimbus.submit_topology(topology)
     nimbus.schedule_round()
-    placements = {"chain": (topology, nimbus.assignments["chain"])}
     run = SimulationRun(
         cluster,
-        list(placements.values()),
+        [(topology, nimbus.assignments["chain"])],
         SimulationConfig(duration_s=60.0, warmup_s=10.0),
     )
-    return run, nimbus, supervisors, placements
+    return run, nimbus, supervisors
 
 
-def attachers(nimbus, supervisors, placements):
+def attachers(nimbus, supervisors):
     """Loop name -> the one-argument ``attach`` of one fresh loop."""
     detector = HeartbeatFailureDetector(supervisors)
     controller = ElasticController(nimbus)
-    rebalancer = OnlineRebalancer(nimbus.cluster)
     return {
         "detector": detector.attach,
         "nimbus": nimbus.attach,
         "elastic": controller.attach,
-        "rebalancer": lambda run: rebalancer.attach(run, placements),
     }
 
 
-@pytest.mark.parametrize(
-    "loop", ["detector", "nimbus", "elastic", "rebalancer"]
-)
+@pytest.mark.parametrize("loop", ["detector", "nimbus", "elastic"])
 def test_second_attach_raises_and_schedules_nothing(loop):
-    run, nimbus, supervisors, placements = wired()
-    attach = attachers(nimbus, supervisors, placements)[loop]
+    run, nimbus, supervisors = wired()
+    attach = attachers(nimbus, supervisors)[loop]
     attach(run)
     pending = len(run.sim.heap)
     assert pending > 0
@@ -79,7 +73,7 @@ def test_second_attach_raises_and_schedules_nothing(loop):
 
 
 def test_disabled_elastic_controller_attaches_once_too():
-    run, nimbus, _, _ = wired(elastic_enabled=False)
+    run, nimbus, _ = wired(elastic_enabled=False)
     controller = ElasticController(nimbus)
     controller.attach(run)
     assert run.sim.heap == []  # disabled: no control loop at all
@@ -88,7 +82,7 @@ def test_disabled_elastic_controller_attaches_once_too():
 
 
 def test_nimbus_rounds_are_not_doubled():
-    run, nimbus, _, _ = wired()
+    run, nimbus, _ = wired()
     nimbus.attach(run)
     with pytest.raises(ConfigError):
         nimbus.attach(run)

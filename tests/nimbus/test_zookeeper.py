@@ -100,49 +100,3 @@ class TestSessions:
         zk.delete("/e")
         zk.expire_session(session)  # must not fail on the deleted node
 
-
-class TestWatches:
-    def test_node_watch_fires_on_set(self, zk):
-        zk.create("/a", data=1)
-        fired = []
-        zk.watch_node("/a", fired.append)
-        zk.set("/a", 2)
-        assert fired == ["/a"]
-
-    def test_node_watch_is_one_shot(self, zk):
-        zk.create("/a", data=1)
-        fired = []
-        zk.watch_node("/a", fired.append)
-        zk.set("/a", 2)
-        zk.set("/a", 3)
-        assert fired == ["/a"]
-
-    def test_node_watch_fires_on_delete(self, zk):
-        zk.create("/a")
-        fired = []
-        zk.watch_node("/a", fired.append)
-        zk.delete("/a")
-        assert fired == ["/a"]
-
-    def test_child_watch_fires_on_create_and_delete(self, zk):
-        zk.ensure_path("/parent")
-        fired = []
-        zk.watch_children("/parent", fired.append)
-        zk.create("/parent/kid")
-        assert fired == ["/parent"]
-        zk.watch_children("/parent", fired.append)
-        zk.delete("/parent/kid")
-        assert fired == ["/parent", "/parent"]
-
-    def test_child_watch_fires_on_session_expiry(self, zk):
-        zk.ensure_path("/members")
-        session = zk.create_session()
-        zk.create("/members/m1", ephemeral=True, session=session)
-        fired = []
-        zk.watch_children("/members", fired.append)
-        zk.expire_session(session)
-        assert fired == ["/members"]
-
-    def test_watch_on_missing_node_rejected(self, zk):
-        with pytest.raises(MembershipError):
-            zk.watch_node("/ghost", lambda p: None)

@@ -164,20 +164,24 @@ class TestRStormDifferential:
         )
         assert as_map(got) == as_map(want)
 
-    def test_best_effort_partial_identical(self):
-        # Memory-starved cluster: only some tasks fit; the partial
-        # assignments (and which tasks are left out) must agree.
+    def test_partial_fit_rejected_on_both(self):
+        # Memory-starved cluster: only some tasks fit, so both sides
+        # reject the round naming the same unplaced tasks, and both
+        # undo the placements they had made.
         def tight():
             return small_cluster(racks=1, nodes_per_rack=2, memory=512.0)
 
         topologies = [random_topology(3, name="tight")]
-        got, want = run_both(
-            tight,
-            topologies,
-            RStormScheduler(best_effort=True),
-            ReferenceRStormScheduler(best_effort=True),
-        )
-        assert as_map(got) == as_map(want)
+        unassigned = []
+        for scheduler in (RStormScheduler(), ReferenceRStormScheduler()):
+            cluster = tight()
+            with pytest.raises(SchedulingError) as info:
+                scheduler.schedule(topologies, cluster)
+            unassigned.append(info.value.unassigned)
+            for node in cluster.nodes:
+                assert node.available == node.capacity
+        assert unassigned[0] == unassigned[1]
+        assert 0 < len(unassigned[0]) < topologies[0].num_tasks
 
     def test_infeasible_raises_on_both(self):
         def tiny():
@@ -558,7 +562,6 @@ class TestPropertyDifferential:
             max_size=3,
         ),
         prefer=st.booleans(),
-        best_effort=st.booleans(),
         two_classes=st.booleans(),
         failed=st.none() | st.integers(min_value=0, max_value=11),
         normalise=st.booleans(),
@@ -575,7 +578,6 @@ class TestPropertyDifferential:
         cpu,
         seeds,
         prefer,
-        best_effort,
         two_classes,
         failed,
         normalise,
@@ -615,7 +617,6 @@ class TestPropertyDifferential:
             normalise_gaps=normalise,
             use_network_distance=network,
             prefer_no_overcommit=prefer,
-            best_effort=best_effort,
         )
         opt = RStormScheduler(**options)
         ref = TieWatchingReference(**options)

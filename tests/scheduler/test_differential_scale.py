@@ -81,7 +81,6 @@ CONFIGS = [
     dict(prefer_no_overcommit=False),
     dict(normalise_gaps=False),
     dict(use_network_distance=False),
-    dict(best_effort=True),
 ]
 
 
@@ -116,14 +115,10 @@ def test_identical_through_tier_switch_and_resume(config):
         assert victim not in assignment.nodes
 
 
-def test_best_effort_partial_identical():
-    """A memory-hungry fourth topology runs out of hard capacity: the
-    best-effort partial assignments agree, and without best effort both
+def test_hard_capacity_shortfall_rejected_on_both():
+    """A memory-hungry fourth topology runs out of hard capacity: both
     sides reject the round."""
     tops = topologies() + [pipeline("hungry", [(80, 3000, 10, 0)])]
-    got, _, _ = schedule_both(dict(best_effort=True), tops)
-    hungry = got["hungry"]
-    assert 0 < len(hungry.tasks) < 80
     with pytest.raises(SchedulingError):
         RStormScheduler().schedule(tops, make_cluster())
     with pytest.raises(SchedulingError):

@@ -70,13 +70,6 @@ class TestPlacement:
         with pytest.raises(SchedulingError):
             GlobalState(cluster).unplace(topology.tasks[0])
 
-    def test_unplace_topology(self, cluster, topology):
-        state = GlobalState(cluster)
-        for i, task in enumerate(topology.tasks):
-            state.place(task, cluster.nodes[i % 3].slots[0])
-        state.unplace_topology("t")
-        assert state.placed_tasks() == []
-
 
 class TestSlotSelection:
     def test_reuses_topologys_slot_on_node(self, cluster, topology):

@@ -127,15 +127,6 @@ class TestHardConstraints:
         for node in cluster.nodes:
             assert node.available == node.capacity
 
-    def test_best_effort_returns_partial(self):
-        cluster = single_rack_cluster(
-            2, capacity=ResourceVector.of(memory_mb=1000, cpu=100, bandwidth_mbps=100)
-        )
-        topology = make_linear(parallelism=5, stages=2, memory_mb=300.0)
-        scheduler = RStormScheduler(best_effort=True)
-        assignment = scheduler.schedule([topology], cluster)["chain"]
-        assert 0 < len(assignment) < topology.num_tasks
-
     def test_soft_constraints_may_overcommit_when_tight(self):
         cluster = single_rack_cluster(
             1, capacity=ResourceVector.of(memory_mb=4096, cpu=100, bandwidth_mbps=100)
