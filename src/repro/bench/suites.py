@@ -1,6 +1,6 @@
 """The benchmark registry: what ``repro bench`` measures.
 
-Thirteen probes, ordered cheapest first:
+Fourteen probes, ordered cheapest first:
 
 * ``engine-churn`` — raw DES event loop: payload-carrying events that
   perpetually reschedule themselves through the heap.
@@ -13,6 +13,10 @@ Thirteen probes, ordered cheapest first:
 * ``sched-scale`` — R-Storm scheduling rounds of five concurrent
   topologies on a 512-node, 8-rack synthetic cluster: the large-cluster
   scaling headline (ROADMAP's production-size target).
+* ``nimbus-failover`` — incremental Nimbus rounds on the same cluster
+  and topologies, each after failing one in-use node in a seeded
+  rotation: the stateless round that re-places one node's tasks around
+  the kept placements, i.e. Nimbus's reaction to a failure.
 * ``chaos-replay`` — a fault-injected coordination-plane run (heartbeat
   detector, Nimbus rescheduling, busiest-node crash), replayed from the
   deterministic chaos scenario the ``chaos`` experiment uses.
@@ -115,6 +119,12 @@ ELASTIC_ADAPT_MULTIPLIER = 1.5
 SCHED_SCALE_RACKS = 8
 SCHED_SCALE_NODES_PER_RACK = 64
 SCHED_SCALE_ROUNDS = 2
+
+#: The failover probe: Nimbus rounds on the sched-scale cluster, each
+#: after failing one in-use node (drawn by a Random seeded with
+#: NIMBUS_FAILOVER_SEED), which recovers after its round.
+NIMBUS_FAILOVER_ROUNDS = 200
+NIMBUS_FAILOVER_SEED = 0
 
 #: The multi-tenant admission probe: 60 parallelism-8 compute chains
 #: (one full 800-cpu-point node each) queued by four tenant classes on
@@ -302,6 +312,38 @@ def _sched_scale() -> Tuple[Any, List[Any]]:
             "compute", branches=2, parallelism=12, name="scale-diamond-b"
         ),
     ]
+
+
+def _prepare_nimbus_failover() -> Callable[[], int]:
+    """Nimbus rounds that each re-place one failed node's tasks; the
+    first, whole-cluster placement happens here, untimed.  Its events
+    are the tasks re-placed."""
+    from repro.nimbus.nimbus import Nimbus
+    from repro.scheduler.rstorm import RStormScheduler
+
+    cluster, topologies = _sched_scale()
+    nimbus = Nimbus(cluster, scheduler=RStormScheduler())
+    for topology in topologies:
+        nimbus.submit_topology(topology)
+    nimbus.schedule_round()
+    victims = random.Random(NIMBUS_FAILOVER_SEED)
+
+    def workload() -> int:
+        replaced = 0
+        for _ in range(NIMBUS_FAILOVER_ROUNDS):
+            in_use = sorted(
+                {n for a in nimbus.assignments.values() for n in a.nodes}
+            )
+            victim = cluster.node(victims.choice(in_use))
+            victim.fail()
+            try:
+                round_info = nimbus.schedule_round()
+            finally:
+                victim.recover()
+            replaced += sum(round_info.newly_scheduled.values())
+        return replaced
+
+    return workload
 
 
 def _unit_workload(
@@ -595,6 +637,16 @@ REGISTRY: Dict[str, Benchmark] = {
                 "r-storm", SCHED_SCALE_ROUNDS, _sched_scale
             ),
             repeats=3,
+        ),
+        Benchmark(
+            name="nimbus-failover",
+            description=(
+                f"{NIMBUS_FAILOVER_ROUNDS} incremental R-Storm Nimbus "
+                "rounds on the sched-scale cluster, each re-placing one "
+                "failed node's tasks"
+            ),
+            prepare=_prepare_nimbus_failover,
+            repeats=5,
         ),
         Benchmark(
             name="chaos-replay",

@@ -84,10 +84,6 @@ class ResourceDimension:
     def is_hard(self) -> bool:
         return self.kind is ConstraintKind.HARD
 
-    @property
-    def is_soft(self) -> bool:
-        return self.kind is ConstraintKind.SOFT
-
 
 class ResourceSchema:
     """An ordered, immutable collection of resource dimensions.

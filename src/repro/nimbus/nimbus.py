@@ -88,10 +88,12 @@ class Nimbus:
             raise SchedulingError(f"no topology {topology_id!r} submitted")
         self._submission_order.remove(topology_id)
         self.assignments.pop(topology_id, None)
-        prefix = f"{topology_id}:"
+        # Match the topology's own task labels, not a label prefix: the
+        # prefix "a:" is also the start of every label of topology "a:b".
+        labels = {task_label(task) for task in topology.tasks}
         for node in self.cluster.nodes:
             for label in list(node.reservations):
-                if label.startswith(prefix):
+                if label in labels:
                     node.release(label)
 
     @property
@@ -151,13 +153,19 @@ class Nimbus:
 
         Reservations are released in task order: float addition is not
         associative, so a hash-ordered release would leave a node's
-        recovered availability depending on ``PYTHONHASHSEED``."""
-        alive = {n.node_id for n in self.cluster.alive_nodes}
+        recovered availability depending on ``PYTHONHASHSEED``.
+
+        An assignment whose nodes all survive is passed on as the same
+        object and has nothing to release."""
+        alive = {n.node_id for n in self.cluster if n.alive}
         live: Dict[str, Assignment] = {}
         for topo_id, assignment in self.assignments.items():
             if topo_id not in self._topologies:
                 continue
             surviving = assignment.restricted_to_nodes(alive)
+            live[topo_id] = surviving
+            if surviving is assignment:
+                continue
             for task in assignment.tasks:
                 if surviving.has(task):
                     continue
@@ -166,7 +174,6 @@ class Nimbus:
                     node = self.cluster.node(node_id)
                     if node.has_reservation(task_label(task)):
                         node.release(task_label(task))
-            live[topo_id] = surviving
         return live
 
     def _update_quarantine(self, now: float) -> None:

@@ -5,11 +5,22 @@ complete mapping from every task to a worker slot.  Assignments are
 immutable value objects; the mutable bookkeeping used *while* scheduling
 lives in :class:`~repro.scheduler.global_state.GlobalState`.
 
-Schedulers construct an ``Assignment`` per topology per round, but most
-rounds only ever look up ``slot_of``/``tasks`` — the per-slot and
-per-node indexes are needed by quality metrics and the rebalancer, not
-by the scheduling hot path.  They are therefore built lazily on first
-use; construction only validates ownership and copies the mapping.
+Most lookups are ``slot_of``/``tasks``; the per-slot and per-node
+indexes serve quality metrics, the elastic controller and the liveness
+check of :meth:`Assignment.restricted_to_nodes`.  They are therefore
+built lazily on first use, once per object; construction only
+validates ownership and copies the mapping.
+
+Because an assignment never changes, a scheduling round may hand back
+the very object it was given for a topology it did not touch:
+:meth:`Assignment.restricted_to_nodes` returns ``self`` when every node
+it uses survives, and
+:meth:`GlobalState.assignment_for
+<repro.scheduler.global_state.GlobalState.assignment_for>` returns the
+assignment a topology's state was rebuilt from until a placement
+changes.  Reusing the object shares no mutable state between rounds.
+The mapping's iteration order (:meth:`Assignment.as_dict`) is not part
+of the value: equality, hashing and every index ignore it.
 """
 
 from __future__ import annotations
@@ -58,16 +69,19 @@ class Assignment:
         return self._tasks_by_node  # type: ignore[return-value]
 
     def _build_indexes(self) -> None:
+        # Grouping the sorted tasks leaves every group sorted.
         by_slot: Dict[WorkerSlot, List[Task]] = {}
         by_node: Dict[str, List[Task]] = {}
-        for task, slot in self._slot_of.items():
+        slot_of = self._slot_of
+        for task in self.tasks:
+            slot = slot_of[task]
             by_slot.setdefault(slot, []).append(task)
             by_node.setdefault(slot.node_id, []).append(task)
         self._tasks_by_slot = {
-            slot: tuple(sorted(tasks)) for slot, tasks in by_slot.items()
+            slot: tuple(tasks) for slot, tasks in by_slot.items()
         }
         self._tasks_by_node = {
-            node_id: tuple(sorted(tasks)) for node_id, tasks in by_node.items()
+            node_id: tuple(tasks) for node_id, tasks in by_node.items()
         }
 
     # -- queries -------------------------------------------------------------
@@ -119,12 +133,24 @@ class Assignment:
 
     def restricted_to_nodes(self, node_ids: Iterable[str]) -> "Assignment":
         """The sub-assignment on the given nodes (used when reconciling
-        after node failures: keep what survived, reschedule the rest)."""
-        keep = set(node_ids)
-        return Assignment(
-            self.topology_id,
-            {t: s for t, s in self._slot_of.items() if s.node_id in keep},
+        after node failures: keep what survived, reschedule the rest).
+
+        Returns ``self`` when every node this assignment uses is kept,
+        checked against the cached per-node index without copying the
+        mapping."""
+        keep = (
+            node_ids if isinstance(node_ids, (set, frozenset)) else set(node_ids)
         )
+        if keep.issuperset(self._by_node()):
+            return self
+        slot_of = self._slot_of
+        surviving = tuple(t for t in self.tasks if slot_of[t].node_id in keep)
+        restricted = Assignment(
+            self.topology_id, {t: slot_of[t] for t in surviving}
+        )
+        # a filter of a sorted tuple is sorted: spare the copy its sort
+        restricted._sorted_tasks = surviving
+        return restricted
 
     def merged_with(self, other: "Assignment") -> "Assignment":
         """Union of two partial assignments for the same topology; the
@@ -141,6 +167,8 @@ class Assignment:
         return len(self._slot_of)
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, Assignment):
             return NotImplemented
         return (

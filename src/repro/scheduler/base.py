@@ -100,8 +100,12 @@ class IScheduler(abc.ABC):
             if before is None:
                 newly[topo.topology_id] = len(after)
                 continue
+            if after is before:
+                # handed back untouched (see GlobalState.assignment_for)
+                newly[topo.topology_id] = 0
+                continue
             newly[topo.topology_id] = sum(
-                1 for task in after.as_dict() if not before.has(task)
+                1 for task in after.tasks if not before.has(task)
             )
         return SchedulingRound(
             scheduler=self.name,

@@ -10,6 +10,17 @@ every scheduling round.  It tracks:
 
 All mutation of node availability during scheduling goes through this
 class so a scheduling round can be reconciled or replayed atomically.
+
+The rebuild is one pass over the live assignments: each node is
+resolved once per round, and every placement's reservation is checked
+(and re-applied if missing) in ``assignment.tasks`` order, because
+float subtraction order decides a node's availability to the last bit.
+Nothing the rebuild computes outlives the round.  The one thing it
+hands back is an input: :meth:`GlobalState.assignment_for` returns the
+immutable :class:`Assignment` a topology was rebuilt from, as long as
+the rebuild kept every one of its placements and no :meth:`place` or
+:meth:`unplace` has touched the topology since — so an untouched
+topology comes out of a round as the same object that went in.
 """
 
 from __future__ import annotations
@@ -39,6 +50,9 @@ class GlobalState:
         self._slot_users: Dict[WorkerSlot, Set[str]] = {}
         #: lazily-built flat-array resource view (see :attr:`packed`)
         self._packed: Optional[PackedClusterState] = None
+        #: topology id -> the assignment it was rebuilt from, while that
+        #: is still its exact placement (None once it is not)
+        self._kept: Dict[str, Optional[Assignment]] = {}
 
     @property
     def packed(self) -> PackedClusterState:
@@ -70,35 +84,62 @@ class GlobalState:
                 placements (True for resource-aware scheduling rounds).
         """
         state = cls(cluster)
+        placements = state._placements
+        slot_users = state._slot_users
+        kept = state._kept
+        # node id -> the node if it exists and is alive, else None;
+        # filled on first use, so a fresh round resolves no node
+        resolved: Dict[str, Optional[Node]] = {}
         for topo_id, assignment in assignments.items():
-            topology = topologies.get(topo_id)
+            topology = topologies.get(topo_id) if reserve else None
             # component -> declared demand, derived once per topology
             demand_of: Dict[str, ResourceVector] = {}
+            slot_of = assignment.slot_of
+            slots: Set[WorkerSlot] = set()
+            whole = True
             for task in assignment.tasks:
-                slot = assignment.slot_of(task)
-                if not cluster.has_node(slot.node_id):
+                slot = slot_of(task)
+                node_id = slot.node_id
+                try:
+                    node = resolved[node_id]
+                except KeyError:
+                    node = (
+                        cluster.node(node_id)
+                        if cluster.has_node(node_id)
+                        else None
+                    )
+                    if node is not None and not node.alive:
+                        node = None
+                    resolved[node_id] = node
+                if node is None:
+                    whole = False
                     continue
-                node = cluster.node(slot.node_id)
-                if not node.alive:
-                    continue
-                demand = None
-                if topology:
-                    demand = demand_of.get(task.component)
-                    if demand is None:
-                        demand = topology.task_demand(task)
-                        demand_of[task.component] = demand
-                already_reserved = node.has_reservation(task_label(task))
-                if reserve and demand is not None and not already_reserved:
-                    try:
-                        node.reserve(task_label(task), demand)
-                    except InsufficientResourcesError:
-                        # A previously valid placement can exceed hard
-                        # budgets after capacity loss; keep the placement
-                        # on the books without a reservation so the
-                        # operator sees the over-commit in reports.
-                        pass
-                state._placements[task] = slot
-                state._slot_users.setdefault(slot, set()).add(task.topology_id)
+                if topology is not None:
+                    label = task_label(task)
+                    if not node.has_reservation(label):
+                        demand = demand_of.get(task.component)
+                        if demand is None:
+                            demand = topology.task_demand(task)
+                            demand_of[task.component] = demand
+                        try:
+                            node.reserve(label, demand)
+                        except InsufficientResourcesError:
+                            # A previously valid placement can exceed
+                            # hard budgets after capacity loss; keep the
+                            # placement on the books without a
+                            # reservation so the operator sees the
+                            # over-commit in reports.
+                            pass
+                placements[task] = slot
+                slots.add(slot)
+            topology_id = assignment.topology_id
+            for slot in slots:
+                slot_users.setdefault(slot, set()).add(topology_id)
+            # Reusable only if this is the topology's one assignment and
+            # every placement survived.
+            kept[topology_id] = (
+                assignment if whole and topology_id not in kept else None
+            )
         return state
 
     # -- queries -------------------------------------------------------------
@@ -123,7 +164,12 @@ class GlobalState:
         )
 
     def assignment_for(self, topology_id: str) -> Assignment:
-        """Freeze the current placements of one topology."""
+        """Freeze the current placements of one topology: the assignment
+        it was rebuilt from while the rebuild kept all of it and no
+        placement has changed since, else a new one."""
+        kept = self._kept.get(topology_id)
+        if kept is not None:
+            return kept
         return Assignment(
             topology_id,
             {
@@ -178,6 +224,7 @@ class GlobalState:
             if self._packed is not None:
                 self._packed.refresh_node(node)
         self._placements[task] = slot
+        self._kept.pop(task.topology_id, None)
         self._slot_users.setdefault(slot, set()).add(task.topology_id)
 
     def unplace(self, task: Task) -> None:
@@ -185,6 +232,7 @@ class GlobalState:
         slot = self._placements.pop(task, None)
         if slot is None:
             raise SchedulingError(f"task {task} is not placed")
+        self._kept.pop(task.topology_id, None)
         node = self.cluster.node(slot.node_id)
         if node.has_reservation(task_label(task)):
             node.release(task_label(task))

@@ -75,20 +75,23 @@ class PackedClusterState:
         self.cluster = cluster
         self.nodes: List[Node] = alive
         self.node_ids: List[str] = [n.node_id for n in alive]
-        self.index: Dict[str, int] = {
-            n.node_id: i for i, n in enumerate(alive)
-        }
-        schema: Optional[ResourceSchema] = (
-            alive[0].schema if alive else None
+        self.index: Dict[str, int] = dict(
+            zip(self.node_ids, range(len(alive)))
         )
-        if schema is not None:
-            for node in alive:
-                node_schema = node.schema
-                if node_schema is not schema and node_schema != schema:
-                    raise SchemaMismatchError(
-                        f"cannot pack cluster state over mixed schemas "
-                        f"{schema!r} and {node_schema!r}"
-                    )
+        # Each node's vectors are read once; the schema check runs over
+        # the capacity list (a node's schema is its capacity's).
+        capacities = [n.capacity for n in alive]
+        availabilities = [n.available for n in alive]
+        schema: Optional[ResourceSchema] = (
+            capacities[0].schema if alive else None
+        )
+        for capacity in capacities:
+            node_schema = capacity.schema
+            if node_schema is not schema and node_schema != schema:
+                raise SchemaMismatchError(
+                    f"cannot pack cluster state over mixed schemas "
+                    f"{schema!r} and {node_schema!r}"
+                )
         self.schema = schema
         num_dims = len(schema) if schema is not None else 0
         self.num_dims = num_dims
@@ -96,11 +99,12 @@ class PackedClusterState:
         self.rack_ids: List[str] = [n.rack_id for n in alive]
         #: avail[d][i]: availability of dimension d on alive node i.
         self.avail: List[List[float]] = [
-            list(column) for column in zip(*[n.available.values for n in alive])
+            list(column)
+            for column in zip(*[v.values for v in availabilities])
         ]
         #: caps[d][i]: capacity of dimension d on alive node i (immutable).
         self.caps: List[List[float]] = [
-            list(column) for column in zip(*[n.capacity.values for n in alive])
+            list(column) for column in zip(*[v.values for v in capacities])
         ]
         self.hard_dims: Tuple[int, ...] = (
             schema.hard_indices if schema is not None else ()

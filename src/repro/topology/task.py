@@ -38,20 +38,35 @@ class Task:
         # Tasks are dictionary keys throughout the scheduling data path
         # (placements, assignments, reservations); hashing the field
         # tuple on every lookup dominated profile time, so the hash is
-        # computed once.  Safe because every field is immutable.
+        # computed once, and so is the reservation label every
+        # scheduling round reads per placed task.  Safe because every
+        # field is immutable.
         object.__setattr__(
             self,
             "_hash",
             hash((self.topology_id, self.component, self.instance, self.task_id)),
         )
+        object.__setattr__(
+            self, "_label", f"{self.topology_id}:{self.task_id}"
+        )
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
+
+    def __reduce__(self):
+        # Rebuild from the four fields: the cached hash belongs to the
+        # process that computed it (string hashing is salted per
+        # process), so it must not travel inside a pickle.
+        return (
+            Task,
+            (self.topology_id, self.component, self.instance, self.task_id),
+        )
 
     def __str__(self) -> str:
         return f"{self.topology_id}/{self.component}[{self.instance}]"
 
 
 def task_label(task: Task) -> str:
-    """Stable label used for node resource reservations."""
-    return f"{task.topology_id}:{task.task_id}"
+    """Stable label used for node resource reservations:
+    ``"<topology_id>:<task_id>"``."""
+    return task._label  # type: ignore[attr-defined]

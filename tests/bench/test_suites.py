@@ -15,6 +15,7 @@ EXPECTED_NAMES = {
     "sched-default",
     "sched-aniello",
     "sched-scale",
+    "nimbus-failover",
     "chaos-replay",
     "delivery-replay",
     "fig9-e2e",

@@ -44,8 +44,8 @@ class TestSchema:
 
     def test_cpu_and_bandwidth_are_soft(self):
         schema = ResourceSchema.storm_default()
-        assert schema.dimension(CPU).is_soft
-        assert schema.dimension(BANDWIDTH).is_soft
+        assert schema.dimension(CPU).kind is ConstraintKind.SOFT
+        assert schema.dimension(BANDWIDTH).kind is ConstraintKind.SOFT
 
     def test_empty_schema_rejected(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from repro.nimbus.nimbus import Nimbus
 from repro.nimbus.supervisor import Supervisor
 from repro.nimbus.zookeeper import InMemoryZooKeeper
 from repro.scheduler.rstorm import RStormScheduler
+from repro.topology.task import task_label
 from tests.conftest import make_linear
 
 
@@ -53,6 +54,27 @@ class TestTopologyLifecycle:
         nimbus.kill_topology("chain")
         assert all(not node.reservations for node in cluster.nodes)
         assert "chain" not in nimbus.assignments
+
+    def test_kill_spares_topology_whose_id_extends_the_killed_id(self):
+        """Killing ``a`` must not release ``a:b``'s reservations, although
+        every ``a:b`` label starts with ``a:``."""
+        cluster = emulab_testbed()
+        nimbus = Nimbus(cluster, scheduler=RStormScheduler())
+        nimbus.submit_topology(make_linear("a", stages=2))
+        nimbus.submit_topology(make_linear("a:b", stages=2))
+        nimbus.schedule_round()
+
+        def labels():
+            return sorted(
+                label for node in cluster.nodes for label in node.reservations
+            )
+
+        assert len(labels()) == 8
+        nimbus.kill_topology("a")
+        assert labels() == sorted(
+            task_label(task) for task in nimbus.topology("a:b").tasks
+        )
+        assert nimbus.assignments["a:b"].nodes
 
     def test_kill_unknown_rejected(self, managed):
         _, nimbus, _ = managed

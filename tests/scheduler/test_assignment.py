@@ -84,6 +84,16 @@ class TestSurgery:
         assert surviving.nodes == ("n1",)
         assert len(surviving) == 2
 
+    def test_restricted_to_every_used_node_is_self(self, assignment):
+        assert assignment.restricted_to_nodes({"n1", "n2", "n9"}) is assignment
+        assert assignment.restricted_to_nodes(["n2", "n1"]) is assignment
+
+    def test_restricted_copy_keeps_sorted_tasks(self, assignment):
+        surviving = assignment.restricted_to_nodes({"n2"})
+        assert surviving is not assignment
+        assert surviving.tasks == tuple(sorted(surviving.as_dict()))
+        assert surviving.tasks == assignment.tasks_on_node("n2")
+
     def test_merged_with(self, topology, assignment):
         override = Assignment("t", {topology.tasks[0]: slot("n9")})
         merged = assignment.merged_with(override)

@@ -140,3 +140,59 @@ class TestFromAssignments:
             state.place(task, cluster.nodes[0].slots[0])
         frozen = state.assignment_for("t")
         assert frozen.is_complete(topology)
+
+
+class TestRebuildReuse:
+    """``assignment_for`` hands back the assignment a topology was rebuilt
+    from while every placement survived and none has changed since."""
+
+    @pytest.fixture
+    def existing(self, cluster, topology):
+        state = GlobalState(cluster)
+        for i, task in enumerate(topology.tasks):
+            node = cluster.nodes[i % 2]
+            state.place(task, node.slots[0], topology.task_demand(task))
+        return state.assignment_for("t")
+
+    def test_untouched_topology_returns_same_object(
+        self, cluster, topology, existing
+    ):
+        state = GlobalState.from_assignments(
+            cluster, {"t": topology}, {"t": existing}
+        )
+        assert state.assignment_for("t") is existing
+
+    def test_touched_topology_returns_new_equal_object(
+        self, cluster, topology, existing
+    ):
+        state = GlobalState.from_assignments(
+            cluster, {"t": topology}, {"t": existing}
+        )
+        task = topology.tasks[0]
+        slot = existing.slot_of(task)
+        state.unplace(task)
+        assert state.assignment_for("t") is not existing
+        state.place(task, slot, topology.task_demand(task))
+        rebuilt = state.assignment_for("t")
+        assert rebuilt is not existing
+        assert rebuilt == existing
+
+    def test_dropped_placement_returns_new_object(
+        self, cluster, topology, existing
+    ):
+        cluster.nodes[1].fail()
+        state = GlobalState.from_assignments(
+            cluster, {"t": topology}, {"t": existing}
+        )
+        partial = state.assignment_for("t")
+        assert partial is not existing
+        assert partial.nodes == (cluster.nodes[0].node_id,)
+
+    def test_rebuild_checks_every_reservation(
+        self, cluster, topology, existing
+    ):
+        node = cluster.nodes[0]
+        (label, *_) = node.reservations
+        node.release(label)
+        GlobalState.from_assignments(cluster, {"t": topology}, {"t": existing})
+        assert node.has_reservation(label)

@@ -1,5 +1,11 @@
 """Tests for the Task value object."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.topology.task import Task, task_label
 
 
@@ -31,3 +37,48 @@ class TestTask:
         except AttributeError:
             raised = True
         assert raised
+
+
+# Schedules the same topology in every process and either pickles the
+# assignments to argv[2] ("write") or compares them with the pickle
+# there ("read").  String hashes are salted per process, so the reader
+# runs under another PYTHONHASHSEED than the writer.
+_CROSS_PROCESS_SCRIPT = """
+import pickle, sys
+from repro.cluster import emulab_testbed
+from repro.scheduler.rstorm import RStormScheduler
+from repro.workloads.micro import micro_topology
+topology = micro_topology("diamond", "compute")
+fresh = RStormScheduler().schedule([topology], emulab_testbed())
+if sys.argv[1] == "write":
+    with open(sys.argv[2], "wb") as handle:
+        pickle.dump(fresh, handle, protocol=4)
+else:
+    with open(sys.argv[2], "rb") as handle:
+        cached = pickle.load(handle)
+    assignment = cached[topology.topology_id]
+    print(all(assignment.has(task) for task in topology.tasks), cached == fresh)
+"""
+
+
+class TestPickle:
+    def test_round_trip_rebuilds_hash_and_label(self):
+        task = Task("topo", "bolt", 2, 7)
+        loaded = pickle.loads(pickle.dumps(task))
+        assert loaded == task
+        assert hash(loaded) == hash(task)
+        assert task_label(loaded) == "topo:7"
+        assert {task: 1}[loaded] == 1
+
+    def test_pickle_loads_under_another_hash_seed(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        path = str(tmp_path / "assignments.pkl")
+        outputs = []
+        for mode, hash_seed in (("write", "1"), ("read", "2")):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", _CROSS_PROCESS_SCRIPT, mode, path],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(result.stdout.split())
+        assert outputs == [[], ["True", "True"]]
