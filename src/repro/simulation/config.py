@@ -53,10 +53,6 @@ class SimulationConfig:
             memory footprint exceeds physical capacity — models paging;
             this is what grinds the over-committed Processing topology to
             a near halt in Figure 13.
-        context_switch_overhead: Fractional service-time overhead added
-            per extra runnable task beyond a node's core count (models
-            scheduler churn when a machine is oversubscribed with
-            threads). 0 disables.
         serde_ms_per_tuple: CPU milliseconds of serialisation/
             deserialisation charged to the *receiving* task per tuple for
             deliveries that cross a worker-process boundary.  Storm skips
@@ -106,7 +102,6 @@ class SimulationConfig:
     max_spout_pending: Optional[int] = 10
     batch_timeout_s: float = 30.0
     thrash_factor: float = 25.0
-    context_switch_overhead: float = 0.0
     serde_ms_per_tuple: float = 0.002
     queue_overflow_batches: Optional[int] = 500
     worker_restart_s: float = 10.0
@@ -131,8 +126,6 @@ class SimulationConfig:
             raise ConfigError("batch_timeout_s must be positive")
         if self.thrash_factor < 1:
             raise ConfigError("thrash_factor must be >= 1")
-        if self.context_switch_overhead < 0:
-            raise ConfigError("context_switch_overhead must be >= 0")
         if self.serde_ms_per_tuple < 0:
             raise ConfigError("serde_ms_per_tuple must be >= 0")
         if (

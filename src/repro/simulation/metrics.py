@@ -51,8 +51,6 @@ class StatisticServer:
         self.ack_samples: Dict[str, List[float]] = defaultdict(list)
         #: node -> bytes sent over its NIC
         self.nic_bytes: Dict[str, int] = defaultdict(int)
-        #: count of batches dropped at dead nodes
-        self.dropped_batches: int = 0
         #: (topology, component) -> worker crash count (queue overflow)
         self.crashes: Dict[Tuple[str, str], int] = defaultdict(int)
         # -- delivery-semantics counters (at-least-once layer / message
@@ -116,9 +114,6 @@ class StatisticServer:
 
     def record_ack(self, topology_id: str, latency_s: float) -> None:
         self.ack_samples[topology_id].append(latency_s)
-
-    def record_dropped(self) -> None:
-        self.dropped_batches += 1
 
     def record_crash(self, topology_id: str, component: str) -> None:
         self.crashes[(topology_id, component)] += 1

@@ -111,7 +111,7 @@ class _NodeRuntime:
     """Per-node execution state: cores, run queue, slowdown factors."""
 
     __slots__ = ("node", "node_id", "cores", "active", "ready", "slowdown",
-                 "overhead", "fault_factor", "tasks")
+                 "fault_factor", "tasks")
 
     def __init__(self, node: Node):
         self.node = node
@@ -120,7 +120,6 @@ class _NodeRuntime:
         self.active = 0
         self.ready: Deque["_TaskRuntime"] = deque()
         self.slowdown = 1.0
-        self.overhead = 1.0
         #: service-time multiplier from injected CPU degradation faults
         #: (1.0 = healthy); orthogonal to the thrash/overcommit factors,
         #: which are recomputed from placements.
@@ -443,7 +442,7 @@ class SimulationRun:
                 self._fc_resume(ledger)
 
     def _recompute_node_factors(self) -> None:
-        """Thrash and context-switch factors from current placements.
+        """Thrash factors from current placements.
 
         A node thrashes when the resident memory of the tasks placed on it
         exceeds its physical capacity — the hard-constraint violation the
@@ -458,8 +457,6 @@ class SimulationRun:
                 node_rt.slowdown = self.config.thrash_factor
             else:
                 node_rt.slowdown = 1.0
-            extra = max(0, len(node_rt.tasks) - node_rt.cores)
-            node_rt.overhead = 1.0 + self.config.context_switch_overhead * extra
 
     # -- public control ---------------------------------------------------------
 
@@ -982,7 +979,7 @@ class SimulationRun:
             tuples = payload[0]
         service = (
             tuples * per_tuple_ms / 1e3
-            * node_rt.slowdown * node_rt.overhead * node_rt.fault_factor
+            * node_rt.slowdown * node_rt.fault_factor
         )
         if service < _MIN_SERVICE_S:
             service = _MIN_SERVICE_S
@@ -1325,7 +1322,6 @@ class SimulationRun:
             ))
         node_rt = consumer.node
         if not consumer.alive or not node_rt.node.alive:
-            self.stats.record_dropped()
             # The batch consumed an edge credit when routed; a dead
             # consumer never drains it, so return it here.
             if ledger is not None and ledger.drain():

@@ -49,7 +49,6 @@ class TestValidation:
             {"max_spout_pending": 0},
             {"batch_timeout_s": 0.0},
             {"thrash_factor": 0.5},
-            {"context_switch_overhead": -0.1},
             {"serde_ms_per_tuple": -0.1},
             {"queue_overflow_batches": 0},
             {"worker_restart_s": -1.0},
