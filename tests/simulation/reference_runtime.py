@@ -1,5 +1,5 @@
 # Frozen DES oracle: a verbatim copy of src/repro/simulation/runtime.py at
-# commit c151a3f, plus the _PRIORITY_FLOOR, CreditLedger, FlowProducer,
+# commit 445cbcb, plus the _PRIORITY_FLOOR, CreditLedger, FlowProducer,
 # ShedRecord, ShedLedger, SheddingPolicy, make_policy and FlowControl code
 # of src/repro/simulation/flowcontrol.py it uses, inlined below with the
 # runtime's flowcontrol import pointed at them.  The engine, network,
@@ -36,11 +36,12 @@ reproducing the execution model the paper's evaluation measures:
 The runtime supports node failure injection and task migration so the
 Nimbus coordination loop can reschedule mid-run.
 
-The closed-loop per-batch path is one short call chain, ``_deliver`` ->
-``_dispatch`` -> ``_complete`` -> ``_finish_process``/``_finish_emit``
--> ``_route``: service times, enqueues and the busy/processed/NIC
-counters are computed inline, and completions are pushed straight onto
-the engine heap (the Simulator's direct-push contract).
+The closed-loop per-batch hop is one short call chain, ``_deliver`` ->
+``_start_work`` -> ``_complete`` -> ``_route``: work for an idle task
+whose node has a free core and an empty run queue starts at once (else
+``_dispatch`` starts it later), the counters are incremented inline, and
+completions and deliveries are pushed straight onto the engine heap
+(the Simulator's direct-push contract).
 
 Each control-plane transition has one body for all its callers:
 ``_spawn_tasks``/``_wire_routes`` build task runtimes and routes,
@@ -51,7 +52,9 @@ rescale's resize crossing a watermark).  ``_targets`` validates a
 placement before any task changes.
 
 Each traced transition tests the run's ``observer`` slot and, when it is
-set, hands it one :class:`~repro.simulation.tracing.TraceEvent`.
+set, hands it one :class:`~repro.simulation.tracing.TraceEvent`; the
+per-batch transitions test ``_batch_observer``, which the ``observer``
+setter fills only for an observer that reads per-batch kinds.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from repro.simulation.flowcontrol import FlowControlConfig
 from repro.simulation.metrics import StatisticServer
 from repro.simulation.network import TransferModel
 from repro.simulation.report import SimulationReport
-from repro.simulation.tracing import EventKind, TraceEvent
+from repro.simulation.tracing import EventKind, TraceEvent, wants_batches
 from repro.topology.component import Component
 from repro.topology.grouping import LocalOrShuffleGrouping
 from repro.topology.task import Task
@@ -360,12 +363,13 @@ class FlowControl:
             producer.tasks = [runtimes[t] for t in topology.tasks_of(name)]
             for consumer in topology.downstream_of(name):
                 pool = config.queue_capacity * len(topology.tasks_of(consumer))
-                if consumer not in producer.out:
+                ledger = producer.out.get(consumer)
+                if ledger is None:
                     producer.out[consumer] = CreditLedger(
                         pool, high, low, producer, consumer
                     )
-                if producer.out[consumer].resize(pool, high, low):
-                    flipped.append(producer.out[consumer])
+                elif ledger.resize(pool, high, low):
+                    flipped.append(ledger)
         return flipped
 
 
@@ -387,9 +391,10 @@ _GHOST_ROOT = -1
 _INTRA_PROCESS = DistanceLevel.INTRA_PROCESS
 _INTER_NODE = DistanceLevel.INTER_NODE
 
-#: CPU points that equal one core (the paper: "CPU availability of a node
-#: is set to 100 * #cores").
-_POINTS_PER_CORE = 100.0
+
+def _no_emit(spout: "_TaskRuntime") -> None:
+    """Open-loop stand-in for :meth:`SimulationRun._try_emit`: arrivals,
+    not credit, decide when spouts emit."""
 
 
 def _assign_keys(stream, keys: Iterator[int]):
@@ -403,16 +408,15 @@ class _NodeRuntime:
     """Per-node execution state: cores, run queue, slowdown factors."""
 
     __slots__ = ("node", "node_id", "cores", "active", "ready", "slowdown",
-                 "overhead", "fault_factor", "tasks")
+                 "fault_factor", "tasks")
 
     def __init__(self, node: Node):
         self.node = node
         self.node_id = node.node_id
-        self.cores = max(1, int(round(node.capacity.cpu / _POINTS_PER_CORE)))
+        self.cores = node.cores
         self.active = 0
         self.ready: Deque["_TaskRuntime"] = deque()
         self.slowdown = 1.0
-        self.overhead = 1.0
         #: service-time multiplier from injected CPU degradation faults
         #: (1.0 = healthy); orthogonal to the thrash/overcommit factors,
         #: which are recomputed from placements.
@@ -452,7 +456,7 @@ class _TaskRuntime:
         "task", "component", "profile", "topo", "slot", "node", "work",
         "running", "queued", "alive", "out_routes", "inflight",
         "emit_blocked", "emit_timer_set", "next_emit_time", "is_spout",
-        "fc_paused",
+        "fc_paused", "counter_key",
     )
 
     def __init__(self, task: Task, component: Component,
@@ -479,6 +483,8 @@ class _TaskRuntime:
         #: draining its queue, a paused spout stops emitting.  Always
         #: False when flow control is off.
         self.fc_paused = False
+        #: this task's key in the run's processed-tuples counter
+        self.counter_key = (topo.topology_id, task.component)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"_TaskRuntime({self.task})"
@@ -571,10 +577,7 @@ class SimulationRun:
         self.config = config or SimulationConfig()
         self.sim = Simulator()
         self.stats = StatisticServer(self.config.window_s)
-        #: called with a TraceEvent at every traced transition (a
-        #: :class:`~repro.simulation.tracing.Tracer`, a RecoveryMonitor);
-        #: None traces nothing.
-        self.observer: Optional[Callable[[TraceEvent], None]] = None
+        self.observer = None
         # The per-batch stats counters, incremented in place.
         self._busy, self._processed, self._nic = (
             self.stats.per_batch_counters()
@@ -603,7 +606,9 @@ class SimulationRun:
         if self._open_loop:
             # Open-loop spouts emit only what arrives; every closed-loop
             # credit/rate trigger (acks, sweeps, revivals) is a no-op.
-            self._try_emit = self._no_emit  # type: ignore[method-assign]
+            # A plain function, not a bound method: the slot must not
+            # hold a reference back to the run.
+            self._try_emit = _no_emit  # type: ignore[method-assign]
         #: open-loop only: every arrival as (source, time, tuples, key),
         #: frozen on demand into an ArrivalTrace (see arrival_trace()).
         self._arrival_log: List[Tuple[Tuple[str, str, int], float, int,
@@ -617,6 +622,18 @@ class SimulationRun:
             self._add_topology(topology, assignment)
         self._recompute_node_factors()
         self._started = False
+
+    @property
+    def observer(self) -> Optional[Callable[[TraceEvent], None]]:
+        """Called with a TraceEvent at every traced transition (a
+        :class:`~repro.simulation.tracing.Tracer`, a RecoveryMonitor);
+        None traces nothing."""
+        return self._observer
+
+    @observer.setter
+    def observer(self, observer: Optional[Callable[[TraceEvent], None]]) -> None:
+        self._observer = observer
+        self._batch_observer = observer if wants_batches(observer) else None
 
     # -- construction ------------------------------------------------------
 
@@ -722,7 +739,7 @@ class SimulationRun:
                 self._fc_resume(ledger)
 
     def _recompute_node_factors(self) -> None:
-        """Thrash and context-switch factors from current placements.
+        """Thrash factors from current placements.
 
         A node thrashes when the resident memory of the tasks placed on it
         exceeds its physical capacity — the hard-constraint violation the
@@ -737,8 +754,6 @@ class SimulationRun:
                 node_rt.slowdown = self.config.thrash_factor
             else:
                 node_rt.slowdown = 1.0
-            extra = max(0, len(node_rt.tasks) - node_rt.cores)
-            node_rt.overhead = 1.0 + self.config.context_switch_overhead * extra
 
     # -- public control ---------------------------------------------------------
 
@@ -1103,7 +1118,7 @@ class SimulationRun:
     # -- spout emission --------------------------------------------------------------
 
     def _try_emit(self, spout: _TaskRuntime) -> None:
-        # Open-loop runs rebind this to ``_no_emit`` at construction, so
+        # Open-loop runs rebind this to :func:`_no_emit` at construction, so
         # the closed-loop hot path (one call per ack) pays no branch.
         pending_cap = self._max_pending
         if (
@@ -1130,10 +1145,6 @@ class SimulationRun:
         spout.emit_blocked = True
         self._push_work(spout, _EMIT, None)
 
-    def _no_emit(self, spout: _TaskRuntime) -> None:
-        """Open-loop stand-in for :meth:`_try_emit`: arrivals, not
-        credit, decide when spouts emit."""
-
     def _wake_spout(self, spout: _TaskRuntime) -> None:
         spout.emit_timer_set = False
         self._try_emit(spout)
@@ -1141,14 +1152,22 @@ class SimulationRun:
     # -- work dispatch -----------------------------------------------------------------
 
     def _push_work(self, task: _TaskRuntime, kind: int, payload) -> None:
-        task.work.append((kind, payload))
+        work = task.work
+        node_rt = task.node
+        if (
+            not work and not task.queued and not task.running
+            and not task.fc_paused and task.alive and node_rt.node.alive
+            and node_rt.active < node_rt.cores and not node_rt.ready
+        ):
+            # _dispatch would pop this task first: start it directly.
+            return self._start_work(task, node_rt, kind, payload)
+        work.append((kind, payload))
         overflow = self._overflow
-        if overflow is not None and len(task.work) > overflow:
+        if overflow is not None and len(work) > overflow:
             self._crash_task(task)
             return
         if not task.queued and not task.running and not task.fc_paused:
             task.queued = True
-            node_rt = task.node
             node_rt.ready.append(task)
             if node_rt.active < node_rt.cores:
                 self._dispatch(node_rt)
@@ -1187,10 +1206,11 @@ class SimulationRun:
         for kind, payload in task.work:
             if kind == _REPLAY:
                 self._abandon_replay(task.topo, payload[0])
-            elif kind == _PROCESS and payload[3] is not None:
+            elif kind == _PROCESS:
+                ledger = payload[3]
                 # The lost batch returns its edge credit.
-                if payload[3].drain():
-                    self._fc_resume(payload[3])
+                if ledger is not None and ledger.drain():
+                    self._fc_resume(ledger)
         task.work.clear()
         task.emit_blocked = False
         task.emit_timer_set = False
@@ -1214,77 +1234,94 @@ class SimulationRun:
             self._try_emit(task)
 
     def _dispatch(self, node_rt: _NodeRuntime) -> None:
-        # Tight loop: the service time is computed inline and the
-        # completion is pushed straight onto the engine heap (payload
-        # rides as the event's args, no closure); the node's liveness is
-        # read straight off the Node to skip property-call overhead.
-        node = node_rt.node
+        node = node_rt.node  # liveness off the Node: no property call
         ready = node_rt.ready
         cores = node_rt.cores
-        sim = self.sim
-        heap = sim.heap
-        seq = sim.seq
-        now = sim.now
-        complete = self._complete
         while node.alive and node_rt.active < cores and ready:
             task = ready.popleft()
             task.queued = False
             if not task.alive or not task.work or task.fc_paused:
                 continue
-            task.running = True
-            node_rt.active += 1
             kind, payload = task.work.popleft()
-            per_tuple_ms = task.profile.cpu_ms_per_tuple
-            if kind == _PROCESS:
-                ledger = payload[3]
-                if ledger is not None and ledger.drain():
-                    # The batch left its bounded input queue and returned
-                    # the edge credit that resumes its upstream producer.
-                    self._fc_resume(ledger)
-                tuples = payload[1]
-                if payload[2] is not _INTRA_PROCESS:
-                    # Tuples from another worker process arrive serialised
-                    # and must be decoded before user code runs.
-                    per_tuple_ms += self._serde_ms
-            elif kind == _EMIT:
-                # Closed-loop emits carry no payload (the batch size is the
-                # profile's); open-loop payloads are (arrived_at, tuples,
-                # key).
-                tuples = (
-                    task.profile.emit_batch_tuples if payload is None
-                    else payload[1]
-                )
-            else:
-                # A replay costs the spout the same CPU as the first
-                # emission: payload is (tuples, attempt, origin_root, ...).
-                tuples = payload[0]
-            service = (
-                tuples * per_tuple_ms / 1e3
-                * node_rt.slowdown * node_rt.overhead * node_rt.fault_factor
+            self._start_work(task, node_rt, kind, payload)
+
+    def _start_work(
+        self, task: _TaskRuntime, node_rt: _NodeRuntime, kind: int, payload
+    ) -> None:
+        """Start one work item on a free core of ``node_rt`` and push its
+        completion straight onto the engine heap (payload as args)."""
+        task.running = True
+        node_rt.active += 1
+        per_tuple_ms = task.profile.cpu_ms_per_tuple
+        if kind == _PROCESS:
+            _, tuples, level, ledger = payload
+            if ledger is not None and ledger.drain():
+                # The batch left its bounded input queue and returned
+                # the edge credit that resumes its upstream producer.
+                self._fc_resume(ledger)
+            if level is not _INTRA_PROCESS:
+                # Tuples from another worker process arrive serialised
+                # and must be decoded before user code runs.
+                per_tuple_ms += self._serde_ms
+        elif kind == _EMIT:
+            # Closed-loop emits carry no payload (the batch size is the
+            # profile's); open-loop payloads are (arrived_at, tuples, key).
+            tuples = (
+                task.profile.emit_batch_tuples if payload is None
+                else payload[1]
             )
-            if service < _MIN_SERVICE_S:
-                service = _MIN_SERVICE_S
-            heappush(heap, (now + service, next(seq), complete,
+        else:
+            # A replay costs the spout the same CPU as the first
+            # emission: payload is (tuples, attempt, origin_root, ...).
+            tuples = payload[0]
+        service = (
+            tuples * per_tuple_ms / 1e3
+            * node_rt.slowdown * node_rt.fault_factor
+        )
+        if service < _MIN_SERVICE_S:
+            service = _MIN_SERVICE_S
+        sim = self.sim
+        heappush(sim.heap, (sim.now + service, next(sim.seq), self._complete,
                             (task, kind, payload, service, node_rt)))
 
     def _complete(
-        self,
-        task: _TaskRuntime,
-        kind: int,
-        payload,
-        service: float,
+        self, task: _TaskRuntime, kind: int, payload, service: float,
         node_rt: _NodeRuntime,
     ) -> None:
         self._busy[node_rt.node_id] += service
         task.running = False
         node_rt.active -= 1
         if task.alive and node_rt.node.alive:
-            if kind == _EMIT:
+            if kind == _PROCESS:
+                # Count, fan out or sink, then settle with the acker.
+                root_id, tuples, _, _ = payload
+                topo = task.topo
+                self._processed[task.counter_key] += tuples
+                children = 0
+                if task.out_routes:
+                    ratio = task.profile.output_ratio
+                    if ratio > 0:
+                        # At least one output tuple per processed batch.
+                        children = self._route(
+                            task, round(tuples * ratio) or 1, root_id, root_id
+                        )
+                else:
+                    self.stats.record_sink(
+                        topo.topology_id, task.component.name, self.sim.now,
+                        tuples,
+                    )
+                # No entry: the root already timed out, or this is a
+                # ghost batch (a wire duplicate riding ``_GHOST_ROOT``);
+                # the acker discards late/duplicate tuples.
+                entry = topo.pending.get(root_id)
+                if entry is not None:
+                    entry.remaining += children - 1
+                    if entry.remaining <= 0:
+                        self._ack(topo, root_id, entry)
+            elif kind == _EMIT:
                 self._finish_emit(task, payload)
-            elif kind == _REPLAY:
-                self._finish_replay(task, payload)
             else:
-                self._finish_process(task, payload)
+                self._finish_replay(task, payload)
         elif kind == _REPLAY:
             # The spout (or its node) died while this replay was being
             # serviced: the retry state is gone with the worker, so the
@@ -1317,8 +1354,8 @@ class SimulationRun:
         else:
             # Open loop: the batch was offered by the arrival process.
             arrived_at, tuples, key = payload
-        if self.observer is not None:
-            self.observer(TraceEvent(
+        if self._batch_observer is not None:
+            self._batch_observer(TraceEvent(
                 now, EventKind.EMIT, topo.topology_id, task=spout.task,
                 tuples=tuples,
             ))
@@ -1354,51 +1391,28 @@ class SimulationRun:
                 )
             self._try_emit(spout)
 
-    def _finish_process(self, task: _TaskRuntime, payload) -> None:
-        root_id, tuples, _, _ = payload
-        topo = task.topo
+    def _ack(self, topo: _TopologyRuntime, root_id: int, entry) -> None:
+        """A tree's last delivery was processed: the root is acked and
+        its spout's credit returns."""
+        del topo.pending[root_id]
         now = self.sim.now
-        self._processed[(topo.topology_id, task.component.name)] += tuples
-        children = 0
-        if task.out_routes:
-            ratio = task.profile.output_ratio
-            out_tuples = int(round(tuples * ratio)) if ratio > 0 else 0
-            if ratio > 0 and out_tuples == 0:
-                out_tuples = 1
-            if out_tuples > 0:
-                children = self._route(task, out_tuples, root_id, root_id)
-        else:
-            self.stats.record_sink(
-                topo.topology_id, task.component.name, now, tuples
+        spout = entry.spout
+        spout.inflight -= 1
+        latency = now - entry.emitted_at
+        if self._batch_observer is not None:
+            self._batch_observer(TraceEvent(
+                now, EventKind.ACK, topo.topology_id, latency=latency
+            ))
+        self.stats.record_ack(topo.topology_id, latency)
+        if entry.arrived_at is not None:
+            # End-to-end latency: arrival at the spout to full ack,
+            # including any time spent queued before emission.
+            self.stats.record_e2e_latency(
+                topo.topology_id, now - entry.arrived_at
             )
-        entry = topo.pending.get(root_id)
-        if entry is None:
-            # Root already timed out, or this is a ghost batch (a wire
-            # duplicate riding root ``_GHOST_ROOT``): late/duplicate
-            # tuples are discarded by the acker.
-            return
-        entry.remaining += children - 1
-        if entry.remaining <= 0:
-            del topo.pending[root_id]
-            spout = entry.spout
-            spout.inflight -= 1
-            latency = now - entry.emitted_at
-            if self.observer is not None:
-                self.observer(TraceEvent(
-                    now, EventKind.ACK, topo.topology_id, latency=latency
-                ))
-            self.stats.record_ack(topo.topology_id, latency)
-            if entry.arrived_at is not None:
-                # End-to-end latency: arrival at the spout to full ack,
-                # including any time spent queued before emission.
-                self.stats.record_e2e_latency(
-                    topo.topology_id, now - entry.arrived_at
-                )
-            if self._at_least_once:
-                self.stats.record_acked_tuples(
-                    topo.topology_id, now, entry.tuples
-                )
-            self._try_emit(spout)
+        if self._at_least_once:
+            self.stats.record_acked_tuples(topo.topology_id, now, entry.tuples)
+        self._try_emit(spout)
 
     # -- at-least-once replay ----------------------------------------------------------
 
@@ -1518,41 +1532,38 @@ class SimulationRun:
     ) -> int:
         # ``route_key`` feeds fields groupings: the root id in closed
         # loop (and for bolt fan-out), the arrival's key in open loop.
+        # Deliveries are pushed straight onto the engine heap.  A batch
+        # averages little more than one delivery, so only what every
+        # delivery reads is hoisted.
         deliveries = 0
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         num_bytes = tuples * producer.profile.tuple_bytes
-        version = self._placement_version
         producer_node_id = producer.slot.node_id
-        # Hoisted bound methods: one lookup per routed batch instead of
-        # one per delivery.
         transfer_model = self.transfer
-        transfer = transfer_model.transfer
-        lossy = transfer_model.lossy
-        schedule_at = self.sim.schedule_at
-        deliver = self._deliver
-        nic = self._nic
         for route in producer.out_routes:
-            if route.levels_version != version:
+            if route.levels_version != self._placement_version:
                 self._refresh_route(producer, route)
             consumers = route.consumers
             levels = route.levels
             remote = route.remote
             ledger = route.ledger
-            targets = route.grouping.route(
-                len(consumers), key=route_key,
-                local_indices=route.local_indices,
-            )
-            for idx in targets:
+            for idx in route.grouping.route(
+                len(consumers), route_key, route.local_indices
+            ):
                 consumer = consumers[idx]
                 level = levels[idx]
-                arrival = transfer(
-                    now, producer_node_id, consumer.slot.node_id, level,
-                    num_bytes,
-                )
                 if remote[idx]:
-                    nic[producer_node_id] += num_bytes
+                    arrival = transfer_model.transfer(
+                        now, producer_node_id, consumer.slot.node_id, level,
+                        num_bytes,
+                    )
+                    self._nic[producer_node_id] += num_bytes
+                else:
+                    # In-memory hand-off: latency only, as in transfer().
+                    arrival = now + transfer_model.latency_s[level]
                 deliveries += 1
-                if lossy:
+                if transfer_model.lossy:
                     copies = transfer_model.copies(
                         producer_node_id, consumer.slot.node_id, level
                     )
@@ -1571,27 +1582,26 @@ class SimulationRun:
                         # processed downstream but invisible to the acker
                         # (the at-least-once dedup) — it inflates raw
                         # sink throughput, not effective throughput.
-                        dup_arrival = transfer(
+                        dup_arrival = transfer_model.transfer(
                             now, producer_node_id, consumer.slot.node_id,
                             level, num_bytes,
                         )
                         if remote[idx]:
-                            nic[producer_node_id] += num_bytes
+                            self._nic[producer_node_id] += num_bytes
                         self.stats.record_duplicate(
                             producer.topo.topology_id, tuples
                         )
                         # Ghost copies occupy real queue space too.
                         if ledger is not None and ledger.send():
                             self._fc_stall(ledger)
-                        schedule_at(
-                            dup_arrival, deliver, consumer, _GHOST_ROOT,
-                            tuples, level, ledger,
-                        )
+                        heappush(sim.heap, (
+                            dup_arrival, next(sim.seq), self._deliver,
+                            (consumer, _GHOST_ROOT, tuples, level, ledger),
+                        ))
                 if ledger is not None and ledger.send():
                     self._fc_stall(ledger)
-                schedule_at(
-                    arrival, deliver, consumer, root_id, tuples, level, ledger
-                )
+                heappush(sim.heap, (arrival, next(sim.seq), self._deliver,
+                                    (consumer, root_id, tuples, level, ledger)))
         return deliveries
 
     def _deliver(
@@ -1602,13 +1612,13 @@ class SimulationRun:
         level: DistanceLevel,
         ledger: Optional[CreditLedger],
     ) -> None:
-        if self.observer is not None:
-            self.observer(TraceEvent(
+        if self._batch_observer is not None:
+            self._batch_observer(TraceEvent(
                 self.sim.now, EventKind.DELIVER, consumer.topo.topology_id,
                 task=consumer.task, tuples=tuples, root=root_id, level=level,
             ))
-        if not consumer.alive or not consumer.node.node.alive:
-            self.stats.record_dropped()
+        node_rt = consumer.node
+        if not consumer.alive or not node_rt.node.alive:
             # The batch consumed an edge credit when routed; a dead
             # consumer never drains it, so return it here.
             if ledger is not None and ledger.drain():
@@ -1622,21 +1632,16 @@ class SimulationRun:
                 self._fc_resume(ledger)
             self._shed_delivery(consumer, root_id, tuples)
             return
-        # _push_work inlined: the per-delivery hot path.
-        work = consumer.work
-        work.append((_PROCESS, (root_id, tuples, level, ledger)))
-        overflow = self._overflow
-        if overflow is not None and len(work) > overflow:
-            self._crash_task(consumer)
-        elif (
-            not consumer.queued and not consumer.running
-            and not consumer.fc_paused
+        # _push_work's idle-core case inlined: the per-delivery hot path.
+        payload = (root_id, tuples, level, ledger)
+        if (
+            consumer.work or consumer.queued or consumer.running
+            or consumer.fc_paused or node_rt.active >= node_rt.cores
+            or node_rt.ready
         ):
-            consumer.queued = True
-            node_rt = consumer.node
-            node_rt.ready.append(consumer)
-            if node_rt.active < node_rt.cores:
-                self._dispatch(node_rt)
+            self._push_work(consumer, _PROCESS, payload)
+        else:
+            self._start_work(consumer, node_rt, _PROCESS, payload)
 
     # -- flow control (all paths below only run when config.flow is set) ---
 
@@ -1653,8 +1658,8 @@ class SimulationRun:
         if producer.stalled_edges > 1:
             return
         now = self.sim.now
-        if self.observer is not None:
-            self.observer(TraceEvent(
+        if self._batch_observer is not None:
+            self._batch_observer(TraceEvent(
                 now, EventKind.STALL, producer.topology_id,
                 component=producer.name, peer=ledger.consumer,
             ))
@@ -1672,8 +1677,8 @@ class SimulationRun:
         if producer.stalled_edges:
             return
         now = self.sim.now
-        if self.observer is not None:
-            self.observer(TraceEvent(
+        if self._batch_observer is not None:
+            self._batch_observer(TraceEvent(
                 now, EventKind.RESUME, producer.topology_id,
                 component=producer.name, peer=ledger.consumer,
             ))
@@ -1726,8 +1731,8 @@ class SimulationRun:
     ) -> None:
         """Record one audited shed decision."""
         now = self.sim.now
-        if self.observer is not None:
-            self.observer(TraceEvent(
+        if self._batch_observer is not None:
+            self._batch_observer(TraceEvent(
                 now, EventKind.SHED, topology_id, component=component,
                 tuples=tuples, reason=stage,
             ))
@@ -1779,8 +1784,8 @@ class SimulationRun:
             entry = topo_rt.pending.pop(root)
             spout = entry.spout
             spout.inflight -= 1
-            if self.observer is not None:
-                self.observer(TraceEvent(
+            if self._batch_observer is not None:
+                self._batch_observer(TraceEvent(
                     self.sim.now, EventKind.FAIL, topo_rt.topology_id,
                     tuples=entry.tuples,
                 ))
