@@ -75,6 +75,11 @@ scenario="${1:?usage: $0 figure|chaos|traffic|elastic|tenancy|backpressure}"
 case "$scenario" in
 figure)
     cold_warm_fresh fig9 fig9 --duration 60
+    # Both round-robin baselines deal through DefaultScheduler; the
+    # ablation table prints each one's row.
+    cold_warm_fresh ablations ablations --duration 30
+    grep -q "^ *default " ablations-fresh.txt
+    grep -q "^ *aniello-offline " ablations-fresh.txt
     ;;
 chaos)
     cold_warm_fresh chaos chaos --duration 90

@@ -19,6 +19,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.cluster.cluster import Cluster
 from repro.errors import ConfigError, SchedulingError
 from repro.faults.chaos import ChaosGenerator
+from repro.faults.events import FaultEvent
 from repro.faults.injector import FaultInjector
 from repro.faults.monitor import RecoveryMonitor, RecoveryReport
 from repro.faults.schedule import FaultSchedule
@@ -70,8 +71,8 @@ class SingleRunOutcome:
     # -- faults and elastic scaling ---------------------------------------
     #: per-topology recovery and churn metrics from the causal trace
     recovery: Dict[str, RecoveryReport] = field(default_factory=dict)
-    #: ``(simulated time, description)`` of every fault actually injected
-    injected: Tuple[Tuple[float, str], ...] = ()
+    #: ``(simulated time, event)`` of every fault actually injected
+    injected: Tuple[Tuple[float, FaultEvent], ...] = ()
     #: ``(simulated time, error)`` of every infeasible scheduling round
     scheduling_failures: Tuple[Tuple[float, str], ...] = ()
     #: ``(simulated time, node id)`` of every Nimbus quarantine decision
@@ -272,10 +273,7 @@ class Wiring:
                 for t in self.topologies
             }
         if self.injector is not None:
-            outcome.injected = tuple(
-                (time, event.describe())
-                for time, event in self.injector.injected
-            )
+            outcome.injected = tuple(self.injector.injected)
         if self.controller is not None:
             nimbus = self.nimbus
             outcome.elastic_decisions = tuple(self.controller.decisions)

@@ -26,68 +26,22 @@ by the scheduling round, so the default path stays byte-identical
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError
 from repro.scheduler.admission import (
+    SLO,
     AdmissionDecision,
     AdmissionPlan,
     AdmissionRequest,
-    TenantSpec,
+    Tenant,
     jain_index,
     plan_admission,
 )
 from repro.topology.topology import Topology
 
 __all__ = ["SLO", "Tenant", "TenancyController", "AdmissionRoundRecord"]
-
-
-@dataclass(frozen=True)
-class SLO:
-    """A tenant's service-level objective.
-
-    ``p99_ms`` bounds end-to-end (arrival -> full ack) p99 latency;
-    ``min_ratio`` is the minimum achieved/offered throughput fraction
-    (effective throughput).  ``None`` leaves that clause unconstrained —
-    the batch-tier default.
-    """
-
-    p99_ms: Optional[float] = None
-    min_ratio: Optional[float] = None
-
-    def attained(
-        self, p99_ms: Optional[float], achieved_ratio: Optional[float]
-    ) -> bool:
-        """Whether measured latency/throughput meet both clauses.
-
-        A constrained clause with no measurement (``None``) counts as a
-        miss — an SLO cannot be attained by not reporting.
-        """
-        if self.p99_ms is not None:
-            if p99_ms is None or p99_ms > self.p99_ms:
-                return False
-        if self.min_ratio is not None:
-            if achieved_ratio is None or achieved_ratio < self.min_ratio:
-                return False
-        return True
-
-
-@dataclass(frozen=True)
-class Tenant:
-    """A tenant: identity, fairness weight, preemption priority, SLO."""
-
-    tenant_id: str
-    weight: float = 1.0
-    priority: int = 0
-    slo: SLO = field(default_factory=SLO)
-
-    def spec(self) -> TenantSpec:
-        return TenantSpec(
-            tenant_id=self.tenant_id,
-            weight=self.weight,
-            priority=self.priority,
-        )
 
 
 @dataclass(frozen=True)
@@ -142,7 +96,6 @@ class TenancyController:
             raise SchedulingError(
                 f"tenant {tenant.tenant_id!r} is already registered"
             )
-        tenant.spec()  # validates the weight
         self.tenants[tenant.tenant_id] = tenant
         self._pending.setdefault(tenant.tenant_id, [])
         self.credits.setdefault(tenant.tenant_id, 0.0)
@@ -234,7 +187,7 @@ class TenancyController:
             pending,
             running,
             self._capacity(),
-            {tid: tenant.spec() for tid, tenant in self.tenants.items()},
+            self.tenants,
             self.credits,
             headroom=config["nimbus.tenancy.headroom"],
             credit_bias=config["nimbus.tenancy.credit.bias"],

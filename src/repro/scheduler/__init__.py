@@ -4,7 +4,7 @@ from repro.scheduler.admission import (
     AdmissionDecision,
     AdmissionPlan,
     AdmissionRequest,
-    TenantSpec,
+    Tenant,
     jain_index,
     plan_admission,
 )
@@ -42,7 +42,7 @@ __all__ = [
     "ScheduleQuality",
     "SchedulingRound",
     "TaskOrderingStrategy",
-    "TenantSpec",
+    "Tenant",
     "aggregate_node_load",
     "evaluate_assignment",
     "interleave_component_tasks",

@@ -31,7 +31,7 @@ default path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
@@ -40,7 +40,8 @@ __all__ = [
     "AdmissionDecision",
     "AdmissionPlan",
     "AdmissionRequest",
-    "TenantSpec",
+    "SLO",
+    "Tenant",
     "dominant_share",
     "jain_index",
     "plan_admission",
@@ -51,18 +52,51 @@ _EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class TenantSpec:
-    """What admission needs to know about a tenant.
+class SLO:
+    """A tenant's service-level objective.
+
+    ``p99_ms`` bounds end-to-end (arrival -> full ack) p99 latency;
+    ``min_ratio`` is the minimum achieved/offered throughput fraction
+    (effective throughput).  ``None`` leaves that clause unconstrained —
+    the batch-tier default.
+    """
+
+    p99_ms: Optional[float] = None
+    min_ratio: Optional[float] = None
+
+    def attained(
+        self, p99_ms: Optional[float], achieved_ratio: Optional[float]
+    ) -> bool:
+        """Whether measured latency/throughput meet both clauses.
+
+        A constrained clause with no measurement (``None``) counts as a
+        miss — an SLO cannot be attained by not reporting.
+        """
+        if self.p99_ms is not None:
+            if p99_ms is None or p99_ms > self.p99_ms:
+                return False
+        if self.min_ratio is not None:
+            if achieved_ratio is None or achieved_ratio < self.min_ratio:
+                return False
+        return True
+
+
+@dataclass(frozen=True)
+class Tenant:
+    """A tenant: identity, fairness weight, preemption priority, SLO.
 
     ``weight`` scales the tenant's fair share (2.0 = entitled to twice
     the dominant share of a weight-1.0 tenant); ``priority`` gates
     preemption only — higher-priority tenants may evict strictly
-    lower-priority ones, never the reverse.
+    lower-priority ones, never the reverse.  Admission reads only the
+    id, weight and priority; the SLO is what the tenant's runs are
+    reported against.
     """
 
     tenant_id: str
     weight: float = 1.0
     priority: int = 0
+    slo: SLO = field(default_factory=SLO)
 
     def __post_init__(self) -> None:
         if self.weight <= 0:
@@ -166,7 +200,7 @@ def plan_admission(
     pending: Sequence[AdmissionRequest],
     running: Sequence[AdmissionRequest],
     capacity: Mapping[str, float],
-    tenants: Mapping[str, TenantSpec],
+    tenants: Mapping[str, Tenant],
     credits: Optional[Mapping[str, float]] = None,
     *,
     headroom: float = 1.0,
@@ -204,7 +238,7 @@ def plan_admission(
         if value > 0
     }
 
-    def _spec(tenant_id: str) -> TenantSpec:
+    def _tenant(tenant_id: str) -> Tenant:
         try:
             return tenants[tenant_id]
         except KeyError:
@@ -218,7 +252,7 @@ def plan_admission(
     slack = dict(cap)
     running_pool: List[AdmissionRequest] = []
     for request in running:
-        _spec(request.tenant_id)
+        _tenant(request.tenant_id)
         for dim in cap:
             amount = float(request.demand.get(dim, 0.0))
             usage[request.tenant_id][dim] += amount
@@ -227,7 +261,7 @@ def plan_admission(
 
     queues: Dict[str, List[AdmissionRequest]] = {}
     for request in pending:
-        _spec(request.tenant_id)
+        _tenant(request.tenant_id)
         queues.setdefault(request.tenant_id, []).append(request)
 
     balance: Dict[str, float] = {
@@ -239,7 +273,7 @@ def plan_admission(
 
     def share_of(tenant_id: str) -> float:
         return dominant_share(
-            usage[tenant_id], cap, _spec(tenant_id).weight
+            usage[tenant_id], cap, _tenant(tenant_id).weight
         )
 
     def fits(demand: Mapping[str, float]) -> bool:
@@ -271,19 +305,19 @@ def plan_admission(
         head = queues[tenant_id][0]
         ok = fits(head.demand)
         if not ok and preemption_enabled:
-            priority = _spec(tenant_id).priority
+            priority = _tenant(tenant_id).priority
             while not ok and preemptions_used < max_preemptions:
                 victims = [
                     req
                     for req in running_pool
-                    if _spec(req.tenant_id).priority < priority
+                    if _tenant(req.tenant_id).priority < priority
                 ]
                 if not victims:
                     break
                 victim = min(
                     victims,
                     key=lambda req: (
-                        _spec(req.tenant_id).priority,
+                        _tenant(req.tenant_id).priority,
                         -share_of(req.tenant_id),
                         req.topology_id,
                     ),
@@ -325,7 +359,7 @@ def plan_admission(
             )
         else:
             out_for_round.add(tenant_id)
-            gained = credit_accrual * _spec(tenant_id).weight
+            gained = credit_accrual * _tenant(tenant_id).weight
             accrued[tenant_id] += gained
             balance[tenant_id] += gained
             for request in queues[tenant_id]:

@@ -10,22 +10,19 @@ availability is consulted and anchoring/packing is absent.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Sequence
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.node import WorkerSlot
-from repro.errors import SchedulingError, TopologyValidationError
-from repro.scheduler.assignment import Assignment
-from repro.scheduler.base import IScheduler
-from repro.scheduler.default import interleaved_slots
+from repro.errors import TopologyValidationError
+from repro.scheduler.default import DefaultScheduler
 from repro.scheduler.ordering import TaskOrderingStrategy, ordered_tasks
 from repro.topology.task import Task
 from repro.topology.topology import Topology
+from repro.topology.traversal import kahn_component_order
 
 __all__ = ["AnielloOfflineScheduler"]
 
 
-class AnielloOfflineScheduler(IScheduler):
+class AnielloOfflineScheduler(DefaultScheduler):
     """Linearise components topologically, then round-robin tasks over a
     per-topology set of worker slots in linearised order.
 
@@ -41,79 +38,14 @@ class AnielloOfflineScheduler(IScheduler):
 
     name = "aniello-offline"
 
-    def __init__(self, workers_per_topology: Optional[int] = None):
-        if workers_per_topology is not None and workers_per_topology < 1:
-            raise ValueError("workers_per_topology must be >= 1")
-        self.workers_per_topology = workers_per_topology
-
-    def schedule(
-        self,
-        topologies: Sequence[Topology],
-        cluster: Cluster,
-        existing: Optional[Mapping[str, Assignment]] = None,
-    ) -> Dict[str, Assignment]:
-        existing = dict(existing or {})
-        slots = interleaved_slots(cluster)
-        if not slots:
-            raise SchedulingError(
-                "no alive worker slots in the cluster",
-                unassigned=[t for topo in topologies for t in topo.tasks],
-            )
-        cursor = 0
-        alive = {n.node_id for n in cluster.alive_nodes}
-        result: Dict[str, Assignment] = {}
-        for topology in topologies:
-            self._check_acyclic(topology)
-            prior = existing.get(topology.topology_id)
-            surviving: Dict[Task, WorkerSlot] = {}
-            if prior is not None:
-                for task, slot in prior.as_dict().items():
-                    if slot.node_id in alive:
-                        surviving[task] = slot
-            order = ordered_tasks(topology, TaskOrderingStrategy.TOPOLOGICAL)
-            missing = [t for t in order if t not in surviving]
-            if not missing:
-                result[topology.topology_id] = Assignment(
-                    topology.topology_id, surviving
-                )
-                continue
-            num_workers = self.workers_per_topology or len(cluster.alive_nodes)
-            num_workers = max(1, min(num_workers, len(slots)))
-            chosen = [
-                slots[(cursor + i) % len(slots)] for i in range(num_workers)
-            ]
-            cursor = (cursor + num_workers) % len(slots)
-            mapping = dict(surviving)
-            # Deal tasks in linearised order: task i of the linearisation
-            # lands on worker i % W, so a producer at position p and its
-            # consumer at position p+W collide on the same worker only by
-            # accident — but consecutive tasks of *adjacent components*
-            # (interleaved ordering) frequently land adjacently.
-            for i, task in enumerate(missing):
-                mapping[task] = chosen[i % len(chosen)]
-            result[topology.topology_id] = Assignment(
-                topology.topology_id, mapping
-            )
-        return result
-
-    @staticmethod
-    def _check_acyclic(topology: Topology) -> None:
-        """The DEBS'13 offline scheduler only handles acyclic topologies;
-        reject cyclic ones explicitly (R-Storm has no such limit)."""
-        in_degree = {name: 0 for name in topology.components}
-        for _, target, _ in topology.edges():
-            in_degree[target] += 1
-        queue = [n for n, d in in_degree.items() if d == 0]
-        seen = 0
-        while queue:
-            name = queue.pop()
-            seen += 1
-            for target in topology.downstream_of(name):
-                in_degree[target] -= 1
-                if in_degree[target] == 0:
-                    queue.append(target)
-        if seen != len(in_degree):
+    def _deal_order(self, topology: Topology) -> Sequence[Task]:
+        """Task ``i`` of the interleaved topological linearisation lands
+        on worker ``i % W``.  The DEBS'13 offline scheduler only handles
+        acyclic topologies, so a cyclic one is rejected, even when it is
+        already fully placed (R-Storm has no such limit)."""
+        if len(kahn_component_order(topology)) != len(topology.components):
             raise TopologyValidationError(
                 f"topology {topology.topology_id!r} is cyclic; the Aniello "
                 "offline scheduler only supports acyclic topologies"
             )
+        return ordered_tasks(topology, TaskOrderingStrategy.TOPOLOGICAL)

@@ -78,6 +78,10 @@ def interleaved_slots(cluster: Cluster) -> List[WorkerSlot]:
 class DefaultScheduler(IScheduler):
     """Round-robin scheduling with disregard for resources.
 
+    Each topology takes a window of consecutive interleaved slots, and
+    its unplaced tasks are dealt over that window in :meth:`_deal_order`;
+    a subclass that deals in another order changes nothing else.
+
     Args:
         workers_per_topology: How many worker slots each topology
             requests (Storm's ``topology.workers``).  ``None`` mirrors the
@@ -113,13 +117,14 @@ class DefaultScheduler(IScheduler):
         alive = {n.node_id for n in cluster.alive_nodes}
         result: Dict[str, Assignment] = {}
         for topology in topologies:
+            order = self._deal_order(topology)
             prior = existing.get(topology.topology_id)
             surviving: Dict[Task, WorkerSlot] = {}
             if prior is not None:
                 for task, slot in prior.as_dict().items():
                     if slot.node_id in alive:
                         surviving[task] = slot
-            missing = [t for t in topology.tasks if t not in surviving]
+            missing = [t for t in order if t not in surviving]
             if not missing:
                 result[topology.topology_id] = Assignment(
                     topology.topology_id, surviving
@@ -132,9 +137,15 @@ class DefaultScheduler(IScheduler):
             ]
             cursor = (cursor + num_workers) % len(slots)
             mapping = dict(surviving)
-            for i, task in enumerate(sorted(missing, key=lambda t: t.task_id)):
+            for i, task in enumerate(missing):
                 mapping[task] = chosen[i % len(chosen)]
             result[topology.topology_id] = Assignment(
                 topology.topology_id, mapping
             )
         return result
+
+    def _deal_order(self, topology: Topology) -> Sequence[Task]:
+        """The order in which a topology's unplaced tasks are dealt over
+        its slot window: task-id order, so the executors of one component
+        are spread across consecutive slots."""
+        return sorted(topology.tasks, key=lambda t: t.task_id)

@@ -73,16 +73,12 @@ class GlobalState:
         cluster: Cluster,
         topologies: Mapping[str, Topology],
         assignments: Mapping[str, Assignment],
-        reserve: bool = True,
     ) -> "GlobalState":
         """Rebuild state from live assignments (the stateless-Nimbus
         path).  Placements on dead nodes are dropped — those tasks are the
-        ones a new scheduling round must place again.
-
-        Args:
-            reserve: also re-apply resource reservations for the existing
-                placements (True for resource-aware scheduling rounds).
-        """
+        ones a new scheduling round must place again.  Surviving
+        placements of a known topology have their resource reservations
+        re-applied where a node lacks them."""
         state = cls(cluster)
         placements = state._placements
         slot_users = state._slot_users
@@ -91,7 +87,7 @@ class GlobalState:
         # filled on first use, so a fresh round resolves no node
         resolved: Dict[str, Optional[Node]] = {}
         for topo_id, assignment in assignments.items():
-            topology = topologies.get(topo_id) if reserve else None
+            topology = topologies.get(topo_id)
             # component -> declared demand, derived once per topology
             demand_of: Dict[str, ResourceVector] = {}
             slot_of = assignment.slot_of
@@ -157,11 +153,6 @@ class GlobalState:
     def node_of(self, task: Task) -> Optional[str]:
         slot = self._placements.get(task)
         return slot.node_id if slot else None
-
-    def tasks_on_node(self, node_id: str) -> List[Task]:
-        return sorted(
-            t for t, s in self._placements.items() if s.node_id == node_id
-        )
 
     def assignment_for(self, topology_id: str) -> Assignment:
         """Freeze the current placements of one topology: the assignment

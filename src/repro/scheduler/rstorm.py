@@ -149,9 +149,7 @@ class RStormScheduler(IScheduler):
         existing: Optional[Mapping[str, Assignment]] = None,
     ) -> Dict[str, Assignment]:
         topo_by_id = {t.topology_id: t for t in topologies}
-        state = GlobalState.from_assignments(
-            cluster, topo_by_id, existing or {}, reserve=True
-        )
+        state = GlobalState.from_assignments(cluster, topo_by_id, existing or {})
         result: Dict[str, Assignment] = {}
         for topology in topologies:
             self._schedule_topology(topology, cluster, state)

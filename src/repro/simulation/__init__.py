@@ -2,12 +2,7 @@
 
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
-from repro.simulation.export import (
-    report_as_dict,
-    throughput_series_csv,
-    write_report_json,
-    write_throughput_series_csv,
-)
+from repro.simulation.export import report_as_dict
 from repro.simulation.metrics import StatisticServer
 from repro.simulation.network import TransferModel
 from repro.simulation.report import LatencyStats, SimulationReport
@@ -26,7 +21,4 @@ __all__ = [
     "Tracer",
     "TransferModel",
     "report_as_dict",
-    "throughput_series_csv",
-    "write_report_json",
-    "write_throughput_series_csv",
 ]

@@ -1,66 +1,28 @@
 """Exporting simulation results.
 
-Writers for the artefacts people want out of a run: the per-window
-throughput series (the paper's figures are exactly these series) as CSV,
-a JSON-able summary dictionary for dashboards or regression tracking,
-and lossless binary round-trips of whole run outcomes — the format the
-experiment result cache and the process-pool harness move results
-through (:mod:`repro.experiments.cache` /
-:mod:`repro.experiments.parallel`).
+JSON-able summary dictionaries of a run and its outcome, for diffing and
+regression tracking, and lossless binary round-trips of whole run
+outcomes — the format the experiment result cache and the process-pool
+harness move results through (:mod:`repro.experiments.cache` /
+:mod:`repro.experiments.parallel`).  ``repro <exp> --save DIR`` writes
+a figure's table and its series CSV itself (``repro.cli.save_result``).
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import pickle
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict
 
 from repro.simulation.report import SimulationReport
 
 __all__ = [
-    "throughput_series_csv",
-    "write_throughput_series_csv",
     "report_as_dict",
-    "write_report_json",
     "outcome_as_dict",
     "dumps_outcome",
     "loads_outcome",
     "dump_outcome",
     "load_outcome",
 ]
-
-
-def throughput_series_csv(
-    report: SimulationReport, topology_ids: Optional[Sequence[str]] = None
-) -> str:
-    """The per-window throughput of each topology as CSV text.
-
-    Columns: ``window_start_s`` then one column per topology.
-    """
-    ids = list(topology_ids) if topology_ids is not None else list(
-        report.topology_ids
-    )
-    series = {tid: dict(report.throughput_series(tid)) for tid in ids}
-    starts = sorted({start for s in series.values() for start in s})
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["window_start_s"] + ids)
-    for start in starts:
-        writer.writerow(
-            [f"{start:g}"] + [series[tid].get(start, 0) for tid in ids]
-        )
-    return buffer.getvalue()
-
-
-def write_throughput_series_csv(
-    report: SimulationReport,
-    path: str,
-    topology_ids: Optional[Sequence[str]] = None,
-) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(throughput_series_csv(report, topology_ids))
 
 
 def report_as_dict(report: SimulationReport) -> Dict:
@@ -100,11 +62,6 @@ def report_as_dict(report: SimulationReport) -> Dict:
             "nic_bytes": report.stats.nic_bytes.get(node_id, 0),
         }
     return out
-
-
-def write_report_json(report: SimulationReport, path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(report_as_dict(report), handle, indent=2, sort_keys=True)
 
 
 # -- whole-outcome round-trips ------------------------------------------------

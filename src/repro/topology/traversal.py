@@ -9,12 +9,17 @@ physical co-location.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import TopologyValidationError
 from repro.topology.topology import Topology
 
-__all__ = ["bfs_component_order", "dfs_component_order", "topological_component_order"]
+__all__ = [
+    "bfs_component_order",
+    "dfs_component_order",
+    "kahn_component_order",
+    "topological_component_order",
+]
 
 
 def bfs_component_order(
@@ -94,10 +99,11 @@ def dfs_component_order(
     return visited
 
 
-def topological_component_order(topology: Topology) -> List[str]:
-    """Kahn topological order over the directed stream graph (second
-    ablation baseline).  Falls back to BFS order for cyclic topologies,
-    which have no topological order."""
+def kahn_component_order(topology: Topology) -> List[str]:
+    """Kahn's topological order over the directed stream graph, ties
+    broken by name.  Components on or downstream of a cycle never reach
+    in-degree zero, so they are left out: the order covers every
+    component exactly when the topology is acyclic."""
     in_degree = {name: 0 for name in topology.components}
     for _, target, _ in topology.edges():
         in_degree[target] += 1
@@ -110,6 +116,13 @@ def topological_component_order(topology: Topology) -> List[str]:
             in_degree[target] -= 1
             if in_degree[target] == 0:
                 queue.append(target)
-    if len(order) != len(in_degree):
+    return order
+
+
+def topological_component_order(topology: Topology) -> List[str]:
+    """Kahn topological order (second ablation baseline).  Falls back to
+    BFS order for cyclic topologies, which have no topological order."""
+    order = kahn_component_order(topology)
+    if len(order) != len(topology.components):
         return bfs_component_order(topology)
     return order

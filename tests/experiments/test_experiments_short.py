@@ -51,12 +51,17 @@ class TestFig9:
         for kind in ("linear", "diamond"):
             ratio = result.row_value({"topology": kind}, "throughput_ratio")
             assert 0.9 <= ratio <= 1.15, kind
+            r_tput = result.row_value({"topology": kind}, "rstorm_tuples_per_10s")
+            d_tput = result.row_value({"topology": kind}, "default_tuples_per_10s")
+            assert r_tput == pytest.approx(d_tput, rel=0.1), kind
             rstorm = result.row_value({"topology": kind}, "rstorm_nodes")
             default = result.row_value({"topology": kind}, "default_nodes")
+            assert default == 12, kind  # round-robin touches every node
             assert rstorm <= default * 0.67, kind
         # default's hot machines throttle the star (ratio 1.24 at 40 s)
         star = result.row_value({"topology": "star"}, "throughput_ratio")
         assert star > 1.1
+        assert result.row_value({"topology": "star"}, "rstorm_nodes") < 12
         # R-Storm never over-commits CPU given honest declarations.
         for row in result.rows:
             assert row["rstorm_max_cpu_overcommit"] <= 1.0 + 1e-9

@@ -40,7 +40,7 @@ class TestChaosUnit:
         outcome = small_unit().execute()
         assert isinstance(outcome, SingleRunOutcome)
         assert outcome.scheduler == "r-storm"
-        assert outcome.injected == ((15.0, "node_crash node-0-0"),)
+        assert outcome.injected == ((15.0, NodeCrash(at=15.0, node_id="node-0-0")),)
         recovery = outcome.recovery["chain"]
         assert len(recovery.faults) == 1
         assert recovery.baseline_tuples_per_window > 0

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.errors import SchedulingError  # noqa: E402
 from repro.scheduler.admission import (  # noqa: E402
     AdmissionRequest,
-    TenantSpec,
+    Tenant,
     dominant_share,
     jain_index,
     plan_admission,
@@ -37,7 +37,7 @@ def scenarios(draw):
         st.lists(tenant_ids, min_size=1, max_size=4, unique=True)
     )
     tenants = {
-        tid: TenantSpec(tid, weight=draw(weights), priority=draw(priorities))
+        tid: Tenant(tid, weight=draw(weights), priority=draw(priorities))
         for tid in ids
     }
     capacity = {
@@ -187,7 +187,7 @@ class TestWeightMonotonicity:
 
         def admitted_for(subject_weight):
             tenants = {
-                tid: TenantSpec(
+                tid: Tenant(
                     tid,
                     weight=subject_weight if tid == ids[0] else 1.0,
                 )
@@ -243,7 +243,7 @@ class TestShareAndJain:
         with pytest.raises(SchedulingError):
             dominant_share({"cpu": 1.0}, {"cpu": 2.0}, 0.0)
         with pytest.raises(SchedulingError):
-            TenantSpec("t", weight=-1.0)
+            Tenant("t", weight=-1.0)
 
     def test_rejects_nonpositive_headroom(self):
         with pytest.raises(SchedulingError):

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import emulab_testbed
 from repro.errors import TopologyValidationError
 from repro.scheduler.aniello import AnielloOfflineScheduler
+from repro.scheduler.default import DefaultScheduler
 from repro.scheduler.quality import evaluate_assignment
 from repro.topology.builder import TopologyBuilder
 from tests.conftest import make_linear
@@ -21,14 +22,19 @@ class TestAniello:
 
     def test_rejects_cyclic_topologies(self):
         """The DEBS'13 offline scheduler only handles acyclic topologies —
-        the limitation the paper calls out."""
+        the limitation the paper calls out — even one already placed."""
         builder = TopologyBuilder("cyclic")
         builder.set_spout("s", 1)
         builder.set_bolt("a", 1).shuffle_grouping("s").shuffle_grouping("b")
         builder.set_bolt("b", 1).shuffle_grouping("a")
         topology = builder.build()
+        cluster = emulab_testbed()
         with pytest.raises(TopologyValidationError):
-            AnielloOfflineScheduler().schedule([topology], emulab_testbed())
+            AnielloOfflineScheduler().schedule([topology], cluster)
+        placed = DefaultScheduler().schedule([topology], cluster)
+        assert placed["cyclic"].is_complete(topology)
+        with pytest.raises(TopologyValidationError):
+            AnielloOfflineScheduler().schedule([topology], cluster, placed)
 
     def test_better_locality_than_nothing_worse_than_rstorm(self):
         from repro.scheduler.rstorm import RStormScheduler

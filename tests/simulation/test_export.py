@@ -1,21 +1,12 @@
-"""Tests for result export (CSV series, JSON summaries)."""
+"""Tests for result export (JSON summaries)."""
 
-import csv
-import io
 import json
 
 import pytest
 
 from repro.cluster import emulab_testbed
 from repro.scheduler.rstorm import RStormScheduler
-from repro.simulation import (
-    SimulationConfig,
-    SimulationRun,
-    report_as_dict,
-    throughput_series_csv,
-    write_report_json,
-    write_throughput_series_csv,
-)
+from repro.simulation import SimulationConfig, SimulationRun, report_as_dict
 from tests.conftest import make_linear
 
 
@@ -30,30 +21,6 @@ def report():
         SimulationConfig(duration_s=30.0, warmup_s=10.0),
     )
     return run.run()
-
-
-class TestCsv:
-    def test_header_and_rows(self, report):
-        text = throughput_series_csv(report)
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["window_start_s", "chain"]
-        assert len(rows) == 1 + 3  # 3 windows in 30 s
-
-    def test_values_match_report(self, report):
-        text = throughput_series_csv(report)
-        rows = list(csv.reader(io.StringIO(text)))
-        series = dict(report.throughput_series("chain"))
-        for start_s, value in rows[1:]:
-            assert int(value) == series[float(start_s)]
-
-    def test_subset_of_topologies(self, report):
-        text = throughput_series_csv(report, topology_ids=["chain"])
-        assert "chain" in text.splitlines()[0]
-
-    def test_write_to_file(self, report, tmp_path):
-        path = tmp_path / "series.csv"
-        write_throughput_series_csv(report, str(path))
-        assert path.read_text().startswith("window_start_s")
 
 
 class TestJson:
@@ -77,7 +44,3 @@ class TestJson:
             assert node_id in payload["nodes"]
             assert 0.0 <= payload["nodes"][node_id]["cpu_utilisation"] <= 1.0
 
-    def test_write_json_file(self, report, tmp_path):
-        path = tmp_path / "report.json"
-        write_report_json(report, str(path))
-        assert json.loads(path.read_text())["topologies"]

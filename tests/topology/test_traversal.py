@@ -8,6 +8,7 @@ from repro.topology.builder import TopologyBuilder
 from repro.topology.traversal import (
     bfs_component_order,
     dfs_component_order,
+    kahn_component_order,
     topological_component_order,
 )
 
@@ -151,6 +152,15 @@ class TestTopological:
         assert topological_component_order(topology) == bfs_component_order(
             topology
         )
+
+    def test_kahn_leaves_out_cycle_and_what_it_feeds(self):
+        builder = TopologyBuilder("cyclic")
+        builder.set_spout("s", 1)
+        builder.set_bolt("a", 1).shuffle_grouping("s").shuffle_grouping("b")
+        builder.set_bolt("b", 1).shuffle_grouping("a")
+        builder.set_bolt("c", 1).shuffle_grouping("b")
+        builder.set_bolt("d", 1).shuffle_grouping("s")
+        assert kahn_component_order(builder.build()) == ["s", "d"]
 
     @settings(max_examples=40, deadline=None)
     @given(random_dag_topology())
