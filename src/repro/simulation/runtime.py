@@ -81,6 +81,11 @@ __all__ = ["SimulationRun"]
 #: simulated time.
 _MIN_SERVICE_S = 1e-6
 
+#: Work-item kinds.  Every payload carries the batch's tuple count at
+#: index 1: an emit is ``(arrived_at, tuples, key)`` (``arrived_at`` and
+#: ``key`` are None in closed loop), a process item is
+#: ``(root_id, tuples, level, ledger)`` and a replay is
+#: ``(attempt, tuples, origin_root, arrived_at)``.
 _EMIT = 0
 _PROCESS = 1
 _REPLAY = 2
@@ -673,19 +678,11 @@ class SimulationRun:
         """Input tuples queued (not yet serviced) across a component's
         tasks — the backlog signal the elastic controller samples."""
         topo_rt = self._topology_runtime(topology_id)
-        total = 0
-        for task in topo_rt.topology.tasks_of(component):
-            rt = self._task_runtimes[task]
-            for kind, payload in rt.work:
-                if kind == _PROCESS:
-                    total += payload[1]
-                elif kind == _REPLAY:
-                    total += payload[0]
-                elif payload is not None:  # open-loop _EMIT
-                    total += payload[1]
-                else:  # closed-loop _EMIT: profile-sized batch
-                    total += rt.profile.emit_batch_tuples
-        return total
+        return sum(
+            payload[1]
+            for task in topo_rt.topology.tasks_of(component)
+            for _, payload in self._task_runtimes[task].work
+        )
 
     def task_queue_depths(self, topology_id: str) -> Dict[Task, int]:
         """Queued work items per task (rebalance hot-spot signal)."""
@@ -846,7 +843,9 @@ class SimulationRun:
                 )
             return
         spout.emit_blocked = True
-        self._push_work(spout, _EMIT, None)
+        self._push_work(
+            spout, _EMIT, (None, spout.profile.emit_batch_tuples, None)
+        )
 
     def _wake_spout(self, spout: _TaskRuntime) -> None:
         spout.emit_timer_set = False
@@ -908,7 +907,7 @@ class SimulationRun:
         task.alive = False
         for kind, payload in task.work:
             if kind == _REPLAY:
-                self._abandon_replay(task.topo, payload[0])
+                self._abandon_replay(task.topo, payload[1])
             elif kind == _PROCESS:
                 ledger = payload[3]
                 # The lost batch returns its edge credit.
@@ -955,9 +954,11 @@ class SimulationRun:
         completion straight onto the engine heap (payload as args)."""
         task.running = True
         node_rt.active += 1
+        # A replay costs the spout the same CPU as the first emission.
+        tuples = payload[1]
         per_tuple_ms = task.profile.cpu_ms_per_tuple
         if kind == _PROCESS:
-            _, tuples, level, ledger = payload
+            _, _, level, ledger = payload
             if ledger is not None and ledger.drain():
                 # The batch left its bounded input queue and returned
                 # the edge credit that resumes its upstream producer.
@@ -966,17 +967,6 @@ class SimulationRun:
                 # Tuples from another worker process arrive serialised
                 # and must be decoded before user code runs.
                 per_tuple_ms += self._serde_ms
-        elif kind == _EMIT:
-            # Closed-loop emits carry no payload (the batch size is the
-            # profile's); open-loop payloads are (arrived_at, tuples, key).
-            tuples = (
-                task.profile.emit_batch_tuples if payload is None
-                else payload[1]
-            )
-        else:
-            # A replay costs the spout the same CPU as the first
-            # emission: payload is (tuples, attempt, origin_root, ...).
-            tuples = payload[0]
         service = (
             tuples * per_tuple_ms / 1e3
             * node_rt.slowdown * node_rt.fault_factor
@@ -1029,7 +1019,7 @@ class SimulationRun:
             # The spout (or its node) died while this replay was being
             # serviced: the retry state is gone with the worker, so the
             # origin resolves as explicitly exhausted, never silently.
-            self._abandon_replay(task.topo, payload[0])
+            self._abandon_replay(task.topo, payload[1])
         if (
             task.alive and task.work and not task.queued
             and not task.running and not task.fc_paused
@@ -1046,17 +1036,12 @@ class SimulationRun:
 
     # -- emit / process effects --------------------------------------------------------
 
-    def _finish_emit(self, spout: _TaskRuntime, payload=None) -> None:
+    def _finish_emit(self, spout: _TaskRuntime, payload) -> None:
+        # Closed loop: the spout's own profile-sized batch, routed by its
+        # root id.  Open loop: the batch the arrival process offered.
+        arrived_at, tuples, key = payload
         topo = spout.topo
         now = self.sim.now
-        if payload is None:
-            # Closed loop: the spout produced its own profile-sized batch,
-            # routed by its root id.
-            tuples = spout.profile.emit_batch_tuples
-            arrived_at = key = None
-        else:
-            # Open loop: the batch was offered by the arrival process.
-            arrived_at, tuples, key = payload
         if self._batch_observer is not None:
             self._batch_observer(TraceEvent(
                 now, EventKind.EMIT, topo.topology_id, task=spout.task,
@@ -1084,7 +1069,7 @@ class SimulationRun:
                     topo.topology_id, now - arrived_at
                 )
         spout.emit_blocked = False
-        if payload is None:
+        if arrived_at is None:
             # Closed loop only: the open loop's next emission is the next
             # arrival, so it has no credit/rate logic.
             if spout.profile.max_rate_tps is not None:
@@ -1136,7 +1121,7 @@ class SimulationRun:
             self._abandon_replay(spout.topo, tuples)
             return
         self._push_work(
-            spout, _REPLAY, (tuples, attempt, origin_root, arrived_at)
+            spout, _REPLAY, (attempt, tuples, origin_root, arrived_at)
         )
 
     def _finish_replay(self, spout: _TaskRuntime, payload) -> None:
@@ -1147,7 +1132,7 @@ class SimulationRun:
         sweep's early-exit scan depends on — and the ``replay`` event
         links it to ``origin_root`` causally.
         """
-        tuples, attempt, origin_root, arrived_at = payload
+        attempt, tuples, origin_root, arrived_at = payload
         topo = spout.topo
         now = self.sim.now
         root_id = next(topo.next_root)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import ResourceVector, emulab_testbed, single_rack_cluster
+from repro.cluster.network import DistanceLevel
 from repro.cluster.node import WorkerSlot
 from repro.errors import SchedulingError, SimulationError
 from repro.scheduler.assignment import Assignment
@@ -339,6 +340,33 @@ class TestUnknownNodeFaults:
         with pytest.raises(SimulationError, match="unknown node 'ghost'"):
             run._recover_node("ghost")
         assert events == []
+
+
+class TestComponentBacklog:
+    def test_sums_the_tuples_of_every_queued_work_kind(self):
+        """With every core busy, each kind of work item waits in its
+        task's queue, and the backlog adds up the batch sizes: the
+        profile's for a closed-loop emit, the carried count for an
+        open-loop emit, a replay and a delivery."""
+        profile = ExecutionProfile(
+            cpu_ms_per_tuple=0.05, tuple_bytes=64, emit_batch_tuples=7
+        )
+        topology = make_linear(parallelism=1, stages=2, profile=profile)
+        cluster = emulab_testbed()
+        assignment = RStormScheduler().schedule([topology], cluster)["chain"]
+        run = SimulationRun(cluster, [(topology, assignment)])
+        spout = run._task_runtimes[topology.tasks_of("stage-0")[0]]
+        bolt = run._task_runtimes[topology.tasks_of("stage-1")[0]]
+        for node_rt in run._nodes.values():
+            node_rt.active = node_rt.cores
+        run._try_emit(spout)  # closed-loop emit
+        run._arrive(spout, iter(()), ("chain", "stage-0", 0), 11, None)
+        run._start_replay(spout, 13, 1, 0, None)
+        for root_id, tuples in ((0, 17), (1, 19)):
+            run._deliver(bolt, root_id, tuples, DistanceLevel.INTER_NODE, None)
+        assert (len(spout.work), len(bolt.work)) == (3, 2)
+        assert run.component_backlog("chain", "stage-0") == 7 + 11 + 13
+        assert run.component_backlog("chain", "stage-1") == 17 + 19
 
 
 class TestDeterminism:
