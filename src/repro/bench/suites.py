@@ -33,7 +33,7 @@ Fourteen probes, ordered cheapest first:
 * ``overload-protect`` — the flow-control layer's hot path: the hotspot
   fan-in topology at 1.5x nominal with bounded queues, credit
   backpressure and tail-drop shedding enabled, so per-delivery credit
-  accounting, watermark checks and the shed ledger are all on the
+  accounting, watermark checks and the shed counters are all on the
   measured path under sustained stall/resume churn.
 * ``elastic-adapt`` — the elastic control loop adapting to sustained
   1.5x overload: per-period queue sampling, M/M/k sizing, live

@@ -21,9 +21,11 @@ backpressure plus DRS-style load shedding:
 * **Load shedding.**  A policy decides what happens to a batch arriving
   at a full queue: ``none`` (backpressure only), ``tail-drop`` (shed at
   capacity) or ``priority`` (low-priority tenants shed earlier, see
-  :func:`tenant_priorities`).  Every shed batch lands in the audited
-  :class:`ShedLedger`, and the delivery audit counts it: every origin
-  is acked, failed, exhausted **or shed**, never silently dropped.
+  :func:`tenant_priorities`).  Every shed batch is audited: the run's
+  ``StatisticServer`` counts its tuples exactly (per topology, stage,
+  component and window), an observer sees it as a ``shed`` trace
+  event, and the delivery audit counts it: every origin is acked,
+  failed, exhausted **or shed**, never silently dropped.
 
 :class:`FlowControl` holds one run's layer.  It is opt-in:
 ``SimulationConfig.flow`` defaults to ``None`` and the runtime's
@@ -46,8 +48,6 @@ __all__ = [
     "FlowControl",
     "FlowProducer",
     "CreditLedger",
-    "ShedLedger",
-    "ShedRecord",
     "SheddingPolicy",
     "make_policy",
     "tenant_priorities",
@@ -281,51 +281,6 @@ class FlowProducer:
 
 
 @dataclass(frozen=True)
-class ShedRecord:
-    """One audited shed decision (plain data, picklable)."""
-
-    time_s: float
-    topology_id: str
-    component: str
-    #: ``ingress`` (dropped at the spout before emission) or ``queue``
-    #: (dropped at a full bolt queue; the tuple tree resolves as shed).
-    stage: str
-    tuples: int
-    #: the policy that made the call (``tail-drop`` | ``priority``)
-    policy: str
-
-
-class ShedLedger:
-    """Bounded audit log of shed decisions with exact totals.
-
-    The record ring keeps the most recent ``capacity`` entries; the
-    totals never truncate, so the delivery-audit closure is exact even
-    on runs that shed millions of tuples.
-    """
-
-    __slots__ = ("capacity", "records", "total_tuples", "total_batches",
-                 "dropped_records")
-
-    def __init__(self, capacity: int = 10_000):
-        if capacity < 1:
-            raise ValueError("shed ledger capacity must be >= 1")
-        self.capacity = capacity
-        self.records: List[ShedRecord] = []
-        self.total_tuples = 0
-        self.total_batches = 0
-        #: records evicted from the bounded ring (totals still count them)
-        self.dropped_records = 0
-
-    def record(self, entry: ShedRecord) -> None:
-        self.total_tuples += entry.tuples
-        self.total_batches += 1
-        if len(self.records) >= self.capacity:
-            del self.records[0]
-            self.dropped_records += 1
-        self.records.append(entry)
-
-
-@dataclass(frozen=True)
 class SheddingPolicy:
     """Threshold-based shedding decision for one topology's queues.
 
@@ -377,12 +332,12 @@ def make_policy(config: FlowControlConfig) -> SheddingPolicy:
 
 
 class FlowControl:
-    """A run's flow layer: its shedding policy, its shed ledger and
-    every topology's credit edges.  An edge's :class:`CreditLedger` is
+    """A run's flow layer: its shedding policy and every topology's
+    credit edges.  An edge's :class:`CreditLedger` is
     created once; the producer's routes hold it, and every batch sent
     on the edge carries it until it drains."""
 
-    __slots__ = ("config", "policy", "shed_ledger", "producers")
+    __slots__ = ("config", "policy", "producers")
 
     def __init__(self, config: FlowControlConfig):
         self.config = config
@@ -390,7 +345,6 @@ class FlowControl:
         self.policy: Optional[SheddingPolicy] = (
             None if config.shedding == "none" else make_policy(config)
         )
-        self.shed_ledger = ShedLedger(config.shed_ledger_capacity)
         #: topology id -> component -> its producer state
         self.producers: Dict[str, Dict[str, FlowProducer]] = {}
 

@@ -59,12 +59,7 @@ from repro.errors import SchedulingError, SimulationError
 from repro.scheduler.assignment import Assignment
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
-from repro.simulation.flowcontrol import (
-    CreditLedger,
-    FlowControl,
-    ShedLedger,
-    ShedRecord,
-)
+from repro.simulation.flowcontrol import CreditLedger, FlowControl
 from repro.simulation.metrics import StatisticServer
 from repro.simulation.network import TransferModel
 from repro.simulation.report import SimulationReport
@@ -1417,7 +1412,8 @@ class SimulationRun:
     def _shed(
         self, topology_id: str, component: str, stage: str, tuples: int
     ) -> None:
-        """Record one audited shed decision."""
+        """Record one audited shed decision: the ``shed`` trace event
+        and the StatisticServer's exact shed counters."""
         now = self.sim.now
         if self._batch_observer is not None:
             self._batch_observer(TraceEvent(
@@ -1425,14 +1421,6 @@ class SimulationRun:
                 tuples=tuples, reason=stage,
             ))
         self.stats.record_shed(topology_id, component, stage, now, tuples)
-        flow = self._flow
-        flow.shed_ledger.record(ShedRecord(
-            now, topology_id, component, stage, tuples, flow.policy.name
-        ))
-
-    def shed_ledger(self) -> Optional[ShedLedger]:
-        """The run's audited shed ledger (None when flow is off)."""
-        return None if self._flow is None else self._flow.shed_ledger
 
     def flow_edges(self, topology_id: str) -> Dict[Tuple[str, str], CreditLedger]:
         """Per-edge credit ledgers (tests/diagnostics; flow on only)."""

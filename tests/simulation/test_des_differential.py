@@ -18,10 +18,12 @@ small two-rack cluster, a placement and a layer mix:
 It then runs the live and the frozen runtime on identical inputs and
 requires identical results: ``summary()``, ``delivery_audit()``, busy
 time per node (``float.hex``), NIC bytes, ``events_processed``, ack
-latencies, the shed ledger, the credit ledgers and the observer's event
-sequence: the full one, or for a subscribed observer the frozen side's
-full sequence filtered to its kinds.  Each side builds its own cluster, because node
-failure mutates ``Node``, and re-seeds :mod:`random` first.
+latencies, the shed counters (per topology, stage, component and
+window), the credit ledgers and the observer's event sequence: the full
+one, which holds every ``shed`` event, or for a subscribed observer the
+frozen side's full sequence filtered to its kinds.  Each side builds its
+own cluster, because node failure mutates ``Node``, and re-seeds
+:mod:`random` first.
 
 Tier-1 runs :data:`TIER1_EXAMPLES` examples.  CI runs this file alone
 under the ``des-oracle`` hypothesis profile (registered in
@@ -298,7 +300,6 @@ def outcome(runtime_module, case: Case) -> dict:
     report = run.run()
     topology_ids = [t.topology_id for t in topologies]
     stats = run.stats
-    ledger = run.shed_ledger()
     return {
         "summary": {
             tid: {key: float(value).hex() for key, value in row.items()}
@@ -312,13 +313,9 @@ def outcome(runtime_module, case: Case) -> dict:
             tid: [x.hex() for x in stats.ack_latencies(tid)]
             for tid in topology_ids
         },
-        "shed": None if ledger is None else (
-            ledger.total_tuples, ledger.total_batches, ledger.dropped_records,
-            [
-                (r.time_s.hex(), r.topology_id, r.component, r.stage,
-                 r.tuples, r.policy)
-                for r in ledger.records
-            ],
+        "shed": (
+            dict(stats.shed_totals), dict(stats.shed_stages),
+            dict(stats.shed_components), dict(stats.shed_windows),
         ),
         "credits": None if case.shedding is None else {
             (tid, edge): (c.pool, c.outstanding, c.sends, c.drains,

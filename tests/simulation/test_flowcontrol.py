@@ -13,8 +13,6 @@ from repro.simulation.flowcontrol import (
     SHEDDING_POLICIES,
     CreditLedger,
     FlowControlConfig,
-    ShedLedger,
-    ShedRecord,
     make_policy,
     tenant_priorities,
 )
@@ -209,29 +207,6 @@ class TestCreditLedgerProperties:
             ledger.drain()
         with pytest.raises(ValueError):
             ledger.drain()
-
-
-class TestShedLedger:
-    def _record(self, t, tuples=50):
-        return ShedRecord(
-            time_s=t, topology_id="topo", component="spout",
-            stage="ingress", tuples=tuples, policy="tail-drop",
-        )
-
-    def test_totals_exact_past_ring_capacity(self):
-        ledger = ShedLedger(capacity=3)
-        for i in range(10):
-            ledger.record(self._record(float(i)))
-        assert ledger.total_batches == 10
-        assert ledger.total_tuples == 500
-        assert len(ledger.records) == 3
-        assert ledger.dropped_records == 7
-        # The ring keeps the most recent records.
-        assert [r.time_s for r in ledger.records] == [7.0, 8.0, 9.0]
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ShedLedger(capacity=0)
 
 
 class TestSheddingPolicy:
