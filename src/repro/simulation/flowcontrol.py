@@ -82,8 +82,10 @@ class FlowControlConfig:
             Topologies absent from the map shed only at full capacity,
             like ``tail-drop``.  Build from a tenant registry with
             :func:`tenant_priorities`.
-        shed_ledger_capacity: Most recent shed records kept for audit
-            (totals are exact regardless).
+
+    Shed decisions need no knob of their own: the run's
+    ``StatisticServer`` keeps their exact totals and an observer sees
+    each one as a ``shed`` trace event.
     """
 
     queue_capacity: int = 64
@@ -91,7 +93,6 @@ class FlowControlConfig:
     low_watermark: float = 0.4
     shedding: str = "none"
     priorities: Tuple[Tuple[str, int], ...] = ()
-    shed_ledger_capacity: int = 10_000
 
     def __post_init__(self) -> None:
         if not isinstance(self.queue_capacity, int) or isinstance(
@@ -121,10 +122,6 @@ class FlowControlConfig:
                     "flow priorities must be (topology_id, int) pairs, "
                     f"got {pair!r}"
                 )
-        if not isinstance(self.shed_ledger_capacity, int) or isinstance(
-            self.shed_ledger_capacity, bool
-        ) or self.shed_ledger_capacity < 1:
-            raise ConfigError("flow shed_ledger_capacity must be >= 1")
 
 
 def tenant_priorities(

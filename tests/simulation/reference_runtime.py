@@ -1,7 +1,7 @@
 # Frozen DES oracle: a verbatim copy of src/repro/simulation/runtime.py at
-# commit 445cbcb, plus the _PRIORITY_FLOOR, CreditLedger, FlowProducer,
-# ShedRecord, ShedLedger, SheddingPolicy, make_policy and FlowControl code
-# of src/repro/simulation/flowcontrol.py it uses, inlined below with the
+# commit ad5d00b, plus the _PRIORITY_FLOOR, CreditLedger, FlowProducer,
+# SheddingPolicy, make_policy and FlowControl code of
+# src/repro/simulation/flowcontrol.py it uses, inlined below with the
 # runtime's flowcontrol import pointed at them.  The engine, network,
 # metrics, tracing, report and config modules stay shared with the live
 # runtime (they carry their own pins).
@@ -229,51 +229,6 @@ class FlowProducer:
 
 
 @dataclass(frozen=True)
-class ShedRecord:
-    """One audited shed decision (plain data, picklable)."""
-
-    time_s: float
-    topology_id: str
-    component: str
-    #: ``ingress`` (dropped at the spout before emission) or ``queue``
-    #: (dropped at a full bolt queue; the tuple tree resolves as shed).
-    stage: str
-    tuples: int
-    #: the policy that made the call (``tail-drop`` | ``priority``)
-    policy: str
-
-
-class ShedLedger:
-    """Bounded audit log of shed decisions with exact totals.
-
-    The record ring keeps the most recent ``capacity`` entries; the
-    totals never truncate, so the delivery-audit closure is exact even
-    on runs that shed millions of tuples.
-    """
-
-    __slots__ = ("capacity", "records", "total_tuples", "total_batches",
-                 "dropped_records")
-
-    def __init__(self, capacity: int = 10_000):
-        if capacity < 1:
-            raise ValueError("shed ledger capacity must be >= 1")
-        self.capacity = capacity
-        self.records: List[ShedRecord] = []
-        self.total_tuples = 0
-        self.total_batches = 0
-        #: records evicted from the bounded ring (totals still count them)
-        self.dropped_records = 0
-
-    def record(self, entry: ShedRecord) -> None:
-        self.total_tuples += entry.tuples
-        self.total_batches += 1
-        if len(self.records) >= self.capacity:
-            del self.records[0]
-            self.dropped_records += 1
-        self.records.append(entry)
-
-
-@dataclass(frozen=True)
 class SheddingPolicy:
     """Threshold-based shedding decision for one topology's queues.
 
@@ -325,12 +280,12 @@ def make_policy(config: FlowControlConfig) -> SheddingPolicy:
 
 
 class FlowControl:
-    """A run's flow layer: its shedding policy, its shed ledger and
-    every topology's credit edges.  An edge's :class:`CreditLedger` is
+    """A run's flow layer: its shedding policy and every topology's
+    credit edges.  An edge's :class:`CreditLedger` is
     created once; the producer's routes hold it, and every batch sent
     on the edge carries it until it drains."""
 
-    __slots__ = ("config", "policy", "shed_ledger", "producers")
+    __slots__ = ("config", "policy", "producers")
 
     def __init__(self, config: FlowControlConfig):
         self.config = config
@@ -338,7 +293,6 @@ class FlowControl:
         self.policy: Optional[SheddingPolicy] = (
             None if config.shedding == "none" else make_policy(config)
         )
-        self.shed_ledger = ShedLedger(config.shed_ledger_capacity)
         #: topology id -> component -> its producer state
         self.producers: Dict[str, Dict[str, FlowProducer]] = {}
 
@@ -378,6 +332,11 @@ class FlowControl:
 #: simulated time.
 _MIN_SERVICE_S = 1e-6
 
+#: Work-item kinds.  Every payload carries the batch's tuple count at
+#: index 1: an emit is ``(arrived_at, tuples, key)`` (``arrived_at`` and
+#: ``key`` are None in closed loop), a process item is
+#: ``(root_id, tuples, level, ledger)`` and a replay is
+#: ``(attempt, tuples, origin_root, arrived_at)``.
 _EMIT = 0
 _PROCESS = 1
 _REPLAY = 2
@@ -970,19 +929,11 @@ class SimulationRun:
         """Input tuples queued (not yet serviced) across a component's
         tasks — the backlog signal the elastic controller samples."""
         topo_rt = self._topology_runtime(topology_id)
-        total = 0
-        for task in topo_rt.topology.tasks_of(component):
-            rt = self._task_runtimes[task]
-            for kind, payload in rt.work:
-                if kind == _PROCESS:
-                    total += payload[1]
-                elif kind == _REPLAY:
-                    total += payload[0]
-                elif payload is not None:  # open-loop _EMIT
-                    total += payload[1]
-                else:  # closed-loop _EMIT: profile-sized batch
-                    total += rt.profile.emit_batch_tuples
-        return total
+        return sum(
+            payload[1]
+            for task in topo_rt.topology.tasks_of(component)
+            for _, payload in self._task_runtimes[task].work
+        )
 
     def task_queue_depths(self, topology_id: str) -> Dict[Task, int]:
         """Queued work items per task (rebalance hot-spot signal)."""
@@ -1143,7 +1094,9 @@ class SimulationRun:
                 )
             return
         spout.emit_blocked = True
-        self._push_work(spout, _EMIT, None)
+        self._push_work(
+            spout, _EMIT, (None, spout.profile.emit_batch_tuples, None)
+        )
 
     def _wake_spout(self, spout: _TaskRuntime) -> None:
         spout.emit_timer_set = False
@@ -1205,7 +1158,7 @@ class SimulationRun:
         task.alive = False
         for kind, payload in task.work:
             if kind == _REPLAY:
-                self._abandon_replay(task.topo, payload[0])
+                self._abandon_replay(task.topo, payload[1])
             elif kind == _PROCESS:
                 ledger = payload[3]
                 # The lost batch returns its edge credit.
@@ -1252,9 +1205,11 @@ class SimulationRun:
         completion straight onto the engine heap (payload as args)."""
         task.running = True
         node_rt.active += 1
+        # A replay costs the spout the same CPU as the first emission.
+        tuples = payload[1]
         per_tuple_ms = task.profile.cpu_ms_per_tuple
         if kind == _PROCESS:
-            _, tuples, level, ledger = payload
+            _, _, level, ledger = payload
             if ledger is not None and ledger.drain():
                 # The batch left its bounded input queue and returned
                 # the edge credit that resumes its upstream producer.
@@ -1263,17 +1218,6 @@ class SimulationRun:
                 # Tuples from another worker process arrive serialised
                 # and must be decoded before user code runs.
                 per_tuple_ms += self._serde_ms
-        elif kind == _EMIT:
-            # Closed-loop emits carry no payload (the batch size is the
-            # profile's); open-loop payloads are (arrived_at, tuples, key).
-            tuples = (
-                task.profile.emit_batch_tuples if payload is None
-                else payload[1]
-            )
-        else:
-            # A replay costs the spout the same CPU as the first
-            # emission: payload is (tuples, attempt, origin_root, ...).
-            tuples = payload[0]
         service = (
             tuples * per_tuple_ms / 1e3
             * node_rt.slowdown * node_rt.fault_factor
@@ -1326,7 +1270,7 @@ class SimulationRun:
             # The spout (or its node) died while this replay was being
             # serviced: the retry state is gone with the worker, so the
             # origin resolves as explicitly exhausted, never silently.
-            self._abandon_replay(task.topo, payload[0])
+            self._abandon_replay(task.topo, payload[1])
         if (
             task.alive and task.work and not task.queued
             and not task.running and not task.fc_paused
@@ -1343,17 +1287,12 @@ class SimulationRun:
 
     # -- emit / process effects --------------------------------------------------------
 
-    def _finish_emit(self, spout: _TaskRuntime, payload=None) -> None:
+    def _finish_emit(self, spout: _TaskRuntime, payload) -> None:
+        # Closed loop: the spout's own profile-sized batch, routed by its
+        # root id.  Open loop: the batch the arrival process offered.
+        arrived_at, tuples, key = payload
         topo = spout.topo
         now = self.sim.now
-        if payload is None:
-            # Closed loop: the spout produced its own profile-sized batch,
-            # routed by its root id.
-            tuples = spout.profile.emit_batch_tuples
-            arrived_at = key = None
-        else:
-            # Open loop: the batch was offered by the arrival process.
-            arrived_at, tuples, key = payload
         if self._batch_observer is not None:
             self._batch_observer(TraceEvent(
                 now, EventKind.EMIT, topo.topology_id, task=spout.task,
@@ -1381,7 +1320,7 @@ class SimulationRun:
                     topo.topology_id, now - arrived_at
                 )
         spout.emit_blocked = False
-        if payload is None:
+        if arrived_at is None:
             # Closed loop only: the open loop's next emission is the next
             # arrival, so it has no credit/rate logic.
             if spout.profile.max_rate_tps is not None:
@@ -1433,7 +1372,7 @@ class SimulationRun:
             self._abandon_replay(spout.topo, tuples)
             return
         self._push_work(
-            spout, _REPLAY, (tuples, attempt, origin_root, arrived_at)
+            spout, _REPLAY, (attempt, tuples, origin_root, arrived_at)
         )
 
     def _finish_replay(self, spout: _TaskRuntime, payload) -> None:
@@ -1444,7 +1383,7 @@ class SimulationRun:
         sweep's early-exit scan depends on — and the ``replay`` event
         links it to ``origin_root`` causally.
         """
-        tuples, attempt, origin_root, arrived_at = payload
+        attempt, tuples, origin_root, arrived_at = payload
         topo = spout.topo
         now = self.sim.now
         root_id = next(topo.next_root)
@@ -1729,7 +1668,8 @@ class SimulationRun:
     def _shed(
         self, topology_id: str, component: str, stage: str, tuples: int
     ) -> None:
-        """Record one audited shed decision."""
+        """Record one audited shed decision: the ``shed`` trace event
+        and the StatisticServer's exact shed counters."""
         now = self.sim.now
         if self._batch_observer is not None:
             self._batch_observer(TraceEvent(
@@ -1737,14 +1677,6 @@ class SimulationRun:
                 tuples=tuples, reason=stage,
             ))
         self.stats.record_shed(topology_id, component, stage, now, tuples)
-        flow = self._flow
-        flow.shed_ledger.record(ShedRecord(
-            now, topology_id, component, stage, tuples, flow.policy.name
-        ))
-
-    def shed_ledger(self) -> Optional[ShedLedger]:
-        """The run's audited shed ledger (None when flow is off)."""
-        return None if self._flow is None else self._flow.shed_ledger
 
     def flow_edges(self, topology_id: str) -> Dict[Tuple[str, str], CreditLedger]:
         """Per-edge credit ledgers (tests/diagnostics; flow on only)."""

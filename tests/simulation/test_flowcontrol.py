@@ -41,7 +41,6 @@ class TestFlowControlConfig:
             dict(priorities=(("topo",),)),
             dict(priorities=(("topo", "gold"),)),
             dict(priorities=(("topo", True),)),
-            dict(shed_ledger_capacity=0),
         ],
     )
     def test_invalid_rejected(self, kwargs):
