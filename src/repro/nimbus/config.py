@@ -62,8 +62,6 @@ KEYS: Dict[str, Tuple[str, Any, Optional[Bounds]]] = {
     "nimbus.tenancy.preemption.enabled": ("bool", True, None),
     "nimbus.tenancy.max.preemptions": ("int", 2, _NON_NEGATIVE),
     "topology.workers": ("int or null", None, _AT_LEAST_ONE),
-    "topology.max.spout.pending": ("int", 10, _AT_LEAST_ONE),
-    "topology.message.timeout.secs": ("number", 30.0, _POSITIVE),
 }
 
 

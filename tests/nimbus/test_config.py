@@ -81,7 +81,6 @@ class TestTypedAccess:
         config = StormConfig()
         assert config["supervisor.cpu.capacity"] == 400.0
         assert config["nimbus.scheduler.interval.secs"] == 10.0  # the paper's period
-        assert config["topology.max.spout.pending"] == 10
         assert config["topology.workers"] is None
 
     def test_from_yaml_overrides(self):
