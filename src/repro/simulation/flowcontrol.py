@@ -83,9 +83,9 @@ class FlowControlConfig:
             like ``tail-drop``.  Build from a tenant registry with
             :func:`tenant_priorities`.
 
-    Shed decisions need no knob of their own: the run's
-    ``StatisticServer`` keeps their exact totals and an observer sees
-    each one as a ``shed`` trace event.
+    Every shed decision is audited with no setting of its own: the
+    run's ``StatisticServer`` keeps exact shed totals, and an observer
+    receives each decision as a ``shed`` trace event.
     """
 
     queue_capacity: int = 64
