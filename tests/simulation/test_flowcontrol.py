@@ -41,6 +41,7 @@ class TestFlowControlConfig:
             dict(priorities=(("topo",),)),
             dict(priorities=(("topo", "gold"),)),
             dict(priorities=(("topo", True),)),
+            dict(priorities=((7, 1),)),  # topology id not a str
         ],
     )
     def test_invalid_rejected(self, kwargs):
