@@ -13,7 +13,7 @@
 # for the opt-in layers (elastic, tenancy) — proof that the default
 # experiment grids are not perturbed by the layer existing.
 #
-# Usage: scripts/ci_smoke.sh {figure|chaos|traffic|elastic|tenancy|backpressure}
+# Usage: scripts/ci_smoke.sh {figure|chaos|traffic|elastic|tenancy|backpressure|scheduling}
 
 set -euo pipefail
 
@@ -70,7 +70,7 @@ hash_seed_independent() {
 
 # NB: no braces inside the ${1:?...} message — bash would close the
 # expansion at the first "}" and glue the rest onto the value.
-scenario="${1:?usage: $0 figure|chaos|traffic|elastic|tenancy|backpressure}"
+scenario="${1:?usage: $0 figure|chaos|traffic|elastic|tenancy|backpressure|scheduling}"
 
 case "$scenario" in
 figure)
@@ -165,6 +165,37 @@ backpressure)
     fresh_default_grids
     ! grep -qE "shed|throttled|stall|backpressure" \
         fig9-default.txt chaos-default.txt traffic-default.txt
+    ;;
+scheduling)
+    cold_warm_fresh scalability scalability
+    # Neither the cached table nor tier-1 reads a clock, so R-Storm's
+    # scheduling latency at the table's own scales and seeds is bounded
+    # here: each scale's mean round must stay far below Nimbus's 10 s
+    # period (under 1 s) and grow sub-quadratically with the node count.
+    echo "== scheduling: R-Storm latency bounds over the scalability grid"
+    PYTHONPATH=src python - <<'PY'
+import time
+
+from repro.experiments import scalability
+from repro.scheduler.rstorm import RStormScheduler
+
+samples = {}
+for unit in scalability.units():
+    if unit.scheduler.fn is not RStormScheduler:
+        continue
+    cluster = unit.cluster.build()
+    topologies = [t.build() for t in unit.topologies]
+    started = time.perf_counter()
+    RStormScheduler().schedule(topologies, cluster)
+    samples.setdefault(len(cluster), []).append(time.perf_counter() - started)
+mean_ms = {n: 1e3 * sum(s) / len(s) for n, s in sorted(samples.items())}
+for nodes, ms in mean_ms.items():
+    print(f"{nodes:>4} nodes: r-storm {ms:.2f} ms per round")
+    assert ms < 1000, (nodes, ms)
+small, large = min(mean_ms), max(mean_ms)
+ratio = mean_ms[large] / max(mean_ms[small], 0.01)
+assert ratio < (large / small) ** 2, (ratio, large / small)
+PY
     ;;
 *)
     echo "unknown scenario: $scenario" >&2

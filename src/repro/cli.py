@@ -165,9 +165,7 @@ def save_result(result: ExperimentResult, directory: str) -> List[str]:
 
 def _run_one(name: str, args, context: ExperimentContext) -> None:
     runner = REGISTRY[name]
-    if name == "overhead":
-        result = runner(context=context)
-    elif name == "chaos":
+    if name == "chaos":
         result = runner(
             duration_s=args.duration,
             context=context,

@@ -14,7 +14,6 @@ from repro.experiments import (
     overload,
     protection,
     scalability,
-    scheduling_overhead,
     tenants,
     weight_sweep,
 )
@@ -43,7 +42,6 @@ REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {
     "fig10": fig10_cpu_utilization.run,
     "fig12": fig12_yahoo.run,
     "fig13": fig13_multi_topology.run,
-    "overhead": scheduling_overhead.run,
     "ablations": ablations.run,
     "weights": weight_sweep.run,
     "scalability": scalability.run,

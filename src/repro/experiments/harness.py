@@ -57,8 +57,8 @@ __all__ = [
 class SingleRunOutcome:
     """Everything measured for one DES run.
 
-    The fields after ``scheduling_latency_s`` belong to the optional
-    layers and keep their empty defaults unless the run set that layer.
+    The fields after ``qualities`` belong to the optional layers and
+    keep their empty defaults unless the run set that layer.
     """
 
     scheduler: str
@@ -67,7 +67,6 @@ class SingleRunOutcome:
     assignments: Dict[str, Assignment]
     #: placement quality per topology (runs placed without Nimbus only)
     qualities: Dict[str, ScheduleQuality] = field(default_factory=dict)
-    scheduling_latency_s: float = 0.0
     # -- faults and elastic scaling ---------------------------------------
     #: per-topology recovery and churn metrics from the causal trace
     recovery: Dict[str, RecoveryReport] = field(default_factory=dict)
@@ -260,9 +259,6 @@ class Wiring:
                 else dict(self.nimbus.assignments)
             ),
             qualities=self.qualities,
-            scheduling_latency_s=(
-                self.placement.duration_s if self.placement else 0.0
-            ),
         )
         if self.nimbus is not None:
             outcome.scheduling_failures = tuple(self.nimbus.scheduling_failures)

@@ -19,8 +19,8 @@ Two unit kinds cover the whole suite:
   ``tenants`` all run one code path, and layers compose in one unit.
 * :class:`ScheduleUnit` — schedule only, evaluate placement quality and
   the analytical flow-model prediction; returns a
-  :class:`ScheduleOutcome` (scalability, scheduling overhead — the DES
-  would take minutes per point at those scales).
+  :class:`ScheduleOutcome` (the scalability sweep — the DES would take
+  minutes per point at those scales).
 
 :func:`run_units` executes a batch: cache hits return instantly, misses
 fan out over a :class:`concurrent.futures.ProcessPoolExecutor` when
@@ -154,7 +154,6 @@ class ScheduleOutcome:
     scheduler: str
     assignments: Dict[str, Assignment]
     qualities: Dict[str, ScheduleQuality]
-    scheduling_latency_s: float
     #: flow-model steady-state prediction, tuples/s per topology
     predicted_tps: Dict[str, float]
 
@@ -163,41 +162,29 @@ class ScheduleOutcome:
 class ScheduleUnit:
     """Schedule + evaluate + flow-model predict, without the DES.
 
-    Used where simulation is unnecessary or unaffordable: the
-    scheduling-overhead benchmark (latency only) and the scalability
-    sweep (analytical throughput on clusters the DES would chew minutes
-    on).  Cached latency figures are wall-clock measurements from the
-    run that produced the entry.
+    Used where simulation is unaffordable: the scalability sweep
+    (analytical throughput on clusters the DES would chew minutes on).
     """
 
     scheduler: FactorySpec
     topologies: Tuple[FactorySpec, ...]
     cluster: FactorySpec
-    config: Optional[SimulationConfig] = None
-    interrack_uplink_mbps: Optional[float] = None
-    trial: int = 0
     label: str = field(default="", compare=False)
 
     def execute(self) -> ScheduleOutcome:
         scheduler = self.scheduler.build()
         topologies = [t.build() for t in self.topologies]
         cluster = self.cluster.build()
-        round_info = scheduler.run(topologies, cluster)
-        assignments = round_info.assignments
+        assignments = scheduler.schedule(topologies, cluster)
         placements = [
             (t, assignments[t.topology_id]) for t in topologies
         ]
         qualities = placement_qualities(topologies, assignments, cluster)
-        flow = FlowModel(
-            cluster,
-            self.config,
-            interrack_uplink_mbps=self.interrack_uplink_mbps,
-        ).solve(placements)
+        flow = FlowModel(cluster).solve(placements)
         return ScheduleOutcome(
             scheduler=scheduler.name,
             assignments=assignments,
             qualities=qualities,
-            scheduling_latency_s=round_info.duration_s,
             predicted_tps=dict(flow.topology_throughput_tps),
         )
 

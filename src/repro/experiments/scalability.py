@@ -3,13 +3,15 @@
 The paper closes by arguing R-Storm's concepts apply to any DAG-based
 stream processor; this experiment checks the *scheduler* holds up as
 clusters and topologies grow well past the 12-node testbed.  For each
-scale it measures:
+scale it reports:
 
-* scheduling latency (must stay far below Nimbus's 10 s period),
 * predicted steady-state throughput of the R-Storm vs default placements
   (via the analytical flow model — the DES would take minutes per point
   at these scales, the flow model microseconds),
 * placement locality.
+
+Scheduling latency is wall clock, so no cached table prints it; the
+``sched-*`` probes of ``repro bench`` time the schedulers.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.scheduler.default import DefaultScheduler
 from repro.scheduler.rstorm import RStormScheduler
 from repro.workloads.generator import TopologySpec, random_topology
 
-__all__ = ["run", "SCALES"]
+__all__ = ["run", "units", "SCALES"]
 
 #: (racks, nodes per rack, topology seed count)
 SCALES: List[Tuple[int, int, int]] = [
@@ -46,21 +48,12 @@ _SPEC = TopologySpec(
 SCHEDULERS = (("r-storm", RStormScheduler), ("default", DefaultScheduler))
 
 
-def run(
-    duration_s: float = 0.0,
-    context: Optional[ExperimentContext] = None,
-) -> ExperimentResult:
-    """``duration_s`` is accepted for CLI uniformity and ignored — the
-    throughput column comes from the analytical model."""
-    context = context or ExperimentContext()
-    result = ExperimentResult(
-        experiment_id="scalability",
-        title="Scheduler scalability on growing clusters (flow-model throughput)",
-    )
+def units() -> List[ScheduleUnit]:
+    """One schedule-only unit per scale, seed and scheduler, in row order."""
     capacity = ResourceVector.of(
         memory_mb=8192.0, cpu=400.0, bandwidth_mbps=1000.0
     )
-    units = [
+    return [
         ScheduleUnit(
             scheduler=spec(factory),
             topologies=(spec(random_topology, seed, _SPEC),),
@@ -76,11 +69,23 @@ def run(
         for seed in range(seeds)
         for name, factory in SCHEDULERS
     ]
-    outcomes = iter(context.run(units))
+
+
+def run(
+    duration_s: float = 0.0,
+    context: Optional[ExperimentContext] = None,
+) -> ExperimentResult:
+    """``duration_s`` is accepted for CLI uniformity and ignored — the
+    throughput column comes from the analytical model."""
+    context = context or ExperimentContext()
+    result = ExperimentResult(
+        experiment_id="scalability",
+        title="Scheduler scalability on growing clusters (flow-model throughput)",
+    )
+    outcomes = iter(context.run(units()))
     for racks, nodes_per_rack, seeds in SCALES:
         num_nodes = racks * nodes_per_rack
         totals = {"r-storm": 0.0, "default": 0.0}
-        latency = {"r-storm": 0.0, "default": 0.0}
         locality = {"r-storm": 0.0, "default": 0.0}
         tasks = 0
         for seed in range(seeds):
@@ -89,7 +94,6 @@ def run(
             for name, _ in SCHEDULERS:
                 outcome = next(outcomes)
                 topo_id = topology.topology_id
-                latency[name] += outcome.scheduling_latency_s
                 totals[name] += outcome.predicted_tps[topo_id]
                 locality[name] += outcome.qualities[
                     topo_id
@@ -97,8 +101,6 @@ def run(
         result.add_row(
             nodes=num_nodes,
             tasks=tasks,
-            rstorm_ms=round(1e3 * latency["r-storm"] / seeds, 2),
-            default_ms=round(1e3 * latency["default"] / seeds, 2),
             rstorm_pred_tps=round(totals["r-storm"] / seeds),
             default_pred_tps=round(totals["default"] / seeds),
             rstorm_mean_netdist=round(locality["r-storm"] / seeds, 2),
@@ -106,11 +108,9 @@ def run(
         )
     result.note(
         "Throughput is the analytical flow-model prediction averaged over "
-        "random topologies; scheduling latency is wall clock (from the "
-        "run that produced the cache entry, when cached).  The flow "
-        "model ignores latency and queueing, so R-Storm's locality "
-        "advantage shows in the netdist column rather than predicted tps "
-        "on these resource-rich clusters."
+        "random topologies.  The flow model ignores latency and "
+        "queueing, so R-Storm's locality advantage shows in the netdist "
+        "column rather than predicted tps on these resource-rich clusters."
     )
     return result
 

@@ -11,7 +11,6 @@ anything they need is rebuilt from the cluster and the live assignments
 from __future__ import annotations
 
 import abc
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence
 
@@ -28,24 +27,17 @@ class SchedulingRound:
 
     scheduler: str
     topologies: Sequence[str]
-    duration_s: float
     assignments: Dict[str, Assignment] = field(default_factory=dict)
     newly_scheduled: Dict[str, int] = field(default_factory=dict)
-
-    def __repr__(self) -> str:
-        return (
-            f"SchedulingRound({self.scheduler!r}, "
-            f"topologies={list(self.topologies)}, "
-            f"duration={self.duration_s * 1e3:.2f}ms)"
-        )
 
 
 class IScheduler(abc.ABC):
     """Base class for all schedulers.
 
     Subclasses implement :meth:`schedule`.  The convenience wrapper
-    :meth:`run` measures wall-clock scheduling latency (the paper's
-    real-time requirement: scheduling must be "snappy").
+    :meth:`run` also counts the tasks each round newly placed.  The
+    ``sched-*`` probes of ``repro bench`` time the schedulers (the
+    paper's real-time requirement: scheduling must be "snappy").
     """
 
     #: human-readable scheduler name used in configs and reports
@@ -86,10 +78,8 @@ class IScheduler(abc.ABC):
         cluster: Cluster,
         existing: Optional[Mapping[str, Assignment]] = None,
     ) -> SchedulingRound:
-        """Invoke :meth:`schedule` and capture latency diagnostics."""
-        started = time.perf_counter()
+        """Invoke :meth:`schedule` and count the newly placed tasks."""
         assignments = self.schedule(topologies, cluster, existing)
-        duration = time.perf_counter() - started
         newly = {}
         for topo in topologies:
             before = existing.get(topo.topology_id) if existing else None
@@ -110,7 +100,6 @@ class IScheduler(abc.ABC):
         return SchedulingRound(
             scheduler=self.name,
             topologies=[t.topology_id for t in topologies],
-            duration_s=duration,
             assignments=assignments,
             newly_scheduled=newly,
         )

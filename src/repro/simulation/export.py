@@ -66,7 +66,7 @@ def report_as_dict(report: SimulationReport) -> Dict:
 
 # -- whole-outcome round-trips ------------------------------------------------
 #
-# A SingleRunOutcome (report + assignments + qualities + latency) must
+# A SingleRunOutcome (report + assignments + qualities) must
 # survive two journeys losslessly: process boundaries (ProcessPoolExecutor
 # workers return them) and disk (the content-addressed result cache).
 # Everything in an outcome is plain data — frozen dataclasses, dicts of
@@ -84,7 +84,6 @@ def outcome_as_dict(outcome: Any) -> Dict:
     """
     out: Dict = {
         "scheduler": outcome.scheduler,
-        "scheduling_latency_s": outcome.scheduling_latency_s,
         "report": report_as_dict(outcome.report),
         "assignments": {},
         "qualities": {},

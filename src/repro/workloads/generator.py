@@ -1,8 +1,8 @@
 """Random topology generation.
 
 Layered DAGs with randomised parallelism, groupings, resource
-declarations and execution profiles — used by the scheduling-overhead
-benchmark, the fuzz tests (any generated topology must schedule and
+declarations and execution profiles — used by the scalability
+experiment, the fuzz tests (any generated topology must schedule and
 simulate without violating invariants), and as a starting point for
 users' own synthetic workloads.
 

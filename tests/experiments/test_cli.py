@@ -12,7 +12,6 @@ class TestRegistry:
             assert figure in REGISTRY
 
     def test_extras_registered(self):
-        assert "overhead" in REGISTRY
         assert "ablations" in REGISTRY
 
 
@@ -48,27 +47,6 @@ class TestMain:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig8" in out and "ablations" in out
-
-    def test_run_overhead_experiment(self, monkeypatch, capsys):
-        from repro import cli
-
-        results = []
-        runner = cli.REGISTRY["overhead"]
-
-        def recording_run(**kwargs):
-            results.append(runner(**kwargs))
-            return results[-1]
-
-        monkeypatch.setitem(cli.REGISTRY, "overhead", recording_run)
-        assert main(["overhead"]) == 0
-        out = capsys.readouterr().out
-        assert "overhead" in out
-        assert "r-storm_ms" in out
-        # every scheduler at every scale is far below the 10 s period
-        for row in results[0].rows:
-            for column, value in row.items():
-                if column.endswith("_ms"):
-                    assert value < 1000.0, (row["nodes"], column)
 
     def test_chaos_flags_threaded_to_runner(self, monkeypatch, capsys):
         from repro import cli

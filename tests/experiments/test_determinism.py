@@ -34,15 +34,9 @@ def _unit(trial=0):
 
 
 def _snapshot(outcome) -> str:
-    """Canonical JSON of everything deterministic an outcome reports.
-
-    ``scheduling_latency_s`` is wall clock — by design it differs run to
-    run — so it is excluded; report, assignments and qualities must match
-    byte for byte.
-    """
-    snapshot = outcome_as_dict(outcome)
-    snapshot.pop("scheduling_latency_s", None)
-    return json.dumps(snapshot, sort_keys=True)
+    """Canonical JSON of everything an outcome reports: report,
+    assignments and qualities must match byte for byte."""
+    return json.dumps(outcome_as_dict(outcome), sort_keys=True)
 
 
 class TestUnitDeterminism:

@@ -20,14 +20,11 @@ class TestScalabilityExperiment:
     def test_smoke(self):
         result = scalability.run()
         assert len(result.rows) == len(scalability.SCALES)
+        # The latency bounds (under 1 s per row, sub-quadratic growth)
+        # are wall clock: scripts/ci_smoke.sh's scheduling scenario
+        # checks them.
         for row in result.rows:
-            assert row["rstorm_ms"] < 1000  # well below the 10 s period
             assert row["rstorm_mean_netdist"] < row["default_mean_netdist"]
-        # latency grows sub-quadratically with cluster size in this range
-        small = result.rows[0]["rstorm_ms"]
-        large = result.rows[-1]["rstorm_ms"]
-        nodes_ratio = result.rows[-1]["nodes"] / result.rows[0]["nodes"]
-        assert large / max(small, 0.01) < nodes_ratio**2
 
     def test_registered(self):
         assert "scalability" in REGISTRY

@@ -15,7 +15,6 @@ class TestRunWrapper:
         round_info = RStormScheduler().run([topology], cluster)
         assert isinstance(round_info, SchedulingRound)
         assert round_info.scheduler == "r-storm"
-        assert round_info.duration_s > 0
         assert round_info.newly_scheduled["chain"] == 4
         assert round_info.topologies == ["chain"]
 

@@ -11,7 +11,6 @@ from repro.cluster import (
     uniform_cluster,
 )
 from repro.errors import SchedulingError
-from repro.experiments import scheduling_overhead
 from repro.scheduler.aniello import AnielloOfflineScheduler
 from repro.scheduler.default import DefaultScheduler
 from repro.scheduler.global_state import GlobalState
@@ -20,6 +19,32 @@ from repro.scheduler.quality import aggregate_node_load, evaluate_assignment
 from repro.scheduler.rstorm import DistanceWeights, RStormScheduler
 from repro.topology.builder import TopologyBuilder
 from tests.conftest import make_linear
+
+
+def make_chain_topology(depth, parallelism, name="chain"):
+    """A linear chain of ``depth`` components at the given parallelism."""
+    builder = TopologyBuilder(name)
+    builder.set_spout("stage-00", parallelism).set_memory_load(
+        128.0
+    ).set_cpu_load(10.0)
+    for i in range(1, depth):
+        bolt = builder.set_bolt(f"stage-{i:02d}", parallelism)
+        bolt.shuffle_grouping(f"stage-{i - 1:02d}")
+        bolt.set_memory_load(128.0).set_cpu_load(10.0)
+    return builder.build()
+
+
+def make_cluster(num_nodes):
+    """``num_nodes`` 16-core nodes split across two racks."""
+    nodes_per_rack = max(1, num_nodes // 2)
+    return uniform_cluster(
+        nodes_per_rack=nodes_per_rack,
+        racks=max(1, num_nodes // nodes_per_rack),
+        capacity=ResourceVector.of(
+            memory_mb=16384.0, cpu=1600.0, bandwidth_mbps=1000.0
+        ),
+        slots_per_node=4,
+    )
 
 
 class TestDistanceWeights:
@@ -57,9 +82,9 @@ class TestBasicScheduling:
 
     @pytest.mark.parametrize("scheduler", [RStormScheduler, DefaultScheduler])
     def test_overhead_experiment_scale_placed_completely(self, scheduler):
-        """The overhead experiment's 64-node, 8x16-task scale."""
-        topology = scheduling_overhead.make_chain_topology(8, 16)
-        cluster = scheduling_overhead.make_cluster(64)
+        """A 64-node cluster and an 8-stage chain of 16 tasks each."""
+        topology = make_chain_topology(8, 16)
+        cluster = make_cluster(64)
         assignment = scheduler().schedule([topology], cluster)["chain"]
         assert assignment.is_complete(topology)
         assert len(assignment) == 128
