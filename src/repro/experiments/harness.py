@@ -437,7 +437,7 @@ def admit(
     for round_index in range(rounds):
         for due, tenant_id, topology in submissions:
             if due == round_index:
-                tenancy.submit(topology, tenant_id)
+                tenancy.submit(nimbus, topology, tenant_id)
         try:
             nimbus.schedule_round(round_index * interval_s)
         except SchedulingError as err:

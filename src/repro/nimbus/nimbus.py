@@ -245,7 +245,7 @@ class Nimbus:
                 # Admission runs with quarantined nodes masked, so the
                 # weighted-DRF capacity matches what the schedulers
                 # will actually see this round.
-                self.tenancy.admission_round(now)
+                self.tenancy.admission_round(self, now)
             existing = self._live_assignments()
             round_info = self.scheduler.run(
                 self.topologies, self.cluster, existing

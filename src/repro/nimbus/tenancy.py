@@ -63,11 +63,14 @@ class TenancyController:
 
     Binds itself to ``nimbus.tenancy``;
     :meth:`Nimbus.schedule_round` calls :meth:`admission_round` once per
-    round — only when ``nimbus.tenancy.enabled`` is set.
+    round — only when ``nimbus.tenancy.enabled`` is set.  The controller
+    keeps no reference to its Nimbus (Nimbus holds the controller, so
+    one back would close a reference cycle): the methods that act on
+    Nimbus take it as their first argument.
     """
 
     def __init__(self, nimbus):
-        self.nimbus = nimbus
+        self.config = nimbus.config
         self.tenants: Dict[str, Tenant] = {}
         #: tenant id -> FIFO of pending (not yet admitted) topologies
         self._pending: Dict[str, List[Topology]] = {}
@@ -89,7 +92,7 @@ class TenancyController:
 
     @property
     def enabled(self) -> bool:
-        return self.nimbus.config["nimbus.tenancy.enabled"]
+        return self.config["nimbus.tenancy.enabled"]
 
     def register_tenant(self, tenant: Tenant) -> None:
         if tenant.tenant_id in self.tenants:
@@ -117,8 +120,8 @@ class TenancyController:
 
     # -- submission -----------------------------------------------------
 
-    def submit(self, topology: Topology, tenant_id: str) -> None:
-        """Submit ``topology`` on behalf of ``tenant_id``.
+    def submit(self, nimbus, topology: Topology, tenant_id: str) -> None:
+        """Submit ``topology`` to ``nimbus`` on behalf of ``tenant_id``.
 
         Disabled (``nimbus.tenancy.enabled: false``), this is a strict
         pass-through to ``Nimbus.submit_topology`` — admission never
@@ -137,7 +140,7 @@ class TenancyController:
             )
         self._owner[topology_id] = tenant_id
         if not self.enabled:
-            self.nimbus.submit_topology(topology)
+            nimbus.submit_topology(topology)
             return
         self._pending[tenant_id].append(topology)
 
@@ -146,14 +149,16 @@ class TenancyController:
     def _demand(self, topology: Topology) -> Dict[str, float]:
         return topology.total_demand().as_dict()
 
-    def _capacity(self) -> Dict[str, float]:
+    def _capacity(self, nimbus) -> Dict[str, float]:
         totals: Dict[str, float] = {}
-        for node in self.nimbus.cluster.alive_nodes:
+        for node in nimbus.cluster.alive_nodes:
             for dim, value in node.capacity.as_dict().items():
                 totals[dim] = totals.get(dim, 0.0) + value
         return totals
 
-    def admission_round(self, now: float = 0.0) -> Optional[AdmissionPlan]:
+    def admission_round(
+        self, nimbus, now: float = 0.0
+    ) -> Optional[AdmissionPlan]:
         """Run one weighted-DRF admission step against current slack.
 
         Called by ``Nimbus.schedule_round`` (quarantined nodes already
@@ -170,7 +175,7 @@ class TenancyController:
                 tenant_id=self._owner[topology.topology_id],
                 demand=self._demand(topology),
             )
-            for topology in self.nimbus.topologies
+            for topology in nimbus.topologies
             if topology.topology_id in self._owner
         ]
         pending = [
@@ -182,11 +187,11 @@ class TenancyController:
             for tenant_id, queue in self._pending.items()
             for topology in queue
         ]
-        config = self.nimbus.config
+        config = self.config
         plan = plan_admission(
             pending,
             running,
-            self._capacity(),
+            self._capacity(nimbus),
             self.tenants,
             self.credits,
             headroom=config["nimbus.tenancy.headroom"],
@@ -199,9 +204,9 @@ class TenancyController:
         # reservations, so admitted topologies see the freed slack when
         # the scheduler places them this same round.
         for topology_id in plan.evicted:
-            victim = self.nimbus.topology(topology_id)
+            victim = nimbus.topology(topology_id)
             self.preempted_tasks += victim.num_tasks
-            self.nimbus.kill_topology(topology_id)
+            nimbus.kill_topology(topology_id)
             # Back to the *front* of the owner's queue: the victim
             # competes again next round before its tenant's newer work.
             self._pending[self._owner[topology_id]].insert(0, victim)
@@ -213,7 +218,7 @@ class TenancyController:
                 for i, topology in enumerate(queue)
                 if topology.topology_id == topology_id
             )
-            self.nimbus.submit_topology(queue.pop(index))
+            nimbus.submit_topology(queue.pop(index))
         self.credits = dict(plan.credits)
         self.decisions.extend(plan.decisions)
         self.round_records.append(

@@ -166,20 +166,23 @@ class CreditLedger:
 
     __slots__ = (
         "pool", "outstanding", "sends", "drains", "stalled",
-        "stall_count", "_stall_at", "_resume_at", "producer", "consumer",
+        "stall_count", "_stall_at", "_resume_at", "topology_id",
+        "producer", "consumer",
     )
 
     def __init__(self, pool: int, high_watermark: float,
-                 low_watermark: float,
-                 producer: Optional["FlowProducer"] = None,
-                 consumer: str = ""):
+                 low_watermark: float, topology_id: str = "",
+                 producer: str = "", consumer: str = ""):
         self.outstanding = 0
         self.sends = 0
         self.drains = 0
         self.stalled = False
         self.stall_count = 0
-        #: the edge's ends inside a run: its producer component's stall
-        #: state and its consumer component's name
+        #: the edge inside a run, by name: its topology and its producer
+        #: and consumer components.  A name, not the producer's
+        #: :class:`FlowProducer`, which holds the ledger: the ledger
+        #: holding it back would close a reference cycle.
+        self.topology_id = topology_id
         self.producer = producer
         self.consumer = consumer
         self.resize(pool, high_watermark, low_watermark)
@@ -256,7 +259,8 @@ class FlowProducer:
     """One producer component's backpressure state in a run.
 
     Stall state is per component: a producer stalls when *any* of its
-    out edges is saturated, and resumes only when none is.
+    out edges is saturated, and resumes only when none is.  Its ledgers
+    name it rather than point at it (see :class:`CreditLedger`).
     """
 
     __slots__ = ("topology_id", "name", "is_spout", "tasks", "out",
@@ -369,7 +373,7 @@ class FlowControl:
                 ledger = producer.out.get(consumer)
                 if ledger is None:
                     producer.out[consumer] = CreditLedger(
-                        pool, high, low, producer, consumer
+                        pool, high, low, topology_id, name, consumer
                     )
                 elif ledger.resize(pool, high, low):
                     flipped.append(ledger)

@@ -42,6 +42,15 @@ Each traced transition tests the run's ``observer`` slot and, when it is
 set, hands it one :class:`~repro.simulation.tracing.TraceEvent`; the
 per-batch transitions test ``_batch_observer``, which the ``observer``
 setter fills only for an observer that reads per-batch kinds.
+
+The runtime's object graph is acyclic, so reference counting alone frees
+a run once its event heap is cleared.  References point forward only:
+the run holds its topology, node and task runtimes, a task holds its
+topology and node runtimes and its routes, and a route holds its
+consumers.  Everything that points back at a task is an index into the
+run's task table (``_tasks``): a node's run queue and task list, a
+topology's spout list and each in-flight tree's spout.  A topology whose
+own streams form a cycle still closes one through its routes.
 """
 
 from __future__ import annotations
@@ -108,7 +117,11 @@ def _assign_keys(stream, keys: Iterator[int]):
 
 
 class _NodeRuntime:
-    """Per-node execution state: cores, run queue, slowdown factors."""
+    """Per-node execution state: cores, run queue, slowdown factors.
+
+    ``ready`` (the run queue) and ``tasks`` hold task-table indices, not
+    task runtimes: a task points at its node, never the reverse.
+    """
 
     __slots__ = ("node", "node_id", "cores", "active", "ready", "slowdown",
                  "fault_factor", "tasks")
@@ -118,13 +131,13 @@ class _NodeRuntime:
         self.node_id = node.node_id
         self.cores = node.cores
         self.active = 0
-        self.ready: Deque["_TaskRuntime"] = deque()
+        self.ready: Deque[int] = deque()
         self.slowdown = 1.0
         #: service-time multiplier from injected CPU degradation faults
         #: (1.0 = healthy); orthogonal to the thrash/overcommit factors,
         #: which are recomputed from placements.
         self.fault_factor = 1.0
-        self.tasks: List["_TaskRuntime"] = []
+        self.tasks: List[int] = []
 
 
 class _OutRoute:
@@ -159,12 +172,12 @@ class _TaskRuntime:
         "task", "component", "profile", "topo", "slot", "node", "work",
         "running", "queued", "alive", "out_routes", "inflight",
         "emit_blocked", "emit_timer_set", "next_emit_time", "is_spout",
-        "fc_paused", "counter_key",
+        "fc_paused", "counter_key", "index",
     )
 
     def __init__(self, task: Task, component: Component,
                  topo: "_TopologyRuntime", slot: WorkerSlot,
-                 node: _NodeRuntime):
+                 node: _NodeRuntime, index: int):
         self.task = task
         self.component = component
         self.profile = component.profile
@@ -188,6 +201,8 @@ class _TaskRuntime:
         self.fc_paused = False
         #: this task's key in the run's processed-tuples counter
         self.counter_key = (topo.topology_id, task.component)
+        #: this task's position in the run's task table
+        self.index = index
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"_TaskRuntime({self.task})"
@@ -204,12 +219,13 @@ class _PendingTree:
     __slots__ = ("remaining", "spout", "emitted_at", "tuples", "attempt",
                  "origin_root", "arrived_at")
 
-    def __init__(self, remaining: int, spout: "_TaskRuntime",
+    def __init__(self, remaining: int, spout: int,
                  emitted_at: float, tuples: int, attempt: int,
                  origin_root: int,
                  arrived_at: Optional[float] = None) -> None:
         #: outstanding deliveries; the tree acks when this reaches zero.
         self.remaining = remaining
+        #: the emitting spout's task-table index
         self.spout = spout
         self.emitted_at = emitted_at
         self.tuples = tuples
@@ -226,7 +242,7 @@ class _PendingTree:
 
 
 class _TopologyRuntime:
-    """Per-topology acker state."""
+    """Per-topology acker state.  ``spouts`` holds task-table indices."""
 
     __slots__ = ("topology", "topology_id", "assignment", "pending",
                  "next_root", "spouts", "origins_created",
@@ -240,7 +256,7 @@ class _TopologyRuntime:
         #: root id -> in-flight tree, insertion-ordered by emit time.
         self.pending: Dict[int, _PendingTree] = {}
         self.next_root = itertools.count()
-        self.spouts: List[_TaskRuntime] = []
+        self.spouts: List[int] = []
         # -- at-least-once audit counters (only maintained when the
         # -- delivery layer is on; see SimulationRun.delivery_audit).
         #: root tuples whose trees entered the acker
@@ -320,6 +336,10 @@ class SimulationRun:
             node.node_id: _NodeRuntime(node) for node in cluster.nodes
         }
         self._topologies: List[_TopologyRuntime] = []
+        #: the task table: every task runtime at its ``index`` (None once
+        #: a rescale removed it); whatever points back at a task holds
+        #: its index
+        self._tasks: List[Optional[_TaskRuntime]] = []
         self._task_runtimes: Dict[Task, _TaskRuntime] = {}
         for topology, assignment in placements:
             self._add_topology(topology, assignment)
@@ -344,7 +364,7 @@ class SimulationRun:
         targets = self._targets(assignment, topology, "assignment")
         topo_rt = _TopologyRuntime(topology, assignment)
         runtimes = self._spawn_tasks(topo_rt, topology.tasks, targets)
-        topo_rt.spouts = [rt for rt in runtimes if rt.is_spout]
+        topo_rt.spouts = [rt.index for rt in runtimes if rt.is_spout]
         if self._flow is not None:
             self._init_flow(topo_rt)
         self._wire_routes(topology)
@@ -378,14 +398,16 @@ class SimulationRun:
     ) -> List[_TaskRuntime]:
         """Bring up empty runtimes for ``tasks`` on their target slots."""
         runtimes = []
+        table = self._tasks
         for task in tasks:
             slot, node_rt = targets[task]
             rt = _TaskRuntime(
                 task, topo_rt.topology.component(task.component), topo_rt,
-                slot, node_rt,
+                slot, node_rt, len(table),
             )
             rt.alive = node_rt.node.alive
-            node_rt.tasks.append(rt)
+            table.append(rt)
+            node_rt.tasks.append(rt.index)
             self._task_runtimes[task] = rt
             runtimes.append(rt)
         return runtimes
@@ -448,9 +470,10 @@ class SimulationRun:
         exceeds its physical capacity — the hard-constraint violation the
         default scheduler can commit and R-Storm never does.
         """
+        table = self._tasks
         for node_rt in self._nodes.values():
             resident_mb = sum(
-                rt.component.resident_memory_mb for rt in node_rt.tasks
+                table[i].component.resident_memory_mb for i in node_rt.tasks
             )
             capacity_mb = node_rt.node.capacity.memory_mb
             if capacity_mb > 0 and resident_mb > capacity_mb:
@@ -474,8 +497,8 @@ class SimulationRun:
             for topo_rt in self._topologies:
                 if self._open_loop:
                     self._start_arrivals(topo_rt)
-                for spout in topo_rt.spouts:
-                    self._try_emit(spout)  # a no-op in open loop
+                for i in topo_rt.spouts:
+                    self._try_emit(self._tasks[i])  # a no-op in open loop
                 self._schedule_sweep(topo_rt)
         self.sim.run(horizon)
         return self.report()
@@ -554,7 +577,8 @@ class SimulationRun:
         moved = self._rebind(topo_rt, topology.tasks, targets)
         self._placement_version += 1
         self._recompute_node_factors()
-        for spout in topo_rt.spouts:
+        for i in topo_rt.spouts:
+            spout = self._tasks[i]
             if spout.alive:
                 self._try_emit(spout)
         if self.observer is not None:
@@ -600,7 +624,8 @@ class SimulationRun:
             t for t in new_tasks
             if new_topology.component(t.component).is_spout
         }
-        if {spout.task for spout in topo_rt.spouts} != new_spouts:
+        table = self._tasks
+        if {table[i].task for i in topo_rt.spouts} != new_spouts:
             raise SimulationError(
                 f"rescale cannot change spout tasks of {topology_id!r}: "
                 "arrival streams are bound to spout task identity"
@@ -614,17 +639,21 @@ class SimulationRun:
             rt = self._task_runtimes.pop(task)
             self._teardown(rt)
             rt.out_routes = []
-            rt.node.tasks.remove(rt)
+            rt.node.tasks.remove(rt.index)
+            table[rt.index] = None
         moved = self._rebind(topo_rt, sorted(old_tasks & new_tasks), targets)
         # Bring up added tasks (empty queues, ready for routed work).
         self._spawn_tasks(topo_rt, added, targets)
         self._wire_routes(new_topology)
-        topo_rt.spouts = [self._task_runtimes[t] for t in sorted(new_spouts)]
+        topo_rt.spouts = [
+            self._task_runtimes[t].index for t in sorted(new_spouts)
+        ]
         self._placement_version += 1
         self._recompute_node_factors()
         if self._flow is not None:
             self._init_flow(topo_rt)
-        for spout in topo_rt.spouts:
+        for i in topo_rt.spouts:
+            spout = table[i]
             if spout.alive:
                 self._try_emit(spout)
         if self.observer is not None:
@@ -655,15 +684,15 @@ class SimulationRun:
             if new_slot == rt.slot:
                 continue
             moved += 1
-            rt.node.tasks.remove(rt)
+            rt.node.tasks.remove(rt.index)
             self._unqueue(rt)
             rt.slot = new_slot
             rt.node = new_node
             rt.alive = new_node.node.alive
-            new_node.tasks.append(rt)
+            new_node.tasks.append(rt.index)
             if rt.alive and rt.work and not rt.running:
                 rt.queued = True
-                new_node.ready.append(rt)
+                new_node.ready.append(rt.index)
                 self._dispatch(new_node)
         return moved
 
@@ -706,8 +735,9 @@ class SimulationRun:
                 TraceEvent(self.sim.now, EventKind.NODE_DOWN, node=node_id)
             )
         node_rt.node.fail()
-        for rt in node_rt.tasks:
-            self._teardown(rt)
+        table = self._tasks
+        for i in node_rt.tasks:
+            self._teardown(table[i])
         node_rt.ready.clear()
 
     def _recover_node(self, node_id: str) -> None:
@@ -720,13 +750,15 @@ class SimulationRun:
                 TraceEvent(self.sim.now, EventKind.NODE_UP, node=node_id)
             )
         node_rt.node.recover()
-        for rt in node_rt.tasks:
+        table = self._tasks
+        for i in node_rt.tasks:
+            rt = table[i]
             rt.alive = True
             if rt.is_spout:
                 self._try_emit(rt)
             elif rt.work and not rt.queued and not rt.running:
                 rt.queued = True
-                node_rt.ready.append(rt)
+                node_rt.ready.append(i)
         self._dispatch(node_rt)
 
     # -- open-loop arrivals ----------------------------------------------------------
@@ -742,7 +774,8 @@ class SimulationRun:
         config = self.config
         keygen = config.arrival_keys
         topo_id = topo_rt.topology_id
-        for spout in topo_rt.spouts:
+        for i in topo_rt.spouts:
+            spout = self._tasks[i]
             source = (topo_id, spout.component.name, spout.task.instance)
             rng = random.Random(
                 derive_stream_seed(config.arrival_seed, *source)
@@ -865,7 +898,7 @@ class SimulationRun:
             return
         if not task.queued and not task.running and not task.fc_paused:
             task.queued = True
-            node_rt.ready.append(task)
+            node_rt.ready.append(task.index)
             if node_rt.active < node_rt.cores:
                 self._dispatch(node_rt)
 
@@ -918,7 +951,7 @@ class SimulationRun:
         """Take a task off its node's run queue, if it is on it."""
         if task.queued:
             try:
-                task.node.ready.remove(task)
+                task.node.ready.remove(task.index)
             except ValueError:  # pragma: no cover - defensive
                 pass
             task.queued = False
@@ -934,8 +967,9 @@ class SimulationRun:
         node = node_rt.node  # liveness off the Node: no property call
         ready = node_rt.ready
         cores = node_rt.cores
+        table = self._tasks
         while node.alive and node_rt.active < cores and ready:
-            task = ready.popleft()
+            task = table[ready.popleft()]
             task.queued = False
             if not task.alive or not task.work or task.fc_paused:
                 continue
@@ -1020,7 +1054,7 @@ class SimulationRun:
             and not task.running and not task.fc_paused
         ):
             task.queued = True
-            task.node.ready.append(task)
+            task.node.ready.append(task.index)
             if task.node is not node_rt:
                 # Only after a migration mid-flight; the common case (the
                 # task completed on its own node) is covered by the
@@ -1049,7 +1083,7 @@ class SimulationRun:
         )
         if deliveries:
             topo.pending[root_id] = _PendingTree(
-                deliveries, spout, now, tuples, 0, root_id, arrived_at
+                deliveries, spout.index, now, tuples, 0, root_id, arrived_at
             )
             spout.inflight += 1
             if self._track_origins:
@@ -1079,7 +1113,7 @@ class SimulationRun:
         its spout's credit returns."""
         del topo.pending[root_id]
         now = self.sim.now
-        spout = entry.spout
+        spout = self._tasks[entry.spout]
         spout.inflight -= 1
         latency = now - entry.emitted_at
         if self._batch_observer is not None:
@@ -1138,7 +1172,7 @@ class SimulationRun:
             # A replayed tree keeps its original arrival anchor, so the
             # e2e latency of an eventually-acked origin spans its retries.
             topo.pending[root_id] = _PendingTree(
-                deliveries, spout, now, tuples, attempt, origin_root,
+                deliveries, spout.index, now, tuples, attempt, origin_root,
                 arrived_at,
             )
             spout.inflight += 1
@@ -1183,7 +1217,7 @@ class SimulationRun:
                 "pending": len(topo_rt.pending),
                 "replays_outstanding": topo_rt.replays_outstanding,
                 "spout_inflight": sum(
-                    spout.inflight for spout in topo_rt.spouts
+                    self._tasks[i].inflight for i in topo_rt.spouts
                 ),
             }
         return audit
@@ -1333,7 +1367,7 @@ class SimulationRun:
         stalled out edge, every task of the producer pauses: paused
         bolts stop draining their input queues, so their upstream edges
         fill next, until the spouts stop emitting."""
-        producer = ledger.producer
+        producer = self._flow.producers[ledger.topology_id][ledger.producer]
         self.stats.record_credit_stall(
             producer.topology_id, producer.name, ledger.consumer
         )
@@ -1355,7 +1389,7 @@ class SimulationRun:
         its producer is stalled, backpressure releases: the producer
         unpauses and its live tasks restart (spouts emit again, tasks
         with a backlog drain it)."""
-        producer = ledger.producer
+        producer = self._flow.producers[ledger.topology_id][ledger.producer]
         producer.stalled_edges -= 1
         if producer.stalled_edges:
             return
@@ -1378,7 +1412,7 @@ class SimulationRun:
                 self._try_emit(rt)
             if rt.work and not rt.queued and not rt.running:
                 rt.queued = True
-                rt.node.ready.append(rt)
+                rt.node.ready.append(rt.index)
                 self._dispatch(rt.node)
 
     def _shed_delivery(
@@ -1404,7 +1438,7 @@ class SimulationRun:
         )
         if entry is not None:
             topo.origins_shed += 1
-            spout = entry.spout
+            spout = self._tasks[entry.spout]
             spout.inflight -= 1
             if spout.alive:
                 self._try_emit(spout)
@@ -1456,9 +1490,10 @@ class SimulationRun:
             else:
                 break
         at_least_once = self._at_least_once
+        table = self._tasks
         for root in expired:
             entry = topo_rt.pending.pop(root)
-            spout = entry.spout
+            spout = table[entry.spout]
             spout.inflight -= 1
             if self._batch_observer is not None:
                 self._batch_observer(TraceEvent(

@@ -71,33 +71,33 @@ class TestSLO:
 
 class TestRegistry:
     def test_duplicate_tenant_rejected(self):
-        _, controller = make_nimbus()
+        nimbus, controller = make_nimbus()
         controller.register_tenant(Tenant("acme"))
         with pytest.raises(SchedulingError):
             controller.register_tenant(Tenant("acme"))
 
     def test_bad_weight_rejected(self):
-        _, controller = make_nimbus()
+        nimbus, controller = make_nimbus()
         with pytest.raises(SchedulingError):
             controller.register_tenant(Tenant("acme", weight=0.0))
         assert "acme" not in controller.tenants
 
     def test_submit_unknown_tenant_rejected(self):
-        _, controller = make_nimbus()
+        nimbus, controller = make_nimbus()
         with pytest.raises(SchedulingError):
-            controller.submit(topo("t0"), "ghost")
+            controller.submit(nimbus, topo("t0"), "ghost")
 
     def test_duplicate_topology_rejected(self):
-        _, controller = make_nimbus()
+        nimbus, controller = make_nimbus()
         controller.register_tenant(Tenant("acme"))
-        controller.submit(topo("t0"), "acme")
+        controller.submit(nimbus, topo("t0"), "acme")
         with pytest.raises(SchedulingError):
-            controller.submit(topo("t0"), "acme")
+            controller.submit(nimbus, topo("t0"), "acme")
 
     def test_owner_tracking(self):
-        _, controller = make_nimbus()
+        nimbus, controller = make_nimbus()
         controller.register_tenant(Tenant("acme"))
-        controller.submit(topo("t0"), "acme")
+        controller.submit(nimbus, topo("t0"), "acme")
         assert controller.tenant_of("t0") == "acme"
         assert controller.tenant_of("nope") is None
         assert controller.owners() == {"t0": "acme"}
@@ -107,7 +107,7 @@ class TestAdmission:
     def test_fit_admits_and_schedules(self):
         nimbus, controller = make_nimbus()
         controller.register_tenant(Tenant("acme"))
-        controller.submit(topo("t0"), "acme")
+        controller.submit(nimbus, topo("t0"), "acme")
         assert controller.pending_ids == ["t0"]
         assert nimbus.topologies == []
 
@@ -124,7 +124,7 @@ class TestAdmission:
     def test_no_pending_means_no_record(self):
         nimbus, controller = make_nimbus()
         controller.register_tenant(Tenant("acme"))
-        controller.submit(topo("t0"), "acme")
+        controller.submit(nimbus, topo("t0"), "acme")
         nimbus.schedule_round(now=0.0)
         nimbus.schedule_round(now=10.0)  # nothing pending: no-op
         assert len(controller.round_records) == 1
@@ -133,8 +133,8 @@ class TestAdmission:
         nimbus, controller = make_nimbus()
         controller.register_tenant(Tenant("acme", weight=2.0))
         controller.register_tenant(Tenant("burst", weight=1.0))
-        controller.submit(topo("a0"), "acme")
-        controller.submit(topo("b0"), "burst")
+        controller.submit(nimbus, topo("a0"), "acme")
+        controller.submit(nimbus, topo("b0"), "burst")
 
         nimbus.schedule_round(now=0.0)
         # Tie on share=0; tenant id breaks it: acme admits, burst waits
@@ -151,8 +151,8 @@ class TestAdmission:
         nimbus, controller = make_nimbus()
         controller.register_tenant(Tenant("acme"))
         controller.register_tenant(Tenant("burst"))
-        controller.submit(topo("a0"), "acme")
-        controller.submit(topo("b0"), "burst")
+        controller.submit(nimbus, topo("a0"), "acme")
+        controller.submit(nimbus, topo("b0"), "burst")
         nimbus.schedule_round(now=0.0)
         assert controller.credits["burst"] == pytest.approx(1.0)
 
@@ -169,11 +169,11 @@ class TestPreemption:
         controller.register_tenant(
             Tenant("gold", priority=2, slo=SLO(p99_ms=500.0))
         )
-        controller.submit(topo("f0"), "free")
+        controller.submit(nimbus, topo("f0"), "free")
         nimbus.schedule_round(now=0.0)
         assert "f0" in nimbus.assignments
 
-        controller.submit(topo("g0"), "gold")
+        controller.submit(nimbus, topo("g0"), "gold")
         nimbus.schedule_round(now=10.0)
         # gold cannot fit beside f0 on the one node: f0 is evicted
         # (reservations released via kill_topology), g0 placed, and the
@@ -191,10 +191,10 @@ class TestPreemption:
         nimbus, controller = make_nimbus()
         controller.register_tenant(Tenant("a", priority=1))
         controller.register_tenant(Tenant("b", priority=1))
-        controller.submit(topo("a0"), "a")
+        controller.submit(nimbus, topo("a0"), "a")
         nimbus.schedule_round(now=0.0)
 
-        controller.submit(topo("b0"), "b")
+        controller.submit(nimbus, topo("b0"), "b")
         nimbus.schedule_round(now=10.0)
         assert "a0" in nimbus.assignments
         assert "b0" not in nimbus.assignments
@@ -207,9 +207,9 @@ class TestPreemption:
         )
         controller.register_tenant(Tenant("free", priority=0))
         controller.register_tenant(Tenant("gold", priority=2))
-        controller.submit(topo("f0"), "free")
+        controller.submit(nimbus, topo("f0"), "free")
         nimbus.schedule_round(now=0.0)
-        controller.submit(topo("g0"), "gold")
+        controller.submit(nimbus, topo("g0"), "gold")
         nimbus.schedule_round(now=10.0)
         assert "f0" in nimbus.assignments
         assert "g0" not in nimbus.assignments

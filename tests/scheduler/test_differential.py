@@ -703,7 +703,7 @@ class TestTenancyDisabledDifferential:
                 controller.register_tenant(tenant)
             for index, topology in enumerate(topologies):
                 controller.submit(
-                    topology, self.TENANTS[index % 2].tenant_id
+                    nimbus, topology, self.TENANTS[index % 2].tenant_id
                 )
             nimbus.schedule_round()
             want = ref_cls().schedule(topologies, roomy())
@@ -731,7 +731,9 @@ class TestTenancyDisabledDifferential:
         for tenant in self.TENANTS:
             controller.register_tenant(tenant)
         for index, topology in enumerate(topologies):
-            controller.submit(topology, self.TENANTS[index % 2].tenant_id)
+            controller.submit(
+                nimbus, topology, self.TENANTS[index % 2].tenant_id
+            )
         for round_index in range(3):
             nimbus.schedule_round(now=float(round_index) * 10.0)
 

@@ -156,7 +156,7 @@ class TestAckerEdgeCases:
         )
         run, topology = pinned_run(config)
         run.run()
-        spout = run._topologies[0].spouts[0]
+        spout = run._tasks[run._topologies[0].spouts[0]]
         cap = config.max_spout_pending
         assert 0 <= spout.inflight <= cap
         assert len(run._topologies[0].pending) == spout.inflight
@@ -189,7 +189,7 @@ class TestAckerEdgeCases:
             cluster, [(topology, Assignment("slow", mapping))], config
         )
         report = run.run()
-        spout = run._topologies[0].spouts[0]
+        spout = run._tasks[run._topologies[0].spouts[0]]
         # double credit would drive inflight negative and let pending
         # diverge from the spout ledger
         assert spout.inflight >= 0

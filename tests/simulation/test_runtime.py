@@ -262,7 +262,7 @@ def placement_state(run):
     return (
         {rt.task: rt.slot for rt in run._task_runtimes.values()},
         {
-            node_id: [rt.task for rt in node_rt.tasks]
+            node_id: [run._tasks[i].task for i in node_rt.tasks]
             for node_id, node_rt in run._nodes.items()
         },
         run._topology_runtime("chain").assignment,
