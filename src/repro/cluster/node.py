@@ -108,6 +108,16 @@ class Node:
     def reservations(self) -> Dict[str, ResourceVector]:
         return dict(self._reservations)
 
+    def resource_values(
+        self,
+    ) -> Tuple[ResourceSchema, Tuple[float, ...], Tuple[float, ...]]:
+        """``(schema, capacity values, availability values)`` in one
+        call: the scheduler's packed view reads this row for every alive
+        node on every round, where five property reads per node showed
+        in profiles."""
+        capacity = self._capacity
+        return capacity._schema, capacity._values, self._available._values
+
     def has_reservation(self, label: str) -> bool:
         """Membership test without the defensive copy that the
         :attr:`reservations` property takes (the scheduling hot path

@@ -151,13 +151,15 @@ class Nimbus:
         placements are dropped so the scheduler re-places those tasks and
         their stale reservations are released.
 
-        Reservations are released in task order: float addition is not
-        associative, so a hash-ordered release would leave a node's
-        recovered availability depending on ``PYTHONHASHSEED``.
+        Each lost node's reservations are released in its task order:
+        float addition is not associative, so a hash-ordered release
+        would leave a node's recovered availability depending on
+        ``PYTHONHASHSEED``.
 
         An assignment whose nodes all survive is passed on as the same
         object and has nothing to release."""
-        alive = {n.node_id for n in self.cluster if n.alive}
+        cluster = self.cluster
+        alive = {n.node_id for n in cluster if n.alive}
         live: Dict[str, Assignment] = {}
         for topo_id, assignment in self.assignments.items():
             if topo_id not in self._topologies:
@@ -166,14 +168,14 @@ class Nimbus:
             live[topo_id] = surviving
             if surviving is assignment:
                 continue
-            for task in assignment.tasks:
-                if surviving.has(task):
+            for node_id in assignment.nodes:
+                if node_id in alive or not cluster.has_node(node_id):
                     continue
-                node_id = assignment.node_of(task)
-                if self.cluster.has_node(node_id):
-                    node = self.cluster.node(node_id)
-                    if node.has_reservation(task_label(task)):
-                        node.release(task_label(task))
+                node = cluster.node(node_id)
+                for task in assignment.tasks_on_node(node_id):
+                    label = task_label(task)
+                    if node.has_reservation(label):
+                        node.release(label)
         return live
 
     def _update_quarantine(self, now: float) -> None:

@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.cluster.node import WorkerSlot
 from repro.errors import SchedulingError
-from repro.topology.task import Task
+from repro.topology.task import Task, task_sort_key
 from repro.topology.topology import Topology
 
 __all__ = ["Assignment"]
@@ -101,7 +101,7 @@ class Assignment:
     @property
     def tasks(self) -> Tuple[Task, ...]:
         if self._sorted_tasks is None:
-            self._sorted_tasks = tuple(sorted(self._slot_of))
+            self._sorted_tasks = tuple(sorted(self._slot_of, key=task_sort_key))
         return self._sorted_tasks
 
     @property
@@ -119,11 +119,12 @@ class Assignment:
         return self._by_node().get(node_id, ())
 
     def is_complete(self, topology: Topology) -> bool:
-        """True if every task of ``topology`` is assigned."""
-        slot_of = self._slot_of
-        if len(topology.tasks) != len(slot_of):
-            return False
-        return all(t in slot_of for t in topology.tasks)
+        """True if every task of ``topology`` is assigned.
+
+        Both tuples are sorted and hold distinct tasks, so they are equal
+        exactly when the assigned tasks are the topology's; comparing
+        them hashes no task."""
+        return self.tasks == topology.tasks
 
     def missing_tasks(self, topology: Topology) -> Tuple[Task, ...]:
         return tuple(sorted(set(topology.tasks) - set(self._slot_of)))
@@ -141,15 +142,27 @@ class Assignment:
         keep = (
             node_ids if isinstance(node_ids, (set, frozenset)) else set(node_ids)
         )
-        if keep.issuperset(self._by_node()):
+        by_node = self._by_node()
+        if keep.issuperset(by_node):
             return self
         slot_of = self._slot_of
         surviving = tuple(t for t in self.tasks if slot_of[t].node_id in keep)
         restricted = Assignment(
             self.topology_id, {t: slot_of[t] for t in surviving}
         )
-        # a filter of a sorted tuple is sorted: spare the copy its sort
+        # Filters of sorted tuples and of whole groups are the copy's own
+        # sorted tasks and indexes: spare it the sort and the rebuild.
         restricted._sorted_tasks = surviving
+        restricted._tasks_by_node = {
+            node_id: tasks
+            for node_id, tasks in by_node.items()
+            if node_id in keep
+        }
+        restricted._tasks_by_slot = {
+            slot: tasks
+            for slot, tasks in self._by_slot().items()
+            if slot.node_id in keep
+        }
         return restricted
 
     def merged_with(self, other: "Assignment") -> "Assignment":

@@ -11,20 +11,27 @@ every scheduling round.  It tracks:
 All mutation of node availability during scheduling goes through this
 class so a scheduling round can be reconciled or replayed atomically.
 
-The rebuild is one pass over the live assignments: each node is
-resolved once per round, and every placement's reservation is checked
-(and re-applied if missing) in ``assignment.tasks`` order, because
-float subtraction order decides a node's availability to the last bit.
+The rebuild is one pass over the live assignments, node by node
+through each assignment's cached per-node and per-slot indexes.  Each
+node is resolved once per round.  Every placement's reservation is
+checked (and re-applied if missing) in its node's sorted task order,
+which on that node is the order of ``assignment.tasks``: float
+subtraction order decides a node's availability to the last bit.
+Placements and slot users are recorded once per slot.
+
 Nothing the rebuild computes outlives the round.  The one thing it
 hands back is an input: :meth:`GlobalState.assignment_for` returns the
 immutable :class:`Assignment` a topology was rebuilt from, as long as
 the rebuild kept every one of its placements and no :meth:`place` or
 :meth:`unplace` has touched the topology since — so an untouched
-topology comes out of a round as the same object that went in.
+topology comes out of a round as the same object that went in, and
+:meth:`GlobalState.is_complete` tells a scheduler that such a topology
+has nothing to place without listing its tasks.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Set
 
 from repro.cluster.cluster import Cluster
@@ -90,12 +97,11 @@ class GlobalState:
             topology = topologies.get(topo_id)
             # component -> declared demand, derived once per topology
             demand_of: Dict[str, ResourceVector] = {}
-            slot_of = assignment.slot_of
-            slots: Set[WorkerSlot] = set()
             whole = True
-            for task in assignment.tasks:
-                slot = slot_of(task)
-                node_id = slot.node_id
+            # Each node's tasks come sorted, so its reservations are
+            # re-applied in the order a walk over ``assignment.tasks``
+            # would apply them; other nodes' reservations do not mix in.
+            for node_id, tasks in assignment._by_node().items():
                 try:
                     node = resolved[node_id]
                 except KeyError:
@@ -110,27 +116,29 @@ class GlobalState:
                 if node is None:
                     whole = False
                     continue
-                if topology is not None:
+                if topology is None:
+                    continue
+                for task in tasks:
                     label = task_label(task)
-                    if not node.has_reservation(label):
-                        demand = demand_of.get(task.component)
-                        if demand is None:
-                            demand = topology.task_demand(task)
-                            demand_of[task.component] = demand
-                        try:
-                            node.reserve(label, demand)
-                        except InsufficientResourcesError:
-                            # A previously valid placement can exceed
-                            # hard budgets after capacity loss; keep the
-                            # placement on the books without a
-                            # reservation so the operator sees the
-                            # over-commit in reports.
-                            pass
-                placements[task] = slot
-                slots.add(slot)
+                    if node.has_reservation(label):
+                        continue
+                    demand = demand_of.get(task.component)
+                    if demand is None:
+                        demand = topology.task_demand(task)
+                        demand_of[task.component] = demand
+                    try:
+                        node.reserve(label, demand)
+                    except InsufficientResourcesError:
+                        # A previously valid placement can exceed hard
+                        # budgets after capacity loss; keep the placement
+                        # on the books without a reservation so the
+                        # operator sees the over-commit in reports.
+                        pass
             topology_id = assignment.topology_id
-            for slot in slots:
-                slot_users.setdefault(slot, set()).add(topology_id)
+            for slot, tasks in assignment._by_slot().items():
+                if resolved[slot.node_id] is not None:
+                    placements.update(zip(tasks, repeat(slot)))
+                    slot_users.setdefault(slot, set()).add(topology_id)
             # Reusable only if this is the topology's one assignment and
             # every placement survived.
             kept[topology_id] = (
@@ -149,6 +157,22 @@ class GlobalState:
         return sorted(
             t for t in self._placements if t.topology_id == topology_id
         )
+
+    def is_complete(self, topology: Topology) -> bool:
+        """True if ``topology`` was rebuilt whole from one assignment
+        holding every one of its tasks, and is untouched since: a round
+        then has nothing to place for it."""
+        kept = self._kept.get(topology.topology_id)
+        return kept is not None and kept.is_complete(topology)
+
+    def node_loads(self, topology_id: str) -> Dict[str, int]:
+        """Node id -> number of ``topology_id``'s placed tasks on it."""
+        loads: Dict[str, int] = {}
+        for task, slot in self._placements.items():
+            if task.topology_id == topology_id:
+                node_id = slot.node_id
+                loads[node_id] = loads.get(node_id, 0) + 1
+        return loads
 
     def node_of(self, task: Task) -> Optional[str]:
         slot = self._placements.get(task)

@@ -13,7 +13,12 @@ column instead of one call per node:
 
 * ``avail[d][i]`` / ``caps[d][i]`` — availability and capacity of
   dimension ``d`` on the ``i``-th alive node, in ``cluster.alive_nodes``
-  order, transposed from the nodes' value tuples.  Availability rows
+  order, transposed from the nodes' value tuples.  Every round builds
+  the view, so it reads each alive node with one call
+  (:meth:`Node.resource_values <repro.cluster.node.Node.resource_values>`)
+  and checks the schema in C while all nodes share one schema object:
+  at 512 nodes this is the largest fixed cost of a failover round
+  (``docs/performance.md``, "Failover round anatomy").  Availability rows
   are refreshed **in place** whenever a placement reserves or releases
   resources (see
   :meth:`GlobalState.place <repro.scheduler.global_state.GlobalState.place>`),
@@ -78,20 +83,19 @@ class PackedClusterState:
         self.index: Dict[str, int] = dict(
             zip(self.node_ids, range(len(alive)))
         )
-        # Each node's vectors are read once; the schema check runs over
-        # the capacity list (a node's schema is its capacity's).
-        capacities = [n.capacity for n in alive]
-        availabilities = [n.available for n in alive]
-        schema: Optional[ResourceSchema] = (
-            capacities[0].schema if alive else None
+        # One call per node reads its schema and both value tuples; the
+        # schema check runs over the capacity schemas (a node's schema is
+        # its capacity's), in C while they are one shared object.
+        schemas, capacities, availabilities = (
+            zip(*map(Node.resource_values, alive)) if alive else ((), (), ())
         )
-        for capacity in capacities:
-            node_schema = capacity.schema
-            if node_schema is not schema and node_schema != schema:
-                raise SchemaMismatchError(
-                    f"cannot pack cluster state over mixed schemas "
-                    f"{schema!r} and {node_schema!r}"
-                )
+        schema: Optional[ResourceSchema] = schemas[0] if alive else None
+        if schemas.count(schema) != len(schemas):
+            node_schema = next(s for s in schemas if s != schema)
+            raise SchemaMismatchError(
+                f"cannot pack cluster state over mixed schemas "
+                f"{schema!r} and {node_schema!r}"
+            )
         self.schema = schema
         num_dims = len(schema) if schema is not None else 0
         self.num_dims = num_dims
@@ -99,12 +103,11 @@ class PackedClusterState:
         self.rack_ids: List[str] = [n.rack_id for n in alive]
         #: avail[d][i]: availability of dimension d on alive node i.
         self.avail: List[List[float]] = [
-            list(column)
-            for column in zip(*[v.values for v in availabilities])
+            list(column) for column in zip(*availabilities)
         ]
         #: caps[d][i]: capacity of dimension d on alive node i (immutable).
         self.caps: List[List[float]] = [
-            list(column) for column in zip(*[v.values for v in capacities])
+            list(column) for column in zip(*capacities)
         ]
         self.hard_dims: Tuple[int, ...] = (
             schema.hard_indices if schema is not None else ()

@@ -163,6 +163,8 @@ class RStormScheduler(IScheduler):
     def _schedule_topology(
         self, topology: Topology, cluster: Cluster, state: GlobalState
     ) -> None:
+        if state.is_complete(topology):
+            return
         pending = [
             task
             for task in ordered_tasks(topology, self.ordering)
@@ -307,11 +309,7 @@ class RStormScheduler(IScheduler):
         already hosting the most of this topology's tasks.  Fresh
         topologies anchor lazily via :meth:`_find_ref_index` once the
         first task's feasible set is known."""
-        counts: Dict[str, int] = {}
-        for task in state.placed_tasks(topology.topology_id):
-            node_id = state.node_of(task)
-            if node_id is not None:
-                counts[node_id] = counts.get(node_id, 0) + 1
+        counts = state.node_loads(topology.topology_id)
         if not counts:
             return None
         best = max(sorted(counts), key=lambda n: counts[n])

@@ -256,6 +256,9 @@ class Topology:
 
     @property
     def tasks(self) -> Tuple[Task, ...]:
+        """Every task, in sorted order (by component name, then
+        instance), as :meth:`Assignment.is_complete
+        <repro.scheduler.assignment.Assignment.is_complete>` relies on."""
         return self._tasks
 
     def tasks_of(self, component: str) -> Tuple[Task, ...]:

@@ -6,6 +6,7 @@ from repro.cluster.node import WorkerSlot
 from repro.errors import SchedulingError
 from repro.scheduler.assignment import Assignment
 from repro.topology.builder import TopologyBuilder
+from repro.topology.task import Task
 
 
 @pytest.fixture
@@ -62,6 +63,23 @@ class TestQueries:
         assert not partial.is_complete(topology)
         assert len(partial.missing_tasks(topology)) == 3
 
+    def test_completeness_compares_task_sets(self, topology, assignment):
+        # equal tasks built apart count as the topology's own
+        copies = Assignment(
+            "t",
+            {
+                Task(t.topology_id, t.component, t.instance, t.task_id): s
+                for t, s in assignment.as_dict().items()
+            },
+        )
+        assert copies.is_complete(topology)
+        # as many tasks, but one of them is not the topology's
+        rescaled = topology.with_parallelism("s", 3).with_parallelism("b", 1)
+        assert len(rescaled.tasks) == len(topology.tasks)
+        assert not assignment.is_complete(rescaled)
+        stale = Assignment("t", dict.fromkeys(rescaled.tasks, slot("n1")))
+        assert not stale.is_complete(topology)
+
     def test_len_and_eq(self, topology, assignment):
         assert len(assignment) == 4
         same = Assignment("t", assignment.as_dict())
@@ -93,6 +111,16 @@ class TestSurgery:
         assert surviving is not assignment
         assert surviving.tasks == tuple(sorted(surviving.as_dict()))
         assert surviving.tasks == assignment.tasks_on_node("n2")
+
+    def test_restricted_copy_keeps_indexes(self, assignment):
+        surviving = assignment.restricted_to_nodes({"n1"})
+        fresh = Assignment("t", surviving.as_dict())
+        assert surviving.nodes == fresh.nodes == ("n1",)
+        assert surviving.slots == fresh.slots
+        for s in fresh.slots:
+            assert surviving.tasks_on_slot(s) == fresh.tasks_on_slot(s)
+        assert surviving.tasks_on_node("n1") == fresh.tasks_on_node("n1")
+        assert surviving.tasks_on_node("n2") == ()
 
     def test_merged_with(self, topology, assignment):
         override = Assignment("t", {topology.tasks[0]: slot("n9")})

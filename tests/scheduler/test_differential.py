@@ -11,6 +11,7 @@ and require exact equality of the resulting assignment maps.
 """
 
 import math
+import random
 
 import pytest
 
@@ -32,13 +33,14 @@ from repro.cluster.resources import (
     ResourceDimension,
     ResourceSchema,
 )
-from repro.errors import SchedulingError
+from repro.errors import ClusterStateError, SchedulingError
 from repro.scheduler.aniello import AnielloOfflineScheduler
 from repro.scheduler.assignment import Assignment
 from repro.scheduler.default import DefaultScheduler
 from repro.scheduler.ordering import TaskOrderingStrategy
 from repro.scheduler.rstorm import DistanceWeights, RStormScheduler
 from repro.topology.builder import TopologyBuilder
+from repro.topology.task import task_label
 from repro.workloads.generator import TopologySpec, random_topology
 from repro.workloads.micro import micro_topology
 
@@ -805,3 +807,150 @@ class TestRingBoundTie:
             slot.split(":")[0] for slot in as_map(got)["tie"].values()
         )
         assert nodes == ["node-0-0", "node-1-0"]
+
+
+#: per-task demands that are not binary fractions, so the order in which
+#: a node's reservations are subtracted shows in the last bit of its
+#: availability
+FAILOVER_SPEC = TopologySpec(
+    memory_choices_mb=(100.7, 133.3, 201.1, 317.9),
+    cpu_choices=(3.3, 7.1, 12.9, 21.7),
+)
+
+
+def failover_cluster():
+    """4 racks x 16 nodes of about 1 GB: the four topologies of each
+    seed below need 12-28 GB, so 8 nodes cannot hold them."""
+    schema = ResourceSchema.storm_default()
+    return uniform_cluster(
+        nodes_per_rack=16,
+        racks=4,
+        capacity=schema.vector(
+            memory_mb=1000.3, cpu=100.7, bandwidth_mbps=100.0
+        ),
+    )
+
+
+def reference_nimbus_round(cluster, topologies, assignments, scheduler):
+    """One Nimbus round as it ran before rounds reused kept assignments:
+    every assignment is copied down to its alive nodes, each lost
+    placement's reservation is released in task order, and the frozen
+    oracle schedules the rest."""
+    alive = {node.node_id for node in cluster if node.alive}
+    live = {}
+    for topo_id, assignment in assignments.items():
+        surviving = Assignment(
+            topo_id,
+            {
+                task: slot
+                for task, slot in assignment.as_dict().items()
+                if slot.node_id in alive
+            },
+        )
+        live[topo_id] = surviving
+        for task in assignment.tasks:
+            node_id = assignment.node_of(task)
+            if surviving.has(task) or not cluster.has_node(node_id):
+                continue
+            node = cluster.node(node_id)
+            if node.has_reservation(task_label(task)):
+                node.release(task_label(task))
+    return scheduler.schedule(topologies, cluster, live)
+
+
+def _round_outcome(call):
+    """``(assignments, outcome)``: a round's assignments and their
+    comparable map, or None and the error the round raised."""
+    try:
+        assignments = call()
+    except (SchedulingError, ClusterStateError) as err:
+        return None, f"{type(err).__name__}: {err}"
+    return assignments, as_map(assignments)
+
+
+def _availability(cluster):
+    return {
+        node.node_id: [value.hex() for value in node.available.values]
+        for node in cluster.nodes
+    }
+
+
+def _missing_reservations(cluster, assignments):
+    """Live placements on alive nodes that hold no reservation: the ones
+    the next round's state rebuild re-applies."""
+    return sum(
+        1
+        for assignment in assignments.values()
+        for task in assignment.tasks
+        if cluster.node(assignment.node_of(task)).alive
+        and not cluster.node(assignment.node_of(task)).has_reservation(
+            task_label(task)
+        )
+    )
+
+
+class TestFailoverRoundsDifferential:
+    """Nimbus with R-Storm against the frozen oracle over seeded
+    fail/recover rounds.  Most rounds flip three nodes; every eighth
+    loses all but 8 nodes, which leaves too little memory, and two
+    rounds later every node is back.  A failed round keeps the old
+    assignments, so after the recovery the state rebuild re-applies the
+    reservations of the placements on the recovered nodes.  After every
+    round both sides must agree on the outcome and on every node's
+    availability, bit for bit."""
+
+    ROUNDS = 24
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_rounds_match_reference(self, seed):
+        rng = random.Random(seed)
+        topologies = [
+            random_topology(seed * 10 + i, spec=FAILOVER_SPEC, name=f"f{i}")
+            for i in range(4)
+        ]
+        nimbus = Nimbus(failover_cluster(), scheduler=RStormScheduler())
+        for topology in topologies:
+            nimbus.submit_topology(topology)
+        ref_cluster = failover_cluster()
+        ref_assignments = {}
+        reference = ReferenceRStormScheduler()
+        node_ids = [node.node_id for node in ref_cluster.nodes]
+        failed_rounds = reapplied = 0
+        for round_no in range(self.ROUNDS):
+            if round_no % 8 == 4:
+                # an outage too large to re-place ...
+                changes = [(n, False) for n in rng.sample(node_ids, 56)]
+            elif round_no % 8 == 6:
+                # ... until every node is back
+                changes = [(n, True) for n in node_ids]
+            elif round_no:
+                changes = [
+                    (n, rng.random() < 0.5) for n in rng.sample(node_ids, 3)
+                ]
+            else:
+                changes = []
+            for cluster in (nimbus.cluster, ref_cluster):
+                for node_id, alive in changes:
+                    if alive:
+                        cluster.node(node_id).recover()
+                    else:
+                        cluster.node(node_id).fail()
+            reapplied += _missing_reservations(ref_cluster, ref_assignments)
+            _, got = _round_outcome(
+                lambda: nimbus.schedule_round().assignments
+            )
+            placed, want = _round_outcome(
+                lambda: reference_nimbus_round(
+                    ref_cluster, topologies, ref_assignments, reference
+                )
+            )
+            assert got == want, f"round {round_no}"
+            assert _availability(nimbus.cluster) == _availability(
+                ref_cluster
+            ), f"round {round_no}"
+            if placed is None:
+                failed_rounds += 1
+            else:
+                ref_assignments = placed
+        # the seeds reach both a failed round and the re-applying rebuild
+        assert failed_rounds and reapplied

@@ -196,3 +196,43 @@ class TestRebuildReuse:
         node.release(label)
         GlobalState.from_assignments(cluster, {"t": topology}, {"t": existing})
         assert node.has_reservation(label)
+
+    def test_is_complete_while_whole_and_untouched(
+        self, cluster, topology, existing
+    ):
+        state = GlobalState.from_assignments(
+            cluster, {"t": topology}, {"t": existing}
+        )
+        assert state.is_complete(topology)
+        # the same id with one more task: the kept assignment lacks it
+        assert not state.is_complete(topology.with_parallelism("b", 3))
+        state.unplace(topology.tasks[0])
+        assert not state.is_complete(topology)
+
+    def test_partial_or_dropped_assignment_is_not_complete(
+        self, cluster, topology, existing
+    ):
+        partial = existing.restricted_to_nodes([cluster.nodes[0].node_id])
+        state = GlobalState.from_assignments(
+            cluster, {"t": topology}, {"t": partial}
+        )
+        assert not state.is_complete(topology)
+        cluster.nodes[1].fail()
+        state = GlobalState.from_assignments(
+            cluster, {"t": topology}, {"t": existing}
+        )
+        assert not state.is_complete(topology)
+        assert not GlobalState(cluster).is_complete(topology)
+
+    def test_node_loads_count_one_topology(self, cluster, topology, existing):
+        state = GlobalState.from_assignments(
+            cluster, {"t": topology}, {"t": existing}
+        )
+        other = TopologyBuilder("u")
+        other.set_spout("s", 3)
+        for task in other.build().tasks:
+            state.place(task, cluster.nodes[0].slots[1])
+        first, second = (node.node_id for node in cluster.nodes[:2])
+        assert state.node_loads("t") == {first: 2, second: 2}
+        assert state.node_loads("u") == {first: 3}
+        assert state.node_loads("missing") == {}

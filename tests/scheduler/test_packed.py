@@ -140,6 +140,20 @@ class TestPackedClusterState:
         with pytest.raises(SchemaMismatchError):
             PackedClusterState(Cluster([Rack("r0", nodes)]))
 
+    def test_equal_schema_objects_pack(self):
+        storm = ResourceSchema.storm_default()
+        twin = ResourceSchema(storm.dimensions)
+        assert twin is not storm and twin == storm
+        nodes = [
+            Node("a", "r0", storm.vector(memory_mb=1024, cpu=100)),
+            Node("b", "r0", twin.vector(memory_mb=512, cpu=50)),
+        ]
+        nodes[1].reserve("x:1", twin.vector(memory_mb=128.5, cpu=1.25))
+        view = PackedClusterState(Cluster([Rack("r0", nodes)]))
+        assert view.schema is storm
+        assert view.caps == [[1024.0, 512.0], [100.0, 50.0], [0.0, 0.0]]
+        assert view.avail == [[1024.0, 383.5], [100.0, 48.75], [0.0, 0.0]]
+
     def test_check_schema_rejects_foreign_vectors(self):
         cluster = make_cluster()
         view = PackedClusterState(cluster)

@@ -1,12 +1,16 @@
 """Tests for the Task value object."""
 
+import operator
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.topology.task import Task, task_label
+import pytest
+
+from repro.topology.task import Task, task_label, task_sort_key
 
 
 class TestTask:
@@ -37,6 +41,71 @@ class TestTask:
         except AttributeError:
             raised = True
         assert raised
+
+
+def _shuffled_tasks():
+    tasks = [
+        Task(topology, component, instance, task_id)
+        for topology in ("a", "b", "a:b")
+        for component in ("bolt", "sink", "spout")
+        for instance in range(3)
+        for task_id in (instance + 1, 10 - instance)
+    ]
+    random.Random(7).shuffle(tasks)
+    return tasks
+
+
+def _fields(task):
+    return (task.topology_id, task.component, task.instance, task.task_id)
+
+
+class TestOrdering:
+    def test_sorted_matches_field_tuple_order(self):
+        tasks = _shuffled_tasks()
+        want = sorted(tasks, key=_fields)
+        assert sorted(tasks) == want
+        assert sorted(tasks, key=task_sort_key) == want
+
+    def test_comparisons_agree_with_field_tuples(self):
+        tasks = _shuffled_tasks()[:12]
+        for a in tasks:
+            for b in tasks:
+                fa, fb = _fields(a), _fields(b)
+                assert (a < b, a <= b, a > b, a >= b) == (
+                    fa < fb, fa <= fb, fa > fb, fa >= fb
+                )
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for task in _shuffled_tasks():
+            assert hash(task) == hash(_fields(task))
+
+    @pytest.mark.parametrize(
+        "other", [1, "a", ("t", "bolt", 0, 1), None],
+        ids=["int", "str", "field-tuple", "none"],
+    )
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    def test_comparing_with_a_non_task_raises(self, op, other):
+        task = Task("t", "bolt", 0, 1)
+        compare = {
+            "<": operator.lt, "<=": operator.le,
+            ">": operator.gt, ">=": operator.ge,
+        }[op]
+        with pytest.raises(TypeError):
+            compare(task, other)
+        with pytest.raises(TypeError):
+            compare(other, task)
+
+    def test_unpickled_tasks_compare_hash_and_sort_as_originals(self):
+        tasks = _shuffled_tasks()
+        loaded = pickle.loads(pickle.dumps(tasks))
+        for task, copy in zip(tasks, loaded):
+            assert copy == task and hash(copy) == hash(task)
+            assert not copy < task and not task < copy
+            assert copy <= task <= copy
+        assert sorted(loaded) == sorted(tasks)
+        assert sorted(loaded + tasks) == [
+            t for t in sorted(tasks) for _ in range(2)
+        ]
 
 
 # Schedules the same topology in every process and either pickles the
