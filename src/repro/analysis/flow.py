@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import DistanceLevel
@@ -46,7 +46,7 @@ from repro.topology.grouping import AllGrouping, GlobalGrouping
 from repro.topology.task import Task
 from repro.topology.topology import Topology
 
-__all__ = ["FlowResult", "FlowModel"]
+__all__ = ["Bottleneck", "FlowResult", "FlowModel"]
 
 #: Stand-in offered rate for uncapped spouts before CPU ceilings apply.
 _UNBOUNDED_TPS = 1e12
@@ -55,6 +55,28 @@ _UNBOUNDED_TPS = 1e12
 _TOLERANCE = 1e-6
 
 _MAX_ITERATIONS = 10_000
+
+
+class Bottleneck(NamedTuple):
+    """The resource whose overload last cut a topology's scale: its
+    ``kind`` (``cpu``, ``task`` for a single-thread ceiling, ``tx``,
+    ``rx`` or ``uplink``), the node id, :class:`Task` or frozenset of
+    two rack ids it names, and its load over capacity then."""
+
+    kind: str
+    resource: object
+    factor: float
+
+    @property
+    def description(self) -> str:
+        """The same for people, e.g. ``"CPU on node-0-0"``."""
+        if self.kind == "cpu":
+            return f"CPU on {self.resource}"
+        if self.kind == "task":
+            return f"single-thread ceiling of {self.resource}"
+        if self.kind == "uplink":
+            return f"inter-rack uplink {sorted(self.resource)}"
+        return f"NIC {self.kind} on {self.resource}"
 
 
 @dataclass
@@ -69,8 +91,8 @@ class FlowResult:
     topology_throughput_tps: Dict[str, float]
     #: per-topology final scale factor (1.0 = offered load fully served)
     scales: Dict[str, float]
-    #: description of each topology's binding constraint
-    bottlenecks: Dict[str, str]
+    #: each topology's binding constraint; None while offered load binds
+    bottlenecks: Dict[str, Optional[Bottleneck]]
     #: node id -> predicted CPU utilisation (0..1)
     node_cpu_utilisation: Dict[str, float]
     #: node id -> predicted NIC utilisation, max of tx and rx (0..1)
@@ -122,20 +144,19 @@ class FlowModel:
                     f"assignment for {topology.topology_id!r} is incomplete"
                 )
         scales = {t.topology_id: 1.0 for t, _ in placements}
-        bottlenecks = {t.topology_id: "offered load" for t, _ in placements}
+        bottlenecks: Dict[str, Optional[Bottleneck]] = dict.fromkeys(scales)
 
         for _ in range(_MAX_ITERATIONS):
             usage = self._usage_at(placements, scales)
             worst = self._most_overloaded(usage)
             if worst is None:
                 break
-            resource_key, factor, description = worst
-            involved = usage.contributors[resource_key]
+            involved = usage.contributors[(worst.kind, worst.resource)]
             for topo_id in involved:
-                share = 1.0 / factor
+                share = 1.0 / worst.factor
                 if scales[topo_id] * share < scales[topo_id]:
                     scales[topo_id] *= share
-                    bottlenecks[topo_id] = description
+                    bottlenecks[topo_id] = worst
         else:  # pragma: no cover - defensive
             raise SimulationError("flow model failed to converge")
 
@@ -373,39 +394,27 @@ class FlowModel:
 
     # -- bottleneck search ---------------------------------------------------------
 
-    def _most_overloaded(self, usage) -> Optional[Tuple[object, float, str]]:
-        worst_key = None
-        worst_factor = 1.0 + _TOLERANCE
-        worst_desc = ""
+    def _overloads(self, usage):
+        """``(kind, resource, load over capacity)`` of every resource."""
         for node in self.cluster.nodes:
             load = usage.node_cpu.get(node.node_id, 0.0)
-            factor = load / node.cores
-            if factor > worst_factor:
-                worst_key = ("cpu", node.node_id)
-                worst_factor = factor
-                worst_desc = f"CPU on {node.node_id}"
+            yield "cpu", node.node_id, load / node.cores
         for task, load in usage.single_thread.items():
-            if load > worst_factor:
-                worst_key = ("task", task)
-                worst_factor = load
-                worst_desc = f"single-thread ceiling of {task}"
+            yield "task", task, load
         if self.nic_mbps:
             nic_bps = self.nic_mbps * 1e6 / 8.0
             for direction, table in (("tx", usage.node_tx), ("rx", usage.node_rx)):
                 for node_id, bps in table.items():
-                    factor = bps / nic_bps
-                    if factor > worst_factor:
-                        worst_key = (direction, node_id)
-                        worst_factor = factor
-                        worst_desc = f"NIC {direction} on {node_id}"
+                    yield direction, node_id, bps / nic_bps
         if self.uplink_mbps:
             uplink_bps = self.uplink_mbps * 1e6 / 8.0
             for key, bps in usage.uplink.items():
-                factor = bps / uplink_bps
-                if factor > worst_factor:
-                    worst_key = ("uplink", key)
-                    worst_factor = factor
-                    worst_desc = f"inter-rack uplink {sorted(key)}"
-        if worst_key is None:
-            return None
-        return worst_key, worst_factor, worst_desc
+                yield "uplink", key, bps / uplink_bps
+
+    def _most_overloaded(self, usage) -> Optional[Bottleneck]:
+        """The first most-overloaded resource, if any is past capacity."""
+        worst = None
+        for kind, resource, factor in self._overloads(usage):
+            if factor > (worst.factor if worst else 1.0 + _TOLERANCE):
+                worst = Bottleneck(kind, resource, factor)
+        return worst

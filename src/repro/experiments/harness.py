@@ -2,9 +2,10 @@
 
 Each experiment module declares its runs as work units
 (:mod:`repro.experiments.parallel`).  Every DES run goes through
-:func:`wire`, which schedules the topologies, stands up the optional
-layers the run asks for (faults, elastic scaling, tenancy) and hands
-back the live components as a :class:`Wiring`;
+:func:`wire`, which places the topologies with one :class:`Nimbus`
+round, stands up the optional layers the run asks for (faults, elastic
+scaling, tenancy) and hands back the live components as a
+:class:`Wiring`;
 :meth:`Wiring.outcome` distils the finished run into a
 :class:`SingleRunOutcome`.  Experiments report rows/series through
 :class:`ExperimentResult`, which the CLI prints and
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.cluster.cluster import Cluster
-from repro.errors import ConfigError, SchedulingError
+from repro.errors import ConfigError
 from repro.faults.chaos import ChaosGenerator
 from repro.faults.events import FaultEvent
 from repro.faults.injector import FaultInjector
@@ -35,7 +36,7 @@ from repro.nimbus.tenancy import (
 )
 from repro.scheduler.admission import AdmissionDecision
 from repro.scheduler.assignment import Assignment
-from repro.scheduler.base import IScheduler, SchedulingRound
+from repro.scheduler.base import IScheduler
 from repro.scheduler.quality import ScheduleQuality, evaluate_assignment
 from repro.simulation.config import SimulationConfig
 from repro.simulation.report import SimulationReport
@@ -65,7 +66,7 @@ class SingleRunOutcome:
     report: SimulationReport
     #: final assignments, per topology (after any recovery or rescale)
     assignments: Dict[str, Assignment]
-    #: placement quality per topology (runs placed without Nimbus only)
+    #: placement quality per topology (static runs only, see :func:`wire`)
     qualities: Dict[str, ScheduleQuality] = field(default_factory=dict)
     # -- faults and elastic scaling ---------------------------------------
     #: per-topology recovery and churn metrics from the causal trace
@@ -231,15 +232,13 @@ class Wiring:
     layers the run did not ask for stay ``None`` (or empty).
     """
 
-    scheduler: IScheduler
     cluster: Cluster
     #: the topologies the DES runs (with tenancy: the admitted ones)
     topologies: List[Topology]
     run: SimulationRun
-    #: the scheduler's own round (runs placed without Nimbus only)
-    placement: Optional[SchedulingRound] = None
+    #: placed them; attached to ``run`` only when the run has faults
+    nimbus: Nimbus
     qualities: Dict[str, ScheduleQuality] = field(default_factory=dict)
-    nimbus: Optional[Nimbus] = None
     #: node id -> supervisor (runs with faults only)
     supervisors: Dict[str, Supervisor] = field(default_factory=dict)
     detector: Optional[HeartbeatFailureDetector] = None
@@ -251,18 +250,13 @@ class Wiring:
     def outcome(self, report: SimulationReport) -> SingleRunOutcome:
         """Distil the finished run into a :class:`SingleRunOutcome`."""
         outcome = SingleRunOutcome(
-            scheduler=self.scheduler.name,
+            scheduler=self.nimbus.scheduler.name,
             report=report,
-            assignments=(
-                self.placement.assignments
-                if self.nimbus is None
-                else dict(self.nimbus.assignments)
-            ),
+            assignments=dict(self.nimbus.assignments),
             qualities=self.qualities,
+            scheduling_failures=tuple(self.nimbus.scheduling_failures),
+            quarantined=tuple(self.nimbus.quarantine_events),
         )
-        if self.nimbus is not None:
-            outcome.scheduling_failures = tuple(self.nimbus.scheduling_failures)
-            outcome.quarantined = tuple(self.nimbus.quarantine_events)
         if self.monitor is not None:
             outcome.recovery = {
                 t.topology_id: self.monitor.report(t.topology_id, report)
@@ -316,15 +310,16 @@ def wire(
 ) -> Wiring:
     """Place ``topologies`` on ``cluster`` and wire one DES run.
 
-    Which arguments are set chooses the wiring:
+    Every run is placed by one :class:`Nimbus` round (with tenancy, by
+    the admission rounds).  Which arguments are set chooses the rest:
 
-    * none of ``storm``, ``faults``, ``tenants`` — ``scheduler.run``
-      places the topologies, their qualities are evaluated, and the DES
-      runs that fixed placement: no Nimbus, ZooKeeper or tracer;
+    * none of ``storm``, ``faults``, ``tenants`` — a static run: the
+      topologies' qualities are evaluated, and the DES runs that fixed
+      placement; the Nimbus attaches nothing, and there is no tracer;
     * ``storm`` — flat ``nimbus.*`` overrides (a mapping or ``(key,
-      value)`` pairs); placement goes through a :class:`Nimbus` with
-      that configuration.  Any ``nimbus.elastic.*`` key attaches the
-      :class:`ElasticController` and a :class:`RecoveryMonitor`, so a
+      value)`` pairs) configuring the Nimbus.  Any ``nimbus.elastic.*``
+      key attaches the :class:`ElasticController` and a
+      :class:`RecoveryMonitor`, so a
       static baseline passes ``("nimbus.elastic.enabled", False)`` to
       share the elastic runs' code path;
     * ``faults`` — a :class:`FaultSchedule`, a :class:`ChaosGenerator`
@@ -339,25 +334,7 @@ def wire(
       (:func:`admit`) before the DES runs the admitted set;
       ``topologies`` must then be empty.
     """
-    if not (storm or faults is not None or tenants):
-        placement = scheduler.run(topologies, cluster)
-        assignments = placement.assignments
-        qualities = placement_qualities(topologies, assignments, cluster)
-        run = SimulationRun(
-            cluster,
-            [(t, assignments[t.topology_id]) for t in topologies],
-            config,
-            interrack_uplink_mbps=interrack_uplink_mbps,
-        )
-        return Wiring(
-            scheduler,
-            cluster,
-            list(topologies),
-            run,
-            placement=placement,
-            qualities=qualities,
-        )
-
+    static = not (storm or faults is not None or tenants)
     storm = dict(storm)
     nimbus = Nimbus(cluster, scheduler=scheduler, config=StormConfig(storm))
     supervisors = {}
@@ -407,11 +384,15 @@ def wire(
         injector = FaultInjector(schedule, detector=detector)
         injector.attach(run)
     return Wiring(
-        scheduler,
         cluster,
         list(topologies),
         run,
-        nimbus=nimbus,
+        nimbus,
+        qualities=(
+            placement_qualities(topologies, nimbus.assignments, cluster)
+            if static
+            else {}
+        ),
         supervisors=supervisors,
         detector=detector,
         monitor=monitor,
@@ -438,12 +419,5 @@ def admit(
         for due, tenant_id, topology in submissions:
             if due == round_index:
                 tenancy.submit(nimbus, topology, tenant_id)
-        try:
-            nimbus.schedule_round(round_index * interval_s)
-        except SchedulingError as err:
-            # Aggregate slack fit but per-node packing failed: record the
-            # round as degraded, the same contract as the attached loop.
-            nimbus.scheduling_failures.append(
-                (round_index * interval_s, str(err))
-            )
+        nimbus.try_schedule_round(round_index * interval_s)
     return tenancy

@@ -39,9 +39,11 @@ The control loop per period, per bolt::
     rebalance at most one hot-executor migration per topology per period,
               never onto a quarantined or dead node
 
-Quarantine composes: scale-up scheduling masks quarantined nodes exactly
-like :meth:`Nimbus.schedule_round` does, and rebalance never targets
-them — the elastic loop cannot fight the quarantine machinery.
+Quarantine composes: scale-up places through :meth:`Nimbus.place`, the
+quarantine-masked placement step of :meth:`Nimbus.schedule_round`, and
+rebalance never targets quarantined nodes — the elastic loop cannot
+fight the quarantine machinery.  Every action commits through
+:meth:`Nimbus.adopt`, which moves the reservations with the tasks.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from repro.cluster.node import CPU_POINTS_PER_CORE
 from repro.errors import ConfigError, SchedulingError
 from repro.nimbus.nimbus import Nimbus
 from repro.scheduler.assignment import Assignment
-from repro.topology.task import Task, task_label
 
 __all__ = ["ElasticDecision", "ElasticController", "required_parallelism"]
 
@@ -322,50 +323,27 @@ class ElasticController:
         current = topology.component(component).parallelism
         new_topology = topology.with_parallelism(component, required)
         if required > current:
-            # Scale-up: the active scheduler places just the delta —
-            # existing placements survive, quarantined nodes are masked
-            # exactly as in Nimbus.schedule_round.
-            masked = nimbus._mask_quarantined()
+            # Scale-up: the round's placement step places just the delta
+            # — existing placements survive, quarantined nodes are masked.
             try:
-                topologies = [
-                    new_topology if t.topology_id == topology_id else t
-                    for t in nimbus.topologies
-                ]
-                round_info = nimbus.scheduler.run(
-                    topologies, nimbus.cluster, dict(nimbus.assignments)
-                )
+                placed = nimbus.place([new_topology]).assignments
             except SchedulingError as err:
                 self.actions_failed.append(
                     (now, f"{topology_id}/{component}: {err}")
                 )
                 return False
-            finally:
-                for node in masked:
-                    node.recover()
-            new_assignment = round_info.assignments[topology_id]
+            new_assignment = placed[topology_id]
         else:
-            # Scale-down needs no scheduler: keep surviving placements,
-            # release the removed tasks' reservations.
-            current_assignment = nimbus.assignments[topology_id]
-            keep = set(new_topology.tasks)
-            mapping: Dict[Task, Any] = {
-                task: current_assignment.slot_of(task)
-                for task in new_topology.tasks
-            }
-            new_assignment = Assignment(topology_id, mapping)
-            for task in topology.tasks:
-                if task in keep:
-                    continue
-                node_id = current_assignment.node_of(task)
-                if nimbus.cluster.has_node(node_id):
-                    node = nimbus.cluster.node(node_id)
-                    if node.has_reservation(task_label(task)):
-                        node.release(task_label(task))
+            # Scale-down needs no scheduler: keep surviving placements.
+            slot_of = nimbus.assignments[topology_id].slot_of
+            new_assignment = Assignment(
+                topology_id, {task: slot_of(task) for task in new_topology.tasks}
+            )
+        # Adopting moves the reservations with the tasks.
+        nimbus.adopt(new_topology, new_assignment)
         moved, added, removed = run.rescale(
             topology_id, new_topology, new_assignment
         )
-        nimbus._topologies[topology_id] = new_topology
-        nimbus.assignments[topology_id] = new_assignment
         churn = moved + added + removed
         self.tasks_moved += churn
         self.decisions.append(
@@ -463,32 +441,18 @@ class ElasticController:
         mapping = {t: assignment.slot_of(t) for t in assignment.tasks}
         mapping[task] = target_slot
         new_assignment = Assignment(topology_id, mapping)
-        # Move the reservation with the task.  Both sides are guarded:
-        # fault recovery around crash/rejoin cycles can leave the
-        # reservation already released from the source or already
-        # present on the target.
-        label = task_label(task)
-        if nimbus.cluster.has_node(source):
-            source_node = nimbus.cluster.node(source)
-            if source_node.has_reservation(label):
-                source_node.release(label)
-        if not target.has_reservation(label):
-            target.reserve(label, demand)
+        nimbus.adopt(topology, new_assignment)
         moved = run.migrate(topology_id, new_assignment, reason="elastic")
-        nimbus.assignments[topology_id] = new_assignment
         self.tasks_moved += moved
+        parallelism = topology.component(task.component).parallelism
         self.decisions.append(
             ElasticDecision(
                 time_s=now,
                 topology_id=topology_id,
                 component=task.component,
                 action="rebalance",
-                from_parallelism=topology.component(
-                    task.component
-                ).parallelism,
-                to_parallelism=topology.component(
-                    task.component
-                ).parallelism,
+                from_parallelism=parallelism,
+                to_parallelism=parallelism,
                 arrival_tps=0.0,
                 backlog_tuples=depths.get(task, 0),
                 tasks_moved=moved,

@@ -9,14 +9,18 @@ onto new assignments after failures.
 Nimbus is stateless with respect to the scheduler: every round the
 scheduler rebuilds whatever it needs from the cluster and the live
 assignments, exactly as the paper describes.
+
+Nimbus owns placement state: every placement goes through
+:meth:`Nimbus.place`, and between scheduler calls only Nimbus changes a
+reservation, so no alive node holds one its assignments do not place.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.node import Node
 from repro.errors import ConfigError, MembershipError, SchedulingError
 from repro.nimbus.config import StormConfig
 from repro.nimbus.supervisor import SUPERVISORS_PATH, Supervisor
@@ -49,9 +53,9 @@ class Nimbus:
         self._submission_order: List[str] = []
         self.assignments: Dict[str, Assignment] = {}
         self.rounds: List[SchedulingRound] = []
-        #: (simulated time, error message) of every attached-loop round
-        #: that could not produce a feasible schedule — the degraded-mode
-        #: record chaos tests assert on instead of a silent hang.
+        #: (simulated time, error message) of every round that
+        #: :meth:`try_schedule_round` could not schedule — the degraded-
+        #: mode record chaos tests assert on instead of a silent hang.
         self.scheduling_failures: List[Tuple[float, str]] = []
         # -- quarantine state (only populated when
         # -- ``nimbus.quarantine.enabled`` is set) --------------------------
@@ -214,18 +218,31 @@ class Nimbus:
                     self.quarantine_events.append((now, node_id))
             self._last_alive[node_id] = node.alive
 
-    def _mask_quarantined(self) -> List[Node]:
-        """Temporarily fail alive-but-quarantined nodes so any scheduler
-        — none of which know about quarantine — simply never sees them.
-        Returns the masked nodes for the caller to restore."""
-        masked: List[Node] = []
-        for node_id in self.quarantined:
-            if self.cluster.has_node(node_id):
-                node = self.cluster.node(node_id)
-                if node.alive:
-                    node.fail()
-                    masked.append(node)
-        return masked
+    @contextmanager
+    def _quarantine_masked(self) -> Iterator[None]:
+        """Fail alive-but-quarantined nodes for the block, so no
+        scheduler (none knows about quarantine) sees them."""
+        masked = [
+            self.cluster.node(node_id)
+            for node_id in self.quarantined
+            if self.cluster.has_node(node_id) and self.cluster.node(node_id).alive
+        ]
+        for node in masked:
+            node.fail()
+        try:
+            yield
+        finally:
+            for node in masked:
+                node.recover()
+
+    def place(self, topologies: Sequence[Topology]) -> SchedulingRound:
+        """The placement step of every round, adopting nothing: the
+        scheduler over ``topologies`` and the live assignments, with
+        quarantined nodes masked dead."""
+        with self._quarantine_masked():
+            return self.scheduler.run(
+                topologies, self.cluster, self._live_assignments()
+            )
 
     def schedule_round(self, now: float = 0.0) -> SchedulingRound:
         """One scheduler invocation: reconcile membership, call the
@@ -236,28 +253,55 @@ class Nimbus:
         nodes are masked dead for the duration of the scheduler call.
         Because schedulers keep the surviving ``existing`` placements and
         only re-place dropped tasks, the resulting migration is
-        *partial*: only tasks from dead or quarantined nodes move.
+        *partial*: only tasks from dead or quarantined nodes move.  A
+        round that raises keeps the old assignments and only their
+        reservations.
         """
         self.reconcile_membership()
         if self.config["nimbus.quarantine.enabled"]:
             self._update_quarantine(now)
-        masked = self._mask_quarantined()
-        try:
-            if self.tenancy is not None and self.config["nimbus.tenancy.enabled"]:
-                # Admission runs with quarantined nodes masked, so the
-                # weighted-DRF capacity matches what the schedulers
-                # will actually see this round.
+        if self.tenancy is not None and self.config["nimbus.tenancy.enabled"]:
+            # Masked, so the weighted-DRF capacity is what the
+            # schedulers will see this round.
+            with self._quarantine_masked():
                 self.tenancy.admission_round(self, now)
-            existing = self._live_assignments()
-            round_info = self.scheduler.run(
-                self.topologies, self.cluster, existing
-            )
-        finally:
-            for node in masked:
-                node.recover()
+        round_info = self.place(self.topologies)
         self.assignments.update(round_info.assignments)
         self.rounds.append(round_info)
         return round_info
+
+    def try_schedule_round(self, now: float) -> bool:
+        """:meth:`schedule_round`, recording a :class:`SchedulingError`
+        in :attr:`scheduling_failures` (a degraded round) instead of
+        raising it.  Returns whether the round succeeded."""
+        try:
+            self.schedule_round(now)
+        except SchedulingError as err:
+            self.scheduling_failures.append((now, str(err)))
+            return False
+        return True
+
+    def adopt(self, topology: Topology, assignment: Assignment) -> None:
+        """Commit a new generation of a submitted topology and its
+        assignment between rounds (an elastic action), moving reservations
+        with the tasks: in task order, each task ``assignment`` drops or
+        moves releases its reservation where held, and each moved task
+        reserves its demand at its new node where none is."""
+        topology_id = topology.topology_id
+        old = self.assignments[topology_id]
+        cluster = self.cluster
+        for task in old.tasks:
+            source = old.node_of(task)
+            target = assignment.node_of(task) if assignment.has(task) else None
+            if target == source:
+                continue
+            label = task_label(task)
+            if cluster.has_node(source) and cluster.node(source).has_reservation(label):
+                cluster.node(source).release(label)
+            if target is not None and not cluster.node(target).has_reservation(label):
+                cluster.node(target).reserve(label, topology.task_demand(task))
+        self._topologies[topology_id] = topology
+        self.assignments[topology_id] = assignment
 
     # -- simulation integration ----------------------------------------
 
@@ -291,10 +335,7 @@ class Nimbus:
         """One attached scheduling round; ``delay`` is the current
         backoff, carried from tick to tick as an event argument."""
         before = dict(self.assignments)
-        try:
-            self.schedule_round(run.sim.now)
-        except SchedulingError as err:
-            self.scheduling_failures.append((run.sim.now, str(err)))
+        if not self.try_schedule_round(run.sim.now):
             delay = min(delay * 2, 8 * period)
         else:
             delay = period

@@ -58,8 +58,8 @@ class IScheduler(abc.ABC):
                 resources first, exactly as in Storm).
             cluster: The physical cluster.  Implementations must not leave
                 stray reservations behind: either reserve through a
-                :class:`GlobalState` they own or leave node accounting
-                untouched.
+                :class:`GlobalState` they own, and roll it back when the
+                call raises, or leave node accounting untouched.
             existing: Live assignments from previous rounds.  Tasks whose
                 placements survive (their node is still alive) must keep
                 them; only missing/orphaned tasks get new placements.
@@ -69,7 +69,8 @@ class IScheduler(abc.ABC):
 
         Raises:
             SchedulingError: if a topology cannot be fully placed and the
-                scheduler is not configured for partial results.
+                scheduler is not configured for partial results; no
+                reservation of any placement the call made survives.
         """
 
     def run(

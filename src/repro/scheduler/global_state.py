@@ -9,7 +9,7 @@ every scheduling round.  It tracks:
 * which worker slots are occupied by which topologies.
 
 All mutation of node availability during scheduling goes through this
-class so a scheduling round can be reconciled or replayed atomically.
+class, so a call that raises can be undone (:meth:`GlobalState.rollback`).
 
 The rebuild is one pass over the live assignments, node by node
 through each assignment's cached per-node and per-slot indexes.  Each
@@ -32,7 +32,7 @@ has nothing to place without listing its tasks.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node, WorkerSlot
@@ -60,6 +60,8 @@ class GlobalState:
         #: topology id -> the assignment it was rebuilt from, while that
         #: is still its exact placement (None once it is not)
         self._kept: Dict[str, Optional[Assignment]] = {}
+        #: (task, node) of every reservation :meth:`place` made, in order
+        self._reserved: List[Tuple[Task, Node]] = []
 
     @property
     def packed(self) -> PackedClusterState:
@@ -236,6 +238,7 @@ class GlobalState:
         node = self.cluster.node(slot.node_id)
         if demand is not None:
             node.reserve(task_label(task), demand)
+            self._reserved.append((task, node))
             if self._packed is not None:
                 self._packed.refresh_node(node)
         self._placements[task] = slot
@@ -263,6 +266,16 @@ class GlobalState:
                 users.discard(task.topology_id)
                 if not users:
                     del self._slot_users[slot]
+
+    def rollback(self, first: str) -> None:
+        """Undo a scheduling call that raised, one release per placement:
+        release each reservation :meth:`place` made that is still held,
+        topology ``first`` (the failed one) first, then the rest, each in
+        placement order (a stable sort).  The state is spent afterwards."""
+        reserved = sorted(self._reserved, key=lambda e: e[0].topology_id != first)
+        for task, node in reserved:
+            if node.has_reservation(task_label(task)):
+                node.release(task_label(task))
 
     def __repr__(self) -> str:
         return (

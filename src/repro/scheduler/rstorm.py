@@ -151,11 +151,17 @@ class RStormScheduler(IScheduler):
         topo_by_id = {t.topology_id: t for t in topologies}
         state = GlobalState.from_assignments(cluster, topo_by_id, existing or {})
         result: Dict[str, Assignment] = {}
-        for topology in topologies:
-            self._schedule_topology(topology, cluster, state)
-            result[topology.topology_id] = state.assignment_for(
-                topology.topology_id
-            )
+        try:
+            for topology in topologies:
+                self._schedule_topology(topology, cluster, state)
+                result[topology.topology_id] = state.assignment_for(
+                    topology.topology_id
+                )
+        except Exception:
+            # All or nothing (paper Section 4.1): no reservation of a
+            # placement survives, the earlier topologies' included.
+            state.rollback(topology.topology_id)
+            raise
         return result
 
     # -- per-topology scheduling ----------------------------------------------
@@ -173,16 +179,7 @@ class RStormScheduler(IScheduler):
         if not pending:
             return
         ref_node = self._initial_ref_node(topology, cluster, state)
-        placed_this_round: List[Task] = []
-        try:
-            self._place_pending(topology, state, pending, ref_node,
-                                placed_this_round)
-        except SchedulingError:
-            # Assignment is atomic per topology (paper Section 4.1): undo
-            # this topology's partial placements before propagating.
-            for task in placed_this_round:
-                state.unplace(task)
-            raise
+        self._place_pending(topology, state, pending, ref_node)
 
     def _place_pending(
         self,
@@ -190,7 +187,6 @@ class RStormScheduler(IScheduler):
         state: GlobalState,
         pending: List[Task],
         ref_node: Optional[Node],
-        placed_this_round: List[Task],
     ) -> None:
         """Greedy node selection over the packed cluster view, from lazy
         per-demand distance heaps once the ref node is known (see the
@@ -281,7 +277,6 @@ class RStormScheduler(IScheduler):
             node = nodes[best_i]
             slot = state.slot_for_topology_on_node(topology_id, node)
             state.place(task, slot, demand)
-            placed_this_round.append(task)
             if ref_node is None:
                 ref_node = node
                 continue  # no heap exists before the anchor

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.flow import FlowModel
+from repro.analysis.flow import Bottleneck, FlowModel
 from repro.cluster import ResourceVector, emulab_testbed, single_rack_cluster
 from repro.errors import SimulationError
 from repro.scheduler.assignment import Assignment
@@ -61,7 +61,11 @@ class TestAnalyticCases:
         assert result.topology_throughput_tps["chain"] == pytest.approx(
             500.0, rel=0.01
         )
-        assert "CPU" in result.bottlenecks["chain"]
+        # the spout's 1000 t/s thread ceiling puts 2 cores on 1
+        node_id = cluster.nodes[0].node_id
+        bottleneck = result.bottlenecks["chain"]
+        assert bottleneck == Bottleneck("cpu", node_id, 2.0)
+        assert bottleneck.description == f"CPU on {node_id}"
         assert result.node_cpu_utilisation[
             cluster.nodes[0].node_id
         ] == pytest.approx(1.0, rel=0.01)
@@ -83,7 +87,13 @@ class TestAnalyticCases:
         assert result.topology_throughput_tps["chain"] == pytest.approx(
             1000.0, rel=0.01
         )
-        assert "single-thread" in result.bottlenecks["chain"]
+        # the spout offers 10k t/s, ten times the bolt's one thread
+        [task] = [t for t in topology.tasks if t.component == "stage-1"]
+        bottleneck = result.bottlenecks["chain"]
+        assert bottleneck == Bottleneck("task", task, 10.0)
+        assert bottleneck.description == (
+            "single-thread ceiling of chain/stage-1[0]"
+        )
 
     def test_nic_bound_remote_edge(self):
         """A 1000-byte stream across a 100 Mbps link caps at 12.5k t/s."""
@@ -108,7 +118,11 @@ class TestAnalyticCases:
         assert result.topology_throughput_tps["chain"] == pytest.approx(
             expected, rel=0.01
         )
-        assert "NIC" in result.bottlenecks["chain"]
+        # the spout's 1M t/s of 1000 B is 80x the link's 12.5 MB/s
+        node_id = cluster.nodes[0].node_id
+        bottleneck = result.bottlenecks["chain"]
+        assert bottleneck == Bottleneck("tx", node_id, 80.0)
+        assert bottleneck.description == f"NIC tx on {node_id}"
 
     def test_thrash_collapses_throughput(self):
         topology = chain(cpu_ms=1.0, stages=2)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import ResourceVector, emulab_testbed, single_rack_cluster
 from repro.topology import ExecutionProfile, TopologyBuilder
+from repro.topology.task import task_label
 
 try:
     from hypothesis import settings
@@ -69,3 +70,53 @@ def make_linear(
 @pytest.fixture
 def linear_topology_small():
     return make_linear()
+
+
+def placed_labels(nimbus):
+    """Alive node id -> the task labels ``nimbus.assignments`` places on
+    it."""
+    placed = {node.node_id: set() for node in nimbus.cluster.nodes if node.alive}
+    for assignment in nimbus.assignments.values():
+        for task in assignment.tasks:
+            node_id = assignment.node_of(task)
+            if node_id in placed:
+                placed[node_id].add(task_label(task))
+    return placed
+
+
+def stray_reservations(nimbus):
+    """``(node id, label)`` of every reservation an alive node holds that
+    ``nimbus.assignments`` does not place on it: the no-stray-reservation
+    law, which holds after every round and every elastic action."""
+    placed = placed_labels(nimbus)
+    return sorted(
+        (node_id, label)
+        for node_id, labels in placed.items()
+        for label in nimbus.cluster.node(node_id).reservations
+        if label not in labels
+    )
+
+
+def watch_reservations(nimbus):
+    """Assert the no-stray-reservation law after every round (raising or
+    not) and every :meth:`~repro.nimbus.nimbus.Nimbus.adopt` of
+    ``nimbus``, by wrapping both on the instance.  Returns the names of
+    the checked calls, in order, so a test can tell the checks ran."""
+    checked = []
+
+    def watch(name):
+        method = getattr(nimbus, name)
+
+        def checked_call(*args, **kwargs):
+            try:
+                return method(*args, **kwargs)
+            finally:
+                stray = stray_reservations(nimbus)
+                assert not stray, f"{name} left stray reservations {stray}"
+                checked.append(name)
+
+        setattr(nimbus, name, checked_call)
+
+    watch("schedule_round")
+    watch("adopt")
+    return checked

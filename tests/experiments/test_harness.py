@@ -59,9 +59,11 @@ class TestWire:
             emulab_testbed(),
             SimulationConfig(duration_s=25.0, warmup_s=5.0),
         )
-        # a plain run places without Nimbus and installs no tracer
-        assert wiring.nimbus is None and wiring.monitor is None
+        # a plain run is placed by one Nimbus round, attaches no loop
+        # and installs no tracer
+        assert wiring.monitor is None and wiring.run.observer is None
         outcome = wiring.outcome(wiring.run.run())
+        assert len(wiring.nimbus.rounds) == 1
         assert outcome.scheduler == "r-storm"
         assert outcome.throughput("chain") > 0
         assert outcome.qualities["chain"].nodes_used >= 1

@@ -2,15 +2,25 @@
 
 Each test drives the whole chain — injector -> DES -> heartbeat detector
 -> Nimbus reschedule -> migration — and asserts on the recovered state,
-not on any single component.
+not on any single component.  Every Nimbus round of every scenario also
+asserts that no alive node holds a reservation the assignments do not
+place on it.
 """
 
 import pytest
 
 from repro.cluster import ResourceVector, single_rack_cluster
 from repro.faults import FaultSchedule, NodeCrash, RackPartition
-from tests.conftest import make_linear
+from tests.conftest import make_linear, watch_reservations
 from tests.faults.conftest import build_chaos
+
+
+def build_watched(schedule, **kwargs):
+    """:func:`build_chaos`, with the no-stray-reservation law asserted
+    after every Nimbus round; ``ctx.checked`` lists the checked calls."""
+    ctx = build_chaos(schedule, **kwargs)
+    ctx.checked = watch_reservations(ctx.nimbus)
+    return ctx
 
 
 def first_assigned_node():
@@ -22,11 +32,12 @@ def first_assigned_node():
 class TestSingleNodeCrash:
     def test_detect_reschedule_recover(self):
         victim = first_assigned_node()
-        ctx = build_chaos(
+        ctx = build_watched(
             FaultSchedule.of(NodeCrash(at=20.0, node_id=victim)),
             duration_s=80.0,
         )
         report = ctx.run.run()
+        assert ctx.checked  # every round ran under the law
         topo_id = ctx.topology.topology_id
 
         # the victim was detected and the topology moved off it
@@ -48,13 +59,14 @@ class TestSingleNodeCrash:
 
 class TestRackPartition:
     def test_partition_and_heal(self):
-        ctx = build_chaos(
+        ctx = build_watched(
             FaultSchedule.of(
                 RackPartition(at=20.0, rack_id="rack-0", heal_at=45.0)
             ),
             duration_s=80.0,
         )
         report = ctx.run.run()
+        assert ctx.checked  # every round ran under the law
         topo_id = ctx.topology.topology_id
 
         # every node in the rack was expired by the detector
@@ -75,13 +87,14 @@ class TestRackPartition:
 class TestCrashThenRejoin:
     def test_rejoined_node_rehosts_work(self):
         victim = first_assigned_node()
-        ctx = build_chaos(
+        ctx = build_watched(
             FaultSchedule.of(
                 NodeCrash(at=20.0, node_id=victim, rejoin_at=45.0)
             ),
             duration_s=80.0,
         )
         report = ctx.run.run()
+        assert ctx.checked  # every round ran under the law
         topo_id = ctx.topology.topology_id
 
         assert ctx.cluster.node(victim).alive
@@ -107,7 +120,7 @@ class TestInsufficientCapacity:
         )
         victim = probe.nimbus.assignments[topology.topology_id].nodes[0]
         return (
-            build_chaos(
+            build_watched(
                 FaultSchedule.of(NodeCrash(at=15.0, node_id=victim)),
                 cluster=single_rack_cluster(
                     2,
@@ -126,6 +139,7 @@ class TestInsufficientCapacity:
     def test_degrades_without_hanging_or_overplacing(self):
         ctx, victim = self._context()
         report = ctx.run.run()  # terminating at all is the no-hang check
+        assert ctx.checked  # every round ran under the law
         topo_id = ctx.topology.topology_id
 
         # every post-crash round failed, loudly
@@ -151,6 +165,7 @@ class TestInsufficientCapacity:
     def test_backoff_spaces_out_failed_rounds(self):
         ctx, _ = self._context()
         ctx.run.run()
+        assert ctx.checked  # every round ran under the law
         times = [t for t, _ in ctx.nimbus.scheduling_failures]
         assert len(times) >= 2
         gaps = [b - a for a, b in zip(times, times[1:])]

@@ -11,7 +11,9 @@ composition contracts:
 * the at-least-once delivery ledger stays closed under mid-run
   rescale — every root tuple is acked, exhausted or still in flight;
 * churn attribution splits cleanly: fault-driven moves and
-  elastic-driven moves are counted separately and sum to the total.
+  elastic-driven moves are counted separately and sum to the total;
+* no alive node ever holds a reservation that Nimbus's assignments do
+  not place on it, after any round or elastic action.
 """
 
 from types import SimpleNamespace
@@ -23,6 +25,7 @@ from repro.scheduler import RStormScheduler
 from repro.simulation import SimulationConfig
 from repro.traffic.arrivals import PoissonArrivals
 from repro.workloads.micro import linear_topology
+from tests.conftest import stray_reservations, watch_reservations
 
 DURATION_S = 120.0
 ELASTIC_INTERVAL_S = 10.0
@@ -87,6 +90,8 @@ def build():
     )
     nimbus, run = wiring.nimbus, wiring.run
     victim = sorted(nimbus.assignments[topology.topology_id].nodes)[0]
+    assert not stray_reservations(nimbus)
+    checked = watch_reservations(nimbus)
 
     # Spy on every placement commit (fault-driven migrations from
     # Nimbus, elastic migrations and rescales from the controller):
@@ -134,7 +139,11 @@ def build():
     run.migrate = spy_migrate
     run.rescale = spy_rescale
     return SimpleNamespace(
-        topology=topology, victim=victim, placements=placements, **vars(wiring)
+        topology=topology,
+        victim=victim,
+        placements=placements,
+        checked=checked,
+        **vars(wiring),
     )
 
 
@@ -168,6 +177,11 @@ class TestElasticUnderChaos:
             assert not nodes & dead, (
                 f"{reason} at t={now} placed tasks on dead {nodes & dead}"
             )
+
+    def test_no_stray_reservations_after_rounds_and_actions(self):
+        """The law is asserted inside every round and every elastic
+        commit (see ``watch_reservations``); here, that both ran."""
+        assert {"schedule_round", "adopt"} <= set(self.ctx.checked)
 
     def test_final_assignment_clear_of_quarantined(self):
         ctx = self.ctx

@@ -7,14 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import emulab_testbed
+from repro.cluster import ResourceVector, emulab_testbed, uniform_cluster
 from repro.errors import MembershipError, SchedulingError
 from repro.nimbus.nimbus import Nimbus
 from repro.nimbus.supervisor import Supervisor
 from repro.nimbus.zookeeper import InMemoryZooKeeper
 from repro.scheduler.rstorm import RStormScheduler
 from repro.topology.task import task_label
-from tests.conftest import make_linear
+from tests.conftest import make_linear, placed_labels, stray_reservations
 
 
 @pytest.fixture
@@ -171,6 +171,58 @@ class TestFailureRecovery:
         supervisors[victim].crash()
         nimbus.schedule_round()
         assert cluster.node(victim).reservations == {}
+
+
+
+class TestFailedRoundReservations:
+    """A round that raises adopts nothing, so it must leave nothing
+    reserved that the kept assignments do not place: topology ``a``
+    re-places a task from a dead node, then ``b`` cannot fit."""
+
+    @staticmethod
+    def _failed_round():
+        cluster = uniform_cluster(
+            nodes_per_rack=2,
+            racks=2,
+            capacity=ResourceVector.of(
+                memory_mb=1024.0, cpu=100.0, bandwidth_mbps=100.0
+            ),
+        )
+        nimbus = Nimbus(cluster, scheduler=RStormScheduler())
+        nimbus.submit_topology(
+            make_linear("a", parallelism=2, stages=2, memory_mb=64.0, cpu=30.0)
+        )
+        nimbus.submit_topology(
+            make_linear("b", parallelism=2, stages=2, memory_mb=512.0, cpu=10.0)
+        )
+        nimbus.schedule_round()
+        # a spans both rack-0 nodes; b fills rack 1's memory
+        assert nimbus.assignments["a"].nodes == ("node-0-0", "node-0-1")
+        assert nimbus.assignments["b"].nodes == ("node-1-0", "node-1-1")
+        cluster.node("node-0-1").fail()
+        cluster.node("node-1-0").fail()
+        with pytest.raises(SchedulingError):
+            nimbus.schedule_round()
+        return nimbus
+
+    def test_nodes_hold_exactly_the_kept_placements(self):
+        nimbus = self._failed_round()
+        held = {
+            node.node_id: set(node.reservations)
+            for node in nimbus.cluster.nodes
+            if node.alive
+        }
+        assert held == placed_labels(nimbus)
+
+    def test_recovery_round_replaces_without_cluster_state_error(self):
+        nimbus = self._failed_round()
+        nimbus.cluster.node("node-1-0").recover()
+        nimbus.schedule_round()
+        for topology in nimbus.topologies:
+            assignment = nimbus.assignments[topology.topology_id]
+            assert assignment.is_complete(topology)
+            assert "node-0-1" not in assignment.nodes
+        assert not stray_reservations(nimbus)
 
 
 #: Builds a node holding four tasks whose CPU demands sum differently in
