@@ -835,7 +835,12 @@ def reference_nimbus_round(cluster, topologies, assignments, scheduler):
     """One Nimbus round as it ran before rounds reused kept assignments:
     every assignment is copied down to its alive nodes, each lost
     placement's reservation is released in task order, and the frozen
-    oracle schedules the rest."""
+    oracle schedules the rest.
+
+    A round that raises is all or nothing.  The oracle undoes only the
+    failing topology's placements, so every other reservation that no
+    live placement owns is released after it, node by node in the order
+    it was made."""
     alive = {node.node_id for node in cluster if node.alive}
     live = {}
     for topo_id, assignment in assignments.items():
@@ -855,7 +860,19 @@ def reference_nimbus_round(cluster, topologies, assignments, scheduler):
             node = cluster.node(node_id)
             if node.has_reservation(task_label(task)):
                 node.release(task_label(task))
-    return scheduler.schedule(topologies, cluster, live)
+    try:
+        return scheduler.schedule(topologies, cluster, live)
+    except SchedulingError:
+        owned = {
+            (assignment.node_of(task), task_label(task))
+            for assignment in live.values()
+            for task in assignment.tasks
+        }
+        for node in cluster.nodes:
+            for label in list(node.reservations):
+                if node.alive and (node.node_id, label) not in owned:
+                    node.release(label)
+        raise
 
 
 def _round_outcome(call):
