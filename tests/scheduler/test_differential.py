@@ -33,7 +33,7 @@ from repro.cluster.resources import (
     ResourceDimension,
     ResourceSchema,
 )
-from repro.errors import ClusterStateError, SchedulingError
+from repro.errors import SchedulingError
 from repro.scheduler.aniello import AnielloOfflineScheduler
 from repro.scheduler.assignment import Assignment
 from repro.scheduler.default import DefaultScheduler
@@ -44,6 +44,7 @@ from repro.topology.task import task_label
 from repro.workloads.generator import TopologySpec, random_topology
 from repro.workloads.micro import micro_topology
 
+from tests.conftest import stray_reservations
 from tests.scheduler.reference_impls import (
     ReferenceAnielloScheduler,
     ReferenceDefaultScheduler,
@@ -877,10 +878,11 @@ def reference_nimbus_round(cluster, topologies, assignments, scheduler):
 
 def _round_outcome(call):
     """``(assignments, outcome)``: a round's assignments and their
-    comparable map, or None and the error the round raised."""
+    comparable map, or None and the :class:`SchedulingError` the round
+    raised (any other error fails the test)."""
     try:
         assignments = call()
-    except (SchedulingError, ClusterStateError) as err:
+    except SchedulingError as err:
         return None, f"{type(err).__name__}: {err}"
     return assignments, as_map(assignments)
 
@@ -914,7 +916,8 @@ class TestFailoverRoundsDifferential:
     assignments, so after the recovery the state rebuild re-applies the
     reservations of the placements on the recovered nodes.  After every
     round both sides must agree on the outcome and on every node's
-    availability, bit for bit."""
+    availability, bit for bit, and no alive node may hold a reservation
+    that Nimbus's assignments do not place on it."""
 
     ROUNDS = 24
 
@@ -965,6 +968,7 @@ class TestFailoverRoundsDifferential:
             assert _availability(nimbus.cluster) == _availability(
                 ref_cluster
             ), f"round {round_no}"
+            assert not stray_reservations(nimbus), f"round {round_no}"
             if placed is None:
                 failed_rounds += 1
             else:
