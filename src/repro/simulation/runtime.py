@@ -124,7 +124,7 @@ class _NodeRuntime:
     """
 
     __slots__ = ("node", "node_id", "cores", "active", "ready", "slowdown",
-                 "fault_factor", "tasks")
+                 "fault_factor", "tasks", "failed")
 
     def __init__(self, node: Node):
         self.node = node
@@ -138,6 +138,15 @@ class _NodeRuntime:
         #: which are recomputed from placements.
         self.fault_factor = 1.0
         self.tasks: List[int] = []
+        #: failed by the run and not yet recovered.  Nimbus may revive
+        #: ``node.alive`` before then (its supervisor is registered until
+        #: the heartbeat timeout), but no task bound here runs until the
+        #: run recovers the machine.
+        self.failed = False
+
+    def up(self) -> bool:
+        """Whether a task bound here now may run."""
+        return self.node.alive and not self.failed
 
 
 class _OutRoute:
@@ -405,7 +414,7 @@ class SimulationRun:
                 task, topo_rt.topology.component(task.component), topo_rt,
                 slot, node_rt, len(table),
             )
-            rt.alive = node_rt.node.alive
+            rt.alive = node_rt.up()
             table.append(rt)
             node_rt.tasks.append(rt.index)
             self._task_runtimes[task] = rt
@@ -688,7 +697,7 @@ class SimulationRun:
             self._unqueue(rt)
             rt.slot = new_slot
             rt.node = new_node
-            rt.alive = new_node.node.alive
+            rt.alive = new_node.up()
             new_node.tasks.append(rt.index)
             if rt.alive and rt.work and not rt.running:
                 rt.queued = True
@@ -735,6 +744,7 @@ class SimulationRun:
                 TraceEvent(self.sim.now, EventKind.NODE_DOWN, node=node_id)
             )
         node_rt.node.fail()
+        node_rt.failed = True
         table = self._tasks
         for i in node_rt.tasks:
             self._teardown(table[i])
@@ -750,6 +760,7 @@ class SimulationRun:
                 TraceEvent(self.sim.now, EventKind.NODE_UP, node=node_id)
             )
         node_rt.node.recover()
+        node_rt.failed = False
         table = self._tasks
         for i in node_rt.tasks:
             rt = table[i]
@@ -957,7 +968,7 @@ class SimulationRun:
             task.queued = False
 
     def _revive_task(self, task: _TaskRuntime) -> None:
-        if not task.node.node.alive:
+        if not task.node.up():
             return  # node died meanwhile; nimbus must reschedule
         task.alive = True
         if task.is_spout:

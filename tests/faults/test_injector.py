@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import emulab_testbed
 from repro.errors import ConfigError
+from repro.experiments.harness import wire
 from repro.faults import (
     FaultInjector,
     FaultSchedule,
@@ -15,6 +16,7 @@ from repro.faults import (
 )
 from repro.scheduler import RStormScheduler
 from repro.simulation import SimulationConfig, SimulationRun
+from repro.workloads.micro import micro_topology
 from tests.conftest import make_linear
 from tests.faults.conftest import build_chaos
 
@@ -89,6 +91,32 @@ class TestNodeCrash:
         ctx.run.run()
         assert ctx.cluster.node(victim).alive
         assert ctx.supervisors[victim].registered
+
+    def test_tasks_moved_onto_a_crashed_node_do_not_run(self):
+        """node-1-0 crashes at 18 s, but its supervisor stays registered
+        until the heartbeat timeout at 25.5 s, so the 20 s round sees it
+        alive and moves node-0-0's orphans there.  The machine is down:
+        those tasks must not run."""
+        wiring = wire(
+            RStormScheduler(),
+            [micro_topology("linear", "compute")],
+            emulab_testbed(),
+            SimulationConfig(duration_s=40.0, warmup_s=5.0),
+            faults=FaultSchedule([
+                NodeCrash(at=5.0, node_id="node-0-0"),
+                NodeCrash(at=18.0, node_id="node-1-0"),
+            ]),
+        )
+        busy = wiring.run.stats.busy
+        wiring.run.run(until=19.5)
+        assert busy.get("node-1-0", 0.0) == 0.0
+        wiring.run.run(until=25.4)
+        moved = wiring.nimbus.assignments["linear-compute"]
+        assert "node-1-0" in moved.nodes  # the zombie round happened
+        assert busy.get("node-1-0", 0.0) == 0.0
+        wiring.run.run()
+        assert (25.5, "node-1-0") in wiring.detector.expirations
+        assert busy.get("node-1-0", 0.0) == 0.0
 
 
 class TestNodeSlowdown:

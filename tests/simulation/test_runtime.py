@@ -241,6 +241,32 @@ class TestFailureInjection:
         report = run.run()
         assert report.crashes("overrun") > 0
 
+    def test_tasks_bound_to_a_failed_node_wait_for_its_recovery(self):
+        """Nimbus may revive ``Node.alive`` before the run recovers the
+        machine (its supervisor is registered until the heartbeat
+        timeout).  A task a rescale adds there, or moves there, stays
+        dead until the run recovers the node."""
+        run, assignment = chain_run()
+        spare = next(
+            n for n in run.cluster.nodes if n.node_id not in assignment.nodes
+        )
+        run._fail_node(spare.node_id)
+        spare.recover()  # what a membership reconcile does meanwhile
+        grown = run.current_topology("chain").with_parallelism("stage-1", 3)
+        (added,) = set(grown.tasks) - set(assignment.tasks)
+        mapping = {task: assignment.slot_of(task) for task in assignment.tasks}
+        moved = grown.tasks_of("stage-1")[0]
+        mapping[added] = mapping[moved] = spare.slots[0]
+        run.rescale("chain", grown, Assignment("chain", mapping))
+        bound = [run._task_runtimes[added], run._task_runtimes[moved]]
+        assert not any(rt.alive for rt in bound)
+        run.run(10.0)
+        assert run.stats.busy.get(spare.node_id, 0.0) == 0.0
+        run._recover_node(spare.node_id)
+        assert all(rt.alive for rt in bound)
+        run.run()
+        assert run.stats.busy[spare.node_id] > 0.0
+
 
 def chain_run(observer=None):
     """A 3-stage chain on the testbed, stepped to 5 s of its 20."""
