@@ -22,9 +22,9 @@ Placements and slot users are recorded once per slot.
 Nothing the rebuild computes outlives the round.  The one thing it
 hands back is an input: :meth:`GlobalState.assignment_for` returns the
 immutable :class:`Assignment` a topology was rebuilt from, as long as
-the rebuild kept every one of its placements and no :meth:`place` or
-:meth:`unplace` has touched the topology since — so an untouched
-topology comes out of a round as the same object that went in, and
+the rebuild kept every one of its placements and no :meth:`place` has
+touched the topology since — so an untouched topology comes out of a
+round as the same object that went in, and
 :meth:`GlobalState.is_complete` tells a scheduler that such a topology
 has nothing to place without listing its tasks.
 """
@@ -66,10 +66,10 @@ class GlobalState:
     @property
     def packed(self) -> PackedClusterState:
         """Flat per-dimension resource arrays over the alive nodes,
-        built on first use and kept in sync by :meth:`place` /
-        :meth:`unplace`.  Valid for the lifetime of this state object —
-        i.e. one scheduling round (Nimbus rebuilds ``GlobalState`` every
-        round, so liveness changes between rounds get a fresh view)."""
+        built on first use and kept in sync by :meth:`place`.  Valid for
+        the lifetime of this state object — i.e. one scheduling round
+        (Nimbus rebuilds ``GlobalState`` every round, so liveness
+        changes between rounds get a fresh view)."""
         if self._packed is None:
             self._packed = PackedClusterState(self.cluster)
         return self._packed
@@ -244,28 +244,6 @@ class GlobalState:
         self._placements[task] = slot
         self._kept.pop(task.topology_id, None)
         self._slot_users.setdefault(slot, set()).add(task.topology_id)
-
-    def unplace(self, task: Task) -> None:
-        """Remove a task's placement and release its reservation (if any)."""
-        slot = self._placements.pop(task, None)
-        if slot is None:
-            raise SchedulingError(f"task {task} is not placed")
-        self._kept.pop(task.topology_id, None)
-        node = self.cluster.node(slot.node_id)
-        if node.has_reservation(task_label(task)):
-            node.release(task_label(task))
-            if self._packed is not None:
-                self._packed.refresh_node(node)
-        remaining = any(
-            t.topology_id == task.topology_id and s == slot
-            for t, s in self._placements.items()
-        )
-        if not remaining:
-            users = self._slot_users.get(slot)
-            if users:
-                users.discard(task.topology_id)
-                if not users:
-                    del self._slot_users[slot]
 
     def rollback(self, first: str) -> None:
         """Undo a scheduling call that raised, one release per placement:

@@ -57,19 +57,6 @@ class TestPlacement:
             )
         assert not state.is_placed(task)
 
-    def test_unplace_releases(self, cluster, topology):
-        state = GlobalState(cluster)
-        node = cluster.nodes[0]
-        task = topology.tasks[0]
-        state.place(task, node.slots[0], topology.task_demand(task))
-        state.unplace(task)
-        assert node.available == node.capacity
-        assert not state.is_placed(task)
-
-    def test_unplace_unknown_rejected(self, cluster, topology):
-        with pytest.raises(SchedulingError):
-            GlobalState(cluster).unplace(topology.tasks[0])
-
 
 class TestSlotSelection:
     def test_reuses_topologys_slot_on_node(self, cluster, topology):
@@ -165,14 +152,16 @@ class TestRebuildReuse:
     def test_touched_topology_returns_new_equal_object(
         self, cluster, topology, existing
     ):
+        lost = cluster.nodes[1]
+        lost.fail()
         state = GlobalState.from_assignments(
             cluster, {"t": topology}, {"t": existing}
         )
-        task = topology.tasks[0]
-        slot = existing.slot_of(task)
-        state.unplace(task)
         assert state.assignment_for("t") is not existing
-        state.place(task, slot, topology.task_demand(task))
+        lost.recover()
+        for task in existing.tasks_on_node(lost.node_id):
+            # the reservation survived the failure, so place reserves none
+            state.place(task, existing.slot_of(task))
         rebuilt = state.assignment_for("t")
         assert rebuilt is not existing
         assert rebuilt == existing
@@ -205,8 +194,10 @@ class TestRebuildReuse:
         )
         assert state.is_complete(topology)
         # the same id with one more task: the kept assignment lacks it
-        assert not state.is_complete(topology.with_parallelism("b", 3))
-        state.unplace(topology.tasks[0])
+        bigger = topology.with_parallelism("b", 3)
+        assert not state.is_complete(bigger)
+        (extra,) = set(bigger.tasks) - set(topology.tasks)
+        state.place(extra, existing.slot_of(topology.tasks[0]))
         assert not state.is_complete(topology)
 
     def test_partial_or_dropped_assignment_is_not_complete(
