@@ -45,6 +45,7 @@ from repro.experiments.harness import (
     placement_qualities,
     wire,
 )
+from repro.nimbus.nimbus import Nimbus
 from repro.nimbus.tenancy import Tenant
 from repro.scheduler.assignment import Assignment
 from repro.scheduler.quality import ScheduleQuality
@@ -160,7 +161,8 @@ class ScheduleOutcome:
 
 @dataclass(frozen=True)
 class ScheduleUnit:
-    """Schedule + evaluate + flow-model predict, without the DES.
+    """Schedule (one :class:`Nimbus` round, as :func:`wire` places) +
+    evaluate + flow-model predict, without the DES.
 
     Used where simulation is unaffordable: the scalability sweep
     (analytical throughput on clusters the DES would chew minutes on).
@@ -175,7 +177,10 @@ class ScheduleUnit:
         scheduler = self.scheduler.build()
         topologies = [t.build() for t in self.topologies]
         cluster = self.cluster.build()
-        assignments = scheduler.schedule(topologies, cluster)
+        nimbus = Nimbus(cluster, scheduler=scheduler)
+        for topology in topologies:
+            nimbus.submit_topology(topology)
+        assignments = nimbus.schedule_round().assignments
         placements = [
             (t, assignments[t.topology_id]) for t in topologies
         ]
