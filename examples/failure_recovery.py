@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """Failure recovery: Nimbus reschedules a topology after a node dies.
 
-Runs the full coordination plane — supervisors registered in the
-in-memory ZooKeeper, Nimbus invoking R-Storm every 10 simulated seconds —
-attached to a live simulation.  At t=63 s — mid-way between
-scheduling ticks — one of the machines hosting the topology crashes (its
-supervisor session expires); on its next tick Nimbus observes the
-membership change, R-Storm re-places the orphaned tasks (respecting
-resource budgets), and the simulation migrates them.  The throughput
-timeline shows the outage dip and the recovery; tuples stranded on the
-dead machine time out and count as failed, exactly as in Storm.
+Runs the full coordination plane — supervisors registered with Nimbus,
+Nimbus invoking R-Storm every 10 simulated seconds — attached to a live
+simulation.  At t=63 s — mid-way between scheduling ticks — one of the
+machines hosting the topology crashes (its supervisor unregisters); on
+its next tick Nimbus observes the membership change, R-Storm re-places
+the orphaned tasks (respecting resource budgets), and the simulation
+migrates them.  The throughput timeline shows the outage dip and the
+recovery; tuples stranded on the dead machine time out and count as
+failed, exactly as in Storm.
 
 Run:  python examples/failure_recovery.py
 """
 
 from repro import (
-    InMemoryZooKeeper,
     Nimbus,
     RStormScheduler,
     SimulationConfig,
@@ -28,11 +27,8 @@ from repro.workloads import linear_topology
 
 def main() -> None:
     cluster = emulab_testbed()
-    zk = InMemoryZooKeeper()
-    supervisors = {
-        node.node_id: Supervisor(node, zk) for node in cluster.nodes
-    }
-    nimbus = Nimbus(cluster, scheduler=RStormScheduler(), zk=zk)
+    supervisors = {node.node_id: Supervisor(node) for node in cluster.nodes}
+    nimbus = Nimbus(cluster, scheduler=RStormScheduler())
     for supervisor in supervisors.values():
         nimbus.register_supervisor(supervisor)
 
@@ -50,7 +46,7 @@ def main() -> None:
 
     def kill_node() -> None:
         print(f"[t={run.sim.now:.0f}s] node {victim} crashes")
-        supervisors[victim].crash()  # expires the ZooKeeper session too
+        supervisors[victim].crash()  # unregisters the supervisor too
 
     run.on_time(63.0, kill_node)
     report = run.run()

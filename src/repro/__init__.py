@@ -4,7 +4,7 @@ A complete Python reproduction of *R-Storm: Resource-Aware Scheduling in
 Storm* (Peng et al., Middleware 2015): the R-Storm scheduler, Storm's
 default scheduler, the full execution substrate (topologies, a two-level
 cluster/network model, a discrete-event Storm runtime simulator, and a
-Nimbus/supervisor/ZooKeeper coordination plane), the paper's evaluation
+Nimbus/supervisor coordination plane), the paper's evaluation
 workloads, and an experiment harness regenerating every figure.
 
 Quickstart::
@@ -46,7 +46,7 @@ from repro.errors import (
     SimulationError,
     TopologyValidationError,
 )
-from repro.nimbus import InMemoryZooKeeper, Nimbus, StormConfig, Supervisor
+from repro.nimbus import Nimbus, StormConfig, Supervisor
 from repro.scheduler import (
     AnielloOfflineScheduler,
     Assignment,
@@ -86,7 +86,6 @@ __all__ = [
     "ExecutionProfile",
     "GlobalState",
     "IScheduler",
-    "InMemoryZooKeeper",
     "InsufficientResourcesError",
     "NetworkTopography",
     "Nimbus",

@@ -340,7 +340,7 @@ def wire(
     supervisors = {}
     if faults is not None:
         for node in cluster.nodes:
-            supervisor = Supervisor(node, nimbus.zk)
+            supervisor = Supervisor(node)
             nimbus.register_supervisor(supervisor)
             supervisors[node.node_id] = supervisor
     tenancy = None

@@ -172,7 +172,7 @@ class RackPartition(FaultEvent):
 @dataclass(frozen=True)
 class HeartbeatSilence(FaultEvent):
     """The machine keeps processing but stops heartbeating (partitioned
-    from ZooKeeper).  The detector will wrongly declare it dead after the
+    from Nimbus).  The detector will wrongly declare it dead after the
     timeout; heartbeats resume at ``until`` if set."""
 
     node_id: str = ""

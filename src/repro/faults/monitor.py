@@ -11,7 +11,7 @@ cannot crowd them out — and after the run distils the causal chain
 
 into per-fault recovery metrics:
 
-* **detection latency** — fault injection to heartbeat-session expiry,
+* **detection latency** — fault injection to heartbeat expiry,
 * **reschedule latency** — injection to the first migration applied,
 * **throughput dip** — the worst post-fault window relative to the
   pre-fault baseline,

@@ -1,4 +1,7 @@
-"""Coordination plane: Nimbus master, supervisors, ZooKeeper, config."""
+"""Coordination plane: Nimbus master, supervisors, config.
+
+Supervisors register with Nimbus, which keeps the list of active worker
+nodes; Nimbus reads node capacities from the cluster model."""
 
 from repro.nimbus.config import StormConfig, parse_storm_yaml
 from repro.nimbus.elastic import (
@@ -8,23 +11,19 @@ from repro.nimbus.elastic import (
 )
 from repro.nimbus.failure_detector import HeartbeatFailureDetector
 from repro.nimbus.nimbus import Nimbus
-from repro.nimbus.supervisor import SUPERVISORS_PATH, Supervisor
+from repro.nimbus.supervisor import Supervisor
 from repro.nimbus.tenancy import SLO, TenancyController, Tenant
-from repro.nimbus.zookeeper import InMemoryZooKeeper, ZNode
 
 __all__ = [
     "ElasticController",
     "ElasticDecision",
     "HeartbeatFailureDetector",
-    "InMemoryZooKeeper",
     "Nimbus",
     "SLO",
-    "SUPERVISORS_PATH",
     "StormConfig",
     "Supervisor",
     "Tenant",
     "TenancyController",
-    "ZNode",
     "parse_storm_yaml",
     "required_parallelism",
 ]

@@ -1,12 +1,11 @@
 """Heartbeat-based failure detection.
 
-The in-memory ZooKeeper expires a supervisor's session instantly when
-:meth:`Supervisor.crash` is called — convenient for tests, but real
-clusters detect failure by *missed heartbeats* after a timeout.  This
-module provides that behaviour for simulated runs: supervisors heartbeat
-periodically in simulated time, and the detector expires sessions whose
-last heartbeat is older than the timeout, at which point Nimbus's
-membership reconciliation sees the node disappear.
+:meth:`Supervisor.crash` unregisters a supervisor instantly — convenient
+for tests, but real clusters detect failure by *missed heartbeats* after
+a timeout.  This module provides that behaviour for simulated runs:
+supervisors heartbeat periodically in simulated time, and the detector
+unregisters those whose last heartbeat is older than the timeout, at
+which point Nimbus's membership reconciliation sees the node disappear.
 
 Wiring it up::
 
@@ -38,8 +37,8 @@ class HeartbeatFailureDetector:
         supervisors: The supervisors to manage (must be started).
         heartbeat_interval_s: Simulated seconds between heartbeats.
         timeout_s: A supervisor whose last heartbeat is older than this
-            is declared dead (its ZooKeeper session expires and its node
-            is failed).  Must exceed the heartbeat interval.
+            is declared dead (it is unregistered and its node is
+            failed).  Must exceed the heartbeat interval.
     """
 
     def __init__(
@@ -85,8 +84,8 @@ class HeartbeatFailureDetector:
 
     def mute(self, node_id: str) -> None:
         """Heartbeats stop but the machine keeps running (a gray failure:
-        the node is partitioned from ZooKeeper, not dead).  After the
-        timeout the detector will still expire the session and declare the
+        the node is partitioned from Nimbus, not dead).  After the
+        timeout the detector will still unregister it and declare the
         node failed — Nimbus cannot tell the difference, which is the
         point."""
         if node_id not in self.supervisors:
@@ -94,8 +93,8 @@ class HeartbeatFailureDetector:
         self._silenced.add(node_id)
 
     def unmute(self, node_id: str, now: float = 0.0) -> None:
-        """Heartbeats resume.  If the session already expired (the node
-        was wrongly declared dead), the supervisor re-registers and the
+        """Heartbeats resume.  If the supervisor already expired (the
+        node was wrongly declared dead), the supervisor re-registers and the
         node recovers — the false-positive heals like a real failure."""
         supervisor = self.supervisors.get(node_id)
         if supervisor is None:
@@ -138,7 +137,7 @@ class HeartbeatFailureDetector:
             if not supervisor.registered:
                 continue
             if now - supervisor.last_heartbeat > self.timeout_s:
-                supervisor.stop()  # session expiry
+                supervisor.stop()  # expiry
                 supervisor.node.fail()
                 self.expirations.append((now, node_id))
                 if run.observer is not None:

@@ -2,9 +2,10 @@
 
 Owns the submitted-topology set, invokes the configured scheduler
 periodically (default every 10 seconds, paper Section 5), reconciles
-membership changes observed through ZooKeeper, and — when attached to a
-:class:`~repro.simulation.runtime.SimulationRun` — migrates running tasks
-onto new assignments after failures.
+cluster liveness with the supervisors registered with it (the list
+Storm keeps in ZooKeeper), and — when attached to a
+:class:`~repro.simulation.runtime.SimulationRun` — migrates running
+tasks onto new assignments after failures.
 
 Nimbus is stateless with respect to the scheduler: every round the
 scheduler rebuilds whatever it needs from the cluster and the live
@@ -23,8 +24,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.cluster.cluster import Cluster
 from repro.errors import ConfigError, MembershipError, SchedulingError
 from repro.nimbus.config import StormConfig
-from repro.nimbus.supervisor import SUPERVISORS_PATH, Supervisor
-from repro.nimbus.zookeeper import InMemoryZooKeeper
+from repro.nimbus.supervisor import Supervisor
 from repro.scheduler.assignment import Assignment
 from repro.scheduler.base import IScheduler, SchedulingRound
 from repro.simulation.tracing import EventKind, TraceEvent
@@ -41,14 +41,13 @@ class Nimbus:
         self,
         cluster: Cluster,
         scheduler: Optional[IScheduler] = None,
-        zk: Optional[InMemoryZooKeeper] = None,
         config: Optional[StormConfig] = None,
     ):
         self.cluster = cluster
         self.config = config or StormConfig()
         self.scheduler = scheduler or self.config.make_scheduler()
-        self.zk = zk or InMemoryZooKeeper()
-        self.zk.ensure_path(SUPERVISORS_PATH)
+        #: node id -> the supervisor last registered for that node
+        self._supervisors: Dict[str, Supervisor] = {}
         self._topologies: Dict[str, Topology] = {}
         self._submission_order: List[str] = []
         self.assignments: Dict[str, Assignment] = {}
@@ -113,15 +112,19 @@ class Nimbus:
     # -- membership ----------------------------------------------------------------
 
     def registered_supervisors(self) -> List[str]:
-        return self.zk.children(SUPERVISORS_PATH)
+        return sorted(
+            node_id
+            for node_id, supervisor in self._supervisors.items()
+            if supervisor.registered
+        )
 
     def reconcile_membership(self) -> List[str]:
-        """Sync cluster liveness with the ZooKeeper supervisor registry.
+        """Sync cluster liveness with the registered supervisors.
 
         A node with no registered supervisor is marked dead; a registered
         node that was dead is revived.  Returns node ids whose liveness
         changed.  Clusters used without supervisors (library-only use)
-        are untouched: an empty registry means membership is unmanaged.
+        are untouched: with none registered, membership is unmanaged.
         """
         registered = set(self.registered_supervisors())
         if not registered:
@@ -138,15 +141,23 @@ class Nimbus:
         return changed
 
     def register_supervisor(self, supervisor: Supervisor, now: float = 0.0) -> None:
-        """Convenience: start a supervisor against this Nimbus's ZooKeeper
-        and add its node to the cluster if new."""
-        if supervisor.zk is not self.zk:
+        """Start ``supervisor`` and keep it, adding its node to the
+        cluster if new.
+
+        Raises:
+            MembershipError: if another supervisor for the same node is
+                registered, or this one already is.
+        """
+        node_id = supervisor.supervisor_id
+        held = self._supervisors.get(node_id)
+        if held is not None and held is not supervisor and held.registered:
             raise MembershipError(
-                "supervisor is bound to a different ZooKeeper ensemble"
+                f"node {node_id!r} already has a registered supervisor"
             )
-        if not self.cluster.has_node(supervisor.node.node_id):
+        if not self.cluster.has_node(node_id):
             self.cluster.add_node(supervisor.node)
         supervisor.start(now)
+        self._supervisors[node_id] = supervisor
 
     # -- scheduling ----------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import emulab_testbed
-from repro.nimbus import InMemoryZooKeeper, Nimbus, Supervisor
+from repro.nimbus import Nimbus, Supervisor
 from repro.scheduler import RStormScheduler
 from repro.simulation import SimulationConfig, SimulationRun
 from repro.workloads import linear_topology
@@ -12,11 +12,10 @@ from repro.workloads import linear_topology
 @pytest.fixture
 def managed_simulation():
     cluster = emulab_testbed()
-    zk = InMemoryZooKeeper()
-    nimbus = Nimbus(cluster, scheduler=RStormScheduler(), zk=zk)
+    nimbus = Nimbus(cluster, scheduler=RStormScheduler())
     supervisors = {}
     for node in cluster.nodes:
-        supervisor = Supervisor(node, zk)
+        supervisor = Supervisor(node)
         nimbus.register_supervisor(supervisor)
         supervisors[node.node_id] = supervisor
     topology = linear_topology("network")

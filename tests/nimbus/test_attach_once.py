@@ -13,7 +13,6 @@ from repro.cluster import emulab_testbed
 from repro.errors import ConfigError
 from repro.nimbus import (
     HeartbeatFailureDetector,
-    InMemoryZooKeeper,
     Nimbus,
     StormConfig,
     Supervisor,
@@ -26,16 +25,14 @@ from tests.conftest import make_linear
 
 def wired(elastic_enabled=True):
     cluster = emulab_testbed()
-    zk = InMemoryZooKeeper()
     nimbus = Nimbus(
         cluster,
         scheduler=RStormScheduler(),
-        zk=zk,
         config=StormConfig({"nimbus.elastic.enabled": elastic_enabled}),
     )
     supervisors = []
     for node in cluster.nodes:
-        supervisor = Supervisor(node, zk)
+        supervisor = Supervisor(node)
         nimbus.register_supervisor(supervisor)
         supervisors.append(supervisor)
     topology = make_linear(parallelism=2, stages=2)

@@ -6,7 +6,6 @@ from repro.cluster import emulab_testbed
 from repro.errors import MembershipError
 from repro.nimbus import (
     HeartbeatFailureDetector,
-    InMemoryZooKeeper,
     Nimbus,
     Supervisor,
 )
@@ -18,11 +17,10 @@ from tests.conftest import make_linear
 @pytest.fixture
 def setup():
     cluster = emulab_testbed()
-    zk = InMemoryZooKeeper()
-    nimbus = Nimbus(cluster, scheduler=RStormScheduler(), zk=zk)
+    nimbus = Nimbus(cluster, scheduler=RStormScheduler())
     supervisors = {}
     for node in cluster.nodes:
-        supervisor = Supervisor(node, zk)
+        supervisor = Supervisor(node)
         nimbus.register_supervisor(supervisor)
         supervisors[node.node_id] = supervisor
     topology = make_linear(parallelism=2, stages=2)

@@ -11,7 +11,6 @@ from repro.cluster import ResourceVector, emulab_testbed, uniform_cluster
 from repro.errors import MembershipError, SchedulingError
 from repro.nimbus.nimbus import Nimbus
 from repro.nimbus.supervisor import Supervisor
-from repro.nimbus.zookeeper import InMemoryZooKeeper
 from repro.scheduler.rstorm import RStormScheduler
 from repro.topology.task import task_label
 from tests.conftest import make_linear, placed_labels, stray_reservations
@@ -21,11 +20,10 @@ from tests.conftest import make_linear, placed_labels, stray_reservations
 def managed():
     """Cluster + nimbus + one supervisor per node, all registered."""
     cluster = emulab_testbed()
-    zk = InMemoryZooKeeper()
-    nimbus = Nimbus(cluster, scheduler=RStormScheduler(), zk=zk)
+    nimbus = Nimbus(cluster, scheduler=RStormScheduler())
     supervisors = {}
     for node in cluster.nodes:
-        supervisor = Supervisor(node, zk)
+        supervisor = Supervisor(node)
         nimbus.register_supervisor(supervisor)
         supervisors[node.node_id] = supervisor
     return cluster, nimbus, supervisors
@@ -113,40 +111,73 @@ class TestMembership:
         nimbus.reconcile_membership()
         assert cluster.node("node-0-0").alive
 
+    def test_reconcile_walks_cluster_nodes_in_order(self, managed):
+        cluster, nimbus, supervisors = managed
+        victims = [node.node_id for node in cluster.nodes][1:4]
+        for node_id in reversed(victims):
+            supervisors[node_id].crash()
+            cluster.node(node_id).recover()  # the machine is up, unregistered
+        assert nimbus.reconcile_membership() == victims
+
     def test_empty_registry_means_unmanaged(self):
         cluster = emulab_testbed()
         nimbus = Nimbus(cluster, scheduler=RStormScheduler())
         assert nimbus.reconcile_membership() == []
         assert all(node.alive for node in cluster.nodes)
 
+    def test_all_expired_means_unmanaged(self, managed):
+        cluster, nimbus, supervisors = managed
+        for supervisor in supervisors.values():
+            supervisor.stop()
+        assert nimbus.registered_supervisors() == []
+        assert nimbus.reconcile_membership() == []
+        assert all(node.alive for node in cluster.nodes)
+
+    def test_registered_supervisors_sorted(self):
+        cluster = emulab_testbed()
+        nimbus = Nimbus(cluster, scheduler=RStormScheduler())
+        for node in reversed(cluster.nodes):
+            nimbus.register_supervisor(Supervisor(node))
+        ids = sorted(node.node_id for node in cluster.nodes)
+        assert nimbus.registered_supervisors() == ids
+
     def test_register_supervisor_adds_unknown_node(self):
         from repro.cluster.node import Node
         from repro.cluster.resources import ResourceVector
 
         cluster = emulab_testbed()
-        zk = InMemoryZooKeeper()
-        nimbus = Nimbus(cluster, scheduler=RStormScheduler(), zk=zk)
+        nimbus = Nimbus(cluster, scheduler=RStormScheduler())
         extra = Node(
             "extra-1",
             "rack-0",
             ResourceVector.of(memory_mb=2048, cpu=100, bandwidth_mbps=100),
         )
-        nimbus.register_supervisor(Supervisor(extra, zk))
+        nimbus.register_supervisor(Supervisor(extra))
         assert cluster.has_node("extra-1")
+        assert "extra-1" in nimbus.registered_supervisors()
 
-    def test_foreign_zookeeper_rejected(self, managed):
-        cluster, nimbus, _ = managed
-        from repro.cluster.node import Node
-        from repro.cluster.resources import ResourceVector
-
-        other_zk = InMemoryZooKeeper()
-        extra = Node(
-            "extra-1",
-            "rack-0",
-            ResourceVector.of(memory_mb=2048, cpu=100, bandwidth_mbps=100),
-        )
+    def test_second_supervisor_for_registered_node_rejected(self, managed):
+        cluster, nimbus, supervisors = managed
+        rival = Supervisor(cluster.node("node-0-0"))
         with pytest.raises(MembershipError):
-            nimbus.register_supervisor(Supervisor(extra, other_zk))
+            nimbus.register_supervisor(rival)
+        assert not rival.registered
+        assert supervisors["node-0-0"].registered
+
+    def test_second_supervisor_for_expired_node_replaces_it(self, managed):
+        cluster, nimbus, supervisors = managed
+        supervisors["node-0-0"].crash()
+        nimbus.reconcile_membership()
+        cluster.node("node-0-0").recover()
+        nimbus.register_supervisor(Supervisor(cluster.node("node-0-0")))
+        nimbus.reconcile_membership()
+        assert cluster.node("node-0-0").alive
+        assert "node-0-0" in nimbus.registered_supervisors()
+
+    def test_registering_a_registered_supervisor_again_rejected(self, managed):
+        _, nimbus, supervisors = managed
+        with pytest.raises(MembershipError):
+            nimbus.register_supervisor(supervisors["node-0-0"])
 
 
 class TestFailureRecovery:

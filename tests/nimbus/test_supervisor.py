@@ -5,8 +5,7 @@ import pytest
 from repro.cluster.node import Node
 from repro.cluster.resources import ResourceVector
 from repro.errors import MembershipError
-from repro.nimbus.supervisor import SUPERVISORS_PATH, Supervisor
-from repro.nimbus.zookeeper import InMemoryZooKeeper
+from repro.nimbus.supervisor import Supervisor
 
 
 @pytest.fixture
@@ -19,69 +18,49 @@ def node():
     )
 
 
-@pytest.fixture
-def zk():
-    return InMemoryZooKeeper()
-
-
 class TestLifecycle:
-    def test_start_registers_ephemeral_znode(self, node, zk):
-        supervisor = Supervisor(node, zk)
+    def test_start_registers(self, node):
+        supervisor = Supervisor(node)
+        assert not supervisor.registered
         supervisor.start(now=5.0)
         assert supervisor.registered
-        assert zk.children(SUPERVISORS_PATH) == ["n1"]
+        assert supervisor.supervisor_id == "n1"
         assert supervisor.last_heartbeat == 5.0
 
-    def test_double_start_rejected(self, node, zk):
-        supervisor = Supervisor(node, zk)
+    def test_double_start_rejected(self, node):
+        supervisor = Supervisor(node)
         supervisor.start()
         with pytest.raises(MembershipError):
             supervisor.start()
 
-    def test_stop_unregisters(self, node, zk):
-        supervisor = Supervisor(node, zk)
+    def test_stop_unregisters(self, node):
+        supervisor = Supervisor(node)
         supervisor.start()
         supervisor.stop()
         assert not supervisor.registered
-        assert zk.children(SUPERVISORS_PATH) == []
 
-    def test_crash_fails_node_and_expires_session(self, node, zk):
-        supervisor = Supervisor(node, zk)
+    def test_crash_fails_node_and_unregisters(self, node):
+        supervisor = Supervisor(node)
         supervisor.start()
         supervisor.crash()
         assert not node.alive
         assert not supervisor.registered
 
-    def test_restart_after_stop(self, node, zk):
-        supervisor = Supervisor(node, zk)
+    def test_restart_after_stop(self, node):
+        supervisor = Supervisor(node)
         supervisor.start()
         supervisor.stop()
         supervisor.start(now=9.0)
         assert supervisor.registered
 
 
-class TestCapacityAdvertisement:
-    def test_payload_matches_node_resources(self, node, zk):
-        supervisor = Supervisor(node, zk)
-        payload = supervisor.capacity_payload()
-        assert payload["supervisor.memory.capacity.mb"] == 2048
-        assert payload["supervisor.cpu.capacity"] == 100
-        assert payload["supervisor.slots.ports"] == [6700, 6701]
-        assert payload["rack"] == "rack-a"
-
-    def test_payload_published_on_start(self, node, zk):
-        supervisor = Supervisor(node, zk)
-        supervisor.start()
-        data = zk.get(supervisor.znode_path)
-        assert data["supervisor.id"] == "n1"
-
-    def test_heartbeat_updates_znode(self, node, zk):
-        supervisor = Supervisor(node, zk)
+class TestHeartbeat:
+    def test_heartbeat_records_time(self, node):
+        supervisor = Supervisor(node)
         supervisor.start()
         supervisor.heartbeat(now=42.0)
-        assert zk.get(supervisor.znode_path)["heartbeat"] == 42.0
         assert supervisor.last_heartbeat == 42.0
 
-    def test_heartbeat_without_registration_rejected(self, node, zk):
+    def test_heartbeat_without_registration_rejected(self, node):
         with pytest.raises(MembershipError):
-            Supervisor(node, zk).heartbeat(now=1.0)
+            Supervisor(node).heartbeat(now=1.0)
