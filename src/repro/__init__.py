@@ -24,97 +24,94 @@ Quickstart::
     print(report.summary())
 """
 
-from repro.cluster import (
-    Cluster,
-    DistanceLevel,
-    NetworkTopography,
-    Node,
-    Rack,
-    ResourceSchema,
-    ResourceVector,
-    WorkerSlot,
-    emulab_testbed,
-    heterogeneous_cluster,
-    single_rack_cluster,
-    uniform_cluster,
-)
-from repro.errors import (
-    ConfigError,
-    InsufficientResourcesError,
-    ReproError,
-    SchedulingError,
-    SimulationError,
-    TopologyValidationError,
-)
-from repro.nimbus import Nimbus, StormConfig, Supervisor
-from repro.scheduler import (
-    AnielloOfflineScheduler,
-    Assignment,
-    DefaultScheduler,
-    DistanceWeights,
-    GlobalState,
-    IScheduler,
-    RStormScheduler,
-    TaskOrderingStrategy,
-    evaluate_assignment,
-)
-from repro.simulation import (
-    SimulationConfig,
-    SimulationReport,
-    SimulationRun,
-    Simulator,
-    StatisticServer,
-)
-from repro.topology import (
-    ExecutionProfile,
-    Task,
-    Topology,
-    TopologyBuilder,
-    bfs_component_order,
-)
+import importlib
+import sys
+from typing import Any, Callable, List, Mapping, Sequence, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AnielloOfflineScheduler",
-    "Assignment",
-    "Cluster",
-    "ConfigError",
-    "DefaultScheduler",
-    "DistanceLevel",
-    "DistanceWeights",
-    "ExecutionProfile",
-    "GlobalState",
-    "IScheduler",
-    "InsufficientResourcesError",
-    "NetworkTopography",
-    "Nimbus",
-    "Node",
-    "RStormScheduler",
-    "Rack",
-    "ReproError",
-    "ResourceSchema",
-    "ResourceVector",
-    "SchedulingError",
-    "SimulationConfig",
-    "SimulationError",
-    "SimulationReport",
-    "SimulationRun",
-    "Simulator",
-    "StatisticServer",
-    "StormConfig",
-    "Supervisor",
-    "Task",
-    "TaskOrderingStrategy",
-    "Topology",
-    "TopologyBuilder",
-    "TopologyValidationError",
-    "WorkerSlot",
-    "bfs_component_order",
-    "emulab_testbed",
-    "evaluate_assignment",
-    "heterogeneous_cluster",
-    "single_rack_cluster",
-    "uniform_cluster",
-    "__version__",
-]
+
+def lazy_exports(
+    package: str, table: Mapping[str, Sequence[str]]
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]], List[str]]:
+    """A package's PEP 562 ``__getattr__`` and ``__dir__``, and its
+    ``__all__``, from ``table`` (``{module: names it exports}``).
+
+    A name is imported from its module on first access and then kept in
+    the package's namespace, so ``import package`` loads none of the
+    modules and ``package.name`` pays only for the module behind it.
+    Usage, at the end of the package's ``__init__``::
+
+        __getattr__, __dir__, __all__ = lazy_exports(__name__, {...})
+    """
+    owner = {name: module for module, names in table.items() for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str) -> Any:
+        module = owner.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(owner))
+
+    return __getattr__, __dir__, sorted(owner)
+
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.cluster": (
+            "Cluster",
+            "DistanceLevel",
+            "NetworkTopography",
+            "Node",
+            "Rack",
+            "ResourceSchema",
+            "ResourceVector",
+            "WorkerSlot",
+            "emulab_testbed",
+            "heterogeneous_cluster",
+            "single_rack_cluster",
+            "uniform_cluster",
+        ),
+        "repro.errors": (
+            "ConfigError",
+            "InsufficientResourcesError",
+            "ReproError",
+            "SchedulingError",
+            "SimulationError",
+            "TopologyValidationError",
+        ),
+        "repro.nimbus": ("Nimbus", "StormConfig", "Supervisor"),
+        "repro.scheduler": (
+            "AnielloOfflineScheduler",
+            "Assignment",
+            "DefaultScheduler",
+            "DistanceWeights",
+            "GlobalState",
+            "IScheduler",
+            "RStormScheduler",
+            "TaskOrderingStrategy",
+            "evaluate_assignment",
+        ),
+        "repro.simulation": (
+            "SimulationConfig",
+            "SimulationReport",
+            "SimulationRun",
+            "Simulator",
+            "StatisticServer",
+        ),
+        "repro.topology": (
+            "ExecutionProfile",
+            "Task",
+            "Topology",
+            "TopologyBuilder",
+            "bfs_component_order",
+        ),
+    },
+)
+__all__ += ["__version__"]

@@ -1,5 +1,10 @@
 """Analytical models complementing the discrete-event simulator."""
 
-from repro.analysis.flow import FlowModel, FlowResult
+from repro import lazy_exports
 
-__all__ = ["FlowModel", "FlowResult"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.flow": ("FlowModel", "FlowResult"),
+    },
+)

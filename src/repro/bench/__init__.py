@@ -24,26 +24,21 @@ Three invariants make the numbers trustworthy:
   whichever machine recorded the baseline.
 """
 
-from repro.bench.core import (
-    Benchmark,
-    BenchResult,
-    CheckFailure,
-    compare_results,
-    load_result,
-    result_filename,
-    run_benchmark,
-    write_result,
-)
-from repro.bench.suites import REGISTRY
+from repro import lazy_exports
 
-__all__ = [
-    "Benchmark",
-    "BenchResult",
-    "CheckFailure",
-    "REGISTRY",
-    "compare_results",
-    "load_result",
-    "result_filename",
-    "run_benchmark",
-    "write_result",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.bench.core": (
+            "Benchmark",
+            "BenchResult",
+            "CheckFailure",
+            "compare_results",
+            "load_result",
+            "result_filename",
+            "run_benchmark",
+            "write_result",
+        ),
+        "repro.bench.suites": ("REGISTRY",),
+    },
+)

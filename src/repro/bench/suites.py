@@ -489,6 +489,9 @@ def _prepare_overload_protect() -> Callable[[], int]:
 
 
 def _prepare_elastic_adapt() -> Callable[[], int]:
+    # The layers the unit wires, imported here rather than in the timed run.
+    import repro.faults.monitor  # noqa: F401
+    import repro.nimbus.elastic  # noqa: F401
     from repro.cluster.builders import emulab_testbed
     from repro.experiments.overload import BASE_RATE_TPS
     from repro.experiments.parallel import SimulationUnit, spec
@@ -516,6 +519,9 @@ def _prepare_elastic_adapt() -> Callable[[], int]:
 
 
 def _prepare_tenant_admission() -> Callable[[], int]:
+    # ``workload`` builds a fresh cluster per repeat; its builder is
+    # imported here rather than in the timed run.
+    import repro.cluster.builders  # noqa: F401
     from repro.experiments.harness import admit
     from repro.nimbus.config import StormConfig
     from repro.nimbus.nimbus import Nimbus

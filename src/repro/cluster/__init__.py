@@ -4,43 +4,29 @@ This package models the physical environment R-Storm schedules onto — the
 paper's two-rack Emulab testbed and generalisations of it.
 """
 
-from repro.cluster.builders import (
-    emulab_testbed,
-    heterogeneous_cluster,
-    single_rack_cluster,
-    uniform_cluster,
-)
-from repro.cluster.cluster import Cluster
-from repro.cluster.network import DistanceLevel, LinkProfile, NetworkTopography
-from repro.cluster.node import Node, WorkerSlot
-from repro.cluster.rack import Rack
-from repro.cluster.resources import (
-    BANDWIDTH,
-    CPU,
-    MEMORY,
-    ConstraintKind,
-    ResourceDimension,
-    ResourceSchema,
-    ResourceVector,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BANDWIDTH",
-    "CPU",
-    "MEMORY",
-    "Cluster",
-    "ConstraintKind",
-    "DistanceLevel",
-    "LinkProfile",
-    "NetworkTopography",
-    "Node",
-    "Rack",
-    "ResourceDimension",
-    "ResourceSchema",
-    "ResourceVector",
-    "WorkerSlot",
-    "emulab_testbed",
-    "heterogeneous_cluster",
-    "single_rack_cluster",
-    "uniform_cluster",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.cluster.builders": (
+            "emulab_testbed",
+            "heterogeneous_cluster",
+            "single_rack_cluster",
+            "uniform_cluster",
+        ),
+        "repro.cluster.cluster": ("Cluster",),
+        "repro.cluster.network": ("DistanceLevel", "LinkProfile", "NetworkTopography"),
+        "repro.cluster.node": ("Node", "WorkerSlot"),
+        "repro.cluster.rack": ("Rack",),
+        "repro.cluster.resources": (
+            "BANDWIDTH",
+            "CPU",
+            "MEMORY",
+            "ConstraintKind",
+            "ResourceDimension",
+            "ResourceSchema",
+            "ResourceVector",
+        ),
+    },
+)

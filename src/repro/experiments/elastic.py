@@ -30,6 +30,10 @@ from __future__ import annotations
 
 from typing import Any, Optional, Tuple
 
+# The layers these units wire (see ``harness.wire``), loaded with the
+# experiment rather than inside its first unit.
+import repro.faults.monitor  # noqa: F401
+import repro.nimbus.elastic  # noqa: F401
 from repro.cluster.builders import emulab_testbed
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.overload import BASE_RATE_TPS

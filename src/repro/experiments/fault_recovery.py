@@ -40,6 +40,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Optional
 
+# The layers these units wire (see ``harness.wire``), loaded with the
+# experiment rather than inside its first unit.
+import repro.faults.chaos  # noqa: F401
+import repro.faults.injector  # noqa: F401
+import repro.faults.monitor  # noqa: F401
+import repro.nimbus.failure_detector  # noqa: F401
+import repro.nimbus.supervisor  # noqa: F401
 from repro.cluster.builders import emulab_testbed
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.parallel import ExperimentContext, SimulationUnit, spec

@@ -10,38 +10,54 @@ scaling, tenancy) and hands back the live components as a
 :class:`SingleRunOutcome`.  Experiments report rows/series through
 :class:`ExperimentResult`, which the CLI prints and
 ``python -m repro all --save DIR`` writes to ``DIR``.
+
+The optional layers' modules are imported where :func:`wire` stands
+them up, so a static run loads none of them.  An experiment module
+imports the layers its units wire at module level, so the import is
+paid when the experiment is loaded, not inside its first unit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-from repro.cluster.cluster import Cluster
-from repro.errors import ConfigError
-from repro.faults.chaos import ChaosGenerator
-from repro.faults.events import FaultEvent
-from repro.faults.injector import FaultInjector
-from repro.faults.monitor import RecoveryMonitor, RecoveryReport
-from repro.faults.schedule import FaultSchedule
-from repro.nimbus.config import StormConfig
-from repro.nimbus.elastic import ElasticController, ElasticDecision
-from repro.nimbus.failure_detector import HeartbeatFailureDetector
-from repro.nimbus.nimbus import Nimbus
-from repro.nimbus.supervisor import Supervisor
-from repro.nimbus.tenancy import (
-    AdmissionRoundRecord,
-    TenancyController,
-    Tenant,
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
 )
-from repro.scheduler.admission import AdmissionDecision
-from repro.scheduler.assignment import Assignment
-from repro.scheduler.base import IScheduler
+
+from repro.errors import ConfigError
+from repro.nimbus.config import StormConfig
+from repro.nimbus.nimbus import Nimbus
 from repro.scheduler.quality import ScheduleQuality, evaluate_assignment
-from repro.simulation.config import SimulationConfig
-from repro.simulation.report import SimulationReport
 from repro.simulation.runtime import SimulationRun
-from repro.topology.topology import Topology
+
+if TYPE_CHECKING:
+    from repro.cluster.cluster import Cluster
+    from repro.faults.events import FaultEvent
+    from repro.faults.injector import FaultInjector
+    from repro.faults.monitor import RecoveryMonitor, RecoveryReport
+    from repro.faults.schedule import FaultSchedule
+    from repro.nimbus.elastic import ElasticController, ElasticDecision
+    from repro.nimbus.failure_detector import HeartbeatFailureDetector
+    from repro.nimbus.supervisor import Supervisor
+    from repro.nimbus.tenancy import (
+        AdmissionRoundRecord,
+        TenancyController,
+        Tenant,
+    )
+    from repro.scheduler.admission import AdmissionDecision
+    from repro.scheduler.assignment import Assignment
+    from repro.scheduler.base import IScheduler
+    from repro.simulation.config import SimulationConfig
+    from repro.simulation.report import SimulationReport
+    from repro.topology.topology import Topology
 
 __all__ = [
     "ExperimentResult",
@@ -206,6 +222,9 @@ def _resolve_faults(
     """A :class:`FaultSchedule` as-is, a :class:`ChaosGenerator` sampled
     against ``cluster``, or a ``(cluster, assignments) -> FaultSchedule``
     scenario callable resolved against the initial placement."""
+    from repro.faults.chaos import ChaosGenerator
+    from repro.faults.schedule import FaultSchedule
+
     if isinstance(faults, FaultSchedule):
         return faults
     if isinstance(faults, ChaosGenerator):
@@ -339,6 +358,8 @@ def wire(
     nimbus = Nimbus(cluster, scheduler=scheduler, config=StormConfig(storm))
     supervisors = {}
     if faults is not None:
+        from repro.nimbus.supervisor import Supervisor
+
         for node in cluster.nodes:
             supervisor = Supervisor(node)
             nimbus.register_supervisor(supervisor)
@@ -365,21 +386,29 @@ def wire(
     )
 
     monitor = detector = controller = injector = None
+    elastic = any(key.startswith("nimbus.elastic.") for key in storm)
+    if faults is not None or elastic:
+        from repro.faults.monitor import RecoveryMonitor
+
+        run.observer = monitor = RecoveryMonitor()
     if faults is not None:
+        from repro.nimbus.failure_detector import HeartbeatFailureDetector
+
         detector = HeartbeatFailureDetector(
             supervisors.values(),
             heartbeat_interval_s=heartbeat_interval_s,
             timeout_s=heartbeat_timeout_s,
         )
-        run.observer = monitor = RecoveryMonitor()
         detector.attach(run)
         nimbus.attach(run)
-    if any(key.startswith("nimbus.elastic.") for key in storm):
-        if monitor is None:
-            run.observer = monitor = RecoveryMonitor()
+    if elastic:
+        from repro.nimbus.elastic import ElasticController
+
         controller = ElasticController(nimbus)
         controller.attach(run)
     if faults is not None:
+        from repro.faults.injector import FaultInjector
+
         schedule = _resolve_faults(faults, cluster, dict(nimbus.assignments))
         injector = FaultInjector(schedule, detector=detector)
         injector.attach(run)
@@ -411,6 +440,8 @@ def admit(
     """Run a staged admission phase: each submission enters just before
     its (0-based) round, and each round is one Nimbus scheduling round
     at ``round * nimbus.scheduler.interval.secs``."""
+    from repro.nimbus.tenancy import TenancyController
+
     tenancy = TenancyController(nimbus)
     for tenant in tenants:
         tenancy.register_tenant(tenant)

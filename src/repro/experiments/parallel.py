@@ -35,21 +35,17 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.flow import FlowModel
 from repro.experiments.cache import ResultCache, cache_key
-from repro.experiments.harness import (
-    SingleRunOutcome,
-    Wiring,
-    placement_qualities,
-    wire,
-)
 from repro.nimbus.nimbus import Nimbus
-from repro.nimbus.tenancy import Tenant
-from repro.scheduler.assignment import Assignment
-from repro.scheduler.quality import ScheduleQuality
-from repro.simulation.config import SimulationConfig
+
+if TYPE_CHECKING:
+    from repro.experiments.harness import SingleRunOutcome, Wiring
+    from repro.nimbus.tenancy import Tenant
+    from repro.scheduler.assignment import Assignment
+    from repro.scheduler.quality import ScheduleQuality
+    from repro.simulation.config import SimulationConfig
 
 __all__ = [
     "FactorySpec",
@@ -120,6 +116,8 @@ class SimulationUnit:
 
     def wire(self) -> Wiring:
         """Build the recipes and wire the run, without starting it."""
+        from repro.experiments.harness import wire
+
         return wire(
             self.scheduler.build(),
             [t.build() for t in self.topologies],
@@ -174,6 +172,9 @@ class ScheduleUnit:
     label: str = field(default="", compare=False)
 
     def execute(self) -> ScheduleOutcome:
+        from repro.analysis.flow import FlowModel
+        from repro.experiments.harness import placement_qualities
+
         scheduler = self.scheduler.build()
         topologies = [t.build() for t in self.topologies]
         cluster = self.cluster.build()

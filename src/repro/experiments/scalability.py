@@ -18,6 +18,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+# The flow model these units run, loaded with the experiment rather
+# than inside its first unit.
+import repro.analysis.flow  # noqa: F401
 from repro.cluster.builders import uniform_cluster
 from repro.cluster.resources import ResourceVector
 from repro.experiments.harness import ExperimentResult

@@ -8,34 +8,24 @@ The chaos/recovery workload layer: typed fault events
 (:mod:`~repro.faults.monitor`).  See ``docs/faults.md``.
 """
 
-from repro.faults.chaos import ChaosGenerator
-from repro.faults.events import (
-    EVENT_KINDS,
-    FaultEvent,
-    HeartbeatSilence,
-    LinkDegradation,
-    MessageLoss,
-    NodeCrash,
-    NodeSlowdown,
-    RackPartition,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.monitor import FaultRecovery, RecoveryMonitor, RecoveryReport
-from repro.faults.schedule import FaultSchedule
+from repro import lazy_exports
 
-__all__ = [
-    "ChaosGenerator",
-    "EVENT_KINDS",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultRecovery",
-    "FaultSchedule",
-    "HeartbeatSilence",
-    "LinkDegradation",
-    "MessageLoss",
-    "NodeCrash",
-    "NodeSlowdown",
-    "RackPartition",
-    "RecoveryMonitor",
-    "RecoveryReport",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.chaos": ("ChaosGenerator",),
+        "repro.faults.events": (
+            "EVENT_KINDS",
+            "FaultEvent",
+            "HeartbeatSilence",
+            "LinkDegradation",
+            "MessageLoss",
+            "NodeCrash",
+            "NodeSlowdown",
+            "RackPartition",
+        ),
+        "repro.faults.injector": ("FaultInjector",),
+        "repro.faults.monitor": ("FaultRecovery", "RecoveryMonitor", "RecoveryReport"),
+        "repro.faults.schedule": ("FaultSchedule",),
+    },
+)

@@ -3,27 +3,20 @@
 Supervisors register with Nimbus, which keeps the list of active worker
 nodes; Nimbus reads node capacities from the cluster model."""
 
-from repro.nimbus.config import StormConfig, parse_storm_yaml
-from repro.nimbus.elastic import (
-    ElasticController,
-    ElasticDecision,
-    required_parallelism,
-)
-from repro.nimbus.failure_detector import HeartbeatFailureDetector
-from repro.nimbus.nimbus import Nimbus
-from repro.nimbus.supervisor import Supervisor
-from repro.nimbus.tenancy import SLO, TenancyController, Tenant
+from repro import lazy_exports
 
-__all__ = [
-    "ElasticController",
-    "ElasticDecision",
-    "HeartbeatFailureDetector",
-    "Nimbus",
-    "SLO",
-    "StormConfig",
-    "Supervisor",
-    "Tenant",
-    "TenancyController",
-    "parse_storm_yaml",
-    "required_parallelism",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.nimbus.config": ("StormConfig", "parse_storm_yaml"),
+        "repro.nimbus.elastic": (
+            "ElasticController",
+            "ElasticDecision",
+            "required_parallelism",
+        ),
+        "repro.nimbus.failure_detector": ("HeartbeatFailureDetector",),
+        "repro.nimbus.nimbus": ("Nimbus",),
+        "repro.nimbus.supervisor": ("Supervisor",),
+        "repro.nimbus.tenancy": ("SLO", "TenancyController", "Tenant"),
+    },
+)

@@ -19,17 +19,19 @@ reservation, so no alive node holds one its assignments do not place.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.errors import ConfigError, MembershipError, SchedulingError
 from repro.nimbus.config import StormConfig
-from repro.nimbus.supervisor import Supervisor
 from repro.scheduler.assignment import Assignment
 from repro.scheduler.base import IScheduler, SchedulingRound
 from repro.simulation.tracing import EventKind, TraceEvent
 from repro.topology.task import task_label
 from repro.topology.topology import Topology
+
+if TYPE_CHECKING:
+    from repro.nimbus.supervisor import Supervisor
 
 __all__ = ["Nimbus"]
 

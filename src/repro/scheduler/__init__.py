@@ -1,55 +1,35 @@
 """Schedulers: R-Storm (the paper's contribution) and baselines."""
 
-from repro.scheduler.admission import (
-    AdmissionDecision,
-    AdmissionPlan,
-    AdmissionRequest,
-    Tenant,
-    jain_index,
-    plan_admission,
-)
-from repro.scheduler.aniello import AnielloOfflineScheduler
-from repro.scheduler.assignment import Assignment
-from repro.scheduler.base import IScheduler, SchedulingRound
-from repro.scheduler.default import DefaultScheduler, interleaved_slots
-from repro.scheduler.global_state import GlobalState
-from repro.scheduler.ordering import (
-    TaskOrderingStrategy,
-    interleave_component_tasks,
-    ordered_tasks,
-)
-from repro.scheduler.packed import PackedClusterState
-from repro.scheduler.quality import (
-    ScheduleQuality,
-    aggregate_node_load,
-    evaluate_assignment,
-)
-from repro.scheduler.rstorm import DistanceWeights, RStormScheduler
-from repro.scheduler.visualise import render_assignments, render_node_loads
+from repro import lazy_exports
 
-__all__ = [
-    "AdmissionDecision",
-    "AdmissionPlan",
-    "AdmissionRequest",
-    "AnielloOfflineScheduler",
-    "Assignment",
-    "DefaultScheduler",
-    "DistanceWeights",
-    "GlobalState",
-    "IScheduler",
-    "PackedClusterState",
-    "RStormScheduler",
-    "ScheduleQuality",
-    "SchedulingRound",
-    "TaskOrderingStrategy",
-    "Tenant",
-    "aggregate_node_load",
-    "evaluate_assignment",
-    "interleave_component_tasks",
-    "interleaved_slots",
-    "jain_index",
-    "ordered_tasks",
-    "plan_admission",
-    "render_assignments",
-    "render_node_loads",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.scheduler.admission": (
+            "AdmissionDecision",
+            "AdmissionPlan",
+            "AdmissionRequest",
+            "Tenant",
+            "jain_index",
+            "plan_admission",
+        ),
+        "repro.scheduler.aniello": ("AnielloOfflineScheduler",),
+        "repro.scheduler.assignment": ("Assignment",),
+        "repro.scheduler.base": ("IScheduler", "SchedulingRound"),
+        "repro.scheduler.default": ("DefaultScheduler", "interleaved_slots"),
+        "repro.scheduler.global_state": ("GlobalState",),
+        "repro.scheduler.ordering": (
+            "TaskOrderingStrategy",
+            "interleave_component_tasks",
+            "ordered_tasks",
+        ),
+        "repro.scheduler.packed": ("PackedClusterState",),
+        "repro.scheduler.quality": (
+            "ScheduleQuality",
+            "aggregate_node_load",
+            "evaluate_assignment",
+        ),
+        "repro.scheduler.rstorm": ("DistanceWeights", "RStormScheduler"),
+        "repro.scheduler.visualise": ("render_assignments", "render_node_loads"),
+    },
+)

@@ -1,24 +1,17 @@
 """Discrete-event Storm runtime simulator."""
 
-from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import Simulator
-from repro.simulation.export import report_as_dict
-from repro.simulation.metrics import StatisticServer
-from repro.simulation.network import TransferModel
-from repro.simulation.report import LatencyStats, SimulationReport
-from repro.simulation.runtime import SimulationRun
-from repro.simulation.tracing import EventKind, TraceEvent, Tracer
+from repro import lazy_exports
 
-__all__ = [
-    "EventKind",
-    "LatencyStats",
-    "SimulationConfig",
-    "SimulationReport",
-    "SimulationRun",
-    "Simulator",
-    "StatisticServer",
-    "TraceEvent",
-    "Tracer",
-    "TransferModel",
-    "report_as_dict",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.simulation.config": ("SimulationConfig",),
+        "repro.simulation.engine": ("Simulator",),
+        "repro.simulation.export": ("report_as_dict",),
+        "repro.simulation.metrics": ("StatisticServer",),
+        "repro.simulation.network": ("TransferModel",),
+        "repro.simulation.report": ("LatencyStats", "SimulationReport"),
+        "repro.simulation.runtime": ("SimulationRun",),
+        "repro.simulation.tracing": ("EventKind", "TraceEvent", "Tracer"),
+    },
+)

@@ -1,48 +1,32 @@
 """Storm programming model: components, groupings, topologies, tasks."""
 
-from repro.topology.builder import BoltDeclarer, SpoutDeclarer, TopologyBuilder
-from repro.topology.component import (
-    Bolt,
-    Component,
-    ExecutionProfile,
-    Spout,
-    StreamSubscription,
-)
-from repro.topology.grouping import (
-    AllGrouping,
-    FieldsGrouping,
-    GlobalGrouping,
-    Grouping,
-    LocalOrShuffleGrouping,
-    ShuffleGrouping,
-)
-from repro.topology.task import Task, task_label
-from repro.topology.topology import Topology
-from repro.topology.traversal import (
-    bfs_component_order,
-    dfs_component_order,
-    topological_component_order,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AllGrouping",
-    "Bolt",
-    "BoltDeclarer",
-    "Component",
-    "ExecutionProfile",
-    "FieldsGrouping",
-    "GlobalGrouping",
-    "Grouping",
-    "LocalOrShuffleGrouping",
-    "ShuffleGrouping",
-    "Spout",
-    "SpoutDeclarer",
-    "StreamSubscription",
-    "Task",
-    "Topology",
-    "TopologyBuilder",
-    "bfs_component_order",
-    "dfs_component_order",
-    "task_label",
-    "topological_component_order",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.topology.builder": ("BoltDeclarer", "SpoutDeclarer", "TopologyBuilder"),
+        "repro.topology.component": (
+            "Bolt",
+            "Component",
+            "ExecutionProfile",
+            "Spout",
+            "StreamSubscription",
+        ),
+        "repro.topology.grouping": (
+            "AllGrouping",
+            "FieldsGrouping",
+            "GlobalGrouping",
+            "Grouping",
+            "LocalOrShuffleGrouping",
+            "ShuffleGrouping",
+        ),
+        "repro.topology.task": ("Task", "task_label"),
+        "repro.topology.topology": ("Topology",),
+        "repro.topology.traversal": (
+            "bfs_component_order",
+            "dfs_component_order",
+            "topological_component_order",
+        ),
+    },
+)

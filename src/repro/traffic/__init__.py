@@ -6,31 +6,22 @@ See ``docs/traffic.md``.  The package is consumed through
 closed-loop self-pacing to externally offered load.
 """
 
-from repro.traffic.arrivals import (
-    ArrivalProcess,
-    BurstOverlay,
-    DeterministicArrivals,
-    DiurnalArrivals,
-    MMPPArrivals,
-    PoissonArrivals,
-    derive_stream_seed,
-)
-from repro.traffic.keys import KeyGenerator, UniformKeys, ZipfKeys
-from repro.traffic.percentiles import TailDigest
-from repro.traffic.trace import ArrivalTrace, TraceReplay
+from repro import lazy_exports
 
-__all__ = [
-    "ArrivalProcess",
-    "ArrivalTrace",
-    "BurstOverlay",
-    "DeterministicArrivals",
-    "DiurnalArrivals",
-    "KeyGenerator",
-    "MMPPArrivals",
-    "PoissonArrivals",
-    "TailDigest",
-    "TraceReplay",
-    "UniformKeys",
-    "ZipfKeys",
-    "derive_stream_seed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.traffic.arrivals": (
+            "ArrivalProcess",
+            "BurstOverlay",
+            "DeterministicArrivals",
+            "DiurnalArrivals",
+            "MMPPArrivals",
+            "PoissonArrivals",
+            "derive_stream_seed",
+        ),
+        "repro.traffic.keys": ("KeyGenerator", "UniformKeys", "ZipfKeys"),
+        "repro.traffic.percentiles": ("TailDigest",),
+        "repro.traffic.trace": ("ArrivalTrace", "TraceReplay"),
+    },
+)

@@ -1,23 +1,18 @@
 """Evaluation workloads: micro-benchmarks and Yahoo! production topologies."""
 
-from repro.workloads.generator import TopologySpec, random_topology
-from repro.workloads.micro import (
-    VARIANTS,
-    diamond_topology,
-    linear_topology,
-    micro_topology,
-    star_topology,
-)
-from repro.workloads.yahoo import pageload_topology, processing_topology
+from repro import lazy_exports
 
-__all__ = [
-    "TopologySpec",
-    "VARIANTS",
-    "diamond_topology",
-    "linear_topology",
-    "micro_topology",
-    "pageload_topology",
-    "processing_topology",
-    "random_topology",
-    "star_topology",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.workloads.generator": ("TopologySpec", "random_topology"),
+        "repro.workloads.micro": (
+            "VARIANTS",
+            "diamond_topology",
+            "linear_topology",
+            "micro_topology",
+            "star_topology",
+        ),
+        "repro.workloads.yahoo": ("pageload_topology", "processing_topology"),
+    },
+)
