@@ -680,8 +680,10 @@ class SimulationRun:
 
         A task whose slot changed leaves its old node's task list and run
         queue and carries its queued work to the new node, where it is
-        requeued and dispatched if that node is up.  Returns how many
-        tasks changed slot.
+        requeued and dispatched if that node is up.  A node that is down
+        loses the work as :meth:`_fail_node` would (credits returned,
+        replays exhausted), and the task waits for :meth:`_recover_node`.
+        Returns how many tasks changed slot.
         """
         topology = topo_rt.topology
         moved = 0
@@ -697,9 +699,12 @@ class SimulationRun:
             self._unqueue(rt)
             rt.slot = new_slot
             rt.node = new_node
-            rt.alive = new_node.up()
             new_node.tasks.append(rt.index)
-            if rt.alive and rt.work and not rt.running:
+            if not new_node.up():
+                self._teardown(rt)
+                continue
+            rt.alive = True
+            if rt.work and not rt.running:
                 rt.queued = True
                 new_node.ready.append(rt.index)
                 self._dispatch(new_node)

@@ -11,6 +11,7 @@ from repro.scheduler.assignment import Assignment
 from repro.scheduler.default import DefaultScheduler
 from repro.scheduler.rstorm import RStormScheduler
 from repro.simulation.config import SimulationConfig
+from repro.simulation.flowcontrol import FlowControlConfig
 from repro.simulation.runtime import SimulationRun
 from repro.topology.builder import TopologyBuilder
 from repro.topology.component import ExecutionProfile
@@ -245,8 +246,10 @@ class TestFailureInjection:
         """Nimbus may revive ``Node.alive`` before the run recovers the
         machine (its supervisor is registered until the heartbeat
         timeout).  A task a rescale adds there, or moves there, stays
-        dead until the run recovers the node."""
-        run, assignment = chain_run()
+        dead until the run recovers the node.  The moved task's queue is
+        lost with the node, so the short tuple timeout lets the trees
+        stranded there time out and new work reach the recovered node."""
+        run, assignment = chain_run(batch_timeout_s=3.0)
         spare = next(
             n for n in run.cluster.nodes if n.node_id not in assignment.nodes
         )
@@ -267,8 +270,50 @@ class TestFailureInjection:
         run.run()
         assert run.stats.busy[spare.node_id] > 0.0
 
+    def test_work_moved_onto_a_failed_node_is_lost_with_it(self):
+        """A migrate onto a node the run has failed tears the task down
+        as the failure would have: its queued batches return their edge
+        credit and the delivery audit stays closed, instead of the work
+        waiting on the dead machine for its recovery."""
+        run, assignment = chain_run(
+            at_least_once=True, flow=FlowControlConfig()
+        )
+        spare = next(
+            n for n in run.cluster.nodes if n.node_id not in assignment.nodes
+        )
+        run._fail_node(spare.node_id)
+        spare.recover()  # what a membership reconcile does meanwhile
+        task = max(
+            run.current_topology("chain").tasks_of("stage-1"),
+            key=lambda t: len(run._task_runtimes[t].work),
+        )
+        rt = run._task_runtimes[task]
+        edge = run.flow_edges("chain")[("stage-0", "stage-1")]
+        queued, outstanding = len(rt.work), edge.outstanding
+        assert queued > 0
+        mapping = {t: assignment.slot_of(t) for t in assignment.tasks}
+        mapping[task] = spare.slots[0]
+        assert run.migrate("chain", Assignment("chain", mapping)) == 1
+        assert not rt.alive and not rt.work
+        assert edge.outstanding == outstanding - queued
+        assert audit_closes(run.delivery_audit()["chain"])
+        run.run()
+        assert run.stats.busy.get(spare.node_id, 0.0) == 0.0
+        assert audit_closes(run.delivery_audit()["chain"])
+        assert all(l.conserved() for l in run.flow_edges("chain").values())
 
-def chain_run(observer=None):
+
+def audit_closes(audit):
+    """Every root created is acked, exhausted, shed, pending or queued
+    for replay."""
+    return audit["origins_created"] == (
+        audit["origins_acked"] + audit["origins_exhausted"]
+        + audit["origins_shed"] + audit["pending"]
+        + audit["replays_outstanding"]
+    )
+
+
+def chain_run(observer=None, **config):
     """A 3-stage chain on the testbed, stepped to 5 s of its 20."""
     topology = make_linear(parallelism=2, stages=3)
     cluster = emulab_testbed()
@@ -276,7 +321,7 @@ def chain_run(observer=None):
     run = SimulationRun(
         cluster,
         [(topology, assignment)],
-        SimulationConfig(duration_s=20.0, warmup_s=5.0),
+        SimulationConfig(duration_s=20.0, warmup_s=5.0, **config),
     )
     run.observer = observer
     run.run(5.0)
