@@ -1,5 +1,5 @@
 # Frozen DES oracle: a verbatim copy of src/repro/simulation/runtime.py at
-# commit ad5d00b, plus the _PRIORITY_FLOOR, CreditLedger, FlowProducer,
+# commit dea9274, plus the _PRIORITY_FLOOR, CreditLedger, FlowProducer,
 # SheddingPolicy, make_policy and FlowControl code of
 # src/repro/simulation/flowcontrol.py it uses, inlined below with the
 # runtime's flowcontrol import pointed at them.  The engine, network,
@@ -55,6 +55,15 @@ Each traced transition tests the run's ``observer`` slot and, when it is
 set, hands it one :class:`~repro.simulation.tracing.TraceEvent`; the
 per-batch transitions test ``_batch_observer``, which the ``observer``
 setter fills only for an observer that reads per-batch kinds.
+
+The runtime's object graph is acyclic, so reference counting alone frees
+a run once its event heap is cleared.  References point forward only:
+the run holds its topology, node and task runtimes, a task holds its
+topology and node runtimes and its routes, and a route holds its
+consumers.  Everything that points back at a task is an index into the
+run's task table (``_tasks``): a node's run queue and task list, a
+topology's spout list and each in-flight tree's spout.  A topology whose
+own streams form a cycle still closes one through its routes.
 """
 
 from __future__ import annotations
@@ -117,20 +126,23 @@ class CreditLedger:
 
     __slots__ = (
         "pool", "outstanding", "sends", "drains", "stalled",
-        "stall_count", "_stall_at", "_resume_at", "producer", "consumer",
+        "stall_count", "_stall_at", "_resume_at", "topology_id",
+        "producer", "consumer",
     )
 
     def __init__(self, pool: int, high_watermark: float,
-                 low_watermark: float,
-                 producer: Optional["FlowProducer"] = None,
-                 consumer: str = ""):
+                 low_watermark: float, topology_id: str = "",
+                 producer: str = "", consumer: str = ""):
         self.outstanding = 0
         self.sends = 0
         self.drains = 0
         self.stalled = False
         self.stall_count = 0
-        #: the edge's ends inside a run: its producer component's stall
-        #: state and its consumer component's name
+        #: the edge inside a run, by name: its topology and its producer
+        #: and consumer components.  A name, not the producer's
+        #: :class:`FlowProducer`, which holds the ledger: the ledger
+        #: holding it back would close a reference cycle.
+        self.topology_id = topology_id
         self.producer = producer
         self.consumer = consumer
         self.resize(pool, high_watermark, low_watermark)
@@ -207,7 +219,8 @@ class FlowProducer:
     """One producer component's backpressure state in a run.
 
     Stall state is per component: a producer stalls when *any* of its
-    out edges is saturated, and resumes only when none is.
+    out edges is saturated, and resumes only when none is.  Its ledgers
+    name it rather than point at it (see :class:`CreditLedger`).
     """
 
     __slots__ = ("topology_id", "name", "is_spout", "tasks", "out",
@@ -320,12 +333,11 @@ class FlowControl:
                 ledger = producer.out.get(consumer)
                 if ledger is None:
                     producer.out[consumer] = CreditLedger(
-                        pool, high, low, producer, consumer
+                        pool, high, low, topology_id, name, consumer
                     )
                 elif ledger.resize(pool, high, low):
                     flipped.append(ledger)
         return flipped
-
 
 
 #: Floor on any service time, preventing zero-cost loops from freezing
@@ -364,23 +376,36 @@ def _assign_keys(stream, keys: Iterator[int]):
 
 
 class _NodeRuntime:
-    """Per-node execution state: cores, run queue, slowdown factors."""
+    """Per-node execution state: cores, run queue, slowdown factors.
+
+    ``ready`` (the run queue) and ``tasks`` hold task-table indices, not
+    task runtimes: a task points at its node, never the reverse.
+    """
 
     __slots__ = ("node", "node_id", "cores", "active", "ready", "slowdown",
-                 "fault_factor", "tasks")
+                 "fault_factor", "tasks", "failed")
 
     def __init__(self, node: Node):
         self.node = node
         self.node_id = node.node_id
         self.cores = node.cores
         self.active = 0
-        self.ready: Deque["_TaskRuntime"] = deque()
+        self.ready: Deque[int] = deque()
         self.slowdown = 1.0
         #: service-time multiplier from injected CPU degradation faults
         #: (1.0 = healthy); orthogonal to the thrash/overcommit factors,
         #: which are recomputed from placements.
         self.fault_factor = 1.0
-        self.tasks: List["_TaskRuntime"] = []
+        self.tasks: List[int] = []
+        #: failed by the run and not yet recovered.  Nimbus may revive
+        #: ``node.alive`` before then (its supervisor is registered until
+        #: the heartbeat timeout), but no task bound here runs until the
+        #: run recovers the machine.
+        self.failed = False
+
+    def up(self) -> bool:
+        """Whether a task bound here now may run."""
+        return self.node.alive and not self.failed
 
 
 class _OutRoute:
@@ -415,12 +440,12 @@ class _TaskRuntime:
         "task", "component", "profile", "topo", "slot", "node", "work",
         "running", "queued", "alive", "out_routes", "inflight",
         "emit_blocked", "emit_timer_set", "next_emit_time", "is_spout",
-        "fc_paused", "counter_key",
+        "fc_paused", "counter_key", "index",
     )
 
     def __init__(self, task: Task, component: Component,
                  topo: "_TopologyRuntime", slot: WorkerSlot,
-                 node: _NodeRuntime):
+                 node: _NodeRuntime, index: int):
         self.task = task
         self.component = component
         self.profile = component.profile
@@ -444,6 +469,8 @@ class _TaskRuntime:
         self.fc_paused = False
         #: this task's key in the run's processed-tuples counter
         self.counter_key = (topo.topology_id, task.component)
+        #: this task's position in the run's task table
+        self.index = index
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"_TaskRuntime({self.task})"
@@ -460,12 +487,13 @@ class _PendingTree:
     __slots__ = ("remaining", "spout", "emitted_at", "tuples", "attempt",
                  "origin_root", "arrived_at")
 
-    def __init__(self, remaining: int, spout: "_TaskRuntime",
+    def __init__(self, remaining: int, spout: int,
                  emitted_at: float, tuples: int, attempt: int,
                  origin_root: int,
                  arrived_at: Optional[float] = None) -> None:
         #: outstanding deliveries; the tree acks when this reaches zero.
         self.remaining = remaining
+        #: the emitting spout's task-table index
         self.spout = spout
         self.emitted_at = emitted_at
         self.tuples = tuples
@@ -482,7 +510,7 @@ class _PendingTree:
 
 
 class _TopologyRuntime:
-    """Per-topology acker state."""
+    """Per-topology acker state.  ``spouts`` holds task-table indices."""
 
     __slots__ = ("topology", "topology_id", "assignment", "pending",
                  "next_root", "spouts", "origins_created",
@@ -496,7 +524,7 @@ class _TopologyRuntime:
         #: root id -> in-flight tree, insertion-ordered by emit time.
         self.pending: Dict[int, _PendingTree] = {}
         self.next_root = itertools.count()
-        self.spouts: List[_TaskRuntime] = []
+        self.spouts: List[int] = []
         # -- at-least-once audit counters (only maintained when the
         # -- delivery layer is on; see SimulationRun.delivery_audit).
         #: root tuples whose trees entered the acker
@@ -576,6 +604,10 @@ class SimulationRun:
             node.node_id: _NodeRuntime(node) for node in cluster.nodes
         }
         self._topologies: List[_TopologyRuntime] = []
+        #: the task table: every task runtime at its ``index`` (None once
+        #: a rescale removed it); whatever points back at a task holds
+        #: its index
+        self._tasks: List[Optional[_TaskRuntime]] = []
         self._task_runtimes: Dict[Task, _TaskRuntime] = {}
         for topology, assignment in placements:
             self._add_topology(topology, assignment)
@@ -600,7 +632,7 @@ class SimulationRun:
         targets = self._targets(assignment, topology, "assignment")
         topo_rt = _TopologyRuntime(topology, assignment)
         runtimes = self._spawn_tasks(topo_rt, topology.tasks, targets)
-        topo_rt.spouts = [rt for rt in runtimes if rt.is_spout]
+        topo_rt.spouts = [rt.index for rt in runtimes if rt.is_spout]
         if self._flow is not None:
             self._init_flow(topo_rt)
         self._wire_routes(topology)
@@ -634,14 +666,16 @@ class SimulationRun:
     ) -> List[_TaskRuntime]:
         """Bring up empty runtimes for ``tasks`` on their target slots."""
         runtimes = []
+        table = self._tasks
         for task in tasks:
             slot, node_rt = targets[task]
             rt = _TaskRuntime(
                 task, topo_rt.topology.component(task.component), topo_rt,
-                slot, node_rt,
+                slot, node_rt, len(table),
             )
-            rt.alive = node_rt.node.alive
-            node_rt.tasks.append(rt)
+            rt.alive = node_rt.up()
+            table.append(rt)
+            node_rt.tasks.append(rt.index)
             self._task_runtimes[task] = rt
             runtimes.append(rt)
         return runtimes
@@ -704,9 +738,10 @@ class SimulationRun:
         exceeds its physical capacity — the hard-constraint violation the
         default scheduler can commit and R-Storm never does.
         """
+        table = self._tasks
         for node_rt in self._nodes.values():
             resident_mb = sum(
-                rt.component.resident_memory_mb for rt in node_rt.tasks
+                table[i].component.resident_memory_mb for i in node_rt.tasks
             )
             capacity_mb = node_rt.node.capacity.memory_mb
             if capacity_mb > 0 and resident_mb > capacity_mb:
@@ -730,8 +765,8 @@ class SimulationRun:
             for topo_rt in self._topologies:
                 if self._open_loop:
                     self._start_arrivals(topo_rt)
-                for spout in topo_rt.spouts:
-                    self._try_emit(spout)  # a no-op in open loop
+                for i in topo_rt.spouts:
+                    self._try_emit(self._tasks[i])  # a no-op in open loop
                 self._schedule_sweep(topo_rt)
         self.sim.run(horizon)
         return self.report()
@@ -810,7 +845,8 @@ class SimulationRun:
         moved = self._rebind(topo_rt, topology.tasks, targets)
         self._placement_version += 1
         self._recompute_node_factors()
-        for spout in topo_rt.spouts:
+        for i in topo_rt.spouts:
+            spout = self._tasks[i]
             if spout.alive:
                 self._try_emit(spout)
         if self.observer is not None:
@@ -856,7 +892,8 @@ class SimulationRun:
             t for t in new_tasks
             if new_topology.component(t.component).is_spout
         }
-        if {spout.task for spout in topo_rt.spouts} != new_spouts:
+        table = self._tasks
+        if {table[i].task for i in topo_rt.spouts} != new_spouts:
             raise SimulationError(
                 f"rescale cannot change spout tasks of {topology_id!r}: "
                 "arrival streams are bound to spout task identity"
@@ -870,17 +907,21 @@ class SimulationRun:
             rt = self._task_runtimes.pop(task)
             self._teardown(rt)
             rt.out_routes = []
-            rt.node.tasks.remove(rt)
+            rt.node.tasks.remove(rt.index)
+            table[rt.index] = None
         moved = self._rebind(topo_rt, sorted(old_tasks & new_tasks), targets)
         # Bring up added tasks (empty queues, ready for routed work).
         self._spawn_tasks(topo_rt, added, targets)
         self._wire_routes(new_topology)
-        topo_rt.spouts = [self._task_runtimes[t] for t in sorted(new_spouts)]
+        topo_rt.spouts = [
+            self._task_runtimes[t].index for t in sorted(new_spouts)
+        ]
         self._placement_version += 1
         self._recompute_node_factors()
         if self._flow is not None:
             self._init_flow(topo_rt)
-        for spout in topo_rt.spouts:
+        for i in topo_rt.spouts:
+            spout = table[i]
             if spout.alive:
                 self._try_emit(spout)
         if self.observer is not None:
@@ -898,8 +939,10 @@ class SimulationRun:
 
         A task whose slot changed leaves its old node's task list and run
         queue and carries its queued work to the new node, where it is
-        requeued and dispatched if that node is up.  Returns how many
-        tasks changed slot.
+        requeued and dispatched if that node is up.  A node that is down
+        loses the work as :meth:`_fail_node` would (credits returned,
+        replays exhausted), and the task waits for :meth:`_recover_node`.
+        Returns how many tasks changed slot.
         """
         topology = topo_rt.topology
         moved = 0
@@ -911,15 +954,18 @@ class SimulationRun:
             if new_slot == rt.slot:
                 continue
             moved += 1
-            rt.node.tasks.remove(rt)
+            rt.node.tasks.remove(rt.index)
             self._unqueue(rt)
             rt.slot = new_slot
             rt.node = new_node
-            rt.alive = new_node.node.alive
-            new_node.tasks.append(rt)
-            if rt.alive and rt.work and not rt.running:
+            new_node.tasks.append(rt.index)
+            if not new_node.up():
+                self._teardown(rt)
+                continue
+            rt.alive = True
+            if rt.work and not rt.running:
                 rt.queued = True
-                new_node.ready.append(rt)
+                new_node.ready.append(rt.index)
                 self._dispatch(new_node)
         return moved
 
@@ -962,8 +1008,10 @@ class SimulationRun:
                 TraceEvent(self.sim.now, EventKind.NODE_DOWN, node=node_id)
             )
         node_rt.node.fail()
-        for rt in node_rt.tasks:
-            self._teardown(rt)
+        node_rt.failed = True
+        table = self._tasks
+        for i in node_rt.tasks:
+            self._teardown(table[i])
         node_rt.ready.clear()
 
     def _recover_node(self, node_id: str) -> None:
@@ -976,13 +1024,16 @@ class SimulationRun:
                 TraceEvent(self.sim.now, EventKind.NODE_UP, node=node_id)
             )
         node_rt.node.recover()
-        for rt in node_rt.tasks:
+        node_rt.failed = False
+        table = self._tasks
+        for i in node_rt.tasks:
+            rt = table[i]
             rt.alive = True
             if rt.is_spout:
                 self._try_emit(rt)
             elif rt.work and not rt.queued and not rt.running:
                 rt.queued = True
-                node_rt.ready.append(rt)
+                node_rt.ready.append(i)
         self._dispatch(node_rt)
 
     # -- open-loop arrivals ----------------------------------------------------------
@@ -998,7 +1049,8 @@ class SimulationRun:
         config = self.config
         keygen = config.arrival_keys
         topo_id = topo_rt.topology_id
-        for spout in topo_rt.spouts:
+        for i in topo_rt.spouts:
+            spout = self._tasks[i]
             source = (topo_id, spout.component.name, spout.task.instance)
             rng = random.Random(
                 derive_stream_seed(config.arrival_seed, *source)
@@ -1121,7 +1173,7 @@ class SimulationRun:
             return
         if not task.queued and not task.running and not task.fc_paused:
             task.queued = True
-            node_rt.ready.append(task)
+            node_rt.ready.append(task.index)
             if node_rt.active < node_rt.cores:
                 self._dispatch(node_rt)
 
@@ -1174,13 +1226,13 @@ class SimulationRun:
         """Take a task off its node's run queue, if it is on it."""
         if task.queued:
             try:
-                task.node.ready.remove(task)
+                task.node.ready.remove(task.index)
             except ValueError:  # pragma: no cover - defensive
                 pass
             task.queued = False
 
     def _revive_task(self, task: _TaskRuntime) -> None:
-        if not task.node.node.alive:
+        if not task.node.up():
             return  # node died meanwhile; nimbus must reschedule
         task.alive = True
         if task.is_spout:
@@ -1190,8 +1242,9 @@ class SimulationRun:
         node = node_rt.node  # liveness off the Node: no property call
         ready = node_rt.ready
         cores = node_rt.cores
+        table = self._tasks
         while node.alive and node_rt.active < cores and ready:
-            task = ready.popleft()
+            task = table[ready.popleft()]
             task.queued = False
             if not task.alive or not task.work or task.fc_paused:
                 continue
@@ -1276,7 +1329,7 @@ class SimulationRun:
             and not task.running and not task.fc_paused
         ):
             task.queued = True
-            task.node.ready.append(task)
+            task.node.ready.append(task.index)
             if task.node is not node_rt:
                 # Only after a migration mid-flight; the common case (the
                 # task completed on its own node) is covered by the
@@ -1305,7 +1358,7 @@ class SimulationRun:
         )
         if deliveries:
             topo.pending[root_id] = _PendingTree(
-                deliveries, spout, now, tuples, 0, root_id, arrived_at
+                deliveries, spout.index, now, tuples, 0, root_id, arrived_at
             )
             spout.inflight += 1
             if self._track_origins:
@@ -1335,7 +1388,7 @@ class SimulationRun:
         its spout's credit returns."""
         del topo.pending[root_id]
         now = self.sim.now
-        spout = entry.spout
+        spout = self._tasks[entry.spout]
         spout.inflight -= 1
         latency = now - entry.emitted_at
         if self._batch_observer is not None:
@@ -1394,7 +1447,7 @@ class SimulationRun:
             # A replayed tree keeps its original arrival anchor, so the
             # e2e latency of an eventually-acked origin spans its retries.
             topo.pending[root_id] = _PendingTree(
-                deliveries, spout, now, tuples, attempt, origin_root,
+                deliveries, spout.index, now, tuples, attempt, origin_root,
                 arrived_at,
             )
             spout.inflight += 1
@@ -1439,7 +1492,7 @@ class SimulationRun:
                 "pending": len(topo_rt.pending),
                 "replays_outstanding": topo_rt.replays_outstanding,
                 "spout_inflight": sum(
-                    spout.inflight for spout in topo_rt.spouts
+                    self._tasks[i].inflight for i in topo_rt.spouts
                 ),
             }
         return audit
@@ -1589,7 +1642,7 @@ class SimulationRun:
         stalled out edge, every task of the producer pauses: paused
         bolts stop draining their input queues, so their upstream edges
         fill next, until the spouts stop emitting."""
-        producer = ledger.producer
+        producer = self._flow.producers[ledger.topology_id][ledger.producer]
         self.stats.record_credit_stall(
             producer.topology_id, producer.name, ledger.consumer
         )
@@ -1611,7 +1664,7 @@ class SimulationRun:
         its producer is stalled, backpressure releases: the producer
         unpauses and its live tasks restart (spouts emit again, tasks
         with a backlog drain it)."""
-        producer = ledger.producer
+        producer = self._flow.producers[ledger.topology_id][ledger.producer]
         producer.stalled_edges -= 1
         if producer.stalled_edges:
             return
@@ -1634,7 +1687,7 @@ class SimulationRun:
                 self._try_emit(rt)
             if rt.work and not rt.queued and not rt.running:
                 rt.queued = True
-                rt.node.ready.append(rt)
+                rt.node.ready.append(rt.index)
                 self._dispatch(rt.node)
 
     def _shed_delivery(
@@ -1660,7 +1713,7 @@ class SimulationRun:
         )
         if entry is not None:
             topo.origins_shed += 1
-            spout = entry.spout
+            spout = self._tasks[entry.spout]
             spout.inflight -= 1
             if spout.alive:
                 self._try_emit(spout)
@@ -1712,9 +1765,10 @@ class SimulationRun:
             else:
                 break
         at_least_once = self._at_least_once
+        table = self._tasks
         for root in expired:
             entry = topo_rt.pending.pop(root)
-            spout = entry.spout
+            spout = table[entry.spout]
             spout.inflight -= 1
             if self._batch_observer is not None:
                 self._batch_observer(TraceEvent(
