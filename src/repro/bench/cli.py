@@ -111,7 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _format_row(result: BenchResult, baseline: Optional[BenchResult]) -> str:
+def _format_row(
+    result: BenchResult, baseline: Optional[BenchResult], tolerance: float
+) -> str:
+    """One result line; against a baseline it ends with the ratio the
+    gate bounds, fresh over baseline calibrated median, and the bound."""
     row = (
         f"{result.name:<{NAME_WIDTH}} median={result.median_s:8.4f}s "
         f"p90={result.p90_s:8.4f}s calibrated={result.calibrated_median:8.3f} "
@@ -119,8 +123,8 @@ def _format_row(result: BenchResult, baseline: Optional[BenchResult]) -> str:
         f"rss={result.peak_rss_kb:,}KB"
     )
     if baseline is not None and baseline.calibrated_median > 0:
-        speed = baseline.calibrated_median / result.calibrated_median
-        row += f"  ({speed:.2f}x vs baseline)"
+        ratio = result.calibrated_median / baseline.calibrated_median
+        row += f"  ({ratio:.2f}x of baseline, tolerance {tolerance:.2f}x)"
     return row
 
 
@@ -150,7 +154,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name in names:
         result = run_benchmark(REGISTRY[name], repeats=args.repeats)
         baseline = load_result(args.baseline, name)
-        print(_format_row(result, baseline))
+        print(_format_row(result, baseline, args.tolerance))
         path = write_result(result, args.out)
         print(f"  wrote {path}")
         if args.check:

@@ -5,7 +5,12 @@ import json
 import pytest
 
 from repro.bench import cli
-from repro.bench.core import Benchmark, result_filename
+from repro.bench.core import (
+    Benchmark,
+    BenchResult,
+    compare_results,
+    result_filename,
+)
 
 
 @pytest.fixture()
@@ -270,3 +275,25 @@ def test_check_failure_line_prints_both_calib_s(
     assert "calibrated median" in lines[0]
     assert "calib_s 0.0" in lines[0]
     assert "baseline 0.0020s" in lines[0]
+
+
+def _result(calibrated_median, events=10):
+    return BenchResult(
+        name="fast", repeats=2, times_s=[0.5, 0.5], median_s=0.5, p90_s=0.5,
+        events=events, events_per_sec=20.0, peak_rss_kb=1,
+        calib_s=0.02, calibrated_median=calibrated_median,
+    )
+
+
+@pytest.mark.parametrize(
+    "fresh, printed, fails",
+    [(8.15, "0.76x", False), (16.0, "1.49x", False), (16.2, "1.51x", True)],
+)
+def test_row_prints_the_ratio_the_gate_bounds(fresh, printed, fails):
+    """The row's ratio is fresh over baseline, the quantity --tolerance
+    bounds: below 1.00x is faster than the baseline, and the gate trips
+    once it passes the tolerance printed beside it."""
+    baseline = _result(10.75)
+    row = cli._format_row(_result(fresh), baseline, 1.5)
+    assert row.endswith(f"  ({printed} of baseline, tolerance 1.50x)")
+    assert bool(compare_results(_result(fresh), baseline, 1.5)) is fails
