@@ -27,12 +27,14 @@ import csv
 import os
 import pathlib
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.experiments import REGISTRY
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.experiments.harness import ExperimentResult
 from repro.experiments.parallel import ExperimentContext
+
+if TYPE_CHECKING:
+    from repro.experiments.harness import ExperimentResult
 
 __all__ = ["main", "build_parser", "build_context", "save_result"]
 

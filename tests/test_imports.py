@@ -73,12 +73,16 @@ def optional(modules):
 
 
 def test_import_repro_loads_no_layer():
-    modules = fresh("""
+    package, cli = fresh("""
         import repro
-        print(json.dumps(loaded()))
+        package = loaded()
+        import repro.cli
+        print(json.dumps([package, loaded()]))
     """)
-    assert optional(modules) == []
-    assert EXPERIMENT_MODULES.isdisjoint(modules)
+    assert package == ["repro"]
+    # the CLI loads an experiment, and the DES, only to run one
+    assert optional(cli) == []
+    assert EXPERIMENT_MODULES.isdisjoint(cli)
 
 
 def test_scheduling_imports_load_no_des():
