@@ -1,15 +1,19 @@
 """Bit-exact pins of the closed-loop per-batch path.
 
-Each run is a short Figure 8/9-style linear topology placed by R-Storm
-on six nodes: remote hops pay serde and intra-process hops skip it, so
-every branch of the service-time expression fires.  ``network`` is the
-network-bound variant (Figure 8: NIC-bound, cores mostly idle);
-``compute`` is the compute-bound one (Figure 9: cores saturated, queues
-non-empty), where a reordered busy-time accumulation or a last-bit
-change in a service time surfaces.  ``flow`` is the network-bound run
-with flow control on and two-batch input queues: edge credits drain as
-each batch starts service, and producers stall and resume thousands of
-times, so a reordered drain or resume surfaces.  Floats are compared through
+Each run is a short Figure 8/9-style linear topology.  R-Storm places
+it on the six nodes of rack 0: remote hops pay serde and intra-process
+hops skip it, so every branch of the service-time expression fires.
+``network`` is the network-bound variant (Figure 8: NIC-bound, cores
+mostly idle); ``compute`` is the compute-bound one (Figure 9: cores
+saturated, queues non-empty), where a reordered busy-time accumulation
+or a last-bit change in a service time surfaces.  ``flow`` is the
+network-bound run with flow control on and two-batch input queues: edge
+credits drain as each batch starts service, and producers stall and
+resume thousands of times, so a reordered drain or resume surfaces.
+``network-cross-rack`` is the network-bound run placed by the default
+scheduler, the setup of the ``tuple-routing`` bench probe: its hops
+cross the thin inter-rack uplink, so a change to the uplink's
+store-and-forward hop surfaces.  Floats are compared through
 ``float.hex()`` and the ack latencies through a sha256 of their packed
 doubles, so drifts that rounded summary rows hide fail here.
 """
@@ -22,14 +26,13 @@ from collections import Counter
 import pytest
 
 from repro.cluster import emulab_testbed
+from repro.scheduler.default import DefaultScheduler
 from repro.scheduler.rstorm import RStormScheduler
 from repro.simulation.config import SimulationConfig
 from repro.simulation.flowcontrol import FlowControlConfig
 from repro.simulation.runtime import SimulationRun
 from repro.simulation.tracing import Tracer
 from repro.workloads.micro import NETWORK_BOUND_UPLINK_MBPS, micro_topology
-
-NODES = [f"node-0-{i}" for i in range(6)]
 
 #: variant -> values recorded before the per-batch call chain was
 #: collapsed (the pre-refactor runtime is the reference); ``flow`` was
@@ -132,28 +135,84 @@ PINS = {
         },
         "throttled_hex": "0x1.1b3721d53cf18p+3",
     },
+    # recorded before transfers walked per-placement network paths
+    "network-cross-rack": {
+        "events": 56976,
+        "busy_hex": {
+            "node-0-0": "0x1.a1d14e3bcd1ebp+0",
+            "node-0-1": "0x1.e6e2eb1c4315dp+0",
+            "node-0-2": "0x1.a1c432ca57908p+0",
+            "node-0-3": "0x1.a083126e97768p+0",
+            "node-0-4": "0x1.e4ea4a8c15360p+0",
+            "node-0-5": "0x1.e5460aa64c18ep+0",
+            "node-1-0": "0x1.a2617c1bda3a0p+0",
+            "node-1-1": "0x1.e62b6ae7d5501p+0",
+            "node-1-2": "0x1.a13a92a3053c5p+0",
+            "node-1-3": "0x1.a0d844d013925p+0",
+            "node-1-4": "0x1.e48e8a71de532p+0",
+            "node-1-5": "0x1.e62b6ae7d5501p+0",
+        },
+        "nic_bytes": {
+            "node-0-0": 69657600,
+            "node-0-1": 34867200,
+            "node-0-2": 69657600,
+            "node-0-3": 69427200,
+            "node-0-4": 34739200,
+            "node-0-5": 34764800,
+            "node-1-0": 69760000,
+            "node-1-1": 34816000,
+            "node-1-2": 69529600,
+            "node-1-3": 69504000,
+            "node-1-4": 34713600,
+            "node-1-5": 34816000,
+        },
+        "processed": {
+            "spout": 0,
+            "bolt-1": 815300,
+            "bolt-2": 814200,
+            "bolt-3": 810800,
+        },
+        "acks": 8108,
+        "ack_sha256": (
+            "0fb155fc56ff4364d1ff898ee63e645e07a489555759d35e5d24dd5414b500d5"
+        ),
+        "credit_stalls": {},
+        "throttled_hex": "0x0.0p+0",
+    },
 }
 
 VARIANTS = sorted(PINS)
 
-#: variant -> (micro-topology variant, flow-control config)
+#: variant -> (micro-topology variant, flow-control config, scheduler)
 SETUPS = {
-    "network": ("network", None),
-    "compute": ("compute", None),
-    "flow": ("network", FlowControlConfig(queue_capacity=2)),
+    "network": ("network", None, RStormScheduler),
+    "compute": ("compute", None, RStormScheduler),
+    "flow": ("network", FlowControlConfig(queue_capacity=2), RStormScheduler),
+    "network-cross-rack": ("network", None, DefaultScheduler),
 }
+
+#: variant -> the distance levels its deliveries take
+LEVELS = {
+    variant: {"INTRA_PROCESS", "INTER_NODE"}
+    for variant in ("network", "compute", "flow")
+}
+LEVELS["network-cross-rack"] = {"INTER_NODE", "INTER_RACK"}
 
 
 def topology_id(variant: str) -> str:
     return f"linear-{SETUPS[variant][0]}"
 
 
+def pinned_nodes(variant: str):
+    return list(PINS[variant]["busy_hex"])
+
+
 def pinned_run(variant: str) -> SimulationRun:
-    micro, flow = SETUPS[variant]
+    micro, flow, scheduler = SETUPS[variant]
     random.seed(11)
     cluster = emulab_testbed()
     topology = micro_topology("linear", micro)
-    assignment = RStormScheduler().schedule([topology], cluster)[
+    assignment = scheduler().schedule([topology], cluster)[
         topology_id(variant)
     ]
     return SimulationRun(
@@ -190,19 +249,20 @@ def ack_digest(latencies) -> str:
 class TestClosedLoopHotPathPin:
     def test_delivers_on_both_serde_branches(self, variant):
         levels = delivered_levels(pinned_run(variant))
-        assert set(levels) == {"INTRA_PROCESS", "INTER_NODE"}
+        assert set(levels) == LEVELS[variant]
 
     def test_pinned_bit_exact(self, variant):
         pins = PINS[variant]
+        nodes = pinned_nodes(variant)
         topo_id = topology_id(variant)
         run = pinned_run(variant)
         report = run.run()
         stats = run.stats
         assert report.events_processed == pins["events"]
         assert {
-            node: stats.busy.get(node, 0.0).hex() for node in NODES
+            node: stats.busy.get(node, 0.0).hex() for node in nodes
         } == pins["busy_hex"]
-        assert {node: stats.nic_bytes.get(node, 0) for node in NODES} == pins[
+        assert {node: stats.nic_bytes.get(node, 0) for node in nodes} == pins[
             "nic_bytes"
         ]
         assert {
@@ -241,7 +301,7 @@ class TestTracerParity:
 
         assert traced_report.summary() == plain_report.summary()
         assert traced_report.events_processed == plain_report.events_processed
-        for node in NODES:
+        for node in pinned_nodes(variant):
             assert (
                 traced.stats.busy.get(node, 0.0).hex()
                 == plain.stats.busy.get(node, 0.0).hex()
