@@ -12,6 +12,8 @@ reproducing the execution model the paper's evaluation measures:
   subscribed to a stream receives a copy of it.
 * **Transfers** pay locality-dependent latency and serialise through NICs
   and the inter-rack uplink (:class:`~repro.simulation.network.TransferModel`).
+  Each route resolves its consumers' network paths once per placement,
+  so a routed batch books its links without looking them up.
 * **Bolts** are single-threaded tasks competing for their node's cores;
   an over-committed node's tasks wait for cores, and a node whose
   resident memory exceeds physical capacity thrashes (service times are
@@ -70,7 +72,7 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
 from repro.simulation.flowcontrol import CreditLedger, FlowControl
 from repro.simulation.metrics import StatisticServer
-from repro.simulation.network import TransferModel
+from repro.simulation.network import NetworkPath, TransferModel
 from repro.simulation.report import SimulationReport
 from repro.simulation.tracing import EventKind, TraceEvent, wants_batches
 from repro.topology.component import Component
@@ -152,25 +154,30 @@ class _NodeRuntime:
 class _OutRoute:
     """A producer task's route to one downstream component.
 
-    ``levels``/``remote``/``local_indices`` are derived from placements
-    and cached until ``levels_version`` falls behind the run's placement
-    version — the distance matrix is immutable between migrations.
-    ``ledger`` is the edge's credit ledger (None when flow is off).
+    ``wires`` holds, per consumer, ``(consumer, level, path, latency)``:
+    the distance level, the resolved network path
+    (:meth:`~repro.simulation.network.TransferModel.path`) of a delivery
+    that leaves the node, or None for an in-memory hand-off, and the
+    level's latency.  ``wires`` and ``local_indices`` are derived from
+    placements and cached until ``wires_version`` falls behind the run's
+    placement version — the distance matrix and every path are fixed
+    between migrations.  ``ledger`` is the edge's credit ledger (None
+    when flow is off).
     """
 
-    __slots__ = ("grouping", "consumers", "ledger", "levels", "remote",
-                 "local_indices", "levels_version", "is_local_or_shuffle")
+    __slots__ = ("grouping", "consumers", "ledger", "wires",
+                 "local_indices", "wires_version", "is_local_or_shuffle")
 
     def __init__(self, grouping, consumers, ledger):
         self.grouping = grouping
         self.consumers: List["_TaskRuntime"] = consumers
         self.ledger: Optional[CreditLedger] = ledger
-        self.levels: Optional[List[DistanceLevel]] = None
-        #: parallel to ``levels``: does delivery i leave the node (NIC)?
-        self.remote: Optional[List[bool]] = None
+        self.wires: Optional[List[Tuple[
+            "_TaskRuntime", DistanceLevel, Optional[NetworkPath], float
+        ]]] = None
         #: cached local-consumer indices for local-or-shuffle groupings.
         self.local_indices: Optional[List[int]] = None
-        self.levels_version = -1
+        self.wires_version = -1
         self.is_local_or_shuffle = isinstance(grouping, LocalOrShuffleGrouping)
 
 
@@ -1241,14 +1248,25 @@ class SimulationRun:
     # -- routing -----------------------------------------------------------------------
 
     def _refresh_route(self, producer: _TaskRuntime, route: _OutRoute) -> None:
-        """Recompute a route's placement-derived caches (distance levels,
-        NIC flags, local consumer indices).  Only runs when the placement
-        version moved — the distance matrix is immutable per placement."""
+        """Recompute a route's placement-derived caches (its wires and
+        local consumer indices).  Only runs when the placement version
+        moved — the distance matrix and the paths are fixed per
+        placement."""
         slot_level = self.cluster.slot_distance_level
+        transfer_model = self.transfer
+        latency_s = transfer_model.latency_s
         producer_slot = producer.slot
-        levels = [slot_level(producer_slot, c.slot) for c in route.consumers]
-        route.levels = levels
-        route.remote = [level >= _INTER_NODE for level in levels]
+        producer_node_id = producer_slot.node_id
+        wires = []
+        for consumer in route.consumers:
+            level = slot_level(producer_slot, consumer.slot)
+            path = None
+            if level >= _INTER_NODE:
+                path = transfer_model.path(
+                    producer_node_id, consumer.slot.node_id, level
+                )
+            wires.append((consumer, level, path, latency_s[level]))
+        route.wires = wires
         if route.is_local_or_shuffle:
             route.local_indices = [
                 i
@@ -1257,7 +1275,7 @@ class SimulationRun:
             ]
         else:
             route.local_indices = None
-        route.levels_version = self._placement_version
+        route.wires_version = self._placement_version
 
     def _route(
         self, producer: _TaskRuntime, tuples: int, root_id: int,
@@ -1275,26 +1293,20 @@ class SimulationRun:
         producer_node_id = producer.slot.node_id
         transfer_model = self.transfer
         for route in producer.out_routes:
-            if route.levels_version != self._placement_version:
+            if route.wires_version != self._placement_version:
                 self._refresh_route(producer, route)
-            consumers = route.consumers
-            levels = route.levels
-            remote = route.remote
+            wires = route.wires
             ledger = route.ledger
             for idx in route.grouping.route(
-                len(consumers), route_key, route.local_indices
+                len(wires), route_key, route.local_indices
             ):
-                consumer = consumers[idx]
-                level = levels[idx]
-                if remote[idx]:
-                    arrival = transfer_model.transfer(
-                        now, producer_node_id, consumer.slot.node_id, level,
-                        num_bytes,
-                    )
+                consumer, level, path, latency = wires[idx]
+                if path is not None:
+                    arrival = transfer_model.send(path, now, num_bytes)
                     self._nic[producer_node_id] += num_bytes
                 else:
                     # In-memory hand-off: latency only, as in transfer().
-                    arrival = now + transfer_model.latency_s[level]
+                    arrival = now + latency
                 deliveries += 1
                 if transfer_model.lossy:
                     copies = transfer_model.copies(
@@ -1319,7 +1331,7 @@ class SimulationRun:
                             now, producer_node_id, consumer.slot.node_id,
                             level, num_bytes,
                         )
-                        if remote[idx]:
+                        if path is not None:
                             self._nic[producer_node_id] += num_bytes
                         self.stats.record_duplicate(
                             producer.topo.topology_id, tuples
