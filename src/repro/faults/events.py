@@ -26,6 +26,7 @@ literature evaluates under (Aniello et al., Fu et al., see PAPERS.md):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Type
 
@@ -43,6 +44,13 @@ __all__ = [
 ]
 
 
+def _check_factor(noun: str, factor: float) -> None:
+    if not (math.isfinite(factor) and factor > 1.0):
+        raise ConfigError(
+            f"{noun} factor must be finite and exceed 1, got {factor}"
+        )
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """Base class: one fault at absolute simulated time ``at``."""
@@ -53,11 +61,14 @@ class FaultEvent:
     kind = "fault"
 
     def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ConfigError(f"fault time must be >= 0, got {self.at}")
+        if not (math.isfinite(self.at) and self.at >= 0):
+            raise ConfigError(
+                f"fault time must be finite and >= 0, got {self.at}"
+            )
 
     def _check_until(self, until: Optional[float], name: str = "until") -> None:
-        if until is not None and until <= self.at:
+        # ``not >`` so that a NaN is rejected too.
+        if until is not None and not until > self.at:
             raise ConfigError(
                 f"{type(self).__name__}.{name} ({until}) must be after "
                 f"the injection time ({self.at})"
@@ -106,10 +117,7 @@ class NodeSlowdown(FaultEvent):
         super().__post_init__()
         if not self.node_id:
             raise ConfigError("NodeSlowdown needs a node_id")
-        if self.factor <= 1.0:
-            raise ConfigError(
-                f"slowdown factor must exceed 1, got {self.factor}"
-            )
+        _check_factor("slowdown", self.factor)
         self._check_until(self.until)
 
     def describe(self) -> str:
@@ -135,10 +143,7 @@ class LinkDegradation(FaultEvent):
             raise ConfigError("LinkDegradation needs two rack ids")
         if self.rack_a == self.rack_b:
             raise ConfigError("LinkDegradation racks must differ")
-        if self.factor <= 1.0:
-            raise ConfigError(
-                f"degradation factor must exceed 1, got {self.factor}"
-            )
+        _check_factor("degradation", self.factor)
         self._check_until(self.until)
 
     def describe(self) -> str:

@@ -9,10 +9,15 @@ from repro.faults import (
     EVENT_KINDS,
     HeartbeatSilence,
     LinkDegradation,
+    MessageLoss,
     NodeCrash,
     NodeSlowdown,
     RackPartition,
 )
+
+
+NAN = float("nan")
+INF = float("inf")
 
 
 class TestValidation:
@@ -56,6 +61,36 @@ class TestValidation:
     def test_silence_until_must_follow_start(self):
         with pytest.raises(ConfigError):
             HeartbeatSilence(at=10.0, node_id="node-0-0", until=10.0)
+
+    @pytest.mark.parametrize("at", [NAN, INF, -INF])
+    def test_non_finite_time_rejected(self, at):
+        with pytest.raises(ConfigError):
+            NodeCrash(at=at, node_id="node-0-0")
+
+    @pytest.mark.parametrize("factor", [NAN, INF])
+    def test_non_finite_factor_rejected(self, factor):
+        with pytest.raises(ConfigError):
+            NodeSlowdown(at=10.0, node_id="node-0-0", factor=factor)
+        with pytest.raises(ConfigError):
+            LinkDegradation(
+                at=10.0, rack_a="rack-0", rack_b="rack-1", factor=factor
+            )
+
+    def test_nan_end_time_rejected(self):
+        with pytest.raises(ConfigError):
+            NodeCrash(at=10.0, node_id="node-0-0", rejoin_at=NAN)
+        with pytest.raises(ConfigError):
+            NodeSlowdown(at=10.0, node_id="node-0-0", until=NAN)
+        with pytest.raises(ConfigError):
+            LinkDegradation(
+                at=10.0, rack_a="rack-0", rack_b="rack-1", until=NAN
+            )
+        with pytest.raises(ConfigError):
+            RackPartition(at=10.0, rack_id="rack-0", heal_at=NAN)
+        with pytest.raises(ConfigError):
+            HeartbeatSilence(at=10.0, node_id="node-0-0", until=NAN)
+        with pytest.raises(ConfigError):
+            MessageLoss(at=10.0, rack_a="rack-0", rack_b="rack-1", until=NAN)
 
 
 class TestShape:
