@@ -40,7 +40,7 @@ from pathlib import Path
 from types import ModuleType
 from typing import Optional
 
-from hypothesis import HealthCheck, assume, given, strategies as st
+from hypothesis import HealthCheck, assume, example, given, strategies as st
 
 from repro.cluster.builders import uniform_cluster
 from repro.cluster.resources import ResourceSchema
@@ -346,7 +346,24 @@ def assert_same(case: Case) -> None:
         assert got[key] == want[key], key
 
 
+#: The migrate at 2.294 s moves a spout task holding 12 queued batches
+#: onto node-1-0, crashed at 1.9 s, before it rejoins at 3.9 s: the work
+#: must be lost with the node.  Random draws reach this path too rarely
+#: for tier-1's example count to catch a change to it.
+MIGRATE_ONTO_CRASHED_NODE = Case(
+    seed=1187, topo_seed=7205, other_seed=673, scheduler="default",
+    nodes_per_rack=3, node_memory_mb=4096.0, loop="poisson",
+    rate_tps=2000.0, at_least_once=True, shedding="tail-drop",
+    queue_capacity=32, overflow=40, crash_node=3, crash_at=1.9,
+    rejoin_after=2.0, slow_node=2, slow_factor=8.0, slow_at=1.0,
+    loss_at=5.327, drop_p=0.1, dup_p=0.1, migrate_at=2.294,
+    migrate_shift=3, rescale_at=7.0, rescale_pick=0, rescale_delta=-2,
+    observe="off",
+)
+
+
 @search_settings(TIER1_EXAMPLES, suppress_health_check=list(HealthCheck))
+@example(case=MIGRATE_ONTO_CRASHED_NODE)
 @given(case=cases())
 def test_live_runtime_matches_frozen_oracle(case):
     assert_same(case)

@@ -96,6 +96,8 @@ def test_scheduling_imports_load_no_des():
         print(json.dumps(loaded()))
     """)
     assert optional(modules) == []
+    # nor the transfer model, so a change to it cannot move sched-512
+    assert "repro.simulation.network" not in modules
     assert "repro.experiments.harness" not in modules
     assert EXPERIMENT_MODULES.isdisjoint(modules)
 
