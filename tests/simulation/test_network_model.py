@@ -133,13 +133,6 @@ class TestInterRack:
 
 
 class TestUplinkScale:
-    def test_degrade_then_restore(self, model):
-        model.set_uplink_scale("rack-0", "rack-1", 0.25)
-        assert model.uplink_scale("rack-1", "rack-0") == 0.25
-        model.set_uplink_scale("rack-1", "rack-0", 1.0)
-        assert model.uplink_scale("rack-0", "rack-1") == 1.0
-        assert model.uplink_scale("rack-0", "rack-9") == 1.0
-
     @pytest.mark.parametrize(
         "scale", [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
     )
