@@ -35,9 +35,6 @@ from repro.cluster.network import DistanceLevel
 
 __all__ = ["NetworkPath", "TransferModel"]
 
-#: Hot-path alias (module-global loads beat enum attribute lookups).
-_INTER_NODE = DistanceLevel.INTER_NODE
-
 
 class _Link:
     """One link's booking state: the time it is next free.  Only a rack
@@ -305,7 +302,7 @@ class TransferModel:
         num_bytes: int,
     ) -> float:
         """Book a transfer and return its arrival time (see :meth:`send`)."""
-        if level < _INTER_NODE:
+        if level < DistanceLevel.INTER_NODE:
             # intra/inter-process: in-memory hand-off, latency only.
             return now + self.latency_s[level]
         return self.send(self.path(src_node, dst_node, level), now, num_bytes)

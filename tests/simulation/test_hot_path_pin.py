@@ -1,8 +1,9 @@
 """Bit-exact pins of the closed-loop per-batch path.
 
-Each run is a short Figure 8/9-style linear topology.  R-Storm places
-it on the six nodes of rack 0: remote hops pay serde and intra-process
-hops skip it, so every branch of the service-time expression fires.
+Each run is a short Figure 8/9-style linear topology.  In the first
+three variants R-Storm places it on the six nodes of rack 0: remote
+hops pay serde and intra-process hops skip it, so every branch of the
+service-time expression fires.
 ``network`` is the network-bound variant (Figure 8: NIC-bound, cores
 mostly idle); ``compute`` is the compute-bound one (Figure 9: cores
 saturated, queues non-empty), where a reordered busy-time accumulation
