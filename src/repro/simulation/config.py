@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import math
+from dataclasses import dataclass, fields
+from typing import Any, Optional
 
 from repro.errors import ConfigError
 from repro.simulation.flowcontrol import FlowControlConfig
@@ -11,6 +12,28 @@ from repro.traffic.arrivals import ArrivalProcess
 from repro.traffic.keys import KeyGenerator
 
 __all__ = ["SimulationConfig"]
+
+#: What each annotated kind of field must hold.  Other fields hold
+#: typed objects, checked one by one in ``__post_init__``.
+_KIND_TEXT = {
+    "float": "a finite number",
+    "int": "an int",
+    "Optional[int]": "an int or None",
+    "bool": "a bool",
+}
+
+
+def _of_kind(kind: str, value: Any) -> bool:
+    """Whether ``value`` fits the field annotation ``kind``: a bool is
+    no int here, and an int is a float."""
+    if kind == "bool":
+        return isinstance(value, bool)
+    if kind == "Optional[int]" and value is None:
+        return True
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if kind == "float":
+        return is_int or (isinstance(value, float) and math.isfinite(value))
+    return is_int if kind in _KIND_TEXT else True
 
 
 @dataclass(frozen=True)
@@ -114,6 +137,13 @@ class SimulationConfig:
     flow: Optional[FlowControlConfig] = None
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if not _of_kind(spec.type, value):
+                raise ConfigError(
+                    f"{spec.name} must be {_KIND_TEXT[spec.type]}, "
+                    f"got {value!r}"
+                )
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be positive")
         if self.window_s <= 0:
@@ -155,7 +185,7 @@ class SimulationConfig:
                     "arrival_keys requires arrival_process (keys only "
                     "apply to open-loop traffic)"
                 )
-        if not isinstance(self.arrival_seed, int) or self.arrival_seed < 0:
+        if self.arrival_seed < 0:
             raise ConfigError("arrival_seed must be a non-negative integer")
         if self.flow is not None and not isinstance(
             self.flow, FlowControlConfig

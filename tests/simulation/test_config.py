@@ -1,5 +1,7 @@
 """Tests for SimulationConfig validation."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
@@ -66,6 +68,43 @@ class TestValidation:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SimulationConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # a NaN cutoff never times a tree out: credit leaks silently
+            {"batch_timeout_s": math.nan},
+            {"thrash_factor": math.nan},
+            {"serde_ms_per_tuple": math.nan},
+            {"worker_restart_s": math.nan},
+            {"window_s": math.inf},
+            {"replay_backoff_s": math.inf},
+            {"duration_s": math.inf},
+            {"duration_s": "60"},
+            {"max_spout_pending": 2.5},
+            {"max_spout_pending": True},
+            {"queue_overflow_batches": 7.5},
+            {"max_retries": 1.5},
+            {"max_retries": False},
+            # a truthy string would silently switch replay on
+            {"at_least_once": "no"},
+            {"at_least_once": 1},
+            {"arrival_seed": True,
+             "arrival_process": PoissonArrivals(rate_tps=10.0)},
+        ],
+        ids=lambda kwargs: ",".join(f"{k}={v!r}" for k, v in kwargs.items()),
+    )
+    def test_non_finite_or_mistyped_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            SimulationConfig(**kwargs)
+
+    def test_int_accepted_for_float_fields(self):
+        config = SimulationConfig(
+            duration_s=60, window_s=5, warmup_s=0, batch_timeout_s=2,
+            thrash_factor=1, serde_ms_per_tuple=0, worker_restart_s=0,
+            replay_backoff_s=1,
+        )
+        assert config.duration_s == 60 and config.thrash_factor == 1
 
     def test_frozen(self):
         config = SimulationConfig()
