@@ -145,9 +145,8 @@ tenancy)
     grep -q "placement-agnostic" tenants-cold.txt
     hash_seed_independent tenants --duration 60
     echo "== tenancy: default path unperturbed (opt-in layer off)"
-    # With nimbus.tenancy.enabled left at its default (false) no
-    # tenant, fairness or admission metric may surface anywhere in the
-    # default experiment grids.
+    # With no tenants wired no tenant, fairness or admission metric
+    # may surface anywhere in the default experiment grids.
     fresh_default_grids
     ! grep -qE "tenant|jain=|credits|admitted|evict" \
         fig9-default.txt chaos-default.txt traffic-default.txt

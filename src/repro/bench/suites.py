@@ -558,10 +558,7 @@ def _prepare_tenant_admission() -> Callable[[], int]:
             _sched_scale_cluster(),
             scheduler=RStormScheduler(),
             config=StormConfig(
-                {
-                    "nimbus.tenancy.enabled": True,
-                    "nimbus.tenancy.headroom": TENANT_ADMISSION_HEADROOM,
-                }
+                {"nimbus.tenancy.headroom": TENANT_ADMISSION_HEADROOM}
             ),
         )
         tenancy = admit(

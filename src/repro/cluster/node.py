@@ -1,10 +1,10 @@
 """Worker nodes and worker slots.
 
-A node models one supervisor machine: a resource *capacity* (set from the
-``supervisor.memory.capacity.mb`` / ``supervisor.cpu.capacity`` style
-configuration of the paper's Section 5.2), a mutable *availability* that
-scheduling reservations draw down, and a fixed set of worker slots
-(supervisor ports) that worker processes bind to.
+A node models one supervisor machine: a resource *capacity* (what the
+paper's Section 5.2 sets per supervisor in storm.yaml; here the cluster
+builders set it), a mutable *availability* that scheduling reservations
+draw down, and a fixed set of worker slots (supervisor ports) that
+worker processes bind to.
 """
 
 from __future__ import annotations

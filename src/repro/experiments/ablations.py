@@ -125,11 +125,3 @@ def run(
         "each ingredient is worth when machines are heterogeneous."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

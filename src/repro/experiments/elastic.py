@@ -210,11 +210,3 @@ def run(
         "very same unit with nimbus.elastic.enabled left false."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

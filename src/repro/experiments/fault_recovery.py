@@ -342,11 +342,3 @@ def run(
             "counts Nimbus quarantine decisions."
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -66,11 +66,3 @@ def run(
         "task, the population Figure 10 uses."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

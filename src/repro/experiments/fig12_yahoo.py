@@ -85,11 +85,3 @@ def run(
         "are queue overflows on over-utilised machines."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -110,11 +110,3 @@ def _overcommitted_nodes(outcome, cluster) -> int:
         if demand.memory_mb > node.capacity.memory_mb + 1e-9:
             over += 1
     return over
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

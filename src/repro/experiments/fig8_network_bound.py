@@ -92,11 +92,3 @@ def run(
         f"shared {NETWORK_BOUND_UPLINK_MBPS:.0f} Mbps inter-rack fabric."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -95,11 +95,3 @@ def run(
         "round-robin over-utilises the spout machines and loses outright."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -321,8 +321,6 @@ def wire(
     interrack_uplink_mbps: Optional[float] = None,
     storm: Union[Mapping[str, Any], Sequence[Tuple[str, Any]]] = (),
     faults: Any = None,
-    heartbeat_interval_s: float = 3.0,
-    heartbeat_timeout_s: float = 10.0,
     tenants: Sequence[Tenant] = (),
     submissions: Sequence[Tuple[int, str, Topology]] = (),
     rounds: int = 8,
@@ -345,7 +343,8 @@ def wire(
       (sampled against ``cluster``) or a ``(cluster, assignments) ->
       FaultSchedule`` callable (placement-aware scenarios such as "crash
       the busiest node").  Adds one supervisor per node, the heartbeat
-      failure detector (``heartbeat_*``), periodic Nimbus rescheduling
+      failure detector (``nimbus.supervisor.heartbeat.secs`` and
+      ``nimbus.supervisor.timeout.secs``), periodic Nimbus rescheduling
       (``nimbus.scheduler.interval.secs``), the monitor and the
       injector;
     * ``tenants`` — ``submissions`` of ``(round, tenant id, topology)``
@@ -396,8 +395,8 @@ def wire(
 
         detector = HeartbeatFailureDetector(
             supervisors.values(),
-            heartbeat_interval_s=heartbeat_interval_s,
-            timeout_s=heartbeat_timeout_s,
+            heartbeat_interval_s=nimbus.config["nimbus.supervisor.heartbeat.secs"],
+            timeout_s=nimbus.config["nimbus.supervisor.timeout.secs"],
         )
         detector.attach(run)
         nimbus.attach(run)

@@ -240,11 +240,3 @@ def run(
         "tail than the uniform-key run at the same operating point."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -106,8 +106,6 @@ class SimulationUnit:
     interrack_uplink_mbps: Optional[float] = None
     storm: Tuple[Tuple[str, Any], ...] = ()
     faults: Optional[FactorySpec] = None
-    heartbeat_interval_s: float = 3.0
-    heartbeat_timeout_s: float = 10.0
     tenants: Tuple[Tenant, ...] = ()
     submissions: Tuple[Tuple[int, str, FactorySpec], ...] = ()
     rounds: int = 8
@@ -126,8 +124,6 @@ class SimulationUnit:
             interrack_uplink_mbps=self.interrack_uplink_mbps,
             storm=self.storm,
             faults=self.faults.build() if self.faults is not None else None,
-            heartbeat_interval_s=self.heartbeat_interval_s,
-            heartbeat_timeout_s=self.heartbeat_timeout_s,
             tenants=self.tenants,
             submissions=[
                 (due, tenant_id, topology.build())

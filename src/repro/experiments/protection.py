@@ -265,11 +265,3 @@ def run(
         "tail-drop level, so gold's traffic is the last to go."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

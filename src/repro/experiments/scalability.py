@@ -116,11 +116,3 @@ def run(
         "column rather than predicted tps on these resource-rich clusters."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

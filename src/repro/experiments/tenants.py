@@ -49,12 +49,6 @@ __all__ = ["run", "tenant_units", "TENANTS", "CONFIGS", "SUBMISSIONS"]
 #: that a well-placed topology keeps up.
 LOAD_FRACTION = 0.75
 
-#: StormConfig overrides that switch admission on; everything else
-#: stays at the documented ``nimbus.tenancy.*`` defaults.
-TENANCY_ON: Tuple[Tuple[str, object], ...] = (
-    ("nimbus.tenancy.enabled", True),
-)
-
 #: (label, scheduler spec) — admission is identical across both, so
 #: the comparison isolates placement quality under multi-tenant load.
 #: The default scheduler is given the per-topology worker count a real
@@ -138,7 +132,6 @@ def tenant_units(duration_s: float) -> List[SimulationUnit]:
             topologies=(),
             cluster=spec(emulab_testbed, nodes_per_rack=12),
             config=_traffic_config(duration_s),
-            storm=TENANCY_ON,
             tenants=TENANTS,
             submissions=SUBMISSIONS,
             rounds=ROUNDS,
@@ -245,11 +238,3 @@ def run(
         "deferred tenants accrue credits that bias later rounds."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

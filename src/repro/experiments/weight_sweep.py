@@ -88,11 +88,3 @@ def run(
         "defaults are safe, and tuning only pays off when machines differ."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -1,16 +1,17 @@
 """storm.yaml-style configuration.
 
-The paper's user API (Section 5.2) configures node resources and the
-scheduler choice through Storm's flat YAML configuration file::
+The paper's user API (Section 5.2) configures R-Storm through Storm's
+flat YAML configuration file::
 
-    supervisor.memory.capacity.mb: 20480.0
-    supervisor.cpu.capacity: 100.0
-    storm.scheduler: "repro.scheduler.rstorm.RStormScheduler"
+    storm.scheduler: "r-storm"
+    nimbus.scheduler.interval.secs: 10.0
+    nimbus.supervisor.timeout.secs: 10.0
 
 This module provides a dependency-free parser for that flat subset of
 YAML (scalar and inline-list values, comments) plus
 :class:`StormConfig`, which checks every key this reproduction reads
-against :data:`KEYS` when it is built.
+against :data:`KEYS` when it is built.  Node capacities come from the
+cluster model, not from ``supervisor.*`` keys.
 """
 
 from __future__ import annotations
@@ -32,16 +33,13 @@ _AT_LEAST_ONE: Bounds = (1.0, True, math.inf, True)  # [1, inf]
 _FRACTION: Bounds = (0.0, False, 1.0, True)  # (0, 1]
 
 #: Every key this reproduction reads: key -> (kind, default, bounds).
-#: Kinds: ``bool``; ``string`` (non-empty); ``port list`` (a non-empty
-#: list of ints); ``int``; ``int or null``; and ``number`` (an int or
-#: float, stored as float).
+#: Kinds: ``bool``; ``string`` (non-empty); ``int``; ``int or null``;
+#: and ``number`` (an int or float, stored as float).
 KEYS: Dict[str, Tuple[str, Any, Optional[Bounds]]] = {
-    "supervisor.memory.capacity.mb": ("number", 4096.0, _POSITIVE),
-    "supervisor.cpu.capacity": ("number", 400.0, _POSITIVE),
-    "supervisor.bandwidth.capacity.mbps": ("number", 1000.0, _POSITIVE),
-    "supervisor.slots.ports": ("port list", [6700, 6701, 6702, 6703], None),
     "storm.scheduler": ("string", "default", None),
     "nimbus.scheduler.interval.secs": ("number", 10.0, _POSITIVE),
+    "nimbus.supervisor.heartbeat.secs": ("number", 3.0, _POSITIVE),
+    "nimbus.supervisor.timeout.secs": ("number", 10.0, _POSITIVE),
     "nimbus.quarantine.enabled": ("bool", False, None),
     "nimbus.quarantine.threshold": ("int", 3, _AT_LEAST_ONE),
     "nimbus.quarantine.window.secs": ("number", 120.0, _POSITIVE),
@@ -53,9 +51,6 @@ KEYS: Dict[str, Tuple[str, Any, Optional[Bounds]]] = {
     "nimbus.elastic.min.parallelism": ("int", 1, _AT_LEAST_ONE),
     "nimbus.elastic.max.parallelism": ("int", 16, _AT_LEAST_ONE),
     "nimbus.elastic.scale.down.patience": ("int", 3, _AT_LEAST_ONE),
-    "nimbus.elastic.rebalance.enabled": ("bool", True, None),
-    "nimbus.elastic.rebalance.threshold": ("number", 0.85, _FRACTION),
-    "nimbus.tenancy.enabled": ("bool", False, None),
     "nimbus.tenancy.headroom": ("number", 1.0, _FRACTION),
     "nimbus.tenancy.credit.accrual": ("number", 1.0, _NON_NEGATIVE),
     "nimbus.tenancy.credit.bias": ("number", 0.05, _NON_NEGATIVE),
@@ -93,9 +88,6 @@ def _checked(key: str, value: Any) -> Any:
         ok = isinstance(value, bool)
     elif kind == "string":
         ok = isinstance(value, str) and bool(value)
-    elif kind == "port list":
-        ok = isinstance(value, list) and bool(value) and all(map(_is_int, value))
-        value = list(value) if ok else value
     elif kind == "int or null" and value is None:
         return None
     elif kind == "number":
@@ -230,13 +222,22 @@ class StormConfig:
             key: _checked(key, value) if key in KEYS else value
             for key, value in merged.items()
         }
+        values = self._values
         if (
-            self._values["nimbus.elastic.max.parallelism"]
-            < self._values["nimbus.elastic.min.parallelism"]
+            values["nimbus.elastic.max.parallelism"]
+            < values["nimbus.elastic.min.parallelism"]
         ):
             raise ConfigError(
                 "nimbus.elastic.max.parallelism must be >= "
                 "nimbus.elastic.min.parallelism"
+            )
+        if (
+            values["nimbus.supervisor.timeout.secs"]
+            <= values["nimbus.supervisor.heartbeat.secs"]
+        ):
+            raise ConfigError(
+                "nimbus.supervisor.timeout.secs must be > "
+                "nimbus.supervisor.heartbeat.secs"
             )
 
     @classmethod

@@ -59,6 +59,10 @@ from repro.scheduler.assignment import Assignment
 
 __all__ = ["ElasticDecision", "ElasticController", "required_parallelism"]
 
+#: Busy-core fraction at or above which rebalance counts a node as
+#: saturated (and below which a node may take a moved executor).
+REBALANCE_THRESHOLD = 0.85
+
 
 def required_parallelism(
     arrival_tps: float,
@@ -221,13 +225,12 @@ class ElasticController:
         processed = dict(run.stats.processed)
         busy = dict(run.stats.busy)
         shed = dict(run.stats.shed_components)
-        rebalance = self.nimbus.config["nimbus.elastic.rebalance.enabled"]
         if dt > 0:
             for topology_id in list(self.nimbus.assignments):
                 scaled = self._scale_topology(
                     run, topology_id, processed, shed, dt, period, now
                 )
-                if not scaled and rebalance:
+                if not scaled:
                     self._rebalance_topology(
                         run, topology_id, busy, dt, now
                     )
@@ -390,7 +393,6 @@ class ElasticController:
         identity anchors arrival streams and acker credit).
         """
         nimbus = self.nimbus
-        threshold = nimbus.config["nimbus.elastic.rebalance.threshold"]
         assignment = nimbus.assignments[topology_id]
         topology = nimbus.topology(topology_id)
         util = self._node_utilisation(busy, dt)
@@ -398,7 +400,7 @@ class ElasticController:
         hot = [
             node_id
             for node_id in sorted(assignment.nodes)
-            if util.get(node_id, 0.0) >= threshold
+            if util.get(node_id, 0.0) >= REBALANCE_THRESHOLD
         ]
         if not hot:
             return False
@@ -421,7 +423,7 @@ class ElasticController:
             for node in nimbus.cluster.alive_nodes
             if node.node_id != source
             and node.node_id not in quarantined
-            and util.get(node.node_id, 0.0) < threshold
+            and util.get(node.node_id, 0.0) < REBALANCE_THRESHOLD
             and node.can_host(demand)
         ]
         if not targets:

@@ -7,9 +7,13 @@ supervisors heartbeat periodically in simulated time, and the detector
 unregisters those whose last heartbeat is older than the timeout, at
 which point Nimbus's membership reconciliation sees the node disappear.
 
-Wiring it up::
+Wiring it up (:func:`repro.experiments.harness.wire` does this, with
+the timing from ``nimbus.supervisor.heartbeat.secs`` and
+``nimbus.supervisor.timeout.secs``)::
 
-    detector = HeartbeatFailureDetector(supervisors, timeout_s=15.0)
+    detector = HeartbeatFailureDetector(
+        supervisors, heartbeat_interval_s=5.0, timeout_s=15.0
+    )
     detector.attach(run)        # heartbeats + checks inside the DES
     nimbus.attach(run)          # scheduling ticks observe the expiry
 
@@ -44,8 +48,8 @@ class HeartbeatFailureDetector:
     def __init__(
         self,
         supervisors: Iterable[Supervisor],
-        heartbeat_interval_s: float = 3.0,
-        timeout_s: float = 10.0,
+        heartbeat_interval_s: float,
+        timeout_s: float,
     ):
         self.supervisors: Dict[str, Supervisor] = {
             s.supervisor_id: s for s in supervisors

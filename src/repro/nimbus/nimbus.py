@@ -70,8 +70,8 @@ class Nimbus:
         #: (time, node id) of every quarantine decision, for reporting
         self.quarantine_events: List[Tuple[float, str]] = []
         #: bound by :class:`~repro.nimbus.tenancy.TenancyController`;
-        #: consulted per round only when ``nimbus.tenancy.enabled`` is
-        #: set, so the default path never changes.
+        #: consulted per round only while one is bound, so the default
+        #: path never changes.
         self.tenancy = None
         self._attached = False
 
@@ -273,7 +273,7 @@ class Nimbus:
         self.reconcile_membership()
         if self.config["nimbus.quarantine.enabled"]:
             self._update_quarantine(now)
-        if self.tenancy is not None and self.config["nimbus.tenancy.enabled"]:
+        if self.tenancy is not None:
             # Masked, so the weighted-DRF capacity is what the
             # schedulers will see this round.
             with self._quarantine_masked():

@@ -17,10 +17,10 @@ its reservations), and because surviving assignments are passed to the
 scheduler as ``existing``, only the delta is re-placed — nothing else
 moves.
 
-The whole layer is opt-in via ``nimbus.tenancy.enabled`` (default
-false).  Disabled, :meth:`submit` is a strict pass-through to
-``Nimbus.submit_topology`` and :meth:`admission_round` is never invoked
-by the scheduling round, so the default path stays byte-identical
+The layer is on exactly when a controller is wired: building one binds
+it to ``nimbus.tenancy``, and only then does the scheduling round run
+admission.  A Nimbus with no controller never reads a
+``nimbus.tenancy.*`` key, so the default path stays byte-identical
 (asserted by the differential tests and the CI non-perturbation grep).
 """
 
@@ -63,7 +63,7 @@ class TenancyController:
 
     Binds itself to ``nimbus.tenancy``;
     :meth:`Nimbus.schedule_round` calls :meth:`admission_round` once per
-    round — only when ``nimbus.tenancy.enabled`` is set.  The controller
+    round while one is bound.  The controller
     keeps no reference to its Nimbus (Nimbus holds the controller, so
     one back would close a reference cycle): the methods that act on
     Nimbus take it as their first argument.
@@ -89,10 +89,6 @@ class TenancyController:
         nimbus.tenancy = self
 
     # -- registry -------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return self.config["nimbus.tenancy.enabled"]
 
     def register_tenant(self, tenant: Tenant) -> None:
         if tenant.tenant_id in self.tenants:
@@ -121,14 +117,8 @@ class TenancyController:
     # -- submission -----------------------------------------------------
 
     def submit(self, nimbus, topology: Topology, tenant_id: str) -> None:
-        """Submit ``topology`` to ``nimbus`` on behalf of ``tenant_id``.
-
-        Disabled (``nimbus.tenancy.enabled: false``), this is a strict
-        pass-through to ``Nimbus.submit_topology`` — admission never
-        runs and behaviour is byte-identical to direct submission.
-        Enabled, the topology queues until an admission round grants it
-        cluster slack.
-        """
+        """Submit ``topology`` to ``nimbus`` on behalf of ``tenant_id``:
+        it queues until an admission round grants it cluster slack."""
         if tenant_id not in self.tenants:
             raise SchedulingError(
                 f"unknown tenant {tenant_id!r}; register it first"
@@ -139,9 +129,6 @@ class TenancyController:
                 f"topology {topology_id!r} is already submitted"
             )
         self._owner[topology_id] = tenant_id
-        if not self.enabled:
-            nimbus.submit_topology(topology)
-            return
         self._pending[tenant_id].append(topology)
 
     # -- admission ------------------------------------------------------
@@ -163,10 +150,8 @@ class TenancyController:
 
         Called by ``Nimbus.schedule_round`` (quarantined nodes already
         masked, so capacity excludes them) before the per-topology
-        schedulers run.  No-op when disabled or nothing is pending.
+        schedulers run.  No-op when nothing is pending.
         """
-        if not self.enabled:
-            return None
         if not any(self._pending.values()):
             return None
         running = [

@@ -99,8 +99,6 @@ _CHANGED = {
     "interrack_uplink_mbps": 100.0,
     "storm": (("nimbus.quarantine.enabled", True),),
     "faults": spec(FaultSchedule),
-    "heartbeat_interval_s": 2.0,
-    "heartbeat_timeout_s": 6.0,
     "tenants": (Tenant("gold"),),
     "submissions": ((0, "gold", spec(linear_topology, "compute")),),
     "rounds": 12,

@@ -28,9 +28,11 @@ def small_unit(trial=0, faults=None):
         config=SimulationConfig(duration_s=40.0, warmup_s=5.0, window_s=5.0),
         faults=faults
         or spec(FaultSchedule.of, NodeCrash(at=15.0, node_id="node-0-0")),
-        heartbeat_interval_s=2.0,
-        heartbeat_timeout_s=6.0,
-        storm=(("nimbus.scheduler.interval.secs", 5.0),),
+        storm=(
+            ("nimbus.scheduler.interval.secs", 5.0),
+            ("nimbus.supervisor.heartbeat.secs", 2.0),
+            ("nimbus.supervisor.timeout.secs", 6.0),
+        ),
         trial=trial,
     )
 

@@ -179,10 +179,10 @@ class TestComposedUnit:
                 ("nimbus.elastic.interval.secs", 10.0),
                 ("nimbus.quarantine.enabled", True),
                 ("nimbus.scheduler.interval.secs", 5.0),
+                ("nimbus.supervisor.heartbeat.secs", 2.0),
+                ("nimbus.supervisor.timeout.secs", 6.0),
             ),
             faults=spec(flapping_node, at=15.0, period=18.0, down_s=12.0),
-            heartbeat_interval_s=2.0,
-            heartbeat_timeout_s=6.0,
         )
         wiring = unit.wire()
         report = wiring.run.run()

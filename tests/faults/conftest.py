@@ -35,9 +35,11 @@ def build_chaos(
         [topology],
         cluster,
         SimulationConfig(duration_s=duration_s, warmup_s=warmup_s),
-        storm={"nimbus.scheduler.interval.secs": scheduling_interval_s},
+        storm={
+            "nimbus.scheduler.interval.secs": scheduling_interval_s,
+            "nimbus.supervisor.heartbeat.secs": heartbeat_interval_s,
+            "nimbus.supervisor.timeout.secs": heartbeat_timeout_s,
+        },
         faults=schedule,
-        heartbeat_interval_s=heartbeat_interval_s,
-        heartbeat_timeout_s=heartbeat_timeout_s,
     )
     return SimpleNamespace(topology=topology, **vars(wiring))

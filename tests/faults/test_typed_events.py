@@ -88,9 +88,12 @@ def all_layers_wiring():
     )
     return wire(
         RStormScheduler(), [hotspot_topology()], emulab_testbed(), config,
-        storm=(("nimbus.elastic.enabled", True),),
+        storm=(
+            ("nimbus.elastic.enabled", True),
+            ("nimbus.supervisor.heartbeat.secs", 2.0),
+            ("nimbus.supervisor.timeout.secs", 6.0),
+        ),
         faults=crash_rejoin(at=30.0, rejoin_at=60.0),
-        heartbeat_interval_s=2.0, heartbeat_timeout_s=6.0,
     )
 
 

@@ -38,6 +38,8 @@ STORM = {
     "nimbus.quarantine.window.secs": 120.0,
     "nimbus.quarantine.probation.secs": 300.0,
     "nimbus.scheduler.interval.secs": 5.0,
+    "nimbus.supervisor.heartbeat.secs": 2.0,
+    "nimbus.supervisor.timeout.secs": 6.0,
 }
 
 
@@ -85,8 +87,6 @@ def build():
         ),
         storm=STORM,
         faults=_first_node_flaps,
-        heartbeat_interval_s=2.0,
-        heartbeat_timeout_s=6.0,
     )
     nimbus, run = wiring.nimbus, wiring.run
     victim = sorted(nimbus.assignments[topology.topology_id].nodes)[0]

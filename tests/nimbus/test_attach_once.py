@@ -48,7 +48,9 @@ def wired(elastic_enabled=True):
 
 def attachers(nimbus, supervisors):
     """Loop name -> the one-argument ``attach`` of one fresh loop."""
-    detector = HeartbeatFailureDetector(supervisors)
+    detector = HeartbeatFailureDetector(
+        supervisors, heartbeat_interval_s=3.0, timeout_s=10.0
+    )
     controller = ElasticController(nimbus)
     return {
         "detector": detector.attach,

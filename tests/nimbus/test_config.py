@@ -79,20 +79,23 @@ class TestParser:
 class TestTypedAccess:
     def test_defaults(self):
         config = StormConfig()
-        assert config["supervisor.cpu.capacity"] == 400.0
+        assert config["nimbus.supervisor.heartbeat.secs"] == 3.0
+        assert config["nimbus.supervisor.timeout.secs"] == 10.0
         assert config["nimbus.scheduler.interval.secs"] == 10.0  # the paper's period
         assert config["topology.workers"] is None
 
     def test_from_yaml_overrides(self):
-        config = StormConfig.from_yaml("supervisor.cpu.capacity: 800.0\n")
-        assert config["supervisor.cpu.capacity"] == 800.0
+        config = StormConfig.from_yaml("nimbus.supervisor.timeout.secs: 80.0\n")
+        assert config["nimbus.supervisor.timeout.secs"] == 80.0
 
     def test_overrides_through_constructor(self):
         base = StormConfig({"storm.scheduler": "r-storm"})
-        config = StormConfig({**base.as_dict(), "supervisor.cpu.capacity": 200})
+        config = StormConfig(
+            {**base.as_dict(), "nimbus.supervisor.timeout.secs": 20}
+        )
         # numbers are stored as float, already checked
-        assert config["supervisor.cpu.capacity"] == 200.0
-        assert isinstance(config["supervisor.cpu.capacity"], float)
+        assert config["nimbus.supervisor.timeout.secs"] == 20.0
+        assert isinstance(config["nimbus.supervisor.timeout.secs"], float)
         assert config["storm.scheduler"] == "r-storm"
 
     def test_unknown_key_raises(self):
@@ -137,23 +140,28 @@ class TestTypedAccess:
             {"nimbus.quarantine.enabled": 1},  # bool
             {"nimbus.quarantine.threshold": 0},  # int >= 1
             {"nimbus.quarantine.threshold": True},
-            {"supervisor.cpu.capacity": -5},  # positive number
-            {"supervisor.cpu.capacity": "many"},
+            {"nimbus.supervisor.heartbeat.secs": -5},  # positive number
+            {"nimbus.supervisor.timeout.secs": "many"},
             {"nimbus.elastic.target.utilisation": 1.5},  # (0, 1]
             {"nimbus.tenancy.headroom": 0.0},
             {"nimbus.elastic.hysteresis": 1.0},  # [0, 1)
             {"nimbus.tenancy.credit.bias": -0.1},  # >= 0
-            {"supervisor.slots.ports": []},  # ports
-            {"supervisor.slots.ports": ["x"]},
+            {"topology.workers": []},  # lists fit no kind
+            {"storm.scheduler": ["x"]},
             {"storm.scheduler": ""},  # non-empty str
             {"topology.workers": 0},  # optional int
             # bad values under a disabled feature
             {"nimbus.elastic.hysteresis": 1.5},
             {"nimbus.tenancy.max.preemptions": -1},
-            # the cross-key rule
+            # the cross-key rules
             {
                 "nimbus.elastic.min.parallelism": 8,
                 "nimbus.elastic.max.parallelism": 2,
+            },
+            {"nimbus.supervisor.heartbeat.secs": 10.0},  # == the timeout
+            {
+                "nimbus.supervisor.heartbeat.secs": 5.0,
+                "nimbus.supervisor.timeout.secs": 4.0,
             },
         ],
         ids=lambda values: ",".join(f"{k}={v!r}" for k, v in values.items()),
@@ -206,6 +214,7 @@ class TestDocsTables:
             ("elastic.md", "nimbus.elastic."),
             ("multitenancy.md", "nimbus.tenancy."),
             ("faults.md", "nimbus.quarantine."),
+            ("faults.md", "nimbus.supervisor."),
         ],
     )
     def test_table_matches_keys(self, page, prefix):

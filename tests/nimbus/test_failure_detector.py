@@ -72,7 +72,9 @@ class TestValidation:
 
     def test_unknown_node_rejected(self, setup):
         _, _, supervisors, _, _ = setup
-        detector = HeartbeatFailureDetector(supervisors.values())
+        detector = HeartbeatFailureDetector(
+            supervisors.values(), heartbeat_interval_s=3.0, timeout_s=10.0
+        )
         with pytest.raises(MembershipError):
             detector.silence("ghost")
         with pytest.raises(MembershipError):

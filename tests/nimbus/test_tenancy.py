@@ -1,8 +1,8 @@
-"""Unit tests for the multi-tenant admission layer (enabled path).
+"""Unit tests for the multi-tenant admission layer.
 
-The disabled path's byte-identity is covered by
+The byte-identity of a Nimbus with no controller wired is covered by
 ``tests/scheduler/test_differential.py::TestTenancyDisabledDifferential``;
-here the controller is switched on against small clusters sized so that
+here a controller is wired against small clusters sized so that
 admission, deferral, credit accrual and priority preemption each have
 exactly one correct outcome.
 """
@@ -35,12 +35,10 @@ def topo(name):
 
 
 def make_nimbus(overrides=None, cluster=None):
-    config = {"nimbus.tenancy.enabled": True}
-    config.update(overrides or {})
     nimbus = Nimbus(
         cluster or one_node_cluster(),
         scheduler=RStormScheduler(),
-        config=StormConfig(config),
+        config=StormConfig(overrides),
     )
     return nimbus, TenancyController(nimbus)
 

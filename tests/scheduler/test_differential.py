@@ -24,7 +24,6 @@ from repro.cluster.builders import (
 from repro.nimbus.config import StormConfig
 from repro.nimbus.elastic import ElasticController
 from repro.nimbus.nimbus import Nimbus
-from repro.nimbus.tenancy import TenancyController, Tenant
 from repro.simulation.config import SimulationConfig
 from repro.simulation.runtime import SimulationRun
 from repro.traffic.arrivals import PoissonArrivals
@@ -655,14 +654,14 @@ class TestPropertyDifferential:
 
 
 class TestTenancyDisabledDifferential:
-    """A StormConfig that merely *carries* ``nimbus.tenancy.*`` keys
-    (with ``enabled`` false) must not perturb any scheduler: assignments
-    stay byte-identical to the frozen oracles even when every topology
-    is submitted through an attached :class:`TenancyController`."""
+    """A StormConfig with non-default ``nimbus.tenancy.*`` keys and no
+    :class:`~repro.nimbus.tenancy.TenancyController` wired must not
+    perturb any scheduler: topologies submitted straight to Nimbus get
+    assignments byte-identical to the frozen oracles."""
 
-    #: Non-default tenancy knobs everywhere — only ``enabled`` matters.
-    TENANCY_DISABLED = {
-        "nimbus.tenancy.enabled": False,
+    #: Non-default tenancy knobs everywhere — none is read until a
+    #: controller is wired.
+    TENANCY_KEYS = {
         "nimbus.tenancy.headroom": 0.8,
         "nimbus.tenancy.credit.accrual": 2.5,
         "nimbus.tenancy.credit.bias": 0.2,
@@ -676,15 +675,9 @@ class TestTenancyDisabledDifferential:
         (AnielloOfflineScheduler, ReferenceAnielloScheduler),
     )
 
-    TENANTS = (
-        Tenant("acme", weight=3.0, priority=2),
-        Tenant("burst", weight=0.5, priority=0),
-    )
-
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_submit_through_controller_identical(self, seed):
-        """Submitting via a disabled controller is a strict pass-through:
-        assignments match the reference oracle for every scheduler."""
+    def test_submit_without_controller_identical(self, seed):
+        """Assignments match the reference oracle for every scheduler."""
         topologies = [
             random_topology(seed * 10 + i, name=f"t{seed}-{i}")
             for i in range(2)
@@ -699,55 +692,14 @@ class TestTenancyDisabledDifferential:
             nimbus = Nimbus(
                 roomy(),
                 scheduler=opt_cls(),
-                config=StormConfig(dict(self.TENANCY_DISABLED)),
+                config=StormConfig(dict(self.TENANCY_KEYS)),
             )
-            controller = TenancyController(nimbus)
-            for tenant in self.TENANTS:
-                controller.register_tenant(tenant)
-            for index, topology in enumerate(topologies):
-                controller.submit(
-                    nimbus, topology, self.TENANTS[index % 2].tenant_id
-                )
+            for topology in topologies:
+                nimbus.submit_topology(topology)
             nimbus.schedule_round()
+            assert nimbus.tenancy is None
             want = ref_cls().schedule(topologies, roomy())
             assert as_map(dict(nimbus.assignments)) == as_map(want)
-
-    @pytest.mark.parametrize(
-        "opt_cls,ref_cls",
-        SCHEDULER_PAIRS,
-        ids=["r-storm", "default", "aniello"],
-    )
-    def test_disabled_controller_commits_nothing(self, opt_cls, ref_cls):
-        """With ``enabled`` false the controller queues nothing, records
-        nothing and never preempts — even across repeated scheduling
-        rounds on a contended cluster."""
-        topologies = [
-            micro_topology("linear", "compute"),
-            micro_topology("diamond", "compute"),
-        ]
-        nimbus = Nimbus(
-            emulab_testbed(),
-            scheduler=opt_cls(),
-            config=StormConfig(dict(self.TENANCY_DISABLED)),
-        )
-        controller = TenancyController(nimbus)
-        for tenant in self.TENANTS:
-            controller.register_tenant(tenant)
-        for index, topology in enumerate(topologies):
-            controller.submit(
-                nimbus, topology, self.TENANTS[index % 2].tenant_id
-            )
-        for round_index in range(3):
-            nimbus.schedule_round(now=float(round_index) * 10.0)
-
-        assert controller.pending_ids == []
-        assert controller.round_records == []
-        assert controller.decisions == []
-        assert controller.preemptions == 0
-        assert controller.preempted_tasks == 0
-        assert controller.credits == {"acme": 0.0, "burst": 0.0}
-        want = ref_cls().schedule(topologies, emulab_testbed())
-        assert as_map(dict(nimbus.assignments)) == as_map(want)
 
 
 class TestRingBoundTie:
