@@ -5,7 +5,7 @@ flat YAML configuration file::
 
     storm.scheduler: "r-storm"
     nimbus.scheduler.interval.secs: 10.0
-    nimbus.supervisor.timeout.secs: 10.0
+    nimbus.supervisor.timeout.secs: 15.0
 
 This module provides a dependency-free parser for that flat subset of
 YAML (scalar and inline-list values, comments) plus

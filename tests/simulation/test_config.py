@@ -63,16 +63,8 @@ class TestValidation:
              "arrival_seed": -1},
             {"arrival_process": PoissonArrivals(rate_tps=10.0),
              "arrival_seed": 1.5},
-        ],
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
-            SimulationConfig(**kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            # a NaN cutoff never times a tree out: credit leaks silently
+            # non-finite or mistyped: a NaN cutoff never times a tree
+            # out, so credit would leak silently
             {"batch_timeout_s": math.nan},
             {"thrash_factor": math.nan},
             {"serde_ms_per_tuple": math.nan},
@@ -89,13 +81,12 @@ class TestValidation:
             # a truthy string would silently switch replay on
             {"at_least_once": "no"},
             {"at_least_once": 1},
-            {"arrival_seed": True,
-             "arrival_process": PoissonArrivals(rate_tps=10.0)},
+            {"arrival_process": PoissonArrivals(rate_tps=10.0),
+             "arrival_seed": True},
         ],
-        ids=lambda kwargs: ",".join(f"{k}={v!r}" for k, v in kwargs.items()),
     )
-    def test_non_finite_or_mistyped_rejected(self, kwargs):
-        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+    def test_invalid_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
             SimulationConfig(**kwargs)
 
     def test_int_accepted_for_float_fields(self):
